@@ -398,9 +398,11 @@ def _expand(seg: Segment, tri: Triangulation, space: str) -> LaurentPolynomial:
             if a in (p, q, r):
                 opposite = Segment(*(v for v in (p, q, r) if v != a))
                 if crosses(opposite, seg):
-                    assert ear is None, "segment exits through two triangles"
+                    if ear is not None:
+                        raise InvariantViolation("segment exits through two triangles")
                     ear = opposite
-        assert ear is not None, "no chart diagonal crosses the segment"
+        if ear is None:
+            raise InvariantViolation("no chart diagonal crosses the segment")
         own = _crossing_count(seg, tri)
         quad = sorted((seg.i, seg.j, ear.i, ear.j))
         sides = (
@@ -409,8 +411,8 @@ def _expand(seg: Segment, tri: Triangulation, space: str) -> LaurentPolynomial:
         )
         numer = LaurentPolynomial.zero(names)
         for s1, s2 in sides:
-            assert _crossing_count(s1, tri) < own
-            assert _crossing_count(s2, tri) < own
+            if max(_crossing_count(s1, tri), _crossing_count(s2, tri)) >= own:
+                raise InvariantViolation("quadrilateral sides must cross fewer chart diagonals")
             numer = numer + _expand(s1, tri, space) * _expand(s2, tri, space)
         poly = numer * LaurentPolynomial.variable(names, a_variable_name(ear), -1)
     _EXPAND_CACHE[key] = poly

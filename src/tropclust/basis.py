@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -99,6 +99,7 @@ class Expansion:
     """A finite nonnegative integer combination of laminations."""
 
     terms: tuple
+    _coeffs: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         terms = tuple(self.terms)
@@ -107,10 +108,11 @@ class Expansion:
                 raise InvariantViolation("expansion terms must be laminations")
             if not isinstance(coeff, int) or isinstance(coeff, bool) or coeff <= 0:
                 raise InvariantViolation("expansion coefficients must be positive integers")
-        graphs = [lam.graph for lam, _ in terms]
-        if len(set(graphs)) != len(graphs):
+        coeffs = {lam.graph: coeff for lam, coeff in terms}
+        if len(coeffs) != len(terms):
             raise InvariantViolation("expansion terms must be distinct laminations")
         object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_coeffs", coeffs)
 
     def __iter__(self):
         return iter(self.terms)
@@ -119,10 +121,7 @@ class Expansion:
         return len(self.terms)
 
     def coefficient(self, lam: Lamination) -> int:
-        for l, c in self.terms:
-            if l.graph == lam.graph:
-                return c
-        return 0
+        return self._coeffs.get(lam.graph, 0)
 
     def support(self) -> list[Lamination]:
         return [l for l, _ in self.terms]
@@ -176,33 +175,35 @@ def _reroute(graph: WeightedGraph, quad, sides) -> WeightedGraph:
     return WeightedGraph(graph.n_gon, tuple(tuple(row) for row in m))
 
 
-_SPLIT_MEMO: dict[tuple, dict] = {}
+def _split_leaves(graph: WeightedGraph, policy: str, budget: int) -> dict:
+    """Leaf counts of the split tree below ``graph``, expanding each distinct
+    graph once.
 
-
-def _split_leaves(graph: WeightedGraph, policy: str, state: dict) -> dict:
-    key = (graph, policy)
-    hit = _SPLIT_MEMO.get(key)
-    if hit is not None:
-        return hit
-    quads = _crossing_quads(graph)
-    if not quads:
-        result = {graph: 1}
-        _SPLIT_MEMO[key] = result
-        return result
-    state["expanded"] += 1
-    if state["expanded"] > state["budget"]:
-        raise BudgetExceeded(state["budget"], state["expanded"])
-    quad = min(quads) if policy == "smallest" else max(quads)
-    p, q, r, s = quad
-    measure = crossing_measure(graph)
-    result: dict[WeightedGraph, int] = {}
-    for sides in (((p, s), (q, r)), ((p, q), (r, s))):
-        child = _reroute(graph, quad, sides)
-        assert crossing_measure(child) < measure, "crossing measure must drop"
-        for leaf, count in _split_leaves(child, policy, state).items():
-            result[leaf] = result.get(leaf, 0) + count
-    _SPLIT_MEMO[key] = result
-    return result
+    Pending graphs wait in buckets keyed by crossing measure, which drops
+    strictly from a graph to both of its children.  Taking the largest
+    measure first means every parent of a graph is expanded before it, so
+    its multiplicity is complete when its own turn comes; measure zero holds
+    the leaves.
+    """
+    buckets: dict[int, dict[WeightedGraph, int]] = {0: {}}
+    buckets.setdefault(crossing_measure(graph), {})[graph] = 1
+    expanded = 0
+    while (measure := max(buckets)) > 0:
+        for node, count in buckets.pop(measure).items():
+            expanded += 1
+            if expanded > budget:
+                raise BudgetExceeded(budget, expanded)
+            quads = _crossing_quads(node)
+            quad = min(quads) if policy == "smallest" else max(quads)
+            p, q, r, s = quad
+            for sides in (((p, s), (q, r)), ((p, q), (r, s))):
+                child = _reroute(node, quad, sides)
+                child_measure = crossing_measure(child)
+                if child_measure >= measure:
+                    raise InvariantViolation("crossing measure must drop")
+                bucket = buckets.setdefault(child_measure, {})
+                bucket[child] = bucket.get(child, 0) + count
+    return buckets[0]
 
 
 def product_graph(points: Sequence[Lamination]) -> WeightedGraph:
@@ -228,11 +229,11 @@ def product_expand(
 
     Splits one crossing at a time, each split replacing the two crossing
     chords by a pair of opposite sides of their quadrilateral, in both ways;
-    the leaves of this recursion are laminations counted with multiplicity.
+    the leaves of this splitting are laminations counted with multiplicity.
     The result does not depend on which crossing is chosen; ``policy``
     selects the quadruple ("smallest"/"largest" in lexicographic order) so
-    independence can be exercised.  ``budget`` caps the number of fresh
-    node expansions; previously solved graphs are free.
+    independence can be exercised.  ``budget`` caps the number of distinct
+    graphs split in this call; the count does not depend on earlier calls.
     """
     if policy not in POLICIES:
         raise InvariantViolation(f"policy must be one of {POLICIES}, got {policy!r}")
@@ -242,8 +243,7 @@ def product_expand(
     for p in points:
         if p.domain != "int":
             raise NonIntegral("product expansion needs integral laminations")
-    state = {"expanded": 0, "budget": budget}
-    leaves = _split_leaves(total, policy, state)
+    leaves = _split_leaves(total, policy, budget)
     terms = sorted(
         ((Lamination(g), c) for g, c in leaves.items()),
         key=lambda pair: _sort_key(pair[0]),

@@ -45,6 +45,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _chart_text(tri: Triangulation) -> str:
     return ",".join(f"{d.i}-{d.j}" for d in tri.sorted_diagonals())
 
@@ -211,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("triangulations", _cmd_triangulations,
             "list every complete triangulation chart")
-    p.add_argument("--n", type=int, required=True,
+    p.add_argument("--n", type=_nonnegative_int, required=True,
                    help="rank; the polygon has n+3 vertices")
 
     p = add("support", _cmd_support,
@@ -219,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, help="points JSON file")
     p.add_argument("--coeffs", action="store_true",
                    help="include multiplicities, not just the support")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    p.add_argument("--budget", type=_nonnegative_int, default=DEFAULT_BUDGET,
                    help="cap on expansion steps")
 
     p = add("minkowski", _cmd_minkowski,
@@ -250,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("verify-mthm", _cmd_verify_mthm,
             "check support of a product against the Minkowski lattice points")
     p.add_argument("--in", dest="infile", required=True, help="points JSON file")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    p.add_argument("--budget", type=_nonnegative_int, default=DEFAULT_BUDGET,
                    help="cap on expansion steps")
 
     p = add("mutate", _cmd_mutate, "mutate a seed along a word")

@@ -18,7 +18,7 @@ from .laminations import Lamination, TropicalCoords
 from .laurent import LaurentPolynomial
 from .polygon import Segment, Triangulation
 from .polytopes import StasheffSpec
-from .weighted_graphs import WeightedGraph
+from .weighted_graphs import WeightedGraph, _is_number, _normalize
 
 FORMAT = 1
 
@@ -26,7 +26,7 @@ _FRACTION_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
 
 def number_to_json(x):
-    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+    if not _is_number(x):
         raise InputFormatError(f"not an exact number: {x!r}")
     if isinstance(x, Fraction):
         if x.denominator == 1:
@@ -47,8 +47,7 @@ def number_from_json(x):
     if isinstance(x, str):
         if not _FRACTION_RE.match(x):
             raise InputFormatError(f"malformed number string: {x!r}")
-        value = Fraction(x)
-        return int(value) if value.denominator == 1 else value
+        return _normalize(Fraction(x))
     raise InputFormatError(f"not a number: {x!r}")
 
 

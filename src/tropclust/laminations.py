@@ -33,7 +33,14 @@ from .polygon import (
     edges as polygon_edges,
     flip_path,
 )
-from .weighted_graphs import Number, WeightedGraph, stats, wrap_vertex
+from .weighted_graphs import (
+    Number,
+    WeightedGraph,
+    _is_number,
+    _normalize,
+    stats,
+    wrap_vertex,
+)
 
 DOMAINS = ("int", "rat")
 
@@ -41,12 +48,6 @@ DOMAINS = ("int", "rat")
 def _check_domain(domain: str) -> None:
     if domain not in DOMAINS:
         raise InvariantViolation(f"domain must be one of {DOMAINS}, got {domain!r}")
-
-
-def _normalize(x: Number) -> Number:
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return int(x)
-    return x
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,7 @@ class Lamination:
         return Lamination(self.graph + other.graph, domain)
 
     def __mul__(self, k) -> "Lamination":
-        if not isinstance(k, (int, Fraction)) or isinstance(k, bool):
+        if not _is_number(k):
             return NotImplemented
         if k < 0:
             raise NotALamination("scaling factor must be nonnegative")
@@ -123,7 +124,7 @@ class TropicalCoords:
                 "coordinate segments must be exactly the chart diagonals"
             )
         for _, v in vals:
-            if not isinstance(v, (int, Fraction)) or isinstance(v, bool):
+            if not _is_number(v):
                 raise InvariantViolation(f"coordinate values must be exact numbers")
         object.__setattr__(self, "values", vals)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -256,18 +256,6 @@ class LaurentPolynomial:
     def __repr__(self):
         return f"LaurentPolynomial({self.vars!r}, {self.terms!r})"
 
-    # -- JSON --------------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "vars": list(self.vars),
-            "terms": [[list(e), c] for e, c in self.terms_sorted()],
-        }
-
-    @classmethod
-    def from_json(cls, doc: Mapping) -> "LaurentPolynomial":
-        return cls(tuple(doc["vars"]), {tuple(e): c for e, c in doc["terms"]})
-
 
 @dataclass(frozen=True)
 class TropicalFunction:
@@ -291,29 +279,6 @@ class TropicalFunction:
 
     def sorted_forms(self) -> list[tuple[int, ...]]:
         return sorted(self.forms)
-
-
-def tropicalize(poly: LaurentPolynomial) -> TropicalFunction:
-    return poly.tropicalize()
-
-
-def eval_tropical(fn: TropicalFunction, point: Sequence[int | Fraction]):
-    return fn.eval(point)
-
-
-def exact_div(f: LaurentPolynomial, g: LaurentPolynomial) -> LaurentPolynomial:
-    return f.exact_div(g)
-
-
-def is_positive(f: LaurentPolynomial) -> bool:
-    return f.is_positive()
-
-
-def product(polys: Iterable[LaurentPolynomial], variables: Sequence[str]) -> LaurentPolynomial:
-    out = LaurentPolynomial.one(variables)
-    for p in polys:
-        out = out * p
-    return out
 
 
 class RationalFunction:

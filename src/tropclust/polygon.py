@@ -229,7 +229,8 @@ def flip(tri: Triangulation, diag: Segment):
         raise InvariantViolation("diagonal does not bound exactly two triangles")
     new_diag = Segment(*apexes)
     quad = tuple(sorted((diag.i, diag.j, *apexes)))
-    assert {diag, new_diag} == {Segment(quad[0], quad[2]), Segment(quad[1], quad[3])}
+    if {diag, new_diag} != {Segment(quad[0], quad[2]), Segment(quad[1], quad[3])}:
+        raise InvariantViolation("a flip must swap the two diagonals of a quadrilateral")
     new_tri = Triangulation(tri.n_gon, (tri.diagonals - {diag}) | {new_diag})
     return new_tri, new_diag, quad
 

@@ -50,13 +50,7 @@ from .polygon import (
     supplement,
     triangulations,
 )
-from .weighted_graphs import Number
-
-
-def _normalize(x: Number) -> Number:
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return int(x)
-    return x
+from .weighted_graphs import Number, _is_number, _normalize
 
 
 @dataclass(frozen=True)
@@ -73,7 +67,7 @@ class StasheffSpec:
         if segs != tuple(polygon_diagonals(self.n_gon)):
             raise SizeMismatch("spec must bound every diagonal exactly once")
         for _, v in vals:
-            if not isinstance(v, (int, Fraction)) or isinstance(v, bool):
+            if not _is_number(v):
                 raise InvariantViolation("bounds must be exact numbers")
         object.__setattr__(self, "c", vals)
 

@@ -37,6 +37,12 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
+def _normalize(x: Number) -> Number:
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return int(x)
+    return x
+
+
 def wrap_vertex(v: int, n_gon: int) -> int:
     """Map an arbitrary integer onto the vertex labels 1..N."""
     return (v - 1) % n_gon + 1
@@ -185,7 +191,8 @@ def stats(graph: WeightedGraph) -> GraphStats:
             total = sum(
                 w[i - 1][j - 1] for i in range(k, l + 1) for j in range(k, l + 1)
             )
-            assert total % 2 == 0 if isinstance(total, int) else True
+            if isinstance(total, int) and total % 2:
+                raise InvariantViolation(f"odd doubled interval mass on [{k}, {l}]")
             interval[(k, l)] = total // 2 if isinstance(total, int) else total / 2
 
     vertex = tuple(sum(row) for row in w)
@@ -201,7 +208,8 @@ def stats(graph: WeightedGraph) -> GraphStats:
             if j not in inside
         )
         via_interval = sum(vertex[i - 1] for i in inside) - 2 * interval[(k + 1, l)]
-        assert direct == via_interval, "cut mass identity failed"
+        if direct != via_interval:
+            raise InvariantViolation("cut mass identity failed")
         cut[seg] = direct
 
     return GraphStats(n, interval, vertex, cut)
@@ -269,7 +277,5 @@ def graph_from_cut_stats(cut: Mapping[Segment, Number], n_gon: int) -> WeightedG
                 raise NonIntegral(f"weight on {tuple(seg)} would be {total}/2")
             weights[seg] = total // 2
         else:
-            weights[seg] = total / 2
-            if weights[seg].denominator == 1:
-                weights[seg] = int(weights[seg])
+            weights[seg] = _normalize(total / 2)
     return WeightedGraph.from_weights(n_gon, weights)

@@ -1,6 +1,7 @@
 """Canonical basis functions, product expansion, and the pentagon closed form."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -190,14 +191,65 @@ def test_support_is_sorted_and_deterministic():
 
 
 def test_budget_enforcement():
-    # memoised graphs cost nothing, so exercise the budget on fresh products
     with pytest.raises(BudgetExceeded) as info:
         product_expand([pt(6, (0, 1, 0)), pt(6, (1, 0, 0))], budget=0)
     assert info.value.budget == 0
-    assert info.value.expanded >= 0
-    # one fresh expansion suffices for a single crossing
+    assert info.value.expanded == 1
+    # one expansion suffices for a single crossing
     exp = product_expand([pt(6, (0, 1, 0)), pt(6, (0, 0, 1))], budget=1)
     assert len(exp) == 2
+
+
+def test_budget_does_not_depend_on_call_history():
+    points = [pt(6, (1, -1, 0)), pt(6, (-1, 1, 1))]
+
+    def exceeded_at(budget):
+        try:
+            product_expand(points, budget=budget)
+        except BudgetExceeded as exc:
+            return exc.expanded
+        return None
+
+    cold = [exceeded_at(b) for b in range(10)]
+    assert cold == [1, 2, 3, 4, 5, 6, 7, None, None, None]
+    product_expand(points)
+    assert [exceeded_at(b) for b in range(10)] == cold
+
+
+def _peel_into_basis(poly, n_gon):
+    """Basis coefficients of ``poly`` found without splitting crossings.
+
+    A basis function has coefficient 1 at its own fan coordinates, and that
+    exponent is its lexicographic maximum, so subtracting the basis function
+    at the leading exponent of what remains always lowers that exponent."""
+    coeffs = {}
+    leading = None
+    while not poly.is_zero():
+        exps = max(poly.terms)
+        assert leading is None or exps < leading
+        leading = exps
+        lam = pt(n_gon, exps)
+        coeffs[lam.graph] = poly.terms[exps]
+        poly = poly - poly.terms[exps] * basis_laurent(lam)
+    return coeffs
+
+
+@pytest.mark.parametrize("n_gon", [6, 7])
+def test_expansion_matches_leading_term_peeling(n_gon):
+    rng = random.Random(n_gon)
+    sizes = []
+    for _ in range(5):
+        points = [
+            pt(n_gon, tuple(rng.randint(-2, 2) for _ in range(n_gon - 3)))
+            for _ in range(rng.randint(2, 3))
+        ]
+        product = basis_laurent(points[0])
+        for p in points[1:]:
+            product = product * basis_laurent(p)
+        expansion = product_expand(points)
+        sizes.append(len(expansion))
+        assert {lam.graph: c for lam, c in expansion} == _peel_into_basis(product, n_gon)
+    assert max(sizes) > 10  # the sample reaches products with many terms
 
 
 def test_nonintegral_products_rejected():

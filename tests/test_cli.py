@@ -80,7 +80,7 @@ def test_support_plain_and_coeffs(files, capsys, tmp_path):
 
 
 def test_support_budget_exhaustion(files, capsys, tmp_path):
-    # two crossing heptagon curves never expanded elsewhere in this process
+    # two crossing heptagon curves need one split, which budget 0 forbids
     from tropclust.laminations import Lamination
     from tropclust.weighted_graphs import WeightedGraph
     from tropclust.polygon import Segment
@@ -216,6 +216,19 @@ def test_exit_code_input_errors(files, capsys):
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])
     assert info.value.code == EXIT_INPUT
+    points = str(files / "points.json")
+    for argv in (
+        ["triangulations", "--n", "-1"],
+        ["support", "--in", points, "--budget", "-5"],
+        ["verify-mthm", "--in", points, "--budget", "-5"],
+    ):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("usage: tropclust")
+        assert "must be nonnegative" in err
 
 
 def test_exit_code_math_error(files, capsys):
