@@ -75,8 +75,8 @@ class NotStasheff(TropclustError, ValueError):
 
 
 class Unbounded(TropclustError, ValueError):
-    """Exact elimination certified that the solution region has no finite
-    bound in some coordinate."""
+    """Exact linear programming certified that the solution region has no
+    finite bound in some coordinate."""
 
 
 class InputFormatError(TropclustError, ValueError):

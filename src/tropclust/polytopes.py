@@ -13,16 +13,19 @@ vectors c restricted to complete triangulations, and faces are indexed by
 partial triangulations.
 
 Lattice enumeration works per chart: each diagonal bound tropicalizes to a
-max of linear forms in the chart coordinates, the maxima split into plain
-half-spaces, and exact Fourier-Motzkin elimination produces coordinate
-ranges to scan.  The same elimination core decides hull membership.
+max of linear forms in the chart coordinates, and the maxima split into
+plain half-spaces with integer rows.  An exact integer simplex under
+Bland's rule, run on the dual of each coordinate's maximisation, gives the
+box of coordinate ranges to scan; the same simplex decides emptiness and
+hull membership through Farkas' lemma.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .atlas import expand_cluster_variable
@@ -59,6 +62,7 @@ class StasheffSpec:
 
     n_gon: int
     c: tuple
+    _bounds: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_polygon(self.n_gon)
@@ -70,6 +74,7 @@ class StasheffSpec:
             if not _is_number(v):
                 raise InvariantViolation("bounds must be exact numbers")
         object.__setattr__(self, "c", vals)
+        object.__setattr__(self, "_bounds", dict(vals))
 
     @staticmethod
     def of(n_gon: int, mapping) -> "StasheffSpec":
@@ -83,7 +88,7 @@ class StasheffSpec:
         seg = Segment(*seg)
         if not seg.is_diagonal(self.n_gon):
             raise NotADiagonal(f"{seg} is not a diagonal; bounds live on diagonals")
-        return self.as_dict()[seg]
+        return self._bounds[seg]
 
     def side_value(self, p: int, q: int) -> Number:
         """The bound with boundary edges (and coinciding vertices) read as 0."""
@@ -92,7 +97,7 @@ class StasheffSpec:
         seg = Segment(p, q)
         if seg.is_edge(self.n_gon):
             return 0
-        return self.as_dict()[seg]
+        return self._bounds[seg]
 
 
 def quadruple_slack(spec: StasheffSpec, p: int, q: int, r: int, s: int) -> Number:
@@ -130,7 +135,7 @@ def vertex(spec: StasheffSpec, tri: Triangulation) -> TropicalCoords:
     if spec.n_gon != tri.n_gon:
         raise SizeMismatch("spec and chart live on different polygons")
     tri.require_complete()
-    c = spec.as_dict()
+    c = spec._bounds
     return TropicalCoords(tri, tuple((d, c[d]) for d in tri.sorted_diagonals()))
 
 
@@ -161,7 +166,7 @@ def face_membership(face: Face, lam: Lamination) -> bool:
     spec = face.spec
     if lam.n_gon != spec.n_gon:
         raise SizeMismatch("point and spec live on different polygons")
-    c = spec.as_dict()
+    c = spec._bounds
     for d in sorted(face.diagonals):
         if tropical_coordinate(lam, d) != c[d]:
             return False
@@ -202,63 +207,151 @@ def minkowski_sum(spec1: StasheffSpec, spec2: StasheffSpec) -> StasheffSpec:
         raise SizeMismatch("specs live on different polygons")
     if not is_stasheff(spec1) or not is_stasheff(spec2):
         raise NotStasheff("both summands must satisfy the quadruple criterion")
-    d1, d2 = spec1.as_dict(), spec2.as_dict()
+    d1, d2 = spec1._bounds, spec2._bounds
     return StasheffSpec.of(spec1.n_gon, {d: d1[d] + d2[d] for d in d1})
 
 
 # -- exact linear programming core ------------------------------------------
 #
 # An inequality is (coeffs, rhs) meaning coeffs . a <= rhs, with exact
-# rational entries.  Systems are kept canonical: integer coefficient
-# vectors with content 1, one row per direction keeping the tightest rhs.
+# rational entries.  _integer_system turns a list of them into integer rows
+# (coefficient vectors with content 1, one row per direction keeping the
+# tightest rhs) whose right-hand sides share one denominator D, so that the
+# system reads coeffs . a <= rhs / D with every number an int.
+#
+# Bounds and feasibility come from linear programming duality, solved by
+# one integer simplex: max c.a over coeffs . a <= rhs equals min rhs . y
+# over y >= 0 with sum y_i coeffs_i = c, and the system is empty exactly
+# when some y >= 0 with sum y_i coeffs_i = 0 has rhs . y < 0 (Farkas).
 
 
-def _canonical(ineqs: Iterable[tuple]) -> list[tuple] | None:
-    """Deduplicate rows; None signals an infeasible constant row."""
+def _integer_system(ineqs: Iterable[tuple]) -> tuple[list[tuple], int] | None:
+    """Deduplicated integer rows and their rhs denominator D; None signals
+    an infeasible constant row."""
     best: dict[tuple, Fraction] = {}
     for coeffs, rhs in ineqs:
-        coeffs = tuple(Fraction(x) for x in coeffs)
-        rhs = Fraction(rhs)
-        if all(x == 0 for x in coeffs):
+        coeffs = [Fraction(x) for x in coeffs]
+        denom = lcm(*(x.denominator for x in coeffs))
+        ints = [x.numerator * (denom // x.denominator) for x in coeffs]
+        content = gcd(*ints)
+        if content == 0:
             if rhs < 0:
                 return None
             continue
-        scale = Fraction(1)
-        denom = 1
-        for x in coeffs:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        numer = 0
-        for x in coeffs:
-            numer = gcd(numer, abs(x.numerator * (denom // x.denominator)))
-        scale = Fraction(denom, numer)
-        key = tuple(x * scale for x in coeffs)
-        val = rhs * scale
+        key = tuple(x // content for x in ints)
+        val = Fraction(rhs) * denom / content
         if key not in best or val < best[key]:
             best[key] = val
-    return [(k, v) for k, v in best.items()]
+    d = lcm(*(v.denominator for v in best.values()))
+    return [(k, v.numerator * (d // v.denominator)) for k, v in best.items()], d
 
 
-def eliminate_variable(ineqs: Sequence[tuple], k: int) -> list[tuple] | None:
-    """Project the system onto the other coordinates; None if infeasible."""
-    pos = [(c, r) for c, r in ineqs if c[k] > 0]
-    neg = [(c, r) for c, r in ineqs if c[k] < 0]
-    out = [(c, r) for c, r in ineqs if c[k] == 0]
-    for cp, rp in pos:
-        for cn, rn in neg:
-            mp, mn = -cn[k], cp[k]
-            coeffs = tuple(mp * a + mn * b for a, b in zip(cp, cn))
-            out.append((coeffs, mp * rp + mn * rn))
-    return _canonical(out)
+def _primitive(row: list) -> list:
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _pivot(tab: list, basis: list, obj: list | None, p: int, q: int) -> None:
+    """Make column q basic in row p; every row is scaled by the positive
+    pivot entry and then divided by its content, so rows stay integer."""
+    prow = tab[p]
+    a = prow[q]
+    for i, row in enumerate(tab):
+        f = row[q]
+        if i != p and f:
+            tab[i] = _primitive([a * x - f * y for x, y in zip(row, prow)])
+    if obj is not None and obj[q]:
+        f = obj[q]
+        obj[:] = _primitive([a * x - f * y for x, y in zip(obj, prow)])
+    basis[p] = q
+
+
+def _improve(tab: list, basis: list, obj: list, ncols: int) -> bool:
+    """Pivot under Bland's rule until no reduced cost is negative; False
+    when the objective decreases without bound."""
+    while True:
+        q = next((j for j in range(ncols) if obj[j] < 0), None)
+        if q is None:
+            return True
+        rows = [i for i, row in enumerate(tab) if row[q] > 0]
+        if not rows:
+            return False
+        # least ratio rhs / entry, ties to the lowest basic index
+        p = min(rows, key=lambda i: (Fraction(tab[i][-1], tab[i][q]), basis[i]))
+        _pivot(tab, basis, obj, p, q)
+
+
+def _simplex_min(rows: list, costs: Sequence[int]) -> Fraction | None:
+    """Exact min of costs . y over y >= 0 with rows . y = rhs; None if empty.
+
+    Each row is an integer list [a_1, ..., a_m, rhs].  Phase one starts from
+    one artificial variable per row (basis index m + i, never re-entered
+    once it leaves) and minimises their sum; phase two minimises the costs.
+    Bland's rule makes both phases terminate.  The minimum must be finite.
+    """
+    m = len(costs)
+    tab = [list(r) if r[-1] >= 0 else [-x for x in r] for r in rows]
+    basis = [m + i for i in range(len(tab))]
+    obj = [-sum(col) for col in zip(*tab)]
+    _improve(tab, basis, obj, m)
+    i = 0
+    while i < len(tab):
+        row = tab[i]
+        if basis[i] >= m:
+            if row[-1] > 0:
+                return None
+            q = next((j for j in range(m) if row[j]), None)
+            if q is None:  # a redundant equation
+                del tab[i], basis[i]
+                continue
+            if row[q] < 0:
+                tab[i] = [-x for x in row]
+            _pivot(tab, basis, None, i, q)
+        i += 1
+    obj = list(costs) + [0]
+    for row, b in zip(tab, basis):
+        f = obj[b]
+        if f:
+            obj = _primitive([row[b] * x - f * y for x, y in zip(obj, row)])
+    if not _improve(tab, basis, obj, m):
+        raise InvariantViolation("simplex minimum is unbounded")
+    return sum((Fraction(costs[b] * row[-1], row[b]) for row, b in zip(tab, basis)),
+               Fraction(0))
+
+
+def _is_empty(rows: list, nvars: int) -> bool:
+    """Farkas test: some convex combination of the rows reads 0 <= negative."""
+    eqs = [[c[k] for c, _ in rows] + [0] for k in range(nvars)]
+    low = _simplex_min(eqs + [[1] * len(rows) + [1]], [r for _, r in rows])
+    return low is not None and low < 0
+
+
+def _box(system, nvars: int):
+    if system is None or _is_empty(system[0], nvars):
+        return None
+    rows, d = system
+    costs = [r for _, r in rows]
+    box = []
+    for k in range(nvars):
+        # max of -a_k and of a_k, each the minimum of its dual; an
+        # infeasible dual of a nonempty system means an unbounded direction
+        lo, hi = (
+            _simplex_min(
+                [[c[j] for c, _ in rows] + [sign * (j == k)] for j in range(nvars)],
+                costs,
+            )
+            for sign in (-1, 1)
+        )
+        if lo is None or hi is None:
+            raise Unbounded(f"coordinate {k} has no finite bound")
+        box.append((-lo / d, hi / d))
+    return box
 
 
 def feasible(ineqs: Sequence[tuple], nvars: int) -> bool:
     """Exact satisfiability of a rational inequality system."""
-    system = _canonical(ineqs)
-    for k in range(nvars):
-        if system is None:
-            return False
-        system = eliminate_variable(system, k)
-    return system is not None
+    system = _integer_system(ineqs)
+    return system is not None and not _is_empty(system[0], nvars)
 
 
 def coordinate_bounds(ineqs: Sequence[tuple], nvars: int):
@@ -267,32 +360,7 @@ def coordinate_bounds(ineqs: Sequence[tuple], nvars: int):
     Returns None when the region is empty; raises Unbounded when some
     coordinate has no finite bound on one side.
     """
-    system = _canonical(ineqs)
-    if system is None:
-        return None
-    bounds = []
-    for k in range(nvars):
-        reduced = system
-        for j in range(nvars):
-            if j != k:
-                reduced = eliminate_variable(reduced, j)
-                if reduced is None:
-                    return None
-        lo = hi = None
-        for coeffs, rhs in reduced:
-            a = coeffs[k]
-            if a > 0:
-                cand = rhs / a
-                hi = cand if hi is None or cand < hi else hi
-            elif a < 0:
-                cand = rhs / a
-                lo = cand if lo is None or cand > lo else lo
-        if lo is None or hi is None:
-            raise Unbounded(f"coordinate {k} has no finite bound")
-        if lo > hi:
-            return None
-        bounds.append((lo, hi))
-    return bounds
+    return _box(_integer_system(ineqs), nvars)
 
 
 def chart_inequalities(spec: StasheffSpec, chart: Triangulation) -> list[tuple]:
@@ -304,7 +372,7 @@ def chart_inequalities(spec: StasheffSpec, chart: Triangulation) -> list[tuple]:
     if spec.n_gon != chart.n_gon:
         raise SizeMismatch("spec and chart live on different polygons")
     chart.require_complete()
-    c = spec.as_dict()
+    c = spec._bounds
     ineqs = []
     for d in polygon_diagonals(spec.n_gon):
         trop = expand_cluster_variable(d, chart, "reduced").tropicalize()
@@ -324,19 +392,19 @@ def lattice_points(
     """
     if chart is None:
         chart = fan_triangulation(spec.n_gon)
-    ineqs = chart_inequalities(spec, chart)
-    bounds = coordinate_bounds(ineqs, spec.n_gon - 3)
+    system = _integer_system(chart_inequalities(spec, chart))
+    bounds = _box(system, spec.n_gon - 3)
     if bounds is None:
         return []
-    system = _canonical(ineqs)
+    rows, d = system
+    # an integral point meets coeffs . a <= rhs / d exactly when it meets
+    # the floor of the right-hand side
+    rows = [(coeffs, rhs // d) for coeffs, rhs in rows]
     ranges = [range(ceil(lo), floor(hi) + 1) for lo, hi in bounds]
     diags = chart.sorted_diagonals()
     out = []
     for point in itertools.product(*ranges):
-        if all(
-            sum(a * x for a, x in zip(coeffs, point)) <= rhs
-            for coeffs, rhs in system
-        ):
+        if all(sum(map(mul, coeffs, point)) <= rhs for coeffs, rhs in rows):
             coords = TropicalCoords(chart, tuple(zip(diags, point)))
             out.append((point, lamination_from_coords(coords)))
     out.sort(key=lambda pair: pair[0])
@@ -385,7 +453,7 @@ def shift_to_negative_part(spec: StasheffSpec) -> tuple[Lamination, StasheffSpec
     relation with equality.
     """
     fan = fan_triangulation(spec.n_gon)
-    c = spec.as_dict()
+    c = spec._bounds
     m = max([0] + [c[d] for d in fan.sorted_diagonals()])
     shift = lamination_from_coords(
         TropicalCoords(fan, tuple((d, -m) for d in fan.sorted_diagonals()))

@@ -14,6 +14,7 @@ from tropclust.jsonio import (
     spec_to_json,
 )
 from tropclust.atlas import type_a_seed
+from tropclust.basis import support
 from tropclust.laminations import TropicalCoords, lamination_from_coords
 from tropclust.polygon import diagonals, fan_triangulation
 from tropclust.polytopes import StasheffSpec
@@ -124,6 +125,21 @@ def test_minkowski_and_lattice_points(files, capsys):
     assert len(points_from_json(json.loads(out))) == 6
 
 
+def test_lattice_points_nonagon(tmp_path, capsys):
+    points = [pt(9, (1, -1, 0, 0, -1, -1)), pt(9, (-1, 1, 1, 0, 1, 0))]
+    points_path = tmp_path / "points9.json"
+    points_path.write_text(dumps(points_to_json(points)))
+    code, out = run(["minkowski", "--in", str(points_path)], capsys)
+    assert code == EXIT_OK
+    spec_path = tmp_path / "spec9.json"
+    spec_path.write_text(out)
+    code, out = run(["lattice-points", "--in", str(spec_path)], capsys)
+    assert code == EXIT_OK
+    lattice = points_from_json(json.loads(out))
+    assert len(lattice) == 33
+    assert set(lattice) == set(support(points))
+
+
 def test_check_stasheff(files, capsys):
     code, out = run(["check-stasheff", "--in", str(files / "spec.json")], capsys)
     assert code == EXIT_OK
@@ -216,6 +232,12 @@ def test_exit_code_input_errors(files, capsys):
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])
     assert info.value.code == EXIT_INPUT
+    capsys.readouterr()
+    target = files / "missing-dir" / "x.txt"
+    assert main(["triangulations", "--n", "2", "--out", str(target)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"input error: cannot write {target}")
     points = str(files / "points.json")
     for argv in (
         ["triangulations", "--n", "-1"],

@@ -1,6 +1,8 @@
 """Bound specifications, their polytopes, and exact integral enumeration."""
 
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -27,13 +29,14 @@ from tropclust.polygon import (
     fan_triangulation,
     triangulations,
 )
+from tropclust import polytopes
+from tropclust.basis import support
 from tropclust.polytopes import (
     Face,
     StasheffSpec,
     chart_inequalities,
     contains,
     coordinate_bounds,
-    eliminate_variable,
     face_membership,
     feasible,
     hull_membership,
@@ -187,18 +190,215 @@ def test_linear_core_feasible():
     assert coordinate_bounds(empty, 2) is None
 
 
+# -- Fourier-Motzkin oracle --------------------------------------------------
+#
+# Exact elimination, kept here as an independent check of the library's
+# simplex (Schrijver, Theory of Linear and Integer Programming, ch. 12).
+# Rows are (coeffs, rhs) meaning coeffs . a <= rhs.
+
+
+def fm_canonical(ineqs):
+    """Rows scaled to integer content-1 directions, the tightest rhs each;
+    None for an infeasible constant row."""
+    best = {}
+    for coeffs, rhs in ineqs:
+        coeffs = [Fraction(x) for x in coeffs]
+        rhs = Fraction(rhs)
+        if all(x == 0 for x in coeffs):
+            if rhs < 0:
+                return None
+            continue
+        denom = 1
+        for x in coeffs:
+            denom = denom * x.denominator // gcd(denom, x.denominator)
+        numer = 0
+        for x in coeffs:
+            numer = gcd(numer, x.numerator * (denom // x.denominator))
+        scale = Fraction(denom, numer)
+        key = tuple(x * scale for x in coeffs)
+        if key not in best or rhs * scale < best[key]:
+            best[key] = rhs * scale
+    return list(best.items())
+
+
+def fm_eliminate(ineqs, k):
+    """Project the system onto the other coordinates; None if infeasible."""
+    pos = [(c, r) for c, r in ineqs if c[k] > 0]
+    neg = [(c, r) for c, r in ineqs if c[k] < 0]
+    out = [(c, r) for c, r in ineqs if c[k] == 0]
+    for cp, rp in pos:
+        for cn, rn in neg:
+            mp, mn = -cn[k], cp[k]
+            coeffs = tuple(mp * a + mn * b for a, b in zip(cp, cn))
+            out.append((coeffs, mp * rp + mn * rn))
+    return fm_canonical(out)
+
+
+def fm_feasible(ineqs, nvars):
+    system = fm_canonical(ineqs)
+    for k in range(nvars):
+        if system is None:
+            return False
+        system = fm_eliminate(system, k)
+    return system is not None
+
+
+def fm_bounds(ineqs, nvars):
+    """Per-coordinate bounds by eliminating every other coordinate."""
+    system = fm_canonical(ineqs)
+    if system is None:
+        return None
+    bounds = []
+    for k in range(nvars):
+        reduced = system
+        for j in range(nvars):
+            if j != k:
+                reduced = fm_eliminate(reduced, j)
+                if reduced is None:
+                    return None
+        his = [r / c[k] for c, r in reduced if c[k] > 0]
+        los = [r / c[k] for c, r in reduced if c[k] < 0]
+        if not his or not los:
+            raise Unbounded(f"coordinate {k} has no finite bound")
+        if max(los) > min(his):
+            return None
+        bounds.append((max(los), min(his)))
+    return bounds
+
+
 def test_linear_core_eliminate():
     sys = [((1, 1), 3), ((-1, 0), 0), ((1, -1), 1)]
-    projected = eliminate_variable(sys, 0)
+    projected = fm_eliminate(sys, 0)
     # y from: x <= 3 - y and x <= 1 + y combined with -x <= 0
     assert projected is not None
     assert feasible(projected, 2)
+    assert fm_feasible(sys, 2)
+    assert coordinate_bounds(sys, 2)[1] == (-1, 3)
 
 
 def test_linear_core_unbounded():
     half = [((1, 0), 1), ((0, 1), 1)]
     with pytest.raises(Unbounded):
         coordinate_bounds(half, 2)
+
+
+def test_linear_core_degenerate_single_point():
+    """Eight tight rows through one point: every basis is degenerate, and
+    Bland's rule must still terminate."""
+    octant_rows = [
+        ((sx, sy, sz), 0) for sx in (1, -1) for sy in (1, -1) for sz in (1, -1)
+    ]
+    assert feasible(octant_rows, 3)
+    assert coordinate_bounds(octant_rows, 3) == [(0, 0)] * 3
+    assert fm_bounds(octant_rows, 3) == [(0, 0)] * 3
+
+
+def test_linear_core_rank_deficient_is_unbounded():
+    slab = [((1, 1), 1), ((-1, -1), 0)]
+    assert feasible(slab, 2)
+    with pytest.raises(Unbounded):
+        coordinate_bounds(slab, 2)
+
+
+def test_linear_core_duplicate_and_redundant_rows():
+    square = [((1, 0), 1), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0)]
+    noisy = square + [
+        ((1, 0), 1),  # duplicate
+        ((2, 0), 2),  # same half-space, scaled
+        ((1, 0), 3),  # looser parallel row
+        ((1, 1), 5),  # redundant
+        ((0, 0), 0),  # constant, always true
+    ]
+    assert coordinate_bounds(noisy, 2) == [(0, 1), (0, 1)]
+    assert feasible(noisy, 2)
+    assert coordinate_bounds(noisy + [((0, 0), -1)], 2) is None
+    assert not feasible(noisy + [((0, 0), -1)], 2)
+
+
+def test_linear_core_rational_bound():
+    triangle = [((1, 2), Fraction(1, 3)), ((-1, 0), 0), ((0, -1), 0)]
+    bounds = coordinate_bounds(triangle, 2)
+    assert bounds == [(0, Fraction(1, 3)), (0, Fraction(1, 6))]
+    assert isinstance(bounds[1][1], Fraction)
+    assert bounds == fm_bounds(triangle, 2)
+
+
+def oracle_specs():
+    """Seeded Minkowski specs on 5- to 7-gons, half of them with rational
+    bounds pulled down (many of those are empty), in the fan and in seeded
+    non-fan charts."""
+    rng = random.Random(2011)
+    cases = []
+    for n_gon, count in ((5, 24), (6, 20), (7, 16)):
+        fan = fan_triangulation(n_gon)
+        others = [t for t in triangulations(n_gon) if t != fan]
+        for i in range(count):
+            pts = [
+                point(n_gon, [rng.randint(-2, 2) for _ in range(n_gon - 3)])
+                for _ in range(rng.randint(1, 3))
+            ]
+            spec = minkowski_spec(pts)
+            if i % 2:
+                spec = StasheffSpec.of(n_gon, {
+                    d: v + Fraction(rng.randint(-3, 1), rng.randint(2, 4))
+                    for d, v in spec.c
+                })
+            chart = fan if i % 4 < 2 else rng.choice(others)
+            cases.append((spec, chart))
+    return cases
+
+
+def test_coordinate_bounds_match_fourier_motzkin():
+    outcomes = set()
+    for spec, chart in oracle_specs():
+        ineqs = chart_inequalities(spec, chart)
+        bounds = coordinate_bounds(ineqs, spec.n_gon - 3)
+        assert bounds == fm_bounds(ineqs, spec.n_gon - 3)
+        if bounds is None:
+            outcomes.add("empty")
+        elif all(Fraction(x).denominator == 1 for pair in bounds for x in pair):
+            outcomes.add("integer")
+        else:
+            outcomes.add("rational")
+    assert outcomes == {"empty", "integer", "rational"}
+
+
+def test_hull_membership_matches_fourier_motzkin(monkeypatch):
+    rng = random.Random(77)
+    cases = []
+    for _ in range(24):
+        target = point(5, (rng.randint(-2, 2), rng.randint(-2, 2)))
+        gens = [
+            point(5, (rng.randint(-2, 2), rng.randint(-2, 2)))
+            for _ in range(rng.randint(1, 3))
+        ]
+        cases.append((target, gens, hull_membership(target, gens)))
+    monkeypatch.setattr(polytopes, "feasible", fm_feasible)
+    for target, gens, by_simplex in cases:
+        assert hull_membership(target, gens) == by_simplex
+    assert {by_simplex for _, _, by_simplex in cases} == {True, False}
+
+
+def nonagon_products():
+    """Two two-factor products from the fan box [-1, 1] and one
+    three-factor product from [-2, 2], seeded."""
+    out = []
+    for seed, factors, box in ((6, 2, 1), (9, 2, 1), (3, 3, 2)):
+        rng = random.Random(seed)
+        out.append([
+            point(9, [rng.randint(-box, box) for _ in range(6)])
+            for _ in range(factors)
+        ])
+    return out
+
+
+def test_nonagon_support_equals_lattice_points():
+    sizes = []
+    for pts in nonagon_products():
+        lattice = lattice_points(minkowski_spec(pts))
+        assert set(support(pts)) == set(lattice)
+        sizes.append(len(lattice))
+    assert sizes == [33, 18, 224]
 
 
 def test_chart_inequalities_cover_all_diagonals():
