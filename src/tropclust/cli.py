@@ -8,7 +8,7 @@ across runs.
 
 Exit codes: 0 success, 1 malformed input or arguments, 2 a mathematical
 precondition failed (including an unbounded polytope or a reported
-mismatch), 3 expansion budget exceeded.
+mismatch), 3 expansion budget exceeded or out of memory.
 """
 from __future__ import annotations
 
@@ -19,11 +19,10 @@ from . import jsonio
 from .atlas import mutate_seed
 from .basis import DEFAULT_BUDGET, product_expand
 from .errors import BudgetExceeded, InputFormatError, TropclustError
-from .laminations import chart_coords, lamination_from_coords
-from .polygon import Segment, Triangulation, fan_triangulation
+from .laminations import chart_coords, tropical_coordinate
+from .polygon import Segment, Triangulation, diagonals as polygon_diagonals
 from .polygon import triangulations as all_triangulations
 from .polytopes import (
-    StasheffSpec,
     is_nondegenerate,
     is_stasheff,
     lattice_points,
@@ -156,16 +155,17 @@ def _cmd_export_chart(args) -> int:
     if args.format != "csv":
         raise InputFormatError(f"unsupported export format {args.format!r}")
     points = lattice_points(spec, chart)
-    vertex_graphs = {
-        lamination_from_coords(vertex(spec, t)).graph
-        for t in all_triangulations(spec.n_gon)
-    }
-    diags = chart.sorted_diagonals()
-    header = [f"a_{d.i}_{d.j}" for d in diags] + ["vertex"]
+    charts = all_triangulations(spec.n_gon)
+    header = [f"a_{d.i}_{d.j}" for d in chart.sorted_diagonals()] + ["vertex"]
     rows = [",".join(header)]
     for p in points:
         coords = chart_coords(p, chart)
-        flag = "true" if p.graph in vertex_graphs else "false"
+        # p is the vertex of chart t when its coordinates meet the bounds on t
+        tight = {
+            d for d in polygon_diagonals(spec.n_gon)
+            if tropical_coordinate(p, d) == spec.value(d)
+        }
+        flag = "true" if any(t.diagonals <= tight for t in charts) else "false"
         rows.append(
             ",".join([_number_text(v) for v in coords.vector()] + [flag])
         )
@@ -274,9 +274,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except InputFormatError as exc:
@@ -284,6 +289,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError:
+        print("out of memory", file=sys.stderr)
         return EXIT_BUDGET
     except TropclustError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,10 +7,12 @@ Integral laminations use integer weights, rational ones allow fractions.
 
 Each complete triangulation gives a coordinate chart: the coordinate of a
 chart diagonal is half the cut mass across it.  Coordinates are a bijection
-onto integer (resp. rational) vectors indexed by the chart diagonals;
-``lamination_from_coords`` inverts them by first extending the vector to
-every diagonal through the tropical exchange relation on quadrilaterals and
-then reading off the weights by inclusion-exclusion over cyclically
+onto integer (resp. rational) vectors indexed by the chart diagonals.  The
+coordinate of any other segment is the tropicalization of its positive
+Laurent expansion in the chart (``atlas.expand_cluster_variable``),
+evaluated at the chart values.  ``chart_change`` reads the new chart's
+diagonals this way, and ``lamination_from_coords`` reads every segment and
+then recovers the weights by inclusion-exclusion over cyclically
 consecutive chords.
 """
 from __future__ import annotations
@@ -19,6 +21,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .atlas import expand_cluster_variable
 from .errors import (
     InvariantViolation,
     NotADiagonal,
@@ -28,10 +31,8 @@ from .errors import (
 from .polygon import (
     Segment,
     Triangulation,
+    all_segments,
     crosses,
-    diagonals as polygon_diagonals,
-    edges as polygon_edges,
-    flip_path,
 )
 from .weighted_graphs import (
     Number,
@@ -70,9 +71,8 @@ class Lamination:
         for s, t in itertools.combinations(loaded, 2):
             if crosses(s, t):
                 raise NotALamination(f"diagonals {s} and {t} cross")
-        st = stats(g)
-        for p in range(1, n + 1):
-            if st.vertex(p) != 0:
+        for p, row in enumerate(g.w, start=1):
+            if sum(row) != 0:
                 raise NotALamination(f"vertex {p} has nonzero total weight")
 
     @property
@@ -175,52 +175,32 @@ def chart_coords(lam: Lamination, tri: Triangulation) -> TropicalCoords:
     return TropicalCoords(tri, vals)
 
 
-def _extended_values(coords: TropicalCoords) -> dict[Segment, Number]:
-    """Extend chart values to every segment via the exchange relation.
+def _exchange_values(coords: TropicalCoords, segs) -> dict[Segment, Number]:
+    """Tropical coordinates of the given segments, read off the chart.
 
-    On each quadrilateral p<q<r<s the two crossing diagonals satisfy
-    value(p,r) + value(q,s) = max over the two pairs of opposite sides of
-    the sum of side values, with edges pinned to zero.  Sweeping until
-    stable fills in every diagonal; the order does not matter because the
-    extension is unique.
+    The coordinate of a segment is the tropicalization of its positive
+    Laurent expansion in the chart, evaluated at the chart values; edges
+    expand to 1 and so read 0.
     """
-    n = coords.n_gon
-    vals: dict[Segment, Number] = {e: 0 for e in polygon_edges(n)}
-    vals.update(coords.as_dict())
-    missing = sum(1 for d in polygon_diagonals(n) if d not in vals)
-    quads = list(itertools.combinations(range(1, n + 1), 4))
-    for _ in range(n + 2):
-        if missing == 0:
-            break
-        for p, q, r, s in quads:
-            cross1, cross2 = Segment(p, r), Segment(q, s)
-            if (cross1 in vals) == (cross2 in vals):
-                continue
-            sides = (Segment(p, q), Segment(r, s), Segment(q, r), Segment(p, s))
-            if any(side not in vals for side in sides):
-                continue
-            rhs = max(
-                vals[sides[0]] + vals[sides[1]], vals[sides[2]] + vals[sides[3]]
-            )
-            if cross1 in vals:
-                vals[cross2] = _normalize(rhs - vals[cross1])
-            else:
-                vals[cross1] = _normalize(rhs - vals[cross2])
-            missing -= 1
-    if missing:
-        raise InvariantViolation("coordinate extension failed to close")
-    return vals
+    point = coords.vector()
+    return {
+        s: _normalize(
+            expand_cluster_variable(s, coords.chart, "reduced").tropicalize().eval(point)
+        )
+        for s in segs
+    }
 
 
 def lamination_from_coords(coords: TropicalCoords, domain: str | None = None) -> Lamination:
     """The unique lamination with the given chart coordinates.
 
-    Weights come from the extended values by cyclic inclusion-exclusion:
-    w(p, q) = v(p, q) + v(p-1, q-1) - v(p, q-1) - v(p-1, q), reading
-    v through vertex wrap-around with v = 0 on edges and degenerate pairs.
+    Weights come from the values of all segments by cyclic
+    inclusion-exclusion: w(p, q) = v(p, q) + v(p-1, q-1) - v(p, q-1) -
+    v(p-1, q), reading v through vertex wrap-around with v = 0 on edges and
+    degenerate pairs.
     """
     n = coords.n_gon
-    vals = _extended_values(coords)
+    vals = _exchange_values(coords, all_segments(n))
 
     def v(p: int, q: int) -> Number:
         p, q = wrap_vertex(p, n), wrap_vertex(q, n)
@@ -240,29 +220,13 @@ def lamination_from_coords(coords: TropicalCoords, domain: str | None = None) ->
 
 
 def chart_change(coords: TropicalCoords, tri2: Triangulation) -> TropicalCoords:
-    """Rewrite a coordinate vector in another chart by a flip sequence.
+    """Rewrite a coordinate vector in another chart.
 
-    Each flip solves the exchange relation on its quadrilateral for the
-    incoming diagonal; all four side values are available throughout.
+    Each diagonal of the new chart takes the tropicalization of its
+    Laurent expansion in the old chart, evaluated at the old values.
     """
     if coords.n_gon != tri2.n_gon:
         raise SizeMismatch("charts live on different polygons")
     tri2.require_complete()
-    n = coords.n_gon
-    current = coords.as_dict()
-
-    def lookup(seg: Segment) -> Number:
-        if seg.is_edge(n):
-            return 0
-        return current[seg]
-
-    for removed, added, quad in flip_path(coords.chart, tri2):
-        p, q, r, s = quad
-        rhs = max(
-            lookup(Segment(p, q)) + lookup(Segment(r, s)),
-            lookup(Segment(q, r)) + lookup(Segment(p, s)),
-        )
-        value = rhs - current.pop(removed)
-        current[added] = _normalize(value)
-    vals = tuple((d, current[d]) for d in tri2.sorted_diagonals())
-    return TropicalCoords(tri2, vals)
+    vals = _exchange_values(coords, tri2.sorted_diagonals())
+    return TropicalCoords(tri2, tuple(vals.items()))

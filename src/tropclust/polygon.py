@@ -235,33 +235,6 @@ def flip(tri: Triangulation, diag: Segment):
     return new_tri, new_diag, quad
 
 
-@lru_cache(maxsize=None)
-def _flip_path(n_gon: int, key1, key2):
-    start = Triangulation(n_gon, frozenset(Segment(i, j) for i, j in key1))
-    goal_key = key2
-    # breadth-first over complete triangulations; flips tried on sorted
-    # diagonals so tie-breaks are deterministic
-    seen = {start.key(): None}
-    queue = deque([start])
-    while queue:
-        tri = queue.popleft()
-        if tri.key() == goal_key:
-            steps = []
-            cur = tri
-            while seen[cur.key()] is not None:
-                prev, removed, added, quad = seen[cur.key()]
-                steps.append((removed, added, quad))
-                cur = prev
-            steps.reverse()
-            return tuple(steps)
-        for d in tri.sorted_diagonals():
-            new_tri, new_diag, quad = flip(tri, d)
-            if new_tri.key() not in seen:
-                seen[new_tri.key()] = (tri, d, new_diag, quad)
-                queue.append(new_tri)
-    raise InvariantViolation("flip search exhausted without reaching the target")
-
-
 def flip_path(tri1: Triangulation, tri2: Triangulation):
     """A shortest flip sequence from one complete triangulation to another.
 
@@ -272,4 +245,23 @@ def flip_path(tri1: Triangulation, tri2: Triangulation):
         raise SizeMismatch("triangulations live on different polygons")
     tri1.require_complete()
     tri2.require_complete()
-    return list(_flip_path(tri1.n_gon, tri1.key(), tri2.key()))
+    goal_key = tri2.key()
+    seen = {tri1.key(): None}
+    queue = deque([tri1])
+    while queue:
+        tri = queue.popleft()
+        if tri.key() == goal_key:
+            steps = []
+            cur = tri
+            while seen[cur.key()] is not None:
+                prev, removed, added, quad = seen[cur.key()]
+                steps.append((removed, added, quad))
+                cur = prev
+            steps.reverse()
+            return steps
+        for d in tri.sorted_diagonals():
+            new_tri, new_diag, quad = flip(tri, d)
+            if new_tri.key() not in seen:
+                seen[new_tri.key()] = (tri, d, new_diag, quad)
+                queue.append(new_tri)
+    raise InvariantViolation("flip search exhausted without reaching the target")

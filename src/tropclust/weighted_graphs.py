@@ -6,8 +6,8 @@ Fractions; the statistics below are linear so both domains work unchanged.
 
 Three families of statistics drive everything else:
 
-* interval mass: for 1 <= k <= l <= N, half the sum of all weights with
-  both endpoints inside [k, l];
+* interval mass: for 1 <= k <= l <= N, the total weight of segments with
+  both endpoints inside [k, l], computed on demand;
 * vertex mass: the sum of weights incident to one vertex;
 * cut mass: for a segment {k, l}, the total weight of segments separating
   the cyclic interval [k+1, l] from its complement.
@@ -159,14 +159,14 @@ class GraphStats:
     """Interval, vertex, and cut masses of one weighted graph."""
 
     n_gon: int
-    interval_mass: Mapping[tuple[int, int], Number]
+    w: tuple[tuple[Number, ...], ...]
     vertex_mass: tuple[Number, ...]
     cut_mass: Mapping[Segment, Number]
 
     def interval(self, k: int, l: int) -> Number:
         if not 1 <= k <= l <= self.n_gon:
             raise InvalidPolygon(f"interval ({k},{l}) is not 1<=k<=l<={self.n_gon}")
-        return self.interval_mass[(k, l)]
+        return sum(self.w[i][j] for i in range(k - 1, l) for j in range(i + 1, l))
 
     def vertex(self, p: int) -> Number:
         return self.vertex_mass[wrap_vertex(p, self.n_gon) - 1]
@@ -184,35 +184,18 @@ class GraphStats:
 def stats(graph: WeightedGraph) -> GraphStats:
     n = graph.n_gon
     w = graph.w
-
-    interval: dict[tuple[int, int], Number] = {}
-    for k in range(1, n + 1):
-        for l in range(k, n + 1):
-            total = sum(
-                w[i - 1][j - 1] for i in range(k, l + 1) for j in range(k, l + 1)
-            )
-            if isinstance(total, int) and total % 2:
-                raise InvariantViolation(f"odd doubled interval mass on [{k}, {l}]")
-            interval[(k, l)] = total // 2 if isinstance(total, int) else total / 2
-
     vertex = tuple(sum(row) for row in w)
-
     cut: dict[Segment, Number] = {}
     for seg in all_segments(n):
         k, l = seg
         inside = set(range(k + 1, l + 1))
-        direct = sum(
+        cut[seg] = sum(
             w[i - 1][j - 1]
             for i in inside
             for j in range(1, n + 1)
             if j not in inside
         )
-        via_interval = sum(vertex[i - 1] for i in inside) - 2 * interval[(k + 1, l)]
-        if direct != via_interval:
-            raise InvariantViolation("cut mass identity failed")
-        cut[seg] = direct
-
-    return GraphStats(n, interval, vertex, cut)
+    return GraphStats(n, w, vertex, cut)
 
 
 def depth(graph: WeightedGraph) -> int | None:

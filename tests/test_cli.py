@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from tropclust import cli
 from tropclust.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_MATH, EXIT_OK, main
 from tropclust.jsonio import (
     dumps,
@@ -16,8 +17,8 @@ from tropclust.jsonio import (
 from tropclust.atlas import type_a_seed
 from tropclust.basis import support
 from tropclust.laminations import TropicalCoords, lamination_from_coords
-from tropclust.polygon import diagonals, fan_triangulation
-from tropclust.polytopes import StasheffSpec
+from tropclust.polygon import Triangulation, diagonals, fan_triangulation, triangulations
+from tropclust.polytopes import StasheffSpec, lattice_points, minkowski_spec, vertex
 
 
 def pt(n_gon, vec):
@@ -99,6 +100,35 @@ def test_support_budget_exhaustion(files, capsys, tmp_path):
     path.write_text(dumps(points_to_json(fresh)))
     code, out = run(["support", "--in", str(path), "--budget", "0"], capsys)
     assert code == EXIT_BUDGET
+
+
+def test_out_of_memory_exits_with_budget_code(files, capsys, monkeypatch):
+    def exhausted(points, budget):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "product_expand", exhausted)
+    code = main(["support", "--in", str(files / "points.json")])
+    captured = capsys.readouterr()
+    assert code == EXIT_BUDGET
+    assert captured.out == ""
+    assert captured.err == "out of memory\n"
+
+
+def test_main_twice_in_one_process_keeps_flags_apart(files, capsys, tmp_path):
+    points = str(files / "points.json")
+    code, with_coeffs = run(["support", "--in", points, "--coeffs"], capsys)
+    assert code == EXIT_OK
+    assert "terms" in json.loads(with_coeffs)
+    code, plain = run(["support", "--in", points], capsys)
+    assert code == EXIT_OK
+    assert "terms" not in json.loads(plain)
+    assert len(points_from_json(json.loads(plain))) == 2
+    target = tmp_path / "listing.txt"
+    code, out = run(["triangulations", "--n", "2", "--out", str(target)], capsys)
+    assert (code, out) == (EXIT_OK, "")
+    code, out = run(["triangulations", "--n", "1"], capsys)
+    assert code == EXIT_OK
+    assert out == "1-3\n2-4\n"
 
 
 def test_minkowski_and_lattice_points(files, capsys):
@@ -194,6 +224,28 @@ def test_export_chart_csv(files, capsys):
         capsys,
     )
     assert code == EXIT_INPUT
+
+
+def test_export_chart_vertex_flags_match_vertex_laminations(tmp_path, capsys):
+    points = [pt(6, (1, -1, 0)), pt(6, (-1, 1, 1)), pt(6, (0, 1, -1))]
+    spec = minkowski_spec(points)
+    path = tmp_path / "spec6.json"
+    path.write_text(dumps(spec_to_json(spec)))
+    chart = Triangulation.of(6, [(2, 4), (2, 5), (2, 6)])
+    code, out = run(
+        ["export-chart", "--in", str(path), "--chart", "2-4,2-5,2-6"], capsys
+    )
+    assert code == EXIT_OK
+    flags = [line.rsplit(",", 1)[1] for line in out.strip().splitlines()[1:]]
+    corners = {
+        lamination_from_coords(vertex(spec, t)).graph for t in triangulations(6)
+    }
+    expected = [
+        "true" if lam.graph in corners else "false"
+        for lam in lattice_points(spec, chart)
+    ]
+    assert flags == expected
+    assert "true" in flags and "false" in flags
 
 
 def test_verify_mthm(files, capsys):

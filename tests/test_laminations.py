@@ -1,5 +1,6 @@
 """Measured curve systems and their tropical chart coordinates."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -245,3 +246,60 @@ def test_chart_coords_all_charts_consistent():
         for d in tri.sorted_diagonals():
             assert coords.value(d) == tropical_coordinate(lam, d)
         assert lamination_from_coords(coords) == lam
+
+
+def lamination_from_weights(rng, n_gon):
+    """A random integral lamination built from its weights, not its coordinates.
+
+    Nonnegative weights go on the diagonals of a random triangulation; the
+    boundary edges then solve the zero-vertex-mass equations
+    e(p-1, p) + e(p, p+1) = -load(p).  An odd polygon has one solution
+    (weights are doubled when it is half-integral); an even one needs the
+    alternating sum of loads to vanish and leaves one free edge weight.
+    """
+    while True:
+        tri = rng.choice(triangulations(n_gon))
+        weights = {d: rng.randint(0, 3) for d in tri.sorted_diagonals()}
+        load = [0] * (n_gon + 1)
+        for d, w in weights.items():
+            load[d.i] += w
+            load[d.j] += w
+        # edge[p] is the weight on (p, p+1) if (n, 1) carried 0; weight t on
+        # (n, 1) adds (-1)^p t to it, and the last edge must come out as t
+        edge = [0] * (n_gon + 1)
+        for p in range(1, n_gon + 1):
+            edge[p] = -load[p] - edge[p - 1]
+        gap = edge[n_gon]
+        if n_gon % 2 == 1:  # gap - t == t
+            if gap % 2:
+                weights = {d: 2 * w for d, w in weights.items()}
+                edge = [2 * x for x in edge]
+                gap *= 2
+            t = gap // 2
+        elif gap != 0:  # gap + t == t has no solution
+            continue
+        else:
+            t = rng.randint(-2, 2)
+        for p in range(1, n_gon + 1):
+            weights[Segment(p, p % n_gon + 1)] = edge[p] + (-1) ** p * t
+        return Lamination(WeightedGraph.from_weights(n_gon, weights))
+
+
+@pytest.mark.parametrize("n_gon", [8, 9])
+def test_coords_roundtrip_from_weights_in_non_fan_charts(n_gon):
+    rng = random.Random(2000 + n_gon)
+    fan = fan_triangulation(n_gon)
+    charts = [t for t in triangulations(n_gon) if t != fan]
+    for _ in range(6):
+        lam = lamination_from_weights(rng, n_gon)
+        tri = rng.choice(charts)
+        assert lamination_from_coords(chart_coords(lam, tri)) == lam
+
+
+def test_chart_change_matches_cut_masses_on_heptagon_chart_pairs():
+    rng = random.Random(77)
+    tris = triangulations(7)
+    for _ in range(20):
+        lam = lamination_from_weights(rng, 7)
+        t1, t2 = rng.choice(tris), rng.choice(tris)
+        assert chart_change(chart_coords(lam, t1), t2) == chart_coords(lam, t2)
