@@ -67,6 +67,7 @@ from .atlas import (
     mutate_seed,
     mutation_words,
     type_a_seed,
+    x_chart_walk,
     x_pullback_monomial,
     x_substitution,
 )

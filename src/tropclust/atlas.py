@@ -16,15 +16,21 @@ The chart machinery lives here too:
 * ``expand_in_x_chart`` pushes a Laurent polynomial through a word of
   mutations via exact substitution and division;
 * ``mutation_words`` gives one mutation word per complete triangulation,
-  so every chart can be reached deterministically.
+  so every chart can be reached deterministically;
+* ``x_chart_walk`` expands one polynomial in every chart of that atlas.
+  The words are closed under prefixes and each parent comes first, so the
+  walk reaches every chart from its parent's chart by a single mutation
+  instead of replaying the whole word; ``expand_in_x_chart`` is its
+  per-word reference.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Iterator, Mapping, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -88,11 +94,21 @@ class Seed:
         if any(not isinstance(x, int) for row in eps for x in row):
             raise InvariantViolation("exchange matrix entries must be integers")
         d = tuple(self.d)
-        if len(d) != n or any(Fraction(x) <= 0 for x in d):
+        if len(d) != n:
             raise InvariantViolation("need one positive symmetrizer per direction")
+        dq = []
+        for x in d:
+            q = Fraction(x)
+            if q <= 0:
+                raise InvariantViolation("need one positive symmetrizer per direction")
+            # integral symmetrizers stay ints: int products are far cheaper
+            dq.append(q.numerator if q.denominator == 1 else q)
+        # eps[i][j] / d[j] == -eps[j][i] / d[i], cleared of the positive d's.
+        # The condition is symmetric in (i, j), so the first failure in
+        # row-major order always has i <= j.
         for i in range(n):
-            for j in range(n):
-                if Fraction(eps[i][j], 1) / Fraction(d[j]) != -Fraction(eps[j][i], 1) / Fraction(d[i]):
+            for j in range(i, n):
+                if eps[i][j] * dq[i] != -eps[j][i] * dq[j]:
                     raise InvariantViolation(
                         f"matrix not skew-symmetrizable at ({labels[i]},{labels[j]})"
                     )
@@ -264,6 +280,10 @@ class MonomialLattice:
     ``image`` maps an exponent vector over the unfrozen directions to its
     monomial exponents over all directions; ``preimage`` inverts that when
     possible, returning None for vectors outside the image lattice.
+
+    The rows are factored once: when they are independent, some square block
+    of pivot columns is invertible, and ``preimage`` reads the unique
+    candidate off that block's exact inverse.
     """
 
     def __init__(self, seed: Seed):
@@ -272,26 +292,43 @@ class MonomialLattice:
         rows = [seed.eps[seed.index(l)] for l in self.unfrozen]
         self._rows = tuple(tuple(r) for r in rows)
         self._width = len(seed.labels)
-        self._rank = self._compute_rank()
-        self._cache: dict[tuple, tuple | None] = {}
+        self._rank, self._pivots, self._inverse, self._denom = self._factor()
 
-    def _compute_rank(self) -> int:
-        m = [list(map(Fraction, row)) for row in self._rows]
+    def _factor(self):
+        """Gauss-Jordan on [rows | identity].
+
+        Returns the rank, the pivot columns, and the inverse of the pivot
+        block as an integer matrix over one common denominator (the last
+        three are None when the rows are dependent).
+        """
+        m = len(self._rows)
+        aug = [
+            [Fraction(x) for x in row] + [Fraction(int(r == i)) for r in range(m)]
+            for i, row in enumerate(self._rows)
+        ]
         rank = 0
-        cols = self._width
-        for col in range(cols):
-            pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        pivots = []
+        for col in range(self._width):
+            pivot = next((r for r in range(rank, m) if aug[r][col] != 0), None)
             if pivot is None:
                 continue
-            m[rank], m[pivot] = m[pivot], m[rank]
-            inv = m[rank][col]
-            m[rank] = [x / inv for x in m[rank]]
-            for r in range(len(m)):
-                if r != rank and m[r][col] != 0:
-                    f = m[r][col]
-                    m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+            aug[rank], aug[pivot] = aug[pivot], aug[rank]
+            inv = aug[rank][col]
+            aug[rank] = [x / inv for x in aug[rank]]
+            for r in range(m):
+                if r != rank and aug[r][col] != 0:
+                    f = aug[r][col]
+                    aug[r] = [a - f * b for a, b in zip(aug[r], aug[rank])]
+            pivots.append(col)
             rank += 1
-        return rank
+        if rank < m:
+            return rank, None, None, None
+        # The elimination turned the pivot block into the identity, so the
+        # right-hand block is that block's inverse.
+        inverse = [row[self._width :] for row in aug]
+        denom = math.lcm(*(x.denominator for row in inverse for x in row))
+        scaled = tuple(tuple(int(x * denom) for x in row) for row in inverse)
+        return rank, tuple(pivots), scaled, denom
 
     def image(self, b: Sequence[int]) -> tuple[int, ...]:
         b = tuple(b)
@@ -314,41 +351,16 @@ class MonomialLattice:
         a = tuple(a)
         if len(a) != self._width:
             raise DimensionMismatch(f"need {self._width} exponents, got {len(a)}")
-        if a in self._cache:
-            return self._cache[a]
-        m = len(self.unfrozen)
-        aug = [
-            [Fraction(self._rows[i][j]) for i in range(m)] + [Fraction(a[j])]
-            for j in range(self._width)
-        ]
-        rank = 0
-        pivots = []
-        for col in range(m):
-            pivot = next((r for r in range(rank, len(aug)) if aug[r][col] != 0), None)
-            if pivot is None:
-                continue
-            aug[rank], aug[pivot] = aug[pivot], aug[rank]
-            inv = aug[rank][col]
-            aug[rank] = [x / inv for x in aug[rank]]
-            for r in range(len(aug)):
-                if r != rank and aug[r][col] != 0:
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[rank])]
-            pivots.append(col)
-            rank += 1
-        result: tuple | None
-        if any(row[m] != 0 for row in aug[rank:]):
-            result = None
-        else:
-            sol = [Fraction(0)] * m
-            for r, col in enumerate(pivots):
-                sol[col] = aug[r][m]
-            if all(x.denominator == 1 for x in sol):
-                result = tuple(int(x) for x in sol)
-            else:
-                result = None
-        self._cache[a] = result
-        return result
+        # The inverse acts on the pivot columns: b = a[pivots] . inverse.
+        b = []
+        for i in range(len(self.unfrozen)):
+            num = sum(a[p] * row[i] for p, row in zip(self._pivots, self._inverse))
+            q, r = divmod(num, self._denom)
+            if r:
+                return None
+            b.append(q)
+        b = tuple(b)
+        return b if self.image(b) == a else None
 
 
 # -- chart expansion of segment variables ----------------------------------
@@ -437,24 +449,29 @@ def _push_through_mutation(
     names = f.vars
     col = [seed.eps[i][ki] for i in range(len(seed.labels))]
     shifted = []
-    exponents = []
-    for exps, coeff in f.terms_sorted():
+    for exps, coeff in f.terms.items():
         e_b = sum(exps[i] * col[i] for i in range(len(exps)) if i != ki)
         new_k = -exps[ki] + sum(
             exps[i] * max(0, -col[i]) for i in range(len(exps)) if i != ki
         )
-        nexp = exps[:ki] + (new_k,) + exps[ki + 1 :]
-        shifted.append((nexp, coeff))
-        exponents.append(e_b)
-    lift = max(0, -min(exponents))
-    binom = 1 + LaurentPolynomial.variable(names, names[ki])
-    total = LaurentPolynomial.zero(names)
-    for (nexp, coeff), e_b in zip(shifted, exponents):
-        total = total + LaurentPolynomial.monomial(names, nexp, coeff) * binom ** (
-            e_b + lift
-        )
+        shifted.append((exps[:ki], new_k, exps[ki + 1 :], coeff, e_b))
+    lift = max(0, -min(e_b for *_, e_b in shifted))
+    # Each shifted term times (1 + X_k)^(e_b + lift) lands in one dict; each
+    # binomial row is computed once per call.
+    rows: dict[int, list[int]] = {}
+    out: dict[tuple[int, ...], int] = {}
+    for head, new_k, tail, coeff, e_b in shifted:
+        p = e_b + lift
+        row = rows.get(p)
+        if row is None:
+            row = rows[p] = [math.comb(p, j) for j in range(p + 1)]
+        for j, c in enumerate(row):
+            key = head + (new_k + j,) + tail
+            out[key] = out.get(key, 0) + coeff * c
+    total = LaurentPolynomial(names, out)
     if lift == 0:
         return total
+    binom = 1 + LaurentPolynomial.variable(names, names[ki])
     return total.exact_div(binom**lift)
 
 
@@ -482,13 +499,44 @@ def expand_in_x_chart(
     return cur
 
 
+def x_chart_walk(f: LaurentPolynomial) -> Iterator[tuple[tuple, LaurentPolynomial]]:
+    """Yield (word, expand_in_x_chart(f, word)) for every mutation word.
+
+    Words come from ``mutation_words(len(f.vars))`` in that dict's order.
+    Every word's parent ``word[:-1]`` came before it, so each chart is one
+    mutation away from its parent's polynomial and seed.  The words come
+    breadth-first, so the walk only keeps the charts of the last two word
+    lengths.  Raises what ``expand_in_x_chart`` raises, at the same word.
+    """
+    seed = type_a_seed(len(f.vars))
+    if f.vars != seed.x_names():
+        raise DimensionMismatch(
+            f"polynomial variables {f.vars} do not match seed chart {seed.x_names()}"
+        )
+    g = f
+    parents: dict[tuple, tuple[LaurentPolynomial, Seed]] = {}
+    level: dict[tuple, tuple[LaurentPolynomial, Seed]] = {}
+    for word in mutation_words(len(f.vars)).values():
+        if word:
+            if word[:-1] not in parents:
+                # the first word one letter longer: the level is complete
+                parents, level = level, {}
+            parent, parent_seed = parents[word[:-1]]
+            g = _push_through_mutation(parent, parent_seed, word[-1])
+            seed = mutate_seed(parent_seed, word[-1])
+        level[word] = (g, seed)
+        yield word, g
+
+
 @lru_cache(maxsize=None)
 def mutation_words(n: int) -> dict:
     """One mutation word per complete triangulation of the (n+3)-gon.
 
     Directions are numbered 1..n and start on the fan chart; direction k
     tracks the diagonal it currently labels, so words compose flips.
-    Returned as {triangulation key: word tuple}, found breadth-first.
+    Returned as {triangulation key: word tuple}, found breadth-first: the
+    words are closed under prefixes, and every parent ``word[:-1]`` comes
+    before its children.
     """
     n_gon = n + 3
     start = fan_triangulation(n_gon)

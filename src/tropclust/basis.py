@@ -25,9 +25,8 @@ from .atlas import (
     atlas_seed,
     chart_segments,
     expand_cluster_variable,
-    expand_in_x_chart,
-    mutation_words,
     type_a_seed,
+    x_chart_walk,
 )
 from .errors import (
     BudgetExceeded,
@@ -82,16 +81,16 @@ def basis_laurent(lam: Lamination) -> LaurentPolynomial:
     product = mono if product is None else product * mono
     lattice = _fan_lattice(n_gon)
     out_names = type_a_seed(n_gon - 3).x_names()
-    out = LaurentPolynomial.zero(out_names)
-    for exps, coeff in product.terms_sorted():
+    out: dict[tuple[int, ...], int] = {}
+    for exps, coeff in product.terms.items():
         b = lattice.preimage(exps)
         if b is None:
             raise NotInImageLattice(
                 "a product monomial misses the exponent lattice; the input "
                 "graph cannot be a lamination"
             )
-        out = out + LaurentPolynomial.monomial(out_names, b, coeff)
-    return out
+        out[b] = out.get(b, 0) + coeff
+    return LaurentPolynomial(out_names, out)
 
 
 @dataclass(frozen=True)
@@ -298,10 +297,4 @@ def a2_coefficient(d: Sequence[int], i: int, b: int, c: int) -> int:
 def verify_positive_basis(lam: Lamination) -> bool:
     """Check that a basis function stays a nonnegative Laurent polynomial
     in every chart of the atlas."""
-    f = basis_laurent(lam)
-    n = lam.n_gon - 3
-    for word in mutation_words(n).values():
-        g = expand_in_x_chart(f, word)
-        if not g.is_positive():
-            return False
-    return True
+    return all(g.is_positive() for _, g in x_chart_walk(basis_laurent(lam)))

@@ -1,5 +1,7 @@
 """Seeds, mutations, chart expansions, and the monomial exponent lattice."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from tropclust.atlas import (
     mutate_seed,
     mutation_words,
     type_a_seed,
+    x_chart_walk,
     x_pullback_monomial,
     x_substitution,
     x_variable_name,
@@ -25,6 +28,7 @@ from tropclust.errors import (
     FrozenDirection,
     IncompleteTriangulation,
     InvariantViolation,
+    NotDivisible,
     RankDeficient,
 )
 from tropclust.laurent import LaurentPolynomial, RationalFunction, evaluate_at
@@ -63,6 +67,17 @@ def test_seed_validation():
     with pytest.raises(InvariantViolation):
         # not skew-symmetrizable: both entries positive
         Seed((1, 2), frozenset(), ((0, 1), (1, 0)), (1, 1))
+    # eps[i][j] / d[j] == -eps[j][i] / d[i] needs d1 == 2 * d2 here
+    skew = ((0, 1), (-2, 0))
+    assert Seed((1, 2), frozenset(), skew, (2, 1)).d == (2, 1)
+    with pytest.raises(InvariantViolation, match=r"skew-symmetrizable at \(1,2\)"):
+        Seed((1, 2), frozenset(), skew, (1, 1))
+    halves = Seed((1, 2), frozenset(), skew, (Fraction(1), Fraction(1, 2)))
+    assert halves.d == (Fraction(1), Fraction(1, 2))
+    assert Seed((1, 2), frozenset(), skew, ("1", "1/2")).d == ("1", "1/2")
+    for bad in ((0, 1), (2, Fraction(-1, 2)), (2,)):
+        with pytest.raises(InvariantViolation, match="positive symmetrizer"):
+            Seed((1, 2), frozenset(), skew, bad)
 
 
 def test_mutation_is_an_involution():
@@ -95,6 +110,14 @@ def test_x_substitution_rank_two():
     assert sub[1] == x1 ** (-1)
     # eps(2,1) = +1, so direction 2 divides by (1 + X1^(-1))
     assert sub[2] == x2 * (1 + x1 ** (-1)) ** (-1)
+    # The mutated seed's substitution writes the old coordinates in the new
+    # ones, which is the rewrite expand_in_x_chart performs on a chart function.
+    back = x_substitution(mutate_seed(s, 1), 1)
+    assert back[1] == x1 ** (-1)
+    assert back[2] == x2 * (1 + x1)
+    for name in v:
+        old = LaurentPolynomial.variable(v, name)
+        assert back[int(name[1:])] == expand_in_x_chart(old, (1,), s)
 
 
 def test_x_substitution_composes_to_identity():
@@ -223,6 +246,8 @@ def test_monomial_lattice_roundtrip():
     for b in [(0, 0, 0), (1, 0, 0), (2, -1, 3), (-1, -1, -1)]:
         a = lat.image(b)
         assert lat.preimage(a) == b
+    with pytest.raises(DimensionMismatch):
+        lat.preimage((0, 0, 0))
 
 
 def test_monomial_lattice_off_lattice_returns_none():
@@ -231,6 +256,10 @@ def test_monomial_lattice_off_lattice_returns_none():
     a = list(lat.image((1, 0)))
     a[0] += 1
     assert lat.preimage(tuple(a)) is None
+    # a consistent system whose only solution is fractional
+    doubled = MonomialLattice(Seed((1, 2), frozenset(), ((0, 2), (-2, 0)), (1, 1)))
+    assert doubled.preimage((2, 4)) == (2, -1)
+    assert doubled.preimage((0, 1)) is None
 
 
 def test_monomial_lattice_rank_deficient():
@@ -245,6 +274,14 @@ def test_mutation_word_census():
         assert len(words) == count
         assert set(words) == {t.key() for t in triangulations(n + 3)}
         assert words[fan_triangulation(n + 3).key()] == ()
+
+
+def test_mutation_words_are_closed_under_prefixes():
+    for n in range(1, 6):
+        position = {w: i for i, w in enumerate(mutation_words(n).values())}
+        for word, i in position.items():
+            if word:
+                assert position[word[:-1]] < i
 
 
 def test_mutation_words_replay_to_their_charts():
@@ -283,6 +320,22 @@ def test_expand_in_x_chart_checks_variables():
     f = LaurentPolynomial.one(("Y1", "Y2"))
     with pytest.raises(DimensionMismatch):
         expand_in_x_chart(f, (1,))
+    with pytest.raises(DimensionMismatch):
+        list(x_chart_walk(f))
+
+
+def test_x_chart_walk_raises_where_the_replay_raises():
+    s = type_a_seed(3)
+    f = LaurentPolynomial(s.x_names(), {(1, 0, 0): 1, (0, 0, 1): 1})
+    words = list(mutation_words(3).values())
+    walked = []
+    with pytest.raises(NotDivisible):
+        for word, g in x_chart_walk(f):
+            assert g == expand_in_x_chart(f, word)
+            walked.append(word)
+    assert walked == words[: len(walked)] == [(), (1,)]
+    with pytest.raises(NotDivisible):
+        expand_in_x_chart(f, words[len(walked)])
 
 
 A2_CHART_FUNCTIONS = (

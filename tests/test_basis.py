@@ -7,6 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tropclust.atlas import (
+    expand_in_x_chart,
+    mutate_seed,
+    mutation_words,
+    type_a_seed,
+    x_chart_walk,
+    x_substitution,
+)
 from tropclust.basis import (
     Expansion,
     a2_coefficient,
@@ -25,7 +33,7 @@ from tropclust.errors import (
     SizeMismatch,
 )
 from tropclust.laminations import Lamination, TropicalCoords, lamination_from_coords
-from tropclust.laurent import LaurentPolynomial
+from tropclust.laurent import LaurentPolynomial, evaluate_at
 from tropclust.polygon import Segment, fan_triangulation
 from tropclust.weighted_graphs import WeightedGraph
 
@@ -308,3 +316,42 @@ def test_verify_positive_basis_samples():
     assert verify_positive_basis(2 * UNITS[3] + UNITS[2])
     assert verify_positive_basis(pt(6, (1, -2, 1)))
     assert verify_positive_basis(Lamination.zero(5))
+
+
+def test_verify_positive_basis_octagon():
+    rng = random.Random(8)
+    for _ in range(3):
+        assert verify_positive_basis(pt(8, tuple(rng.randint(-1, 1) for _ in range(5))))
+
+
+def _seeded_basis_functions(n_gon, count, seed):
+    rng = random.Random(seed)
+    return [
+        basis_laurent(pt(n_gon, tuple(rng.randint(-2, 2) for _ in range(n_gon - 3))))
+        for _ in range(count)
+    ]
+
+
+def test_x_chart_walk_matches_per_word_replay():
+    """Reaching each chart from its parent's chart gives what replaying the
+    whole word from the chain seed gives, in mutation_words order."""
+    for f in _seeded_basis_functions(6, 10, 6) + _seeded_basis_functions(7, 3, 7):
+        walked = list(x_chart_walk(f))
+        assert [w for w, _ in walked] == list(mutation_words(len(f.vars)).values())
+        for word, g in walked:
+            assert g == expand_in_x_chart(f, word)
+
+
+def test_one_mutation_step_matches_rational_substitution():
+    """Pushing f through the mutation at k equals substituting the old chart
+    coordinates, written as rational functions of the new ones, into f."""
+    functions = [basis_laurent(lam) for lam in UNITS.values()]
+    functions += [basis_laurent(2 * UNITS[3] + UNITS[2])]
+    functions += _seeded_basis_functions(6, 3, 60)
+    for f in functions:
+        chain = type_a_seed(len(f.vars))
+        for seed, g in ((chain, f), (mutate_seed(chain, 2), expand_in_x_chart(f, (2,)))):
+            for k in seed.labels:
+                back = x_substitution(mutate_seed(seed, k), k)
+                substituted = evaluate_at(g, [back[label] for label in seed.labels])
+                assert substituted == expand_in_x_chart(g, (k,), seed)
