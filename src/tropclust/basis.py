@@ -6,7 +6,10 @@ the exponent lattice into the boundary-free chart coordinates.  Products of
 basis functions expand back into the basis with nonnegative integer
 coefficients; combinatorially the expansion repeatedly splits one crossing
 of the summed weighted graph into the two ways of rerouting it, until only
-laminations remain.
+laminations remain.  The split tree runs on flat tuples of upper-triangle
+integer weights: a table built per call lists every crossing chord pair by
+index, so a split is four index bumps, and only the leaves are turned into
+validated ``WeightedGraph``s and ``Lamination``s.
 
 ``support`` collects the laminations that appear; ``a2_coefficient`` is the
 closed binomial formula for the rank-two case, used as an independent check
@@ -36,9 +39,9 @@ from .errors import (
     NotInImageLattice,
     SizeMismatch,
 )
-from .laminations import Lamination, chart_coords
+from .laminations import Lamination
 from .laurent import LaurentPolynomial
-from .polygon import Segment, Triangulation, crosses, fan_triangulation, triangulations
+from .polygon import Segment, fan_triangulation
 from .weighted_graphs import WeightedGraph
 
 DEFAULT_BUDGET = 1_000_000
@@ -126,78 +129,64 @@ class Expansion:
         return [l for l, _ in self.terms]
 
 
-def _sort_key(lam: Lamination):
-    return chart_coords(lam, fan_triangulation(lam.n_gon)).vector()
+def _split_table(n_gon: int) -> tuple[list, list]:
+    """The flat layout of an N-gon's weights, built once per call.
 
-
-def _loaded_diagonals(graph: WeightedGraph) -> list[Segment]:
-    n = graph.n_gon
-    return [
-        Segment(i, j)
-        for i, j, w in graph.sparse_items()
-        if Segment(i, j).is_diagonal(n) and w > 0
+    ``pairs`` lists the vertex pairs i < j in row-major order; a graph is the
+    tuple of its weights on them.  There is one row per quad p < q < r < s,
+    in lexicographic order: the indices of its crossing chords {p, r} and
+    {q, s}, and the index pairs of the two ways of rerouting them,
+    ({p, s}, {q, r}) and ({p, q}, {r, s}).
+    """
+    pairs = list(itertools.combinations(range(1, n_gon + 1), 2))
+    at = {pair: k for k, pair in enumerate(pairs)}
+    rows = [
+        (at[p, r], at[q, s], ((at[p, s], at[q, r]), (at[p, q], at[r, s])))
+        for p, q, r, s in itertools.combinations(range(1, n_gon + 1), 4)
     ]
+    return pairs, rows
 
 
-def _crossing_quads(graph: WeightedGraph) -> list[tuple[int, int, int, int]]:
-    loaded = _loaded_diagonals(graph)
-    return [
-        tuple(sorted((s.i, s.j, t.i, t.j)))
-        for s, t in itertools.combinations(loaded, 2)
-        if crosses(s, t)
-    ]
+def _measure(v: tuple, rows: list) -> int:
+    return sum(v[a] * v[b] for a, b, _ in rows)
 
 
 def crossing_measure(graph: WeightedGraph) -> int:
     """Sum of weight products over crossing diagonal pairs; zero exactly
     when the graph has noncrossing support."""
-    loaded = _loaded_diagonals(graph)
-    return sum(
-        graph[s] * graph[t]
-        for s, t in itertools.combinations(loaded, 2)
-        if crosses(s, t)
-    )
+    pairs, rows = _split_table(graph.n_gon)
+    return _measure(tuple(graph.w[i - 1][j - 1] for i, j in pairs), rows)
 
 
-def _reroute(graph: WeightedGraph, quad, sides) -> WeightedGraph:
-    p, q, r, s = quad
-    m = [list(row) for row in graph.w]
+def _split_leaves(v: tuple, rows: list, policy: str, budget: int) -> dict:
+    """Leaf counts of the split tree below the flat weight vector ``v``,
+    expanding each distinct vector once.
 
-    def bump(a: int, b: int, step: int) -> None:
-        m[a - 1][b - 1] += step
-        m[b - 1][a - 1] += step
-
-    bump(p, r, -1)
-    bump(q, s, -1)
-    for a, b in sides:
-        bump(a, b, 1)
-    return WeightedGraph(graph.n_gon, tuple(tuple(row) for row in m))
-
-
-def _split_leaves(graph: WeightedGraph, policy: str, budget: int) -> dict:
-    """Leaf counts of the split tree below ``graph``, expanding each distinct
-    graph once.
-
-    Pending graphs wait in buckets keyed by crossing measure, which drops
-    strictly from a graph to both of its children.  Taking the largest
-    measure first means every parent of a graph is expanded before it, so
+    Pending vectors wait in buckets keyed by crossing measure, which drops
+    strictly from a vector to both of its children.  Taking the largest
+    measure first means every parent of a vector is expanded before it, so
     its multiplicity is complete when its own turn comes; measure zero holds
-    the leaves.
+    the leaves.  ``policy`` splits the first ("smallest") or last
+    ("largest") row whose two chords both carry weight.
     """
-    buckets: dict[int, dict[WeightedGraph, int]] = {0: {}}
-    buckets.setdefault(crossing_measure(graph), {})[graph] = 1
+    order = rows if policy == "smallest" else rows[::-1]
+    buckets: dict[int, dict[tuple, int]] = {0: {}}
+    buckets.setdefault(_measure(v, rows), {})[v] = 1
     expanded = 0
     while (measure := max(buckets)) > 0:
         for node, count in buckets.pop(measure).items():
             expanded += 1
             if expanded > budget:
                 raise BudgetExceeded(budget, expanded)
-            quads = _crossing_quads(node)
-            quad = min(quads) if policy == "smallest" else max(quads)
-            p, q, r, s = quad
-            for sides in (((p, s), (q, r)), ((p, q), (r, s))):
-                child = _reroute(node, quad, sides)
-                child_measure = crossing_measure(child)
+            a, b, sides = next(r for r in order if node[r[0]] > 0 and node[r[1]] > 0)
+            for c, d in sides:
+                child = list(node)
+                child[a] -= 1
+                child[b] -= 1
+                child[c] += 1
+                child[d] += 1
+                child = tuple(child)
+                child_measure = _measure(child, rows)
                 if child_measure >= measure:
                     raise InvariantViolation("crossing measure must drop")
                 bucket = buckets.setdefault(child_measure, {})
@@ -242,11 +231,21 @@ def product_expand(
     for p in points:
         if p.domain != "int":
             raise NonIntegral("product expansion needs integral laminations")
-    leaves = _split_leaves(total, policy, budget)
-    terms = sorted(
-        ((Lamination(g), c) for g, c in leaves.items()),
-        key=lambda pair: _sort_key(pair[0]),
-    )
+    n = total.n_gon
+    pairs, rows = _split_table(n)
+    flat = tuple(total.w[i - 1][j - 1] for i, j in pairs)
+    leaves = _split_leaves(flat, rows, policy, budget)
+    # Leaves sort by fan coordinates, the halved cut masses across {1, k}.
+    cuts = [
+        [x for x, (i, j) in enumerate(pairs) if (1 < i <= k) != (1 < j <= k)]
+        for k in range(3, n)
+    ]
+    terms = []
+    for v in sorted(leaves, key=lambda v: [sum(v[x] for x in cut) for cut in cuts]):
+        m = [[0] * n for _ in range(n)]
+        for (i, j), x in zip(pairs, v):
+            m[i - 1][j - 1] = m[j - 1][i - 1] = x
+        terms.append((Lamination(WeightedGraph(n, m)), leaves[v]))
     return Expansion(tuple(terms))
 
 

@@ -64,11 +64,11 @@ class Lamination:
         n = g.n_gon
         if self.domain == "int" and not g.is_integral():
             raise NotALamination("integral domain but fractional weights")
-        loaded = [Segment(i, j) for i, j, w in g.sparse_items() if Segment(i, j).is_diagonal(n)]
-        for s in loaded:
-            if g.weight(s.i, s.j) < 0:
+        loaded = [(Segment(i, j), w) for i, j, w in g.sparse_items() if 1 < j - i < n - 1]
+        for s, w in loaded:
+            if w < 0:
                 raise NotALamination(f"diagonal {s} carries negative weight")
-        for s, t in itertools.combinations(loaded, 2):
+        for (s, _), (t, _) in itertools.combinations(loaded, 2):
             if crosses(s, t):
                 raise NotALamination(f"diagonals {s} and {t} cross")
         for p, row in enumerate(g.w, start=1):

@@ -62,14 +62,14 @@ class WeightedGraph:
         if len(w) != n or any(len(row) != n for row in w):
             raise InvariantViolation(f"weight matrix must be {n}x{n}")
         for i in range(n):
-            if not all(_is_number(x) for x in w[i]):
+            if not all(map(_is_number, w[i])):
                 raise InvariantViolation("weights must be ints or Fractions")
             if w[i][i] != 0:
                 raise InvariantViolation(f"nonzero self-weight at vertex {i + 1}")
             for j in range(i + 1, n):
                 if w[i][j] != w[j][i]:
                     raise InvariantViolation(f"asymmetric weights at ({i + 1},{j + 1})")
-                if w[i][j] < 0 and Segment(i + 1, j + 1).is_diagonal(n):
+                if w[i][j] < 0 and 1 < j - i < n - 1:
                     raise InvariantViolation(
                         f"negative weight on diagonal ({i + 1},{j + 1})"
                     )
@@ -116,7 +116,7 @@ class WeightedGraph:
         return all(all(x == 0 for x in row) for row in self.w)
 
     def is_integral(self) -> bool:
-        return all(Fraction(x).denominator == 1 for row in self.w for x in row)
+        return all(type(x) is int or x.denominator == 1 for row in self.w for x in row)
 
     # -- algebra -----------------------------------------------------------
 

@@ -34,8 +34,8 @@ from tropclust.errors import (
 )
 from tropclust.laminations import Lamination, TropicalCoords, lamination_from_coords
 from tropclust.laurent import LaurentPolynomial, evaluate_at
-from tropclust.polygon import Segment, fan_triangulation
-from tropclust.weighted_graphs import WeightedGraph
+from tropclust.polygon import Segment, crosses, fan_triangulation
+from tropclust.weighted_graphs import WeightedGraph, stats
 
 V2 = ("X1", "X2")
 
@@ -56,6 +56,9 @@ UNITS = {
     4: pt(5, (1, 0)),  # curve along {2,5}
     5: pt(5, (0, -1)),  # curve along {2,4}
 }
+
+# Fan coordinates of three heptagon laminations whose product has 86 terms.
+HEPTAGON_FACTORS = [(-2, 1, 2, -1), (0, 0, -2, -1), (1, 2, 0, 2)]
 
 
 def L(terms):
@@ -124,6 +127,29 @@ def test_crossing_measure():
     assert crossing_measure(product_graph([2 * UNITS[1], UNITS[3]])) == 2
 
 
+def _brute_force_measure(graph):
+    loaded = [
+        (Segment(i, j), w)
+        for i, j, w in graph.sparse_items()
+        if Segment(i, j).is_diagonal(graph.n_gon)
+    ]
+    return sum(
+        w1 * w2 for (s, w1), (t, w2) in itertools.combinations(loaded, 2) if crosses(s, t)
+    )
+
+
+@pytest.mark.parametrize("n_gon", [5, 6, 7, 8, 9])
+def test_crossing_measure_matches_brute_force(n_gon):
+    rng = random.Random(100 + n_gon)
+    for _ in range(6):
+        points = [
+            pt(n_gon, tuple(rng.randint(-2, 2) for _ in range(n_gon - 3)))
+            for _ in range(rng.randint(1, 4))
+        ]
+        graph = product_graph(points)
+        assert crossing_measure(graph) == _brute_force_measure(graph)
+
+
 def test_product_graph_guards():
     with pytest.raises(EmptyInput):
         product_graph([])
@@ -151,6 +177,20 @@ def test_policy_confluence():
     assert a == b
     with pytest.raises(InvariantViolation):
         product_expand(points, policy="middling")
+    # Splitting the first or the last crossing gives the same expansion on
+    # bigger polygons too.
+    rng = random.Random(11)
+    crossing = 0
+    for n_gon, count, radius in ((6, 4, 2), (7, 4, 2), (8, 2, 1)):
+        for _ in range(count):
+            points = [
+                pt(n_gon, tuple(rng.randint(-radius, radius) for _ in range(n_gon - 3)))
+                for _ in range(rng.randint(2, 3))
+            ]
+            crossing += crossing_measure(product_graph(points)) > 0
+            a = product_expand(points, policy="smallest")
+            assert a == product_expand(points, policy="largest")
+    assert crossing >= 8
 
 
 def test_product_expansion_matches_symbolic_identity():
@@ -196,6 +236,9 @@ def test_support_is_sorted_and_deterministic():
 
     vectors = [chart_coords(l, fan).vector() for l in s1]
     assert vectors == sorted(vectors)
+    heptagon = support([pt(7, v) for v in HEPTAGON_FACTORS])
+    vectors = [chart_coords(l, fan_triangulation(7)).vector() for l in heptagon]
+    assert vectors == sorted(vectors)
 
 
 def test_budget_enforcement():
@@ -222,6 +265,33 @@ def test_budget_does_not_depend_on_call_history():
     assert cold == [1, 2, 3, 4, 5, 6, 7, None, None, None]
     product_expand(points)
     assert [exceeded_at(b) for b in range(10)] == cold
+
+
+@pytest.mark.parametrize(
+    "n_gon, vecs, split, terms, total",
+    [
+        (6, [(1, -1, 2), (-2, 1, 0), (0, 2, -1)], 42, 24, 56),
+        (7, [(2, -1, 0, 1), (-1, 2, -2, 0)], 11, 10, 12),
+        (7, [(1, 0, -1, 2), (-2, 1, 1, -1), (0, -1, 2, 0)], 156, 74, 344),
+    ],
+)
+def test_budget_and_leaf_counts_are_pinned(n_gon, vecs, split, terms, total):
+    """``split`` graphs are split: one budget less fails at exactly that
+    count, and the expansion has the recorded size and total multiplicity."""
+    points = [pt(n_gon, v) for v in vecs]
+    with pytest.raises(BudgetExceeded) as info:
+        product_expand(points, budget=split - 1)
+    assert info.value.expanded == split
+    exp = product_expand(points, budget=split)
+    assert len(exp) == terms
+    assert sum(c for _, c in exp) == total
+
+
+def test_expansion_leaves_the_stats_cache_alone():
+    points = [pt(7, v) for v in HEPTAGON_FACTORS]
+    before = stats.cache_info().currsize
+    assert len(product_expand(points)) == 86
+    assert stats.cache_info().currsize == before
 
 
 def _peel_into_basis(poly, n_gon):

@@ -56,6 +56,7 @@ def test_construction_and_lookup():
     assert WeightedGraph.zeros(4).is_trivial()
     assert g.is_integral()
     assert not graph(5, {(1, 2): Fraction(1, 2)}).is_integral()
+    assert graph(5, {(1, 2): Fraction(4, 2)}).is_integral()
 
 
 def test_validation_rejects_bad_matrices():
@@ -66,6 +67,9 @@ def test_validation_rejects_bad_matrices():
     with pytest.raises(InvariantViolation):
         graph(5, {(1, 2): 0.5})
     graph(5, {(1, 2): -3})  # side weights may be negative
+    graph(5, {(1, 5): -3})
+    with pytest.raises(InvariantViolation):
+        graph(5, {(2, 5): -1})
 
 
 def test_addition_subtraction_common_part():
