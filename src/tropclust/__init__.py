@@ -30,36 +30,24 @@ from .errors import (
 from .polygon import (
     Segment,
     Triangulation,
-    compatibility_degree,
     crosses,
     diagonals,
     edges,
     fan_triangulation,
     flip,
-    flip_path,
-    segment_length,
     supplement,
     triangulations,
 )
-from .laurent import (
-    LaurentPolynomial,
-    RationalFunction,
-    TropicalFunction,
-    evaluate_at,
-)
+from .laurent import LaurentPolynomial, TropicalFunction
 from .weighted_graphs import (
     GraphStats,
     WeightedGraph,
-    common_part,
-    depth,
     dominates,
-    graph_from_cut_stats,
     stats,
 )
 from .atlas import (
     MonomialLattice,
     Seed,
-    a_substitution,
     atlas_seed,
     chart_segments,
     expand_cluster_variable,
@@ -68,8 +56,6 @@ from .atlas import (
     mutation_words,
     type_a_seed,
     x_chart_walk,
-    x_pullback_monomial,
-    x_substitution,
 )
 from .laminations import (
     Lamination,
@@ -84,7 +70,6 @@ from .polytopes import (
     StasheffSpec,
     contains,
     face_membership,
-    hull_membership,
     is_nondegenerate,
     is_stasheff,
     lattice_points,

@@ -30,16 +30,15 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Hashable, Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     DimensionMismatch,
     FrozenDirection,
     InvariantViolation,
-    NotInImageLattice,
     RankDeficient,
 )
-from .laurent import LaurentPolynomial, RationalFunction
+from .laurent import LaurentPolynomial
 from .polygon import (
     Segment,
     Triangulation,
@@ -138,9 +137,6 @@ class Seed:
     def x_names(self) -> tuple[str, ...]:
         return tuple(x_variable_name(l) for l in self.labels)
 
-    def a_names(self) -> tuple[str, ...]:
-        return tuple(a_variable_name(l) for l in self.labels)
-
 
 def type_a_seed(n: int) -> Seed:
     """The rank-n chain seed: consecutive directions linked by a single arrow.
@@ -174,70 +170,6 @@ def mutate_seed(seed: Seed, k) -> Seed:
             else:
                 new[i][j] = e[i][j]
     return Seed(seed.labels, seed.frozen, tuple(map(tuple, new)), seed.d)
-
-
-def x_substitution(seed: Seed, k) -> dict:
-    """New x-chart coordinates written in the old ones, after mutating at k.
-
-    Direction k inverts; any other direction i picks up the subtraction-free
-    factor (1 + X_k^(-sgn e))^(-e) with e the matrix entry at (i, k).
-    """
-    ki = seed.index(k)
-    if seed.is_frozen(k):
-        raise FrozenDirection(f"cannot mutate frozen direction {k!r}")
-    names = seed.x_names()
-    out = {}
-    for i, label in enumerate(seed.labels):
-        xi = RationalFunction.variable(names, names[i])
-        if i == ki:
-            out[label] = xi ** (-1)
-            continue
-        e = seed.eps[i][ki]
-        if e == 0:
-            out[label] = xi
-            continue
-        sign = 1 if e > 0 else -1
-        base = 1 + LaurentPolynomial.variable(names, names[ki], -sign)
-        out[label] = xi * RationalFunction.from_poly(base) ** (-e)
-    return out
-
-
-def a_substitution(seed: Seed, k) -> dict:
-    """New a-chart coordinates in the old ones: the exchange relation at k."""
-    ki = seed.index(k)
-    if seed.is_frozen(k):
-        raise FrozenDirection(f"cannot mutate frozen direction {k!r}")
-    names = seed.a_names()
-    out = {}
-    for i, label in enumerate(seed.labels):
-        ai = RationalFunction.variable(names, names[i])
-        if i != ki:
-            out[label] = ai
-            continue
-        pos = [0] * len(names)
-        neg = [0] * len(names)
-        for j, e in enumerate(seed.eps[ki]):
-            if e > 0:
-                pos[j] = e
-            elif e < 0:
-                neg[j] = -e
-        numer = LaurentPolynomial.monomial(names, pos) + LaurentPolynomial.monomial(
-            names, neg
-        )
-        out[label] = RationalFunction.from_poly(numer) * ai ** (-1)
-    return out
-
-
-def x_pullback_monomial(seed: Seed, k) -> LaurentPolynomial:
-    """The a-chart monomial that the x-coordinate of direction k pulls back to.
-
-    Its exponents are the k-th row of the exchange matrix across all
-    directions, frozen ones included.
-    """
-    ki = seed.index(k)
-    if seed.is_frozen(k):
-        raise FrozenDirection(f"{k!r} is frozen and carries no x-coordinate")
-    return LaurentPolynomial.monomial(seed.a_names(), seed.eps[ki])
 
 
 def chart_segments(tri: Triangulation, space: str = "reduced") -> tuple[Segment, ...]:

@@ -1,4 +1,4 @@
-"""Exact JSON encoding for every public object type.
+"""Exact JSON encoding for the documents the command line reads and writes.
 
 All documents carry a top-level ``"format": 1``.  Numbers are JSON integers
 or fraction strings like ``"-3/4"``; floats are rejected outright, since
@@ -15,14 +15,13 @@ from .atlas import Seed
 from .basis import Expansion
 from .errors import InputFormatError
 from .laminations import Lamination, TropicalCoords
-from .laurent import LaurentPolynomial
-from .polygon import Segment, Triangulation
+from .polygon import Segment
 from .polytopes import StasheffSpec
 from .weighted_graphs import WeightedGraph, _is_number, _normalize
 
 FORMAT = 1
 
-_FRACTION_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+_FRACTION_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
 
 def number_to_json(x):
@@ -45,7 +44,7 @@ def number_from_json(x):
             f"floats are not accepted ({x!r}); use integers or 'p/q' strings"
         )
     if isinstance(x, str):
-        if not _FRACTION_RE.match(x):
+        if not _FRACTION_RE.fullmatch(x):
             raise InputFormatError(f"malformed number string: {x!r}")
         return _normalize(Fraction(x))
     raise InputFormatError(f"not a number: {x!r}")
@@ -136,25 +135,6 @@ def coords_to_json(coords: TropicalCoords) -> dict:
     }
 
 
-def coords_from_json(doc) -> TropicalCoords:
-    _check_document(doc, "coords")
-    n_gon = _int_field(doc, "n_gon", "coords")
-    raw_chart = doc.get("chart")
-    _require(isinstance(raw_chart, list), "coords: 'chart' must be a list")
-    chart = Triangulation(
-        n_gon, frozenset(_segment_from_json(item, "coords") for item in raw_chart)
-    )
-    raw_values = doc.get("values")
-    _require(isinstance(raw_values, list), "coords: 'values' must be a list")
-    values = []
-    for item in raw_values:
-        _require(isinstance(item, list) and len(item) == 3,
-                 "coords: value entries must be [i, j, a] triples")
-        values.append((_segment_from_json(item[:2], "coords"),
-                       number_from_json(item[2])))
-    return TropicalCoords(chart, tuple(values))
-
-
 def spec_to_json(spec: StasheffSpec) -> dict:
     return {
         "format": FORMAT,
@@ -203,7 +183,7 @@ def expansion_from_json(doc) -> Expansion:
     return Expansion(tuple(terms))
 
 
-# -- seeds and Laurent polynomials --------------------------------------------
+# -- seeds --------------------------------------------------------------------
 
 
 def _label_to_json(label):
@@ -256,40 +236,6 @@ def seed_from_json(doc) -> Seed:
     _require(isinstance(raw_d, list), "seed: 'd' must be a list")
     d = tuple(number_from_json(x) for x in raw_d)
     return Seed(labels, frozen, eps, d)
-
-
-def laurent_to_json(poly: LaurentPolynomial) -> dict:
-    return {
-        "format": FORMAT,
-        "vars": list(poly.vars),
-        "terms": [[list(exps), coeff] for exps, coeff in poly.terms_sorted()],
-    }
-
-
-def laurent_from_json(doc) -> LaurentPolynomial:
-    _check_document(doc, "laurent")
-    raw_vars = doc.get("vars")
-    _require(
-        isinstance(raw_vars, list) and all(isinstance(v, str) for v in raw_vars),
-        "laurent: 'vars' must be a list of strings",
-    )
-    names = tuple(raw_vars)
-    raw_terms = doc.get("terms")
-    _require(isinstance(raw_terms, list), "laurent: 'terms' must be a list")
-    out = LaurentPolynomial.zero(names)
-    for item in raw_terms:
-        _require(isinstance(item, list) and len(item) == 2,
-                 "laurent: term entries must be [exponents, coeff] pairs")
-        exps, coeff = item
-        _require(
-            isinstance(exps, list) and len(exps) == len(names)
-            and all(isinstance(e, int) and not isinstance(e, bool) for e in exps),
-            "laurent: exponent vectors must be integer lists matching vars",
-        )
-        _require(isinstance(coeff, int) and not isinstance(coeff, bool),
-                 "laurent: coefficients must be integers")
-        out = out + LaurentPolynomial.monomial(names, tuple(exps), coeff)
-    return out
 
 
 # -- file plumbing -------------------------------------------------------------

@@ -98,10 +98,13 @@ class Lamination:
         if k < 0:
             raise NotALamination("scaling factor must be nonnegative")
         k = _normalize(Fraction(k))
-        weights = {
-            Segment(i, j): _normalize(k * w) for i, j, w in self.graph.sparse_items()
-        }
-        graph = WeightedGraph.from_weights(self.n_gon, weights)
+        graph = WeightedGraph(
+            self.n_gon,
+            tuple(
+                tuple(_normalize(k * w) if w else 0 for w in row)
+                for row in self.graph.w
+            ),
+        )
         domain = "int" if graph.is_integral() else "rat"
         return Lamination(graph, domain)
 

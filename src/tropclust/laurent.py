@@ -279,112 +279,3 @@ class TropicalFunction:
 
     def sorted_forms(self) -> list[tuple[int, ...]]:
         return sorted(self.forms)
-
-
-class RationalFunction:
-    """Quotient of two Laurent polynomials, kept unreduced.
-
-    Laurent polynomials over the integers form a domain, so equality can be
-    decided by cross-multiplication and no gcd machinery is needed.  Used for
-    the subtraction-free substitution maps between charts, whose values are
-    rational but not Laurent.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: LaurentPolynomial, den: LaurentPolynomial):
-        if num.vars != den.vars:
-            raise DimensionMismatch(f"variable mismatch: {num.vars} vs {den.vars}")
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFunction is immutable")
-
-    @classmethod
-    def from_poly(cls, p: LaurentPolynomial) -> "RationalFunction":
-        return cls(p, LaurentPolynomial.one(p.vars))
-
-    @classmethod
-    def variable(cls, variables: Sequence[str], name: str, power: int = 1) -> "RationalFunction":
-        return cls.from_poly(LaurentPolynomial.variable(variables, name, power))
-
-    @property
-    def vars(self) -> tuple[str, ...]:
-        return self.num.vars
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = RationalFunction.from_poly(LaurentPolynomial.constant(self.vars, other))
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return RationalFunction(self.num * other, self.den)
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int):
-            raise ValueError(f"exponent must be an integer, got {k!r}")
-        base = self
-        if k < 0:
-            if base.num.is_zero():
-                raise ZeroDivisionError("negative power of zero")
-            base, k = RationalFunction(base.den, base.num), -k
-        out = RationalFunction.from_poly(LaurentPolynomial.one(self.vars))
-        for _ in range(k):
-            out = out * base
-        return out
-
-    def __eq__(self, other):
-        if isinstance(other, LaurentPolynomial):
-            other = RationalFunction.from_poly(other)
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    __hash__ = None
-
-    def as_laurent(self) -> LaurentPolynomial:
-        """Carry out the division; NotDivisible if the value is not Laurent."""
-        return self.num.exact_div(self.den)
-
-    def __repr__(self):
-        return f"RationalFunction({self.num!r}, {self.den!r})"
-
-    def __str__(self):
-        return f"({self.num}) / ({self.den})"
-
-
-def evaluate_at(
-    poly: LaurentPolynomial, assignment: Sequence[RationalFunction]
-) -> RationalFunction:
-    """Plug rational values into a Laurent polynomial, one per variable."""
-    values = list(assignment)
-    if len(values) != len(poly.vars):
-        raise DimensionMismatch(
-            f"{len(values)} values for {len(poly.vars)} variables"
-        )
-    target_vars = values[0].vars if values else ()
-    out = RationalFunction.from_poly(LaurentPolynomial.zero(target_vars))
-    for exps, coeff in poly.terms_sorted():
-        term = RationalFunction.from_poly(
-            LaurentPolynomial.constant(target_vars, coeff)
-        )
-        for val, e in zip(values, exps):
-            if e != 0:
-                term = term * val**e
-        out = out + term
-    return out

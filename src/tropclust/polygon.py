@@ -10,7 +10,7 @@ ordered pairs reduces to a pair of label comparisons.
 from __future__ import annotations
 
 import itertools
-from collections import deque, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -20,7 +20,6 @@ from .errors import (
     InvalidVertex,
     InvariantViolation,
     NotADiagonal,
-    SizeMismatch,
 )
 
 
@@ -57,13 +56,6 @@ def check_polygon(n_gon: int) -> None:
         raise InvalidPolygon(f"polygon needs at least 3 vertices, got {n_gon!r}")
 
 
-def segment_length(seg: Segment, n_gon: int) -> int:
-    """Cyclic distance between the endpoints: min(|i-j|, N-|i-j|)."""
-    seg.validate(n_gon)
-    gap = seg.j - seg.i
-    return min(gap, n_gon - gap)
-
-
 def crosses(s1: Segment, s2: Segment, n_gon: int | None = None) -> bool:
     """Whether two segments of the same polygon cross in the interior.
 
@@ -88,14 +80,6 @@ def edges(n_gon: int) -> list[Segment]:
 
 def diagonals(n_gon: int) -> list[Segment]:
     return [s for s in all_segments(n_gon) if s.is_diagonal(n_gon)]
-
-
-def compatibility_degree(s1: Segment, s2: Segment, n_gon: int) -> int:
-    """Number of crossings between two diagonals: here always 0 or 1."""
-    for s in (s1, s2):
-        if not s.is_diagonal(n_gon):
-            raise NotADiagonal(f"{tuple(s)} is a boundary edge of the {n_gon}-gon")
-    return int(crosses(s1, s2))
 
 
 @dataclass(frozen=True)
@@ -233,35 +217,3 @@ def flip(tri: Triangulation, diag: Segment):
         raise InvariantViolation("a flip must swap the two diagonals of a quadrilateral")
     new_tri = Triangulation(tri.n_gon, (tri.diagonals - {diag}) | {new_diag})
     return new_tri, new_diag, quad
-
-
-def flip_path(tri1: Triangulation, tri2: Triangulation):
-    """A shortest flip sequence from one complete triangulation to another.
-
-    Each step is (removed_diagonal, added_diagonal, quad) as in flip().
-    Deterministic: breadth-first with diagonals tried in sorted order.
-    """
-    if tri1.n_gon != tri2.n_gon:
-        raise SizeMismatch("triangulations live on different polygons")
-    tri1.require_complete()
-    tri2.require_complete()
-    goal_key = tri2.key()
-    seen = {tri1.key(): None}
-    queue = deque([tri1])
-    while queue:
-        tri = queue.popleft()
-        if tri.key() == goal_key:
-            steps = []
-            cur = tri
-            while seen[cur.key()] is not None:
-                prev, removed, added, quad = seen[cur.key()]
-                steps.append((removed, added, quad))
-                cur = prev
-            steps.reverse()
-            return steps
-        for d in tri.sorted_diagonals():
-            new_tri, new_diag, quad = flip(tri, d)
-            if new_tri.key() not in seen:
-                seen[new_tri.key()] = (tri, d, new_diag, quad)
-                queue.append(new_tri)
-    raise InvariantViolation("flip search exhausted without reaching the target")

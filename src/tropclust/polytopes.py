@@ -16,8 +16,8 @@ Lattice enumeration works per chart: each diagonal bound tropicalizes to a
 max of linear forms in the chart coordinates, and the maxima split into
 plain half-spaces with integer rows.  An exact integer simplex under
 Bland's rule, run on the dual of each coordinate's maximisation, gives the
-box of coordinate ranges to scan; the same simplex decides emptiness and
-hull membership through Farkas' lemma.
+box of coordinate ranges to scan; the same simplex decides emptiness
+through Farkas' lemma.
 """
 from __future__ import annotations
 
@@ -40,7 +40,6 @@ from .errors import (
 from .laminations import (
     Lamination,
     TropicalCoords,
-    chart_coords,
     lamination_from_coords,
     tropical_coordinate,
 )
@@ -51,7 +50,6 @@ from .polygon import (
     diagonals as polygon_diagonals,
     fan_triangulation,
     supplement,
-    triangulations,
 )
 from .weighted_graphs import Number, _is_number, _normalize
 
@@ -348,12 +346,6 @@ def _box(system, nvars: int):
     return box
 
 
-def feasible(ineqs: Sequence[tuple], nvars: int) -> bool:
-    """Exact satisfiability of a rational inequality system."""
-    system = _integer_system(ineqs)
-    return system is not None and not _is_empty(system[0], nvars)
-
-
 def coordinate_bounds(ineqs: Sequence[tuple], nvars: int):
     """Per-coordinate rational bounds [lo, hi] of the feasible region.
 
@@ -409,39 +401,6 @@ def lattice_points(
             out.append((point, lamination_from_coords(coords)))
     out.sort(key=lambda pair: pair[0])
     return [lam for _, lam in out]
-
-
-def hull_membership(lam: Lamination, generators: Sequence[Lamination]) -> bool:
-    """Whether a point lies under a convex combination of the generators
-    in every chart simultaneously.
-
-    In each chart this is an exact feasibility problem over the combination
-    weights; one failing chart refutes membership.
-    """
-    generators = list(generators)
-    if not generators:
-        raise EmptyInput("need at least one generator")
-    n = lam.n_gon
-    for g in generators:
-        if g.n_gon != n:
-            raise SizeMismatch("points live on different polygons")
-    m = len(generators)
-    for chart in triangulations(n):
-        target = chart_coords(lam, chart).vector()
-        vectors = [chart_coords(g, chart).vector() for g in generators]
-        ineqs = []
-        for s in range(m):
-            row = tuple(-1 if t == s else 0 for t in range(m))
-            ineqs.append((row, Fraction(0)))
-        ones = tuple(1 for _ in range(m))
-        ineqs.append((ones, Fraction(1)))
-        ineqs.append((tuple(-1 for _ in range(m)), Fraction(-1)))
-        for k in range(len(target)):
-            row = tuple(-Fraction(vectors[s][k]) for s in range(m))
-            ineqs.append((row, -Fraction(target[k])))
-        if not feasible(ineqs, m):
-            return False
-    return True
 
 
 def shift_to_negative_part(spec: StasheffSpec) -> tuple[Lamination, StasheffSpec]:

@@ -11,9 +11,6 @@ Three families of statistics drive everything else:
 * vertex mass: the sum of weights incident to one vertex;
 * cut mass: for a segment {k, l}, the total weight of segments separating
   the cyclic interval [k+1, l] from its complement.
-
-Cut masses determine the graph, and the explicit inversion is implemented
-in ``graph_from_cut_stats``.
 """
 from __future__ import annotations
 
@@ -22,13 +19,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .errors import (
-    InvalidPolygon,
-    InvariantViolation,
-    NonIntegral,
-    SizeMismatch,
-)
-from .polygon import Segment, all_segments, check_polygon, segment_length
+from .errors import InvalidPolygon, InvariantViolation, SizeMismatch
+from .polygon import Segment, all_segments, check_polygon
 
 Number = int | Fraction
 
@@ -145,15 +137,6 @@ class WeightedGraph:
         )
 
 
-def common_part(g1: WeightedGraph, g2: WeightedGraph) -> WeightedGraph:
-    """Entrywise minimum; subtracting it strips shared support."""
-    g1._check_size(g2)
-    return WeightedGraph(
-        g1.n_gon,
-        tuple(tuple(min(a, b) for a, b in zip(r1, r2)) for r1, r2 in zip(g1.w, g2.w)),
-    )
-
-
 @dataclass(frozen=True)
 class GraphStats:
     """Interval, vertex, and cut masses of one weighted graph."""
@@ -198,15 +181,6 @@ def stats(graph: WeightedGraph) -> GraphStats:
     return GraphStats(n, w, vertex, cut)
 
 
-def depth(graph: WeightedGraph) -> int | None:
-    """Smallest cyclic length among segments with nonzero weight."""
-    lengths = [
-        segment_length(Segment(i, j), graph.n_gon)
-        for i, j, _ in graph.sparse_items()
-    ]
-    return min(lengths) if lengths else None
-
-
 def dominates(g1: WeightedGraph, g2: WeightedGraph) -> bool:
     """Whether g1 <= g2 in the cut-mass partial order.
 
@@ -223,42 +197,3 @@ def dominates(g1: WeightedGraph, g2: WeightedGraph) -> bool:
         for d in all_segments(n)
         if d.is_diagonal(n)
     )
-
-
-def graph_from_cut_stats(cut: Mapping[Segment, Number], n_gon: int) -> WeightedGraph:
-    """Rebuild the weight matrix from cut masses on all segments.
-
-    The weight on {i, j} is half of an alternating sum of four cut masses
-    at cyclically shifted corners.  Raises NonIntegral when that alternating
-    sum is odd for integer input.
-    """
-    check_polygon(n_gon)
-    table: dict[Segment, Number] = {}
-    for key, value in cut.items():
-        seg = key if isinstance(key, Segment) else Segment(*key)
-        seg.validate(n_gon)
-        if not _is_number(value):
-            raise InvariantViolation(f"cut mass {value!r} is not an exact number")
-        table[seg] = value
-    missing = [s for s in all_segments(n_gon) if s not in table]
-    if missing:
-        raise InvariantViolation(f"cut masses missing for {missing[:3]}...")
-
-    def cut_at(a: int, b: int) -> Number:
-        a = wrap_vertex(a, n_gon)
-        b = wrap_vertex(b, n_gon)
-        if a == b:
-            return 0
-        return table[Segment(a, b)]
-
-    weights: dict[Segment, Number] = {}
-    for seg in all_segments(n_gon):
-        i, j = seg
-        total = cut_at(i, j) + cut_at(i - 1, j - 1) - cut_at(i, j - 1) - cut_at(i - 1, j)
-        if isinstance(total, int):
-            if total % 2 != 0:
-                raise NonIntegral(f"weight on {tuple(seg)} would be {total}/2")
-            weights[seg] = total // 2
-        else:
-            weights[seg] = _normalize(total / 2)
-    return WeightedGraph.from_weights(n_gon, weights)

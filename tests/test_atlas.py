@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rational_oracle import RationalFunction, evaluate_at, x_substitution
 from tropclust.atlas import (
     MonomialLattice,
     Seed,
-    a_substitution,
     a_variable_name,
     atlas_seed,
     chart_segments,
@@ -19,8 +19,6 @@ from tropclust.atlas import (
     mutation_words,
     type_a_seed,
     x_chart_walk,
-    x_pullback_monomial,
-    x_substitution,
     x_variable_name,
 )
 from tropclust.errors import (
@@ -31,7 +29,7 @@ from tropclust.errors import (
     NotDivisible,
     RankDeficient,
 )
-from tropclust.laurent import LaurentPolynomial, RationalFunction, evaluate_at
+from tropclust.laurent import LaurentPolynomial
 from tropclust.polygon import (
     Segment,
     Triangulation,
@@ -140,23 +138,6 @@ def _compose(rf, assignment):
     num = evaluate_at(rf.num, order)
     den = evaluate_at(rf.den, order)
     return num * den ** (-1)
-
-
-def test_a_substitution_exchange_relation():
-    s = type_a_seed(2)
-    sub = a_substitution(s, 1)
-    v = s.a_names()
-    a1 = RationalFunction.variable(v, "A1")
-    a2 = RationalFunction.variable(v, "A2")
-    # row 1 of eps is (0, -1): the exchange binomial is 1 + A2
-    assert sub[1] * a1 == 1 + a2
-    assert sub[2] == a2
-
-
-def test_x_pullback_monomial_is_eps_row():
-    s = type_a_seed(3)
-    m = x_pullback_monomial(s, 2)
-    assert m.terms_sorted() == [((1, 0, -1), 1)]
 
 
 def test_pentagon_periodicity():

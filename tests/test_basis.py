@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rational_oracle import evaluate_at, x_substitution
 from tropclust.atlas import (
     expand_in_x_chart,
     mutate_seed,
     mutation_words,
     type_a_seed,
     x_chart_walk,
-    x_substitution,
 )
 from tropclust.basis import (
     Expansion,
@@ -33,7 +33,7 @@ from tropclust.errors import (
     SizeMismatch,
 )
 from tropclust.laminations import Lamination, TropicalCoords, lamination_from_coords
-from tropclust.laurent import LaurentPolynomial, evaluate_at
+from tropclust.laurent import LaurentPolynomial
 from tropclust.polygon import Segment, crosses, fan_triangulation
 from tropclust.weighted_graphs import WeightedGraph, stats
 

@@ -9,7 +9,6 @@ from tropclust.basis import product_expand
 from tropclust.errors import InputFormatError
 from tropclust.jsonio import (
     FORMAT,
-    coords_from_json,
     coords_to_json,
     dumps,
     expansion_from_json,
@@ -18,8 +17,6 @@ from tropclust.jsonio import (
     graph_to_json,
     lamination_from_json,
     lamination_to_json,
-    laurent_from_json,
-    laurent_to_json,
     load_path,
     number_from_json,
     number_to_json,
@@ -31,7 +28,6 @@ from tropclust.jsonio import (
     spec_to_json,
 )
 from tropclust.laminations import Lamination, TropicalCoords, lamination_from_coords
-from tropclust.laurent import LaurentPolynomial
 from tropclust.polygon import Segment, diagonals, fan_triangulation
 from tropclust.polytopes import StasheffSpec
 from tropclust.weighted_graphs import WeightedGraph
@@ -51,7 +47,10 @@ def test_number_codec():
     assert number_from_json("-3/4") == Fraction(-3, 4)
     assert number_from_json("6/3") == 2
     assert isinstance(number_from_json("6/3"), int)
-    for bad in (1.5, True, "3/0", "1/-2", "x", "--1", None, [1]):
+    for bad in (
+        1.5, True, "3/0", "1/-2", "x", "--1", None, [1],
+        "3\n", "1/2\n", "\u0663",  # trailing newlines; an Arabic-Indic digit
+    ):
         with pytest.raises(InputFormatError):
             number_from_json(bad)
     with pytest.raises(InputFormatError):
@@ -106,7 +105,12 @@ def test_coords_roundtrip():
     coords = TropicalCoords.of(
         fan, dict(zip(fan.sorted_diagonals(), (1, Fraction(1, 2), -3)))
     )
-    assert coords_from_json(coords_to_json(coords)) == coords
+    assert coords_to_json(coords) == {
+        "format": FORMAT,
+        "n_gon": 6,
+        "chart": [[1, 3], [1, 4], [1, 5]],
+        "values": [[1, 3, 1], [1, 4, "1/2"], [1, 5, -3]],
+    }
 
 
 def test_spec_roundtrip():
@@ -122,11 +126,6 @@ def test_expansion_roundtrip():
 def test_seed_roundtrip():
     for seed in (type_a_seed(3), atlas_seed(fan_triangulation(6))):
         assert seed_from_json(seed_to_json(seed)) == seed
-
-
-def test_laurent_roundtrip():
-    p = LaurentPolynomial(("X1", "X2"), {(1, -2): 3, (0, 0): -1})
-    assert laurent_from_json(laurent_to_json(p)) == p
 
 
 def test_dumps_is_byte_deterministic():

@@ -6,18 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rational_oracle import RationalFunction, evaluate_at
 from tropclust.errors import (
     DimensionMismatch,
     InvariantViolation,
     NotDivisible,
     NotPositive,
 )
-from tropclust.laurent import (
-    LaurentPolynomial,
-    RationalFunction,
-    TropicalFunction,
-    evaluate_at,
-)
+from tropclust.laurent import LaurentPolynomial, TropicalFunction
 
 V = ("X1", "X2")
 

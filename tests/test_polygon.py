@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,19 +8,15 @@ from tropclust.errors import (
     InvalidVertex,
     InvariantViolation,
     NotADiagonal,
-    SizeMismatch,
 )
 from tropclust.polygon import (
     Segment,
     Triangulation,
-    compatibility_degree,
     crosses,
     diagonals,
     edges,
     fan_triangulation,
     flip,
-    flip_path,
-    segment_length,
     supplement,
     triangulations,
 )
@@ -58,12 +52,6 @@ def test_edge_and_diagonal_split():
     assert len(list(diagonals(n))) == 9
 
 
-def test_segment_length_wraps():
-    assert segment_length(Segment(1, 6), 6) == 1
-    assert segment_length(Segment(1, 4), 6) == 3
-    assert segment_length(Segment(2, 6), 6) == 2
-
-
 def test_crossing_is_strict_interleaving():
     assert crosses(Segment(1, 3), Segment(2, 4))
     assert not crosses(Segment(1, 3), Segment(3, 5))
@@ -79,16 +67,6 @@ def test_crossing_symmetric(n, data):
     assert crosses(s, t) == crosses(t, s)
     if s == t:
         assert not crosses(s, t)
-
-
-def test_compatibility_degree_rejects_edges():
-    with pytest.raises(NotADiagonal):
-        compatibility_degree(Segment(1, 2), Segment(2, 4), 5)
-
-
-def test_compatibility_degree_counts_crossing():
-    assert compatibility_degree(Segment(1, 3), Segment(2, 4), 5) == 1
-    assert compatibility_degree(Segment(1, 3), Segment(1, 4), 5) == 0
 
 
 def test_triangulation_rejects_crossings():
@@ -183,34 +161,6 @@ def test_flip_is_involutive_everywhere():
             t2, added, _ = flip(t, d)
             t3, back, _ = flip(t2, added)
             assert t3 == t and back == d
-
-
-def test_flip_path_endpoints_and_replay():
-    ts = triangulations(6)
-    for t1 in ts[::3]:
-        for t2 in ts[::4]:
-            path = flip_path(t1, t2)
-            cur = t1
-            for removed, added, quad in path:
-                cur, got, gquad = flip(cur, removed)
-                assert got == added and gquad == quad
-            assert cur == t2
-
-
-def test_flip_path_between_equal_charts_is_empty():
-    t = fan_triangulation(7)
-    assert flip_path(t, t) == []
-
-
-def test_flip_path_checks_polygon_sizes():
-    with pytest.raises(SizeMismatch):
-        flip_path(fan_triangulation(5), fan_triangulation(6))
-
-
-def test_flip_path_is_shortest_for_adjacent_charts():
-    t = fan_triangulation(6)
-    t2, _, _ = flip(t, Segment(1, 4))
-    assert len(flip_path(t, t2)) == 1
 
 
 def test_fan_triangulation_shape():

@@ -29,7 +29,6 @@ from tropclust.polygon import (
     fan_triangulation,
     triangulations,
 )
-from tropclust import polytopes
 from tropclust.basis import support
 from tropclust.polytopes import (
     Face,
@@ -38,8 +37,6 @@ from tropclust.polytopes import (
     contains,
     coordinate_bounds,
     face_membership,
-    feasible,
-    hull_membership,
     is_nondegenerate,
     is_stasheff,
     lattice_points,
@@ -183,10 +180,8 @@ def test_minkowski_sum_adds_bounds():
 def test_linear_core_feasible():
     # unit square
     square = [((1, 0), 1), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0)]
-    assert feasible(square, 2)
     assert coordinate_bounds(square, 2) == [(0, 1), (0, 1)]
     empty = square + [((1, 1), Fraction(-1, 2))]
-    assert not feasible(empty, 2)
     assert coordinate_bounds(empty, 2) is None
 
 
@@ -271,7 +266,9 @@ def test_linear_core_eliminate():
     projected = fm_eliminate(sys, 0)
     # y from: x <= 3 - y and x <= 1 + y combined with -x <= 0
     assert projected is not None
-    assert feasible(projected, 2)
+    # emptiness is tested first, so Unbounded means a nonempty region
+    with pytest.raises(Unbounded):
+        coordinate_bounds(projected, 2)
     assert fm_feasible(sys, 2)
     assert coordinate_bounds(sys, 2)[1] == (-1, 3)
 
@@ -288,14 +285,12 @@ def test_linear_core_degenerate_single_point():
     octant_rows = [
         ((sx, sy, sz), 0) for sx in (1, -1) for sy in (1, -1) for sz in (1, -1)
     ]
-    assert feasible(octant_rows, 3)
     assert coordinate_bounds(octant_rows, 3) == [(0, 0)] * 3
     assert fm_bounds(octant_rows, 3) == [(0, 0)] * 3
 
 
 def test_linear_core_rank_deficient_is_unbounded():
     slab = [((1, 1), 1), ((-1, -1), 0)]
-    assert feasible(slab, 2)
     with pytest.raises(Unbounded):
         coordinate_bounds(slab, 2)
 
@@ -310,9 +305,7 @@ def test_linear_core_duplicate_and_redundant_rows():
         ((0, 0), 0),  # constant, always true
     ]
     assert coordinate_bounds(noisy, 2) == [(0, 1), (0, 1)]
-    assert feasible(noisy, 2)
     assert coordinate_bounds(noisy + [((0, 0), -1)], 2) is None
-    assert not feasible(noisy + [((0, 0), -1)], 2)
 
 
 def test_linear_core_rational_bound():
@@ -361,22 +354,6 @@ def test_coordinate_bounds_match_fourier_motzkin():
         else:
             outcomes.add("rational")
     assert outcomes == {"empty", "integer", "rational"}
-
-
-def test_hull_membership_matches_fourier_motzkin(monkeypatch):
-    rng = random.Random(77)
-    cases = []
-    for _ in range(24):
-        target = point(5, (rng.randint(-2, 2), rng.randint(-2, 2)))
-        gens = [
-            point(5, (rng.randint(-2, 2), rng.randint(-2, 2)))
-            for _ in range(rng.randint(1, 3))
-        ]
-        cases.append((target, gens, hull_membership(target, gens)))
-    monkeypatch.setattr(polytopes, "feasible", fm_feasible)
-    for target, gens, by_simplex in cases:
-        assert hull_membership(target, gens) == by_simplex
-    assert {by_simplex for _, _, by_simplex in cases} == {True, False}
 
 
 def nonagon_products():
@@ -448,22 +425,6 @@ def test_lattice_points_empty_and_point():
 
 def test_lattice_points_big_pentagon_census():
     assert len(lattice_points(BIG)) == 951
-
-
-def test_hull_membership_small_cases():
-    z = Lamination.zero(5)
-    c13, c24 = point(5, (0, 1)), point(5, (0, -1))
-    c25, c14 = point(5, (1, 0)), point(5, (-1, 0))
-    assert hull_membership(c13, [c13, c25])
-    assert hull_membership(c14, [2 * c14, z])
-    assert hull_membership(z, [c13, c24])
-    assert hull_membership(z, [c25, c14])
-    # the dominance order lets generators sit above the point
-    assert hull_membership(z, [c13, c25])
-    assert not hull_membership(c25, [c13, c14])
-    assert not hull_membership(c13, [z])
-    with pytest.raises(EmptyInput):
-        hull_membership(z, [])
 
 
 def test_shift_to_negative_part():

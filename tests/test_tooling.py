@@ -6,6 +6,7 @@ from pathlib import Path
 import tropclust
 
 SOURCE = Path(tropclust.__file__).parent
+REPO = Path(__file__).resolve().parents[1]
 
 
 def test_library_has_no_assert_statements():
@@ -19,3 +20,45 @@ def test_library_has_no_assert_statements():
             if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+def _defined_names(stmt) -> set[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, ast.Assign):
+        return {t.id for t in stmt.targets if isinstance(t, ast.Name)}
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return {stmt.target.id}
+    return set()
+
+
+def _used_names(node) -> set[str]:
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def test_public_names_have_a_caller():
+    """Every public top-level name of a library module is used by name
+    outside its own definition: elsewhere in the library, in a demo, in the
+    benchmark, or in the acceptance tests.  A name that only its own unit
+    tests reach is not part of the pipeline."""
+    definitions = []  # (module, name)
+    used = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for stmt in tree.body:
+            own = _defined_names(stmt)
+            definitions += [(path.name, n) for n in own if not n.startswith("_")]
+            # a definition's reference to itself (recursion) does not count
+            used |= _used_names(stmt) - own
+    callers = [REPO / "tests" / "test_acceptance.py"]
+    callers += sorted((REPO / "demos").glob("*.py"))
+    callers += sorted((REPO / "perfbench").glob("*.py"))
+    for path in callers:
+        used |= _used_names(ast.parse(path.read_text(encoding="utf-8")))
+    assert sorted(f"{m}:{n}" for m, n in definitions if n not in used) == []

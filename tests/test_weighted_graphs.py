@@ -6,15 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropclust.errors import InvariantViolation, NonIntegral, SizeMismatch
+from tropclust.errors import InvariantViolation, SizeMismatch
 from tropclust.polygon import Segment, all_segments, diagonals
 from tropclust.weighted_graphs import (
     GraphStats,
     WeightedGraph,
-    common_part,
-    depth,
     dominates,
-    graph_from_cut_stats,
     stats,
     wrap_vertex,
 )
@@ -80,10 +77,6 @@ def test_addition_subtraction_common_part():
     assert (a - graph(5, {(1, 3): 1})).weight(1, 3) == 1
     with pytest.raises(InvariantViolation):
         b - a  # would leave -1 on the diagonal {2,4}
-    c = common_part(a, b)
-    assert c.weight(1, 3) == 1
-    assert c.weight(2, 4) == 0
-    assert c.weight(1, 2) == -1
     with pytest.raises(SizeMismatch):
         a + graph(6, {})
 
@@ -138,14 +131,6 @@ def test_cut_mass_symmetry(g):
         assert complement_inside - 2 * s.cut(seg.i, seg.j) == 2 * outside_mass
 
 
-def test_depth_is_shortest_loaded_length():
-    assert depth(WeightedGraph.zeros(5)) is None
-    assert depth(graph(5, {(1, 3): 1})) == 2
-    assert depth(graph(6, {(1, 4): 1})) == 3
-    assert depth(graph(6, {(1, 4): 1, (5, 6): 2})) == 1
-    assert depth(graph(6, {(1, 6): 1})) == 1  # wrap side has cyclic length 1
-
-
 def test_dominates_requires_equal_vertex_masses():
     a = graph(5, {(1, 3): 1})
     b = graph(5, {(1, 3): 2})
@@ -164,26 +149,6 @@ def test_dominates_orders_cut_masses():
     assert lesser != greater  # strictly comparable pair
     with pytest.raises(SizeMismatch):
         dominates(a, graph(5, {}))
-
-
-@settings(max_examples=40)
-@given(graphs())
-def test_cut_stats_roundtrip(g):
-    cut = {seg: stats(g).cut_mass[seg] for seg in all_segments(g.n_gon)}
-    assert graph_from_cut_stats(cut, g.n_gon) == g
-
-
-def test_cut_stats_rejects_half_integers():
-    cut = {seg: 0 for seg in all_segments(5)}
-    cut[Segment(1, 3)] = 1
-    cut[Segment(2, 4)] = 0
-    with pytest.raises((NonIntegral, InvariantViolation)):
-        graph_from_cut_stats(cut, 5)
-
-
-def test_cut_stats_missing_entries():
-    with pytest.raises(InvariantViolation):
-        graph_from_cut_stats({Segment(1, 3): 0}, 5)
 
 
 def test_stats_type():
