@@ -8,7 +8,7 @@ diagonal curve, checks support = Minkowski lattice once more, and shows the
 cut-mass partial order predicting support inclusion.
 """
 
-from tropclust.basis import product_expand, product_graph, support
+from tropclust.basis import product_expand, product_graph
 from tropclust.laminations import TropicalCoords, chart_coords, lamination_from_coords
 from tropclust.polygon import Segment, fan_triangulation, triangulations
 from tropclust.polytopes import lattice_points, minkowski_spec
@@ -67,7 +67,7 @@ def main():
     )
     print(
         "and its one-point support is indeed included: "
-        f"{set(support(smaller)) <= set(expansion.support())}"
+        f"{set(product_expand(smaller).support()) <= set(expansion.support())}"
     )
     reversed_order = dominates(g_big, g_small)
     print(f"the reverse domination fails, as it must: {reversed_order}")

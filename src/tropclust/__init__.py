@@ -40,10 +40,8 @@ from .polygon import (
 )
 from .laurent import LaurentPolynomial, TropicalFunction
 from .weighted_graphs import (
-    GraphStats,
     WeightedGraph,
     dominates,
-    stats,
 )
 from .atlas import (
     MonomialLattice,
@@ -87,7 +85,6 @@ from .basis import (
     crossing_measure,
     product_expand,
     product_graph,
-    support,
     verify_positive_basis,
 )
 

@@ -131,9 +131,6 @@ class Seed:
     def unfrozen(self) -> tuple:
         return tuple(l for l in self.labels if l not in self.frozen)
 
-    def eps_entry(self, a, b) -> int:
-        return self.eps[self.index(a)][self.index(b)]
-
     def x_names(self) -> tuple[str, ...]:
         return tuple(x_variable_name(l) for l in self.labels)
 

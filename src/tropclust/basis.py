@@ -6,14 +6,14 @@ the exponent lattice into the boundary-free chart coordinates.  Products of
 basis functions expand back into the basis with nonnegative integer
 coefficients; combinatorially the expansion repeatedly splits one crossing
 of the summed weighted graph into the two ways of rerouting it, until only
-laminations remain.  The split tree runs on flat tuples of upper-triangle
-integer weights: a table built per call lists every crossing chord pair by
-index, so a split is four index bumps, and only the leaves are turned into
-validated ``WeightedGraph``s and ``Lamination``s.
+laminations remain.  The split tree runs on the graphs' own flat weight
+tuples (the ``weighted_graphs.pairs`` layout): a table built per call lists
+every crossing chord pair by index, so a split is four index bumps, and only
+the leaves are turned into validated ``WeightedGraph``s and ``Lamination``s.
 
-``support`` collects the laminations that appear; ``a2_coefficient`` is the
-closed binomial formula for the rank-two case, used as an independent check
-of the splitting process.
+``Expansion.support`` lists the laminations that appear; ``a2_coefficient``
+is the closed binomial formula for the rank-two case, used as an
+independent check of the splitting process.
 """
 from __future__ import annotations
 
@@ -42,7 +42,7 @@ from .errors import (
 from .laminations import Lamination
 from .laurent import LaurentPolynomial
 from .polygon import Segment, fan_triangulation
-from .weighted_graphs import WeightedGraph
+from .weighted_graphs import WeightedGraph, pairs
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -129,22 +129,19 @@ class Expansion:
         return [l for l, _ in self.terms]
 
 
-def _split_table(n_gon: int) -> tuple[list, list]:
-    """The flat layout of an N-gon's weights, built once per call.
+def _split_table(n_gon: int) -> list:
+    """The crossing table of an N-gon's flat weight layout, built once per call.
 
-    ``pairs`` lists the vertex pairs i < j in row-major order; a graph is the
-    tuple of its weights on them.  There is one row per quad p < q < r < s,
-    in lexicographic order: the indices of its crossing chords {p, r} and
-    {q, s}, and the index pairs of the two ways of rerouting them,
-    ({p, s}, {q, r}) and ({p, q}, {r, s}).
+    Indices point into ``pairs(N)``.  There is one row per quad
+    p < q < r < s, in lexicographic order: the indices of its crossing chords
+    {p, r} and {q, s}, and the index pairs of the two ways of rerouting
+    them, ({p, s}, {q, r}) and ({p, q}, {r, s}).
     """
-    pairs = list(itertools.combinations(range(1, n_gon + 1), 2))
-    at = {pair: k for k, pair in enumerate(pairs)}
-    rows = [
+    at = {pair: k for k, pair in enumerate(pairs(n_gon))}
+    return [
         (at[p, r], at[q, s], ((at[p, s], at[q, r]), (at[p, q], at[r, s])))
         for p, q, r, s in itertools.combinations(range(1, n_gon + 1), 4)
     ]
-    return pairs, rows
 
 
 def _measure(v: tuple, rows: list) -> int:
@@ -154,8 +151,7 @@ def _measure(v: tuple, rows: list) -> int:
 def crossing_measure(graph: WeightedGraph) -> int:
     """Sum of weight products over crossing diagonal pairs; zero exactly
     when the graph has noncrossing support."""
-    pairs, rows = _split_table(graph.n_gon)
-    return _measure(tuple(graph.w[i - 1][j - 1] for i, j in pairs), rows)
+    return _measure(graph.w, _split_table(graph.n_gon))
 
 
 def _split_leaves(v: tuple, rows: list, policy: str, budget: int) -> dict:
@@ -200,12 +196,9 @@ def product_graph(points: Sequence[Lamination]) -> WeightedGraph:
     if not points:
         raise EmptyInput("need at least one lamination")
     n = points[0].n_gon
-    total = WeightedGraph.zeros(n)
-    for p in points:
-        if p.n_gon != n:
-            raise SizeMismatch("laminations live on different polygons")
-        total = total + p.graph
-    return total
+    if any(p.n_gon != n for p in points):
+        raise SizeMismatch("laminations live on different polygons")
+    return WeightedGraph(n, tuple(map(sum, zip(*(p.graph.w for p in points)))))
 
 
 def product_expand(
@@ -232,29 +225,17 @@ def product_expand(
         if p.domain != "int":
             raise NonIntegral("product expansion needs integral laminations")
     n = total.n_gon
-    pairs, rows = _split_table(n)
-    flat = tuple(total.w[i - 1][j - 1] for i, j in pairs)
-    leaves = _split_leaves(flat, rows, policy, budget)
+    leaves = _split_leaves(total.w, _split_table(n), policy, budget)
     # Leaves sort by fan coordinates, the halved cut masses across {1, k}.
     cuts = [
-        [x for x, (i, j) in enumerate(pairs) if (1 < i <= k) != (1 < j <= k)]
+        [x for x, (i, j) in enumerate(pairs(n)) if (1 < i <= k) != (1 < j <= k)]
         for k in range(3, n)
     ]
-    terms = []
-    for v in sorted(leaves, key=lambda v: [sum(v[x] for x in cut) for cut in cuts]):
-        m = [[0] * n for _ in range(n)]
-        for (i, j), x in zip(pairs, v):
-            m[i - 1][j - 1] = m[j - 1][i - 1] = x
-        terms.append((Lamination(WeightedGraph(n, m)), leaves[v]))
-    return Expansion(tuple(terms))
-
-
-def support(
-    points: Sequence[Lamination],
-    budget: int = DEFAULT_BUDGET,
-) -> list[Lamination]:
-    """The laminations appearing in the expansion of a product."""
-    return product_expand(points, budget).support()
+    terms = tuple(
+        (Lamination(WeightedGraph(n, v)), leaves[v])
+        for v in sorted(leaves, key=lambda v: [sum(v[x] for x in cut) for cut in cuts])
+    )
+    return Expansion(terms)
 
 
 def a2_coefficient(d: Sequence[int], i: int, b: int, c: int) -> int:

@@ -252,7 +252,8 @@ def load_path(path: str):
             return json.load(fh, parse_float=_reject_float)
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # JSON text is UTF-8; the decoder recurses once per nesting level
         raise InputFormatError(f"invalid JSON in {path}: {exc}") from exc
 
 

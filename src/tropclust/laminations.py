@@ -39,7 +39,7 @@ from .weighted_graphs import (
     WeightedGraph,
     _is_number,
     _normalize,
-    stats,
+    pairs,
     wrap_vertex,
 )
 
@@ -71,8 +71,8 @@ class Lamination:
         for (s, _), (t, _) in itertools.combinations(loaded, 2):
             if crosses(s, t):
                 raise NotALamination(f"diagonals {s} and {t} cross")
-        for p, row in enumerate(g.w, start=1):
-            if sum(row) != 0:
+        for p, mass in enumerate(g.vertex_masses(), start=1):
+            if mass != 0:
                 raise NotALamination(f"vertex {p} has nonzero total weight")
 
     @property
@@ -99,11 +99,7 @@ class Lamination:
             raise NotALamination("scaling factor must be nonnegative")
         k = _normalize(Fraction(k))
         graph = WeightedGraph(
-            self.n_gon,
-            tuple(
-                tuple(_normalize(k * w) if w else 0 for w in row)
-                for row in self.graph.w
-            ),
+            self.n_gon, tuple(_normalize(k * w) if w else 0 for w in self.graph.w)
         )
         domain = "int" if graph.is_integral() else "rat"
         return Lamination(graph, domain)
@@ -163,7 +159,7 @@ def tropical_coordinate(lam: Lamination, seg: Segment) -> Number:
     seg.validate(lam.n_gon)
     if not seg.is_diagonal(lam.n_gon):
         raise NotADiagonal(f"{seg} is an edge; coordinates live on diagonals")
-    return _normalize(Fraction(stats(lam.graph).cut(seg.i, seg.j), 2))
+    return _normalize(Fraction(lam.graph.cut(seg.i, seg.j), 2))
 
 
 def chart_coords(lam: Lamination, tri: Triangulation) -> TropicalCoords:
@@ -171,9 +167,9 @@ def chart_coords(lam: Lamination, tri: Triangulation) -> TropicalCoords:
     if lam.n_gon != tri.n_gon:
         raise SizeMismatch("lamination and chart live on different polygons")
     tri.require_complete()
-    st = stats(lam.graph)
     vals = tuple(
-        (d, _normalize(Fraction(st.cut(d.i, d.j), 2))) for d in tri.sorted_diagonals()
+        (d, _normalize(Fraction(lam.graph.cut(d.i, d.j), 2)))
+        for d in tri.sorted_diagonals()
     )
     return TropicalCoords(tri, vals)
 
@@ -211,12 +207,13 @@ def lamination_from_coords(coords: TropicalCoords, domain: str | None = None) ->
             return 0
         return vals[Segment(p, q)]
 
-    weights = {}
-    for p, q in itertools.combinations(range(1, n + 1), 2):
-        w = v(p, q) + v(p - 1, q - 1) - v(p, q - 1) - v(p - 1, q)
-        if w != 0:
-            weights[Segment(p, q)] = _normalize(w)
-    graph = WeightedGraph.from_weights(n, weights)
+    graph = WeightedGraph(
+        n,
+        tuple(
+            _normalize(v(p, q) + v(p - 1, q - 1) - v(p, q - 1) - v(p - 1, q))
+            for p, q in pairs(n)
+        ),
+    )
     if domain is None:
         domain = "int" if graph.is_integral() and coords.is_integral() else "rat"
     return Lamination(graph, domain)

@@ -97,9 +97,6 @@ class LaurentPolynomial:
         """All coefficients strictly positive (vacuously true for zero)."""
         return all(c > 0 for c in self.terms.values())
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
     def terms_sorted(self) -> list[tuple[tuple[int, ...], int]]:
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
 

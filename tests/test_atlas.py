@@ -51,9 +51,9 @@ def test_chain_seed_shape():
     s = type_a_seed(3)
     assert s.labels == (1, 2, 3)
     assert s.unfrozen == (1, 2, 3)
-    assert s.eps_entry(1, 2) == -1
-    assert s.eps_entry(2, 1) == 1
-    assert s.eps_entry(1, 3) == 0
+    assert s.eps[0][1] == -1
+    assert s.eps[1][0] == 1
+    assert s.eps[0][2] == 0
     assert s.x_names() == ("X1", "X2", "X3")
     with pytest.raises(InvariantViolation):
         type_a_seed(0)

@@ -1,7 +1,10 @@
 """Canonical basis functions, product expansion, and the pentagon closed form."""
 
+import functools
 import itertools
+import operator
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +25,6 @@ from tropclust.basis import (
     crossing_measure,
     product_expand,
     product_graph,
-    support,
     verify_positive_basis,
 )
 from tropclust.errors import (
@@ -35,7 +37,7 @@ from tropclust.errors import (
 from tropclust.laminations import Lamination, TropicalCoords, lamination_from_coords
 from tropclust.laurent import LaurentPolynomial
 from tropclust.polygon import Segment, crosses, fan_triangulation
-from tropclust.weighted_graphs import WeightedGraph, stats
+from tropclust.weighted_graphs import WeightedGraph
 
 V2 = ("X1", "X2")
 
@@ -157,6 +159,19 @@ def test_product_graph_guards():
         product_graph([UNITS[1], Lamination.zero(6)])
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_product_graph_is_the_left_fold_of_addition(data):
+    n_gon = data.draw(st.integers(4, 8))
+    scale = data.draw(st.sampled_from([1, 3, Fraction(1, 2), Fraction(2, 3)]))
+    vecs = data.draw(
+        st.lists(st.tuples(*[st.integers(-3, 3)] * (n_gon - 3)), min_size=1, max_size=4)
+    )
+    points = [pt(n_gon, v) * scale for v in vecs]
+    folded = functools.reduce(operator.add, (p.graph for p in points))
+    assert product_graph(points) == folded
+
+
 def test_expansion_validation():
     with pytest.raises(InvariantViolation):
         Expansion(((UNITS[1], 0),))
@@ -228,15 +243,15 @@ def test_symbolic_identity_hexagon():
 
 def test_support_is_sorted_and_deterministic():
     points = [UNITS[2], UNITS[4], UNITS[5]]
-    s1 = support(points)
-    s2 = support(list(reversed(points)))
+    s1 = product_expand(points).support()
+    s2 = product_expand(list(reversed(points))).support()
     assert s1 == s2
     fan = fan_triangulation(5)
     from tropclust.laminations import chart_coords
 
     vectors = [chart_coords(l, fan).vector() for l in s1]
     assert vectors == sorted(vectors)
-    heptagon = support([pt(7, v) for v in HEPTAGON_FACTORS])
+    heptagon = product_expand([pt(7, v) for v in HEPTAGON_FACTORS]).support()
     vectors = [chart_coords(l, fan_triangulation(7)).vector() for l in heptagon]
     assert vectors == sorted(vectors)
 
@@ -285,13 +300,6 @@ def test_budget_and_leaf_counts_are_pinned(n_gon, vecs, split, terms, total):
     exp = product_expand(points, budget=split)
     assert len(exp) == terms
     assert sum(c for _, c in exp) == total
-
-
-def test_expansion_leaves_the_stats_cache_alone():
-    points = [pt(7, v) for v in HEPTAGON_FACTORS]
-    before = stats.cache_info().currsize
-    assert len(product_expand(points)) == 86
-    assert stats.cache_info().currsize == before
 
 
 def _peel_into_basis(poly, n_gon):

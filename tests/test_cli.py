@@ -15,7 +15,7 @@ from tropclust.jsonio import (
     spec_to_json,
 )
 from tropclust.atlas import type_a_seed
-from tropclust.basis import support
+from tropclust.basis import product_expand
 from tropclust.laminations import TropicalCoords, lamination_from_coords
 from tropclust.polygon import Triangulation, diagonals, fan_triangulation, triangulations
 from tropclust.polytopes import StasheffSpec, lattice_points, minkowski_spec, vertex
@@ -167,7 +167,7 @@ def test_lattice_points_nonagon(tmp_path, capsys):
     assert code == EXIT_OK
     lattice = points_from_json(json.loads(out))
     assert len(lattice) == 33
-    assert set(lattice) == set(support(points))
+    assert set(lattice) == set(product_expand(points).support())
 
 
 def test_check_stasheff(files, capsys):
@@ -303,6 +303,20 @@ def test_exit_code_input_errors(files, capsys):
         err = capsys.readouterr().err
         assert err.startswith("usage: tropclust")
         assert "must be nonnegative" in err
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [b'{"format": 1, "points": "\xff\xfe"}', b"[" * 100000],
+    ids=["not-utf8", "nested-100000"],
+)
+def test_unreadable_json_is_an_input_error(tmp_path, capsys, raw):
+    path = tmp_path / "in.json"
+    path.write_bytes(raw)
+    assert main(["support", "--in", str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"input error: invalid JSON in {path}: ")
 
 
 def test_exit_code_math_error(files, capsys):

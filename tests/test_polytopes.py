@@ -29,7 +29,7 @@ from tropclust.polygon import (
     fan_triangulation,
     triangulations,
 )
-from tropclust.basis import support
+from tropclust.basis import product_expand
 from tropclust.polytopes import (
     Face,
     StasheffSpec,
@@ -373,7 +373,7 @@ def test_nonagon_support_equals_lattice_points():
     sizes = []
     for pts in nonagon_products():
         lattice = lattice_points(minkowski_spec(pts))
-        assert set(support(pts)) == set(lattice)
+        assert set(product_expand(pts).support()) == set(lattice)
         sizes.append(len(lattice))
     assert sizes == [33, 18, 224]
 

@@ -40,11 +40,21 @@ def _used_names(node) -> set[str]:
     }
 
 
+def _public_methods(stmt) -> list:
+    if not isinstance(stmt, ast.ClassDef):
+        return []
+    return [
+        f for f in stmt.body
+        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)) and not f.name.startswith("_")
+    ]
+
+
 def test_public_names_have_a_caller():
-    """Every public top-level name of a library module is used by name
-    outside its own definition: elsewhere in the library, in a demo, in the
-    benchmark, or in the acceptance tests.  A name that only its own unit
-    tests reach is not part of the pipeline."""
+    """Every public top-level name of a library module, and every public
+    method defined in a class body, is used by name outside its own
+    definition: elsewhere in the library, in a demo, in the benchmark, or in
+    the acceptance tests.  A name that only its own unit tests reach is not
+    part of the pipeline."""
     definitions = []  # (module, name)
     used = set()
     for path in sorted(SOURCE.glob("*.py")):
@@ -53,12 +63,17 @@ def test_public_names_have_a_caller():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for stmt in tree.body:
             own = _defined_names(stmt)
+            methods = _public_methods(stmt)
             definitions += [(path.name, n) for n in own if not n.startswith("_")]
-            # a definition's reference to itself (recursion) does not count
-            used |= _used_names(stmt) - own
+            definitions += [(path.name, f"{stmt.name}.{f.name}") for f in methods]
+            # a definition's or method's reference to itself (recursion) does not count
+            for node in ast.iter_child_nodes(stmt):
+                recursion = {node.name} if node in methods else set()
+                used |= _used_names(node) - own - recursion
     callers = [REPO / "tests" / "test_acceptance.py"]
     callers += sorted((REPO / "demos").glob("*.py"))
     callers += sorted((REPO / "perfbench").glob("*.py"))
     for path in callers:
         used |= _used_names(ast.parse(path.read_text(encoding="utf-8")))
-    assert sorted(f"{m}:{n}" for m, n in definitions if n not in used) == []
+    unused = [f"{m}:{n}" for m, n in definitions if n.rpartition(".")[2] not in used]
+    assert sorted(unused) == []

@@ -9,16 +9,20 @@ from hypothesis import strategies as st
 from tropclust.errors import InvariantViolation, SizeMismatch
 from tropclust.polygon import Segment, all_segments, diagonals
 from tropclust.weighted_graphs import (
-    GraphStats,
     WeightedGraph,
     dominates,
-    stats,
+    pairs,
     wrap_vertex,
 )
 
 
 def graph(n, weights):
     return WeightedGraph.from_weights(n, {Segment(i, j): w for (i, j), w in weights.items()})
+
+
+def interval(g, k, l):
+    """Total weight of segments with both endpoints in [k, l]."""
+    return sum(w for i, j, w in g.sparse_items() if k <= i and j <= l)
 
 
 @st.composite
@@ -56,9 +60,24 @@ def test_construction_and_lookup():
     assert graph(5, {(1, 2): Fraction(4, 2)}).is_integral()
 
 
+def test_flat_layout_is_row_major_over_pairs():
+    g = WeightedGraph.from_weights(5, {(1, 2): -1, (2, 4): 1})
+    assert g.w == (-1, 0, 0, 0, 0, 1, 0, 0, 0, 0)
+    assert pairs(5)[5] == (2, 4)
+    for n in (3, 4, 7):
+        for k, (i, j) in enumerate(pairs(n)):
+            assert WeightedGraph.from_weights(n, {(i, j): 1}).w.index(1) == k
+    with pytest.raises(InvariantViolation):
+        WeightedGraph(5, g.w[:-1])
+    with pytest.raises(InvariantViolation):
+        WeightedGraph(5, g.w + (0,))
+
+
 def test_validation_rejects_bad_matrices():
     with pytest.raises(InvariantViolation):
         WeightedGraph(4, ((0, 1), (1, 0)))
+    with pytest.raises(InvariantViolation):
+        WeightedGraph(3, ((0, 1, 0), (1, 0, 0), (0, 0, 0)))  # a matrix is not flat
     with pytest.raises(InvariantViolation):
         graph(5, {(1, 3): -1})  # diagonals must stay nonnegative
     with pytest.raises(InvariantViolation):
@@ -83,40 +102,36 @@ def test_addition_subtraction_common_part():
 
 def test_stats_small_example_by_hand():
     g = graph(5, {(1, 3): 1, (1, 4): 2})
-    s = stats(g)
-    assert s.vertex(1) == 3
-    assert s.vertex(3) == 1
-    assert s.vertex(4) == 2
-    assert s.vertex(2) == 0
+    assert g.vertex_masses() == (3, 0, 1, 2, 0)
     # interval {2,3} picks up nothing internal
-    assert s.interval(2, 3) == 0
-    assert s.interval(1, 3) == 1
-    assert s.interval(1, 4) == 3
+    assert interval(g, 2, 3) == 0
+    assert interval(g, 1, 3) == 1
+    assert interval(g, 1, 4) == 3
     # cut across {1,3} separates {2,3} from the rest
-    assert s.cut(1, 3) == 1
-    assert s.cut(1, 4) == 3
-    assert s.cut(2, 4) == 3
-    assert s.cut(6, 3) == s.cut(1, 3)
-    assert s.cut(2, 2) == 0
+    assert g.cut(1, 3) == 1
+    assert g.cut(1, 4) == 3
+    assert g.cut(2, 4) == 3
+    assert g.cut(6, 3) == g.cut(1, 3)
+    assert g.cut(4, 2) == g.cut(2, 4)
+    assert g.cut(2, 2) == 0
 
 
 @settings(max_examples=40)
 @given(graphs())
 def test_vertex_masses_sum_to_twice_total(g):
-    s = stats(g)
     total = sum(w for _, _, w in g.sparse_items())
-    assert sum(s.vertex_mass) == 2 * total
-    assert s.interval(1, g.n_gon) == total
+    assert sum(g.vertex_masses()) == 2 * total
+    assert interval(g, 1, g.n_gon) == total
 
 
 @settings(max_examples=40)
 @given(graphs())
 def test_cut_mass_symmetry(g):
     """Both sides of a cut see the same crossing mass."""
-    s = stats(g)
+    masses = g.vertex_masses()
     n = g.n_gon
     for seg in diagonals(n):
-        complement_inside = sum(s.vertex_mass) - 2 * s.interval(seg.i + 1, seg.j)
+        complement_inside = sum(masses) - 2 * interval(g, seg.i + 1, seg.j)
         outside = [v for v in range(1, n + 1) if not seg.i < v <= seg.j]
         direct = sum(
             w
@@ -124,11 +139,11 @@ def test_cut_mass_symmetry(g):
             for _ in (0,)
             if (i in outside) != (j in outside)
         )
-        assert s.cut(seg.i, seg.j) == direct
+        assert g.cut(seg.i, seg.j) == direct
         outside_mass = sum(
             g.weight(i, j) for i in outside for j in outside if i < j
         )
-        assert complement_inside - 2 * s.cut(seg.i, seg.j) == 2 * outside_mass
+        assert complement_inside - 2 * g.cut(seg.i, seg.j) == 2 * outside_mass
 
 
 def test_dominates_requires_equal_vertex_masses():
@@ -142,16 +157,9 @@ def test_dominates_orders_cut_masses():
     # same vertex masses, one graph concentrates crossings
     a = graph(6, {(1, 4): 1, (2, 5): 1})
     b = graph(6, {(1, 5): 1, (2, 4): 1})
-    sa, sb = stats(a), stats(b)
-    assert sa.vertex_mass == sb.vertex_mass
+    assert a.vertex_masses() == b.vertex_masses()
     lesser = dominates(b, a)
     greater = dominates(a, b)
     assert lesser != greater  # strictly comparable pair
     with pytest.raises(SizeMismatch):
         dominates(a, graph(5, {}))
-
-
-def test_stats_type():
-    s = stats(WeightedGraph.zeros(4))
-    assert isinstance(s, GraphStats)
-    assert s.n_gon == 4
