@@ -21,8 +21,10 @@ from .basis import DEFAULT_BUDGET, product_expand
 from .errors import BudgetExceeded, InputFormatError, TropclustError
 from .laminations import chart_coords, tropical_coordinate
 from .polygon import Segment, Triangulation, diagonals as polygon_diagonals
+from .polygon import fan_triangulation
 from .polygon import triangulations as all_triangulations
 from .polytopes import (
+    _scan_chart,
     is_nondegenerate,
     is_stasheff,
     lattice_points,
@@ -176,15 +178,17 @@ def _cmd_export_chart(args) -> int:
 def _cmd_verify_mthm(args) -> int:
     points = jsonio.points_from_json(jsonio.load_path(args.infile))
     expansion = product_expand(points, budget=args.budget)
-    support_graphs = {l.graph for l in expansion.support()}
     spec = minkowski_spec(points)
-    lattice = lattice_points(spec)
-    lattice_graphs = {l.graph for l in lattice}
-    if support_graphs == lattice_graphs:
+    # compare fan coordinates: the support's read off cut masses, the
+    # lattice's as scanned, so no lattice point becomes a lamination
+    fan = fan_triangulation(spec.n_gon)
+    support = {chart_coords(l, fan).vector() for l in expansion.support()}
+    lattice = set(_scan_chart(spec, fan)[1])
+    if support == lattice:
         _emit(f"support = lattice points, {len(lattice)} elements\n", args.out)
         return EXIT_OK
-    only_support = len(support_graphs - lattice_graphs)
-    only_lattice = len(lattice_graphs - support_graphs)
+    only_support = len(support - lattice)
+    only_lattice = len(lattice - support)
     _emit(
         "support != lattice points: "
         f"{only_support} only in support, {only_lattice} only in lattice\n",

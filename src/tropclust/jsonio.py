@@ -30,7 +30,10 @@ def number_to_json(x):
     if isinstance(x, Fraction):
         if x.denominator == 1:
             return int(x)
-        return f"{x.numerator}/{x.denominator}"
+        try:
+            return f"{x.numerator}/{x.denominator}"
+        except ValueError as exc:  # past the interpreter's int digit limit
+            raise InputFormatError(f"cannot write number: {exc}") from exc
     return x
 
 
@@ -46,7 +49,10 @@ def number_from_json(x):
     if isinstance(x, str):
         if not _FRACTION_RE.fullmatch(x):
             raise InputFormatError(f"malformed number string: {x!r}")
-        return _normalize(Fraction(x))
+        try:
+            return _normalize(Fraction(x))
+        except ValueError as exc:  # past the interpreter's int digit limit
+            raise InputFormatError(f"number string too long: {exc}") from exc
     raise InputFormatError(f"not a number: {x!r}")
 
 
@@ -243,7 +249,10 @@ def seed_from_json(doc) -> Seed:
 
 def dumps(doc) -> str:
     """Deterministic serialization: sorted keys, two-space indent."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    except ValueError as exc:  # an int past the interpreter's digit limit
+        raise InputFormatError(f"cannot write output: {exc}") from exc
 
 
 def load_path(path: str):
@@ -255,6 +264,10 @@ def load_path(path: str):
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         # JSON text is UTF-8; the decoder recurses once per nesting level
         raise InputFormatError(f"invalid JSON in {path}: {exc}") from exc
+    except InputFormatError:
+        raise
+    except ValueError as exc:  # an int past the interpreter's digit limit
+        raise InputFormatError(f"cannot read {path}: {exc}") from exc
 
 
 def _reject_float(text: str):

@@ -10,19 +10,28 @@ chart diagonal is half the cut mass across it.  Coordinates are a bijection
 onto integer (resp. rational) vectors indexed by the chart diagonals.  The
 coordinate of any other segment is the tropicalization of its positive
 Laurent expansion in the chart (``atlas.expand_cluster_variable``),
-evaluated at the chart values.  ``chart_change`` reads the new chart's
-diagonals this way, and ``lamination_from_coords`` reads every segment and
-then recovers the weights by inclusion-exclusion over cyclically
-consecutive chords.
+evaluated at the chart values.
+
+A chart is compiled once per call: every diagonal's expansion is
+tropicalized into its linear forms, and a table built from N alone writes
+each weight as a signed sum of four diagonal values (inclusion-exclusion
+over cyclically consecutive chords, where edges and coinciding vertices
+read 0).  A point then becomes a lamination by evaluating the forms and
+reading the table.  ``lamination_from_coords`` compiles and reads one
+point; ``polytopes.lattice_points`` compiles once, takes the polytope's
+inequalities from the same forms and reads every point it finds.
+``chart_change`` evaluates only the new chart's diagonals.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .atlas import expand_cluster_variable
 from .errors import (
+    DimensionMismatch,
     InvariantViolation,
     NotADiagonal,
     NotALamination,
@@ -31,8 +40,8 @@ from .errors import (
 from .polygon import (
     Segment,
     Triangulation,
-    all_segments,
     crosses,
+    diagonals as polygon_diagonals,
 )
 from .weighted_graphs import (
     Number,
@@ -174,49 +183,67 @@ def chart_coords(lam: Lamination, tri: Triangulation) -> TropicalCoords:
     return TropicalCoords(tri, vals)
 
 
-def _exchange_values(coords: TropicalCoords, segs) -> dict[Segment, Number]:
-    """Tropical coordinates of the given segments, read off the chart.
+def _weight_table(n: int) -> tuple:
+    """Inclusion-exclusion as index quadruples into the diagonal values.
 
-    The coordinate of a segment is the tropicalization of its positive
-    Laurent expansion in the chart, evaluated at the chart values; edges
-    expand to 1 and so read 0.
+    w(p, q) = v(p, q) + v(p-1, q-1) - v(p, q-1) - v(p-1, q) with vertex
+    wrap-around.  Diagonals index into ``diagonals(n)``; edges and
+    coinciding vertices read 0 and take the index just past the diagonals,
+    where the values carry one more 0.  One quadruple per pair of
+    ``pairs(n)``.
     """
-    point = coords.vector()
-    return {
-        s: _normalize(
-            expand_cluster_variable(s, coords.chart, "reduced").tropicalize().eval(point)
+    slot = {(d.i, d.j): k for k, d in enumerate(polygon_diagonals(n))}
+    zero = len(slot)
+
+    def at(a, b):
+        a, b = sorted((wrap_vertex(a, n), wrap_vertex(b, n)))
+        return slot.get((a, b), zero)
+
+    return tuple(
+        (at(p, q), at(p - 1, q - 1), at(p, q - 1), at(p - 1, q)) for p, q in pairs(n)
+    )
+
+
+class _CompiledChart:
+    """One chart's diagonal forms and the weight table, for one call.
+
+    ``forms[k]`` holds the linear forms of the tropicalized expansion of
+    ``diagonals(n)[k]`` in the chart; the polytope's inequalities read
+    them too.
+    """
+
+    def __init__(self, chart: Triangulation):
+        chart.require_complete()
+        n = chart.n_gon
+        self.chart = chart
+        self.forms = tuple(
+            tuple(expand_cluster_variable(d, chart, "reduced").tropicalize().sorted_forms())
+            for d in polygon_diagonals(n)
         )
-        for s in segs
-    }
+        self.table = _weight_table(n)
+
+    def lamination(self, point: tuple, integral: bool, domain: str | None = None) -> Lamination:
+        """The lamination whose chart coordinates are the given point;
+        ``integral`` tells whether every coordinate is an integer."""
+        if len(point) != self.chart.n_gon - 3:
+            raise DimensionMismatch(
+                f"point has {len(point)} coordinates, need {self.chart.n_gon - 3}"
+            )
+        v = [max(sum(map(mul, f, point)) for f in fs) for fs in self.forms]
+        v.append(0)
+        graph = WeightedGraph(
+            self.chart.n_gon,
+            tuple(_normalize(v[a] + v[b] - v[c] - v[d]) for a, b, c, d in self.table),
+        )
+        if domain is None:
+            domain = "int" if integral and graph.is_integral() else "rat"
+        return Lamination(graph, domain)
 
 
 def lamination_from_coords(coords: TropicalCoords, domain: str | None = None) -> Lamination:
-    """The unique lamination with the given chart coordinates.
-
-    Weights come from the values of all segments by cyclic
-    inclusion-exclusion: w(p, q) = v(p, q) + v(p-1, q-1) - v(p, q-1) -
-    v(p-1, q), reading v through vertex wrap-around with v = 0 on edges and
-    degenerate pairs.
-    """
-    n = coords.n_gon
-    vals = _exchange_values(coords, all_segments(n))
-
-    def v(p: int, q: int) -> Number:
-        p, q = wrap_vertex(p, n), wrap_vertex(q, n)
-        if p == q:
-            return 0
-        return vals[Segment(p, q)]
-
-    graph = WeightedGraph(
-        n,
-        tuple(
-            _normalize(v(p, q) + v(p - 1, q - 1) - v(p, q - 1) - v(p - 1, q))
-            for p, q in pairs(n)
-        ),
-    )
-    if domain is None:
-        domain = "int" if graph.is_integral() and coords.is_integral() else "rat"
-    return Lamination(graph, domain)
+    """The unique lamination with the given chart coordinates."""
+    compiled = _CompiledChart(coords.chart)
+    return compiled.lamination(coords.vector(), coords.is_integral(), domain)
 
 
 def chart_change(coords: TropicalCoords, tri2: Triangulation) -> TropicalCoords:
@@ -228,5 +255,11 @@ def chart_change(coords: TropicalCoords, tri2: Triangulation) -> TropicalCoords:
     if coords.n_gon != tri2.n_gon:
         raise SizeMismatch("charts live on different polygons")
     tri2.require_complete()
-    vals = _exchange_values(coords, tri2.sorted_diagonals())
-    return TropicalCoords(tri2, tuple(vals.items()))
+    point = coords.vector()
+    vals = tuple(
+        (d, _normalize(
+            expand_cluster_variable(d, coords.chart, "reduced").tropicalize().eval(point)
+        ))
+        for d in tri2.sorted_diagonals()
+    )
+    return TropicalCoords(tri2, vals)

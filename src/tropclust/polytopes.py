@@ -12,12 +12,14 @@ reading c as zero on boundary edges.  Vertices then sit at the coordinate
 vectors c restricted to complete triangulations, and faces are indexed by
 partial triangulations.
 
-Lattice enumeration works per chart: each diagonal bound tropicalizes to a
-max of linear forms in the chart coordinates, and the maxima split into
-plain half-spaces with integer rows.  An exact integer simplex under
-Bland's rule, run on the dual of each coordinate's maximisation, gives the
-box of coordinate ranges to scan; the same simplex decides emptiness
-through Farkas' lemma.
+Lattice enumeration works per chart, compiled once per call
+(``laminations._CompiledChart``): each diagonal bound tropicalizes to a max
+of linear forms in the chart coordinates, and the maxima split into plain
+half-spaces with integer rows.  An exact integer simplex under Bland's
+rule, run on the dual of each coordinate's maximisation, gives the box of
+coordinate ranges to scan; the same simplex decides emptiness through
+Farkas' lemma.  The scan yields integer coordinate vectors, and the same
+compiled chart turns each one into a lamination.
 """
 from __future__ import annotations
 
@@ -28,7 +30,6 @@ from math import ceil, floor, gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-from .atlas import expand_cluster_variable
 from .errors import (
     EmptyInput,
     InvariantViolation,
@@ -40,6 +41,7 @@ from .errors import (
 from .laminations import (
     Lamination,
     TropicalCoords,
+    _CompiledChart,
     lamination_from_coords,
     tropical_coordinate,
 )
@@ -355,22 +357,48 @@ def coordinate_bounds(ineqs: Sequence[tuple], nvars: int):
     return _box(_integer_system(ineqs), nvars)
 
 
+def _inequalities(spec: StasheffSpec, compiled: _CompiledChart) -> list[tuple]:
+    if spec.n_gon != compiled.chart.n_gon:
+        raise SizeMismatch("spec and chart live on different polygons")
+    c = spec._bounds
+    return [
+        (form, Fraction(c[d]))
+        for d, forms in zip(polygon_diagonals(spec.n_gon), compiled.forms)
+        for form in forms
+    ]
+
+
 def chart_inequalities(spec: StasheffSpec, chart: Triangulation) -> list[tuple]:
     """The polytope as plain half-spaces in one chart's coordinates.
 
     Each diagonal's tropical coordinate is a max of linear forms in the
     chart values; bounding a max bounds every form.
     """
-    if spec.n_gon != chart.n_gon:
-        raise SizeMismatch("spec and chart live on different polygons")
-    chart.require_complete()
-    c = spec._bounds
-    ineqs = []
-    for d in polygon_diagonals(spec.n_gon):
-        trop = expand_cluster_variable(d, chart, "reduced").tropicalize()
-        for form in trop.sorted_forms():
-            ineqs.append((form, Fraction(c[d])))
-    return ineqs
+    return _inequalities(spec, _CompiledChart(chart))
+
+
+def _scan_chart(spec: StasheffSpec, chart: Triangulation) -> tuple:
+    """Compile the chart and scan the polytope in it.
+
+    Returns the compiled chart and the integral points as coordinate
+    vectors in that chart, sorted.
+    """
+    compiled = _CompiledChart(chart)
+    system = _integer_system(_inequalities(spec, compiled))
+    bounds = _box(system, spec.n_gon - 3)
+    if bounds is None:
+        return compiled, []
+    rows, d = system
+    # an integral point meets coeffs . a <= rhs / d exactly when it meets
+    # the floor of the right-hand side
+    rows = [(coeffs, rhs // d) for coeffs, rhs in rows]
+    ranges = [range(ceil(lo), floor(hi) + 1) for lo, hi in bounds]
+    # the product runs in lexicographic order, so the points come sorted
+    return compiled, [
+        point
+        for point in itertools.product(*ranges)
+        if all(sum(map(mul, coeffs, point)) <= rhs for coeffs, rhs in rows)
+    ]
 
 
 def lattice_points(
@@ -384,23 +412,8 @@ def lattice_points(
     """
     if chart is None:
         chart = fan_triangulation(spec.n_gon)
-    system = _integer_system(chart_inequalities(spec, chart))
-    bounds = _box(system, spec.n_gon - 3)
-    if bounds is None:
-        return []
-    rows, d = system
-    # an integral point meets coeffs . a <= rhs / d exactly when it meets
-    # the floor of the right-hand side
-    rows = [(coeffs, rhs // d) for coeffs, rhs in rows]
-    ranges = [range(ceil(lo), floor(hi) + 1) for lo, hi in bounds]
-    diags = chart.sorted_diagonals()
-    out = []
-    for point in itertools.product(*ranges):
-        if all(sum(map(mul, coeffs, point)) <= rhs for coeffs, rhs in rows):
-            coords = TropicalCoords(chart, tuple(zip(diags, point)))
-            out.append((point, lamination_from_coords(coords)))
-    out.sort(key=lambda pair: pair[0])
-    return [lam for _, lam in out]
+    compiled, vectors = _scan_chart(spec, chart)
+    return [compiled.lamination(p, integral=True) for p in vectors]
 
 
 def shift_to_negative_part(spec: StasheffSpec) -> tuple[Lamination, StasheffSpec]:

@@ -1,6 +1,7 @@
 """End-to-end command-line checks, run in-process via main()."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -15,7 +16,7 @@ from tropclust.jsonio import (
     spec_to_json,
 )
 from tropclust.atlas import type_a_seed
-from tropclust.basis import product_expand
+from tropclust.basis import Expansion, product_expand
 from tropclust.laminations import TropicalCoords, lamination_from_coords
 from tropclust.polygon import Triangulation, diagonals, fan_triangulation, triangulations
 from tropclust.polytopes import StasheffSpec, lattice_points, minkowski_spec, vertex
@@ -254,6 +255,16 @@ def test_verify_mthm(files, capsys):
     assert "support = lattice points" in out
 
 
+def test_verify_mthm_reports_a_mismatch(files, capsys, monkeypatch):
+    def drop_one_leaf(points, budget):
+        return Expansion(product_expand(points, budget).terms[1:])
+
+    monkeypatch.setattr(cli, "product_expand", drop_one_leaf)
+    code, out = run(["verify-mthm", "--in", str(files / "points.json")], capsys)
+    assert code == EXIT_MATH
+    assert out == "support != lattice points: 0 only in support, 1 only in lattice\n"
+
+
 def test_mutate(files, capsys):
     code, out = run(
         ["mutate", "--seed", str(files / "seed.json"), "--word", "1,2,1"], capsys
@@ -346,3 +357,44 @@ def test_output_is_byte_deterministic(files, capsys):
     _, third = run(["vertices", "--in", str(files / "spec.json")], capsys)
     _, fourth = run(["vertices", "--in", str(files / "spec.json")], capsys)
     assert third == fourth
+
+
+# Python refuses to convert ints longer than 4300 digits to or from text.
+TOO_LONG = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "weight", [TOO_LONG, f'"{TOO_LONG}/3"'], ids=["json-int", "fraction-string"]
+)
+def test_overlong_input_numbers_are_input_errors(tmp_path, capsys, weight):
+    path = tmp_path / "in.json"
+    path.write_text(
+        '{"format": 1, "points": [{"format": 1, "n_gon": 5, "domain": "rat", '
+        f'"weights": [[1, 3, {weight}]]}}]}}'
+    )
+    assert main(["support", "--in", str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")
+
+
+NINES = 10**4300 - 1  # the most digits an int can have and still print
+
+
+@pytest.mark.parametrize(
+    "coords, message",
+    [
+        # the sum's 4301-digit integer bound fails in the JSON encoder
+        ([(NINES, NINES)] * 2, "cannot write output: "),
+        # the sum 3 * NINES / 4 has a 4301-digit numerator
+        ([(Fraction(NINES, 2), 0), (Fraction(NINES, 4), 0)], "cannot write number: "),
+    ],
+    ids=["int", "fraction"],
+)
+def test_overlong_output_numbers_are_input_errors(tmp_path, capsys, coords, message):
+    path = tmp_path / "points.json"
+    path.write_text(dumps(points_to_json([pt(5, c) for c in coords])))
+    assert main(["minkowski", "--in", str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: " + message)

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropclust.errors import NotADiagonal, NotALamination
+from tropclust.errors import DimensionMismatch, NotADiagonal, NotALamination
 from tropclust.laminations import (
     Lamination,
     TropicalCoords,
+    _CompiledChart,
     chart_change,
     chart_coords,
     lamination_from_coords,
@@ -303,3 +304,23 @@ def test_chart_change_matches_cut_masses_on_heptagon_chart_pairs():
         lam = lamination_from_weights(rng, 7)
         t1, t2 = rng.choice(tris), rng.choice(tris)
         assert chart_change(chart_coords(lam, t1), t2) == chart_coords(lam, t2)
+
+
+def test_rational_coords_in_non_fan_charts_give_rat_laminations():
+    rng = random.Random(31)
+    fan = fan_triangulation(6)
+    for tri in triangulations(6):
+        if tri == fan:
+            continue
+        coords = coords_box(lambda: Fraction(2 * rng.randint(-4, 3) + 1, 2), tri)
+        lam = lamination_from_coords(coords)
+        assert lam.domain == "rat"
+        assert chart_coords(lam, tri) == coords
+        assert lamination_from_coords(chart_coords(lam, fan)) == lam
+
+
+def test_compiled_chart_rejects_points_of_the_wrong_length():
+    compiled = _CompiledChart(fan_triangulation(6))
+    for point in [(1, 2), (1, 2, 3, 4)]:
+        with pytest.raises(DimensionMismatch):
+            compiled.lamination(point, integral=True)

@@ -30,9 +30,11 @@ from tropclust.polygon import (
     triangulations,
 )
 from tropclust.basis import product_expand
+from tropclust.laurent import LaurentPolynomial
 from tropclust.polytopes import (
     Face,
     StasheffSpec,
+    _scan_chart,
     chart_inequalities,
     contains,
     coordinate_bounds,
@@ -412,6 +414,41 @@ def test_lattice_points_match_across_charts():
             if reference is None:
                 reference = set(pts)
             assert set(pts) == reference
+
+
+@pytest.mark.parametrize("n_gon, sample", [(6, None), (7, 10)])
+def test_compiled_chart_points_match_cut_masses(n_gon, sample):
+    """Each lattice point, built from its scanned vector by the compiled
+    chart, has that vector as its cut-mass coordinates."""
+    rng = random.Random(900 + n_gon)
+    spec = minkowski_spec(
+        [point(n_gon, [rng.randint(-3, 3) for _ in range(n_gon - 3)]) for _ in range(4)]
+    )
+    tris = triangulations(n_gon)
+    if sample is not None:
+        tris = rng.sample(tris, sample)
+    sizes = set()
+    for tri in tris:
+        pts = lattice_points(spec, tri)
+        vectors = [chart_coords(lam, tri).vector() for lam in pts]
+        assert vectors == _scan_chart(spec, tri)[1]
+        assert vectors == sorted(vectors)
+        sizes.add(len(pts))
+    assert len(sizes) == 1 and min(sizes) > 20
+
+
+def test_lattice_points_tropicalizes_each_segment_once(monkeypatch):
+    calls = []
+    tropicalize = LaurentPolynomial.tropicalize
+
+    def counting(self):
+        calls.append(self)
+        return tropicalize(self)
+
+    monkeypatch.setattr(LaurentPolynomial, "tropicalize", counting)
+    pts = lattice_points(const_spec(6, 3), triangulations(6)[5])
+    assert len(pts) >= 100
+    assert len(calls) <= 6 * 5 // 2
 
 
 def test_lattice_points_empty_and_point():
