@@ -14,7 +14,10 @@ The chart machinery lives here too:
 * ``MonomialLattice`` translates between monomials in chart variables of the
   two coordinate systems attached to a seed;
 * ``expand_in_x_chart`` pushes a Laurent polynomial through a word of
-  mutations via exact substitution and division;
+  mutations.  Each step splits it into fibers, the terms that agree off the
+  mutated direction k, and multiplies each fiber by its power of
+  (1 + X_k); a negative power is divided out by synthetic division, which
+  fails exactly when the result is not Laurent;
 * ``mutation_words`` gives one mutation word per complete triangulation,
   so every chart can be reached deterministically;
 * ``x_chart_walk`` expands one polynomial in every chart of that atlas.
@@ -26,16 +29,18 @@ The chart machinery lives here too:
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Iterator, Sequence
 
 from .errors import (
     DimensionMismatch,
     FrozenDirection,
     InvariantViolation,
+    NotDivisible,
     RankDeficient,
 )
 from .laurent import LaurentPolynomial
@@ -116,6 +121,14 @@ class Seed:
         object.__setattr__(self, "eps", eps)
         object.__setattr__(self, "d", d)
 
+    @classmethod
+    def _trusted(cls, labels: tuple, frozen: frozenset, eps: tuple, d: tuple) -> "Seed":
+        """Wrap fields a closed operation derived from a validated seed."""
+        seed = object.__new__(cls)
+        for name, value in (("labels", labels), ("frozen", frozen), ("eps", eps), ("d", d)):
+            object.__setattr__(seed, name, value)
+        return seed
+
     # -- access ------------------------------------------------------------
 
     def index(self, label) -> int:
@@ -151,22 +164,24 @@ def type_a_seed(n: int) -> Seed:
 
 
 def mutate_seed(seed: Seed, k) -> Seed:
-    """Mutate the exchange matrix in direction k (three-case rule)."""
+    """Mutate the exchange matrix in direction k (three-case rule).
+
+    Mutation keeps the symmetrizers valid, so the result is not checked again.
+    """
     ki = seed.index(k)
     if seed.is_frozen(k):
         raise FrozenDirection(f"cannot mutate frozen direction {k!r}")
-    n = len(seed.labels)
-    e = seed.eps
-    new = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == ki or j == ki:
-                new[i][j] = -e[i][j]
-            elif e[i][ki] * e[ki][j] > 0:
-                new[i][j] = e[i][j] + abs(e[i][ki]) * e[ki][j]
-            else:
-                new[i][j] = e[i][j]
-    return Seed(seed.labels, seed.frozen, tuple(map(tuple, new)), seed.d)
+    row_k = seed.eps[ki]
+    eps = tuple(
+        tuple(
+            -x if i == ki or j == ki
+            else x + abs(row[ki]) * row_k[j] if row[ki] * row_k[j] > 0
+            else x
+            for j, x in enumerate(row)
+        )
+        for i, row in enumerate(seed.eps)
+    )
+    return Seed._trusted(seed.labels, seed.frozen, eps, seed.d)
 
 
 def chart_segments(tri: Triangulation, space: str = "reduced") -> tuple[Segment, ...]:
@@ -368,40 +383,42 @@ def _push_through_mutation(
 ) -> LaurentPolynomial:
     """Rewrite f (a Laurent polynomial in the old chart) in the mutated chart.
 
-    Each old monomial becomes a new monomial times a power of (1 + X_k); the
-    negative powers are cleared by one exact division, which fails with
-    NotDivisible exactly when f is not Laurent in the new chart.
+    Each old monomial becomes a new monomial times (1 + X_k)^e, and both the
+    new X_k exponent's offset and e depend only on the exponents off k.  So
+    f splits into fibers, the terms that agree off k, and each fiber is a
+    Laurent polynomial in X_k times one power of (1 + X_k).  A positive
+    power is multiplied out; a negative one is divided out by repeated
+    synthetic division, which fails with NotDivisible exactly when f is not
+    Laurent in the new chart.
     """
     ki = seed.index(k)
-    if f.is_zero():
-        return f
-    names = f.vars
-    col = [seed.eps[i][ki] for i in range(len(seed.labels))]
-    shifted = []
+    col = [row[ki] for row in seed.eps]
+    del col[ki]
+    drop = [max(0, -c) for c in col]
+    fibers: defaultdict[tuple[int, ...], dict[int, int]] = defaultdict(dict)
     for exps, coeff in f.terms.items():
-        e_b = sum(exps[i] * col[i] for i in range(len(exps)) if i != ki)
-        new_k = -exps[ki] + sum(
-            exps[i] * max(0, -col[i]) for i in range(len(exps)) if i != ki
-        )
-        shifted.append((exps[:ki], new_k, exps[ki + 1 :], coeff, e_b))
-    lift = max(0, -min(e_b for *_, e_b in shifted))
-    # Each shifted term times (1 + X_k)^(e_b + lift) lands in one dict; each
-    # binomial row is computed once per call.
-    rows: dict[int, list[int]] = {}
+        fibers[exps[:ki] + exps[ki + 1 :]][-exps[ki]] = coeff
     out: dict[tuple[int, ...], int] = {}
-    for head, new_k, tail, coeff, e_b in shifted:
-        p = e_b + lift
-        row = rows.get(p)
-        if row is None:
-            row = rows[p] = [math.comb(p, j) for j in range(p + 1)]
-        for j, c in enumerate(row):
-            key = head + (new_k + j,) + tail
-            out[key] = out.get(key, 0) + coeff * c
-    total = LaurentPolynomial(names, out)
-    if lift == 0:
-        return total
-    binom = 1 + LaurentPolynomial.variable(names, names[ki])
-    return total.exact_div(binom**lift)
+    for rest, fiber in fibers.items():
+        power = sum(map(mul, rest, col))
+        offset = sum(map(mul, rest, drop))
+        low = min(fiber)
+        coeffs = [fiber.get(j, 0) for j in range(low, max(fiber) + 1)]
+        for _ in range(power):
+            coeffs = [a + b for a, b in zip(coeffs + [0], [0] + coeffs)]
+        for _ in range(-power):
+            quot, carry = [], 0
+            for a in coeffs[:-1]:
+                carry = a - carry
+                quot.append(carry)
+            if carry != coeffs[-1]:
+                raise NotDivisible(f"not Laurent after mutating at {k!r}")
+            coeffs = quot
+        head, tail = rest[:ki], rest[ki:]
+        for j, c in enumerate(coeffs, low + offset):
+            if c:
+                out[head + (j,) + tail] = c
+    return LaurentPolynomial._trusted(f.vars, out)
 
 
 def expand_in_x_chart(

@@ -3,7 +3,9 @@
 A polynomial keeps a fixed tuple of variable names and a dict mapping
 exponent vectors (tuples of ints, one per variable, negatives allowed) to
 nonzero integer coefficients.  All arithmetic is exact; nothing here ever
-touches floats.
+touches floats.  There is no general division: the one the pipeline needs,
+by powers of (1 + X_k) in the x-chart walk, runs fiber by fiber in
+``atlas``.
 
 Tropicalization drops coefficients: each exponent vector becomes a linear
 form, and the function evaluates as the maximum of those forms.  That is
@@ -16,12 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import (
-    DimensionMismatch,
-    InvariantViolation,
-    NotDivisible,
-    NotPositive,
-)
+from .errors import DimensionMismatch, InvariantViolation, NotPositive
 
 
 def _grlex_key(exps: tuple[int, ...]) -> tuple:
@@ -60,6 +57,16 @@ class LaurentPolynomial:
         raise AttributeError("LaurentPolynomial is immutable")
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, vars_t: tuple[str, ...], terms: dict) -> "LaurentPolynomial":
+        """Wrap terms a closed operation built itself: nonzero int
+        coefficients on exponent tuples of the right length."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "vars", vars_t)
+        object.__setattr__(poly, "terms", terms)
+        object.__setattr__(poly, "_hash", None)
+        return poly
 
     @classmethod
     def zero(cls, variables: Sequence[str]) -> "LaurentPolynomial":
@@ -169,53 +176,6 @@ class LaurentPolynomial:
             h = hash((self.vars, frozenset(self.terms.items())))
             object.__setattr__(self, "_hash", h)
         return self._hash
-
-    # -- division ----------------------------------------------------------
-
-    def exact_div(self, divisor: "LaurentPolynomial") -> "LaurentPolynomial":
-        """Return Q with self == Q * divisor, or raise NotDivisible.
-
-        Shift both operands into the polynomial range, run single-divisor
-        division in graded-lex order (a well-order on nonnegative exponent
-        vectors, so the loop terminates), and shift back.
-        """
-        self._check_vars(divisor)
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return LaurentPolynomial.zero(self.vars)
-
-        def min_exps(p: LaurentPolynomial) -> tuple[int, ...]:
-            its = list(p.terms)
-            return tuple(min(e[i] for e in its) for i in range(len(p.vars)))
-
-        s_f = min_exps(self)
-        s_g = min_exps(divisor)
-        f_terms = {tuple(a - b for a, b in zip(e, s_f)): c for e, c in self.terms.items()}
-        g_terms = {tuple(a - b for a, b in zip(e, s_g)): c for e, c in divisor.terms.items()}
-
-        g_lead = max(g_terms, key=_grlex_key)
-        g_lead_coeff = g_terms[g_lead]
-        quot: dict[tuple[int, ...], int] = {}
-        rem = dict(f_terms)
-        while rem:
-            e = max(rem, key=_grlex_key)
-            c = rem[e]
-            d = tuple(a - b for a, b in zip(e, g_lead))
-            if any(x < 0 for x in d):
-                raise NotDivisible("leading term not divisible")
-            q, r = divmod(c, g_lead_coeff)
-            if r != 0:
-                raise NotDivisible("coefficient not divisible over the integers")
-            quot[d] = quot.get(d, 0) + q
-            for ge, gc in g_terms.items():
-                key = tuple(a + b for a, b in zip(d, ge))
-                rem[key] = rem.get(key, 0) - q * gc
-                if rem[key] == 0:
-                    del rem[key]
-        shift = tuple(a - b for a, b in zip(s_f, s_g))
-        out = {tuple(a + b for a, b in zip(e, shift)): c for e, c in quot.items()}
-        return LaurentPolynomial(self.vars, out)
 
     # -- tropical side -----------------------------------------------------
 

@@ -117,10 +117,6 @@ class Triangulation:
     def key(self) -> tuple:
         return tuple(self.sorted_diagonals())
 
-    def contains_segment(self, seg: Segment) -> bool:
-        """True for member diagonals and for boundary edges."""
-        return seg.is_edge(self.n_gon) or seg in self.diagonals
-
     def require_complete(self) -> "Triangulation":
         if not self.is_complete:
             raise IncompleteTriangulation(
@@ -131,15 +127,21 @@ class Triangulation:
     def triangles(self) -> list[tuple[int, int, int]]:
         """The N-2 triangle faces, each a clockwise vertex triple (a<b<c)."""
         self.require_complete()
-        out = []
-        for a, b, c in itertools.combinations(range(1, self.n_gon + 1), 3):
-            if (
-                self.contains_segment(Segment(a, b))
-                and self.contains_segment(Segment(b, c))
-                and self.contains_segment(Segment(a, c))
-            ):
-                out.append((a, b, c))
-        if len(out) != self.n_gon - 2:
+        n = self.n_gon
+        # the neighbours of v along boundary edges and member diagonals
+        near = {v: {v % n + 1, (v - 2) % n + 1} for v in range(1, n + 1)}
+        for i, j in self.diagonals:
+            near[i].add(j)
+            near[j].add(i)
+        out = sorted(
+            (a, b, c)
+            for a in range(1, n + 1)
+            for b in near[a]
+            if b > a
+            for c in near[a] & near[b]
+            if c > b
+        )
+        if len(out) != n - 2:
             raise InvariantViolation("triangle count is off; triangulation corrupt")
         return out
 

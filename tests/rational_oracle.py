@@ -1,18 +1,66 @@
 """Rational functions and chart substitutions: a reference for the x-chart walk.
 
-The library pushes a Laurent polynomial through one mutation by exact
-division (``tropclust.atlas.expand_in_x_chart``).  The tests check that
-route against plain substitution: write the new chart coordinates in the old
-ones as subtraction-free rational functions and evaluate the polynomial at
-them.  Nothing here is reached from the library.
+The library pushes a Laurent polynomial through one mutation by synthetic
+division, fiber by fiber (``tropclust.atlas.expand_in_x_chart``).  The tests
+check that route against plain substitution: write the new chart coordinates
+in the old ones as subtraction-free rational functions, evaluate the
+polynomial at them, and divide out the denominator by multivariate division
+in graded-lex order.  Nothing here is reached from the library.
 """
 from __future__ import annotations
 
 from typing import Sequence
 
 from tropclust.atlas import Seed
-from tropclust.errors import DimensionMismatch, FrozenDirection
-from tropclust.laurent import LaurentPolynomial
+from tropclust.errors import DimensionMismatch, FrozenDirection, NotDivisible
+from tropclust.laurent import LaurentPolynomial, _grlex_key
+
+
+def exact_div(f: LaurentPolynomial, divisor: LaurentPolynomial) -> LaurentPolynomial:
+    """Return Q with f == Q * divisor, or raise NotDivisible.
+
+    Shift both operands into the polynomial range, run single-divisor
+    division in graded-lex order (a well-order on nonnegative exponent
+    vectors, so the loop terminates), and shift back.
+    """
+    if f.vars != divisor.vars:
+        raise DimensionMismatch(f"variable mismatch: {f.vars} vs {divisor.vars}")
+    if divisor.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if f.is_zero():
+        return LaurentPolynomial.zero(f.vars)
+
+    def min_exps(p: LaurentPolynomial) -> tuple[int, ...]:
+        its = list(p.terms)
+        return tuple(min(e[i] for e in its) for i in range(len(p.vars)))
+
+    s_f = min_exps(f)
+    s_g = min_exps(divisor)
+    f_terms = {tuple(a - b for a, b in zip(e, s_f)): c for e, c in f.terms.items()}
+    g_terms = {tuple(a - b for a, b in zip(e, s_g)): c for e, c in divisor.terms.items()}
+
+    g_lead = max(g_terms, key=_grlex_key)
+    g_lead_coeff = g_terms[g_lead]
+    quot: dict[tuple[int, ...], int] = {}
+    rem = dict(f_terms)
+    while rem:
+        e = max(rem, key=_grlex_key)
+        c = rem[e]
+        d = tuple(a - b for a, b in zip(e, g_lead))
+        if any(x < 0 for x in d):
+            raise NotDivisible("leading term not divisible")
+        q, r = divmod(c, g_lead_coeff)
+        if r != 0:
+            raise NotDivisible("coefficient not divisible over the integers")
+        quot[d] = quot.get(d, 0) + q
+        for ge, gc in g_terms.items():
+            key = tuple(a + b for a, b in zip(d, ge))
+            rem[key] = rem.get(key, 0) - q * gc
+            if rem[key] == 0:
+                del rem[key]
+    shift = tuple(a - b for a, b in zip(s_f, s_g))
+    out = {tuple(a + b for a, b in zip(e, shift)): c for e, c in quot.items()}
+    return LaurentPolynomial(f.vars, out)
 
 
 class RationalFunction:
@@ -93,7 +141,7 @@ class RationalFunction:
 
     def as_laurent(self) -> LaurentPolynomial:
         """Carry out the division; NotDivisible if the value is not Laurent."""
-        return self.num.exact_div(self.den)
+        return exact_div(self.num, self.den)
 
     def __repr__(self):
         return f"RationalFunction({self.num!r}, {self.den!r})"

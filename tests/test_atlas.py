@@ -319,6 +319,43 @@ def test_x_chart_walk_raises_where_the_replay_raises():
         expand_in_x_chart(f, words[len(walked)])
 
 
+@st.composite
+def chart_functions(draw):
+    """A seed of type A_n (n = 2..4, possibly mutated a few times) and a
+    random integer Laurent polynomial in its x-chart.  A factor (1 + X_j)^m
+    makes some draws Laurent after mutating at j; most draws are not."""
+    n = draw(st.integers(2, 4))
+    seed = type_a_seed(n)
+    for k in draw(st.lists(st.integers(1, n), max_size=2)):
+        seed = mutate_seed(seed, k)
+    names = seed.x_names()
+    exps = st.tuples(*[st.integers(-2, 2)] * n)
+    coeffs = st.integers(-4, 4).filter(bool)
+    f = LaurentPolynomial(names, draw(st.dictionaries(exps, coeffs, min_size=1, max_size=4)))
+    j = draw(st.sampled_from(names))
+    f = f * (1 + LaurentPolynomial.variable(names, j)) ** draw(st.integers(0, 2))
+    return seed, f
+
+
+@settings(max_examples=80, deadline=None)
+@given(chart_functions())
+def test_fiber_division_matches_rational_substitution(case):
+    """One mutation step by fiber-wise division agrees with substituting the
+    old coordinates as rational functions and dividing out their
+    denominator: the same polynomial, or NotDivisible from both."""
+    seed, f = case
+    for k in seed.labels:
+        back = x_substitution(mutate_seed(seed, k), k)
+        substituted = evaluate_at(f, [back[label] for label in seed.labels])
+        try:
+            expected = substituted.as_laurent()
+        except NotDivisible:
+            with pytest.raises(NotDivisible):
+                expand_in_x_chart(f, (k,), seed)
+        else:
+            assert expand_in_x_chart(f, (k,), seed) == expected
+
+
 A2_CHART_FUNCTIONS = (
     {(0, 0): 1},
     {(-1, 0): 1},

@@ -402,6 +402,13 @@ def test_verify_positive_basis_octagon():
         assert verify_positive_basis(pt(8, tuple(rng.randint(-1, 1) for _ in range(5))))
 
 
+def test_verify_positive_basis_decagon():
+    """Every one of the 1430 decagon charts, for the two seeded laminations
+    with the slowest walks among seeds 0 to 5."""
+    for seed in (2, 3):
+        rng = random.Random(seed)
+        assert verify_positive_basis(pt(10, tuple(rng.randint(-1, 1) for _ in range(7))))
+
 def _seeded_basis_functions(n_gon, count, seed):
     rng = random.Random(seed)
     return [

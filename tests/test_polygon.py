@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -190,4 +192,21 @@ def test_triangles_tile_without_overlap(n):
         # each triangle's sides are edges or member diagonals
         for a, b, c in tris:
             for u, v in ((a, b), (b, c), (a, c)):
-                assert t.contains_segment(Segment(u, v))
+                side = Segment(u, v)
+                assert side.is_edge(n) or side in t.diagonals
+
+
+def test_triangles_match_a_scan_of_all_vertex_triples():
+    """The neighbour-set construction finds exactly the triples whose three
+    sides are edges or member diagonals, in increasing order."""
+    for n in range(3, 10):
+        for t in triangulations(n):
+            scan = [
+                tri
+                for tri in itertools.combinations(range(1, n + 1), 3)
+                if all(
+                    Segment(u, v).is_edge(n) or Segment(u, v) in t.diagonals
+                    for u, v in itertools.combinations(tri, 2)
+                )
+            ]
+            assert t.triangles() == scan
