@@ -20,7 +20,6 @@ from .errors import (
     NotALamination,
     NotDivisible,
     NotInImageLattice,
-    NotPositive,
     NotStasheff,
     RankDeficient,
     SizeMismatch,
@@ -35,10 +34,9 @@ from .polygon import (
     edges,
     fan_triangulation,
     flip,
-    supplement,
     triangulations,
 )
-from .laurent import LaurentPolynomial, TropicalFunction
+from .laurent import LaurentPolynomial
 from .weighted_graphs import (
     WeightedGraph,
     dominates,
@@ -50,6 +48,7 @@ from .atlas import (
     chart_segments,
     expand_cluster_variable,
     expand_in_x_chart,
+    exponent_sets,
     mutate_seed,
     mutation_words,
     type_a_seed,
@@ -64,10 +63,8 @@ from .laminations import (
     tropical_coordinate,
 )
 from .polytopes import (
-    Face,
     StasheffSpec,
     contains,
-    face_membership,
     is_nondegenerate,
     is_stasheff,
     lattice_points,

@@ -9,8 +9,14 @@ segments and whose matrix is read off the triangles.
 The chart machinery lives here too:
 
 * ``expand_cluster_variable`` writes any segment variable as a positive
-  Laurent polynomial in a chosen chart, by repeatedly applying the exchange
+  Laurent polynomial in a chosen chart, whose variables are the chart's
+  diagonals and its frozen edges, by repeatedly applying the exchange
   relation on crossing quadrilaterals;
+* ``exponent_sets`` compiles a chart for the coordinate maps: it follows
+  the same exchange relations but keeps only each expansion's exponent
+  vectors over the chart diagonals.  The coefficients are positive, so no
+  term cancels, and the set of a sum is the union and that of a product
+  the pairwise sums;
 * ``MonomialLattice`` translates between monomials in chart variables of the
   two coordinate systems attached to a seed;
 * ``expand_in_x_chart`` pushes a Laurent polynomial through a word of
@@ -53,9 +59,6 @@ from .polygon import (
     flip,
 )
 
-SPACES = ("reduced", "with_coefficients")
-
-
 def label_text(label) -> str:
     if isinstance(label, Segment):
         return f"{label.i}_{label.j}"
@@ -68,11 +71,6 @@ def x_variable_name(label) -> str:
 
 def a_variable_name(label) -> str:
     return "A" + label_text(label)
-
-
-def _check_space(space: str) -> None:
-    if space not in SPACES:
-        raise InvariantViolation(f"space must be one of {SPACES}, got {space!r}")
 
 
 @dataclass(frozen=True)
@@ -184,37 +182,29 @@ def mutate_seed(seed: Seed, k) -> Seed:
     return Seed._trusted(seed.labels, seed.frozen, eps, seed.d)
 
 
-def chart_segments(tri: Triangulation, space: str = "reduced") -> tuple[Segment, ...]:
+def chart_segments(tri: Triangulation) -> tuple[Segment, ...]:
     """Ordered variable segments of a chart: diagonals first, then edges."""
-    _check_space(space)
     tri.require_complete()
-    diags = tuple(tri.sorted_diagonals())
-    if space == "reduced":
-        return diags
-    return diags + tuple(polygon_edges(tri.n_gon))
+    return tuple(tri.sorted_diagonals()) + tuple(polygon_edges(tri.n_gon))
 
 
-def atlas_seed(tri: Triangulation, space: str = "with_coefficients") -> Seed:
+def atlas_seed(tri: Triangulation) -> Seed:
     """Seed of a complete triangulation: one direction per chart segment.
 
     Every triangle contributes a 3-cycle of arrows between its sides, taken
-    clockwise; edges (absent in the reduced space) are frozen.
+    clockwise; edges are frozen.
     """
-    segs = chart_segments(tri, space)
+    segs = chart_segments(tri)
     index = {s: i for i, s in enumerate(segs)}
     n = len(segs)
     eps = [[0] * n for _ in range(n)]
     for a, b, c in tri.triangles():
         sides = (Segment(a, b), Segment(b, c), Segment(a, c))
         for s, t in ((0, 1), (1, 2), (2, 0)):
-            si, ti = index.get(sides[s]), index.get(sides[t])
-            if si is None or ti is None:
-                continue
+            si, ti = index[sides[s]], index[sides[t]]
             eps[si][ti] += 1
             eps[ti][si] -= 1
-    frozen = frozenset() if space == "reduced" else frozenset(
-        s for s in segs if s.is_edge(tri.n_gon)
-    )
+    frozen = frozenset(s for s in segs if s.is_edge(tri.n_gon))
     return Seed(segs, frozen, tuple(map(tuple, eps)), (1,) * n)
 
 
@@ -309,70 +299,110 @@ class MonomialLattice:
 
 # -- chart expansion of segment variables ----------------------------------
 
-_EXPAND_CACHE: dict[tuple, LaurentPolynomial] = {}
-
-
-def expand_cluster_variable(
-    seg: Segment, tri: Triangulation, space: str = "reduced"
-) -> LaurentPolynomial:
-    """Write the variable of a segment as a Laurent polynomial in one chart.
-
-    Chart members map to themselves; edges map to 1 in the reduced space.
-    Everything else resolves through the exchange relation on the
-    quadrilateral formed with the chart diagonal that the segment exits
-    through at its lower endpoint.  Results carry positive coefficients.
-    """
-    _check_space(space)
-    tri.require_complete()
-    seg.validate(tri.n_gon)
-    return _expand(seg, tri, space)
-
 
 def _crossing_count(seg: Segment, tri: Triangulation) -> int:
     return sum(1 for t in tri.diagonals if crosses(seg, t))
 
 
-def _expand(seg: Segment, tri: Triangulation, space: str) -> LaurentPolynomial:
-    key = (tri.n_gon, tri.key(), space, seg)
-    hit = _EXPAND_CACHE.get(key)
-    if hit is not None:
+def _exit_quadrilateral(seg: Segment, tri: Triangulation, triangles: list) -> tuple:
+    """Where the exchange relation resolves a segment off the chart.
+
+    ``triangles`` are the chart's triangles.  Returns the chart diagonal
+    the segment exits through at its lower endpoint and the two pairs of
+    opposite sides of the quadrilateral the two span; every side crosses
+    fewer chart diagonals than the segment.
+    """
+    a = seg.i
+    ear = None
+    for p, q, r in triangles:
+        if a in (p, q, r):
+            opposite = Segment(*(v for v in (p, q, r) if v != a))
+            if crosses(opposite, seg):
+                if ear is not None:
+                    raise InvariantViolation("segment exits through two triangles")
+                ear = opposite
+    if ear is None:
+        raise InvariantViolation("no chart diagonal crosses the segment")
+    own = _crossing_count(seg, tri)
+    quad = sorted((seg.i, seg.j, ear.i, ear.j))
+    sides = (
+        (Segment(quad[0], quad[1]), Segment(quad[2], quad[3])),
+        (Segment(quad[0], quad[3]), Segment(quad[1], quad[2])),
+    )
+    for s1, s2 in sides:
+        if max(_crossing_count(s1, tri), _crossing_count(s2, tri)) >= own:
+            raise InvariantViolation("quadrilateral sides must cross fewer chart diagonals")
+    return ear, sides
+
+
+def expand_cluster_variable(seg: Segment, tri: Triangulation) -> LaurentPolynomial:
+    """Write the variable of a segment as a Laurent polynomial in one chart.
+
+    Chart segments, diagonals and edges alike, map to themselves.
+    Everything else resolves through the exchange relation on the
+    quadrilateral formed with the chart diagonal that the segment exits
+    through at its lower endpoint.  Results carry positive coefficients.
+    """
+    segs = chart_segments(tri)
+    seg.validate(tri.n_gon)
+    names = tuple(a_variable_name(s) for s in segs)
+    triangles = tri.triangles()
+    memo = {}
+
+    def expand(s: Segment) -> LaurentPolynomial:
+        hit = memo.get(s)
+        if hit is None:
+            if s in segs:
+                hit = LaurentPolynomial.variable(names, a_variable_name(s))
+            else:
+                ear, sides = _exit_quadrilateral(s, tri, triangles)
+                numer = LaurentPolynomial.zero(names)
+                for s1, s2 in sides:
+                    numer = numer + expand(s1) * expand(s2)
+                hit = numer * LaurentPolynomial.variable(names, a_variable_name(ear), -1)
+            memo[s] = hit
         return hit
+
+    return expand(seg)
+
+
+def exponent_sets(segments: Sequence[Segment], tri: Triangulation) -> tuple:
+    """The exponent vectors of each segment's expansion in one chart.
+
+    Vectors run over the chart diagonals in sorted order, with edges read
+    as 1; each segment gets its vectors sorted.  Expansions have positive
+    coefficients, so nothing cancels and the exchange relation alone gives
+    the sets: a chart diagonal has its unit vector and an edge the zero
+    vector, and any other segment the union of the pairwise sums over its
+    quadrilateral's two pairs of opposite sides, minus the unit vector of
+    the diagonal it exits through.
+    """
+    tri.require_complete()
     n = tri.n_gon
-    names = tuple(a_variable_name(s) for s in chart_segments(tri, space))
-    if seg.is_edge(n):
-        poly = (
-            LaurentPolynomial.one(names)
-            if space == "reduced"
-            else LaurentPolynomial.variable(names, a_variable_name(seg))
-        )
-    elif seg in tri.diagonals:
-        poly = LaurentPolynomial.variable(names, a_variable_name(seg))
-    else:
-        a = seg.i
-        ear = None
-        for p, q, r in tri.triangles():
-            if a in (p, q, r):
-                opposite = Segment(*(v for v in (p, q, r) if v != a))
-                if crosses(opposite, seg):
-                    if ear is not None:
-                        raise InvariantViolation("segment exits through two triangles")
-                    ear = opposite
-        if ear is None:
-            raise InvariantViolation("no chart diagonal crosses the segment")
-        own = _crossing_count(seg, tri)
-        quad = sorted((seg.i, seg.j, ear.i, ear.j))
-        sides = (
-            (Segment(quad[0], quad[1]), Segment(quad[2], quad[3])),
-            (Segment(quad[0], quad[3]), Segment(quad[1], quad[2])),
-        )
-        numer = LaurentPolynomial.zero(names)
-        for s1, s2 in sides:
-            if max(_crossing_count(s1, tri), _crossing_count(s2, tri)) >= own:
-                raise InvariantViolation("quadrilateral sides must cross fewer chart diagonals")
-            numer = numer + _expand(s1, tri, space) * _expand(s2, tri, space)
-        poly = numer * LaurentPolynomial.variable(names, a_variable_name(ear), -1)
-    _EXPAND_CACHE[key] = poly
-    return poly
+    diags = tri.sorted_diagonals()
+    units = {d: tuple(int(d == e) for e in diags) for d in diags}
+    zero = (0,) * len(diags)
+    triangles = tri.triangles()
+    memo = {d: {u} for d, u in units.items()}
+
+    def sets(s: Segment) -> set:
+        hit = memo.get(s)
+        if hit is None:
+            if s.is_edge(n):
+                hit = {zero}
+            else:
+                ear, sides = _exit_quadrilateral(s, tri, triangles)
+                e = units[ear]
+                hit = {
+                    tuple(x + y - z for x, y, z in zip(u, v, e))
+                    for s1, s2 in sides
+                    for u in sets(s1)
+                    for v in sets(s2)
+                }
+            memo[s] = hit
+        return hit
+
+    return tuple(tuple(sorted(sets(s.validate(n)))) for s in segments)
 
 
 # -- pushing x-chart functions through mutations ----------------------------

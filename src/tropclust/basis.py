@@ -25,6 +25,7 @@ from typing import Sequence
 
 from .atlas import (
     MonomialLattice,
+    a_variable_name,
     atlas_seed,
     chart_segments,
     expand_cluster_variable,
@@ -41,7 +42,7 @@ from .errors import (
 )
 from .laminations import Lamination
 from .laurent import LaurentPolynomial
-from .polygon import Segment, fan_triangulation
+from .polygon import Segment, diagonals as polygon_diagonals, fan_triangulation
 from .weighted_graphs import WeightedGraph, pairs
 
 DEFAULT_BUDGET = 1_000_000
@@ -50,8 +51,22 @@ POLICIES = ("smallest", "largest")
 
 
 @lru_cache(maxsize=None)
-def _fan_lattice(n_gon: int) -> MonomialLattice:
-    return MonomialLattice(atlas_seed(fan_triangulation(n_gon), "with_coefficients"))
+def _fan_chart(n_gon: int) -> tuple:
+    """What ``basis_laurent`` reads of an N-gon's fan chart, built once per N.
+
+    The position of each chart segment among the chart variables, the
+    expansions of the other diagonals, the variable names, the exponent
+    lattice of the chart's seed, and the names X1..Xn of the output.
+    """
+    fan = fan_triangulation(n_gon)
+    segs = chart_segments(fan)
+    index = {s: i for i, s in enumerate(segs)}
+    expansions = {
+        d: expand_cluster_variable(d, fan) for d in polygon_diagonals(n_gon) if d not in index
+    }
+    names = tuple(a_variable_name(s) for s in segs)
+    lattice = MonomialLattice(atlas_seed(fan))
+    return index, expansions, names, lattice, type_a_seed(n_gon - 3).x_names()
 
 
 def basis_laurent(lam: Lamination) -> LaurentPolynomial:
@@ -64,26 +79,18 @@ def basis_laurent(lam: Lamination) -> LaurentPolynomial:
     """
     if not lam.graph.is_integral():
         raise NonIntegral("basis functions are indexed by integral laminations")
-    n_gon = lam.n_gon
-    fan = fan_triangulation(n_gon)
-    segs = chart_segments(fan, "with_coefficients")
-    chart_index = {s: i for i, s in enumerate(segs)}
-    chart_exps = [0] * len(segs)
+    index, expansions, names, lattice, out_names = _fan_chart(lam.n_gon)
+    chart_exps = [0] * len(names)
     product = None
     for i, j, w in lam.graph.sparse_items():
         s = Segment(i, j)
-        if s in chart_index:
-            chart_exps[chart_index[s]] += w
+        if s in index:
+            chart_exps[index[s]] += w
             continue
-        factor = expand_cluster_variable(s, fan, "with_coefficients") ** w
+        factor = expansions[s] ** w
         product = factor if product is None else product * factor
-    names = tuple(
-        expand_cluster_variable(segs[0], fan, "with_coefficients").vars
-    )
     mono = LaurentPolynomial.monomial(names, tuple(chart_exps))
     product = mono if product is None else product * mono
-    lattice = _fan_lattice(n_gon)
-    out_names = type_a_seed(n_gon - 3).x_names()
     out: dict[tuple[int, ...], int] = {}
     for exps, coeff in product.terms.items():
         b = lattice.preimage(exps)

@@ -33,11 +33,6 @@ class NotDivisible(TropclustError, ArithmeticError):
     """Exact Laurent division failed: the divisor does not divide the dividend."""
 
 
-class NotPositive(TropclustError, ValueError):
-    """A Laurent polynomial with a negative coefficient was used where a
-    positive one is required (e.g. tropicalization)."""
-
-
 class DimensionMismatch(TropclustError, ValueError):
     """Operands use different variable contexts or vector lengths."""
 

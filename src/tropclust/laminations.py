@@ -8,19 +8,19 @@ Integral laminations use integer weights, rational ones allow fractions.
 Each complete triangulation gives a coordinate chart: the coordinate of a
 chart diagonal is half the cut mass across it.  Coordinates are a bijection
 onto integer (resp. rational) vectors indexed by the chart diagonals.  The
-coordinate of any other segment is the tropicalization of its positive
-Laurent expansion in the chart (``atlas.expand_cluster_variable``),
-evaluated at the chart values.
+coordinate of any other diagonal is the maximum, over the exponent vectors
+of its positive expansion in the chart (``atlas.exponent_sets``), of their
+linear forms evaluated at the chart values.
 
-A chart is compiled once per call: every diagonal's expansion is
-tropicalized into its linear forms, and a table built from N alone writes
-each weight as a signed sum of four diagonal values (inclusion-exclusion
-over cyclically consecutive chords, where edges and coinciding vertices
-read 0).  A point then becomes a lamination by evaluating the forms and
-reading the table.  ``lamination_from_coords`` compiles and reads one
-point; ``polytopes.lattice_points`` compiles once, takes the polytope's
+A chart is compiled once per call: ``atlas.exponent_sets`` gives every
+diagonal's linear forms, and a table built from N alone writes each weight
+as a signed sum of four diagonal values (inclusion-exclusion over
+cyclically consecutive chords, where edges and coinciding vertices read 0).
+A point then becomes a lamination by evaluating the forms and reading the
+table.  ``lamination_from_coords`` compiles and reads one point;
+``polytopes.lattice_points`` compiles once, takes the polytope's
 inequalities from the same forms and reads every point it finds.
-``chart_change`` evaluates only the new chart's diagonals.
+``chart_change`` compiles only the new chart's diagonals in the old chart.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .atlas import expand_cluster_variable
+from .atlas import exponent_sets
 from .errors import (
     DimensionMismatch,
     InvariantViolation,
@@ -207,19 +207,15 @@ def _weight_table(n: int) -> tuple:
 class _CompiledChart:
     """One chart's diagonal forms and the weight table, for one call.
 
-    ``forms[k]`` holds the linear forms of the tropicalized expansion of
-    ``diagonals(n)[k]`` in the chart; the polytope's inequalities read
-    them too.
+    ``forms[k]`` holds the exponent vectors of the expansion of
+    ``diagonals(n)[k]`` in the chart, read as linear forms; the polytope's
+    inequalities read them too.
     """
 
     def __init__(self, chart: Triangulation):
-        chart.require_complete()
         n = chart.n_gon
         self.chart = chart
-        self.forms = tuple(
-            tuple(expand_cluster_variable(d, chart, "reduced").tropicalize().sorted_forms())
-            for d in polygon_diagonals(n)
-        )
+        self.forms = exponent_sets(polygon_diagonals(n), chart)
         self.table = _weight_table(n)
 
     def lamination(self, point: tuple, integral: bool, domain: str | None = None) -> Lamination:
@@ -249,17 +245,16 @@ def lamination_from_coords(coords: TropicalCoords, domain: str | None = None) ->
 def chart_change(coords: TropicalCoords, tri2: Triangulation) -> TropicalCoords:
     """Rewrite a coordinate vector in another chart.
 
-    Each diagonal of the new chart takes the tropicalization of its
-    Laurent expansion in the old chart, evaluated at the old values.
+    Each diagonal of the new chart takes the maximum of the linear forms
+    of its expansion in the old chart, evaluated at the old values.
     """
     if coords.n_gon != tri2.n_gon:
         raise SizeMismatch("charts live on different polygons")
     tri2.require_complete()
     point = coords.vector()
+    diags = tri2.sorted_diagonals()
     vals = tuple(
-        (d, _normalize(
-            expand_cluster_variable(d, coords.chart, "reduced").tropicalize().eval(point)
-        ))
-        for d in tri2.sorted_diagonals()
+        (d, _normalize(max(sum(map(mul, f, point)) for f in forms)))
+        for d, forms in zip(diags, exponent_sets(diags, coords.chart))
     )
     return TropicalCoords(tri2, vals)

@@ -5,20 +5,14 @@ exponent vectors (tuples of ints, one per variable, negatives allowed) to
 nonzero integer coefficients.  All arithmetic is exact; nothing here ever
 touches floats.  There is no general division: the one the pipeline needs,
 by powers of (1 + X_k) in the x-chart walk, runs fiber by fiber in
-``atlas``.
-
-Tropicalization drops coefficients: each exponent vector becomes a linear
-form, and the function evaluates as the maximum of those forms.  That is
-only meaningful for polynomials with positive coefficients, and
-``tropicalize`` enforces it.
+``atlas``.  The chart coordinate maps need no polynomials at all: they
+run on exponent sets (``atlas.exponent_sets``).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import DimensionMismatch, InvariantViolation, NotPositive
+from .errors import DimensionMismatch, InvariantViolation
 
 
 def _grlex_key(exps: tuple[int, ...]) -> tuple:
@@ -177,16 +171,6 @@ class LaurentPolynomial:
             object.__setattr__(self, "_hash", h)
         return self._hash
 
-    # -- tropical side -----------------------------------------------------
-
-    def tropicalize(self) -> "TropicalFunction":
-        """Drop coefficients, one linear form per exponent vector."""
-        if self.is_zero():
-            raise NotPositive("the zero polynomial has no tropicalization")
-        if not self.is_positive():
-            raise NotPositive("tropicalization needs positive coefficients")
-        return TropicalFunction(len(self.vars), frozenset(self.terms))
-
     # -- formatting --------------------------------------------------------
 
     def __str__(self):
@@ -212,27 +196,3 @@ class LaurentPolynomial:
 
     def __repr__(self):
         return f"LaurentPolynomial({self.vars!r}, {self.terms!r})"
-
-
-@dataclass(frozen=True)
-class TropicalFunction:
-    """Max of finitely many integer linear forms on n variables."""
-
-    nvars: int
-    forms: frozenset[tuple[int, ...]] = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        if not self.forms:
-            raise InvariantViolation("a tropical function needs at least one form")
-        for f in self.forms:
-            if len(f) != self.nvars:
-                raise DimensionMismatch(f"form {f} does not have {self.nvars} entries")
-
-    def eval(self, point: Sequence[int | Fraction]):
-        pt = tuple(point)
-        if len(pt) != self.nvars:
-            raise DimensionMismatch(f"point has {len(pt)} coordinates, need {self.nvars}")
-        return max(sum(a * x for a, x in zip(form, pt)) for form in self.forms)
-
-    def sorted_forms(self) -> list[tuple[int, ...]]:
-        return sorted(self.forms)

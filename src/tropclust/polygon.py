@@ -152,17 +152,6 @@ def fan_triangulation(n_gon: int) -> Triangulation:
     return Triangulation(n_gon, frozenset(Segment(1, k) for k in range(3, n_gon)))
 
 
-def supplement(tri: Triangulation) -> list[Segment]:
-    """Diagonals not in the set but compatible with every member."""
-    out = []
-    for d in diagonals(tri.n_gon):
-        if d in tri.diagonals:
-            continue
-        if all(not crosses(d, t) for t in tri.diagonals):
-            out.append(d)
-    return out
-
-
 @lru_cache(maxsize=None)
 def triangulations(n_gon: int) -> tuple[Triangulation, ...]:
     """All complete triangulations, lexicographically ordered.

@@ -1,4 +1,4 @@
-"""Generalized associahedra cut out by diagonal bounds in tropical space.
+"""Generalized associahedra cut out by diagonal bounds in tropical coordinates.
 
 A polytope spec assigns a bound c(d) to every diagonal of the polygon; the
 polytope is the set of laminations whose tropical coordinate at each
@@ -13,13 +13,14 @@ vectors c restricted to complete triangulations, and faces are indexed by
 partial triangulations.
 
 Lattice enumeration works per chart, compiled once per call
-(``laminations._CompiledChart``): each diagonal bound tropicalizes to a max
-of linear forms in the chart coordinates, and the maxima split into plain
-half-spaces with integer rows.  An exact integer simplex under Bland's
-rule, run on the dual of each coordinate's maximisation, gives the box of
-coordinate ranges to scan; the same simplex decides emptiness through
-Farkas' lemma.  The scan yields integer coordinate vectors, and the same
-compiled chart turns each one into a lamination.
+(``laminations._CompiledChart``): a diagonal's coordinate is the max of the
+linear forms that the exponent vectors of its chart expansion
+(``atlas.exponent_sets``) give in the chart coordinates, so each bound
+splits into plain half-spaces with integer rows.  An exact integer simplex
+under Bland's rule, run on the dual of each coordinate's maximisation,
+gives the box of coordinate ranges to scan; the same simplex decides
+emptiness through Farkas' lemma.  The scan yields integer coordinate
+vectors, and the same compiled chart turns each one into a lamination.
 """
 from __future__ import annotations
 
@@ -51,7 +52,6 @@ from .polygon import (
     check_polygon,
     diagonals as polygon_diagonals,
     fan_triangulation,
-    supplement,
 )
 from .weighted_graphs import Number, _is_number, _normalize
 
@@ -139,46 +139,12 @@ def vertex(spec: StasheffSpec, tri: Triangulation) -> TropicalCoords:
     return TropicalCoords(tri, tuple((d, c[d]) for d in tri.sorted_diagonals()))
 
 
-@dataclass(frozen=True)
-class Face:
-    """The locus where the bounds of a noncrossing diagonal set are attained."""
-
-    spec: StasheffSpec
-    diagonals: frozenset
-
-    def __post_init__(self):
-        diags = frozenset(Segment(*d) for d in self.diagonals)
-        # Triangulation performs the noncrossing and diagonal checks
-        Triangulation(self.spec.n_gon, diags)
-        object.__setattr__(self, "diagonals", diags)
-
-    def triangulation(self) -> Triangulation:
-        return Triangulation(self.spec.n_gon, self.diagonals)
-
-
-def face_membership(face: Face, lam: Lamination) -> bool:
-    """Point test for a face: equality on its diagonals, the bound on
-    every diagonal compatible with all of them.
-
-    Diagonals crossing the face's set are not constrained; their bounds
-    are implied for points of the polytope.
-    """
-    spec = face.spec
+def contains(spec: StasheffSpec, lam: Lamination) -> bool:
+    """Polytope membership: every diagonal bound holds at the point."""
     if lam.n_gon != spec.n_gon:
         raise SizeMismatch("point and spec live on different polygons")
     c = spec._bounds
-    for d in sorted(face.diagonals):
-        if tropical_coordinate(lam, d) != c[d]:
-            return False
-    for d in supplement(face.triangulation()):
-        if tropical_coordinate(lam, d) > c[d]:
-            return False
-    return True
-
-
-def contains(spec: StasheffSpec, lam: Lamination) -> bool:
-    """Polytope membership: every diagonal bound holds at the point."""
-    return face_membership(Face(spec, frozenset()), lam)
+    return all(tropical_coordinate(lam, d) <= c[d] for d in polygon_diagonals(spec.n_gon))
 
 
 def minkowski_spec(points: Sequence[Lamination]) -> StasheffSpec:

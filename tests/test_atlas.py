@@ -1,5 +1,6 @@
 """Seeds, mutations, chart expansions, and the monomial exponent lattice."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from tropclust.atlas import (
     chart_segments,
     expand_cluster_variable,
     expand_in_x_chart,
+    exponent_sets,
     mutate_seed,
     mutation_words,
     type_a_seed,
@@ -33,6 +35,8 @@ from tropclust.laurent import LaurentPolynomial
 from tropclust.polygon import (
     Segment,
     Triangulation,
+    diagonals,
+    edges,
     fan_triangulation,
     flip,
     triangulations,
@@ -160,10 +164,9 @@ def test_pentagon_periodicity():
 
 def test_chart_segments_order():
     tri = fan_triangulation(5)
-    segs = chart_segments(tri, "with_coefficients")
+    segs = chart_segments(tri)
     assert segs[:2] == (Segment(1, 3), Segment(1, 4))
-    assert len(segs) == 7
-    assert chart_segments(tri, "reduced") == segs[:2]
+    assert segs[2:] == tuple(edges(5))
 
 
 def test_atlas_seed_matches_flip_combinatorics():
@@ -189,30 +192,69 @@ def test_atlas_seed_matches_flip_combinatorics():
 
 
 def test_fan_chart_expansions_pentagon():
+    """Exponents run over A1_3, A1_4, then the edges A1_2, A1_5, A2_3,
+    A3_4, A4_5."""
     tri = fan_triangulation(5)
-    v = ("A1_3", "A1_4")
-    d13 = LaurentPolynomial.variable(v, "A1_3")
-    d14 = LaurentPolynomial.variable(v, "A1_4")
-    assert expand_cluster_variable(Segment(1, 3), tri) == d13
-    assert expand_cluster_variable(Segment(1, 2), tri) == LaurentPolynomial.one(v)
-    inv = LaurentPolynomial.monomial
+    v = ("A1_3", "A1_4", "A1_2", "A1_5", "A2_3", "A3_4", "A4_5")
+    assert expand_cluster_variable(Segment(1, 3), tri) == LaurentPolynomial.variable(v, "A1_3")
+    assert expand_cluster_variable(Segment(1, 2), tri) == LaurentPolynomial.variable(v, "A1_2")
     # crossing one chart diagonal: one exchange step
-    assert expand_cluster_variable(Segment(2, 4), tri) == inv(v, (-1, 0), 1) + inv(
-        v, (-1, 1), 1
+    assert expand_cluster_variable(Segment(2, 4), tri) == LaurentPolynomial(
+        v, {(-1, 0, 1, 0, 0, 1, 0): 1, (-1, 1, 0, 0, 1, 0, 0): 1}
     )
-    assert expand_cluster_variable(Segment(3, 5), tri) == inv(v, (0, -1), 1) * (
-        LaurentPolynomial.one(v) + d13
+    assert expand_cluster_variable(Segment(3, 5), tri) == LaurentPolynomial(
+        v, {(1, -1, 0, 0, 0, 0, 1): 1, (0, -1, 0, 1, 0, 1, 0): 1}
     )
-    two_cross = expand_cluster_variable(Segment(2, 5), tri)
-    assert two_cross == inv(v, (-1, -1), 1) + inv(v, (0, -1), 1) + inv(v, (-1, 0), 1)
+    assert expand_cluster_variable(Segment(2, 5), tri) == LaurentPolynomial(
+        v,
+        {
+            (0, -1, 1, 0, 0, 0, 1): 1,
+            (-1, -1, 1, 1, 0, 1, 0): 1,
+            (-1, 0, 0, 1, 1, 0, 0): 1,
+        },
+    )
 
 
 def test_expansions_have_positive_coefficients():
     for tri in triangulations(6):
+        names = tuple(a_variable_name(s) for s in chart_segments(tri))
         for seg in [Segment(1, 3), Segment(2, 5), Segment(3, 6), Segment(2, 6)]:
             p = expand_cluster_variable(seg, tri)
+            assert p.vars == names
             assert p.is_positive()
             assert not p.is_zero()
+
+
+def _seeded_charts(n_gon: int, count: int, seed: int) -> list:
+    """``count`` charts, each reached from the fan by 3N random flips."""
+    rng = random.Random(seed)
+    charts = []
+    for _ in range(count):
+        tri = fan_triangulation(n_gon)
+        for _ in range(3 * n_gon):
+            tri = flip(tri, rng.choice(tri.sorted_diagonals()))[0]
+        charts.append(tri)
+    return charts
+
+
+def test_exponent_sets_match_the_expansions():
+    """The exponent-set compile against the expansion with coefficients.
+
+    On every chart of the 5- to 8-gon, and on the fan and five seeded
+    charts of the 10- and 12-gon, each diagonal's compiled vectors are the
+    exponent vectors of its expansion cut to the chart diagonals, and every
+    coefficient of the expansion is positive.
+    """
+    charts = [t for n in range(5, 9) for t in triangulations(n)]
+    for n in (10, 12):
+        charts += [fan_triangulation(n)] + _seeded_charts(n, 5, seed=n)
+    for tri in charts:
+        n = tri.n_gon
+        diags = diagonals(n)
+        for d, forms in zip(diags, exponent_sets(diags, tri)):
+            p = expand_cluster_variable(d, tri)
+            assert p.is_positive()
+            assert forms == tuple(sorted({e[: n - 3] for e in p.terms}))
 
 
 def test_expand_rejects_incomplete_chart():

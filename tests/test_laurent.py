@@ -1,4 +1,4 @@
-"""Exact Laurent-polynomial arithmetic and max-plus tropicalization."""
+"""Exact Laurent-polynomial arithmetic and the rational-function test oracle."""
 
 from fractions import Fraction
 
@@ -11,9 +11,8 @@ from tropclust.errors import (
     DimensionMismatch,
     InvariantViolation,
     NotDivisible,
-    NotPositive,
 )
-from tropclust.laurent import LaurentPolynomial, TropicalFunction
+from tropclust.laurent import LaurentPolynomial
 
 V = ("X1", "X2")
 
@@ -116,43 +115,6 @@ def test_positivity_predicates():
     assert (1 + x1).is_positive()
     assert not (1 - x1).is_positive()
     assert LaurentPolynomial.zero(V).is_positive()  # vacuously, by contract
-
-
-def test_tropicalize_rejects_nonpositive():
-    x1 = LaurentPolynomial.variable(V, "X1")
-    with pytest.raises(NotPositive):
-        LaurentPolynomial.zero(V).tropicalize()
-    with pytest.raises(NotPositive):
-        (1 - x1).tropicalize()
-
-
-def test_tropical_eval_is_max_of_linear_forms():
-    x1 = LaurentPolynomial.variable(V, "X1")
-    x2 = LaurentPolynomial.variable(V, "X2")
-    t = (x1 + x2**2 + LaurentPolynomial.monomial(V, (-1, 1), 3)).tropicalize()
-    assert sorted(t.sorted_forms()) == [(-1, 1), (0, 2), (1, 0)]
-    assert t.eval((5, 1)) == 5
-    assert t.eval((0, 4)) == 8
-    assert t.eval((Fraction(1, 2), 0)) == Fraction(1, 2)
-    with pytest.raises(DimensionMismatch):
-        t.eval((1,))
-
-
-def test_tropical_function_validation():
-    with pytest.raises(InvariantViolation):
-        TropicalFunction(2, frozenset())
-    with pytest.raises(DimensionMismatch):
-        TropicalFunction(2, frozenset({(1,)}))
-
-
-@settings(max_examples=40)
-@given(polys(), polys(), st.tuples(st.integers(-6, 6), st.integers(-6, 6)))
-def test_tropicalization_turns_products_into_sums(f, g, pt):
-    """Coefficients are invisible tropically, so products become pointwise sums."""
-    if f.is_zero() or g.is_zero() or not (f.is_positive() and g.is_positive()):
-        return
-    lhs = (f * g).tropicalize().eval(pt)
-    assert lhs == f.tropicalize().eval(pt) + g.tropicalize().eval(pt)
 
 
 def test_rational_function_equality_and_pow():

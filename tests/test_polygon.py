@@ -19,7 +19,6 @@ from tropclust.polygon import (
     edges,
     fan_triangulation,
     flip,
-    supplement,
     triangulations,
 )
 
@@ -113,22 +112,6 @@ def test_every_triangulation_is_maximal():
         outside = [d for d in diagonals(6) if d not in t.diagonals]
         for d in outside:
             assert any(crosses(d, m) for m in t.diagonals)
-
-
-def test_supplement_of_complete_triangulation_is_empty():
-    for t in triangulations(6):
-        assert supplement(t) == []
-
-
-def test_supplement_of_partial_set():
-    partial = Triangulation(6, frozenset({Segment(1, 4)}))
-    sup = set(supplement(partial))
-    assert sup == {Segment(1, 3), Segment(1, 5), Segment(2, 4), Segment(4, 6)}
-
-
-def test_supplement_of_empty_set_is_all_diagonals():
-    empty = Triangulation(6, frozenset())
-    assert set(supplement(empty)) == set(diagonals(6))
 
 
 def test_flip_square():

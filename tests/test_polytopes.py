@@ -29,16 +29,14 @@ from tropclust.polygon import (
     fan_triangulation,
     triangulations,
 )
+from tropclust import laminations
 from tropclust.basis import product_expand
-from tropclust.laurent import LaurentPolynomial
 from tropclust.polytopes import (
-    Face,
     StasheffSpec,
     _scan_chart,
     chart_inequalities,
     contains,
     coordinate_bounds,
-    face_membership,
     is_nondegenerate,
     is_stasheff,
     lattice_points,
@@ -135,29 +133,6 @@ def test_contains_checks_every_diagonal():
     assert not contains(ones, point(5, (-9, 0)))  # other diagonals overflow
     with pytest.raises(SizeMismatch):
         contains(ones, Lamination.zero(6))
-
-
-def test_face_membership():
-    ones = const_spec(5, 1)
-    face13 = Face(ones, frozenset({Segment(1, 3)}))
-    on_face = point(5, (1, 1))  # coordinate 1 at {1,3}
-    assert tropical_coordinate(on_face, Segment(1, 3)) == 1
-    assert face_membership(face13, on_face)
-    assert not face_membership(face13, Lamination.zero(5))
-    # crossing sets are not faces
-    with pytest.raises(InvariantViolation):
-        Face(ones, frozenset({Segment(1, 3), Segment(2, 4)}))
-    # whole-polytope face, via the empty set
-    assert face_membership(Face(ones, frozenset()), Lamination.zero(5))
-
-
-def test_face_membership_ignores_crossing_diagonals():
-    """Bounds on diagonals crossing the face set are not re-checked."""
-    spec = BIG
-    tri = fan_triangulation(5)
-    corner = lamination_from_coords(vertex(spec, tri))
-    face = Face(spec, frozenset(tri.sorted_diagonals()))
-    assert face_membership(face, corner)
 
 
 def test_minkowski_spec_of_points():
@@ -438,17 +413,20 @@ def test_compiled_chart_points_match_cut_masses(n_gon, sample):
 
 
 def test_lattice_points_tropicalizes_each_segment_once(monkeypatch):
+    """One call compiles its chart once: every diagonal's exponent set
+    comes from a single ``exponent_sets`` call."""
     calls = []
-    tropicalize = LaurentPolynomial.tropicalize
+    compile_chart = laminations.exponent_sets
 
-    def counting(self):
-        calls.append(self)
-        return tropicalize(self)
+    def counting(segments, tri):
+        calls.append(tri)
+        return compile_chart(segments, tri)
 
-    monkeypatch.setattr(LaurentPolynomial, "tropicalize", counting)
-    pts = lattice_points(const_spec(6, 3), triangulations(6)[5])
+    monkeypatch.setattr(laminations, "exponent_sets", counting)
+    chart = triangulations(6)[5]
+    pts = lattice_points(const_spec(6, 3), chart)
     assert len(pts) >= 100
-    assert len(calls) <= 6 * 5 // 2
+    assert calls == [chart]
 
 
 def test_lattice_points_empty_and_point():

@@ -77,3 +77,33 @@ def test_public_names_have_a_caller():
         used |= _used_names(ast.parse(path.read_text(encoding="utf-8")))
     unused = [f"{m}:{n}" for m, n in definitions if n.rpartition(".")[2] not in used]
     assert sorted(unused) == []
+
+
+_MUTABLE_DISPLAYS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+_MUTABLE_CALLS = {"dict", "list", "set", "defaultdict", "deque"}
+
+
+def _is_mutable_container(value) -> bool:
+    if isinstance(value, _MUTABLE_DISPLAYS):
+        return True
+    if isinstance(value, ast.Call):
+        func = value.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        return name in _MUTABLE_CALLS
+    return False
+
+
+def test_library_binds_no_module_level_mutable_container():
+    """A module-level dict, list or set would be state that every caller in
+    the process shares, such as a memo table that only grows; results must
+    not depend on call history."""
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{stmt.lineno}"
+            for stmt in tree.body
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+            and _is_mutable_container(stmt.value)
+        ]
+    assert found == []
