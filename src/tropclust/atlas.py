@@ -184,7 +184,6 @@ def mutate_seed(seed: Seed, k) -> Seed:
 
 def chart_segments(tri: Triangulation) -> tuple[Segment, ...]:
     """Ordered variable segments of a chart: diagonals first, then edges."""
-    tri.require_complete()
     return tuple(tri.sorted_diagonals()) + tuple(polygon_edges(tri.n_gon))
 
 
@@ -377,7 +376,6 @@ def exponent_sets(segments: Sequence[Segment], tri: Triangulation) -> tuple:
     quadrilateral's two pairs of opposite sides, minus the unit vector of
     the diagonal it exits through.
     """
-    tri.require_complete()
     n = tri.n_gon
     diags = tri.sorted_diagonals()
     units = {d: tuple(int(d == e) for e in diags) for d in diags}

@@ -6,10 +6,12 @@ the exponent lattice into the boundary-free chart coordinates.  Products of
 basis functions expand back into the basis with nonnegative integer
 coefficients; combinatorially the expansion repeatedly splits one crossing
 of the summed weighted graph into the two ways of rerouting it, until only
-laminations remain.  The split tree runs on the graphs' own flat weight
-tuples (the ``weighted_graphs.pairs`` layout): a table built per call lists
-every crossing chord pair by index, so a split is four index bumps, and only
-the leaves are turned into validated ``WeightedGraph``s and ``Lamination``s.
+laminations remain.  Which crossing is split does not change the result,
+so the split always takes the lexicographically smallest crossing
+quadruple.  The split tree runs on the graphs' own flat weight tuples (the
+``weighted_graphs.pairs`` layout): a table built per call lists every
+crossing chord pair by index, so a split is four index bumps, and only the
+leaves are turned into validated ``WeightedGraph``s and ``Lamination``s.
 
 ``Expansion.support`` lists the laminations that appear; ``a2_coefficient``
 is the closed binomial formula for the rank-two case, used as an
@@ -46,8 +48,6 @@ from .polygon import Segment, diagonals as polygon_diagonals, fan_triangulation
 from .weighted_graphs import WeightedGraph, pairs
 
 DEFAULT_BUDGET = 1_000_000
-
-POLICIES = ("smallest", "largest")
 
 
 @lru_cache(maxsize=None)
@@ -161,7 +161,7 @@ def crossing_measure(graph: WeightedGraph) -> int:
     return _measure(graph.w, _split_table(graph.n_gon))
 
 
-def _split_leaves(v: tuple, rows: list, policy: str, budget: int) -> dict:
+def _split_leaves(v: tuple, rows: list, budget: int) -> dict:
     """Leaf counts of the split tree below the flat weight vector ``v``,
     expanding each distinct vector once.
 
@@ -169,10 +169,9 @@ def _split_leaves(v: tuple, rows: list, policy: str, budget: int) -> dict:
     strictly from a vector to both of its children.  Taking the largest
     measure first means every parent of a vector is expanded before it, so
     its multiplicity is complete when its own turn comes; measure zero holds
-    the leaves.  ``policy`` splits the first ("smallest") or last
-    ("largest") row whose two chords both carry weight.
+    the leaves.  Each vector splits at the first row whose two chords
+    both carry weight.
     """
-    order = rows if policy == "smallest" else rows[::-1]
     buckets: dict[int, dict[tuple, int]] = {0: {}}
     buckets.setdefault(_measure(v, rows), {})[v] = 1
     expanded = 0
@@ -181,7 +180,7 @@ def _split_leaves(v: tuple, rows: list, policy: str, budget: int) -> dict:
             expanded += 1
             if expanded > budget:
                 raise BudgetExceeded(budget, expanded)
-            a, b, sides = next(r for r in order if node[r[0]] > 0 and node[r[1]] > 0)
+            a, b, sides = next(r for r in rows if node[r[0]] > 0 and node[r[1]] > 0)
             for c, d in sides:
                 child = list(node)
                 child[a] -= 1
@@ -211,20 +210,17 @@ def product_graph(points: Sequence[Lamination]) -> WeightedGraph:
 def product_expand(
     points: Sequence[Lamination],
     budget: int = DEFAULT_BUDGET,
-    policy: str = "smallest",
 ) -> Expansion:
     """Expand a product of basis functions back into the basis.
 
     Splits one crossing at a time, each split replacing the two crossing
     chords by a pair of opposite sides of their quadrilateral, in both ways;
     the leaves of this splitting are laminations counted with multiplicity.
-    The result does not depend on which crossing is chosen; ``policy``
-    selects the quadruple ("smallest"/"largest" in lexicographic order) so
-    independence can be exercised.  ``budget`` caps the number of distinct
-    graphs split in this call; the count does not depend on earlier calls.
+    The result does not depend on which crossing is chosen; this one
+    splits the lexicographically smallest crossing quadruple.  ``budget``
+    caps the number of distinct graphs split in this call; the count does
+    not depend on earlier calls.
     """
-    if policy not in POLICIES:
-        raise InvariantViolation(f"policy must be one of {POLICIES}, got {policy!r}")
     total = product_graph(points)
     if not total.is_integral():
         raise NonIntegral("product expansion needs integral laminations")
@@ -232,7 +228,7 @@ def product_expand(
         if p.domain != "int":
             raise NonIntegral("product expansion needs integral laminations")
     n = total.n_gon
-    leaves = _split_leaves(total.w, _split_table(n), policy, budget)
+    leaves = _split_leaves(total.w, _split_table(n), budget)
     # Leaves sort by fan coordinates, the halved cut masses across {1, k}.
     cuts = [
         [x for x, (i, j) in enumerate(pairs(n)) if (1 < i <= k) != (1 < j <= k)]

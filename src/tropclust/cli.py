@@ -6,9 +6,10 @@ product expansion (``support``), and the polytope pipeline (``minkowski``,
 ``verify-mthm``).  All input and output is exact; outputs are byte-stable
 across runs.
 
-Exit codes: 0 success, 1 malformed input or arguments, 2 a mathematical
-precondition failed (including an unbounded polytope or a reported
-mismatch), 3 expansion budget exceeded or out of memory.
+Exit codes: 0 success, 1 malformed input or arguments (including a
+``--chart`` that names no triangulation), 2 a mathematical precondition
+failed (including an unbounded polytope or a reported mismatch), 3
+expansion budget exceeded or out of memory.
 """
 from __future__ import annotations
 
@@ -70,9 +71,10 @@ def _parse_chart(text: str, n_gon: int) -> Triangulation:
             segments.append(Segment(int(bits[0]), int(bits[1])))
         except ValueError as exc:
             raise InputFormatError(f"bad chart entry {part!r}: {exc}") from exc
-    tri = Triangulation(n_gon, frozenset(segments))
-    tri.require_complete()
-    return tri
+    try:
+        return Triangulation(n_gon, frozenset(segments))
+    except TropclustError as exc:
+        raise InputFormatError(f"bad chart {text!r}: {exc}") from exc
 
 
 def _emit(text: str, out_path: str | None) -> None:

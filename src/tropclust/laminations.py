@@ -3,11 +3,12 @@
 A lamination is a weighted graph whose positively weighted diagonals are
 pairwise noncrossing and whose vertex masses all vanish; the boundary edge
 weights (any sign) absorb whatever the diagonals deposit at each corner.
-Integral laminations use integer weights, rational ones allow fractions.
+Integral laminations use integer weights, rational ones allow fractions;
+sums, multiples and reconstructions take the domain their weights fix.
 
-Each complete triangulation gives a coordinate chart: the coordinate of a
-chart diagonal is half the cut mass across it.  Coordinates are a bijection
-onto integer (resp. rational) vectors indexed by the chart diagonals.  The
+Each triangulation gives a coordinate chart: the coordinate of a chart
+diagonal is half the cut mass across it.  Coordinates are a bijection onto
+integer (resp. rational) vectors indexed by the chart diagonals.  The
 coordinate of any other diagonal is the maximum, over the exponent vectors
 of its positive expansion in the chart (``atlas.exponent_sets``), of their
 linear forms evaluated at the chart values.
@@ -60,6 +61,11 @@ def _check_domain(domain: str) -> None:
         raise InvariantViolation(f"domain must be one of {DOMAINS}, got {domain!r}")
 
 
+def _lamination(graph: WeightedGraph) -> "Lamination":
+    """The lamination on a graph, integral exactly when its weights are."""
+    return Lamination(graph, "int" if graph.is_integral() else "rat")
+
+
 @dataclass(frozen=True)
 class Lamination:
     """A weighted graph that encodes a measured system of disjoint curves."""
@@ -73,11 +79,8 @@ class Lamination:
         n = g.n_gon
         if self.domain == "int" and not g.is_integral():
             raise NotALamination("integral domain but fractional weights")
-        loaded = [(Segment(i, j), w) for i, j, w in g.sparse_items() if 1 < j - i < n - 1]
-        for s, w in loaded:
-            if w < 0:
-                raise NotALamination(f"diagonal {s} carries negative weight")
-        for (s, _), (t, _) in itertools.combinations(loaded, 2):
+        loaded = [Segment(i, j) for i, j, _ in g.sparse_items() if 1 < j - i < n - 1]
+        for s, t in itertools.combinations(loaded, 2):
             if crosses(s, t):
                 raise NotALamination(f"diagonals {s} and {t} cross")
         for p, mass in enumerate(g.vertex_masses(), start=1):
@@ -89,8 +92,8 @@ class Lamination:
         return self.graph.n_gon
 
     @staticmethod
-    def zero(n_gon: int, domain: str = "int") -> "Lamination":
-        return Lamination(WeightedGraph.zeros(n_gon), domain)
+    def zero(n_gon: int) -> "Lamination":
+        return _lamination(WeightedGraph.zeros(n_gon))
 
     def is_zero(self) -> bool:
         return self.graph.is_trivial()
@@ -98,8 +101,7 @@ class Lamination:
     def __add__(self, other: "Lamination") -> "Lamination":
         if not isinstance(other, Lamination):
             return NotImplemented
-        domain = "int" if self.domain == other.domain == "int" else "rat"
-        return Lamination(self.graph + other.graph, domain)
+        return _lamination(self.graph + other.graph)
 
     def __mul__(self, k) -> "Lamination":
         if not _is_number(k):
@@ -107,39 +109,44 @@ class Lamination:
         if k < 0:
             raise NotALamination("scaling factor must be nonnegative")
         k = _normalize(Fraction(k))
-        graph = WeightedGraph(
+        return _lamination(WeightedGraph(
             self.n_gon, tuple(_normalize(k * w) if w else 0 for w in self.graph.w)
-        )
-        domain = "int" if graph.is_integral() else "rat"
-        return Lamination(graph, domain)
+        ))
 
     __rmul__ = __mul__
 
 
+def _diagonal_values(items, diags: tuple, mismatch: str, not_number: str) -> tuple:
+    """Sorted, normalized (segment, value) pairs over exactly ``diags``;
+    the messages name the two ways the items can fail."""
+    vals = tuple(sorted((Segment(*s), _normalize(v)) for s, v in items))
+    if tuple(s for s, _ in vals) != diags:
+        raise SizeMismatch(mismatch)
+    for _, v in vals:
+        if not _is_number(v):
+            raise InvariantViolation(not_number)
+    return vals
+
+
 @dataclass(frozen=True)
 class TropicalCoords:
-    """A coordinate vector over the diagonals of one complete triangulation."""
+    """A coordinate vector over the diagonals of one triangulation."""
 
     chart: Triangulation
     values: tuple
 
     def __post_init__(self):
-        self.chart.require_complete()
-        vals = tuple(sorted((Segment(*s), _normalize(v)) for s, v in self.values))
-        segs = tuple(s for s, _ in vals)
-        if segs != tuple(self.chart.sorted_diagonals()):
-            raise SizeMismatch(
-                "coordinate segments must be exactly the chart diagonals"
-            )
-        for _, v in vals:
-            if not _is_number(v):
-                raise InvariantViolation(f"coordinate values must be exact numbers")
+        vals = _diagonal_values(
+            self.values,
+            self.chart.key(),
+            "coordinate segments must be exactly the chart diagonals",
+            "coordinate values must be exact numbers",
+        )
         object.__setattr__(self, "values", vals)
 
     @staticmethod
     def of(chart: Triangulation, mapping) -> "TropicalCoords":
-        items = mapping.items() if hasattr(mapping, "items") else mapping
-        return TropicalCoords(chart, tuple((Segment(*s), v) for s, v in items))
+        return TropicalCoords(chart, tuple(mapping.items()))
 
     @property
     def n_gon(self) -> int:
@@ -158,41 +165,36 @@ class TropicalCoords:
     def vector(self) -> tuple:
         return tuple(v for _, v in self.values)
 
-    def is_integral(self) -> bool:
-        return all(isinstance(v, int) for _, v in self.values)
+
+def _half_cut(lam: Lamination, d: Segment) -> Number:
+    return _normalize(Fraction(lam.graph.cut(d.i, d.j), 2))
 
 
 def tropical_coordinate(lam: Lamination, seg: Segment) -> Number:
     """Half the cut mass across a diagonal; defined for any diagonal."""
     seg = Segment(*seg)
-    seg.validate(lam.n_gon)
     if not seg.is_diagonal(lam.n_gon):
         raise NotADiagonal(f"{seg} is an edge; coordinates live on diagonals")
-    return _normalize(Fraction(lam.graph.cut(seg.i, seg.j), 2))
+    return _half_cut(lam, seg)
 
 
 def chart_coords(lam: Lamination, tri: Triangulation) -> TropicalCoords:
-    """Coordinates of a lamination in the chart of a complete triangulation."""
+    """Coordinates of a lamination in the chart of a triangulation."""
     if lam.n_gon != tri.n_gon:
         raise SizeMismatch("lamination and chart live on different polygons")
-    tri.require_complete()
-    vals = tuple(
-        (d, _normalize(Fraction(lam.graph.cut(d.i, d.j), 2)))
-        for d in tri.sorted_diagonals()
-    )
-    return TropicalCoords(tri, vals)
+    return TropicalCoords(tri, tuple((d, _half_cut(lam, d)) for d in tri.sorted_diagonals()))
 
 
-def _weight_table(n: int) -> tuple:
+def _weight_table(n: int, diags: list) -> tuple:
     """Inclusion-exclusion as index quadruples into the diagonal values.
 
     w(p, q) = v(p, q) + v(p-1, q-1) - v(p, q-1) - v(p-1, q) with vertex
-    wrap-around.  Diagonals index into ``diagonals(n)``; edges and
-    coinciding vertices read 0 and take the index just past the diagonals,
-    where the values carry one more 0.  One quadruple per pair of
-    ``pairs(n)``.
+    wrap-around.  Diagonals index into ``diags``, which is ``diagonals(n)``;
+    edges and coinciding vertices read 0 and take the index just past the
+    diagonals, where the values carry one more 0.  One quadruple per pair
+    of ``pairs(n)``.
     """
-    slot = {(d.i, d.j): k for k, d in enumerate(polygon_diagonals(n))}
+    slot = {(d.i, d.j): k for k, d in enumerate(diags)}
     zero = len(slot)
 
     def at(a, b):
@@ -214,32 +216,28 @@ class _CompiledChart:
 
     def __init__(self, chart: Triangulation):
         n = chart.n_gon
+        diags = polygon_diagonals(n)
         self.chart = chart
-        self.forms = exponent_sets(polygon_diagonals(n), chart)
-        self.table = _weight_table(n)
+        self.forms = exponent_sets(diags, chart)
+        self.table = _weight_table(n, diags)
 
-    def lamination(self, point: tuple, integral: bool, domain: str | None = None) -> Lamination:
-        """The lamination whose chart coordinates are the given point;
-        ``integral`` tells whether every coordinate is an integer."""
+    def lamination(self, point: tuple) -> Lamination:
+        """The lamination whose chart coordinates are the given point."""
         if len(point) != self.chart.n_gon - 3:
             raise DimensionMismatch(
                 f"point has {len(point)} coordinates, need {self.chart.n_gon - 3}"
             )
         v = [max(sum(map(mul, f, point)) for f in fs) for fs in self.forms]
         v.append(0)
-        graph = WeightedGraph(
+        return _lamination(WeightedGraph(
             self.chart.n_gon,
             tuple(_normalize(v[a] + v[b] - v[c] - v[d]) for a, b, c, d in self.table),
-        )
-        if domain is None:
-            domain = "int" if integral and graph.is_integral() else "rat"
-        return Lamination(graph, domain)
+        ))
 
 
-def lamination_from_coords(coords: TropicalCoords, domain: str | None = None) -> Lamination:
+def lamination_from_coords(coords: TropicalCoords) -> Lamination:
     """The unique lamination with the given chart coordinates."""
-    compiled = _CompiledChart(coords.chart)
-    return compiled.lamination(coords.vector(), coords.is_integral(), domain)
+    return _CompiledChart(coords.chart).lamination(coords.vector())
 
 
 def chart_change(coords: TropicalCoords, tri2: Triangulation) -> TropicalCoords:
@@ -250,7 +248,6 @@ def chart_change(coords: TropicalCoords, tri2: Triangulation) -> TropicalCoords:
     """
     if coords.n_gon != tri2.n_gon:
         raise SizeMismatch("charts live on different polygons")
-    tri2.require_complete()
     point = coords.vector()
     diags = tri2.sorted_diagonals()
     vals = tuple(

@@ -5,7 +5,9 @@ distinct vertices, stored with the smaller label first.  Segments whose
 endpoints are adjacent on the boundary are edges; all others are diagonals.
 Two segments cross when exactly one endpoint of the second lies strictly
 between the endpoints of the first in cyclic order, which for canonically
-ordered pairs reduces to a pair of label comparisons.
+ordered pairs reduces to a pair of label comparisons.  A triangulation is
+always complete: N-3 pairwise noncrossing diagonals, checked once when it
+is built, so every chart operation can rely on it.
 """
 from __future__ import annotations
 
@@ -84,11 +86,7 @@ def diagonals(n_gon: int) -> list[Segment]:
 
 @dataclass(frozen=True)
 class Triangulation:
-    """A set of pairwise noncrossing diagonals of an N-gon.
-
-    Complete triangulations carry exactly N-3 diagonals; smaller sets are
-    allowed and describe faces rather than charts.
-    """
+    """A complete triangulation: N-3 pairwise noncrossing diagonals of an N-gon."""
 
     n_gon: int
     diagonals: frozenset[Segment]
@@ -102,14 +100,14 @@ class Triangulation:
         for a, b in itertools.combinations(sorted(self.diagonals), 2):
             if crosses(a, b):
                 raise InvariantViolation(f"diagonals {tuple(a)} and {tuple(b)} cross")
+        if len(self.diagonals) != self.n_gon - 3:
+            raise IncompleteTriangulation(
+                f"need {self.n_gon - 3} diagonals, have {len(self.diagonals)}"
+            )
 
     @classmethod
     def of(cls, n_gon: int, pairs) -> "Triangulation":
         return cls(n_gon, frozenset(Segment(i, j) for i, j in pairs))
-
-    @property
-    def is_complete(self) -> bool:
-        return len(self.diagonals) == self.n_gon - 3
 
     def sorted_diagonals(self) -> list[Segment]:
         return sorted(self.diagonals)
@@ -117,16 +115,8 @@ class Triangulation:
     def key(self) -> tuple:
         return tuple(self.sorted_diagonals())
 
-    def require_complete(self) -> "Triangulation":
-        if not self.is_complete:
-            raise IncompleteTriangulation(
-                f"need {self.n_gon - 3} diagonals, have {len(self.diagonals)}"
-            )
-        return self
-
     def triangles(self) -> list[tuple[int, int, int]]:
         """The N-2 triangle faces, each a clockwise vertex triple (a<b<c)."""
-        self.require_complete()
         n = self.n_gon
         # the neighbours of v along boundary edges and member diagonals
         near = {v: {v % n + 1, (v - 2) % n + 1} for v in range(1, n + 1)}
@@ -192,7 +182,6 @@ def flip(tri: Triangulation, diag: Segment):
     inserted diagonals are its two crossing diagonals, {quad[0], quad[2]}
     and {quad[1], quad[3]}, in one order or the other.
     """
-    tri.require_complete()
     if diag not in tri.diagonals:
         raise NotADiagonal(f"{diag} is not a diagonal of this triangulation")
     apexes = [

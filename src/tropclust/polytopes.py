@@ -43,6 +43,7 @@ from .laminations import (
     Lamination,
     TropicalCoords,
     _CompiledChart,
+    _diagonal_values,
     lamination_from_coords,
     tropical_coordinate,
 )
@@ -53,7 +54,7 @@ from .polygon import (
     diagonals as polygon_diagonals,
     fan_triangulation,
 )
-from .weighted_graphs import Number, _is_number, _normalize
+from .weighted_graphs import Number
 
 
 @dataclass(frozen=True)
@@ -66,20 +67,18 @@ class StasheffSpec:
 
     def __post_init__(self):
         check_polygon(self.n_gon)
-        vals = tuple(sorted((Segment(*s), _normalize(v)) for s, v in self.c))
-        segs = tuple(s for s, _ in vals)
-        if segs != tuple(polygon_diagonals(self.n_gon)):
-            raise SizeMismatch("spec must bound every diagonal exactly once")
-        for _, v in vals:
-            if not _is_number(v):
-                raise InvariantViolation("bounds must be exact numbers")
+        vals = _diagonal_values(
+            self.c,
+            tuple(polygon_diagonals(self.n_gon)),
+            "spec must bound every diagonal exactly once",
+            "bounds must be exact numbers",
+        )
         object.__setattr__(self, "c", vals)
         object.__setattr__(self, "_bounds", dict(vals))
 
     @staticmethod
     def of(n_gon: int, mapping) -> "StasheffSpec":
-        items = mapping.items() if hasattr(mapping, "items") else mapping
-        return StasheffSpec(n_gon, tuple((Segment(*s), v) for s, v in items))
+        return StasheffSpec(n_gon, tuple(mapping.items()))
 
     def as_dict(self) -> dict:
         return dict(self.c)
@@ -134,7 +133,6 @@ def vertex(spec: StasheffSpec, tri: Triangulation) -> TropicalCoords:
     """
     if spec.n_gon != tri.n_gon:
         raise SizeMismatch("spec and chart live on different polygons")
-    tri.require_complete()
     c = spec._bounds
     return TropicalCoords(tri, tuple((d, c[d]) for d in tri.sorted_diagonals()))
 
@@ -379,7 +377,7 @@ def lattice_points(
     if chart is None:
         chart = fan_triangulation(spec.n_gon)
     compiled, vectors = _scan_chart(spec, chart)
-    return [compiled.lamination(p, integral=True) for p in vectors]
+    return [compiled.lamination(p) for p in vectors]
 
 
 def shift_to_negative_part(spec: StasheffSpec) -> tuple[Lamination, StasheffSpec]:

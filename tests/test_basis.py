@@ -19,7 +19,10 @@ from tropclust.atlas import (
     x_chart_walk,
 )
 from tropclust.basis import (
+    DEFAULT_BUDGET,
     Expansion,
+    _split_leaves,
+    _split_table,
     a2_coefficient,
     basis_laurent,
     crossing_measure,
@@ -185,13 +188,20 @@ def test_expansion_validation():
     assert len(e) == 1
 
 
+def _split_both_ways(points):
+    """Leaf counts when the split takes the first crossing row, and when it
+    takes the last one (the same table, reversed)."""
+    total = product_graph(points)
+    rows = _split_table(total.n_gon)
+    return (
+        _split_leaves(total.w, rows, DEFAULT_BUDGET),
+        _split_leaves(total.w, rows[::-1], DEFAULT_BUDGET),
+    )
+
+
 def test_policy_confluence():
-    points = [UNITS[1], UNITS[3], UNITS[3], UNITS[5]]
-    a = product_expand(points, policy="smallest")
-    b = product_expand(points, policy="largest")
+    a, b = _split_both_ways([UNITS[1], UNITS[3], UNITS[3], UNITS[5]])
     assert a == b
-    with pytest.raises(InvariantViolation):
-        product_expand(points, policy="middling")
     # Splitting the first or the last crossing gives the same expansion on
     # bigger polygons too.
     rng = random.Random(11)
@@ -203,9 +213,17 @@ def test_policy_confluence():
                 for _ in range(rng.randint(2, 3))
             ]
             crossing += crossing_measure(product_graph(points)) > 0
-            a = product_expand(points, policy="smallest")
-            assert a == product_expand(points, policy="largest")
+            a, b = _split_both_ways(points)
+            assert a == b
     assert crossing >= 8
+
+
+def test_sums_of_halves_are_integral_laminations():
+    c = UNITS[2]
+    h = c * Fraction(1, 2)
+    assert h.domain == "rat"
+    assert h + h == c
+    assert product_expand([h + h, c]) == product_expand([c, c])
 
 
 def test_product_expansion_matches_symbolic_identity():

@@ -227,6 +227,18 @@ def test_export_chart_csv(files, capsys):
     assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize("command", ["lattice-points", "export-chart"])
+@pytest.mark.parametrize(
+    "chart", ["1-1,1-4", "1-9,1-4", "1-2,1-4", "1-3,2-4", "1-3", "1-3,1-3"]
+)
+def test_chart_naming_no_triangulation_is_an_input_error(files, capsys, command, chart):
+    code = main([command, "--in", str(files / "spec.json"), "--chart", chart])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert captured.err.startswith("input error: ")
+    assert captured.out == ""
+
+
 def test_export_chart_vertex_flags_match_vertex_laminations(tmp_path, capsys):
     points = [pt(6, (1, -1, 0)), pt(6, (-1, 1, 1)), pt(6, (0, 1, -1))]
     spec = minkowski_spec(points)

@@ -134,7 +134,6 @@ def test_coords_chart_mismatch():
         c.value(Segment(2, 4))
     assert c.value(Segment(1, 3)) == 1
     assert c.as_dict() == {Segment(1, 3): 1, Segment(1, 4): 2}
-    assert c.is_integral()
 
 
 def test_coordinates_are_additive():
@@ -323,4 +322,4 @@ def test_compiled_chart_rejects_points_of_the_wrong_length():
     compiled = _CompiledChart(fan_triangulation(6))
     for point in [(1, 2), (1, 2, 3, 4)]:
         with pytest.raises(DimensionMismatch):
-            compiled.lamination(point, integral=True)
+            compiled.lamination(point)

@@ -83,16 +83,15 @@ def test_triangulation_rejects_edges_as_members():
 def test_complete_triangulation_sizes():
     for n in (4, 5, 6, 7):
         fan = fan_triangulation(n)
-        assert fan.is_complete
         assert len(fan.diagonals) == n - 3
         assert len(fan.triangles()) == n - 2
 
 
 def test_incomplete_raises_on_demand():
-    partial = Triangulation(6, frozenset({Segment(1, 3)}))
-    assert not partial.is_complete
-    with pytest.raises(IncompleteTriangulation):
-        partial.require_complete()
+    with pytest.raises(IncompleteTriangulation, match="need 3 diagonals, have 1"):
+        Triangulation(6, frozenset({Segment(1, 3)}))
+    with pytest.raises(IncompleteTriangulation, match="need 2 diagonals, have 0"):
+        Triangulation.of(5, [])
 
 
 def test_triangulation_counts_are_catalan():
@@ -137,7 +136,7 @@ def test_flip_quad_lists_the_two_crossing_chords():
                 chords = {Segment(quad[0], quad[2]), Segment(quad[1], quad[3])}
                 assert {d, added} == chords
                 assert crosses(d, added)
-                assert t2.is_complete
+                assert len(t2.diagonals) == n - 3
 
 
 def test_flip_is_involutive_everywhere():

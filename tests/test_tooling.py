@@ -107,3 +107,37 @@ def test_library_binds_no_module_level_mutable_container():
             and _is_mutable_container(stmt.value)
         ]
     assert found == []
+
+
+def test_library_has_no_unused_imports_or_orphaned_private_names():
+    """Every name a library module imports is used in that module, and
+    every private top-level name is referenced somewhere in the library
+    outside its own definition, so deleting a caller leaves no orphans."""
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(SOURCE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    found = []
+    used_anywhere = set()
+    private = []  # (module, name)
+    for module, tree in trees.items():
+        used_here = set()
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                continue
+            own = _defined_names(stmt)
+            used_here |= _used_names(stmt)
+            used_anywhere |= _used_names(stmt) - own
+            private += [(module, n) for n in own if n.startswith("_")]
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+                continue
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                found += [
+                    f"{module}: import {a.asname or a.name.partition('.')[0]}"
+                    for a in stmt.names
+                    if (a.asname or a.name.partition(".")[0]) not in used_here
+                ]
+    found += [f"{m}: {n}" for m, n in private if n not in used_anywhere]
+    assert sorted(found) == []
