@@ -12,6 +12,9 @@ quadruple.  The split tree runs on the graphs' own flat weight tuples (the
 ``weighted_graphs.pairs`` layout): a table built per call lists every
 crossing chord pair by index, so a split is four index bumps, and only the
 leaves are turned into validated ``WeightedGraph``s and ``Lamination``s.
+The crossing measure that orders the splits is updated per split from the
+crossing partners of the four chords it touches, not summed again over all
+crossing pairs.
 
 ``Expansion.support`` lists the laminations that appear; ``a2_coefficient``
 is the closed binomial formula for the rank-two case, used as an
@@ -23,6 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import itemgetter
 from typing import Sequence
 
 from .atlas import (
@@ -171,7 +175,27 @@ def _split_leaves(v: tuple, rows: list, budget: int) -> dict:
     its multiplicity is complete when its own turn comes; measure zero holds
     the leaves.  Each vector splits at the first row whose two chords
     both carry weight.
+
+    A split takes one from the crossing chords a and b and adds one to the
+    sides c and d; of these four only a and b cross each other, so the
+    child's measure is the parent's plus 1 - C(a) - C(b) + C(c) + C(d),
+    where C(x) sums the parent's weights on the chords crossing x.  The
+    crossing partners of each index come from ``rows``, so any row order
+    works.  Vectors carry one extra slot that stays 0; every partner list
+    reads it twice more, so each C is the sum of one ``itemgetter`` tuple,
+    also for an edge (no partners) or a quadrilateral's diagonal (one).
     """
+    zero = len(v)
+    partners = [[] for _ in range(zero + 1)]
+    for a, b, _ in rows:
+        partners[a].append(b)
+        partners[b].append(a)
+    crossing = [itemgetter(*ps, zero, zero) for ps in partners]
+    steps = [
+        (a, b, crossing[a], crossing[b], [(c, d, crossing[c], crossing[d]) for c, d in sides])
+        for a, b, sides in rows
+    ]
+    v = v + (0,)
     buckets: dict[int, dict[tuple, int]] = {0: {}}
     buckets.setdefault(_measure(v, rows), {})[v] = 1
     expanded = 0
@@ -180,20 +204,26 @@ def _split_leaves(v: tuple, rows: list, budget: int) -> dict:
             expanded += 1
             if expanded > budget:
                 raise BudgetExceeded(budget, expanded)
-            a, b, sides = next(r for r in rows if node[r[0]] > 0 and node[r[1]] > 0)
-            for c, d in sides:
-                child = list(node)
-                child[a] -= 1
-                child[b] -= 1
+            for a, b, cross_a, cross_b, sides in steps:
+                if node[a] > 0 and node[b] > 0:
+                    break
+            else:
+                raise InvariantViolation("positive crossing measure without a crossing")
+            drop = measure + 1 - sum(cross_a(node)) - sum(cross_b(node))
+            rest = list(node)
+            rest[a] -= 1
+            rest[b] -= 1
+            for c, d, cross_c, cross_d in sides:
+                child = rest.copy()
                 child[c] += 1
                 child[d] += 1
                 child = tuple(child)
-                child_measure = _measure(child, rows)
+                child_measure = drop + sum(cross_c(node)) + sum(cross_d(node))
                 if child_measure >= measure:
                     raise InvariantViolation("crossing measure must drop")
                 bucket = buckets.setdefault(child_measure, {})
                 bucket[child] = bucket.get(child, 0) + count
-    return buckets[0]
+    return {leaf[:-1]: count for leaf, count in buckets[0].items()}
 
 
 def product_graph(points: Sequence[Lamination]) -> WeightedGraph:
@@ -229,14 +259,15 @@ def product_expand(
             raise NonIntegral("product expansion needs integral laminations")
     n = total.n_gon
     leaves = _split_leaves(total.w, _split_table(n), budget)
-    # Leaves sort by fan coordinates, the halved cut masses across {1, k}.
+    # Leaves sort by fan coordinates, the halved cut masses across {1, k};
+    # each cut has at least four pairs, so its getter returns a tuple.
     cuts = [
-        [x for x, (i, j) in enumerate(pairs(n)) if (1 < i <= k) != (1 < j <= k)]
+        itemgetter(*(x for x, (i, j) in enumerate(pairs(n)) if (1 < i <= k) != (1 < j <= k)))
         for k in range(3, n)
     ]
     terms = tuple(
         (Lamination(WeightedGraph(n, v)), leaves[v])
-        for v in sorted(leaves, key=lambda v: [sum(v[x] for x in cut) for cut in cuts])
+        for v in sorted(leaves, key=lambda v: [sum(cut(v)) for cut in cuts])
     )
     return Expansion(terms)
 

@@ -4,17 +4,28 @@ All documents carry a top-level ``"format": 1``.  Numbers are JSON integers
 or fraction strings like ``"-3/4"``; floats are rejected outright, since
 nothing in this package is approximate.  Serialization is deterministic:
 entries are emitted sorted, so equal objects produce identical bytes.
+
+``dumps`` is a small recursive writer over the four kinds of value the
+documents hold (dicts with string keys, lists, ints and strings).  It gives
+the bytes of the standard encoder with a two-space indent and sorted keys,
+whose indented mode runs only in pure Python; strings go through the
+encoder's own ASCII escaping.
+
+A ``"rat"`` lamination document takes its domain from its weights, as sums
+and multiples do, so one whose weights are all integers reads as integral;
+an ``"int"`` document with a fractional weight is refused.
 """
 from __future__ import annotations
 
 import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .atlas import Seed
 from .basis import Expansion
 from .errors import InputFormatError
-from .laminations import Lamination, TropicalCoords
+from .laminations import Lamination, TropicalCoords, _lamination
 from .polygon import Segment
 from .polytopes import StasheffSpec
 from .weighted_graphs import WeightedGraph, _is_number, _normalize
@@ -25,6 +36,8 @@ _FRACTION_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
 
 def number_to_json(x):
+    if type(x) is int:
+        return x
     if not _is_number(x):
         raise InputFormatError(f"not an exact number: {x!r}")
     if isinstance(x, Fraction):
@@ -115,7 +128,10 @@ def lamination_from_json(doc) -> Lamination:
     _check_document(doc, "lamination")
     domain = doc.get("domain", "int")
     _require(domain in ("int", "rat"), f"lamination: bad domain {domain!r}")
-    return Lamination(graph_from_json(doc), domain)
+    graph = graph_from_json(doc)
+    if domain == "rat":
+        return _lamination(graph)
+    return Lamination(graph, domain)
 
 
 def points_to_json(points) -> dict:
@@ -248,11 +264,54 @@ def seed_from_json(doc) -> Seed:
 
 
 def dumps(doc) -> str:
-    """Deterministic serialization: sorted keys, two-space indent."""
+    """Deterministic serialization: sorted keys, two-space indent, a final
+    newline, the same bytes as the standard encoder gives with those
+    settings."""
+    out = []
     try:
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        _write(doc, "", "\n", out)
     except ValueError as exc:  # an int past the interpreter's digit limit
         raise InputFormatError(f"cannot write output: {exc}") from exc
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(x, head: str, newline: str, out: list) -> None:
+    """Append ``head`` and the text of ``x`` to ``out``: a scalar (an int or
+    a str) joined to ``head`` in one string, as the standard encoder does,
+    a container after it.  ``newline`` starts a line at the depth of ``x``."""
+    kind = type(x)
+    if kind is int:
+        out.append(head + int.__repr__(x))
+    elif kind is str:
+        out.append(head + encode_basestring_ascii(x))
+    else:
+        out.append(head)
+        _write_container(x, newline, out)
+
+
+def _write_container(x, newline: str, out: list) -> None:
+    """Append a dict with str keys or a list, one entry per line."""
+    kind = type(x)
+    if kind is not list and kind is not dict:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    if not x:
+        out.append("[]" if kind is list else "{}")
+        return
+    inner = newline + "  "
+    head, sep = ("[" if kind is list else "{") + inner, "," + inner
+    if kind is list:
+        for item in x:
+            _write(item, head, inner, out)
+            head = sep
+        out.append(newline + "]")
+        return
+    for key, value in sorted(x.items()):
+        if type(key) is not str:
+            raise TypeError(f"keys must be str, not {type(key).__name__}")
+        _write(value, head + encode_basestring_ascii(key) + ": ", inner, out)
+        head = sep
+    out.append(newline + "}")
 
 
 def load_path(path: str):

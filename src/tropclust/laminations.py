@@ -25,7 +25,6 @@ inequalities from the same forms and reads every point it finds.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -41,7 +40,6 @@ from .errors import (
 from .polygon import (
     Segment,
     Triangulation,
-    crosses,
     diagonals as polygon_diagonals,
 )
 from .weighted_graphs import (
@@ -49,6 +47,7 @@ from .weighted_graphs import (
     WeightedGraph,
     _is_number,
     _normalize,
+    _tables,
     pairs,
     wrap_vertex,
 )
@@ -76,13 +75,19 @@ class Lamination:
     def __post_init__(self):
         _check_domain(self.domain)
         g = self.graph
-        n = g.n_gon
         if self.domain == "int" and not g.is_integral():
             raise NotALamination("integral domain but fractional weights")
-        loaded = [Segment(i, j) for i, j, _ in g.sparse_items() if 1 < j - i < n - 1]
-        for s, t in itertools.combinations(loaded, 2):
-            if crosses(s, t):
-                raise NotALamination(f"diagonals {s} and {t} cross")
+        tables = _tables(g.n_gon)
+        w = g.w
+        loaded = [tables.pairs[k] for k in tables.diagonals if w[k]]
+        # Loaded diagonals come sorted, so (a, b) after (i, j) has i <= a
+        # and crosses it exactly when i < a < j < b; none from a >= j on.
+        for x, (i, j) in enumerate(loaded):
+            for a, b in loaded[x + 1:]:
+                if a >= j:
+                    break
+                if i < a and j < b:
+                    raise NotALamination(f"diagonals {Segment(i, j)} and {Segment(a, b)} cross")
         for p, mass in enumerate(g.vertex_masses(), start=1):
             if mass != 0:
                 raise NotALamination(f"vertex {p} has nonzero total weight")

@@ -12,18 +12,28 @@ row-major order of ``pairs(N)``.  Modules that address weights by index
 * vertex mass: the sum of weights incident to one vertex;
 * cut mass: for a segment {k, l}, the total weight of segments separating
   the cyclic interval [k+1, l] from its complement.
+
+Validation and the masses read index tables that depend on N alone, built
+once per N (``_tables``): the pairs, the diagonal indices and the pair
+indices at each vertex.  A graph is then checked with index lookups,
+without building a ``Segment`` per entry.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from functools import lru_cache
+from operator import itemgetter
+from typing import Mapping, NamedTuple
 
 from .errors import InvariantViolation, SizeMismatch
 from .polygon import Segment, check_polygon
 
 Number = int | Fraction
+
+
+_NUMBER_TYPES = frozenset((int, Fraction))
 
 
 def _is_number(x) -> bool:
@@ -52,6 +62,32 @@ def _index(n_gon: int, i: int, j: int) -> int:
     return (i - 1) * (2 * n_gon - i) // 2 + j - i - 1
 
 
+class _Tables(NamedTuple):
+    """Index tables of the flat weight layout of one N-gon.
+
+    ``pairs`` is ``pairs(N)``; ``diagonals`` lists the indices of its
+    diagonals in order; ``at_vertex[p - 1]`` reads the weights of the
+    N - 1 pairs at vertex p off a weight tuple.  Crossing partners are not
+    tabled: there are C(N, 4) crossing pairs, while these tables take
+    O(N^2) room.
+    """
+
+    pairs: tuple
+    diagonals: tuple
+    at_vertex: tuple
+
+
+@lru_cache(maxsize=32)
+def _tables(n_gon: int) -> _Tables:
+    layout = tuple(pairs(n_gon))
+    diags = tuple(k for k, (i, j) in enumerate(layout) if 1 < j - i < n_gon - 1)
+    at_vertex = tuple(
+        itemgetter(*(k for k, pair in enumerate(layout) if p in pair))
+        for p in range(1, n_gon + 1)
+    )
+    return _Tables(layout, diags, at_vertex)
+
+
 @dataclass(frozen=True)
 class WeightedGraph:
     """Weights over the segments of an N-gon, one per pair of ``pairs(N)``."""
@@ -61,15 +97,16 @@ class WeightedGraph:
 
     def __post_init__(self):
         check_polygon(self.n_gon)
-        n = self.n_gon
-        layout = pairs(n)
+        tables = _tables(self.n_gon)
         w = tuple(self.w)
-        if len(w) != len(layout):
-            raise InvariantViolation(f"need {len(layout)} weights, one per vertex pair")
-        if not all(map(_is_number, w)):
+        if len(w) != len(tables.pairs):
+            raise InvariantViolation(f"need {len(tables.pairs)} weights, one per vertex pair")
+        # the type set is a shortcut for the common case, not a weaker test
+        if not set(map(type, w)) <= _NUMBER_TYPES and not all(map(_is_number, w)):
             raise InvariantViolation("weights must be ints or Fractions")
-        for (i, j), x in zip(layout, w):
-            if x < 0 and 1 < j - i < n - 1:
+        for k in tables.diagonals:
+            if w[k] < 0:
+                i, j = tables.pairs[k]
                 raise InvariantViolation(f"negative weight on diagonal ({i},{j})")
         object.__setattr__(self, "w", w)
 
@@ -101,23 +138,22 @@ class WeightedGraph:
         return self.weight(seg.i, seg.j)
 
     def sparse_items(self) -> tuple[tuple[int, int, Number], ...]:
-        return tuple((i, j, x) for (i, j), x in zip(pairs(self.n_gon), self.w) if x != 0)
+        return tuple((i, j, x) for (i, j), x in zip(_tables(self.n_gon).pairs, self.w) if x != 0)
 
     def is_trivial(self) -> bool:
         return all(x == 0 for x in self.w)
 
     def is_integral(self) -> bool:
-        return all(type(x) is int or x.denominator == 1 for x in self.w)
+        return set(map(type, self.w)) == {int} or all(
+            type(x) is int or x.denominator == 1 for x in self.w
+        )
 
     # -- masses ------------------------------------------------------------
 
     def vertex_masses(self) -> tuple[Number, ...]:
         """The total weight incident to each vertex 1..N."""
-        masses = [0] * self.n_gon
-        for (i, j), x in zip(pairs(self.n_gon), self.w):
-            masses[i - 1] += x
-            masses[j - 1] += x
-        return tuple(masses)
+        w = self.w
+        return tuple(sum(at(w)) for at in _tables(self.n_gon).at_vertex)
 
     def cut(self, a: int, b: int) -> Number:
         """Cut mass across {a, b} with cyclically wrapped labels: the weight
@@ -125,7 +161,9 @@ class WeightedGraph:
         zero when they coincide."""
         n = self.n_gon
         k, l = sorted((wrap_vertex(a, n), wrap_vertex(b, n)))
-        return sum(x for (i, j), x in zip(pairs(n), self.w) if (k < i <= l) != (k < j <= l))
+        return sum(
+            x for (i, j), x in zip(_tables(n).pairs, self.w) if (k < i <= l) != (k < j <= l)
+        )
 
     # -- algebra -----------------------------------------------------------
 

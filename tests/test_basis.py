@@ -188,6 +188,62 @@ def test_expansion_validation():
     assert len(e) == 1
 
 
+def _reference_split_leaves(v, rows, budget):
+    """The split tree with every child's crossing measure summed from
+    scratch over all rows: the routine before the incremental measure,
+    kept as the reference for it.  Returns the leaf counts and the number
+    of vectors split."""
+
+    def measure_of(u):
+        return sum(u[a] * u[b] for a, b, _ in rows)
+
+    buckets = {0: {}}
+    buckets.setdefault(measure_of(v), {})[v] = 1
+    expanded = 0
+    while (measure := max(buckets)) > 0:
+        for node, count in buckets.pop(measure).items():
+            expanded += 1
+            if expanded > budget:
+                raise BudgetExceeded(budget, expanded)
+            a, b, sides = next(r for r in rows if node[r[0]] > 0 and node[r[1]] > 0)
+            for c, d in sides:
+                child = list(node)
+                child[a] -= 1
+                child[b] -= 1
+                child[c] += 1
+                child[d] += 1
+                child = tuple(child)
+                child_measure = measure_of(child)
+                assert child_measure < measure
+                bucket = buckets.setdefault(child_measure, {})
+                bucket[child] = bucket.get(child, 0) + count
+    return buckets[0], expanded
+
+
+@pytest.mark.parametrize("n_gon", [5, 6, 7, 8, 9, 10])
+def test_incremental_measure_matches_the_from_scratch_split(n_gon):
+    """Same leaves and counts as the from-scratch reference, with the rows
+    in either order, and the budget runs out at the same node."""
+    rng = random.Random(700 + n_gon)
+    box = 2 if n_gon < 9 else 1
+    for _ in range(3):
+        points = [
+            rng.randint(1, 3) * pt(n_gon, [rng.randint(-box, box) for _ in range(n_gon - 3)])
+            for _ in range(3)
+        ]
+        v = product_graph(points).w
+        for rows in (_split_table(n_gon), _split_table(n_gon)[::-1]):
+            leaves, nodes = _reference_split_leaves(v, rows, DEFAULT_BUDGET)
+            assert _split_leaves(v, rows, nodes) == leaves
+            for budget in {0, nodes // 2, max(nodes - 1, 0)} - {nodes}:
+                with pytest.raises(BudgetExceeded) as info:
+                    _split_leaves(v, rows, budget)
+                assert (info.value.budget, info.value.expanded) == (budget, budget + 1)
+                with pytest.raises(BudgetExceeded) as info:
+                    _reference_split_leaves(v, rows, budget)
+                assert (info.value.budget, info.value.expanded) == (budget, budget + 1)
+
+
 def _split_both_ways(points):
     """Leaf counts when the split takes the first crossing row, and when it
     takes the last one (the same table, reversed)."""

@@ -82,6 +82,31 @@ def test_support_plain_and_coeffs(files, capsys, tmp_path):
     assert all(entry["coeff"] == 1 for entry in doc["terms"])
 
 
+def test_rat_tagged_integral_points_read_as_integral(tmp_path, capsys):
+    """A points document may tag an integral lamination "rat": its domain
+    is read off the weights, so every command treats it as the "int" copy.
+    A fractional weight under "int" and an unknown domain stay refused."""
+    units = points_to_json([pt(5, (-1, 0)), pt(5, (1, 1))])
+    plain = tmp_path / "plain.json"
+    plain.write_text(dumps(units))
+    tagged = json.loads(dumps(units))
+    tagged["points"][0]["domain"] = "rat"
+    path = tmp_path / "tagged.json"
+    path.write_text(json.dumps(tagged))
+    for command in (["support"], ["support", "--coeffs"], ["verify-mthm"], ["minkowski"]):
+        want = run(command + ["--in", str(plain)], capsys)
+        assert want[0] == EXIT_OK
+        assert run(command + ["--in", str(path)], capsys) == want
+    half = json.loads(dumps(points_to_json([pt(5, (1, 1)) * Fraction(1, 2)])))
+    assert half["points"][0]["domain"] == "rat"
+    half["points"][0]["domain"] = "int"
+    path.write_text(json.dumps(half))
+    assert run(["support", "--in", str(path)], capsys) == (EXIT_MATH, "")
+    tagged["points"][0]["domain"] = "real"
+    path.write_text(json.dumps(tagged))
+    assert run(["support", "--in", str(path)], capsys) == (EXIT_INPUT, "")
+
+
 def test_support_budget_exhaustion(files, capsys, tmp_path):
     # two crossing heptagon curves need one split, which budget 0 forbids
     from tropclust.laminations import Lamination

@@ -1,10 +1,12 @@
 """Deterministic exact-number JSON round-trips for every data kind."""
 
+import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from tropclust.atlas import atlas_seed, type_a_seed
+from tropclust.atlas import atlas_seed, mutate_seed, type_a_seed
 from tropclust.basis import product_expand
 from tropclust.errors import InputFormatError
 from tropclust.jsonio import (
@@ -28,8 +30,8 @@ from tropclust.jsonio import (
     spec_to_json,
 )
 from tropclust.laminations import Lamination, TropicalCoords, lamination_from_coords
-from tropclust.polygon import Segment, diagonals, fan_triangulation
-from tropclust.polytopes import StasheffSpec
+from tropclust.polygon import Segment, diagonals, fan_triangulation, triangulations
+from tropclust.polytopes import StasheffSpec, minkowski_spec, vertex
 from tropclust.weighted_graphs import WeightedGraph
 
 
@@ -138,6 +140,56 @@ def test_dumps_is_byte_deterministic():
     # keys are sorted
     lines = [l.strip() for l in text.splitlines()]
     assert lines[1].startswith('"format"')
+
+
+def _documents(n_gon, rng):
+    """One document of every kind the command line writes, from seeded
+    laminations on an N-gon: points (integral and halved), the Minkowski
+    spec, an expansion, vertex coordinates and seeds."""
+    box = 2 if n_gon < 8 else 1
+    points = [
+        pt(n_gon, tuple(rng.randint(-box, box) for _ in range(n_gon - 3)))
+        for _ in range(2)
+    ]
+    halves = [p * Fraction(1, 2) for p in points]
+    spec = minkowski_spec(points + halves)
+    charts = rng.sample(triangulations(n_gon), 4)
+    fan = fan_triangulation(n_gon)
+    seed = atlas_seed(fan)
+    return [
+        points_to_json(points + halves),
+        spec_to_json(spec),
+        expansion_to_json(product_expand(points)),
+        {"format": FORMAT, "vertices": [coords_to_json(vertex(spec, t)) for t in charts]},
+        seed_to_json(seed),
+        seed_to_json(mutate_seed(seed, seed.labels[0])),
+        seed_to_json(type_a_seed(n_gon - 3)),
+    ]
+
+
+@pytest.mark.parametrize("n_gon", [5, 6, 7, 8, 9])
+def test_dumps_matches_the_standard_encoder(n_gon):
+    """The writer gives the standard encoder's bytes (two-space indent,
+    sorted keys, one final newline) on every kind of output document."""
+    for doc in _documents(n_gon, random.Random(500 + n_gon)):
+        assert dumps(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_dumps_matches_the_standard_encoder_on_edge_cases():
+    docs = [
+        {}, [], {"a": []}, {"a": {}}, [[]], [{}], [[], {}, [[{}]]],
+        {"b": [1, -2, 0], "a": {"z": [], "y": "-3/4"}, "": -10**30},
+        ["caf\u00e9", "\u2603", "\U0001f600", "\x00\x1f\x7f", 'quote " slash \\ /', "\n\t\r"],
+        {"\u00e9": 1, "\x01": [2], "a\"b": "c\\d", "\U0001f600": {"": ""}},
+        [-1, 0, 10**40, "1/2", "-7/3", [-5, ["x", [[]]]]],
+    ]
+    for doc in docs:
+        assert dumps(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_dumps_rejects_ints_past_the_digit_limit():
+    with pytest.raises(InputFormatError, match="^cannot write output: "):
+        dumps({"format": FORMAT, "values": [1, [10**5000]]})
 
 
 def test_load_path(tmp_path):

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropclust.errors import DimensionMismatch, NotADiagonal, NotALamination
+from tropclust.errors import (
+    DimensionMismatch,
+    InvariantViolation,
+    NotADiagonal,
+    NotALamination,
+)
 from tropclust.laminations import (
     Lamination,
     TropicalCoords,
@@ -19,6 +24,7 @@ from tropclust.laminations import (
 )
 from tropclust.polygon import (
     Segment,
+    crosses,
     diagonals,
     fan_triangulation,
     triangulations,
@@ -86,6 +92,40 @@ def test_rejects_crossing_loaded_diagonals():
     )
     with pytest.raises(NotALamination):
         Lamination(g)
+
+
+@pytest.mark.parametrize("n_gon", [5, 6, 7, 8])
+def test_rejections_name_the_first_offender(n_gon):
+    """With two offenders of a kind, the error names the first one: the
+    first negative diagonal in pair order, the first crossing pair in
+    pairwise order of the loaded diagonals, the lowest vertex of nonzero
+    mass."""
+    rng = random.Random(900 + n_gon)
+    diags = diagonals(n_gon)
+    for _ in range(12):
+        s, t = sorted(rng.sample(diags, 2))
+        with pytest.raises(InvariantViolation) as info:
+            graph(n_gon, {tuple(s): -1, tuple(t): -rng.randint(1, 3), (1, 2): 5})
+        assert str(info.value) == f"negative weight on diagonal ({s.i},{s.j})"
+
+        crossing = []
+        while len(crossing) < 2:
+            loaded = sorted(rng.sample(diags, rng.randint(3, min(6, len(diags)))))
+            crossing = [(a, b) for a in loaded for b in loaded if a < b and crosses(a, b)]
+        a, b = crossing[0]
+        with pytest.raises(NotALamination) as info:
+            Lamination(graph(n_gon, {tuple(d): rng.randint(1, 3) for d in loaded}))
+        assert str(info.value) == f"diagonals {a} and {b} cross"
+
+        lam = lamination_from_coords(TropicalCoords.of(
+            fan_triangulation(n_gon),
+            {d: rng.randint(-2, 2) for d in fan_triangulation(n_gon).sorted_diagonals()},
+        ))
+        p = rng.randint(1, n_gon - 1)
+        weights = {(i, j): w for i, j, w in lam.graph.sparse_items()}
+        weights[p, p + 1] = weights.get((p, p + 1), 0) + rng.choice((-2, -1, 1, 2))
+        with pytest.raises(NotALamination, match=f"^vertex {p} has nonzero total weight$"):
+            Lamination(graph(n_gon, weights))
 
 
 def test_rejects_fractional_weights_in_int_domain():
