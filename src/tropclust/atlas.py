@@ -376,12 +376,26 @@ def exponent_sets(segments: Sequence[Segment], tri: Triangulation) -> tuple:
     quadrilateral's two pairs of opposite sides, minus the unit vector of
     the diagonal it exits through.
     """
+    return _exchange_walk(segments, tri)[0]
+
+
+def _exchange_walk(segments: Sequence[Segment], tri: Triangulation) -> tuple:
+    """``exponent_sets`` and the exchange steps of the same walk.
+
+    The steps list every segment off the chart that the walk resolved, the
+    requested ones and the sides they need, each once and after its sides:
+    (segment, exit diagonal, (s1, s2), (s3, s4)), with the two pairs of
+    opposite sides of its quadrilateral.  Read tropically, a step gives
+    v(segment) = max(v(s1) + v(s2), v(s3) + v(s4)) - v(exit), with v = 0 on
+    edges, from values the earlier steps fixed.
+    """
     n = tri.n_gon
     diags = tri.sorted_diagonals()
     units = {d: tuple(int(d == e) for e in diags) for d in diags}
     zero = (0,) * len(diags)
     triangles = tri.triangles()
     memo = {d: {u} for d, u in units.items()}
+    steps = []
 
     def sets(s: Segment) -> set:
         hit = memo.get(s)
@@ -397,10 +411,11 @@ def exponent_sets(segments: Sequence[Segment], tri: Triangulation) -> tuple:
                     for u in sets(s1)
                     for v in sets(s2)
                 }
+                steps.append((s, ear, *sides))
             memo[s] = hit
         return hit
 
-    return tuple(tuple(sorted(sets(s.validate(n)))) for s in segments)
+    return tuple(tuple(sorted(sets(s.validate(n)))) for s in segments), tuple(steps)
 
 
 # -- pushing x-chart functions through mutations ----------------------------

@@ -13,23 +13,30 @@ coordinate of any other diagonal is the maximum, over the exponent vectors
 of its positive expansion in the chart (``atlas.exponent_sets``), of their
 linear forms evaluated at the chart values.
 
-A chart is compiled once per call: ``atlas.exponent_sets`` gives every
-diagonal's linear forms, and a table built from N alone writes each weight
-as a signed sum of four diagonal values (inclusion-exclusion over
-cyclically consecutive chords, where edges and coinciding vertices read 0).
-A point then becomes a lamination by evaluating the forms and reading the
-table.  ``lamination_from_coords`` compiles and reads one point;
+A chart is compiled once per call.  One exchange walk, the one behind
+``atlas.exponent_sets``, gives every diagonal's linear forms and, in the
+order it resolved them, the exchange step of each diagonal off the chart:
+its exit diagonal and the two pairs of opposite sides of its
+quadrilateral.  A point then becomes a lamination without the forms: its
+values fill the chart diagonals, each step gives one more diagonal by the
+tropical exchange relation v(s) = max(v(a) + v(c), v(b) + v(d)) - v(e)
+(Fock-Goncharov, Publ. IHES 103, 2006), with edges at 0, and a table built
+once per N writes each weight as a signed sum of four diagonal values
+(inclusion-exclusion over cyclically consecutive chords).
+``lamination_from_coords`` compiles and reads one point;
 ``polytopes.lattice_points`` compiles once, takes the polytope's
-inequalities from the same forms and reads every point it finds.
-``chart_change`` compiles only the new chart's diagonals in the old chart.
+inequalities from the forms and reads every point it finds.
+``chart_change`` compiles only the new chart's diagonals in the old chart
+and evaluates their forms.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from functools import lru_cache
+from operator import add, itemgetter, mul, sub
 
-from .atlas import exponent_sets
+from .atlas import _exchange_walk, exponent_sets
 from .errors import (
     DimensionMismatch,
     InvariantViolation,
@@ -190,16 +197,15 @@ def chart_coords(lam: Lamination, tri: Triangulation) -> TropicalCoords:
     return TropicalCoords(tri, tuple((d, _half_cut(lam, d)) for d in tri.sorted_diagonals()))
 
 
-def _weight_table(n: int, diags: list) -> tuple:
+def _weight_table(n: int, slot: dict) -> tuple:
     """Inclusion-exclusion as index quadruples into the diagonal values.
 
     w(p, q) = v(p, q) + v(p-1, q-1) - v(p, q-1) - v(p-1, q) with vertex
-    wrap-around.  Diagonals index into ``diags``, which is ``diagonals(n)``;
-    edges and coinciding vertices read 0 and take the index just past the
-    diagonals, where the values carry one more 0.  One quadruple per pair
-    of ``pairs(n)``.
+    wrap-around.  ``slot`` maps each diagonal to its position in
+    ``diagonals(n)``; edges and coinciding vertices read 0 and take the
+    position just past the diagonals, where the values carry one more 0.
+    One quadruple per pair of ``pairs(n)``.
     """
-    slot = {(d.i, d.j): k for k, d in enumerate(diags)}
     zero = len(slot)
 
     def at(a, b):
@@ -211,33 +217,57 @@ def _weight_table(n: int, diags: list) -> tuple:
     )
 
 
+@lru_cache(maxsize=32)
+def _layout(n: int) -> tuple:
+    """What a compile needs from N alone: ``diagonals(n)``, each diagonal's
+    slot in it, and the weight table as four getters, one per column, over
+    the slot values."""
+    diags = tuple(polygon_diagonals(n))
+    slot = {d: k for k, d in enumerate(diags)}
+    columns = zip(*_weight_table(n, slot))
+    return diags, slot, tuple(itemgetter(*col) for col in columns)
+
+
 class _CompiledChart:
-    """One chart's diagonal forms and the weight table, for one call.
+    """One chart's diagonal forms and exchange steps, for one call.
 
     ``forms[k]`` holds the exponent vectors of the expansion of
     ``diagonals(n)[k]`` in the chart, read as linear forms; the polytope's
-    inequalities read them too.
+    inequalities read them.  The same walk's exchange steps, as slots into
+    ``diagonals(n)`` with edges at the zero slot past the end, give a
+    point's diagonal values one tropical exchange relation at a time.
     """
 
     def __init__(self, chart: Triangulation):
-        n = chart.n_gon
-        diags = polygon_diagonals(n)
+        diags, slot, self._weights = _layout(chart.n_gon)
         self.chart = chart
-        self.forms = exponent_sets(diags, chart)
-        self.table = _weight_table(n, diags)
+        self.forms, steps = _exchange_walk(diags, chart)
+        zero = len(diags)
+        self._blank = [0] * (zero + 1)
+        self._chart_slots = tuple(slot[d] for d in chart.sorted_diagonals())
+        self._steps = tuple(
+            (slot[s], slot[e], slot.get(a, zero), slot.get(c, zero),
+             slot.get(b, zero), slot.get(d, zero))
+            for s, e, (a, c), (b, d) in steps
+        )
 
     def lamination(self, point: tuple) -> Lamination:
         """The lamination whose chart coordinates are the given point."""
-        if len(point) != self.chart.n_gon - 3:
+        if len(point) != len(self._chart_slots):
             raise DimensionMismatch(
-                f"point has {len(point)} coordinates, need {self.chart.n_gon - 3}"
+                f"point has {len(point)} coordinates, need {len(self._chart_slots)}"
             )
-        v = [max(sum(map(mul, f, point)) for f in fs) for fs in self.forms]
-        v.append(0)
-        return _lamination(WeightedGraph(
-            self.chart.n_gon,
-            tuple(_normalize(v[a] + v[b] - v[c] - v[d]) for a, b, c, d in self.table),
-        ))
+        v = self._blank[:]
+        for k, x in zip(self._chart_slots, point):
+            v[k] = x
+        for s, e, a, c, b, d in self._steps:
+            x, y = v[a] + v[c], v[b] + v[d]
+            v[s] = (x if x > y else y) - v[e]
+        plus1, plus2, minus1, minus2 = self._weights
+        w = tuple(map(sub, map(add, plus1(v), plus2(v)), map(add, minus1(v), minus2(v))))
+        if Fraction in map(type, point):
+            w = tuple(map(_normalize, w))
+        return _lamination(WeightedGraph(self.chart.n_gon, w))
 
 
 def lamination_from_coords(coords: TropicalCoords) -> Lamination:

@@ -19,8 +19,13 @@ linear forms that the exponent vectors of its chart expansion
 splits into plain half-spaces with integer rows.  An exact integer simplex
 under Bland's rule, run on the dual of each coordinate's maximisation,
 gives the box of coordinate ranges to scan; the same simplex decides
-emptiness through Farkas' lemma.  The scan yields integer coordinate
-vectors, and the same compiled chart turns each one into a lamination.
+emptiness through Farkas' lemma.  The scan fixes the coordinates in order
+and checks each row as soon as its last nonzero coordinate is reached: with
+the prefix fixed, the row bounds that coordinate to one side, so every
+depth loops over the box range cut to an exact interval, and the last depth
+takes its whole interval without a per-point test.  The scan yields sorted
+integer coordinate vectors, and the compiled chart turns each one into a
+lamination through the tropical exchange relation.
 """
 from __future__ import annotations
 
@@ -353,16 +358,46 @@ def _scan_chart(spec: StasheffSpec, chart: Triangulation) -> tuple:
     if bounds is None:
         return compiled, []
     rows, d = system
-    # an integral point meets coeffs . a <= rhs / d exactly when it meets
-    # the floor of the right-hand side
-    rows = [(coeffs, rhs // d) for coeffs, rhs in rows]
-    ranges = [range(ceil(lo), floor(hi) + 1) for lo, hi in bounds]
-    # the product runs in lexicographic order, so the points come sorted
-    return compiled, [
-        point
-        for point in itertools.product(*ranges)
-        if all(sum(map(mul, coeffs, point)) <= rhs for coeffs, rhs in rows)
-    ]
+    ranges = [(ceil(lo), floor(hi)) for lo, hi in bounds]
+    return compiled, _interval_scan(rows, d, ranges)
+
+
+def _interval_scan(rows: list, d: int, ranges: list) -> list:
+    """The integral points of coeffs . a <= rhs / d inside the box, sorted.
+
+    An integral point meets a row exactly when it meets the floor of its
+    right-hand side.  Each row is filed under its last nonzero coordinate
+    k: once the prefix a_0..a_{k-1} is fixed it bounds a_k to one side, a
+    floor for a positive coefficient and a ceiling for a negative one.
+    Each depth loops upward over the box range cut by its rows, so the
+    points come in lexicographic order, and the last depth takes its whole
+    interval at once.
+    """
+    last = len(ranges) - 1
+    if last < 0:
+        return [()]
+    filed = [[] for _ in ranges]
+    for coeffs, rhs in rows:
+        k = max(j for j, c in enumerate(coeffs) if c)
+        filed[k].append((coeffs[:k], coeffs[k], rhs // d))
+    out = []
+
+    def extend(prefix: tuple, k: int) -> None:
+        lo, hi = ranges[k]
+        for head, c, rhs in filed[k]:
+            room = rhs - sum(map(mul, head, prefix))
+            if c > 0:
+                hi = min(hi, room // c)
+            else:
+                lo = max(lo, -(room // -c))
+        if k == last:
+            out.extend([prefix + (x,) for x in range(lo, hi + 1)])
+        else:
+            for x in range(lo, hi + 1):
+                extend(prefix + (x,), k + 1)
+
+    extend((), 0)
+    return out
 
 
 def lattice_points(

@@ -1,6 +1,7 @@
 """End-to-end command-line checks, run in-process via main()."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -290,6 +291,17 @@ def test_verify_mthm(files, capsys):
     code, out = run(["verify-mthm", "--in", str(files / "points.json")], capsys)
     assert code == EXIT_OK
     assert "support = lattice points" in out
+
+
+def test_verify_mthm_on_an_11_gon(tmp_path, capsys):
+    """Four 11-gon factors with seeded fan coordinates in [-2, 2]: 6786
+    support elements, each a lattice point of the Minkowski sum."""
+    rng = random.Random(2)
+    points = [pt(11, [rng.randint(-2, 2) for _ in range(8)]) for _ in range(4)]
+    path = tmp_path / "points.json"
+    path.write_text(dumps(points_to_json(points)))
+    code, out = run(["verify-mthm", "--in", str(path)], capsys)
+    assert (code, out) == (EXIT_OK, "support = lattice points, 6786 elements\n")
 
 
 def test_verify_mthm_reports_a_mismatch(files, capsys, monkeypatch):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,8 @@ from tropclust.laminations import (
     Lamination,
     TropicalCoords,
     _CompiledChart,
+    _lamination,
+    _weight_table,
     chart_change,
     chart_coords,
     lamination_from_coords,
@@ -27,9 +30,10 @@ from tropclust.polygon import (
     crosses,
     diagonals,
     fan_triangulation,
+    flip,
     triangulations,
 )
-from tropclust.weighted_graphs import WeightedGraph
+from tropclust.weighted_graphs import WeightedGraph, _normalize
 
 
 def graph(n, weights):
@@ -363,3 +367,46 @@ def test_compiled_chart_rejects_points_of_the_wrong_length():
     for point in [(1, 2), (1, 2, 3, 4)]:
         with pytest.raises(DimensionMismatch):
             compiled.lamination(point)
+
+
+def _dense_lamination(compiled, point):
+    """The lamination at a point by the dense route: each diagonal's value
+    is the max of its linear forms at the point, and the weights are read
+    through the inclusion-exclusion table."""
+    n = compiled.chart.n_gon
+    slot = {d: k for k, d in enumerate(diagonals(n))}
+    v = [max(sum(map(mul, f, point)) for f in forms) for forms in compiled.forms]
+    v.append(0)
+    return _lamination(WeightedGraph(n, tuple(
+        _normalize(v[a] + v[b] - v[c] - v[d]) for a, b, c, d in _weight_table(n, slot)
+    )))
+
+
+def test_exchange_steps_match_the_dense_forms():
+    """The tropical exchange relation against the max of the linear forms.
+
+    On every chart of the 3- to 8-gon and on the fan and five seeded charts
+    of the 10- and 12-gon, integral and half-integral points (the latter as
+    Fractions, integral values included) give the same lamination, entry
+    types included, both ways; each diagonal's cut mass is the dense value.
+    """
+    rng = random.Random(14)
+    charts = [t for n in range(3, 9) for t in triangulations(n)]
+    for n in (10, 12):
+        charts.append(fan_triangulation(n))
+        for _ in range(5):
+            tri = fan_triangulation(n)
+            for _ in range(3 * n):
+                tri = flip(tri, rng.choice(tri.sorted_diagonals()))[0]
+            charts.append(tri)
+    for tri in charts:
+        compiled = _CompiledChart(tri)
+        dim = tri.n_gon - 3
+        points = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(2)]
+        points += [tuple(Fraction(rng.randint(-7, 7), 2) for _ in range(dim)) for _ in range(2)]
+        for point in points:
+            lam = compiled.lamination(point)
+            dense = _dense_lamination(compiled, point)
+            assert repr(lam) == repr(dense)
+            values = [max(sum(map(mul, f, point)) for f in forms) for forms in compiled.forms]
+            assert [tropical_coordinate(lam, d) for d in diagonals(tri.n_gon)] == values

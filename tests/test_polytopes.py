@@ -1,8 +1,10 @@
 """Bound specifications, their polytopes, and exact integral enumeration."""
 
+import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import ceil, floor, gcd
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -25,11 +27,13 @@ from tropclust.laminations import (
 )
 from tropclust.polygon import (
     Segment,
+    Triangulation,
     diagonals,
     fan_triangulation,
+    flip,
     triangulations,
 )
-from tropclust import laminations
+from tropclust import atlas
 from tropclust.basis import product_expand
 from tropclust.polytopes import (
     StasheffSpec,
@@ -412,21 +416,95 @@ def test_compiled_chart_points_match_cut_masses(n_gon, sample):
     assert len(sizes) == 1 and min(sizes) > 20
 
 
+def product_scan(spec, chart):
+    """Oracle for the interval scan: every integral vector of the coordinate
+    box, in ``itertools.product`` order, that meets every chart inequality."""
+    ineqs = chart_inequalities(spec, chart)
+    bounds = coordinate_bounds(ineqs, spec.n_gon - 3)
+    if bounds is None:
+        return []
+    ranges = [range(ceil(lo), floor(hi) + 1) for lo, hi in bounds]
+    return [
+        p for p in itertools.product(*ranges)
+        if all(sum(map(mul, form, p)) <= rhs for form, rhs in ineqs)
+    ]
+
+
+def test_interval_scan_matches_the_product_filter():
+    """Fan and non-fan charts of the 5- to 8-gon, on Minkowski specs, their
+    halves (rational bounds) and perturbations (most not Stasheff, some
+    empty)."""
+    rng = random.Random(1400)
+    seen_empty = seen_full = 0
+    for n_gon, count, box in [(5, 8, 2), (6, 6, 2), (7, 4, 1), (8, 3, 1)]:
+        for _ in range(count):
+            spec = minkowski_spec([
+                point(n_gon, [rng.randint(-box, box) for _ in range(n_gon - 3)])
+                for _ in range(rng.randint(1, 3))
+            ])
+            c = spec.as_dict()
+            variants = [
+                spec,
+                StasheffSpec.of(n_gon, {d: Fraction(v, 2) for d, v in c.items()}),
+                StasheffSpec.of(n_gon, {d: v + rng.randint(-2, 1) for d, v in c.items()}),
+            ]
+            fan = tri = fan_triangulation(n_gon)
+            for variant in variants:
+                while tri == fan:
+                    tri = flip(tri, rng.choice(tri.sorted_diagonals()))[0]
+                for chart in (fan, tri):
+                    vectors = _scan_chart(variant, chart)[1]
+                    assert vectors == product_scan(variant, chart)
+                    seen_empty += not vectors
+                    seen_full += bool(vectors)
+                tri = flip(tri, rng.choice(tri.sorted_diagonals()))[0]
+    assert seen_empty >= 5 and seen_full >= 50
+
+
+def test_interval_scan_on_empty_polytopes():
+    for n_gon in (5, 6, 7):
+        spec = const_spec(n_gon, -1)
+        for chart in triangulations(n_gon)[:3]:
+            assert product_scan(spec, chart) == []
+            assert _scan_chart(spec, chart)[1] == []
+            assert lattice_points(spec, chart) == []
+
+
+def test_lattice_points_on_the_triangle_and_the_square():
+    """A triangle has no diagonal: one empty vector, the zero lamination.
+    A square's one coordinate a runs over [-c(2,4), c(1,3)]."""
+    triangle = StasheffSpec.of(3, {})
+    fan = fan_triangulation(3)
+    assert _scan_chart(triangle, fan)[1] == [()] == product_scan(triangle, fan)
+    assert lattice_points(triangle) == [Lamination.zero(3)]
+    square = StasheffSpec.of(4, {(1, 3): 2, (2, 4): 1})
+    for chart, vectors in [
+        (fan_triangulation(4), [(-1,), (0,), (1,), (2,)]),
+        (Triangulation.of(4, [(2, 4)]), [(-2,), (-1,), (0,), (1,)]),
+    ]:
+        assert _scan_chart(square, chart)[1] == vectors == product_scan(square, chart)
+        pts = lattice_points(square, chart)
+        assert [chart_coords(p, chart).vector() for p in pts] == vectors
+    assert Lamination.zero(4) in lattice_points(square)
+
+
 def test_lattice_points_tropicalizes_each_segment_once(monkeypatch):
-    """One call compiles its chart once: every diagonal's exponent set
-    comes from a single ``exponent_sets`` call."""
+    """One call compiles its chart once: a single exchange walk resolves
+    every diagonal off the chart exactly once, and nothing else does."""
     calls = []
-    compile_chart = laminations.exponent_sets
+    resolve = atlas._exit_quadrilateral
 
-    def counting(segments, tri):
-        calls.append(tri)
-        return compile_chart(segments, tri)
+    def counting(seg, tri, triangles):
+        calls.append((seg, tri))
+        return resolve(seg, tri, triangles)
 
-    monkeypatch.setattr(laminations, "exponent_sets", counting)
+    monkeypatch.setattr(atlas, "_exit_quadrilateral", counting)
     chart = triangulations(6)[5]
     pts = lattice_points(const_spec(6, 3), chart)
     assert len(pts) >= 100
-    assert calls == [chart]
+    off_chart = [d for d in diagonals(6) if d not in chart.diagonals]
+    assert sorted(seg for seg, _ in calls) == off_chart
+    assert {tri for _, tri in calls} == {chart}
 
 
 def test_lattice_points_empty_and_point():
