@@ -49,7 +49,7 @@ from .errors import (
 from .laminations import Lamination
 from .laurent import LaurentPolynomial
 from .polygon import Segment, diagonals as polygon_diagonals, fan_triangulation
-from .weighted_graphs import WeightedGraph, pairs
+from .weighted_graphs import WeightedGraph, _fan_cuts, pairs
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -259,12 +259,8 @@ def product_expand(
             raise NonIntegral("product expansion needs integral laminations")
     n = total.n_gon
     leaves = _split_leaves(total.w, _split_table(n), budget)
-    # Leaves sort by fan coordinates, the halved cut masses across {1, k};
-    # each cut has at least four pairs, so its getter returns a tuple.
-    cuts = [
-        itemgetter(*(x for x, (i, j) in enumerate(pairs(n)) if (1 < i <= k) != (1 < j <= k)))
-        for k in range(3, n)
-    ]
+    # Leaves sort by fan coordinates, the halved cut masses across {1, k}.
+    cuts = _fan_cuts(n)
     terms = tuple(
         (Lamination(WeightedGraph(n, v)), leaves[v])
         for v in sorted(leaves, key=lambda v: [sum(cut(v)) for cut in cuts])

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from fractions import Fraction
 
 from . import jsonio
 from .atlas import mutate_seed
@@ -32,6 +33,7 @@ from .polytopes import (
     minkowski_spec,
     vertex,
 )
+from .weighted_graphs import _fan_cuts, _normalize
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -107,10 +109,9 @@ def _cmd_support(args) -> int:
     points = jsonio.points_from_json(jsonio.load_path(args.infile))
     expansion = product_expand(points, budget=args.budget)
     if args.coeffs:
-        doc = jsonio.expansion_to_json(expansion)
+        _emit(jsonio.expansion_text(expansion), args.out)
     else:
-        doc = jsonio.points_to_json(expansion.support())
-    _emit(jsonio.dumps(doc), args.out)
+        _emit(jsonio.points_text(expansion.support()), args.out)
     return EXIT_OK
 
 
@@ -135,8 +136,7 @@ def _cmd_check_stasheff(args) -> int:
 def _cmd_lattice_points(args) -> int:
     spec = jsonio.spec_from_json(jsonio.load_path(args.infile))
     chart = _parse_chart(args.chart, spec.n_gon) if args.chart else None
-    points = lattice_points(spec, chart)
-    _emit(jsonio.dumps(jsonio.points_to_json(points)), args.out)
+    _emit(jsonio.points_text(lattice_points(spec, chart)), args.out)
     return EXIT_OK
 
 
@@ -181,10 +181,15 @@ def _cmd_verify_mthm(args) -> int:
     points = jsonio.points_from_json(jsonio.load_path(args.infile))
     expansion = product_expand(points, budget=args.budget)
     spec = minkowski_spec(points)
-    # compare fan coordinates: the support's read off cut masses, the
-    # lattice's as scanned, so no lattice point becomes a lamination
+    # compare fan coordinates: the support's as halved cut masses across
+    # the fan diagonals, the lattice's as scanned, so no lattice point
+    # becomes a lamination
     fan = fan_triangulation(spec.n_gon)
-    support = {chart_coords(l, fan).vector() for l in expansion.support()}
+    cuts = _fan_cuts(spec.n_gon)
+    support = {
+        tuple(_normalize(Fraction(sum(cut(l.graph.w)), 2)) for cut in cuts)
+        for l in expansion.support()
+    }
     lattice = set(_scan_chart(spec, fan)[1])
     if support == lattice:
         _emit(f"support = lattice points, {len(lattice)} elements\n", args.out)

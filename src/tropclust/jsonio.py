@@ -11,6 +11,13 @@ the bytes of the standard encoder with a two-space indent and sorted keys,
 whose indented mode runs only in pure Python; strings go through the
 encoder's own ASCII escaping.
 
+Point and expansion documents, which the command line writes by the
+thousand laminations, are written straight from the weight tuples by
+``points_text`` and ``expansion_text``, with no dict tree in between: one
+precomputed entry head per vertex pair, the number and a closing bracket
+per nonzero weight.  ``dumps`` over ``points_to_json`` and
+``expansion_to_json`` is the reference they equal byte for byte.
+
 A ``"rat"`` lamination document takes its domain from its weights, as sums
 and multiples do, so one whose weights are all integers reads as integral;
 an ``"int"`` document with a fractional weight is refused.
@@ -28,7 +35,7 @@ from .errors import InputFormatError
 from .laminations import Lamination, TropicalCoords, _lamination
 from .polygon import Segment
 from .polytopes import StasheffSpec
-from .weighted_graphs import WeightedGraph, _is_number, _normalize
+from .weighted_graphs import WeightedGraph, _is_number, _normalize, _tables
 
 FORMAT = 1
 
@@ -312,6 +319,81 @@ def _write_container(x, newline: str, out: list) -> None:
         _write(value, head + encode_basestring_ascii(key) + ": ", inner, out)
         head = sep
     out.append(newline + "}")
+
+
+def points_text(points) -> str:
+    """The bytes of ``dumps(points_to_json(points))``, written straight from
+    the weight tuples."""
+    write = _lamination_writer(2)
+    try:
+        items = [f"\n    {write(lam)}" for lam in points]
+    except ValueError:
+        # An int past the interpreter's digit limit.  The reference route
+        # converts every fraction before it prints any int, so it raises
+        # the error that this document maps to.
+        return dumps(points_to_json(points))
+    return _document_text("points", items)
+
+
+def expansion_text(expansion: Expansion) -> str:
+    """The bytes of ``dumps(expansion_to_json(expansion))``, written
+    straight from the weight tuples."""
+    write = _lamination_writer(3)
+    try:
+        items = [
+            f'\n    {{\n      "coeff": {coeff},\n      "lamination": {write(lam)}\n    }}'
+            for lam, coeff in expansion
+        ]
+    except ValueError:  # as in points_text
+        return dumps(expansion_to_json(expansion))
+    return _document_text("terms", items)
+
+
+def _document_text(key: str, items: list) -> str:
+    """A format-1 document holding one list, each item written with its
+    line start at the list's entry depth."""
+    body = ",".join(items) + "\n  ]" if items else "]"
+    return f'{{\n  "format": {FORMAT},\n  "{key}": [{body}\n}}\n'
+
+
+def _lamination_writer(depth: int):
+    """A function giving the text ``dumps`` writes for a lamination
+    document whose braces stand ``depth`` levels deep.
+
+    Each nonzero weight becomes its pair's entry head, the number and the
+    closing bracket; the heads are built once per N from ``pairs(N)`` and
+    kept by this writer only, which serves one document.
+    """
+    close = "\n" + "  " * depth
+    key = close + "  "
+    entry = key + "  "
+    item = entry + "  "
+    end = entry + "]"
+    heads_by_n = {}
+
+    def write(lam: Lamination) -> str:
+        graph = lam.graph
+        heads = heads_by_n.get(graph.n_gon)
+        if heads is None:
+            heads = heads_by_n[graph.n_gon] = tuple(
+                f"{entry}[{item}{i},{item}{j},{item}" for i, j in _tables(graph.n_gon).pairs
+            )
+        if lam.domain == "int":  # ints, or Fractions that print as ints
+            weights = ",".join([f"{h}{x}{end}" for h, x in zip(heads, graph.w) if x])
+        else:
+            weights = ",".join([h + _number_text(x) + end for h, x in zip(heads, graph.w) if x])
+        weights = f"[{weights}{key}]" if weights else "[]"
+        return (
+            f'{{{key}"domain": {encode_basestring_ascii(lam.domain)},{key}"format": {FORMAT},'
+            f'{key}"n_gon": {graph.n_gon},{key}"weights": {weights}{close}}}'
+        )
+
+    return write
+
+
+def _number_text(x) -> str:
+    x = number_to_json(x)
+    return str(x) if type(x) is int else encode_basestring_ascii(x)
 
 
 def load_path(path: str):

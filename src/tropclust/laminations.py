@@ -99,6 +99,15 @@ class Lamination:
             if mass != 0:
                 raise NotALamination(f"vertex {p} has nonzero total weight")
 
+    @classmethod
+    def _trusted(cls, graph: WeightedGraph) -> "Lamination":
+        """Wrap a graph a closed operation derived from laminations, in the
+        domain its weights fix."""
+        lam = object.__new__(cls)
+        object.__setattr__(lam, "graph", graph)
+        object.__setattr__(lam, "domain", "int" if graph.is_integral() else "rat")
+        return lam
+
     @property
     def n_gon(self) -> int:
         return self.graph.n_gon
@@ -120,8 +129,10 @@ class Lamination:
             return NotImplemented
         if k < 0:
             raise NotALamination("scaling factor must be nonnegative")
+        # a nonnegative multiple of a lamination is one: no crossing or
+        # vertex mass appears, and the domain follows the weights
         k = _normalize(Fraction(k))
-        return _lamination(WeightedGraph(
+        return Lamination._trusted(WeightedGraph._trusted(
             self.n_gon, tuple(_normalize(k * w) if w else 0 for w in self.graph.w)
         ))
 

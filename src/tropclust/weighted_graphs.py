@@ -88,6 +88,17 @@ def _tables(n_gon: int) -> _Tables:
     return _Tables(layout, diags, at_vertex)
 
 
+def _fan_cuts(n_gon: int) -> list:
+    """Getters of the cut masses across the fan diagonals {1, k}, k = 3..N-1,
+    off a weight tuple: the weights of the pairs with one end in [2, k].
+    Each cut has at least four pairs, so each getter returns a tuple."""
+    layout = _tables(n_gon).pairs
+    return [
+        itemgetter(*(x for x, (i, j) in enumerate(layout) if (1 < i <= k) != (1 < j <= k)))
+        for k in range(3, n_gon)
+    ]
+
+
 @dataclass(frozen=True)
 class WeightedGraph:
     """Weights over the segments of an N-gon, one per pair of ``pairs(N)``."""
@@ -111,6 +122,14 @@ class WeightedGraph:
         object.__setattr__(self, "w", w)
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, n_gon: int, w: tuple) -> "WeightedGraph":
+        """Wrap a weight tuple a closed operation derived from valid graphs."""
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "n_gon", n_gon)
+        object.__setattr__(graph, "w", w)
+        return graph
 
     @classmethod
     def zeros(cls, n_gon: int) -> "WeightedGraph":

@@ -10,6 +10,7 @@ from tropclust import cli
 from tropclust.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_MATH, EXIT_OK, main
 from tropclust.jsonio import (
     dumps,
+    expansion_to_json,
     lamination_to_json,
     points_from_json,
     points_to_json,
@@ -408,6 +409,32 @@ def test_output_is_byte_deterministic(files, capsys):
     assert third == fourth
 
 
+@pytest.mark.parametrize("n_gon", range(6, 11))
+def test_document_output_matches_the_reference_route(tmp_path, capsys, n_gon):
+    """``support``, ``support --coeffs`` and ``lattice-points`` (fan and a
+    seeded chart) print what ``dumps`` gives over the library's documents."""
+    rng = random.Random(900 + n_gon)
+    points = [pt(n_gon, [rng.randint(-2, 2) for _ in range(n_gon - 3)]) for _ in range(2)]
+    points_path = tmp_path / "points.json"
+    points_path.write_text(dumps(points_to_json(points)))
+    expansion = product_expand(points)
+    assert run(["support", "--in", str(points_path)], capsys) == (
+        EXIT_OK, dumps(points_to_json(expansion.support()))
+    )
+    assert run(["support", "--in", str(points_path), "--coeffs"], capsys) == (
+        EXIT_OK, dumps(expansion_to_json(expansion))
+    )
+    spec = minkowski_spec(points)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(dumps(spec_to_json(spec)))
+    chart = rng.choice(triangulations(n_gon))
+    chart_text = ",".join(f"{d.i}-{d.j}" for d in chart.sorted_diagonals())
+    for flags, tri in (([], None), (["--chart", chart_text], chart)):
+        assert run(["lattice-points", "--in", str(spec_path)] + flags, capsys) == (
+            EXIT_OK, dumps(points_to_json(lattice_points(spec, tri)))
+        )
+
+
 # Python refuses to convert ints longer than 4300 digits to or from text.
 TOO_LONG = "1" * 5000
 
@@ -431,19 +458,24 @@ NINES = 10**4300 - 1  # the most digits an int can have and still print
 
 
 @pytest.mark.parametrize(
-    "coords, message",
+    "command, coords, message",
     [
         # the sum's 4301-digit integer bound fails in the JSON encoder
-        ([(NINES, NINES)] * 2, "cannot write output: "),
+        (["minkowski"], [(NINES, NINES)] * 2, "cannot write output: "),
         # the sum 3 * NINES / 4 has a 4301-digit numerator
-        ([(Fraction(NINES, 2), 0), (Fraction(NINES, 4), 0)], "cannot write number: "),
+        (["minkowski"], [(Fraction(NINES, 2), 0), (Fraction(NINES, 4), 0)],
+         "cannot write number: "),
+        # the product's one leaf has 4301-digit weights; a product of
+        # fractional points is refused before anything is written
+        (["support"], [(NINES, NINES)] * 2, "cannot write output: "),
+        (["support", "--coeffs"], [(NINES, NINES)] * 2, "cannot write output: "),
     ],
-    ids=["int", "fraction"],
+    ids=["int", "fraction", "support-int", "support-coeffs-int"],
 )
-def test_overlong_output_numbers_are_input_errors(tmp_path, capsys, coords, message):
+def test_overlong_output_numbers_are_input_errors(tmp_path, capsys, command, coords, message):
     path = tmp_path / "points.json"
     path.write_text(dumps(points_to_json([pt(5, c) for c in coords])))
-    assert main(["minkowski", "--in", str(path)]) == EXIT_INPUT
+    assert main(command + ["--in", str(path)]) == EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("input error: " + message)

@@ -7,13 +7,14 @@ from fractions import Fraction
 import pytest
 
 from tropclust.atlas import atlas_seed, mutate_seed, type_a_seed
-from tropclust.basis import product_expand
+from tropclust.basis import Expansion, product_expand
 from tropclust.errors import InputFormatError
 from tropclust.jsonio import (
     FORMAT,
     coords_to_json,
     dumps,
     expansion_from_json,
+    expansion_text,
     expansion_to_json,
     graph_from_json,
     graph_to_json,
@@ -23,6 +24,7 @@ from tropclust.jsonio import (
     number_from_json,
     number_to_json,
     points_from_json,
+    points_text,
     points_to_json,
     seed_from_json,
     seed_to_json,
@@ -190,6 +192,59 @@ def test_dumps_matches_the_standard_encoder_on_edge_cases():
 def test_dumps_rejects_ints_past_the_digit_limit():
     with pytest.raises(InputFormatError, match="^cannot write output: "):
         dumps({"format": FORMAT, "values": [1, [10**5000]]})
+
+
+@pytest.mark.parametrize("n_gon", range(5, 13))
+def test_direct_writers_match_the_reference_route(n_gon):
+    """``points_text`` and ``expansion_text`` give the bytes of ``dumps``
+    over ``points_to_json`` and ``expansion_to_json``: on a seeded
+    product's support, its halves and thirds, no points, the zero
+    lamination, and the product's expansion."""
+    rng = random.Random(700 + n_gon)
+    points = [
+        pt(n_gon, tuple(rng.randint(-2, 2) for _ in range(n_gon - 3)))
+        for _ in range(3 if n_gon < 12 else 2)
+    ]
+    expansion = product_expand(points)
+    support = expansion.support()
+    for ps in (
+        support,
+        [p * Fraction(1, 2) for p in support],
+        [p * Fraction(1, 3) for p in support],
+        [],
+        [Lamination.zero(n_gon)],
+    ):
+        assert points_text(ps) == dumps(points_to_json(ps))
+    assert expansion_text(expansion) == dumps(expansion_to_json(expansion))
+
+
+def test_direct_expansion_writer_with_multiplicities():
+    # (2 u_1)(2 u_3) on the pentagon: coefficients up to 2, and the zero
+    # lamination among the terms
+    expansion = product_expand([pt(5, (-1, 0)) * 2, pt(5, (1, 1)) * 2])
+    assert max(c for _, c in expansion) > 1
+    assert any(lam.is_zero() for lam in expansion.support())
+    assert expansion_text(expansion) == dumps(expansion_to_json(expansion))
+
+
+def test_direct_writers_map_overlong_numbers_as_the_reference():
+    """An int past the digit limit is a write error of the output, a
+    fraction past it a write error of the number; with both in one
+    document the fraction's error wins, as on the reference route."""
+    nines = 10**4300 - 1
+    long_int = pt(5, (nines, nines)) * 2
+    long_fraction = pt(5, (Fraction(nines, 2), 0)) * Fraction(3, 2)
+    for ps, message in (
+        ([long_int], "cannot write output: "),
+        ([long_fraction], "cannot write number: "),
+        ([long_int, long_fraction], "cannot write number: "),
+    ):
+        with pytest.raises(InputFormatError, match="^" + message):
+            dumps(points_to_json(ps))
+        with pytest.raises(InputFormatError, match="^" + message):
+            points_text(ps)
+    with pytest.raises(InputFormatError, match="^cannot write output: "):
+        expansion_text(Expansion(((long_int, 1),)))
 
 
 def test_load_path(tmp_path):
