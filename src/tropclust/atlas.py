@@ -517,7 +517,7 @@ def x_chart_walk(f: LaurentPolynomial) -> Iterator[tuple[tuple, LaurentPolynomia
         yield word, g
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def mutation_words(n: int) -> dict:
     """One mutation word per complete triangulation of the (n+3)-gon.
 

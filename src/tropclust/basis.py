@@ -9,12 +9,12 @@ of the summed weighted graph into the two ways of rerouting it, until only
 laminations remain.  Which crossing is split does not change the result,
 so the split always takes the lexicographically smallest crossing
 quadruple.  The split tree runs on the graphs' own flat weight tuples (the
-``weighted_graphs.pairs`` layout): a table built per call lists every
+``weighted_graphs.pairs`` layout): the per-N record ``_tables`` lists every
 crossing chord pair by index, so a split is four index bumps, and only the
 leaves are turned into validated ``WeightedGraph``s and ``Lamination``s.
 The crossing measure that orders the splits is updated per split from the
-crossing partners of the four chords it touches, not summed again over all
-crossing pairs.
+record's crossing partners of the four chords it touches, not summed again
+over all crossing pairs.
 
 ``Expansion.support`` lists the laminations that appear; ``a2_coefficient``
 is the closed binomial formula for the rank-two case, used as an
@@ -22,11 +22,9 @@ independent check of the splitting process.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import itemgetter
 from typing import Sequence
 
 from .atlas import (
@@ -49,12 +47,12 @@ from .errors import (
 from .laminations import Lamination
 from .laurent import LaurentPolynomial
 from .polygon import Segment, diagonals as polygon_diagonals, fan_triangulation
-from .weighted_graphs import WeightedGraph, _fan_cuts, pairs
+from .weighted_graphs import WeightedGraph, _fan_cuts, _tables
 
 DEFAULT_BUDGET = 1_000_000
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _fan_chart(n_gon: int) -> tuple:
     """What ``basis_laurent`` reads of an N-gon's fan chart, built once per N.
 
@@ -140,32 +138,17 @@ class Expansion:
         return [l for l, _ in self.terms]
 
 
-def _split_table(n_gon: int) -> list:
-    """The crossing table of an N-gon's flat weight layout, built once per call.
-
-    Indices point into ``pairs(N)``.  There is one row per quad
-    p < q < r < s, in lexicographic order: the indices of its crossing chords
-    {p, r} and {q, s}, and the index pairs of the two ways of rerouting
-    them, ({p, s}, {q, r}) and ({p, q}, {r, s}).
-    """
-    at = {pair: k for k, pair in enumerate(pairs(n_gon))}
-    return [
-        (at[p, r], at[q, s], ((at[p, s], at[q, r]), (at[p, q], at[r, s])))
-        for p, q, r, s in itertools.combinations(range(1, n_gon + 1), 4)
-    ]
-
-
-def _measure(v: tuple, rows: list) -> int:
+def _measure(v: tuple, rows: tuple) -> int:
     return sum(v[a] * v[b] for a, b, _ in rows)
 
 
 def crossing_measure(graph: WeightedGraph) -> int:
     """Sum of weight products over crossing diagonal pairs; zero exactly
     when the graph has noncrossing support."""
-    return _measure(graph.w, _split_table(graph.n_gon))
+    return _measure(graph.w, _tables(graph.n_gon).rows)
 
 
-def _split_leaves(v: tuple, rows: list, budget: int) -> dict:
+def _split_leaves(v: tuple, rows: tuple, crossing: tuple, budget: int) -> dict:
     """Leaf counts of the split tree below the flat weight vector ``v``,
     expanding each distinct vector once.
 
@@ -179,18 +162,12 @@ def _split_leaves(v: tuple, rows: list, budget: int) -> dict:
     A split takes one from the crossing chords a and b and adds one to the
     sides c and d; of these four only a and b cross each other, so the
     child's measure is the parent's plus 1 - C(a) - C(b) + C(c) + C(d),
-    where C(x) sums the parent's weights on the chords crossing x.  The
-    crossing partners of each index come from ``rows``, so any row order
-    works.  Vectors carry one extra slot that stays 0; every partner list
-    reads it twice more, so each C is the sum of one ``itemgetter`` tuple,
-    also for an edge (no partners) or a quadrilateral's diagonal (one).
+    where C(x) sums the parent's weights on the chords crossing x.  Each C
+    is the sum of one getter of ``crossing``, the per-N record's
+    (``_tables(N).crossing``), which also reads the extra slot, holding 0,
+    that vectors carry here.  The getters do not depend on the order of
+    ``rows``, so any row order works.
     """
-    zero = len(v)
-    partners = [[] for _ in range(zero + 1)]
-    for a, b, _ in rows:
-        partners[a].append(b)
-        partners[b].append(a)
-    crossing = [itemgetter(*ps, zero, zero) for ps in partners]
     steps = [
         (a, b, crossing[a], crossing[b], [(c, d, crossing[c], crossing[d]) for c, d in sides])
         for a, b, sides in rows
@@ -234,7 +211,8 @@ def product_graph(points: Sequence[Lamination]) -> WeightedGraph:
     n = points[0].n_gon
     if any(p.n_gon != n for p in points):
         raise SizeMismatch("laminations live on different polygons")
-    return WeightedGraph(n, tuple(map(sum, zip(*(p.graph.w for p in points)))))
+    # a sum of valid graphs is one, as in ``WeightedGraph.__add__``
+    return WeightedGraph._trusted(n, tuple(map(sum, zip(*(p.graph.w for p in points)))))
 
 
 def product_expand(
@@ -258,7 +236,8 @@ def product_expand(
         if p.domain != "int":
             raise NonIntegral("product expansion needs integral laminations")
     n = total.n_gon
-    leaves = _split_leaves(total.w, _split_table(n), budget)
+    tables = _tables(n)
+    leaves = _split_leaves(total.w, tables.rows, tables.crossing, budget)
     # Leaves sort by fan coordinates, the halved cut masses across {1, k}.
     cuts = _fan_cuts(n)
     terms = tuple(

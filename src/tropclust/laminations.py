@@ -20,9 +20,10 @@ its exit diagonal and the two pairs of opposite sides of its
 quadrilateral.  A point then becomes a lamination without the forms: its
 values fill the chart diagonals, each step gives one more diagonal by the
 tropical exchange relation v(s) = max(v(a) + v(c), v(b) + v(d)) - v(e)
-(Fock-Goncharov, Publ. IHES 103, 2006), with edges at 0, and a table built
-once per N writes each weight as a signed sum of four diagonal values
-(inclusion-exclusion over cyclically consecutive chords).
+(Fock-Goncharov, Publ. IHES 103, 2006), with edges at 0, and the per-N
+record ``weighted_graphs._tables`` writes each weight as a signed sum of
+four diagonal values (inclusion-exclusion over cyclically consecutive
+chords), one getter per term.
 ``lamination_from_coords`` compiles and reads one point;
 ``polytopes.lattice_points`` compiles once, takes the polytope's
 inequalities from the forms and reads every point it finds.
@@ -33,8 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from operator import add, itemgetter, mul, sub
+from operator import add, mul, sub
 
 from .atlas import _exchange_walk, exponent_sets
 from .errors import (
@@ -44,19 +44,13 @@ from .errors import (
     NotALamination,
     SizeMismatch,
 )
-from .polygon import (
-    Segment,
-    Triangulation,
-    diagonals as polygon_diagonals,
-)
+from .polygon import Segment, Triangulation
 from .weighted_graphs import (
     Number,
     WeightedGraph,
     _is_number,
     _normalize,
     _tables,
-    pairs,
-    wrap_vertex,
 )
 
 DOMAINS = ("int", "rat")
@@ -208,37 +202,6 @@ def chart_coords(lam: Lamination, tri: Triangulation) -> TropicalCoords:
     return TropicalCoords(tri, tuple((d, _half_cut(lam, d)) for d in tri.sorted_diagonals()))
 
 
-def _weight_table(n: int, slot: dict) -> tuple:
-    """Inclusion-exclusion as index quadruples into the diagonal values.
-
-    w(p, q) = v(p, q) + v(p-1, q-1) - v(p, q-1) - v(p-1, q) with vertex
-    wrap-around.  ``slot`` maps each diagonal to its position in
-    ``diagonals(n)``; edges and coinciding vertices read 0 and take the
-    position just past the diagonals, where the values carry one more 0.
-    One quadruple per pair of ``pairs(n)``.
-    """
-    zero = len(slot)
-
-    def at(a, b):
-        a, b = sorted((wrap_vertex(a, n), wrap_vertex(b, n)))
-        return slot.get((a, b), zero)
-
-    return tuple(
-        (at(p, q), at(p - 1, q - 1), at(p, q - 1), at(p - 1, q)) for p, q in pairs(n)
-    )
-
-
-@lru_cache(maxsize=32)
-def _layout(n: int) -> tuple:
-    """What a compile needs from N alone: ``diagonals(n)``, each diagonal's
-    slot in it, and the weight table as four getters, one per column, over
-    the slot values."""
-    diags = tuple(polygon_diagonals(n))
-    slot = {d: k for k, d in enumerate(diags)}
-    columns = zip(*_weight_table(n, slot))
-    return diags, slot, tuple(itemgetter(*col) for col in columns)
-
-
 class _CompiledChart:
     """One chart's diagonal forms and exchange steps, for one call.
 
@@ -250,10 +213,12 @@ class _CompiledChart:
     """
 
     def __init__(self, chart: Triangulation):
-        diags, slot, self._weights = _layout(chart.n_gon)
+        tables = _tables(chart.n_gon)
+        slot, self._weights = tables.slot, tables.weights
         self.chart = chart
-        self.forms, steps = _exchange_walk(diags, chart)
-        zero = len(diags)
+        # the slot table's keys are ``diagonals(n)`` in order
+        self.forms, steps = _exchange_walk(tuple(slot), chart)
+        zero = len(slot)
         self._blank = [0] * (zero + 1)
         self._chart_slots = tuple(slot[d] for d in chart.sorted_diagonals())
         self._steps = tuple(

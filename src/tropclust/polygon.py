@@ -142,7 +142,7 @@ def fan_triangulation(n_gon: int) -> Triangulation:
     return Triangulation(n_gon, frozenset(Segment(1, k) for k in range(3, n_gon)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def triangulations(n_gon: int) -> tuple[Triangulation, ...]:
     """All complete triangulations, lexicographically ordered.
 

@@ -13,10 +13,13 @@ row-major order of ``pairs(N)``.  Modules that address weights by index
 * cut mass: for a segment {k, l}, the total weight of segments separating
   the cyclic interval [k+1, l] from its complement.
 
-Validation and the masses read index tables that depend on N alone, built
-once per N (``_tables``): the pairs, the diagonal indices and the pair
-indices at each vertex.  A graph is then checked with index lookups,
-without building a ``Segment`` per entry.
+Every table that depends on N alone lives in one record built once per N
+(``_tables``): the pairs, the diagonal indices and slots, a getter per
+vertex and per cut, the crossing rows with each chord's crossing partners,
+and the inclusion-exclusion columns that turn diagonal values back into
+weights.  Validation, the masses, the split tree (``basis``) and chart
+reconstruction (``laminations``) read it, so a graph is checked and
+measured with index lookups, without building a ``Segment`` per entry.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Mapping, NamedTuple
 
 from .errors import InvariantViolation, SizeMismatch
@@ -63,40 +66,82 @@ def _index(n_gon: int, i: int, j: int) -> int:
 
 
 class _Tables(NamedTuple):
-    """Index tables of the flat weight layout of one N-gon.
+    """The per-N tables of the flat weight layout of one N-gon.
 
-    ``pairs`` is ``pairs(N)``; ``diagonals`` lists the indices of its
-    diagonals in order; ``at_vertex[p - 1]`` reads the weights of the
-    N - 1 pairs at vertex p off a weight tuple.  Crossing partners are not
-    tabled: there are C(N, 4) crossing pairs, while these tables take
-    O(N^2) room.
+    * ``pairs`` is ``pairs(N)``; ``diagonals`` lists the indices of its
+      diagonals in order.
+    * ``slot`` maps each diagonal, a ``Segment``, to its position among the
+      diagonals; its keys in order are ``polygon.diagonals(N)``.
+    * ``at_vertex[p - 1]`` reads the weights of the N - 1 pairs at vertex p
+      off a weight tuple; ``cuts[x]`` reads those of the pairs crossing the
+      cut across ``pairs[x]`` = (k, l), with one end in [k+1, l].  Each
+      reads at least two weights, so each returns a tuple.
+    * ``rows`` has one row per quad p < q < r < s, in lexicographic order:
+      the indices of its crossing chords {p, r} and {q, s}, and the index
+      pairs of the two ways of rerouting them, ({p, s}, {q, r}) and
+      ({p, q}, {r, s}).
+    * ``crossing[k]`` reads the weights on the chords crossing ``pairs[k]``
+      off a weight tuple with one extra slot holding 0, and that slot twice
+      more, so it returns a tuple also for an edge (no partners) or a
+      quadrilateral's diagonal (one).
+    * ``weights`` holds four getters over diagonal values in slot order
+      with one extra 0 past them; weight k is the first two minus the last
+      two at k (see ``laminations``).
+
+    The rows and the crossing getters take O(N^4) room; ``_tables`` keeps at
+    most 32 records.
     """
 
     pairs: tuple
     diagonals: tuple
+    slot: dict
     at_vertex: tuple
+    cuts: tuple
+    rows: tuple
+    crossing: tuple
+    weights: tuple
 
 
 @lru_cache(maxsize=32)
 def _tables(n_gon: int) -> _Tables:
     layout = tuple(pairs(n_gon))
+    index = {pair: k for k, pair in enumerate(layout)}
     diags = tuple(k for k, (i, j) in enumerate(layout) if 1 < j - i < n_gon - 1)
+    slot = {Segment(*layout[k]): x for x, k in enumerate(diags)}
     at_vertex = tuple(
-        itemgetter(*(k for k, pair in enumerate(layout) if p in pair))
+        itemgetter(*(x for x, pair in enumerate(layout) if p in pair))
         for p in range(1, n_gon + 1)
     )
-    return _Tables(layout, diags, at_vertex)
+    cuts = tuple(
+        itemgetter(*(x for x, (i, j) in enumerate(layout) if (k < i <= l) != (k < j <= l)))
+        for k, l in layout
+    )
+    rows = tuple(
+        (index[p, r], index[q, s], ((index[p, s], index[q, r]), (index[p, q], index[r, s])))
+        for p, q, r, s in itertools.combinations(range(1, n_gon + 1), 4)
+    )
+    zero = len(layout)
+    partners = [[] for _ in layout]
+    for a, b, _ in rows:
+        partners[a].append(b)
+        partners[b].append(a)
+    crossing = tuple(itemgetter(*ps, zero, zero) for ps in partners)
+
+    # w(p, q) = v(p, q) + v(p-1, q-1) - v(p, q-1) - v(p-1, q), labels
+    # wrapped, with edges and coinciding vertices at the slot past the end
+    def at(a, b):
+        a, b = sorted((wrap_vertex(a, n_gon), wrap_vertex(b, n_gon)))
+        return slot.get((a, b), len(slot))
+
+    columns = zip(*((at(p, q), at(p - 1, q - 1), at(p, q - 1), at(p - 1, q)) for p, q in layout))
+    weights = tuple(itemgetter(*col) for col in columns)
+    return _Tables(layout, diags, slot, at_vertex, cuts, rows, crossing, weights)
 
 
-def _fan_cuts(n_gon: int) -> list:
-    """Getters of the cut masses across the fan diagonals {1, k}, k = 3..N-1,
-    off a weight tuple: the weights of the pairs with one end in [2, k].
-    Each cut has at least four pairs, so each getter returns a tuple."""
-    layout = _tables(n_gon).pairs
-    return [
-        itemgetter(*(x for x, (i, j) in enumerate(layout) if (1 < i <= k) != (1 < j <= k)))
-        for k in range(3, n_gon)
-    ]
+def _fan_cuts(n_gon: int) -> tuple:
+    """The cut getters of the fan diagonals {1, k}, k = 3..N-1, which are
+    pairs 1..N-3 of the layout."""
+    return _tables(n_gon).cuts[1:n_gon - 2]
 
 
 @dataclass(frozen=True)
@@ -180,9 +225,7 @@ class WeightedGraph:
         zero when they coincide."""
         n = self.n_gon
         k, l = sorted((wrap_vertex(a, n), wrap_vertex(b, n)))
-        return sum(
-            x for (i, j), x in zip(_tables(n).pairs, self.w) if (k < i <= l) != (k < j <= l)
-        )
+        return sum(_tables(n).cuts[_index(n, k, l)](self.w)) if k != l else 0
 
     # -- algebra -----------------------------------------------------------
 
@@ -192,7 +235,8 @@ class WeightedGraph:
 
     def __add__(self, other: "WeightedGraph") -> "WeightedGraph":
         self._check_size(other)
-        return WeightedGraph(self.n_gon, tuple(a + b for a, b in zip(self.w, other.w)))
+        # a sum of valid graphs keeps its diagonals nonnegative and its entries exact
+        return WeightedGraph._trusted(self.n_gon, tuple(map(add, self.w, other.w)))
 
     def __sub__(self, other: "WeightedGraph") -> "WeightedGraph":
         self._check_size(other)
@@ -208,5 +252,5 @@ def dominates(g1: WeightedGraph, g2: WeightedGraph) -> bool:
     g1._check_size(g2)
     if g1.vertex_masses() != g2.vertex_masses():
         return False
-    n = g1.n_gon
-    return all(g1.cut(i, j) <= g2.cut(i, j) for i, j in pairs(n) if 1 < j - i < n - 1)
+    tables = _tables(g1.n_gon)
+    return all(sum(tables.cuts[k](g1.w)) <= sum(tables.cuts[k](g2.w)) for k in tables.diagonals)

@@ -22,7 +22,6 @@ from tropclust.basis import (
     DEFAULT_BUDGET,
     Expansion,
     _split_leaves,
-    _split_table,
     a2_coefficient,
     basis_laurent,
     crossing_measure,
@@ -40,7 +39,7 @@ from tropclust.errors import (
 from tropclust.laminations import Lamination, TropicalCoords, lamination_from_coords
 from tropclust.laurent import LaurentPolynomial
 from tropclust.polygon import Segment, crosses, fan_triangulation
-from tropclust.weighted_graphs import WeightedGraph
+from tropclust.weighted_graphs import WeightedGraph, _tables
 
 V2 = ("X1", "X2")
 
@@ -175,6 +174,21 @@ def test_product_graph_is_the_left_fold_of_addition(data):
     assert product_graph(points) == folded
 
 
+def test_product_graph_matches_the_validating_constructor():
+    """The summed graph is built unchecked; on seeded int and Fraction
+    factors it prints as the validating constructor's graph, entry types
+    included."""
+    rng = random.Random(16)
+    for n_gon in range(4, 10):
+        for scale in (1, Fraction(1, 2), Fraction(3, 2)):
+            points = [
+                pt(n_gon, [rng.randint(-2, 2) for _ in range(n_gon - 3)]) * rng.choice((1, scale))
+                for _ in range(rng.randint(1, 4))
+            ]
+            sums = tuple(map(sum, zip(*(p.graph.w for p in points))))
+            assert repr(product_graph(points)) == repr(WeightedGraph(n_gon, sums))
+
+
 def test_expansion_validation():
     with pytest.raises(InvariantViolation):
         Expansion(((UNITS[1], 0),))
@@ -232,12 +246,13 @@ def test_incremental_measure_matches_the_from_scratch_split(n_gon):
             for _ in range(3)
         ]
         v = product_graph(points).w
-        for rows in (_split_table(n_gon), _split_table(n_gon)[::-1]):
+        tables = _tables(n_gon)
+        for rows in (tables.rows, tables.rows[::-1]):
             leaves, nodes = _reference_split_leaves(v, rows, DEFAULT_BUDGET)
-            assert _split_leaves(v, rows, nodes) == leaves
+            assert _split_leaves(v, rows, tables.crossing, nodes) == leaves
             for budget in {0, nodes // 2, max(nodes - 1, 0)} - {nodes}:
                 with pytest.raises(BudgetExceeded) as info:
-                    _split_leaves(v, rows, budget)
+                    _split_leaves(v, rows, tables.crossing, budget)
                 assert (info.value.budget, info.value.expanded) == (budget, budget + 1)
                 with pytest.raises(BudgetExceeded) as info:
                     _reference_split_leaves(v, rows, budget)
@@ -248,10 +263,10 @@ def _split_both_ways(points):
     """Leaf counts when the split takes the first crossing row, and when it
     takes the last one (the same table, reversed)."""
     total = product_graph(points)
-    rows = _split_table(total.n_gon)
+    tables = _tables(total.n_gon)
     return (
-        _split_leaves(total.w, rows, DEFAULT_BUDGET),
-        _split_leaves(total.w, rows[::-1], DEFAULT_BUDGET),
+        _split_leaves(total.w, tables.rows, tables.crossing, DEFAULT_BUDGET),
+        _split_leaves(total.w, tables.rows[::-1], tables.crossing, DEFAULT_BUDGET),
     )
 
 

@@ -1,5 +1,6 @@
 """Measured curve systems and their tropical chart coordinates."""
 
+import itertools
 import random
 from fractions import Fraction
 from operator import mul
@@ -19,7 +20,6 @@ from tropclust.laminations import (
     TropicalCoords,
     _CompiledChart,
     _lamination,
-    _weight_table,
     chart_change,
     chart_coords,
     lamination_from_coords,
@@ -33,7 +33,7 @@ from tropclust.polygon import (
     flip,
     triangulations,
 )
-from tropclust.weighted_graphs import WeightedGraph, _normalize
+from tropclust.weighted_graphs import WeightedGraph, _normalize, pairs, wrap_vertex
 
 
 def graph(n, weights):
@@ -130,6 +130,26 @@ def test_rejections_name_the_first_offender(n_gon):
         weights[p, p + 1] = weights.get((p, p + 1), 0) + rng.choice((-2, -1, 1, 2))
         with pytest.raises(NotALamination, match=f"^vertex {p} has nonzero total weight$"):
             Lamination(graph(n_gon, weights))
+
+
+@pytest.mark.parametrize("n_gon", [5, 6, 7, 8])
+def test_sums_check_crossings_but_not_graphs(n_gon):
+    """A sum of unit curves is a lamination exactly when the chords do not
+    cross: the summed graph is built unchecked, the lamination checks
+    still run."""
+    curves = []
+    for d in diagonals(n_gon):
+        try:
+            curves.append((d, curve(n_gon, *d)))
+        except ValueError:  # no lone unit curve on this chord
+            pass
+    for (s, a), (t, b) in itertools.combinations(curves, 2):
+        if crosses(s, t):
+            with pytest.raises(NotALamination, match="^diagonals .* cross$"):
+                a + b
+        else:
+            sums = tuple(map(sum, zip(a.graph.w, b.graph.w)))
+            assert (a + b).graph == WeightedGraph(n_gon, sums)
 
 
 def test_rejects_fractional_weights_in_int_domain():
@@ -371,14 +391,21 @@ def test_compiled_chart_rejects_points_of_the_wrong_length():
 
 def _dense_lamination(compiled, point):
     """The lamination at a point by the dense route: each diagonal's value
-    is the max of its linear forms at the point, and the weights are read
-    through the inclusion-exclusion table."""
+    is the max of its linear forms at the point, and each weight is the
+    inclusion-exclusion w(p, q) = v(p, q) + v(p-1, q-1) - v(p, q-1) - v(p-1, q)
+    over wrapped labels, with v = 0 off the diagonals."""
     n = compiled.chart.n_gon
-    slot = {d: k for k, d in enumerate(diagonals(n))}
-    v = [max(sum(map(mul, f, point)) for f in forms) for forms in compiled.forms]
-    v.append(0)
+    values = {
+        d: max(sum(map(mul, f, point)) for f in forms)
+        for d, forms in zip(diagonals(n), compiled.forms)
+    }
+
+    def v(a, b):
+        a, b = wrap_vertex(a, n), wrap_vertex(b, n)
+        return values.get(Segment(a, b), 0) if a != b else 0
+
     return _lamination(WeightedGraph(n, tuple(
-        _normalize(v[a] + v[b] - v[c] - v[d]) for a, b, c, d in _weight_table(n, slot)
+        _normalize(v(p, q) + v(p - 1, q - 1) - v(p, q - 1) - v(p - 1, q)) for p, q in pairs(n)
     )))
 
 

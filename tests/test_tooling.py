@@ -141,3 +141,32 @@ def test_library_has_no_unused_imports_or_orphaned_private_names():
                 ]
     found += [f"{m}: {n}" for m, n in private if n not in used_anywhere]
     assert sorted(found) == []
+
+
+def _unbounded_caches(tree) -> list:
+    """Lines that use ``functools.cache`` or ``lru_cache(maxsize=None)``."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            lines += [node.lineno for a in node.names if a.name == "cache"]
+        elif isinstance(node, ast.Attribute) and node.attr == "cache":
+            if getattr(node.value, "id", None) == "functools":
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            size = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+            if name == "lru_cache" and any(
+                isinstance(v, ast.Constant) and v.value is None for v in size
+            ):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_library_caches_are_bounded():
+    """Every process cache has a ``maxsize``, so memory stays bounded in a
+    long batch run."""
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{line}" for line in _unbounded_caches(tree)]
+    assert found == []

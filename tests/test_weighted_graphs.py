@@ -1,5 +1,7 @@
 """Weighted graphs on polygon vertices and their mass bookkeeping."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropclust.errors import InvariantViolation, SizeMismatch
-from tropclust.polygon import Segment, all_segments, diagonals
+from tropclust.polygon import Segment, all_segments, crosses, diagonals
 from tropclust.weighted_graphs import (
     WeightedGraph,
+    _tables,
     dominates,
     pairs,
     wrap_vertex,
@@ -144,6 +147,68 @@ def test_cut_mass_symmetry(g):
             g.weight(i, j) for i in outside for j in outside if i < j
         )
         assert complement_inside - 2 * g.cut(seg.i, seg.j) == 2 * outside_mass
+
+
+def _seeded_graph(rng, n, scale):
+    """Diagonals in 0..3 and edges in -3..3, each times ``scale``."""
+    return WeightedGraph(n, tuple(
+        scale * rng.randint(0 if 1 < j - i < n - 1 else -3, 3) for i, j in pairs(n)
+    ))
+
+
+def _walked_cut(g, a, b):
+    """The cut mass across {a, b} by walking the boundary: the weight of
+    the pairs with one end among the vertices passed going clockwise from
+    a to b, a excluded."""
+    n = g.n_gon
+    a, b = wrap_vertex(a, n), wrap_vertex(b, n)
+    passed = set()
+    while a != b:
+        a = wrap_vertex(a + 1, n)
+        passed.add(a)
+    return sum(
+        g.weight(i, j)
+        for i, j in itertools.combinations(range(1, n + 1), 2)
+        if (i in passed) != (j in passed)
+    )
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_cut_matches_a_boundary_walk_for_every_label_pair(n):
+    """Edges, diagonals, wrapped labels and coinciding ends, on seeded int
+    and Fraction graphs."""
+    rng = random.Random(1600 + n)
+    for scale in (1, Fraction(1, 3)):
+        g = _seeded_graph(rng, n, scale)
+        for a in range(-n, 2 * n + 1):
+            for b in range(-n, 2 * n + 1):
+                assert g.cut(a, b) == _walked_cut(g, a, b), (a, b)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_crossing_getters_read_exactly_the_crossing_chords(n):
+    """Each pair's crossing getter reads the chords ``crosses`` reports,
+    each once, and the spare zero slot twice."""
+    tables = _tables(n)
+    zero = len(tables.pairs)
+    slots = tuple(range(zero + 1))
+    for k, pair in enumerate(tables.pairs):
+        read = tables.crossing[k](slots)
+        crossing = [
+            x for x, other in enumerate(tables.pairs) if crosses(Segment(*pair), Segment(*other))
+        ]
+        assert sorted(read) == crossing + [zero, zero]
+
+
+def test_sums_match_the_validating_constructor():
+    """Sums are built unchecked; on seeded int and Fraction graphs they
+    print as the validating constructor's graph, entry types included."""
+    rng = random.Random(16)
+    for n in range(3, 10):
+        for s1, s2 in ((1, 1), (1, Fraction(1, 2)), (Fraction(1, 2), Fraction(3, 2))):
+            g, h = _seeded_graph(rng, n, s1), _seeded_graph(rng, n, s2)
+            sums = tuple(x + y for x, y in zip(g.w, h.w))
+            assert repr(g + h) == repr(WeightedGraph(n, sums))
 
 
 def test_dominates_requires_equal_vertex_masses():
