@@ -10,11 +10,20 @@ laminations remain.  Which crossing is split does not change the result,
 so the split always takes the lexicographically smallest crossing
 quadruple.  The split tree runs on the graphs' own flat weight tuples (the
 ``weighted_graphs.pairs`` layout): the per-N record ``_tables`` lists every
-crossing chord pair by index, so a split is four index bumps, and only the
-leaves are turned into validated ``WeightedGraph``s and ``Lamination``s.
-The crossing measure that orders the splits is updated per split from the
-record's crossing partners of the four chords it touches, not summed again
-over all crossing pairs.
+crossing chord pair by index, so a split is four index bumps.  The crossing
+measure that orders the splits is updated per split from the record's
+crossing partners of the four chords it touches, not summed again over all
+crossing pairs, and each vector's first crossing row is found from its
+parent's, not by a scan from the top.
+
+The leaves are wrapped as ``WeightedGraph``s and ``Lamination``s through
+the ``_trusted`` constructors, and the result as an ``Expansion`` through
+its own, with no check: the factors are checked integral laminations, each
+split moves one unit from {p, r} and {q, s} to {p, s} and {q, r} or to
+{p, q} and {r, s}, which keeps every vertex mass (zero), every weight an
+integer and every diagonal weight nonnegative, and a vector with measure 0
+has no crossing.  The tests check the leaves against the validating
+constructors.
 
 ``Expansion.support`` lists the laminations that appear; ``a2_coefficient``
 is the closed binomial formula for the rank-two case, used as an
@@ -23,8 +32,8 @@ independent check of the splitting process.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .atlas import (
@@ -107,10 +116,15 @@ def basis_laurent(lam: Lamination) -> LaurentPolynomial:
 
 @dataclass(frozen=True)
 class Expansion:
-    """A finite nonnegative integer combination of laminations."""
+    """A finite nonnegative integer combination of laminations.
+
+    The constructor checks every term.  ``product_expand`` builds its
+    result through ``_trusted`` instead: its terms are distinct leaves of
+    its own split tree with positive counts, so nothing is checked again,
+    and the coefficient table is built on the first ``coefficient`` call.
+    """
 
     terms: tuple
-    _coeffs: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         terms = tuple(self.terms)
@@ -119,11 +133,21 @@ class Expansion:
                 raise InvariantViolation("expansion terms must be laminations")
             if not isinstance(coeff, int) or isinstance(coeff, bool) or coeff <= 0:
                 raise InvariantViolation("expansion coefficients must be positive integers")
-        coeffs = {lam.graph: coeff for lam, coeff in terms}
-        if len(coeffs) != len(terms):
-            raise InvariantViolation("expansion terms must be distinct laminations")
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_coeffs", coeffs)
+        if len(self._coeffs) != len(terms):
+            raise InvariantViolation("expansion terms must be distinct laminations")
+
+    @classmethod
+    def _trusted(cls, terms: tuple) -> "Expansion":
+        """Wrap a tuple of distinct (lamination, positive int) terms that a
+        closed operation made itself."""
+        expansion = object.__new__(cls)
+        object.__setattr__(expansion, "terms", terms)
+        return expansion
+
+    @cached_property
+    def _coeffs(self) -> dict:
+        return {lam.graph: coeff for lam, coeff in self.terms}
 
     def __iter__(self):
         return iter(self.terms)
@@ -148,6 +172,29 @@ def crossing_measure(graph: WeightedGraph) -> int:
     return _measure(graph.w, _tables(graph.n_gon).rows)
 
 
+@lru_cache(maxsize=32)
+def _split_steps(rows: tuple, crossing: tuple) -> tuple:
+    """What ``_split_leaves`` reads per row, for one row order: the row's
+    two chords, and its split step, the chords with their crossing getters
+    and per side the two chords, each with its getter (None for a chord
+    that crosses nothing, an edge) and its (row position, partner) list in
+    row order."""
+    through = [[] for _ in range(len(crossing))]
+    for pos, (a, b, _) in enumerate(rows):
+        through[a].append((pos, b))
+        through[b].append((pos, a))
+
+    def chord(x):
+        return x, crossing[x] if through[x] else None, tuple(through[x])
+
+    chords = tuple((a, b) for a, b, _ in rows)
+    steps = tuple(
+        (a, b, crossing[a], crossing[b], tuple((*chord(c), *chord(d)) for c, d in sides))
+        for a, b, sides in rows
+    )
+    return chords, steps
+
+
 def _split_leaves(v: tuple, rows: tuple, crossing: tuple, budget: int) -> dict:
     """Leaf counts of the split tree below the flat weight vector ``v``,
     expanding each distinct vector once.
@@ -165,14 +212,27 @@ def _split_leaves(v: tuple, rows: tuple, crossing: tuple, budget: int) -> dict:
     where C(x) sums the parent's weights on the chords crossing x.  Each C
     is the sum of one getter of ``crossing``, the per-N record's
     (``_tables(N).crossing``), which also reads the extra slot, holding 0,
-    that vectors carry here.  The getters do not depend on the order of
-    ``rows``, so any row order works.
+    that vectors carry here; an edge crosses nothing, so its C is 0 and not
+    summed.  The getters do not depend on the order of ``rows``, so any row
+    order works.
+
+    The first row is found from the parent's, not by a scan from the top.
+    Vectors carry its position in a second extra slot (``len(rows)`` when
+    there is none), a function of the weights, so equal vectors still meet.
+    No row before the parent's row r is loaded in the parent, and a child
+    gains weight only on c and d, which cross neither a nor b nor each
+    other.  So the child's first row is the smaller of two candidates:
+    the first row at or after r still loaded once a and b lose one, shared
+    by both children; and the first row through c or d whose other chord
+    carries weight, read from per-chord (position, partner) lists in row
+    order.  Only a chord that carried no weight before adds a candidate:
+    a row through a loaded chord that comes earlier than the first one
+    was not loaded, and its other chord has not changed.
     """
-    steps = [
-        (a, b, crossing[a], crossing[b], [(c, d, crossing[c], crossing[d]) for c, d in sides])
-        for a, b, sides in rows
-    ]
-    v = v + (0,)
+    chords, steps = _split_steps(rows, crossing)
+    ends = len(rows)
+    first = next((pos for pos, (a, b) in enumerate(chords) if v[a] and v[b]), ends)
+    v = v + (0, first)
     buckets: dict[int, dict[tuple, int]] = {0: {}}
     buckets.setdefault(_measure(v, rows), {})[v] = 1
     expanded = 0
@@ -181,26 +241,60 @@ def _split_leaves(v: tuple, rows: tuple, crossing: tuple, budget: int) -> dict:
             expanded += 1
             if expanded > budget:
                 raise BudgetExceeded(budget, expanded)
-            for a, b, cross_a, cross_b, sides in steps:
-                if node[a] > 0 and node[b] > 0:
-                    break
-            else:
+            row = node[-1]
+            if row == ends:
                 raise InvariantViolation("positive crossing measure without a crossing")
+            a, b, cross_a, cross_b, sides = steps[row]
             drop = measure + 1 - sum(cross_a(node)) - sum(cross_b(node))
             rest = list(node)
             rest[a] -= 1
             rest[b] -= 1
-            for c, d, cross_c, cross_d in sides:
+            if not (rest[a] and rest[b]):
+                for row in range(row + 1, ends):
+                    x, y = chords[row]
+                    if rest[x] and rest[y]:
+                        break
+                else:
+                    row = ends
+            for c, cross_c, via_c, d, cross_d, via_d in sides:
+                child_measure = drop
+                if cross_c:
+                    child_measure += sum(cross_c(node))
+                if cross_d:
+                    child_measure += sum(cross_d(node))
+                if child_measure >= measure:
+                    raise InvariantViolation("crossing measure must drop")
                 child = rest.copy()
                 child[c] += 1
                 child[d] += 1
+                if child_measure:
+                    # partners of c and d are neither a nor b, so ``rest``
+                    # holds their weights in the child
+                    first = row
+                    if not rest[c]:
+                        for pos, x in via_c:
+                            if pos >= first:
+                                break
+                            if rest[x]:
+                                first = pos
+                                break
+                    if not rest[d]:
+                        for pos, x in via_d:
+                            if pos >= first:
+                                break
+                            if rest[x]:
+                                first = pos
+                                break
+                    child[-1] = first
+                else:
+                    child[-1] = ends
                 child = tuple(child)
-                child_measure = drop + sum(cross_c(node)) + sum(cross_d(node))
-                if child_measure >= measure:
-                    raise InvariantViolation("crossing measure must drop")
-                bucket = buckets.setdefault(child_measure, {})
-                bucket[child] = bucket.get(child, 0) + count
-    return {leaf[:-1]: count for leaf, count in buckets[0].items()}
+                bucket = buckets.get(child_measure)
+                if bucket is None:
+                    buckets[child_measure] = {child: count}
+                else:
+                    bucket[child] = bucket.get(child, 0) + count
+    return {leaf[:-2]: count for leaf, count in buckets[0].items()}
 
 
 def product_graph(points: Sequence[Lamination]) -> WeightedGraph:
@@ -240,11 +334,12 @@ def product_expand(
     leaves = _split_leaves(total.w, tables.rows, tables.crossing, budget)
     # Leaves sort by fan coordinates, the halved cut masses across {1, k}.
     cuts = _fan_cuts(n)
-    terms = tuple(
-        (Lamination(WeightedGraph(n, v)), leaves[v])
+    # Each split keeps every vertex mass and drops the crossing measure,
+    # so every leaf is an integral lamination: no leaf is checked again.
+    return Expansion._trusted(tuple(
+        (Lamination._trusted(WeightedGraph._trusted(n, v), "int"), leaves[v])
         for v in sorted(leaves, key=lambda v: [sum(cut(v)) for cut in cuts])
-    )
-    return Expansion(terms)
+    ))
 
 
 def a2_coefficient(d: Sequence[int], i: int, b: int, c: int) -> int:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import jsonio
 from .atlas import mutate_seed
@@ -33,7 +32,7 @@ from .polytopes import (
     minkowski_spec,
     vertex,
 )
-from .weighted_graphs import _fan_cuts, _normalize
+from .weighted_graphs import _fan_cuts
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -183,12 +182,11 @@ def _cmd_verify_mthm(args) -> int:
     spec = minkowski_spec(points)
     # compare fan coordinates: the support's as halved cut masses across
     # the fan diagonals, the lattice's as scanned, so no lattice point
-    # becomes a lamination
+    # becomes a lamination; an integral lamination's cut masses are even
     fan = fan_triangulation(spec.n_gon)
     cuts = _fan_cuts(spec.n_gon)
     support = {
-        tuple(_normalize(Fraction(sum(cut(l.graph.w)), 2)) for cut in cuts)
-        for l in expansion.support()
+        tuple(sum(cut(lam.graph.w)) // 2 for cut in cuts) for lam, _ in expansion
     }
     lattice = set(_scan_chart(spec, fan)[1])
     if support == lattice:

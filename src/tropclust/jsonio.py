@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
 from .atlas import Seed
@@ -356,28 +357,29 @@ def _document_text(key: str, items: list) -> str:
     return f'{{\n  "format": {FORMAT},\n  "{key}": [{body}\n}}\n'
 
 
+@lru_cache(maxsize=32)
+def _entry_heads(n_gon: int, depth: int) -> tuple:
+    """The text ``dumps`` writes before each weight of a lamination whose
+    braces stand ``depth`` levels deep, one head per pair of ``pairs(N)``."""
+    entry = "\n" + "  " * (depth + 2)
+    item = entry + "  "
+    return tuple(f"{entry}[{item}{i},{item}{j},{item}" for i, j in _tables(n_gon).pairs)
+
+
 def _lamination_writer(depth: int):
     """A function giving the text ``dumps`` writes for a lamination
     document whose braces stand ``depth`` levels deep.
 
-    Each nonzero weight becomes its pair's entry head, the number and the
-    closing bracket; the heads are built once per N from ``pairs(N)`` and
-    kept by this writer only, which serves one document.
+    Each nonzero weight becomes its pair's entry head (``_entry_heads``,
+    built once per N and depth), the number and the closing bracket.
     """
     close = "\n" + "  " * depth
     key = close + "  "
-    entry = key + "  "
-    item = entry + "  "
-    end = entry + "]"
-    heads_by_n = {}
+    end = key + "  ]"
 
     def write(lam: Lamination) -> str:
         graph = lam.graph
-        heads = heads_by_n.get(graph.n_gon)
-        if heads is None:
-            heads = heads_by_n[graph.n_gon] = tuple(
-                f"{entry}[{item}{i},{item}{j},{item}" for i, j in _tables(graph.n_gon).pairs
-            )
+        heads = _entry_heads(graph.n_gon, depth)
         if lam.domain == "int":  # ints, or Fractions that print as ints
             weights = ",".join([f"{h}{x}{end}" for h, x in zip(heads, graph.w) if x])
         else:

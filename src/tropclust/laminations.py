@@ -23,7 +23,9 @@ tropical exchange relation v(s) = max(v(a) + v(c), v(b) + v(d)) - v(e)
 (Fock-Goncharov, Publ. IHES 103, 2006), with edges at 0, and the per-N
 record ``weighted_graphs._tables`` writes each weight as a signed sum of
 four diagonal values (inclusion-exclusion over cyclically consecutive
-chords), one getter per term.
+chords), one getter per term.  The weights so made are a lamination at
+every point, so they are wrapped through the ``_trusted`` constructors;
+only the point's length is checked.
 ``lamination_from_coords`` compiles and reads one point;
 ``polytopes.lattice_points`` compiles once, takes the polytope's
 inequalities from the forms and reads every point it finds.
@@ -94,12 +96,14 @@ class Lamination:
                 raise NotALamination(f"vertex {p} has nonzero total weight")
 
     @classmethod
-    def _trusted(cls, graph: WeightedGraph) -> "Lamination":
+    def _trusted(cls, graph: WeightedGraph, domain: str | None = None) -> "Lamination":
         """Wrap a graph a closed operation derived from laminations, in the
-        domain its weights fix."""
+        given domain or else the one its weights fix."""
         lam = object.__new__(cls)
         object.__setattr__(lam, "graph", graph)
-        object.__setattr__(lam, "domain", "int" if graph.is_integral() else "rat")
+        if domain is None:
+            domain = "int" if graph.is_integral() else "rat"
+        object.__setattr__(lam, "domain", domain)
         return lam
 
     @property
@@ -243,7 +247,8 @@ class _CompiledChart:
         w = tuple(map(sub, map(add, plus1(v), plus2(v)), map(add, minus1(v), minus2(v))))
         if Fraction in map(type, point):
             w = tuple(map(_normalize, w))
-        return _lamination(WeightedGraph(self.chart.n_gon, w))
+        # the exchange relation yields a lamination at every point
+        return Lamination._trusted(WeightedGraph._trusted(self.chart.n_gon, w))
 
 
 def lamination_from_coords(coords: TropicalCoords) -> Lamination:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rational_oracle import evaluate_at, x_substitution
+from witness import failed_rounds
 from tropclust.atlas import (
     expand_in_x_chart,
     mutate_seed,
@@ -36,7 +37,12 @@ from tropclust.errors import (
     NonIntegral,
     SizeMismatch,
 )
-from tropclust.laminations import Lamination, TropicalCoords, lamination_from_coords
+from tropclust.laminations import (
+    Lamination,
+    TropicalCoords,
+    chart_coords,
+    lamination_from_coords,
+)
 from tropclust.laurent import LaurentPolynomial
 from tropclust.polygon import Segment, crosses, fan_triangulation
 from tropclust.weighted_graphs import WeightedGraph, _tables
@@ -259,6 +265,99 @@ def test_incremental_measure_matches_the_from_scratch_split(n_gon):
                 assert (info.value.budget, info.value.expanded) == (budget, budget + 1)
 
 
+def _seeded_products(n_gons, seed, count=3):
+    """Seeded products of two or three scaled fan-box laminations."""
+    rng = random.Random(seed)
+    for n_gon in n_gons:
+        box = 2 if n_gon < 9 else 1
+        for _ in range(count):
+            yield [
+                rng.randint(1, 2) * pt(n_gon, [rng.randint(-box, box) for _ in range(n_gon - 3)])
+                for _ in range(rng.randint(2, 3))
+            ]
+
+
+def test_split_leaves_pass_the_validating_constructors():
+    """``product_expand`` builds its leaves unchecked: every leaf of the
+    split tree is an integral lamination by the validating constructors,
+    and the expansion holds exactly those leaves, in the same weights."""
+    for points in _seeded_products(range(5, 11), 800):
+        total = product_graph(points)
+        n_gon, tables = total.n_gon, _tables(total.n_gon)
+        leaves = _split_leaves(total.w, tables.rows, tables.crossing, DEFAULT_BUDGET)
+        for v in leaves:
+            assert Lamination(WeightedGraph(n_gon, v)).domain == "int"
+        expansion = product_expand(points)
+        assert {lam.graph.w: c for lam, c in expansion} == leaves
+        assert all(lam.domain == "int" for lam in expansion.support())
+        assert Expansion(expansion.terms) == expansion
+
+
+def test_budget_message_at_the_boundary():
+    """At one node short of the tree the message names both counts, as the
+    from-scratch reference counts them; the full budget succeeds."""
+    for points in _seeded_products(range(5, 10), 810, count=2):
+        total = product_graph(points)
+        _, nodes = _reference_split_leaves(total.w, _tables(total.n_gon).rows, DEFAULT_BUDGET)
+        if nodes == 0:
+            continue
+        with pytest.raises(BudgetExceeded) as info:
+            product_expand(points, budget=nodes - 1)
+        assert str(info.value) == f"expansion budget exceeded: {nodes} nodes > budget {nodes - 1}"
+        product_expand(points, budget=nodes)
+
+
+def _witness(points, terms=None):
+    total = product_graph(points)
+    if terms is None:
+        terms = [(lam.graph.w, c) for lam, c in product_expand(points, budget=10**8)]
+    return failed_rounds(total.n_gon, total.w, terms)
+
+
+def _fan_sample(n_gon, count, seed):
+    """``count`` laminations from fan coordinates in [-2, 2], drawn in
+    diagonal order from ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    return [pt(n_gon, [rng.randint(-2, 2) for _ in range(n_gon - 3)]) for _ in range(count)]
+
+
+def test_coefficient_witness_holds_on_seeded_products():
+    """Every coefficient of seeded 5- to 11-gon products, of the decagon
+    product sample(10, 4, 10) (2950 terms) and of the 11-gon product that
+    ``verify-mthm`` checks in the command-line tests (6786 terms)."""
+    products = list(_seeded_products(range(5, 12), 820, count=2))
+    products += [_fan_sample(10, 4, 10), _fan_sample(11, 4, 2)]
+    for points in products:
+        assert _witness(points) == []
+    assert len(product_expand(products[-2])) == 2950
+
+
+def test_coefficient_witness_catches_wrong_expansions():
+    """A coefficient raised by one, a dropped term and a term moved to
+    another noncrossing graph each fail every round."""
+    checked = 0
+    for points in _seeded_products(range(5, 10), 830):
+        terms = [(lam.graph.w, c) for lam, c in product_expand(points)]
+        if len(terms) < 2:
+            continue
+        checked += 1
+        k = len(terms) // 2
+        w, c = terms[k]
+        assert _witness(points, terms[:k] + [(w, c + 1)] + terms[k + 1:]) == [0, 1]
+        assert _witness(points, terms[:k] + terms[k + 1:]) == [0, 1]
+        n_gon = points[0].n_gon
+        lam = Lamination(WeightedGraph(n_gon, w))
+        coords = list(chart_coords(lam, fan_triangulation(n_gon)).vector())
+        support = {u for u, _ in terms}
+        while True:
+            coords[0] += 1
+            moved = pt(n_gon, coords).graph.w
+            if moved not in support:
+                break
+        assert _witness(points, terms[:k] + [(moved, c)] + terms[k + 1:]) == [0, 1]
+    assert checked >= 8
+
+
 def _split_both_ways(points):
     """Leaf counts when the split takes the first crossing row, and when it
     takes the last one (the same table, reversed)."""
@@ -336,8 +435,6 @@ def test_support_is_sorted_and_deterministic():
     s2 = product_expand(list(reversed(points))).support()
     assert s1 == s2
     fan = fan_triangulation(5)
-    from tropclust.laminations import chart_coords
-
     vectors = [chart_coords(l, fan).vector() for l in s1]
     assert vectors == sorted(vectors)
     heptagon = product_expand([pt(7, v) for v in HEPTAGON_FACTORS]).support()

@@ -265,3 +265,12 @@ def test_load_path_rejects_floats_and_junk(tmp_path):
         load_path(str(broken))
     with pytest.raises(InputFormatError):
         load_path(str(tmp_path / "missing.json"))
+
+
+def test_direct_writers_on_a_document_of_several_polygons():
+    """Entry heads are kept per polygon size and depth; a document that
+    mixes sizes, with an expansion written between, keeps the bytes."""
+    points = [pt(5, (1, -1)), pt(7, (0, 2, -1, 1)), pt(5, (0, 2)), pt(6, (1, 0, -2))]
+    expansion = product_expand([pt(6, (1, 0, -2)), pt(6, (-1, 2, 0))])
+    assert expansion_text(expansion) == dumps(expansion_to_json(expansion))
+    assert points_text(points) == dumps(points_to_json(points))

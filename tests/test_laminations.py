@@ -437,3 +437,31 @@ def test_exchange_steps_match_the_dense_forms():
             assert repr(lam) == repr(dense)
             values = [max(sum(map(mul, f, point)) for f in forms) for forms in compiled.forms]
             assert [tropical_coordinate(lam, d) for d in diagonals(tri.n_gon)] == values
+
+
+@pytest.mark.parametrize("n_gon", range(5, 11))
+def test_compiled_points_pass_the_validating_constructors(n_gon):
+    """A chart point becomes a lamination unchecked; on the fan and three
+    seeded charts, at integral, all-negative and Fraction points (integral
+    values included), it is what the validating constructors make of its
+    weights, entry types and domain included."""
+    rng = random.Random(1700 + n_gon)
+    tri = fan_triangulation(n_gon)
+    charts = [tri]
+    for _ in range(3):
+        for _ in range(3 * n_gon):
+            tri = flip(tri, rng.choice(tri.sorted_diagonals()))[0]
+        charts.append(tri)
+    dim = n_gon - 3
+    for tri in charts:
+        compiled = _CompiledChart(tri)
+        points = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(3)]
+        points.append(tuple(rng.randint(-3, -1) for _ in range(dim)))
+        points += [tuple(Fraction(rng.randint(-7, 7), rng.choice((1, 2, 3))) for _ in range(dim))
+                   for _ in range(3)]
+        points.append(tuple(Fraction(rng.randint(-3, 3)) for _ in range(dim)))
+        for point in points:
+            lam = compiled.lamination(point)
+            checked = _lamination(WeightedGraph(n_gon, lam.graph.w))
+            assert repr(lam) == repr(checked)
+            assert Lamination(WeightedGraph(n_gon, lam.graph.w), lam.domain) == lam
