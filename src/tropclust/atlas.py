@@ -30,7 +30,11 @@ The chart machinery lives here too:
   The words are closed under prefixes and each parent comes first, so the
   walk reaches every chart from its parent's chart by a single mutation
   instead of replaying the whole word; ``expand_in_x_chart`` is its
-  per-word reference.
+  per-word reference.  What a mutation step reads of the seed (the
+  direction's position, its exchange column and that column's negative
+  parts) depends on the rank alone, so ``_walk_plan`` works it out once
+  per rank, with each word's parent slot; the walk then only runs the one
+  push kernel, ``_push``, on bare term dicts, and builds no seed.
 """
 from __future__ import annotations
 
@@ -216,7 +220,8 @@ class MonomialLattice:
 
     The rows are factored once: when they are independent, some square block
     of pivot columns is invertible, and ``preimage`` reads the unique
-    candidate off that block's exact inverse.
+    candidate off that block's exact inverse, kept as one full-width integer
+    column per unfrozen direction over a common denominator.
     """
 
     def __init__(self, seed: Seed):
@@ -225,14 +230,18 @@ class MonomialLattice:
         rows = [seed.eps[seed.index(l)] for l in self.unfrozen]
         self._rows = tuple(tuple(r) for r in rows)
         self._width = len(seed.labels)
-        self._rank, self._pivots, self._inverse, self._denom = self._factor()
+        # image coordinate j is b . (column j of the rows)
+        self._image_cols = tuple(
+            tuple(row[j] for row in self._rows) for j in range(self._width)
+        )
+        self._preimage_cols, self._denom = self._factor()
 
     def _factor(self):
         """Gauss-Jordan on [rows | identity].
 
-        Returns the rank, the pivot columns, and the inverse of the pivot
-        block as an integer matrix over one common denominator (the last
-        three are None when the rows are dependent).
+        When the rows are independent, returns the inverse of the pivot
+        block as full-width integer columns (zero off the pivot columns) and
+        their common denominator; (None, None) otherwise.
         """
         m = len(self._rows)
         aug = [
@@ -255,13 +264,17 @@ class MonomialLattice:
             pivots.append(col)
             rank += 1
         if rank < m:
-            return rank, None, None, None
+            return None, None
         # The elimination turned the pivot block into the identity, so the
-        # right-hand block is that block's inverse.
+        # right-hand block is that block's inverse: b = a[pivots] . inverse.
         inverse = [row[self._width :] for row in aug]
         denom = math.lcm(*(x.denominator for row in inverse for x in row))
-        scaled = tuple(tuple(int(x * denom) for x in row) for row in inverse)
-        return rank, tuple(pivots), scaled, denom
+        at_pivot = dict(zip(pivots, inverse))
+        cols = tuple(
+            tuple(int(at_pivot[j][i] * denom) if j in at_pivot else 0 for j in range(self._width))
+            for i in range(m)
+        )
+        return cols, denom
 
     def image(self, b: Sequence[int]) -> tuple[int, ...]:
         b = tuple(b)
@@ -269,14 +282,11 @@ class MonomialLattice:
             raise DimensionMismatch(
                 f"need {len(self.unfrozen)} exponents, got {len(b)}"
             )
-        return tuple(
-            sum(bi * row[j] for bi, row in zip(b, self._rows))
-            for j in range(self._width)
-        )
+        return tuple(sum(map(mul, b, col)) for col in self._image_cols)
 
     def preimage(self, a: Sequence[int]):
         """Solve image(b) == a exactly; None when no integer solution exists."""
-        if self._rank < len(self.unfrozen):
+        if self._preimage_cols is None:
             raise RankDeficient(
                 "the monomial map of this seed is not injective; "
                 "preimages are not unique"
@@ -284,11 +294,9 @@ class MonomialLattice:
         a = tuple(a)
         if len(a) != self._width:
             raise DimensionMismatch(f"need {self._width} exponents, got {len(a)}")
-        # The inverse acts on the pivot columns: b = a[pivots] . inverse.
         b = []
-        for i in range(len(self.unfrozen)):
-            num = sum(a[p] * row[i] for p, row in zip(self._pivots, self._inverse))
-            q, r = divmod(num, self._denom)
+        for col in self._preimage_cols:
+            q, r = divmod(sum(map(mul, a, col)), self._denom)
             if r:
                 return None
             b.append(q)
@@ -421,30 +429,47 @@ def _exchange_walk(segments: Sequence[Segment], tri: Triangulation) -> tuple:
 # -- pushing x-chart functions through mutations ----------------------------
 
 
-def _push_through_mutation(
-    f: LaurentPolynomial, seed: Seed, k
-) -> LaurentPolynomial:
-    """Rewrite f (a Laurent polynomial in the old chart) in the mutated chart.
+def _step(seed: Seed, k) -> tuple:
+    """What pushing through the mutation at k reads of the seed: the
+    position ki of k, the k-th column of the exchange matrix without entry
+    ki, and that column's negative parts."""
+    ki = seed.index(k)
+    col = tuple(row[ki] for i, row in enumerate(seed.eps) if i != ki)
+    return ki, col, tuple(max(0, -c) for c in col)
+
+
+def _push(terms: dict, ki: int, col: tuple, drop: tuple) -> dict:
+    """Rewrite the terms of a chart function in the chart mutated at ki.
 
     Each old monomial becomes a new monomial times (1 + X_k)^e, and both the
     new X_k exponent's offset and e depend only on the exponents off k.  So
-    f splits into fibers, the terms that agree off k, and each fiber is a
-    Laurent polynomial in X_k times one power of (1 + X_k).  A positive
+    the terms split into fibers, the terms that agree off k, and each fiber
+    is a Laurent polynomial in X_k times one power of (1 + X_k).  A positive
     power is multiplied out; a negative one is divided out by repeated
-    synthetic division, which fails with NotDivisible exactly when f is not
-    Laurent in the new chart.
+    synthetic division, which fails with NotDivisible exactly when the
+    function is not Laurent in the new chart.  A fiber whose power is 0
+    only moves; a one-term fiber needs no loop either: its positive power
+    is a row of binomials, and no nonzero monomial is divisible by 1 + X_k.
     """
-    ki = seed.index(k)
-    col = [row[ki] for row in seed.eps]
-    del col[ki]
-    drop = [max(0, -c) for c in col]
     fibers: defaultdict[tuple[int, ...], dict[int, int]] = defaultdict(dict)
-    for exps, coeff in f.terms.items():
+    for exps, coeff in terms.items():
         fibers[exps[:ki] + exps[ki + 1 :]][-exps[ki]] = coeff
     out: dict[tuple[int, ...], int] = {}
     for rest, fiber in fibers.items():
         power = sum(map(mul, rest, col))
         offset = sum(map(mul, rest, drop))
+        head, tail = rest[:ki], rest[ki:]
+        if power == 0:
+            for j, c in fiber.items():
+                out[head + (offset + j,) + tail] = c
+            continue
+        if len(fiber) == 1:
+            if power < 0:
+                raise NotDivisible(f"not Laurent after mutating at {ki + 1}")
+            ((j, c),) = fiber.items()
+            for i in range(power + 1):
+                out[head + (offset + j + i,) + tail] = c * math.comb(power, i)
+            continue
         low = min(fiber)
         coeffs = [fiber.get(j, 0) for j in range(low, max(fiber) + 1)]
         for _ in range(power):
@@ -455,13 +480,12 @@ def _push_through_mutation(
                 carry = a - carry
                 quot.append(carry)
             if carry != coeffs[-1]:
-                raise NotDivisible(f"not Laurent after mutating at {k!r}")
+                raise NotDivisible(f"not Laurent after mutating at {ki + 1}")
             coeffs = quot
-        head, tail = rest[:ki], rest[ki:]
         for j, c in enumerate(coeffs, low + offset):
             if c:
                 out[head + (j,) + tail] = c
-    return LaurentPolynomial._trusted(f.vars, out)
+    return out
 
 
 def expand_in_x_chart(
@@ -471,7 +495,9 @@ def expand_in_x_chart(
 
     The input is read in the chart of the given seed (default: the chain
     seed matching the variable count).  Raises NotDivisible when f fails to
-    be Laurent in some intermediate chart.
+    be Laurent in some intermediate chart.  This replays the whole word
+    from the seed, one mutation at a time; it is the per-word reference of
+    ``x_chart_walk``, through the same ``_push``.
     """
     if seed is None:
         seed = type_a_seed(len(f.vars))
@@ -481,11 +507,32 @@ def expand_in_x_chart(
         raise DimensionMismatch(
             f"polynomial variables {f.vars} do not match seed chart {seed.x_names()}"
         )
-    cur = f
+    terms = f.terms
     for k in word:
-        cur = _push_through_mutation(cur, seed, k)
+        terms = _push(terms, *_step(seed, k))
         seed = mutate_seed(seed, k)
-    return cur
+    return LaurentPolynomial._trusted(f.vars, terms) if word else f
+
+
+@lru_cache(maxsize=32)
+def _walk_plan(n: int) -> tuple:
+    """The rank-n x-chart walk with the seeds worked out once.
+
+    One entry per word of ``mutation_words(n)``, in that order:
+    (word, parent slot, ki, col, drop), where the parent slot is the
+    position of ``word[:-1]`` in the plan and (ki, col, drop) is what
+    ``_push`` needs for the parent's seed mutated at ``word[-1]``.  The
+    empty word comes first, with None in the last four fields.
+    """
+    seeds = [type_a_seed(n)]
+    slots = {(): 0}
+    plan = [((), None, None, None, None)]
+    for word in list(mutation_words(n).values())[1:]:
+        parent = slots[word[:-1]]
+        slots[word] = len(plan)
+        plan.append((word, parent, *_step(seeds[parent], word[-1])))
+        seeds.append(mutate_seed(seeds[parent], word[-1]))
+    return tuple(plan)
 
 
 def x_chart_walk(f: LaurentPolynomial) -> Iterator[tuple[tuple, LaurentPolynomial]]:
@@ -493,28 +540,26 @@ def x_chart_walk(f: LaurentPolynomial) -> Iterator[tuple[tuple, LaurentPolynomia
 
     Words come from ``mutation_words(len(f.vars))`` in that dict's order.
     Every word's parent ``word[:-1]`` came before it, so each chart is one
-    mutation away from its parent's polynomial and seed.  The words come
-    breadth-first, so the walk only keeps the charts of the last two word
-    lengths.  Raises what ``expand_in_x_chart`` raises, at the same word.
+    ``_push`` away from its parent's terms, along the rank's ``_walk_plan``.
+    The words come breadth-first, so the walk only keeps the charts of the
+    last two word lengths.  Raises what ``expand_in_x_chart`` raises, at
+    the same word.
     """
-    seed = type_a_seed(len(f.vars))
-    if f.vars != seed.x_names():
+    names = tuple(map(x_variable_name, range(1, len(f.vars) + 1)))
+    if f.vars != names:
         raise DimensionMismatch(
-            f"polynomial variables {f.vars} do not match seed chart {seed.x_names()}"
+            f"polynomial variables {f.vars} do not match seed chart {names}"
         )
-    g = f
-    parents: dict[tuple, tuple[LaurentPolynomial, Seed]] = {}
-    level: dict[tuple, tuple[LaurentPolynomial, Seed]] = {}
-    for word in mutation_words(len(f.vars)).values():
-        if word:
-            if word[:-1] not in parents:
-                # the first word one letter longer: the level is complete
-                parents, level = level, {}
-            parent, parent_seed = parents[word[:-1]]
-            g = _push_through_mutation(parent, parent_seed, word[-1])
-            seed = mutate_seed(parent_seed, word[-1])
-        level[word] = (g, seed)
-        yield word, g
+    plan = _walk_plan(len(f.vars))
+    yield (), f
+    parents: dict[int, dict] = {}
+    level: dict[int, dict] = {0: f.terms}
+    for slot, (word, parent, ki, col, drop) in enumerate(plan[1:], 1):
+        if parent not in parents:
+            # the first word one letter longer: the level is complete
+            parents, level = level, {}
+        terms = level[slot] = _push(parents[parent], ki, col, drop)
+        yield word, LaurentPolynomial._trusted(names, terms)
 
 
 @lru_cache(maxsize=32)
@@ -531,13 +576,16 @@ def mutation_words(n: int) -> dict:
     start = fan_triangulation(n_gon)
     start_labels = tuple(start.sorted_diagonals())
     words: dict[tuple, tuple] = {start.key(): ()}
+    # the diagonal sets found so far: cheaper to test than sorted keys
+    seen = {start.diagonals}
     queue = deque([(start, start_labels, ())])
     while queue:
         tri, labels, word = queue.popleft()
         for k in range(n):
             new_tri, new_diag, _quad = flip(tri, labels[k])
-            if new_tri.key() in words:
+            if new_tri.diagonals in seen:
                 continue
+            seen.add(new_tri.diagonals)
             new_labels = labels[:k] + (new_diag,) + labels[k + 1 :]
             new_word = word + (k + 1,)
             words[new_tri.key()] = new_word

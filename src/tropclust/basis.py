@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import add, itemgetter
 from typing import Sequence
 
 from .atlas import (
@@ -55,7 +56,7 @@ from .errors import (
 )
 from .laminations import Lamination
 from .laurent import LaurentPolynomial
-from .polygon import Segment, diagonals as polygon_diagonals, fan_triangulation
+from .polygon import diagonals as polygon_diagonals, fan_triangulation
 from .weighted_graphs import WeightedGraph, _fan_cuts, _tables
 
 DEFAULT_BUDGET = 1_000_000
@@ -94,24 +95,26 @@ def basis_laurent(lam: Lamination) -> LaurentPolynomial:
     chart_exps = [0] * len(names)
     product = None
     for i, j, w in lam.graph.sparse_items():
-        s = Segment(i, j)
+        # a Segment is its (i, j) tuple, so the pair looks it up directly
+        s = (i, j)
         if s in index:
             chart_exps[index[s]] += w
             continue
         factor = expansions[s] ** w
         product = factor if product is None else product * factor
-    mono = LaurentPolynomial.monomial(names, tuple(chart_exps))
-    product = mono if product is None else product * mono
+    # the chart segments' monomial shifts every exponent vector
+    terms = {(0,) * len(names): 1} if product is None else product.terms
     out: dict[tuple[int, ...], int] = {}
-    for exps, coeff in product.terms.items():
-        b = lattice.preimage(exps)
+    for exps, coeff in terms.items():
+        b = lattice.preimage(map(add, exps, chart_exps))
         if b is None:
             raise NotInImageLattice(
                 "a product monomial misses the exponent lattice; the input "
                 "graph cannot be a lamination"
             )
         out[b] = out.get(b, 0) + coeff
-    return LaurentPolynomial(out_names, out)
+    # preimages are integer tuples and the coefficients positive products
+    return LaurentPolynomial._trusted(out_names, out)
 
 
 @dataclass(frozen=True)
@@ -309,6 +312,25 @@ def product_graph(points: Sequence[Lamination]) -> WeightedGraph:
     return WeightedGraph._trusted(n, tuple(map(sum, zip(*(p.graph.w for p in points)))))
 
 
+def _sorted_leaves(points: Sequence[Lamination], budget: int) -> list:
+    """The split tree's leaves of a product, as (key, weights, count)
+    triples sorted by key: the cut masses across the fan diagonals {1, k},
+    which are twice the leaf's fan coordinates."""
+    total = product_graph(points)
+    if not total.is_integral():
+        raise NonIntegral("product expansion needs integral laminations")
+    for p in points:
+        if p.domain != "int":
+            raise NonIntegral("product expansion needs integral laminations")
+    tables = _tables(total.n_gon)
+    leaves = _split_leaves(total.w, tables.rows, tables.crossing, budget)
+    cuts = _fan_cuts(total.n_gon)
+    return sorted(
+        ((tuple(sum(cut(v)) for cut in cuts), v, count) for v, count in leaves.items()),
+        key=itemgetter(0),
+    )
+
+
 def product_expand(
     points: Sequence[Lamination],
     budget: int = DEFAULT_BUDGET,
@@ -317,28 +339,19 @@ def product_expand(
 
     Splits one crossing at a time, each split replacing the two crossing
     chords by a pair of opposite sides of their quadrilateral, in both ways;
-    the leaves of this splitting are laminations counted with multiplicity.
-    The result does not depend on which crossing is chosen; this one
-    splits the lexicographically smallest crossing quadruple.  ``budget``
-    caps the number of distinct graphs split in this call; the count does
-    not depend on earlier calls.
+    the leaves of this splitting are laminations counted with multiplicity,
+    listed by fan coordinates.  The result does not depend on which
+    crossing is chosen; this one splits the lexicographically smallest
+    crossing quadruple.  ``budget`` caps the number of distinct graphs split
+    in this call; the count does not depend on earlier calls.
     """
-    total = product_graph(points)
-    if not total.is_integral():
-        raise NonIntegral("product expansion needs integral laminations")
-    for p in points:
-        if p.domain != "int":
-            raise NonIntegral("product expansion needs integral laminations")
-    n = total.n_gon
-    tables = _tables(n)
-    leaves = _split_leaves(total.w, tables.rows, tables.crossing, budget)
-    # Leaves sort by fan coordinates, the halved cut masses across {1, k}.
-    cuts = _fan_cuts(n)
+    leaves = _sorted_leaves(points, budget)
+    n = points[0].n_gon
     # Each split keeps every vertex mass and drops the crossing measure,
     # so every leaf is an integral lamination: no leaf is checked again.
     return Expansion._trusted(tuple(
-        (Lamination._trusted(WeightedGraph._trusted(n, v), "int"), leaves[v])
-        for v in sorted(leaves, key=lambda v: [sum(cut(v)) for cut in cuts])
+        (Lamination._trusted(WeightedGraph._trusted(n, v), "int"), count)
+        for _, v, count in leaves
     ))
 
 

@@ -18,7 +18,7 @@ import sys
 
 from . import jsonio
 from .atlas import mutate_seed
-from .basis import DEFAULT_BUDGET, product_expand
+from .basis import DEFAULT_BUDGET, _sorted_leaves, product_expand
 from .errors import BudgetExceeded, InputFormatError, TropclustError
 from .laminations import chart_coords, tropical_coordinate
 from .polygon import Segment, Triangulation, diagonals as polygon_diagonals
@@ -32,7 +32,6 @@ from .polytopes import (
     minkowski_spec,
     vertex,
 )
-from .weighted_graphs import _fan_cuts
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -178,16 +177,13 @@ def _cmd_export_chart(args) -> int:
 
 def _cmd_verify_mthm(args) -> int:
     points = jsonio.points_from_json(jsonio.load_path(args.infile))
-    expansion = product_expand(points, budget=args.budget)
+    leaves = _sorted_leaves(points, args.budget)
     spec = minkowski_spec(points)
-    # compare fan coordinates: the support's as halved cut masses across
-    # the fan diagonals, the lattice's as scanned, so no lattice point
+    # compare fan coordinates: the support's as the halved cut masses that
+    # sort the leaves, the lattice's as scanned, so no lattice point
     # becomes a lamination; an integral lamination's cut masses are even
     fan = fan_triangulation(spec.n_gon)
-    cuts = _fan_cuts(spec.n_gon)
-    support = {
-        tuple(sum(cut(lam.graph.w)) // 2 for cut in cuts) for lam, _ in expansion
-    }
+    support = {tuple(x // 2 for x in key) for key, _, _ in leaves}
     lattice = set(_scan_chart(spec, fan)[1])
     if support == lattice:
         _emit(f"support = lattice points, {len(lattice)} elements\n", args.out)

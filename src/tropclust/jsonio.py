@@ -121,7 +121,8 @@ def graph_from_json(doc) -> WeightedGraph:
         _require(isinstance(item, list) and len(item) == 3,
                  "graph: weight entries must be [i, j, w] triples")
         seg = _segment_from_json(item[:2], "graph")
-        _require(seg not in weights, f"graph: duplicate weight entry for {seg}")
+        if seg in weights:
+            raise InputFormatError(f"graph: duplicate weight entry for {seg}")
         weights[seg] = number_from_json(item[2])
     return WeightedGraph.from_weights(n_gon, weights)
 

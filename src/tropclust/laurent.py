@@ -10,6 +10,7 @@ run on exponent sets (``atlas.exponent_sets``).
 """
 from __future__ import annotations
 
+from operator import add
 from typing import Mapping, Sequence
 
 from .errors import DimensionMismatch, InvariantViolation
@@ -55,7 +56,9 @@ class LaurentPolynomial:
     @classmethod
     def _trusted(cls, vars_t: tuple[str, ...], terms: dict) -> "LaurentPolynomial":
         """Wrap terms a closed operation built itself: nonzero int
-        coefficients on exponent tuples of the right length."""
+        coefficients on exponent tuples of the right length.  Sums and
+        products of two polynomials build theirs like that, dropping the
+        coefficients that cancel to zero."""
         poly = object.__new__(cls)
         object.__setattr__(poly, "vars", vars_t)
         object.__setattr__(poly, "terms", terms)
@@ -116,7 +119,7 @@ class LaurentPolynomial:
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) + c
-        return LaurentPolynomial(self.vars, out)
+        return LaurentPolynomial._trusted(self.vars, {e: c for e, c in out.items() if c})
 
     __radd__ = __add__
 
@@ -142,23 +145,24 @@ class LaurentPolynomial:
         out: dict[tuple[int, ...], int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPolynomial(self.vars, out)
+        return LaurentPolynomial._trusted(self.vars, {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {k!r}")
-        result = LaurentPolynomial.one(self.vars)
+        result = None
         base = self
         while k:
             if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if k:
+                base = base * base
+        return LaurentPolynomial.one(self.vars) if result is None else result
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPolynomial):

@@ -106,6 +106,14 @@ class Triangulation:
             )
 
     @classmethod
+    def _trusted(cls, n_gon: int, diagonals: frozenset) -> "Triangulation":
+        """Wrap the diagonals of a closed operation on a valid triangulation."""
+        tri = object.__new__(cls)
+        object.__setattr__(tri, "n_gon", n_gon)
+        object.__setattr__(tri, "diagonals", diagonals)
+        return tri
+
+    @classmethod
     def of(cls, n_gon: int, pairs) -> "Triangulation":
         return cls(n_gon, frozenset(Segment(i, j) for i, j in pairs))
 
@@ -180,20 +188,33 @@ def flip(tri: Triangulation, diag: Segment):
     Returns (new_triangulation, new_diagonal, quad) where quad lists the
     four quadrilateral vertices in increasing order; the removed and
     inserted diagonals are its two crossing diagonals, {quad[0], quad[2]}
-    and {quad[1], quad[3]}, in one order or the other.
+    and {quad[1], quad[3]}, in one order or the other.  A flip of a valid
+    triangulation is one, so the result is not checked again.
     """
     if diag not in tri.diagonals:
         raise NotADiagonal(f"{diag} is not a diagonal of this triangulation")
-    apexes = [
-        next(v for v in t if v not in diag)
-        for t in tri.triangles()
-        if diag.i in t and diag.j in t
-    ]
+    # the apexes of the two triangles on diag are the common neighbours of
+    # its endpoints along edges and member diagonals: every 3-cycle of a
+    # triangulated convex polygon is a face
+    n = tri.n_gon
+    i, j = diag
+    near_i = {i % n + 1, (i - 2) % n + 1}
+    near_j = {j % n + 1, (j - 2) % n + 1}
+    for a, b in tri.diagonals:
+        if a == i:
+            near_i.add(b)
+        elif b == i:
+            near_i.add(a)
+        if a == j:
+            near_j.add(b)
+        elif b == j:
+            near_j.add(a)
+    apexes = near_i & near_j
     if len(apexes) != 2:
         raise InvariantViolation("diagonal does not bound exactly two triangles")
     new_diag = Segment(*apexes)
-    quad = tuple(sorted((diag.i, diag.j, *apexes)))
-    if {diag, new_diag} != {Segment(quad[0], quad[2]), Segment(quad[1], quad[3])}:
+    quad = tuple(sorted((i, j, *apexes)))
+    if {diag, new_diag} != {(quad[0], quad[2]), (quad[1], quad[3])}:
         raise InvariantViolation("a flip must swap the two diagonals of a quadrilateral")
-    new_tri = Triangulation(tri.n_gon, (tri.diagonals - {diag}) | {new_diag})
+    new_tri = Triangulation._trusted(n, (tri.diagonals - {diag}) | {new_diag})
     return new_tri, new_diag, quad

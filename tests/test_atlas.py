@@ -11,6 +11,9 @@ from rational_oracle import RationalFunction, evaluate_at, x_substitution
 from tropclust.atlas import (
     MonomialLattice,
     Seed,
+    _push,
+    _step,
+    _walk_plan,
     a_variable_name,
     atlas_seed,
     chart_segments,
@@ -359,6 +362,58 @@ def test_x_chart_walk_raises_where_the_replay_raises():
     assert walked == words[: len(walked)] == [(), (1,)]
     with pytest.raises(NotDivisible):
         expand_in_x_chart(f, words[len(walked)])
+
+
+# terms in the chain seed of rank 3, pushed through the mutation at 2;
+# the power of (1 + X2) for a fiber X1^a X3^c is c - a
+PUSH_CASES = {
+    "one term, positive power": {(0, 1, 2): 3},
+    "one term, zero power": {(1, -2, 1): -2},
+    "one term, negative power": {(2, 1, 0): 1},
+    "fibers, positive power": {(0, 1, 1): 1, (0, -1, 1): 2},
+    "fibers, zero power": {(0, 0, 0): 1, (0, 3, 0): -1},
+    "fibers, divisible": {(1, 0, 0): 1, (1, 1, 0): 1, (0, 0, 2): 1},
+    "fibers, twice divisible": {(1, 0, -1): 1, (1, 1, -1): 2, (1, 2, -1): 1},
+    "fibers, not divisible": {(1, 0, 0): 1, (1, 2, 0): 1},
+}
+
+
+@pytest.mark.parametrize("terms", PUSH_CASES.values(), ids=PUSH_CASES.keys())
+def test_push_matches_rational_substitution(terms):
+    """The push kernel on one-term fibers at each sign of power and on
+    several-term fibers: the oracle's polynomial with no zero coefficient,
+    or NotDivisible from both."""
+    seed = type_a_seed(3)
+    f = LaurentPolynomial(seed.x_names(), terms)
+    back = x_substitution(mutate_seed(seed, 2), 2)
+    substituted = evaluate_at(f, [back[label] for label in seed.labels])
+    try:
+        expected = substituted.as_laurent()
+    except NotDivisible:
+        with pytest.raises(NotDivisible):
+            _push(f.terms, *_step(seed, 2))
+    else:
+        pushed = _push(f.terms, *_step(seed, 2))
+        assert 0 not in pushed.values()
+        assert LaurentPolynomial(f.vars, pushed) == expected
+
+
+def test_walk_plan_matches_replaying_its_words():
+    """Each plan entry holds its word's parent slot and what a push reads
+    of the parent's seed, replayed from the chain seed with mutate_seed."""
+    for n in range(2, 7):
+        plan = _walk_plan(n)
+        assert [entry[0] for entry in plan] == list(mutation_words(n).values())
+        assert plan[0] == ((), None, None, None, None)
+        for word, parent, ki, col, drop in plan[1:]:
+            assert plan[parent][0] == word[:-1]
+            seed = type_a_seed(n)
+            for k in word[:-1]:
+                seed = mutate_seed(seed, k)
+            column = [row[seed.labels.index(word[-1])] for row in seed.eps]
+            assert ki == seed.labels.index(word[-1])
+            assert col == tuple(column[:ki] + column[ki + 1 :])
+            assert drop == tuple(max(0, -c) for c in col)
 
 
 @st.composite

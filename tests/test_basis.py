@@ -606,7 +606,8 @@ def _seeded_basis_functions(n_gon, count, seed):
 def test_x_chart_walk_matches_per_word_replay():
     """Reaching each chart from its parent's chart gives what replaying the
     whole word from the chain seed gives, in mutation_words order."""
-    for f in _seeded_basis_functions(6, 10, 6) + _seeded_basis_functions(7, 3, 7):
+    functions = _seeded_basis_functions(6, 10, 6) + _seeded_basis_functions(7, 3, 7)
+    for f in functions + _seeded_basis_functions(8, 2, 8):
         walked = list(x_chart_walk(f))
         assert [w for w, _ in walked] == list(mutation_words(len(f.vars)).values())
         for word, g in walked:

@@ -88,6 +88,14 @@ def test_graph_rejects_duplicates_and_junk():
         graph_from_json([1, 2, 3])
 
 
+def test_graph_duplicate_entry_message():
+    """The message names the repeated segment, in either vertex order."""
+    doc = {"format": FORMAT, "n_gon": 6, "weights": [[2, 5, 1], [1, 3, 1], [5, 2, 2]]}
+    with pytest.raises(InputFormatError) as info:
+        graph_from_json(doc)
+    assert str(info.value) == "graph: duplicate weight entry for Segment(i=2, j=5)"
+
+
 def test_lamination_roundtrip():
     lam = pt(6, (1, -2, 0))
     doc = lamination_to_json(lam)

@@ -48,6 +48,26 @@ def test_zero_coefficients_are_dropped():
     assert len(poly({(1, 0): 1, (0, 1): -1}).terms) == 2
 
 
+def test_products_and_sums_drop_cancelled_terms():
+    """Sums and products skip the validating constructor; where terms
+    cancel they still equal its result, keep no zero coefficient, and hash
+    alike."""
+    x = LaurentPolynomial.variable(V, "X1")
+    cases = [
+        ((x - 1) * (x + 1), {(2, 0): 1, (0, 0): -1}),
+        ((x - 1) * LaurentPolynomial.zero(V), {}),
+        ((x + 1) + (-x), {(0, 0): 1}),
+        ((x - 1) + (1 - x), {}),
+    ]
+    for got, terms in cases:
+        checked = poly(terms)
+        assert got == checked and hash(got) == hash(checked)
+        assert got.terms == terms
+        assert 0 not in got.terms.values()
+    assert ((x - 1) * (x + 1)).is_zero() is False
+    assert ((x - 1) * LaurentPolynomial.zero(V)).is_zero()
+
+
 def test_rejects_bad_input():
     with pytest.raises(InvariantViolation):
         LaurentPolynomial(("X1", "X1"), {})

@@ -139,6 +139,24 @@ def test_flip_quad_lists_the_two_crossing_chords():
                 assert len(t2.diagonals) == n - 3
 
 
+def test_flip_matches_the_validating_constructor():
+    """A flip builds its result unchecked.  On every chart of the 4- to
+    9-gon, the validating constructor accepts the same diagonals and gives
+    an equal triangulation, and the new diagonal joins the apexes of the two
+    triangles on the old one."""
+    for n in range(4, 10):
+        for t in triangulations(n):
+            triangles = t.triangles()
+            for d in t.sorted_diagonals():
+                t2, added, _ = flip(t, d)
+                checked = Triangulation(n, (t.diagonals - {d}) | {added})
+                assert t2 == checked and hash(t2) == hash(checked)
+                assert type(t2.diagonals) is frozenset
+                assert t2.triangles() == checked.triangles()
+                apexes = {v for tri in triangles if set(d) <= set(tri) for v in tri} - set(d)
+                assert added == Segment(*apexes)
+
+
 def test_flip_is_involutive_everywhere():
     for t in triangulations(6):
         for d in t.sorted_diagonals():
