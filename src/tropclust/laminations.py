@@ -13,7 +13,8 @@ coordinate of any other diagonal is the maximum, over the exponent vectors
 of its positive expansion in the chart (``atlas.exponent_sets``), of their
 linear forms evaluated at the chart values.
 
-A chart is compiled once per call.  One exchange walk, the one behind
+A chart is compiled once per process (``_compiled`` keeps at most 32
+charts, keyed by the triangulation).  One exchange walk, the one behind
 ``atlas.exponent_sets``, gives every diagonal's linear forms and, in the
 order it resolved them, the exchange step of each diagonal off the chart:
 its exit diagonal and the two pairs of opposite sides of its
@@ -26,9 +27,9 @@ four diagonal values (inclusion-exclusion over cyclically consecutive
 chords), one getter per term.  The weights so made are a lamination at
 every point, so they are wrapped through the ``_trusted`` constructors;
 only the point's length is checked.
-``lamination_from_coords`` compiles and reads one point;
-``polytopes.lattice_points`` compiles once, takes the polytope's
-inequalities from the forms and reads every point it finds.
+``lamination_from_coords`` reads one point of the compiled chart;
+``polytopes.lattice_points`` takes the polytope's inequalities from the
+forms and reads every point it finds.
 ``chart_change`` compiles only the new chart's diagonals in the old chart
 and evaluates their forms.
 """
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import add, mul, sub
 
 from .atlas import _exchange_walk, exponent_sets
@@ -207,7 +209,7 @@ def chart_coords(lam: Lamination, tri: Triangulation) -> TropicalCoords:
 
 
 class _CompiledChart:
-    """One chart's diagonal forms and exchange steps, for one call.
+    """One chart's diagonal forms and exchange steps (read-only once built).
 
     ``forms[k]`` holds the exponent vectors of the expansion of
     ``diagonals(n)[k]`` in the chart, read as linear forms; the polytope's
@@ -251,9 +253,15 @@ class _CompiledChart:
         return Lamination._trusted(WeightedGraph._trusted(self.chart.n_gon, w))
 
 
+@lru_cache(maxsize=32)
+def _compiled(chart: Triangulation) -> _CompiledChart:
+    """The chart compiled once per process; at most 32 charts are kept."""
+    return _CompiledChart(chart)
+
+
 def lamination_from_coords(coords: TropicalCoords) -> Lamination:
     """The unique lamination with the given chart coordinates."""
-    return _CompiledChart(coords.chart).lamination(coords.vector())
+    return _compiled(coords.chart).lamination(coords.vector())
 
 
 def chart_change(coords: TropicalCoords, tri2: Triangulation) -> TropicalCoords:

@@ -12,20 +12,27 @@ reading c as zero on boundary edges.  Vertices then sit at the coordinate
 vectors c restricted to complete triangulations, and faces are indexed by
 partial triangulations.
 
-Lattice enumeration works per chart, compiled once per call
-(``laminations._CompiledChart``): a diagonal's coordinate is the max of the
-linear forms that the exponent vectors of its chart expansion
+Lattice enumeration works per chart, compiled once per process for up to
+32 charts (``laminations._compiled``): a diagonal's coordinate is the max
+of the linear forms that the exponent vectors of its chart expansion
 (``atlas.exponent_sets``) give in the chart coordinates, so each bound
-splits into plain half-spaces with integer rows.  An exact integer simplex
-under Bland's rule, run on the dual of each coordinate's maximisation,
-gives the box of coordinate ranges to scan; the same simplex decides
-emptiness through Farkas' lemma.  The scan fixes the coordinates in order
-and checks each row as soon as its last nonzero coordinate is reached: with
-the prefix fixed, the row bounds that coordinate to one side, so every
-depth loops over the box range cut to an exact interval, and the last depth
-takes its whole interval without a per-point test.  The scan yields sorted
-integer coordinate vectors, and the compiled chart turns each one into a
-lamination through the tropical exchange relation.
+splits into plain half-spaces with integer rows.  The box of coordinate
+ranges to scan comes from the duals of the 2(N - 3) coordinate
+maximisations, which differ only in their right-hand sides.  So a chart
+gets one exact integer tableau, with B^-1 carried beside it: the first
+objective is solved by phase one and phase two under Bland's rule, and
+every other one is a dual simplex re-solve from the previous optimal
+basis.  A finite first optimum proves the polytope nonempty; only when the
+first dual is infeasible does a Farkas LP decide between empty and
+unbounded.
+
+The scan fixes the coordinates in order and checks each row as soon as its
+last nonzero coordinate is reached: with the prefix fixed, the row bounds
+that coordinate to one side, so every depth loops over the box range cut to
+an exact interval, and the last depth takes its whole interval without a
+per-point test.  The scan yields sorted integer coordinate vectors, and the
+compiled chart turns each one into a lamination through the tropical
+exchange relation.
 """
 from __future__ import annotations
 
@@ -37,6 +44,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (
+    DimensionMismatch,
     EmptyInput,
     InvariantViolation,
     NotADiagonal,
@@ -48,6 +56,7 @@ from .laminations import (
     Lamination,
     TropicalCoords,
     _CompiledChart,
+    _compiled,
     _diagonal_values,
     lamination_from_coords,
     tropical_coordinate,
@@ -59,7 +68,7 @@ from .polygon import (
     diagonals as polygon_diagonals,
     fan_triangulation,
 )
-from .weighted_graphs import Number
+from .weighted_graphs import Number, _normalize, _tables
 
 
 @dataclass(frozen=True)
@@ -163,9 +172,12 @@ def minkowski_spec(points: Sequence[Lamination]) -> StasheffSpec:
     for p in points[1:]:
         if p.n_gon != n:
             raise SizeMismatch("points live on different polygons")
+    tables = _tables(n)
+    weights = [p.graph.w for p in points]
+    # each bound is half the summed cut masses of the points, halved once
     c = {
-        d: sum(tropical_coordinate(p, d) for p in points)
-        for d in polygon_diagonals(n)
+        d: _normalize(Fraction(sum(sum(tables.cuts[k](w)) for w in weights), 2))
+        for d, k in zip(tables.slot, tables.diagonals)
     }
     return StasheffSpec.of(n, c)
 
@@ -188,31 +200,51 @@ def minkowski_sum(spec1: StasheffSpec, spec2: StasheffSpec) -> StasheffSpec:
 # tightest rhs) whose right-hand sides share one denominator D, so that the
 # system reads coeffs . a <= rhs / D with every number an int.
 #
-# Bounds and feasibility come from linear programming duality, solved by
-# one integer simplex: max c.a over coeffs . a <= rhs equals min rhs . y
-# over y >= 0 with sum y_i coeffs_i = c, and the system is empty exactly
-# when some y >= 0 with sum y_i coeffs_i = 0 has rhs . y < 0 (Farkas).
+# The box comes from linear programming duality: max c.a over
+# coeffs . a <= rhs equals min rhs . y over y >= 0 with sum y_i coeffs_i = c.
+# The 2 nvars objectives c = -e_k, e_k share the dual's columns and costs
+# and differ only in its right-hand side, so a chart gets one integer
+# tableau of the dual rows with an identity block beside them.  Row
+# operations keep that block equal to the matrix that took the first rows
+# to the current ones, so each row holds its row of B^-1 at the row's own
+# positive scale.  The first objective runs phase one and phase two under
+# Bland's rule.  Every other one sets each row's rhs to +-(the row's entry
+# in block column k): the reduced costs do not depend on the rhs, so the
+# old basis stays dual feasible, and dual simplex pivots restore rhs >= 0.
+# A finite first optimum proves the system nonempty and an unbounded one
+# proves it empty.  Only an infeasible first dual needs the Farkas LP: the
+# system is empty exactly when some y >= 0 with sum y_i coeffs_i = 0 has
+# rhs . y < 0.  When the rows do not span (A^T rank-deficient), phase one
+# drops redundant dual rows; each keeps its block row, whose entry k must
+# vanish for objective +-e_k to have a dual at all, and a nonempty system
+# whose dual has none is unbounded in that coordinate.  Ratio tests compare
+# by cross-multiplication, so the only Fractions are the bounds themselves.
 
 
 def _integer_system(ineqs: Iterable[tuple]) -> tuple[list[tuple], int] | None:
     """Deduplicated integer rows and their rhs denominator D; None signals
     an infeasible constant row."""
-    best: dict[tuple, Fraction] = {}
+    # each direction's tightest rhs, as a reduced fraction (num, den)
+    best: dict[tuple, tuple[int, int]] = {}
     for coeffs, rhs in ineqs:
-        coeffs = [Fraction(x) for x in coeffs]
-        denom = lcm(*(x.denominator for x in coeffs))
-        ints = [x.numerator * (denom // x.denominator) for x in coeffs]
-        content = gcd(*ints)
+        if not all(type(x) is int for x in coeffs):
+            denom = lcm(*(x.denominator for x in coeffs))
+            coeffs = [x.numerator * (denom // x.denominator) for x in coeffs]
+            rhs *= denom
+        content = gcd(*coeffs)
         if content == 0:
             if rhs < 0:
                 return None
             continue
-        key = tuple(x // content for x in ints)
-        val = Fraction(rhs) * denom / content
-        if key not in best or val < best[key]:
-            best[key] = val
-    d = lcm(*(v.denominator for v in best.values()))
-    return [(k, v.numerator * (d // v.denominator)) for k, v in best.items()], d
+        key = tuple(coeffs) if content == 1 else tuple(x // content for x in coeffs)
+        num, den = rhs.numerator, rhs.denominator * content
+        g = gcd(num, den)
+        num, den = num // g, den // g
+        old = best.get(key)
+        if old is None or num * old[1] < old[0] * den:
+            best[key] = num, den
+    d = lcm(*(den for _, den in best.values()))
+    return [(k, num * (d // den)) for k, (num, den) in best.items()], d
 
 
 def _primitive(row: list) -> list:
@@ -222,7 +254,8 @@ def _primitive(row: list) -> list:
 
 def _pivot(tab: list, basis: list, obj: list | None, p: int, q: int) -> None:
     """Make column q basic in row p; every row is scaled by the positive
-    pivot entry and then divided by its content, so rows stay integer."""
+    pivot entry and then divided by its content, so rows stay integer.
+    The reduced costs ``obj`` cover only the leading columns."""
     prow = tab[p]
     a = prow[q]
     for i, row in enumerate(tab):
@@ -242,27 +275,69 @@ def _improve(tab: list, basis: list, obj: list, ncols: int) -> bool:
         q = next((j for j in range(ncols) if obj[j] < 0), None)
         if q is None:
             return True
-        rows = [i for i, row in enumerate(tab) if row[q] > 0]
-        if not rows:
+        # least ratio rhs / entry over positive entries, ties to the
+        # lowest basic index
+        p = None
+        for i, row in enumerate(tab):
+            if row[q] > 0:
+                if p is not None:
+                    x, y = row[-1] * tab[p][q], tab[p][-1] * row[q]
+                    if x > y or x == y and basis[i] > basis[p]:
+                        continue
+                p = i
+        if p is None:
             return False
-        # least ratio rhs / entry, ties to the lowest basic index
-        p = min(rows, key=lambda i: (Fraction(tab[i][-1], tab[i][q]), basis[i]))
         _pivot(tab, basis, obj, p, q)
 
 
-def _simplex_min(rows: list, costs: Sequence[int]) -> Fraction | None:
-    """Exact min of costs . y over y >= 0 with rows . y = rhs; None if empty.
+def _dual_improve(tab: list, basis: list, obj: list, ncols: int) -> bool:
+    """Dual simplex pivots from a dual feasible basis until no rhs is
+    negative; False when a row with negative rhs has no negative entry,
+    so that the equations have no solution y >= 0.
 
-    Each row is an integer list [a_1, ..., a_m, rhs].  Phase one starts from
-    one artificial variable per row (basis index m + i, never re-entered
-    once it leaves) and minimises their sum; phase two minimises the costs.
-    Bland's rule makes both phases terminate.  The minimum must be finite.
+    The leaving row is the one with the smallest basic index among the
+    negative right-hand sides, and ties in the entering ratio go to the
+    lowest column (Bland's rule on the dual).  The pivot row is negated
+    first, so the pivot entry is positive, as ``_pivot`` needs.
     """
-    m = len(costs)
-    tab = [list(r) if r[-1] >= 0 else [-x for x in r] for r in rows]
+    while True:
+        p = min(
+            (i for i, row in enumerate(tab) if row[-1] < 0),
+            key=basis.__getitem__,
+            default=None,
+        )
+        if p is None:
+            return True
+        row = tab[p]
+        # least ratio obj_j / -row_j over negative entries
+        q = None
+        for j in range(ncols):
+            a = row[j]
+            if a < 0 and (q is None or obj[j] * row[q] > obj[q] * a):
+                q = j
+        if q is None:
+            return False
+        tab[p] = [-x for x in row]
+        _pivot(tab, basis, obj, p, q)
+
+
+def _phase_one(tab: list, m: int) -> tuple[list, list] | None:
+    """A feasible basis of tab . y = rhs, y >= 0, found in place.
+
+    Each row is [a_1, ..., a_m, extra..., rhs]; the extra columns are
+    carried along and never enter.  Rows with a negative rhs are negated,
+    then one artificial variable per row (basis index m + i, never
+    re-entered once it leaves) starts the basis and their sum is
+    minimised.  Returns None when the equations have no solution, else the
+    basis and the rows dropped as redundant equations.
+    """
+    for i, row in enumerate(tab):
+        if row[-1] < 0:
+            tab[i] = [-x for x in row]
     basis = [m + i for i in range(len(tab))]
-    obj = [-sum(col) for col in zip(*tab)]
+    obj = [-sum(row[j] for row in tab) for j in range(m)]
     _improve(tab, basis, obj, m)
+    dropped = []
     i = 0
     while i < len(tab):
         row = tab[i]
@@ -270,59 +345,99 @@ def _simplex_min(rows: list, costs: Sequence[int]) -> Fraction | None:
             if row[-1] > 0:
                 return None
             q = next((j for j in range(m) if row[j]), None)
-            if q is None:  # a redundant equation
-                del tab[i], basis[i]
+            if q is None:
+                dropped.append(tab.pop(i))
+                del basis[i]
                 continue
             if row[q] < 0:
                 tab[i] = [-x for x in row]
             _pivot(tab, basis, None, i, q)
         i += 1
-    obj = list(costs) + [0]
+    return basis, dropped
+
+
+def _phase_two(tab: list, basis: list, costs: Sequence[int]) -> list | None:
+    """Minimise costs . y from a feasible basis, in place; the optimal
+    reduced costs, or None when the minimum is unbounded."""
+    obj = list(costs)
     for row, b in zip(tab, basis):
         f = obj[b]
         if f:
             obj = _primitive([row[b] * x - f * y for x, y in zip(obj, row)])
-    if not _improve(tab, basis, obj, m):
-        raise InvariantViolation("simplex minimum is unbounded")
-    return sum((Fraction(costs[b] * row[-1], row[b]) for row, b in zip(tab, basis)),
-               Fraction(0))
+    return obj if _improve(tab, basis, obj, len(costs)) else None
+
+
+def _value(tab: list, basis: list, costs: Sequence[int], d: int = 1) -> Fraction:
+    """costs . y / d at the tableau's basic solution."""
+    den = lcm(*(row[b] for row, b in zip(tab, basis)))
+    return Fraction(
+        sum(costs[b] * row[-1] * (den // row[b]) for row, b in zip(tab, basis)), den * d
+    )
 
 
 def _is_empty(rows: list, nvars: int) -> bool:
     """Farkas test: some convex combination of the rows reads 0 <= negative."""
-    eqs = [[c[k] for c, _ in rows] + [0] for k in range(nvars)]
-    low = _simplex_min(eqs + [[1] * len(rows) + [1]], [r for _, r in rows])
-    return low is not None and low < 0
+    costs = [r for _, r in rows]
+    tab = [[c[k] for c, _ in rows] + [0] for k in range(nvars)]
+    tab.append([1] * len(rows) + [1])
+    found = _phase_one(tab, len(rows))
+    if found is None:
+        return False
+    if _phase_two(tab, found[0], costs) is None:
+        raise InvariantViolation("simplex minimum is unbounded")
+    return _value(tab, found[0], costs) < 0
 
 
 def _box(system, nvars: int):
-    if system is None or _is_empty(system[0], nvars):
+    if system is None:
         return None
+    if not nvars:
+        return []
     rows, d = system
+    m = len(rows)
     costs = [r for _, r in rows]
-    box = []
-    for k in range(nvars):
-        # max of -a_k and of a_k, each the minimum of its dual; an
-        # infeasible dual of a nonempty system means an unbounded direction
-        lo, hi = (
-            _simplex_min(
-                [[c[j] for c, _ in rows] + [sign * (j == k)] for j in range(nvars)],
-                costs,
-            )
-            for sign in (-1, 1)
-        )
-        if lo is None or hi is None:
+    # one dual row per coordinate k, sum_i y_i coeffs_i[k] = c_k, with its
+    # unit column; the first objective is max -a_0
+    tab = [
+        [c[k] for c, _ in rows] + [int(j == k) for j in range(nvars)] + [-(k == 0)]
+        for k in range(nvars)
+    ]
+    found = _phase_one(tab, m)
+    if found is None:
+        # an infeasible dual: the system is empty or a_0 is unbounded below
+        if _is_empty(rows, nvars):
+            return None
+        raise Unbounded("coordinate 0 has no finite bound")
+    basis, dropped = found
+    obj = _phase_two(tab, basis, costs)
+    if obj is None:
+        return None
+    # the ends -lo_0, hi_0, -lo_1, ...: the first is solved, every other
+    # objective +-e_k re-solves from the previous optimal basis
+    ends = [-_value(tab, basis, costs, d)]
+    for k, sign in itertools.islice(itertools.product(range(nvars), (-1, 1)), 1, None):
+        for row in tab:
+            row[-1] = sign * row[m + k]
+        # a dropped row reads 0 = sign * (its block entry k); the system is
+        # nonempty, so a dual with no solution means an unbounded coordinate
+        if any(row[m + k] for row in dropped) or not _dual_improve(tab, basis, obj, m):
             raise Unbounded(f"coordinate {k} has no finite bound")
-        box.append((-lo / d, hi / d))
-    return box
+        ends.append(sign * _value(tab, basis, costs, d))
+    return list(zip(ends[::2], ends[1::2]))
 
 
 def coordinate_bounds(ineqs: Sequence[tuple], nvars: int):
     """Per-coordinate rational bounds [lo, hi] of the feasible region.
 
     Returns None when the region is empty; raises Unbounded when some
-    coordinate has no finite bound on one side.
+    coordinate has no finite bound on one side, and DimensionMismatch when
+    a row does not have exactly nvars coefficients.
     """
+    for coeffs, _ in ineqs:
+        if len(coeffs) != nvars:
+            raise DimensionMismatch(
+                f"inequality has {len(coeffs)} coefficients, need {nvars}"
+            )
     return _box(_integer_system(ineqs), nvars)
 
 
@@ -331,7 +446,7 @@ def _inequalities(spec: StasheffSpec, compiled: _CompiledChart) -> list[tuple]:
         raise SizeMismatch("spec and chart live on different polygons")
     c = spec._bounds
     return [
-        (form, Fraction(c[d]))
+        (form, c[d])
         for d, forms in zip(polygon_diagonals(spec.n_gon), compiled.forms)
         for form in forms
     ]
@@ -343,7 +458,7 @@ def chart_inequalities(spec: StasheffSpec, chart: Triangulation) -> list[tuple]:
     Each diagonal's tropical coordinate is a max of linear forms in the
     chart values; bounding a max bounds every form.
     """
-    return _inequalities(spec, _CompiledChart(chart))
+    return _inequalities(spec, _compiled(chart))
 
 
 def _scan_chart(spec: StasheffSpec, chart: Triangulation) -> tuple:
@@ -352,7 +467,7 @@ def _scan_chart(spec: StasheffSpec, chart: Triangulation) -> tuple:
     Returns the compiled chart and the integral points as coordinate
     vectors in that chart, sorted.
     """
-    compiled = _CompiledChart(chart)
+    compiled = _compiled(chart)
     system = _integer_system(_inequalities(spec, compiled))
     bounds = _box(system, spec.n_gon - 3)
     if bounds is None:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropclust.errors import (
+    DimensionMismatch,
     EmptyInput,
     InvariantViolation,
     NotADiagonal,
@@ -21,6 +22,7 @@ from tropclust.errors import (
 from tropclust.laminations import (
     Lamination,
     TropicalCoords,
+    _compiled,
     chart_coords,
     lamination_from_coords,
     tropical_coordinate,
@@ -33,7 +35,7 @@ from tropclust.polygon import (
     flip,
     triangulations,
 )
-from tropclust import atlas
+from tropclust import atlas, polytopes
 from tropclust.basis import product_expand
 from tropclust.polytopes import (
     StasheffSpec,
@@ -337,6 +339,134 @@ def test_coordinate_bounds_match_fourier_motzkin():
     assert outcomes == {"empty", "integer", "rational"}
 
 
+def test_coordinate_bounds_rejects_rows_of_the_wrong_length():
+    square = [((1, 0), 1), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0)]
+    lifted = [((x, y, 0), r) for (x, y), r in square] + [((0, 0, 1), -5), ((0, 0, -1), 10)]
+    assert coordinate_bounds(lifted, 3) == [(0, 1), (0, 1), (-10, -5)]
+    # extra coefficients would otherwise be cut off: z <= -5 read as 0 <= -5
+    with pytest.raises(DimensionMismatch):
+        coordinate_bounds(square + [((0, 0, 1), -5), ((0, 0, -1), 10)], 2)
+    with pytest.raises(DimensionMismatch):
+        coordinate_bounds(square + [((1,), 1)], 2)
+    with pytest.raises(DimensionMismatch):
+        coordinate_bounds([((), 1)], 1)
+
+
+def octagon_warm_start_cases():
+    """Seeded octagon specs: a Minkowski spec (integral box), the same
+    raised by thirds (rational box) and lowered by one (empty), in the fan
+    and in charts one and three flips away.  Fourier-Motzkin takes seconds
+    on some octagon charts, so only some variants are kept."""
+    rng = random.Random(1901)
+    cases = []
+    for flips, tags in enumerate(("irl", "l", "", "r")):
+        spec = minkowski_spec(
+            [point(8, [rng.randint(-1, 1) for _ in range(5)]) for _ in range(2)]
+        )
+        chart = fan_triangulation(8)
+        for _ in range(flips):
+            chart = flip(chart, rng.choice(chart.sorted_diagonals()))[0]
+        raised = StasheffSpec.of(8, {d: v + Fraction(rng.randint(0, 2), 3) for d, v in spec.c})
+        lowered = StasheffSpec.of(8, {d: v - 1 for d, v in spec.c})
+        for tag, variant in zip("irl", (spec, raised, lowered)):
+            if tag in tags:
+                cases.append((variant, chart))
+    return cases
+
+
+def test_warm_started_box_matches_fourier_motzkin_on_octagons():
+    outcomes = set()
+    for spec, chart in octagon_warm_start_cases():
+        ineqs = chart_inequalities(spec, chart)
+        bounds = coordinate_bounds(ineqs, 5)
+        assert bounds == fm_bounds(ineqs, 5)
+        if bounds is None:
+            outcomes.add("empty")
+        elif all(x.denominator == 1 for pair in bounds for x in pair):
+            outcomes.add("integer")
+        else:
+            outcomes.add("rational")
+    assert outcomes == {"empty", "integer", "rational"}
+
+
+def test_box_without_coordinates():
+    """The triangle's chart has no coordinates: the box is empty unless a
+    constant row is violated."""
+    assert coordinate_bounds([], 0) == [] == fm_bounds([], 0)
+    assert coordinate_bounds([((), 0), ((), Fraction(1, 2))], 0) == []
+    assert coordinate_bounds([((), -1)], 0) is None
+    triangle = StasheffSpec.of(3, {})
+    assert coordinate_bounds(chart_inequalities(triangle, fan_triangulation(3)), 0) == []
+
+
+def test_box_rank_deficient_nonempty_is_unbounded(monkeypatch):
+    """a_0 and a_1 are boxed, a_2 appears in no row: the first dual (max
+    -a_0) has a finite optimum, so the system is nonempty without the
+    Farkas LP, and the redundant dual row of a_2 makes it unbounded."""
+    rows = [((1, 0, 0), 2), ((-1, 0, 0), 1), ((0, 1, 0), 1), ((0, -1, 0), 1)]
+    with pytest.raises(Unbounded):
+        fm_bounds(rows, 3)
+
+    def no_farkas(*args):
+        raise AssertionError("a finite first optimum needs no Farkas LP")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(polytopes, "_is_empty", no_farkas)
+        with pytest.raises(Unbounded, match="coordinate 2"):
+            coordinate_bounds(rows, 3)
+    # rank one, and the first dual is already infeasible
+    tilted = [((1, 1), 1), ((-1, -1), 1), ((1, 0), 3)]
+    with pytest.raises(Unbounded, match="coordinate 0"):
+        coordinate_bounds(tilted, 2)
+
+
+def test_box_empty_with_an_infeasible_first_dual():
+    """No row bounds a_0, so the first dual is infeasible, and the rows on
+    a_1 contradict each other: Farkas decides empty."""
+    rows = [((0, 1), -1), ((0, -1), 0)]
+    assert coordinate_bounds(rows, 2) is None
+    assert fm_bounds(rows, 2) is None
+    # the same first dual on a nonempty system: a_0 is unbounded
+    with pytest.raises(Unbounded, match="coordinate 0"):
+        coordinate_bounds([((0, 1), 1), ((0, -1), 0)], 2)
+
+
+def test_box_runs_one_phase_one_per_bounded_chart(monkeypatch):
+    """Bounded charts run phase one once (the first objective) and never
+    the Farkas LP; every other objective is a dual re-solve."""
+    calls = {"phase_one": 0, "is_empty": 0}
+
+    def counted(name):
+        real = getattr(polytopes, name)
+
+        def wrapper(*args):
+            calls[name.strip("_")] += 1
+            return real(*args)
+
+        monkeypatch.setattr(polytopes, name, wrapper)
+
+    counted("_phase_one")
+    counted("_is_empty")
+    bounded = 0
+    for spec, chart in oracle_specs():
+        calls.update(phase_one=0, is_empty=0)
+        bounds = coordinate_bounds(chart_inequalities(spec, chart), spec.n_gon - 3)
+        if bounds is not None:
+            assert calls == {"phase_one": 1, "is_empty": 0}
+            bounded += 1
+    assert bounded >= 30
+
+
+def test_dual_resolves_terminate_on_degenerate_cross_polytopes():
+    """Every rhs of the 16 rows +-a_0 +- a_1 +- a_2 +- a_3 <= c is the same,
+    so every ratio in the dual re-solves ties: the smallest-index rule must
+    still terminate, at the corners of the cross-polytope."""
+    signs = list(itertools.product((1, -1), repeat=4))
+    for c, corner in ((0, 0), (1, 1), (Fraction(2, 3), Fraction(2, 3))):
+        rows = [(s, c) for s in signs]
+        assert coordinate_bounds(rows, 4) == [(-corner, corner)] * 4 == fm_bounds(rows, 4)
+
+
 def nonagon_products():
     """Two two-factor products from the fan box [-1, 1] and one
     three-factor product from [-2, 2], seeded."""
@@ -489,8 +619,9 @@ def test_lattice_points_on_the_triangle_and_the_square():
 
 
 def test_lattice_points_tropicalizes_each_segment_once(monkeypatch):
-    """One call compiles its chart once: a single exchange walk resolves
-    every diagonal off the chart exactly once, and nothing else does."""
+    """A cold call compiles its chart once: a single exchange walk resolves
+    every diagonal off the chart exactly once, and nothing else does.  The
+    compile is kept, so a second call on an equal chart resolves nothing."""
     calls = []
     resolve = atlas._exit_quadrilateral
 
@@ -499,12 +630,16 @@ def test_lattice_points_tropicalizes_each_segment_once(monkeypatch):
         return resolve(seg, tri, triangles)
 
     monkeypatch.setattr(atlas, "_exit_quadrilateral", counting)
+    _compiled.cache_clear()
     chart = triangulations(6)[5]
     pts = lattice_points(const_spec(6, 3), chart)
     assert len(pts) >= 100
     off_chart = [d for d in diagonals(6) if d not in chart.diagonals]
     assert sorted(seg for seg, _ in calls) == off_chart
     assert {tri for _, tri in calls} == {chart}
+    again = Triangulation.of(6, chart.sorted_diagonals())
+    assert lattice_points(const_spec(6, 2), again) == lattice_points(const_spec(6, 2), chart)
+    assert len(calls) == len(off_chart)
 
 
 def test_lattice_points_empty_and_point():
