@@ -48,7 +48,6 @@ from .atlas import (
     chart_segments,
     expand_cluster_variable,
     expand_in_x_chart,
-    exponent_sets,
     mutate_seed,
     mutation_words,
     type_a_seed,

@@ -12,11 +12,11 @@ The chart machinery lives here too:
   Laurent polynomial in a chosen chart, whose variables are the chart's
   diagonals and its frozen edges, by repeatedly applying the exchange
   relation on crossing quadrilaterals;
-* ``exponent_sets`` compiles a chart for the coordinate maps: it follows
-  the same exchange relations but keeps only each expansion's exponent
-  vectors over the chart diagonals.  The coefficients are positive, so no
-  term cancels, and the set of a sum is the union and that of a product
-  the pairwise sums;
+* ``_exchange_walk`` compiles a chart for the coordinate maps
+  (``laminations._compiled``): it follows the same exchange relations but
+  keeps only each expansion's exponent vectors over the chart diagonals.
+  The coefficients are positive, so no term cancels, and the set of a sum
+  is the union and that of a product the pairwise sums;
 * ``MonomialLattice`` translates between monomials in chart variables of the
   two coordinate systems attached to a seed;
 * ``expand_in_x_chart`` pushes a Laurent polynomial through a word of
@@ -373,8 +373,9 @@ def expand_cluster_variable(seg: Segment, tri: Triangulation) -> LaurentPolynomi
     return expand(seg)
 
 
-def exponent_sets(segments: Sequence[Segment], tri: Triangulation) -> tuple:
-    """The exponent vectors of each segment's expansion in one chart.
+def _exchange_walk(segments: Sequence[Segment], tri: Triangulation) -> tuple:
+    """The exponent vectors of each segment's expansion in one chart, and
+    the exchange steps of the walk that found them.
 
     Vectors run over the chart diagonals in sorted order, with edges read
     as 1; each segment gets its vectors sorted.  Expansions have positive
@@ -383,12 +384,6 @@ def exponent_sets(segments: Sequence[Segment], tri: Triangulation) -> tuple:
     vector, and any other segment the union of the pairwise sums over its
     quadrilateral's two pairs of opposite sides, minus the unit vector of
     the diagonal it exits through.
-    """
-    return _exchange_walk(segments, tri)[0]
-
-
-def _exchange_walk(segments: Sequence[Segment], tri: Triangulation) -> tuple:
-    """``exponent_sets`` and the exchange steps of the same walk.
 
     The steps list every segment off the chart that the walk resolved, the
     requested ones and the sides they need, each once and after its sides:

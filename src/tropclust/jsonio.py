@@ -18,9 +18,11 @@ precomputed entry head per vertex pair, the number and a closing bracket
 per nonzero weight.  ``dumps`` over ``points_to_json`` and
 ``expansion_to_json`` is the reference they equal byte for byte.
 
-A ``"rat"`` lamination document takes its domain from its weights, as sums
-and multiples do, so one whose weights are all integers reads as integral;
-an ``"int"`` document with a fractional weight is refused.
+A lamination's domain follows from its weights, so ``lamination_from_json``
+is the only code that reads a document's ``"domain"`` tag: a ``"rat"``
+document whose weights are all integers reads as integral, and an
+``"int"`` document with a fractional weight is refused before the
+lamination is built.
 """
 from __future__ import annotations
 
@@ -32,8 +34,8 @@ from json.encoder import encode_basestring_ascii
 
 from .atlas import Seed
 from .basis import Expansion
-from .errors import InputFormatError
-from .laminations import Lamination, TropicalCoords, _lamination
+from .errors import InputFormatError, NotALamination
+from .laminations import Lamination, TropicalCoords
 from .polygon import Segment
 from .polytopes import StasheffSpec
 from .weighted_graphs import WeightedGraph, _is_number, _normalize, _tables
@@ -138,9 +140,9 @@ def lamination_from_json(doc) -> Lamination:
     domain = doc.get("domain", "int")
     _require(domain in ("int", "rat"), f"lamination: bad domain {domain!r}")
     graph = graph_from_json(doc)
-    if domain == "rat":
-        return _lamination(graph)
-    return Lamination(graph, domain)
+    if domain == "int" and not graph.is_integral():
+        raise NotALamination("integral domain but fractional weights")
+    return Lamination(graph)
 
 
 def points_to_json(points) -> dict:

@@ -3,44 +3,46 @@
 A lamination is a weighted graph whose positively weighted diagonals are
 pairwise noncrossing and whose vertex masses all vanish; the boundary edge
 weights (any sign) absorb whatever the diagonals deposit at each corner.
-Integral laminations use integer weights, rational ones allow fractions;
-sums, multiples and reconstructions take the domain their weights fix.
+Integral laminations use integer weights, rational ones allow fractions.
+The weights alone fix the domain, which each lamination stores once;
+``_domain`` is the one place the ``"int"``/``"rat"`` rule is written.
 
 Each triangulation gives a coordinate chart: the coordinate of a chart
 diagonal is half the cut mass across it.  Coordinates are a bijection onto
 integer (resp. rational) vectors indexed by the chart diagonals.  The
 coordinate of any other diagonal is the maximum, over the exponent vectors
-of its positive expansion in the chart (``atlas.exponent_sets``), of their
-linear forms evaluated at the chart values.
+of its positive expansion in the chart, of their linear forms evaluated at
+the chart values.
 
 A chart is compiled once per process (``_compiled`` keeps at most 32
-charts, keyed by the triangulation).  One exchange walk, the one behind
-``atlas.exponent_sets``, gives every diagonal's linear forms and, in the
-order it resolved them, the exchange step of each diagonal off the chart:
-its exit diagonal and the two pairs of opposite sides of its
-quadrilateral.  A point then becomes a lamination without the forms: its
-values fill the chart diagonals, each step gives one more diagonal by the
-tropical exchange relation v(s) = max(v(a) + v(c), v(b) + v(d)) - v(e)
-(Fock-Goncharov, Publ. IHES 103, 2006), with edges at 0, and the per-N
-record ``weighted_graphs._tables`` writes each weight as a signed sum of
-four diagonal values (inclusion-exclusion over cyclically consecutive
-chords), one getter per term.  The weights so made are a lamination at
+charts, keyed by the triangulation).  One exchange walk
+(``atlas._exchange_walk``) gives every diagonal's exponent vectors, read
+as linear forms, and, in the order it resolved them, the exchange step of
+each diagonal off the chart: its exit diagonal and the two pairs of
+opposite sides of its quadrilateral.  A point then becomes a lamination
+without the forms: its values fill the chart diagonals, each step gives
+one more diagonal by the tropical exchange relation
+v(s) = max(v(a) + v(c), v(b) + v(d)) - v(e) (Fock-Goncharov, Publ. IHES
+103, 2006), with edges at 0, and the per-N record
+``weighted_graphs._tables`` writes each weight as a signed sum of four
+diagonal values (inclusion-exclusion over cyclically consecutive chords),
+one getter per term.  The weights so made are a lamination at
 every point, so they are wrapped through the ``_trusted`` constructors;
 only the point's length is checked.
 ``lamination_from_coords`` reads one point of the compiled chart;
 ``polytopes.lattice_points`` takes the polytope's inequalities from the
 forms and reads every point it finds.
-``chart_change`` compiles only the new chart's diagonals in the old chart
-and evaluates their forms.
+``chart_change`` evaluates the new chart diagonals' forms in the compiled
+old chart.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul, sub
 
-from .atlas import _exchange_walk, exponent_sets
+from .atlas import _exchange_walk
 from .errors import (
     DimensionMismatch,
     InvariantViolation,
@@ -57,31 +59,26 @@ from .weighted_graphs import (
     _tables,
 )
 
-DOMAINS = ("int", "rat")
 
-
-def _check_domain(domain: str) -> None:
-    if domain not in DOMAINS:
-        raise InvariantViolation(f"domain must be one of {DOMAINS}, got {domain!r}")
-
-
-def _lamination(graph: WeightedGraph) -> "Lamination":
-    """The lamination on a graph, integral exactly when its weights are."""
-    return Lamination(graph, "int" if graph.is_integral() else "rat")
+def _domain(graph: WeightedGraph) -> str:
+    """``"int"`` when every weight is an integer, else ``"rat"``."""
+    return "int" if graph.is_integral() else "rat"
 
 
 @dataclass(frozen=True)
 class Lamination:
-    """A weighted graph that encodes a measured system of disjoint curves."""
+    """A weighted graph that encodes a measured system of disjoint curves.
+
+    Its domain, ``"int"`` or ``"rat"``, follows from the weights and is
+    stored once, at construction.
+    """
 
     graph: WeightedGraph
-    domain: str = "int"
+    domain: str = field(init=False, compare=False)
 
     def __post_init__(self):
-        _check_domain(self.domain)
         g = self.graph
-        if self.domain == "int" and not g.is_integral():
-            raise NotALamination("integral domain but fractional weights")
+        object.__setattr__(self, "domain", _domain(g))
         tables = _tables(g.n_gon)
         w = g.w
         loaded = [tables.pairs[k] for k in tables.diagonals if w[k]]
@@ -99,13 +96,11 @@ class Lamination:
 
     @classmethod
     def _trusted(cls, graph: WeightedGraph, domain: str | None = None) -> "Lamination":
-        """Wrap a graph a closed operation derived from laminations, in the
-        given domain or else the one its weights fix."""
+        """Wrap a graph a closed operation derived from laminations; a
+        caller that knows the graph's domain may pass it."""
         lam = object.__new__(cls)
         object.__setattr__(lam, "graph", graph)
-        if domain is None:
-            domain = "int" if graph.is_integral() else "rat"
-        object.__setattr__(lam, "domain", domain)
+        object.__setattr__(lam, "domain", domain or _domain(graph))
         return lam
 
     @property
@@ -114,15 +109,12 @@ class Lamination:
 
     @staticmethod
     def zero(n_gon: int) -> "Lamination":
-        return _lamination(WeightedGraph.zeros(n_gon))
-
-    def is_zero(self) -> bool:
-        return self.graph.is_trivial()
+        return Lamination(WeightedGraph.zeros(n_gon))
 
     def __add__(self, other: "Lamination") -> "Lamination":
         if not isinstance(other, Lamination):
             return NotImplemented
-        return _lamination(self.graph + other.graph)
+        return Lamination(self.graph + other.graph)
 
     def __mul__(self, k) -> "Lamination":
         if not _is_number(k):
@@ -273,9 +265,9 @@ def chart_change(coords: TropicalCoords, tri2: Triangulation) -> TropicalCoords:
     if coords.n_gon != tri2.n_gon:
         raise SizeMismatch("charts live on different polygons")
     point = coords.vector()
-    diags = tri2.sorted_diagonals()
+    forms, slot = _compiled(coords.chart).forms, _tables(tri2.n_gon).slot
     vals = tuple(
-        (d, _normalize(max(sum(map(mul, f, point)) for f in forms)))
-        for d, forms in zip(diags, exponent_sets(diags, coords.chart))
+        (d, _normalize(max(sum(map(mul, f, point)) for f in forms[slot[d]])))
+        for d in tri2.sorted_diagonals()
     )
     return TropicalCoords(tri2, vals)

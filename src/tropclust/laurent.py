@@ -6,7 +6,7 @@ nonzero integer coefficients.  All arithmetic is exact; nothing here ever
 touches floats.  There is no general division: the one the pipeline needs,
 by powers of (1 + X_k) in the x-chart walk, runs fiber by fiber in
 ``atlas``.  The chart coordinate maps need no polynomials at all: they
-run on exponent sets (``atlas.exponent_sets``).
+run on exponent sets (``atlas._exchange_walk``).
 """
 from __future__ import annotations
 

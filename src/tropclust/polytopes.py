@@ -15,7 +15,7 @@ partial triangulations.
 Lattice enumeration works per chart, compiled once per process for up to
 32 charts (``laminations._compiled``): a diagonal's coordinate is the max
 of the linear forms that the exponent vectors of its chart expansion
-(``atlas.exponent_sets``) give in the chart coordinates, so each bound
+(``atlas._exchange_walk``) give in the chart coordinates, so each bound
 splits into plain half-spaces with integer rows.  The box of coordinate
 ranges to scan comes from the duals of the 2(N - 3) coordinate
 maximisations, which differ only in their right-hand sides.  So a chart
@@ -65,7 +65,6 @@ from .polygon import (
     Segment,
     Triangulation,
     check_polygon,
-    diagonals as polygon_diagonals,
     fan_triangulation,
 )
 from .weighted_graphs import Number, _normalize, _tables
@@ -83,7 +82,7 @@ class StasheffSpec:
         check_polygon(self.n_gon)
         vals = _diagonal_values(
             self.c,
-            tuple(polygon_diagonals(self.n_gon)),
+            tuple(_tables(self.n_gon).slot),
             "spec must bound every diagonal exactly once",
             "bounds must be exact numbers",
         )
@@ -156,7 +155,7 @@ def contains(spec: StasheffSpec, lam: Lamination) -> bool:
     if lam.n_gon != spec.n_gon:
         raise SizeMismatch("point and spec live on different polygons")
     c = spec._bounds
-    return all(tropical_coordinate(lam, d) <= c[d] for d in polygon_diagonals(spec.n_gon))
+    return all(tropical_coordinate(lam, d) <= c[d] for d in _tables(spec.n_gon).slot)
 
 
 def minkowski_spec(points: Sequence[Lamination]) -> StasheffSpec:
@@ -447,7 +446,7 @@ def _inequalities(spec: StasheffSpec, compiled: _CompiledChart) -> list[tuple]:
     c = spec._bounds
     return [
         (form, c[d])
-        for d, forms in zip(polygon_diagonals(spec.n_gon), compiled.forms)
+        for d, forms in zip(_tables(spec.n_gon).slot, compiled.forms)
         for form in forms
     ]
 
@@ -545,6 +544,6 @@ def shift_to_negative_part(spec: StasheffSpec) -> tuple[Lamination, StasheffSpec
         TropicalCoords(fan, tuple((d, -m) for d in fan.sorted_diagonals()))
     )
     shifted = {
-        d: c[d] + tropical_coordinate(shift, d) for d in polygon_diagonals(spec.n_gon)
+        d: c[d] + tropical_coordinate(shift, d) for d in _tables(spec.n_gon).slot
     }
     return shift, StasheffSpec.of(spec.n_gon, shifted)

@@ -204,9 +204,6 @@ class WeightedGraph:
     def sparse_items(self) -> tuple[tuple[int, int, Number], ...]:
         return tuple((i, j, x) for (i, j), x in zip(_tables(self.n_gon).pairs, self.w) if x != 0)
 
-    def is_trivial(self) -> bool:
-        return all(x == 0 for x in self.w)
-
     def is_integral(self) -> bool:
         return set(map(type, self.w)) == {int} or all(
             type(x) is int or x.denominator == 1 for x in self.w

@@ -278,18 +278,21 @@ def _seeded_products(n_gons, seed, count=3):
 
 
 def test_split_leaves_pass_the_validating_constructors():
-    """``product_expand`` builds its leaves unchecked: every leaf of the
-    split tree is an integral lamination by the validating constructors,
-    and the expansion holds exactly those leaves, in the same weights."""
+    """``product_expand`` builds its leaves unchecked, with the ``"int"``
+    hint: every leaf of the split tree is an integral lamination by the
+    validating constructors, equal to and hashing as the leaf wrapped, and
+    the expansion holds exactly those leaves, in the same weights."""
     for points in _seeded_products(range(5, 11), 800):
         total = product_graph(points)
         n_gon, tables = total.n_gon, _tables(total.n_gon)
         leaves = _split_leaves(total.w, tables.rows, tables.crossing, DEFAULT_BUDGET)
-        for v in leaves:
-            assert Lamination(WeightedGraph(n_gon, v)).domain == "int"
         expansion = product_expand(points)
         assert {lam.graph.w: c for lam, c in expansion} == leaves
-        assert all(lam.domain == "int" for lam in expansion.support())
+        for lam in expansion.support():
+            checked = Lamination(WeightedGraph(n_gon, lam.graph.w))
+            assert checked == Lamination._trusted(lam.graph, "int") == lam
+            assert hash(checked) == hash(lam)
+            assert checked.domain == lam.domain == "int"
         assert Expansion(expansion.terms) == expansion
 
 

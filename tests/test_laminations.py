@@ -15,11 +15,11 @@ from tropclust.errors import (
     NotADiagonal,
     NotALamination,
 )
+from tropclust.jsonio import graph_to_json, lamination_from_json
 from tropclust.laminations import (
     Lamination,
     TropicalCoords,
     _CompiledChart,
-    _lamination,
     chart_change,
     chart_coords,
     lamination_from_coords,
@@ -78,7 +78,7 @@ def coords_box(draw_int, tri):
 
 def test_curve_helper_is_a_lamination():
     c = curve(5, 2, 5)
-    assert not c.is_zero()
+    assert any(c.graph.w)
     assert c.graph.weight(2, 5) == 1
     assert c.graph.weight(2, 3) == -1
 
@@ -153,18 +153,42 @@ def test_sums_check_crossings_but_not_graphs(n_gon):
 
 
 def test_rejects_fractional_weights_in_int_domain():
+    """The domain is a document tag only: an ``"int"`` (or untagged)
+    document with a fractional weight is refused before the lamination is
+    built, so even when its diagonals also cross; tagged ``"rat"``, the
+    same weights read."""
     h = Fraction(1, 2)
     g = graph(5, {(1, 3): h, (3, 4): -h, (4, 5): h, (1, 5): -h})
-    with pytest.raises(NotALamination):
-        Lamination(g, "int")
-    lam = Lamination(g, "rat")
+    crossing = graph_to_json(graph(5, {(1, 3): h, (2, 4): h}))
+    for doc in (graph_to_json(g), crossing):
+        for tagged in ({**doc, "domain": "int"}, doc):
+            with pytest.raises(NotALamination) as info:
+                lamination_from_json(tagged)
+            assert str(info.value) == "integral domain but fractional weights"
+    with pytest.raises(NotALamination, match="cross"):
+        lamination_from_json({**crossing, "domain": "rat"})
+    lam = lamination_from_json({**graph_to_json(g), "domain": "rat"})
+    assert lam == Lamination(g)
     assert tropical_coordinate(lam, Segment(1, 4)) == h
     assert tropical_coordinate(lam, Segment(1, 3)) == 0
 
 
+def test_domain_follows_the_weights():
+    """The constructor takes the graph alone and stores the domain its
+    weights fix; equality and hashing read the graph."""
+    h = Fraction(1, 2)
+    g = graph(5, {(1, 3): h, (3, 4): -h, (4, 5): h, (1, 5): -h})
+    assert Lamination(g).domain == "rat"
+    assert Lamination(g + g).domain == "int"
+    assert Lamination(g) * 2 == Lamination(g + g)
+    assert hash(Lamination(g) * 2) == hash(Lamination(g + g))
+    with pytest.raises(TypeError):
+        Lamination(g, "int")
+
+
 def test_zero_lamination():
     z = Lamination.zero(5)
-    assert z.is_zero()
+    assert not any(z.graph.w)
     assert chart_coords(z, fan_triangulation(5)).vector() == (0, 0)
 
 
@@ -404,7 +428,7 @@ def _dense_lamination(compiled, point):
         a, b = wrap_vertex(a, n), wrap_vertex(b, n)
         return values.get(Segment(a, b), 0) if a != b else 0
 
-    return _lamination(WeightedGraph(n, tuple(
+    return Lamination(WeightedGraph(n, tuple(
         _normalize(v(p, q) + v(p - 1, q - 1) - v(p, q - 1) - v(p - 1, q)) for p, q in pairs(n)
     )))
 
@@ -462,6 +486,5 @@ def test_compiled_points_pass_the_validating_constructors(n_gon):
         points.append(tuple(Fraction(rng.randint(-3, 3)) for _ in range(dim)))
         for point in points:
             lam = compiled.lamination(point)
-            checked = _lamination(WeightedGraph(n_gon, lam.graph.w))
+            checked = Lamination(WeightedGraph(n_gon, lam.graph.w))
             assert repr(lam) == repr(checked)
-            assert Lamination(WeightedGraph(n_gon, lam.graph.w), lam.domain) == lam

@@ -56,8 +56,6 @@ def test_construction_and_lookup():
     assert g[Segment(2, 3)] == -1
     assert g.weight(1, 4) == 0
     assert set(g.sparse_items()) == {(1, 3, 2), (2, 3, -1)}
-    assert not g.is_trivial()
-    assert WeightedGraph.zeros(4).is_trivial()
     assert g.is_integral()
     assert not graph(5, {(1, 2): Fraction(1, 2)}).is_integral()
     assert graph(5, {(1, 2): Fraction(4, 2)}).is_integral()
