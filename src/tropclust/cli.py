@@ -7,9 +7,16 @@ product expansion (``support``), and the polytope pipeline (``minkowski``,
 across runs.
 
 Exit codes: 0 success, 1 malformed input or arguments (including a
-``--chart`` that names no triangulation), 2 a mathematical precondition
-failed (including an unbounded polytope or a reported mismatch), 3
-expansion budget exceeded or out of memory.
+``--chart`` that names no triangulation, and a polygon of more than
+``jsonio.MAX_N_GON`` = 40 vertices, named in a document or through
+``--n``), 2 a mathematical precondition failed (including an unbounded
+polytope or a reported mismatch), 3 expansion budget exceeded or out of
+memory.
+
+``lattice-points``, ``support`` and ``export-chart`` write from the lattice
+scan's coordinate vectors and the split tree's sorted leaves, turned into
+weight rows in one batch, as ``verify-mthm`` reads them: no lamination
+object is built per point.
 """
 from __future__ import annotations
 
@@ -18,19 +25,17 @@ import sys
 
 from . import jsonio
 from .atlas import mutate_seed
-from .basis import DEFAULT_BUDGET, _sorted_leaves, product_expand
+from .basis import DEFAULT_BUDGET, _sorted_leaves
 from .errors import BudgetExceeded, InputFormatError, TropclustError
-from .laminations import chart_coords, tropical_coordinate
-from .polygon import Segment, Triangulation, diagonals as polygon_diagonals
-from .polygon import fan_triangulation
+from .polygon import Segment, Triangulation, fan_triangulation
 from .polygon import triangulations as all_triangulations
 from .polytopes import (
     _scan_chart,
     is_nondegenerate,
     is_stasheff,
-    lattice_points,
     minkowski_spec,
     vertex,
+    vertex_flags,
 )
 
 EXIT_OK = 0
@@ -54,6 +59,16 @@ def _nonnegative_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
+def _rank(text: str) -> int:
+    value = _nonnegative_int(text)
+    if value + 3 > jsonio.MAX_N_GON:
+        raise argparse.ArgumentTypeError(
+            f"the polygon has at most {jsonio.MAX_N_GON} vertices, so n <= "
+            f"{jsonio.MAX_N_GON - 3}; got {value}"
+        )
     return value
 
 
@@ -88,10 +103,6 @@ def _emit(text: str, out_path: str | None) -> None:
             raise InputFormatError(f"cannot write {out_path}: {exc}") from exc
 
 
-def _number_text(x) -> str:
-    return str(jsonio.number_to_json(x))
-
-
 # -- subcommands ----------------------------------------------------------
 
 
@@ -105,11 +116,11 @@ def _cmd_triangulations(args) -> int:
 
 def _cmd_support(args) -> int:
     points = jsonio.points_from_json(jsonio.load_path(args.infile))
-    expansion = product_expand(points, budget=args.budget)
-    if args.coeffs:
-        _emit(jsonio.expansion_text(expansion), args.out)
-    else:
-        _emit(jsonio.points_text(expansion.support()), args.out)
+    # each leaf of the split tree is an integral lamination
+    leaves = _sorted_leaves(points, args.budget)
+    rows = [(points[0].n_gon, v, "int") for _, v, _ in leaves]
+    coeffs = [count for _, _, count in leaves] if args.coeffs else None
+    _emit(jsonio.laminations_text(rows, coeffs), args.out)
     return EXIT_OK
 
 
@@ -133,8 +144,11 @@ def _cmd_check_stasheff(args) -> int:
 
 def _cmd_lattice_points(args) -> int:
     spec = jsonio.spec_from_json(jsonio.load_path(args.infile))
-    chart = _parse_chart(args.chart, spec.n_gon) if args.chart else None
-    _emit(jsonio.points_text(lattice_points(spec, chart)), args.out)
+    chart = _parse_chart(args.chart, spec.n_gon) if args.chart else fan_triangulation(spec.n_gon)
+    compiled, vectors = _scan_chart(spec, chart)
+    # every scanned point is integral, and so is its lamination
+    rows = [(spec.n_gon, w, "int") for w in compiled.weights(vectors)]
+    _emit(jsonio.laminations_text(rows), args.out)
     return EXIT_OK
 
 
@@ -156,21 +170,12 @@ def _cmd_export_chart(args) -> int:
     chart = _parse_chart(args.chart, spec.n_gon)
     if args.format != "csv":
         raise InputFormatError(f"unsupported export format {args.format!r}")
-    points = lattice_points(spec, chart)
-    charts = all_triangulations(spec.n_gon)
+    compiled, vectors = _scan_chart(spec, chart)
+    flags = vertex_flags(spec, compiled.weights(vectors))
     header = [f"a_{d.i}_{d.j}" for d in chart.sorted_diagonals()] + ["vertex"]
     rows = [",".join(header)]
-    for p in points:
-        coords = chart_coords(p, chart)
-        # p is the vertex of chart t when its coordinates meet the bounds on t
-        tight = {
-            d for d in polygon_diagonals(spec.n_gon)
-            if tropical_coordinate(p, d) == spec.value(d)
-        }
-        flag = "true" if any(t.diagonals <= tight for t in charts) else "false"
-        rows.append(
-            ",".join([_number_text(v) for v in coords.vector()] + [flag])
-        )
+    for vector, flag in zip(vectors, flags):
+        rows.append(",".join([*map(str, vector), "true" if flag else "false"]))
     _emit("\n".join(rows) + "\n", args.out)
     return EXIT_OK
 
@@ -229,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("triangulations", _cmd_triangulations,
             "list every complete triangulation chart")
-    p.add_argument("--n", type=_nonnegative_int, required=True,
+    p.add_argument("--n", type=_rank, required=True,
                    help="rank; the polygon has n+3 vertices")
 
     p = add("support", _cmd_support,

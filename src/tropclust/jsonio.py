@@ -1,6 +1,8 @@
 """Exact JSON encoding for the documents the command line reads and writes.
 
-All documents carry a top-level ``"format": 1``.  Numbers are JSON integers
+All documents carry a top-level ``"format": 1`` (an integer, not ``true``),
+and a document names a polygon of at most ``MAX_N_GON`` = 40 vertices,
+checked before any table of it is built.  Numbers are JSON integers
 or fraction strings like ``"-3/4"``; floats are rejected outright, since
 nothing in this package is approximate.  Serialization is deterministic:
 entries are emitted sorted, so equal objects produce identical bytes.
@@ -12,11 +14,13 @@ whose indented mode runs only in pure Python; strings go through the
 encoder's own ASCII escaping.
 
 Point and expansion documents, which the command line writes by the
-thousand laminations, are written straight from the weight tuples by
-``points_text`` and ``expansion_text``, with no dict tree in between: one
-precomputed entry head per vertex pair, the number and a closing bracket
-per nonzero weight.  ``dumps`` over ``points_to_json`` and
-``expansion_to_json`` is the reference they equal byte for byte.
+thousand laminations, are written by ``laminations_text`` straight from
+(n_gon, weights, domain) rows, with no ``Lamination`` and no dict tree in
+between: one precomputed entry head per vertex pair, the number and a
+closing bracket per nonzero weight.  ``dumps`` over ``points_to_json`` and
+``expansion_to_json`` is the reference it equals byte for byte; it is also
+the route taken when a number is past the interpreter's digit limit, so
+the error is the reference's too.
 
 A lamination's domain follows from its weights, so ``lamination_from_json``
 is the only code that reads a document's ``"domain"`` tag: a ``"rat"``
@@ -41,6 +45,10 @@ from .polytopes import StasheffSpec
 from .weighted_graphs import WeightedGraph, _is_number, _normalize, _tables
 
 FORMAT = 1
+
+# The largest polygon a document may name.  Every per-N table grows as
+# C(N, 4) rows: ``weighted_graphs._tables(40)`` takes about 0.3 s and 48 MB.
+MAX_N_GON = 40
 
 _FRACTION_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
@@ -86,7 +94,12 @@ def _require(cond: bool, message: str) -> None:
 
 def _check_document(doc, kind: str) -> None:
     _require(isinstance(doc, dict), f"{kind}: document must be an object")
-    _require(doc.get("format") == FORMAT, f"{kind}: missing or unsupported format")
+    version = doc.get("format")
+    # True == 1, so the type is checked first
+    _require(
+        isinstance(version, int) and not isinstance(version, bool) and version == FORMAT,
+        f"{kind}: missing or unsupported format",
+    )
 
 
 def _int_field(doc, key: str, kind: str) -> int:
@@ -94,6 +107,12 @@ def _int_field(doc, key: str, kind: str) -> int:
     _require(isinstance(value, int) and not isinstance(value, bool),
              f"{kind}: field {key!r} must be an integer")
     return value
+
+
+def _n_gon_field(doc, kind: str) -> int:
+    n_gon = _int_field(doc, "n_gon", kind)
+    _require(n_gon <= MAX_N_GON, f"{kind}: 'n_gon' must be at most {MAX_N_GON}, got {n_gon}")
+    return n_gon
 
 
 def _segment_from_json(item, kind: str) -> Segment:
@@ -115,7 +134,7 @@ def graph_to_json(graph: WeightedGraph) -> dict:
 
 def graph_from_json(doc) -> WeightedGraph:
     _check_document(doc, "graph")
-    n_gon = _int_field(doc, "n_gon", "graph")
+    n_gon = _n_gon_field(doc, "graph")
     raw = doc.get("weights")
     _require(isinstance(raw, list), "graph: 'weights' must be a list")
     weights = {}
@@ -178,7 +197,7 @@ def spec_to_json(spec: StasheffSpec) -> dict:
 
 def spec_from_json(doc) -> StasheffSpec:
     _check_document(doc, "spec")
-    n_gon = _int_field(doc, "n_gon", "spec")
+    n_gon = _n_gon_field(doc, "spec")
     raw = doc.get("c")
     _require(isinstance(raw, list), "spec: 'c' must be a list")
     items = []
@@ -325,39 +344,47 @@ def _write_container(x, newline: str, out: list) -> None:
     out.append(newline + "}")
 
 
-def points_text(points) -> str:
-    """The bytes of ``dumps(points_to_json(points))``, written straight from
-    the weight tuples."""
-    write = _lamination_writer(2)
+def laminations_text(rows: list, coeffs: list | None = None) -> str:
+    """The points document of the laminations given as (n_gon, weights,
+    domain) rows or, with one coefficient per row, the expansion document
+    of those terms: the bytes ``dumps`` writes for the same laminations.
+
+    Each nonzero weight becomes its pair's entry head (``_entry_heads``,
+    built once per N and depth), the number and a closing bracket.
+    """
+    depth = 2 if coeffs is None else 3
+    close = "\n" + "  " * depth
+    key = close + "  "
+    end = key + "  ]"
+    sep = end + ","  # between one weight's number and the next entry head
+    items = []
     try:
-        items = [f"\n    {write(lam)}" for lam in points]
+        for n_gon, weights, domain in rows:
+            # ints, or Fractions that print as ints, print as themselves
+            number = str if domain == "int" else _number_text
+            heads = _entry_heads(n_gon, depth)
+            text = sep.join([h + number(x) for h, x in zip(heads, weights) if x])
+            text = f"[{text}{end}{key}]" if text else "[]"
+            items.append(
+                f'{{{key}"domain": "{domain}",{key}"format": {FORMAT},'
+                f'{key}"n_gon": {n_gon},{key}"weights": {text}{close}}}'
+            )
+        if coeffs is not None:
+            items = [
+                f'{{\n      "coeff": {coeff},\n      "lamination": {item}\n    }}'
+                for coeff, item in zip(coeffs, items)
+            ]
     except ValueError:
         # An int past the interpreter's digit limit.  The reference route
         # converts every fraction before it prints any int, so it raises
         # the error that this document maps to.
-        return dumps(points_to_json(points))
-    return _document_text("points", items)
-
-
-def expansion_text(expansion: Expansion) -> str:
-    """The bytes of ``dumps(expansion_to_json(expansion))``, written
-    straight from the weight tuples."""
-    write = _lamination_writer(3)
-    try:
-        items = [
-            f'\n    {{\n      "coeff": {coeff},\n      "lamination": {write(lam)}\n    }}'
-            for lam, coeff in expansion
-        ]
-    except ValueError:  # as in points_text
-        return dumps(expansion_to_json(expansion))
-    return _document_text("terms", items)
-
-
-def _document_text(key: str, items: list) -> str:
-    """A format-1 document holding one list, each item written with its
-    line start at the list's entry depth."""
-    body = ",".join(items) + "\n  ]" if items else "]"
-    return f'{{\n  "format": {FORMAT},\n  "{key}": [{body}\n}}\n'
+        lams = [Lamination._trusted(WeightedGraph._trusted(n, w), d) for n, w, d in rows]
+        if coeffs is None:
+            return dumps(points_to_json(lams))
+        return dumps(expansion_to_json(Expansion._trusted(tuple(zip(lams, coeffs)))))
+    name = "points" if coeffs is None else "terms"
+    body = "\n    " + ",\n    ".join(items) + "\n  ]" if items else "]"
+    return f'{{\n  "format": {FORMAT},\n  "{name}": [{body}\n}}\n'
 
 
 @lru_cache(maxsize=32)
@@ -367,33 +394,6 @@ def _entry_heads(n_gon: int, depth: int) -> tuple:
     entry = "\n" + "  " * (depth + 2)
     item = entry + "  "
     return tuple(f"{entry}[{item}{i},{item}{j},{item}" for i, j in _tables(n_gon).pairs)
-
-
-def _lamination_writer(depth: int):
-    """A function giving the text ``dumps`` writes for a lamination
-    document whose braces stand ``depth`` levels deep.
-
-    Each nonzero weight becomes its pair's entry head (``_entry_heads``,
-    built once per N and depth), the number and the closing bracket.
-    """
-    close = "\n" + "  " * depth
-    key = close + "  "
-    end = key + "  ]"
-
-    def write(lam: Lamination) -> str:
-        graph = lam.graph
-        heads = _entry_heads(graph.n_gon, depth)
-        if lam.domain == "int":  # ints, or Fractions that print as ints
-            weights = ",".join([f"{h}{x}{end}" for h, x in zip(heads, graph.w) if x])
-        else:
-            weights = ",".join([h + _number_text(x) + end for h, x in zip(heads, graph.w) if x])
-        weights = f"[{weights}{key}]" if weights else "[]"
-        return (
-            f'{{{key}"domain": {encode_basestring_ascii(lam.domain)},{key}"format": {FORMAT},'
-            f'{key}"n_gon": {graph.n_gon},{key}"weights": {weights}{close}}}'
-        )
-
-    return write
 
 
 def _number_text(x) -> str:

@@ -19,19 +19,20 @@ charts, keyed by the triangulation).  One exchange walk
 (``atlas._exchange_walk``) gives every diagonal's exponent vectors, read
 as linear forms, and, in the order it resolved them, the exchange step of
 each diagonal off the chart: its exit diagonal and the two pairs of
-opposite sides of its quadrilateral.  A point then becomes a lamination
-without the forms: its values fill the chart diagonals, each step gives
-one more diagonal by the tropical exchange relation
+opposite sides of its quadrilateral.  Points then become weight tuples
+in batches, without the forms (``_CompiledChart.weights``): the points'
+values fill one column per chart diagonal, each step makes one more
+diagonal's column by the tropical exchange relation
 v(s) = max(v(a) + v(c), v(b) + v(d)) - v(e) (Fock-Goncharov, Publ. IHES
-103, 2006), with edges at 0, and the per-N record
-``weighted_graphs._tables`` writes each weight as a signed sum of four
-diagonal values (inclusion-exclusion over cyclically consecutive chords),
-one getter per term.  The weights so made are a lamination at
-every point, so they are wrapped through the ``_trusted`` constructors;
-only the point's length is checked.
-``lamination_from_coords`` reads one point of the compiled chart;
-``polytopes.lattice_points`` takes the polytope's inequalities from the
-forms and reads every point it finds.
+103, 2006), with edges at a zero column, and each weight is a column of
+signed sums of four diagonal values (inclusion-exclusion over cyclically
+consecutive chords; the per-N record ``weighted_graphs._tables`` gives
+the slots), edge terms left out.  One ``zip`` turns the weight columns
+into rows, and each row is a lamination's weight tuple.
+``polytopes.lattice_points`` and the command line read every scanned
+point in one batch; ``lamination_from_coords`` is a batch of one, which
+checks the point's length, normalizes Fractions and wraps the row
+through the ``_trusted`` constructors.
 ``chart_change`` evaluates the new chart diagonals' forms in the compiled
 old chart.
 """
@@ -207,23 +208,63 @@ class _CompiledChart:
     ``diagonals(n)[k]`` in the chart, read as linear forms; the polytope's
     inequalities read them.  The same walk's exchange steps, as slots into
     ``diagonals(n)`` with edges at the zero slot past the end, give a
-    point's diagonal values one tropical exchange relation at a time.
+    batch of points' diagonal values one column per step.
     """
 
     def __init__(self, chart: Triangulation):
         tables = _tables(chart.n_gon)
-        slot, self._weights = tables.slot, tables.weights
+        slot = tables.slot
         self.chart = chart
         # the slot table's keys are ``diagonals(n)`` in order
         self.forms, steps = _exchange_walk(tuple(slot), chart)
-        zero = len(slot)
-        self._blank = [0] * (zero + 1)
+        zero = self._zero = len(slot)
+
+        def pair(x, y):
+            # an edge reads the zero slot, which goes last, so that a sum
+            # with one diagonal reads that diagonal alone
+            return sorted((x, y), key=zero.__eq__)
+
         self._chart_slots = tuple(slot[d] for d in chart.sorted_diagonals())
         self._steps = tuple(
-            (slot[s], slot[e], slot.get(a, zero), slot.get(c, zero),
-             slot.get(b, zero), slot.get(d, zero))
+            (slot[s], slot[e], *pair(slot.get(a, zero), slot.get(c, zero)),
+             *pair(slot.get(b, zero), slot.get(d, zero)))
             for s, e, (a, c), (b, d) in steps
         )
+        # weight k is v[p] + v[q] - v[r] - v[t], the slots of the four
+        # weight getters at k
+        self._columns = tuple(
+            (*pair(p, q), *pair(r, t))
+            for p, q, r, t in zip(*(getter(range(zero + 1)) for getter in tables.weights))
+        )
+
+    def weights(self, points) -> list:
+        """The weight tuples of the laminations at the given points, in
+        order; every point must have one value per chart diagonal.
+
+        The values go column by column: one column of all the points'
+        values per diagonal, the zero column at every edge, one more
+        column per exchange step and one per weight.
+        """
+        count = len(points)
+        if not count:
+            return []
+        zero = self._zero
+        v = [(0,) * count] * (zero + 1)
+        for k, column in zip(self._chart_slots, zip(*points)):
+            v[k] = column
+        for s, e, a, c, b, d in self._steps:
+            x = v[a] if c == zero else map(add, v[a], v[c])
+            y = v[b] if d == zero else map(add, v[b], v[d])
+            # a comparison in the comprehension takes about half the time
+            # of ``map(max, ...)``
+            v[s] = [(p if p > q else q) - r for p, q, r in zip(x, y, v[e])]
+        columns = []
+        for p, q, r, t in self._columns:
+            x = v[p] if q == zero else map(add, v[p], v[q])
+            if r != zero:
+                x = map(sub, x, v[r] if t == zero else map(add, v[r], v[t]))
+            columns.append(x)
+        return list(zip(*columns))
 
     def lamination(self, point: tuple) -> Lamination:
         """The lamination whose chart coordinates are the given point."""
@@ -231,14 +272,7 @@ class _CompiledChart:
             raise DimensionMismatch(
                 f"point has {len(point)} coordinates, need {len(self._chart_slots)}"
             )
-        v = self._blank[:]
-        for k, x in zip(self._chart_slots, point):
-            v[k] = x
-        for s, e, a, c, b, d in self._steps:
-            x, y = v[a] + v[c], v[b] + v[d]
-            v[s] = (x if x > y else y) - v[e]
-        plus1, plus2, minus1, minus2 = self._weights
-        w = tuple(map(sub, map(add, plus1(v), plus2(v)), map(add, minus1(v), minus2(v))))
+        (w,) = self.weights([point])
         if Fraction in map(type, point):
             w = tuple(map(_normalize, w))
         # the exchange relation yields a lamination at every point

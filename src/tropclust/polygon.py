@@ -7,7 +7,9 @@ Two segments cross when exactly one endpoint of the second lies strictly
 between the endpoints of the first in cyclic order, which for canonically
 ordered pairs reduces to a pair of label comparisons.  A triangulation is
 always complete: N-3 pairwise noncrossing diagonals, checked once when it
-is built, so every chart operation can rely on it.
+is built, so every chart operation can rely on it.  Whether a set of
+diagonals holds one is an interval program (``has_triangulation``), with
+no scan of the Catalan-many charts.
 """
 from __future__ import annotations
 
@@ -180,6 +182,27 @@ def triangulations(n_gon: int) -> tuple[Triangulation, ...]:
     sets = rec(tuple(range(1, n_gon + 1)))
     tris = sorted((Triangulation(n_gon, s) for s in sets), key=Triangulation.key)
     return tuple(tris)
+
+
+def has_triangulation(n_gon: int, segments) -> bool:
+    """Whether the diagonals of some complete triangulation all lie among
+    ``segments``, given as (i, j) pairs with i < j.
+
+    An interval dynamic program, O(N^3): the vertices i..j span a
+    triangulable sub-polygon when j = i + 1, or when its closing side
+    {i, j} is among the segments (or is the edge {1, N}) and some k between
+    splits it into triangulable sub-polygons i..k and k..j.
+    """
+    check_polygon(n_gon)
+    allowed = set(segments)
+    ok = [[j == i + 1 for j in range(n_gon + 1)] for i in range(n_gon + 1)]
+    for span in range(2, n_gon):
+        for i in range(1, n_gon - span + 1):
+            j = i + span
+            if span == n_gon - 1 or (i, j) in allowed:
+                row = ok[i]
+                row[j] = any(row[k] and ok[k][j] for k in range(i + 1, j))
+    return ok[1][n_gon]
 
 
 def flip(tri: Triangulation, diag: Segment):

@@ -31,8 +31,16 @@ last nonzero coordinate is reached: with the prefix fixed, the row bounds
 that coordinate to one side, so every depth loops over the box range cut to
 an exact interval, and the last depth takes its whole interval without a
 per-point test.  The scan yields sorted integer coordinate vectors, and the
-compiled chart turns each one into a lamination through the tropical
-exchange relation.
+compiled chart turns them into weight tuples in one batch
+(``_CompiledChart.weights``).  Every scanned point is integral, so
+``lattice_points`` wraps each row as an integral lamination through the
+``_trusted`` constructors.
+
+``vertex_flags`` tells which points are the vertex of some chart: a
+point's tight set, the diagonals where its cut mass meets twice the bound,
+goes through the interval program ``polygon.has_triangulation``, O(N^3)
+per point, instead of being tested against each of the Catalan-many
+charts.
 """
 from __future__ import annotations
 
@@ -66,8 +74,9 @@ from .polygon import (
     Triangulation,
     check_polygon,
     fan_triangulation,
+    has_triangulation,
 )
-from .weighted_graphs import Number, _normalize, _tables
+from .weighted_graphs import Number, WeightedGraph, _normalize, _tables
 
 
 @dataclass(frozen=True)
@@ -526,7 +535,26 @@ def lattice_points(
     if chart is None:
         chart = fan_triangulation(spec.n_gon)
     compiled, vectors = _scan_chart(spec, chart)
-    return [compiled.lamination(p) for p in vectors]
+    # every scanned point is integral, and so is its lamination
+    return [
+        Lamination._trusted(WeightedGraph._trusted(spec.n_gon, w), "int")
+        for w in compiled.weights(vectors)
+    ]
+
+
+def vertex_flags(spec: StasheffSpec, weights) -> list[bool]:
+    """Whether each point, given by its weight tuple, is the vertex of
+    some chart: whether the diagonals where its coordinate meets the bound,
+    its tight set, hold a complete triangulation (``has_triangulation``).
+    """
+    tables = _tables(spec.n_gon)
+    c = spec._bounds
+    # a coordinate is half a cut mass, so the cut mass meets twice the bound
+    checks = [(d, tables.cuts[k], 2 * c[d]) for d, k in zip(tables.slot, tables.diagonals)]
+    return [
+        has_triangulation(spec.n_gon, [d for d, cut, bound in checks if sum(cut(w)) == bound])
+        for w in weights
+    ]
 
 
 def shift_to_negative_part(spec: StasheffSpec) -> tuple[Lamination, StasheffSpec]:

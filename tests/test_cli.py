@@ -9,6 +9,7 @@ import pytest
 from tropclust import cli
 from tropclust.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_MATH, EXIT_OK, main
 from tropclust.jsonio import (
+    MAX_N_GON,
     dumps,
     expansion_to_json,
     lamination_to_json,
@@ -19,9 +20,15 @@ from tropclust.jsonio import (
 )
 from tropclust.atlas import type_a_seed
 from tropclust.basis import _sorted_leaves, product_expand
-from tropclust.laminations import TropicalCoords, lamination_from_coords
+from tropclust.laminations import (
+    TropicalCoords,
+    chart_coords,
+    lamination_from_coords,
+    tropical_coordinate,
+)
 from tropclust.polygon import Triangulation, diagonals, fan_triangulation, triangulations
 from tropclust.polytopes import StasheffSpec, lattice_points, minkowski_spec, vertex
+from tropclust.weighted_graphs import _tables
 
 
 def pt(n_gon, vec):
@@ -134,7 +141,7 @@ def test_out_of_memory_exits_with_budget_code(files, capsys, monkeypatch):
     def exhausted(points, budget):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "product_expand", exhausted)
+    monkeypatch.setattr(cli, "_sorted_leaves", exhausted)
     code = main(["support", "--in", str(files / "points.json")])
     captured = capsys.readouterr()
     assert code == EXIT_BUDGET
@@ -479,3 +486,98 @@ def test_overlong_output_numbers_are_input_errors(tmp_path, capsys, command, coo
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("input error: " + message)
+
+
+def test_format_true_is_an_input_error(tmp_path, capsys):
+    """``True == 1`` in Python; a ``"format": true`` spec or points
+    document is refused with exit 1 instead of being run."""
+    spec = spec_to_json(StasheffSpec.of(5, {d: 1 for d in diagonals(5)}))
+    points = points_to_json([pt(5, (1, 0))])
+    for command, doc in (
+        ("lattice-points", {**spec, "format": True}),
+        ("support", {**points, "format": True}),
+        ("support", {**points, "points": [{**points["points"][0], "format": True}]}),
+    ):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, "--in", str(path)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("missing or unsupported format\n")
+
+
+def test_polygons_past_the_bound_are_input_errors(tmp_path, capsys):
+    """A document naming a polygon of more than ``MAX_N_GON`` vertices,
+    or a ``--n`` past ``MAX_N_GON - 3``, exits 1 before any per-N table is
+    built; the bound itself is accepted."""
+    before = _tables.cache_info().misses
+    path = tmp_path / "doc.json"
+    for command, doc in (
+        ("support", {"format": 1, "points": [{"format": 1, "n_gon": 10**6, "weights": []}]}),
+        ("verify-mthm", {"format": 1, "points": [{"format": 1, "n_gon": MAX_N_GON + 1, "weights": []}]}),
+        ("lattice-points", {"format": 1, "n_gon": 10**6, "c": []}),
+    ):
+        path.write_text(json.dumps(doc))
+        assert main([command, "--in", str(path)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"'n_gon' must be at most {MAX_N_GON}, got " in captured.err
+    with pytest.raises(SystemExit) as info:
+        main(["triangulations", "--n", str(MAX_N_GON - 2)])
+    assert info.value.code == EXIT_INPUT
+    assert f"n <= {MAX_N_GON - 3}" in capsys.readouterr().err
+    assert _tables.cache_info().misses == before
+    assert cli._rank(str(MAX_N_GON - 3)) == MAX_N_GON - 3
+
+
+def _export_reference(spec, chart) -> str:
+    """The ``export-chart`` CSV by the per-point route: chart coordinates
+    from each lattice point's cut masses, and the vertex flag from a scan
+    of every chart against the point's tight set."""
+    charts = triangulations(spec.n_gon)
+    lines = [",".join([f"a_{d.i}_{d.j}" for d in chart.sorted_diagonals()] + ["vertex"])]
+    for p in lattice_points(spec, chart):
+        tight = {d for d in diagonals(spec.n_gon) if tropical_coordinate(p, d) == spec.value(d)}
+        flag = any(t.diagonals <= tight for t in charts)
+        values = [str(v) for v in chart_coords(p, chart).vector()]
+        lines.append(",".join(values + ["true" if flag else "false"]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n_gon", range(5, 10))
+def test_commands_write_what_the_reference_route_gives(tmp_path, capsys, n_gon):
+    """On a seeded product of three laminations: ``support`` and ``support
+    --coeffs`` print ``dumps`` over the product's documents;
+    ``lattice-points`` (fan and a seeded chart) prints ``dumps`` over
+    ``lattice_points`` for the Minkowski spec, a rational spec and an empty
+    one; ``export-chart`` prints the per-point reference CSV."""
+    rng = random.Random(2400 + n_gon)
+    points = [pt(n_gon, [rng.randint(-2, 2) for _ in range(n_gon - 3)]) for _ in range(3)]
+    points_path = tmp_path / "points.json"
+    points_path.write_text(dumps(points_to_json(points)))
+    expansion = product_expand(points)
+    assert run(["support", "--in", str(points_path)], capsys) == (
+        EXIT_OK, dumps(points_to_json(expansion.support()))
+    )
+    assert run(["support", "--coeffs", "--in", str(points_path)], capsys) == (
+        EXIT_OK, dumps(expansion_to_json(expansion))
+    )
+    spec = minkowski_spec(points)
+    specs = [
+        spec,
+        StasheffSpec.of(n_gon, {d: c * Fraction(2, 3) + Fraction(1, 2) for d, c in spec.c}),
+        StasheffSpec.of(n_gon, {d: -1 for d in diagonals(n_gon)}),
+    ]
+    chart = rng.choice(triangulations(n_gon))
+    chart_text = ",".join(f"{d.i}-{d.j}" for d in chart.sorted_diagonals())
+    spec_path = tmp_path / "spec.json"
+    for s in specs:
+        spec_path.write_text(dumps(spec_to_json(s)))
+        for flags, tri in (([], None), (["--chart", chart_text], chart)):
+            assert run(["lattice-points", "--in", str(spec_path)] + flags, capsys) == (
+                EXIT_OK, dumps(points_to_json(lattice_points(s, tri)))
+            )
+        assert run(["export-chart", "--in", str(spec_path), "--chart", chart_text], capsys) == (
+            EXIT_OK, _export_reference(s, chart)
+        )
+    assert lattice_points(specs[2]) == []

@@ -11,10 +11,11 @@ from tropclust.basis import Expansion, product_expand
 from tropclust.errors import InputFormatError
 from tropclust.jsonio import (
     FORMAT,
+    MAX_N_GON,
+    _n_gon_field,
     coords_to_json,
     dumps,
     expansion_from_json,
-    expansion_text,
     expansion_to_json,
     graph_from_json,
     graph_to_json,
@@ -24,7 +25,7 @@ from tropclust.jsonio import (
     number_from_json,
     number_to_json,
     points_from_json,
-    points_text,
+    laminations_text,
     points_to_json,
     seed_from_json,
     seed_to_json,
@@ -34,7 +35,7 @@ from tropclust.jsonio import (
 from tropclust.laminations import Lamination, TropicalCoords, lamination_from_coords
 from tropclust.polygon import Segment, diagonals, fan_triangulation, triangulations
 from tropclust.polytopes import StasheffSpec, minkowski_spec, vertex
-from tropclust.weighted_graphs import WeightedGraph
+from tropclust.weighted_graphs import WeightedGraph, _tables
 
 
 def pt(n_gon, vec):
@@ -86,6 +87,41 @@ def test_graph_rejects_duplicates_and_junk():
         graph_from_json({"format": 2, "n_gon": 5, "weights": []})
     with pytest.raises(InputFormatError):
         graph_from_json([1, 2, 3])
+
+
+def test_format_must_be_the_integer_one():
+    """``True == 1`` in Python, so a ``"format": true`` document must be
+    refused by type, in every kind of document."""
+    spec = spec_to_json(minkowski_spec([pt(5, (1, -1))]))
+    lam = lamination_to_json(pt(5, (1, -1)))
+    seed = seed_to_json(type_a_seed(2))
+    for read, doc in (
+        (graph_from_json, lam),
+        (lamination_from_json, lam),
+        (spec_from_json, spec),
+        (points_from_json, {"format": FORMAT, "points": [lam]}),
+        (expansion_from_json, {"format": FORMAT, "terms": [{"lamination": lam, "coeff": 1}]}),
+        (seed_from_json, seed),
+    ):
+        read(doc)
+        for bad in (True, "1", 2):
+            with pytest.raises(InputFormatError, match="missing or unsupported format"):
+                read({**doc, "format": bad})
+    with pytest.raises(InputFormatError, match="missing or unsupported format"):
+        points_from_json({"format": FORMAT, "points": [{**lam, "format": True}]})
+
+
+def test_polygon_size_is_bounded_before_any_table_is_built():
+    """A document naming a polygon of more than ``MAX_N_GON`` vertices is
+    an input error, raised before ``_tables`` builds anything for it."""
+    before = _tables.cache_info().misses
+    for n_gon in (MAX_N_GON + 1, 10**6, 10**100):
+        with pytest.raises(InputFormatError, match=f"'n_gon' must be at most {MAX_N_GON}"):
+            graph_from_json({"format": FORMAT, "n_gon": n_gon, "weights": []})
+        with pytest.raises(InputFormatError, match=f"'n_gon' must be at most {MAX_N_GON}"):
+            spec_from_json({"format": FORMAT, "n_gon": n_gon, "c": []})
+    assert _tables.cache_info().misses == before
+    assert _n_gon_field({"n_gon": MAX_N_GON}, "graph") == MAX_N_GON
 
 
 def test_graph_duplicate_entry_message():
@@ -202,9 +238,22 @@ def test_dumps_rejects_ints_past_the_digit_limit():
         dumps({"format": FORMAT, "values": [1, [10**5000]]})
 
 
+def points_text(points) -> str:
+    """The direct writer over a list of laminations."""
+    return laminations_text([(lam.n_gon, lam.graph.w, lam.domain) for lam in points])
+
+
+def expansion_text(expansion) -> str:
+    """The direct writer over an expansion's terms."""
+    return laminations_text(
+        [(lam.n_gon, lam.graph.w, lam.domain) for lam, _ in expansion],
+        [coeff for _, coeff in expansion],
+    )
+
+
 @pytest.mark.parametrize("n_gon", range(5, 13))
 def test_direct_writers_match_the_reference_route(n_gon):
-    """``points_text`` and ``expansion_text`` give the bytes of ``dumps``
+    """``laminations_text`` gives the bytes of ``dumps``
     over ``points_to_json`` and ``expansion_to_json``: on a seeded
     product's support, its halves and thirds, no points, the zero
     lamination, and the product's expansion."""
@@ -247,10 +296,11 @@ def test_direct_writers_map_overlong_numbers_as_the_reference():
         ([long_fraction], "cannot write number: "),
         ([long_int, long_fraction], "cannot write number: "),
     ):
-        with pytest.raises(InputFormatError, match="^" + message):
+        with pytest.raises(InputFormatError, match="^" + message) as reference:
             dumps(points_to_json(ps))
-        with pytest.raises(InputFormatError, match="^" + message):
+        with pytest.raises(InputFormatError, match="^" + message) as direct:
             points_text(ps)
+        assert str(direct.value) == str(reference.value)
     with pytest.raises(InputFormatError, match="^cannot write output: "):
         expansion_text(Expansion(((long_int, 1),)))
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exchange_oracle import point_weights
 from tropclust.errors import (
     DimensionMismatch,
     InvariantViolation,
@@ -33,6 +34,7 @@ from tropclust.polygon import (
     flip,
     triangulations,
 )
+from tropclust.polytopes import StasheffSpec, _scan_chart, lattice_points, minkowski_spec
 from tropclust.weighted_graphs import WeightedGraph, _normalize, pairs, wrap_vertex
 
 
@@ -488,3 +490,86 @@ def test_compiled_points_pass_the_validating_constructors(n_gon):
             lam = compiled.lamination(point)
             checked = Lamination(WeightedGraph(n_gon, lam.graph.w))
             assert repr(lam) == repr(checked)
+
+
+def _seeded_charts(n_gon, rng, count):
+    """The fan and ``count`` charts reached from it by seeded flips."""
+    tri = fan_triangulation(n_gon)
+    charts = [tri]
+    for _ in range(count):
+        for _ in range(3 * n_gon):
+            tri = flip(tri, rng.choice(tri.sorted_diagonals()))[0]
+        charts.append(tri)
+    return charts
+
+
+@pytest.mark.parametrize("n_gon", range(3, 11))
+def test_batch_kernel_matches_the_per_point_exchange(n_gon):
+    """``_CompiledChart.weights`` over a batch gives, row by row, the
+    per-point exchange arithmetic of ``tests/exchange_oracle.py``: on the
+    fan and three flipped charts, on seeded integral points (all-negative
+    ones included), on the polytope's scanned lattice points, and on a
+    batch of one and no points."""
+    rng = random.Random(2100 + n_gon)
+    dim = n_gon - 3
+    for tri in _seeded_charts(n_gon, rng, 3 if dim else 0):
+        compiled = _CompiledChart(tri)
+        points = [tuple(rng.randint(-4, 4) for _ in range(dim)) for _ in range(25)]
+        points.append(tuple(rng.randint(-3, -1) for _ in range(dim)))
+        spec = minkowski_spec([compiled.lamination(p) for p in points[:2]])
+        _, scanned = _scan_chart(spec, tri)
+        for batch in (points, scanned, points[:1], []):
+            rows = compiled.weights(batch)
+            assert rows == point_weights(tri, batch)
+            assert all(type(x) is int for row in rows for x in row)
+        lattice = lattice_points(spec, tri)
+        assert [lam.graph.w for lam in lattice] == compiled.weights(scanned)
+        assert [lam.domain for lam in lattice] == ["int"] * len(scanned)
+
+
+def test_triangle_has_one_point_the_zero_lamination():
+    """With no chart diagonals a point is the empty tuple: the kernel
+    gives one zero row per point, and the triangle's polytope has exactly
+    the zero lamination."""
+    tri = fan_triangulation(3)
+    compiled = _CompiledChart(tri)
+    assert compiled.weights([()]) == [(0, 0, 0)]
+    assert compiled.weights([(), ()]) == [(0, 0, 0)] * 2
+    spec = StasheffSpec.of(3, {})
+    assert lattice_points(spec) == [Lamination.zero(3)]
+    assert lattice_points(spec)[0].domain == "int"
+    assert lamination_from_coords(TropicalCoords(tri, ())) == Lamination.zero(3)
+
+
+@pytest.mark.parametrize("n_gon", [5, 6, 8])
+def test_empty_scans_give_no_laminations(n_gon):
+    spec = StasheffSpec.of(n_gon, {d: -1 for d in diagonals(n_gon)})
+    for tri in _seeded_charts(n_gon, random.Random(n_gon), 2):
+        compiled, scanned = _scan_chart(spec, tri)
+        assert scanned == []
+        assert compiled.weights(scanned) == []
+        assert lattice_points(spec, tri) == []
+
+
+@pytest.mark.parametrize("n_gon", range(4, 11))
+def test_rational_points_through_lamination_from_coords(n_gon):
+    """A rational point is a batch of one: its weights are the per-point
+    arithmetic's, normalized (a Fraction with denominator 1 reads as an
+    int), and its domain is ``"int"`` exactly when every weight is an
+    integer."""
+    rng = random.Random(2200 + n_gon)
+    dim = n_gon - 3
+    domains = set()
+    for tri in _seeded_charts(n_gon, rng, 2):
+        for _ in range(6):
+            den = rng.choice((1, 2, 3, 6))
+            values = [Fraction(rng.randint(-9, 9), den) for _ in range(dim)]
+            coords = TropicalCoords.of(tri, dict(zip(tri.sorted_diagonals(), values)))
+            lam = lamination_from_coords(coords)
+            (expected,) = point_weights(tri, [tuple(map(_normalize, values))])
+            assert repr(lam.graph.w) == repr(expected)
+            integral = all(type(x) is int for x in expected)
+            assert lam.domain == ("int" if integral else "rat")
+            assert lam == Lamination(WeightedGraph(n_gon, expected))
+            domains.add(lam.domain)
+    assert domains == {"int", "rat"}

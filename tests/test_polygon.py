@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from tropclust.polygon import (
     edges,
     fan_triangulation,
     flip,
+    has_triangulation,
     triangulations,
 )
 
@@ -210,3 +212,37 @@ def test_triangles_match_a_scan_of_all_vertex_triples():
                 )
             ]
             assert t.triangles() == scan
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_interval_program_matches_the_catalan_scan(n):
+    """``has_triangulation`` says whether a set of diagonals holds some
+    complete triangulation: the same answer as a scan of all Catalan-many
+    charts.  On every subset of the diagonals up to the heptagon; beyond
+    it, on every chart's diagonals with and without one of them, and on
+    seeded subsets of several densities, each with a chart added."""
+    charts = triangulations(n)
+    diags = diagonals(n)
+
+    def scan(segments):
+        return any(t.diagonals <= segments for t in charts)
+
+    if n <= 7:
+        subsets = [
+            frozenset(c) for k in range(len(diags) + 1) for c in itertools.combinations(diags, k)
+        ]
+    else:
+        rng = random.Random(n)
+        subsets = []
+        for t in charts:
+            subsets.append(t.diagonals)
+            subsets.append(t.diagonals - {rng.choice(t.sorted_diagonals())})
+        for p in (0.3, 0.6, 0.8, 0.9):
+            for _ in range(200):
+                subset = frozenset(d for d in diags if rng.random() < p)
+                subsets += [subset, subset | rng.choice(charts).diagonals]
+    answers = [has_triangulation(n, s) for s in subsets]
+    assert answers == [scan(s) for s in subsets]
+    # the triangle's one chart has no diagonals
+    assert set(answers) == ({True} if n == 3 else {True, False})
+    assert has_triangulation(n, [tuple(d) for d in diags])

@@ -51,6 +51,7 @@ from tropclust.polytopes import (
     quadruple_slack,
     shift_to_negative_part,
     vertex,
+    vertex_flags,
 )
 
 
@@ -700,3 +701,32 @@ def test_minkowski_spec_polytopes_contain_their_generators(data):
         sum(chart_coords(p, fan).vector()[k] for p in pts) for k in range(2)
     )
     assert contains(spec, point(5, summed))
+
+
+@pytest.mark.parametrize("n_gon", range(5, 10))
+def test_vertex_flags_match_the_catalan_scan(n_gon):
+    """A lattice point is flagged a vertex exactly when the diagonals where
+    its tropical coordinate meets the bound hold the diagonals of one of the
+    Catalan-many charts; on seeded Minkowski specs and a rational spec, in
+    the fan and a seeded chart.  The flagged points are the integral chart
+    vertices."""
+    rng = random.Random(2300 + n_gon)
+    charts = triangulations(n_gon)
+    for trial in range(2):
+        factors = [point(n_gon, [rng.randint(-2, 2) for _ in range(n_gon - 3)])
+                   for _ in range(2 if n_gon < 9 else 1)]
+        spec = minkowski_spec(factors)
+        if trial:
+            spec = StasheffSpec.of(n_gon, {d: c + Fraction(1, 2) for d, c in spec.c})
+        for chart in (fan_triangulation(n_gon), rng.choice(charts)):
+            points = lattice_points(spec, chart)
+            expected = []
+            for p in points:
+                tight = {d for d in diagonals(n_gon)
+                         if tropical_coordinate(p, d) == spec.value(d)}
+                expected.append(any(t.diagonals <= tight for t in charts))
+            assert vertex_flags(spec, [p.graph.w for p in points]) == expected
+            corners = (lamination_from_coords(vertex(spec, t)) for t in charts)
+            assert {p.graph for p, flag in zip(points, expected) if flag} == {
+                lam.graph for lam in corners if lam.domain == "int"
+            }
