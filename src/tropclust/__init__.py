@@ -19,9 +19,7 @@ from .errors import (
     NotADiagonal,
     NotALamination,
     NotDivisible,
-    NotInImageLattice,
     NotStasheff,
-    RankDeficient,
     SizeMismatch,
     TropclustError,
     Unbounded,
@@ -42,11 +40,7 @@ from .weighted_graphs import (
     dominates,
 )
 from .atlas import (
-    MonomialLattice,
     Seed,
-    atlas_seed,
-    chart_segments,
-    expand_cluster_variable,
     expand_in_x_chart,
     mutate_seed,
     mutation_words,

@@ -1,24 +1,19 @@
-"""Seeds, mutations, and symbolic expansion in triangulation charts.
+"""Seeds, mutations, and the charts of the type A atlas.
 
 A seed is an index set with a frozen subset, a skew-symmetrizable integer
 exchange matrix, and positive skew-symmetrizers.  Mutation rewrites the
-matrix in one unfrozen direction and is involutive.  Each complete
-triangulation of the polygon produces a seed whose directions are the chart
-segments and whose matrix is read off the triangles.
+matrix in one unfrozen direction and is involutive.  ``type_a_seed(n)`` is
+the chain seed of the fan chart of the (n+3)-gon without its boundary
+directions.
 
 The chart machinery lives here too:
 
-* ``expand_cluster_variable`` writes any segment variable as a positive
-  Laurent polynomial in a chosen chart, whose variables are the chart's
-  diagonals and its frozen edges, by repeatedly applying the exchange
-  relation on crossing quadrilaterals;
 * ``_exchange_walk`` compiles a chart for the coordinate maps
-  (``laminations._compiled``): it follows the same exchange relations but
+  (``laminations._compiled``): it applies the exchange relation on
+  crossing quadrilaterals to write each segment variable in the chart, but
   keeps only each expansion's exponent vectors over the chart diagonals.
   The coefficients are positive, so no term cancels, and the set of a sum
   is the union and that of a product the pairwise sums;
-* ``MonomialLattice`` translates between monomials in chart variables of the
-  two coordinate systems attached to a seed;
 * ``expand_in_x_chart`` pushes a Laurent polynomial through a word of
   mutations.  Each step splits it into fibers, the terms that agree off the
   mutated direction k, and multiplies each fiber by its power of
@@ -35,6 +30,9 @@ The chart machinery lives here too:
   parts) depends on the rank alone, so ``_walk_plan`` works it out once
   per rank, with each word's parent slot; the walk then only runs the one
   push kernel, ``_push``, on bare term dicts, and builds no seed.
+
+``tests/chart_oracle.py`` keeps the full expansions, with coefficients and
+edge variables, as the reference for ``_exchange_walk``.
 """
 from __future__ import annotations
 
@@ -51,14 +49,12 @@ from .errors import (
     FrozenDirection,
     InvariantViolation,
     NotDivisible,
-    RankDeficient,
 )
 from .laurent import LaurentPolynomial
 from .polygon import (
     Segment,
     Triangulation,
     crosses,
-    edges as polygon_edges,
     fan_triangulation,
     flip,
 )
@@ -71,10 +67,6 @@ def label_text(label) -> str:
 
 def x_variable_name(label) -> str:
     return "X" + label_text(label)
-
-
-def a_variable_name(label) -> str:
-    return "A" + label_text(label)
 
 
 @dataclass(frozen=True)
@@ -142,10 +134,6 @@ class Seed:
     def is_frozen(self, label) -> bool:
         return label in self.frozen
 
-    @property
-    def unfrozen(self) -> tuple:
-        return tuple(l for l in self.labels if l not in self.frozen)
-
     def x_names(self) -> tuple[str, ...]:
         return tuple(x_variable_name(l) for l in self.labels)
 
@@ -186,125 +174,7 @@ def mutate_seed(seed: Seed, k) -> Seed:
     return Seed._trusted(seed.labels, seed.frozen, eps, seed.d)
 
 
-def chart_segments(tri: Triangulation) -> tuple[Segment, ...]:
-    """Ordered variable segments of a chart: diagonals first, then edges."""
-    return tuple(tri.sorted_diagonals()) + tuple(polygon_edges(tri.n_gon))
-
-
-def atlas_seed(tri: Triangulation) -> Seed:
-    """Seed of a complete triangulation: one direction per chart segment.
-
-    Every triangle contributes a 3-cycle of arrows between its sides, taken
-    clockwise; edges are frozen.
-    """
-    segs = chart_segments(tri)
-    index = {s: i for i, s in enumerate(segs)}
-    n = len(segs)
-    eps = [[0] * n for _ in range(n)]
-    for a, b, c in tri.triangles():
-        sides = (Segment(a, b), Segment(b, c), Segment(a, c))
-        for s, t in ((0, 1), (1, 2), (2, 0)):
-            si, ti = index[sides[s]], index[sides[t]]
-            eps[si][ti] += 1
-            eps[ti][si] -= 1
-    frozen = frozenset(s for s in segs if s.is_edge(tri.n_gon))
-    return Seed(segs, frozen, tuple(map(tuple, eps)), (1,) * n)
-
-
-class MonomialLattice:
-    """Exponent translation between the two chart monoids of one seed.
-
-    ``image`` maps an exponent vector over the unfrozen directions to its
-    monomial exponents over all directions; ``preimage`` inverts that when
-    possible, returning None for vectors outside the image lattice.
-
-    The rows are factored once: when they are independent, some square block
-    of pivot columns is invertible, and ``preimage`` reads the unique
-    candidate off that block's exact inverse, kept as one full-width integer
-    column per unfrozen direction over a common denominator.
-    """
-
-    def __init__(self, seed: Seed):
-        self.seed = seed
-        self.unfrozen = seed.unfrozen
-        rows = [seed.eps[seed.index(l)] for l in self.unfrozen]
-        self._rows = tuple(tuple(r) for r in rows)
-        self._width = len(seed.labels)
-        # image coordinate j is b . (column j of the rows)
-        self._image_cols = tuple(
-            tuple(row[j] for row in self._rows) for j in range(self._width)
-        )
-        self._preimage_cols, self._denom = self._factor()
-
-    def _factor(self):
-        """Gauss-Jordan on [rows | identity].
-
-        When the rows are independent, returns the inverse of the pivot
-        block as full-width integer columns (zero off the pivot columns) and
-        their common denominator; (None, None) otherwise.
-        """
-        m = len(self._rows)
-        aug = [
-            [Fraction(x) for x in row] + [Fraction(int(r == i)) for r in range(m)]
-            for i, row in enumerate(self._rows)
-        ]
-        rank = 0
-        pivots = []
-        for col in range(self._width):
-            pivot = next((r for r in range(rank, m) if aug[r][col] != 0), None)
-            if pivot is None:
-                continue
-            aug[rank], aug[pivot] = aug[pivot], aug[rank]
-            inv = aug[rank][col]
-            aug[rank] = [x / inv for x in aug[rank]]
-            for r in range(m):
-                if r != rank and aug[r][col] != 0:
-                    f = aug[r][col]
-                    aug[r] = [a - f * b for a, b in zip(aug[r], aug[rank])]
-            pivots.append(col)
-            rank += 1
-        if rank < m:
-            return None, None
-        # The elimination turned the pivot block into the identity, so the
-        # right-hand block is that block's inverse: b = a[pivots] . inverse.
-        inverse = [row[self._width :] for row in aug]
-        denom = math.lcm(*(x.denominator for row in inverse for x in row))
-        at_pivot = dict(zip(pivots, inverse))
-        cols = tuple(
-            tuple(int(at_pivot[j][i] * denom) if j in at_pivot else 0 for j in range(self._width))
-            for i in range(m)
-        )
-        return cols, denom
-
-    def image(self, b: Sequence[int]) -> tuple[int, ...]:
-        b = tuple(b)
-        if len(b) != len(self.unfrozen):
-            raise DimensionMismatch(
-                f"need {len(self.unfrozen)} exponents, got {len(b)}"
-            )
-        return tuple(sum(map(mul, b, col)) for col in self._image_cols)
-
-    def preimage(self, a: Sequence[int]):
-        """Solve image(b) == a exactly; None when no integer solution exists."""
-        if self._preimage_cols is None:
-            raise RankDeficient(
-                "the monomial map of this seed is not injective; "
-                "preimages are not unique"
-            )
-        a = tuple(a)
-        if len(a) != self._width:
-            raise DimensionMismatch(f"need {self._width} exponents, got {len(a)}")
-        b = []
-        for col in self._preimage_cols:
-            q, r = divmod(sum(map(mul, a, col)), self._denom)
-            if r:
-                return None
-            b.append(q)
-        b = tuple(b)
-        return b if self.image(b) == a else None
-
-
-# -- chart expansion of segment variables ----------------------------------
+# -- exponent sets of segment variables in a chart -------------------------
 
 
 def _crossing_count(seg: Segment, tri: Triangulation) -> int:
@@ -340,37 +210,6 @@ def _exit_quadrilateral(seg: Segment, tri: Triangulation, triangles: list) -> tu
         if max(_crossing_count(s1, tri), _crossing_count(s2, tri)) >= own:
             raise InvariantViolation("quadrilateral sides must cross fewer chart diagonals")
     return ear, sides
-
-
-def expand_cluster_variable(seg: Segment, tri: Triangulation) -> LaurentPolynomial:
-    """Write the variable of a segment as a Laurent polynomial in one chart.
-
-    Chart segments, diagonals and edges alike, map to themselves.
-    Everything else resolves through the exchange relation on the
-    quadrilateral formed with the chart diagonal that the segment exits
-    through at its lower endpoint.  Results carry positive coefficients.
-    """
-    segs = chart_segments(tri)
-    seg.validate(tri.n_gon)
-    names = tuple(a_variable_name(s) for s in segs)
-    triangles = tri.triangles()
-    memo = {}
-
-    def expand(s: Segment) -> LaurentPolynomial:
-        hit = memo.get(s)
-        if hit is None:
-            if s in segs:
-                hit = LaurentPolynomial.variable(names, a_variable_name(s))
-            else:
-                ear, sides = _exit_quadrilateral(s, tri, triangles)
-                numer = LaurentPolynomial.zero(names)
-                for s1, s2 in sides:
-                    numer = numer + expand(s1) * expand(s2)
-                hit = numer * LaurentPolynomial.variable(names, a_variable_name(ear), -1)
-            memo[s] = hit
-        return hit
-
-    return expand(seg)
 
 
 def _exchange_walk(segments: Sequence[Segment], tri: Triangulation) -> tuple:

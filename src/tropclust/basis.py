@@ -1,8 +1,8 @@
 """Basis functions labeled by laminations, their products and supports.
 
-Every integral lamination names one global Laurent function: the monomial
-its weights cut out in a chart with boundary variables, rewritten through
-the exponent lattice into the boundary-free chart coordinates.  Products of
+Every integral lamination names one global Laurent function.  In the fan
+chart it has a closed form: a monomial read off the weights times the chain
+sums of the diagonals off the fan, each to its weight.  Products of
 basis functions expand back into the basis with nonnegative integer
 coefficients; combinatorially the expansion repeatedly splits one crossing
 of the summed weighted graph into the two ways of rerouting it, until only
@@ -37,84 +37,67 @@ from functools import cached_property, lru_cache
 from operator import add, itemgetter
 from typing import Sequence
 
-from .atlas import (
-    MonomialLattice,
-    a_variable_name,
-    atlas_seed,
-    chart_segments,
-    expand_cluster_variable,
-    type_a_seed,
-    x_chart_walk,
-)
+from .atlas import type_a_seed, x_chart_walk
 from .errors import (
     BudgetExceeded,
     EmptyInput,
     InvariantViolation,
     NonIntegral,
-    NotInImageLattice,
     SizeMismatch,
 )
 from .laminations import Lamination
 from .laurent import LaurentPolynomial
-from .polygon import diagonals as polygon_diagonals, fan_triangulation
 from .weighted_graphs import WeightedGraph, _fan_cuts, _tables
 
 DEFAULT_BUDGET = 1_000_000
 
 
 @lru_cache(maxsize=32)
-def _fan_chart(n_gon: int) -> tuple:
-    """What ``basis_laurent`` reads of an N-gon's fan chart, built once per N.
-
-    The position of each chart segment among the chart variables, the
-    expansions of the other diagonals, the variable names, the exponent
-    lattice of the chart's seed, and the names X1..Xn of the output.
-    """
-    fan = fan_triangulation(n_gon)
-    segs = chart_segments(fan)
-    index = {s: i for i, s in enumerate(segs)}
-    expansions = {
-        d: expand_cluster_variable(d, fan) for d in polygon_diagonals(n_gon) if d not in index
+def _fan_chains(n_gon: int) -> tuple:
+    """The names X1..Xn of an N-gon's fan chart, and the chain sum
+    1 + X_(i-1) + X_(i-1) X_i + ... + X_(i-1) ... X_(j-3) of each diagonal
+    {i, j} off the fan (i >= 2), built once per N.  Chains list their
+    longest term first, as the exchange relation on the fan's
+    quadrilaterals does, so products keep that term order."""
+    names = type_a_seed(n_gon - 3).x_names()
+    return names, {
+        (i, j): LaurentPolynomial._trusted(names, {
+            (0,) * (i - 2) + (1,) * t + (0,) * (n_gon - 1 - i - t): 1
+            for t in reversed(range(j - i))
+        })
+        for i in range(2, n_gon - 1)
+        for j in range(i + 2, n_gon + 1)
     }
-    names = tuple(a_variable_name(s) for s in segs)
-    lattice = MonomialLattice(atlas_seed(fan))
-    return index, expansions, names, lattice, type_a_seed(n_gon - 3).x_names()
 
 
 def basis_laurent(lam: Lamination) -> LaurentPolynomial:
     """The basis function of an integral lamination, in fan chart coordinates.
 
-    The lamination's weights give a monomial over all segments; expanding
-    its off-chart diagonals and pulling each resulting monomial back through
-    the exponent lattice yields a Laurent polynomial in the chart variables
-    X1..Xn (one per fan diagonal, in order).
+    X_m is the coordinate of the fan diagonal {1, m + 2}.  In the fan chart
+    the F-polynomial of a diagonal {i, j} with i >= 2 is its chain sum
+    (Fomin-Zelevinsky, Cluster algebras IV; Musiker-Schiffler-Williams), so
+    the basis function is X^b times the product of the chains to the
+    weights of those diagonals, where b_k sums the weights of all pairs of
+    vertices in 1..k+1.  A 3-gon has no chart variables and raises
+    InvariantViolation, as ``type_a_seed(0)`` does.
     """
     if not lam.graph.is_integral():
         raise NonIntegral("basis functions are indexed by integral laminations")
-    index, expansions, names, lattice, out_names = _fan_chart(lam.n_gon)
-    chart_exps = [0] * len(names)
+    names, chains = _fan_chains(lam.n_gon)
+    b = [0] * len(names)
     product = None
     for i, j, w in lam.graph.sparse_items():
-        # a Segment is its (i, j) tuple, so the pair looks it up directly
-        s = (i, j)
-        if s in index:
-            chart_exps[index[s]] += w
-            continue
-        factor = expansions[s] ** w
-        product = factor if product is None else product * factor
-    # the chart segments' monomial shifts every exponent vector
+        # the pair {i, j} lies in 1..k+1 for every k >= j - 1
+        for k in range(j - 2, len(b)):
+            b[k] += w
+        if (i, j) in chains:
+            factor = chains[i, j] ** w
+            product = factor if product is None else product * factor
     terms = {(0,) * len(names): 1} if product is None else product.terms
-    out: dict[tuple[int, ...], int] = {}
-    for exps, coeff in terms.items():
-        b = lattice.preimage(map(add, exps, chart_exps))
-        if b is None:
-            raise NotInImageLattice(
-                "a product monomial misses the exponent lattice; the input "
-                "graph cannot be a lamination"
-            )
-        out[b] = out.get(b, 0) + coeff
-    # preimages are integer tuples and the coefficients positive products
-    return LaurentPolynomial._trusted(out_names, out)
+    # a shift keeps the exponent tuples distinct and the coefficients positive
+    return LaurentPolynomial._trusted(
+        names, {tuple(map(add, exps, b)): c for exps, c in terms.items()}
+    )
 
 
 @dataclass(frozen=True)

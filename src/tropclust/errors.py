@@ -45,16 +45,6 @@ class IncompleteTriangulation(TropclustError, ValueError):
     """A complete triangulation (N-3 diagonals) is required here."""
 
 
-class RankDeficient(TropclustError, ValueError):
-    """The exchange matrix rows do not have full rank, so the monomial
-    lattice map is not injective."""
-
-
-class NotInImageLattice(TropclustError, ValueError):
-    """A monomial exponent vector is not in the image of the lattice map;
-    the underlying graph violates the zero-boundary-sum condition."""
-
-
 class NotALamination(TropclustError, ValueError):
     """A weighted graph is not a lamination (crossing diagonals, negative
     diagonal weight, or nonzero vertex sums)."""

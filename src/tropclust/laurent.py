@@ -3,10 +3,10 @@
 A polynomial keeps a fixed tuple of variable names and a dict mapping
 exponent vectors (tuples of ints, one per variable, negatives allowed) to
 nonzero integer coefficients.  All arithmetic is exact; nothing here ever
-touches floats.  There is no general division: the one the pipeline needs,
-by powers of (1 + X_k) in the x-chart walk, runs fiber by fiber in
-``atlas``.  The chart coordinate maps need no polynomials at all: they
-run on exponent sets (``atlas._exchange_walk``).
+touches floats.  A basis function is a product of powers of chain sums
+(``basis.basis_laurent``).  There is no general division: the one the
+x-chart walk needs, by powers of (1 + X_k), runs fiber by fiber in
+``atlas``.  Chart coordinates run on exponent sets instead.
 """
 from __future__ import annotations
 
@@ -76,21 +76,6 @@ class LaurentPolynomial:
     @classmethod
     def one(cls, variables: Sequence[str]) -> "LaurentPolynomial":
         return cls.constant(variables, 1)
-
-    @classmethod
-    def monomial(
-        cls, variables: Sequence[str], exps: Sequence[int], coeff: int = 1
-    ) -> "LaurentPolynomial":
-        return cls(variables, {tuple(exps): coeff})
-
-    @classmethod
-    def variable(cls, variables: Sequence[str], name: str, power: int = 1) -> "LaurentPolynomial":
-        vars_t = tuple(variables)
-        if name not in vars_t:
-            raise DimensionMismatch(f"{name} not among variables {vars_t}")
-        exps = [0] * len(vars_t)
-        exps[vars_t.index(name)] = power
-        return cls.monomial(vars_t, exps)
 
     # -- basic queries -----------------------------------------------------
 

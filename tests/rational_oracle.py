@@ -16,6 +16,13 @@ from tropclust.errors import DimensionMismatch, FrozenDirection, NotDivisible
 from tropclust.laurent import LaurentPolynomial, _grlex_key
 
 
+def variable(variables: Sequence[str], name: str, power: int = 1) -> LaurentPolynomial:
+    """The monomial name^power over the given variables."""
+    exps = [0] * len(variables)
+    exps[list(variables).index(name)] = power
+    return LaurentPolynomial(variables, {tuple(exps): 1})
+
+
 def exact_div(f: LaurentPolynomial, divisor: LaurentPolynomial) -> LaurentPolynomial:
     """Return Q with f == Q * divisor, or raise NotDivisible.
 
@@ -91,7 +98,7 @@ class RationalFunction:
 
     @classmethod
     def variable(cls, variables: Sequence[str], name: str, power: int = 1) -> "RationalFunction":
-        return cls.from_poly(LaurentPolynomial.variable(variables, name, power))
+        return cls.from_poly(variable(variables, name, power))
 
     @property
     def vars(self) -> tuple[str, ...]:
@@ -193,6 +200,6 @@ def x_substitution(seed: Seed, k) -> dict:
             out[label] = xi
             continue
         sign = 1 if e > 0 else -1
-        base = 1 + LaurentPolynomial.variable(names, names[ki], -sign)
+        base = 1 + variable(names, names[ki], -sign)
         out[label] = xi * RationalFunction.from_poly(base) ** (-e)
     return out

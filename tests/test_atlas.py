@@ -1,4 +1,4 @@
-"""Seeds, mutations, chart expansions, and the monomial exponent lattice."""
+"""Seeds, mutations, chart expansions, and the x-chart walk."""
 
 import random
 from fractions import Fraction
@@ -7,17 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rational_oracle import RationalFunction, evaluate_at, x_substitution
+from chart_oracle import a_variable_name, atlas_seed, chart_segments, expand_cluster_variable
+from rational_oracle import RationalFunction, evaluate_at, variable, x_substitution
 from tropclust.atlas import (
-    MonomialLattice,
     Seed,
     _push,
     _step,
     _walk_plan,
-    a_variable_name,
-    atlas_seed,
-    chart_segments,
-    expand_cluster_variable,
     expand_in_x_chart,
     mutate_seed,
     mutation_words,
@@ -31,7 +27,6 @@ from tropclust.errors import (
     IncompleteTriangulation,
     InvariantViolation,
     NotDivisible,
-    RankDeficient,
 )
 from tropclust.laminations import _CompiledChart
 from tropclust.laurent import LaurentPolynomial
@@ -57,7 +52,7 @@ def test_variable_naming():
 def test_chain_seed_shape():
     s = type_a_seed(3)
     assert s.labels == (1, 2, 3)
-    assert s.unfrozen == (1, 2, 3)
+    assert s.frozen == frozenset()
     assert s.eps[0][1] == -1
     assert s.eps[1][0] == 1
     assert s.eps[0][2] == 0
@@ -121,7 +116,7 @@ def test_x_substitution_rank_two():
     assert back[1] == x1 ** (-1)
     assert back[2] == x2 * (1 + x1)
     for name in v:
-        old = LaurentPolynomial.variable(v, name)
+        old = variable(v, name)
         assert back[int(name[1:])] == expand_in_x_chart(old, (1,), s)
 
 
@@ -199,8 +194,8 @@ def test_fan_chart_expansions_pentagon():
     A3_4, A4_5."""
     tri = fan_triangulation(5)
     v = ("A1_3", "A1_4", "A1_2", "A1_5", "A2_3", "A3_4", "A4_5")
-    assert expand_cluster_variable(Segment(1, 3), tri) == LaurentPolynomial.variable(v, "A1_3")
-    assert expand_cluster_variable(Segment(1, 2), tri) == LaurentPolynomial.variable(v, "A1_2")
+    assert expand_cluster_variable(Segment(1, 3), tri) == variable(v, "A1_3")
+    assert expand_cluster_variable(Segment(1, 2), tri) == variable(v, "A1_2")
     # crossing one chart diagonal: one exchange step
     assert expand_cluster_variable(Segment(2, 4), tri) == LaurentPolynomial(
         v, {(-1, 0, 1, 0, 0, 1, 0): 1, (-1, 1, 0, 0, 1, 0, 0): 1}
@@ -265,34 +260,6 @@ def test_expand_rejects_incomplete_chart():
         expand_cluster_variable(Segment(2, 5), Triangulation.of(6, [(1, 3)]))
 
 
-def test_monomial_lattice_roundtrip():
-    s = atlas_seed(fan_triangulation(6))
-    lat = MonomialLattice(s)
-    for b in [(0, 0, 0), (1, 0, 0), (2, -1, 3), (-1, -1, -1)]:
-        a = lat.image(b)
-        assert lat.preimage(a) == b
-    with pytest.raises(DimensionMismatch):
-        lat.preimage((0, 0, 0))
-
-
-def test_monomial_lattice_off_lattice_returns_none():
-    s = atlas_seed(fan_triangulation(5))
-    lat = MonomialLattice(s)
-    a = list(lat.image((1, 0)))
-    a[0] += 1
-    assert lat.preimage(tuple(a)) is None
-    # a consistent system whose only solution is fractional
-    doubled = MonomialLattice(Seed((1, 2), frozenset(), ((0, 2), (-2, 0)), (1, 1)))
-    assert doubled.preimage((2, 4)) == (2, -1)
-    assert doubled.preimage((0, 1)) is None
-
-
-def test_monomial_lattice_rank_deficient():
-    degenerate = Seed((1, 2), frozenset(), ((0, 0), (0, 0)), (1, 1))
-    with pytest.raises(RankDeficient):
-        MonomialLattice(degenerate).preimage((0, 0))
-
-
 def test_mutation_word_census():
     for n, count in CATALAN.items():
         words = mutation_words(n)
@@ -323,7 +290,7 @@ def test_mutation_words_replay_to_their_charts():
 
 def test_expand_in_x_chart_identity_word():
     s = type_a_seed(2)
-    f = LaurentPolynomial.variable(s.x_names(), "X1") + 1
+    f = variable(s.x_names(), "X1") + 1
     assert expand_in_x_chart(f, ()) == f
 
 
@@ -429,7 +396,7 @@ def chart_functions(draw):
     coeffs = st.integers(-4, 4).filter(bool)
     f = LaurentPolynomial(names, draw(st.dictionaries(exps, coeffs, min_size=1, max_size=4)))
     j = draw(st.sampled_from(names))
-    f = f * (1 + LaurentPolynomial.variable(names, j)) ** draw(st.integers(0, 2))
+    f = f * (1 + variable(names, j)) ** draw(st.integers(0, 2))
     return seed, f
 
 

@@ -2,16 +2,18 @@
 
 import functools
 import itertools
+import json
 import operator
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rational_oracle import evaluate_at, x_substitution
-from witness import failed_rounds
+from witness import basis_failed_rounds, failed_rounds
 from tropclust.atlas import (
     expand_in_x_chart,
     mutate_seed,
@@ -111,6 +113,57 @@ def test_basis_rejects_fractional_laminations():
     half = UNITS[1] * __import__("fractions").Fraction(1, 2)
     with pytest.raises(NonIntegral):
         basis_laurent(half)
+
+
+def test_basis_rejects_a_triangle():
+    """A 3-gon's fan chart has no variables, so there is no chart to write
+    its one (zero) lamination in, although the chain product would be 1."""
+    with pytest.raises(InvariantViolation, match="rank must be a positive integer"):
+        basis_laurent(Lamination.zero(3))
+
+
+def _atlas_positivity_laminations():
+    """Every hexagon lamination of the fan box [-2, 2] and the 20 recorded
+    heptagon laminations: the inputs of the benchmark's atlas-positivity
+    workload."""
+    catalog = Path(__file__).resolve().parents[1] / "perfbench" / "catalog.json"
+    recorded = json.loads(catalog.read_text(encoding="utf-8"))["positivity"]
+    laminations = [pt(6, vec) for vec in itertools.product(range(-2, 3), repeat=3)]
+    return laminations + [pt(7, e["coords"]) for e in recorded]
+
+
+def test_basis_witness_holds():
+    """prod P_ij^(w_ij) equals the basis function at the fan chart's cross
+    ratios, on seeded 4- to 11-gon laminations from the fan box [-3, 3] and
+    on the 145 atlas-positivity laminations."""
+    rng = random.Random(22)
+    laminations = [
+        pt(n_gon, [rng.randint(-3, 3) for _ in range(n_gon - 3)])
+        for n_gon in range(4, 12)
+        for _ in range(6)
+    ]
+    laminations += _atlas_positivity_laminations()
+    assert len(laminations) == 48 + 145
+    for lam in laminations:
+        assert basis_failed_rounds(lam.n_gon, lam.graph.w, basis_laurent(lam)) == []
+
+
+def test_basis_witness_catches_wrong_basis_functions():
+    """A coefficient raised by one, and one term moved by X_k, each fail
+    every round."""
+    rng = random.Random(23)
+    for n_gon in range(5, 10):
+        lam = pt(n_gon, [rng.randint(-2, 2) for _ in range(n_gon - 3)])
+        f = basis_laurent(lam)
+        exps, c = next(iter(f.terms.items()))
+        raised = LaurentPolynomial(f.vars, {**f.terms, exps: c + 1})
+        assert basis_failed_rounds(n_gon, lam.graph.w, raised) == [0, 1]
+        for k in range(n_gon - 3):
+            moved = exps[:k] + (exps[k] + 1,) + exps[k + 1:]
+            terms = {e: d for e, d in f.terms.items() if e != exps}
+            terms[moved] = terms.get(moved, 0) + c
+            wrong = LaurentPolynomial(f.vars, terms)
+            assert basis_failed_rounds(n_gon, lam.graph.w, wrong) == [0, 1]
 
 
 def test_noncrossing_products_merge():

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from tropclust.atlas import atlas_seed, mutate_seed, type_a_seed
+from chart_oracle import atlas_seed
+from tropclust.atlas import mutate_seed, type_a_seed
 from tropclust.basis import Expansion, product_expand
 from tropclust.errors import InputFormatError
 from tropclust.jsonio import (

