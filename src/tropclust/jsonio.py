@@ -40,7 +40,7 @@ from .atlas import Seed
 from .basis import Expansion
 from .errors import InputFormatError, NotALamination
 from .laminations import Lamination, TropicalCoords
-from .polygon import Segment
+from .polygon import Segment, check_polygon
 from .polytopes import StasheffSpec
 from .weighted_graphs import WeightedGraph, _is_number, _normalize, _tables
 
@@ -133,19 +133,40 @@ def graph_to_json(graph: WeightedGraph) -> dict:
 
 
 def graph_from_json(doc) -> WeightedGraph:
+    """The graph of a document, each entry decoded once.
+
+    An ``[i, j, w]`` entry goes straight to its slot through the per-N
+    pair index.  A pair the index lacks has equal labels, which ``Segment``
+    refuses at once, or a label off the polygon (or a polygon under three
+    vertices), which is refused once every entry has been read, so faults
+    come in the same order as when each entry was a validated segment.
+    The graph and its weights are then checked once, by ``WeightedGraph``.
+    """
     _check_document(doc, "graph")
     n_gon = _n_gon_field(doc, "graph")
     raw = doc.get("weights")
     _require(isinstance(raw, list), "graph: 'weights' must be a list")
-    weights = {}
+    index = _tables(n_gon).index if n_gon >= 3 else {}
+    weights = {}  # slot, or a segment off the polygon, -> weight
     for item in raw:
         _require(isinstance(item, list) and len(item) == 3,
                  "graph: weight entries must be [i, j, w] triples")
-        seg = _segment_from_json(item[:2], "graph")
-        if seg in weights:
-            raise InputFormatError(f"graph: duplicate weight entry for {seg}")
-        weights[seg] = number_from_json(item[2])
-    return WeightedGraph.from_weights(n_gon, weights)
+        i, j, x = item
+        if type(i) is not int or type(j) is not int:
+            _segment_from_json(item[:2], "graph")
+        key = index.get((i, j))
+        if key is None:
+            key = Segment(i, j)
+        if key in weights:
+            raise InputFormatError(f"graph: duplicate weight entry for {Segment(i, j)}")
+        weights[key] = x if type(x) is int else number_from_json(x)
+    check_polygon(n_gon)
+    w = [0] * len(_tables(n_gon).pairs)
+    for key, x in weights.items():
+        if type(key) is Segment:
+            key.validate(n_gon)
+        w[key] = x
+    return WeightedGraph(n_gon, tuple(w))
 
 
 def lamination_to_json(lam: Lamination) -> dict:

@@ -66,10 +66,6 @@ class LaurentPolynomial:
         return poly
 
     @classmethod
-    def zero(cls, variables: Sequence[str]) -> "LaurentPolynomial":
-        return cls(variables, {})
-
-    @classmethod
     def constant(cls, variables: Sequence[str], c: int) -> "LaurentPolynomial":
         return cls(variables, {(0,) * len(tuple(variables)): c})
 

@@ -26,6 +26,17 @@ basis.  A finite first optimum proves the polytope nonempty; only when the
 first dual is infeasible does a Farkas LP decide between empty and
 unbounded.
 
+The bounds enter only the costs, so a compiled chart keeps the rest of
+that LP (``_ChartLP``, built at the chart's first scan): the primitive
+integer rows of its forms, which form lies on which row with what content,
+the rows filed for the scan, and the tableau after phase one.  Per spec,
+``_scan_chart`` takes each row's tightest bound as one int over a common
+denominator, solves phase two and the re-solves on a copy of that tableau,
+and reads each end of the box as a floor division of the optimum's
+numerator and denominator.  ``coordinate_bounds`` takes any inequalities:
+it builds the rows (``_integer_system``) and runs phase one cold, then
+ends in the same solver and returns the ends as Fractions.
+
 The scan fixes the coordinates in order and checks each row as soon as its
 last nonzero coordinate is reached: with the prefix fixed, the row bounds
 that coordinate to one side, so every depth loops over the box range cut to
@@ -47,7 +58,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, floor, gcd, lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -76,7 +87,7 @@ from .polygon import (
     fan_triangulation,
     has_triangulation,
 )
-from .weighted_graphs import Number, WeightedGraph, _normalize, _tables
+from .weighted_graphs import Number, WeightedGraph, _tables
 
 
 @dataclass(frozen=True)
@@ -97,6 +108,16 @@ class StasheffSpec:
         )
         object.__setattr__(self, "c", vals)
         object.__setattr__(self, "_bounds", dict(vals))
+
+    @classmethod
+    def _trusted(cls, n_gon: int, c: tuple) -> "StasheffSpec":
+        """Wrap bounds a closed operation made: one normalized exact
+        (segment, bound) pair per diagonal, in slot order."""
+        spec = object.__new__(cls)
+        object.__setattr__(spec, "n_gon", n_gon)
+        object.__setattr__(spec, "c", c)
+        object.__setattr__(spec, "_bounds", dict(c))
+        return spec
 
     @staticmethod
     def of(n_gon: int, mapping) -> "StasheffSpec":
@@ -181,13 +202,15 @@ def minkowski_spec(points: Sequence[Lamination]) -> StasheffSpec:
         if p.n_gon != n:
             raise SizeMismatch("points live on different polygons")
     tables = _tables(n)
-    weights = [p.graph.w for p in points]
-    # each bound is half the summed cut masses of the points, halved once
-    c = {
-        d: _normalize(Fraction(sum(sum(tables.cuts[k](w)) for w in weights), 2))
-        for d, k in zip(tables.slot, tables.diagonals)
-    }
-    return StasheffSpec.of(n, c)
+    # cut masses are linear, so each bound is half a cut mass of the
+    # summed weights; an even mass halves to an int
+    w = list(map(sum, zip(*(p.graph.w for p in points))))
+    masses = [sum(tables.cuts[k](w)) for k in tables.diagonals]
+    c = tuple(
+        (d, mass // 2 if mass % 2 == 0 else Fraction(mass, 2))
+        for d, mass in zip(tables.slot, masses)
+    )
+    return StasheffSpec._trusted(n, c)
 
 
 def minkowski_sum(spec1: StasheffSpec, spec2: StasheffSpec) -> StasheffSpec:
@@ -211,22 +234,30 @@ def minkowski_sum(spec1: StasheffSpec, spec2: StasheffSpec) -> StasheffSpec:
 # The box comes from linear programming duality: max c.a over
 # coeffs . a <= rhs equals min rhs . y over y >= 0 with sum y_i coeffs_i = c.
 # The 2 nvars objectives c = -e_k, e_k share the dual's columns and costs
-# and differ only in its right-hand side, so a chart gets one integer
+# and differ only in its right-hand side, so a system gets one integer
 # tableau of the dual rows with an identity block beside them.  Row
 # operations keep that block equal to the matrix that took the first rows
 # to the current ones, so each row holds its row of B^-1 at the row's own
-# positive scale.  The first objective runs phase one and phase two under
-# Bland's rule.  Every other one sets each row's rhs to +-(the row's entry
-# in block column k): the reduced costs do not depend on the rhs, so the
-# old basis stays dual feasible, and dual simplex pivots restore rhs >= 0.
-# A finite first optimum proves the system nonempty and an unbounded one
-# proves it empty.  Only an infeasible first dual needs the Farkas LP: the
-# system is empty exactly when some y >= 0 with sum y_i coeffs_i = 0 has
-# rhs . y < 0.  When the rows do not span (A^T rank-deficient), phase one
-# drops redundant dual rows; each keeps its block row, whose entry k must
-# vanish for objective +-e_k to have a dual at all, and a nonempty system
-# whose dual has none is unbounded in that coordinate.  Ratio tests compare
-# by cross-multiplication, so the only Fractions are the bounds themselves.
+# positive scale.  The first objective runs phase one (_dual_start) and
+# phase two under Bland's rule.  Every other one sets each row's rhs to
+# +-(the row's entry in block column k): the reduced costs do not depend
+# on the rhs, so the old basis stays dual feasible, and dual simplex pivots
+# restore rhs >= 0 (_dual_values).  A finite first optimum proves the
+# system nonempty and an unbounded one proves it empty.  Only an
+# infeasible first dual needs the Farkas LP: the system is empty exactly
+# when some y >= 0 with sum y_i coeffs_i = 0 has rhs . y < 0.  When the
+# rows do not span (A^T rank-deficient), phase one drops redundant dual
+# rows; each keeps its block row, whose entry k must vanish for objective
+# +-e_k to have a dual at all, and a nonempty system whose dual has none is
+# unbounded in that coordinate.  Ratio tests compare by cross-multiplication,
+# and each optimum is an integer pair (num, den), so the only Fractions are
+# the ones coordinate_bounds returns.
+#
+# Phase one reads the coefficients and never the costs.  So a chart's rows
+# and its tableau after phase one are built once (_ChartLP), and a spec
+# only brings the costs: phase two and the dual re-solves run on a copy of
+# that tableau.  coordinate_bounds builds both cold from its inequalities
+# and ends in the same _dual_values.
 
 
 def _integer_system(ineqs: Iterable[tuple]) -> tuple[list[tuple], int] | None:
@@ -375,54 +406,59 @@ def _phase_two(tab: list, basis: list, costs: Sequence[int]) -> list | None:
     return obj if _improve(tab, basis, obj, len(costs)) else None
 
 
-def _value(tab: list, basis: list, costs: Sequence[int], d: int = 1) -> Fraction:
-    """costs . y / d at the tableau's basic solution."""
+def _value(tab: list, basis: list, costs: Sequence[int]) -> tuple[int, int]:
+    """costs . y at the tableau's basic solution, as num / den with den > 0."""
     den = lcm(*(row[b] for row, b in zip(tab, basis)))
-    return Fraction(
-        sum(costs[b] * row[-1] * (den // row[b]) for row, b in zip(tab, basis)), den * d
-    )
+    return sum(costs[b] * row[-1] * (den // row[b]) for row, b in zip(tab, basis)), den
 
 
-def _is_empty(rows: list, nvars: int) -> bool:
+def _is_empty(coeffs: list, costs: list, nvars: int) -> bool:
     """Farkas test: some convex combination of the rows reads 0 <= negative."""
-    costs = [r for _, r in rows]
-    tab = [[c[k] for c, _ in rows] + [0] for k in range(nvars)]
-    tab.append([1] * len(rows) + [1])
-    found = _phase_one(tab, len(rows))
+    tab = [[c[k] for c in coeffs] + [0] for k in range(nvars)]
+    tab.append([1] * len(coeffs) + [1])
+    found = _phase_one(tab, len(coeffs))
     if found is None:
         return False
     if _phase_two(tab, found[0], costs) is None:
         raise InvariantViolation("simplex minimum is unbounded")
-    return _value(tab, found[0], costs) < 0
+    return _value(tab, found[0], costs)[0] < 0
 
 
-def _box(system, nvars: int):
-    if system is None:
-        return None
-    if not nvars:
-        return []
-    rows, d = system
-    m = len(rows)
-    costs = [r for _, r in rows]
-    # one dual row per coordinate k, sum_i y_i coeffs_i[k] = c_k, with its
-    # unit column; the first objective is max -a_0
+def _dual_start(coeffs: list, nvars: int) -> tuple | None:
+    """The dual tableau after phase one, (tab, basis, dropped), or None
+    when the first dual (max -a_0) is infeasible.
+
+    There is one dual row per coordinate k, sum_i y_i coeffs_i[k] = c_k,
+    with its unit column in the block.
+    """
     tab = [
-        [c[k] for c, _ in rows] + [int(j == k) for j in range(nvars)] + [-(k == 0)]
+        [c[k] for c in coeffs] + [int(j == k) for j in range(nvars)] + [-(k == 0)]
         for k in range(nvars)
     ]
-    found = _phase_one(tab, m)
-    if found is None:
+    found = _phase_one(tab, len(coeffs))
+    return None if found is None else (tab, *found)
+
+
+def _dual_values(start, coeffs: list, costs: list, nvars: int) -> list | None:
+    """The optima (num, den) of the duals of max -a_0, max a_0, max -a_1,
+    ..., that is -lo_0, hi_0, -lo_1, ..., solved in ``start``, which they
+    change; None when the system is empty.
+    """
+    if not nvars:
+        return []
+    if start is None:
         # an infeasible dual: the system is empty or a_0 is unbounded below
-        if _is_empty(rows, nvars):
+        if _is_empty(coeffs, costs, nvars):
             return None
         raise Unbounded("coordinate 0 has no finite bound")
-    basis, dropped = found
+    tab, basis, dropped = start
+    m = len(coeffs)
     obj = _phase_two(tab, basis, costs)
     if obj is None:
         return None
-    # the ends -lo_0, hi_0, -lo_1, ...: the first is solved, every other
-    # objective +-e_k re-solves from the previous optimal basis
-    ends = [-_value(tab, basis, costs, d)]
+    # the first objective is solved, every other one +-e_k re-solves from
+    # the previous optimal basis
+    values = [_value(tab, basis, costs)]
     for k, sign in itertools.islice(itertools.product(range(nvars), (-1, 1)), 1, None):
         for row in tab:
             row[-1] = sign * row[m + k]
@@ -430,8 +466,8 @@ def _box(system, nvars: int):
         # nonempty, so a dual with no solution means an unbounded coordinate
         if any(row[m + k] for row in dropped) or not _dual_improve(tab, basis, obj, m):
             raise Unbounded(f"coordinate {k} has no finite bound")
-        ends.append(sign * _value(tab, basis, costs, d))
-    return list(zip(ends[::2], ends[1::2]))
+        values.append(_value(tab, basis, costs))
+    return values
 
 
 def coordinate_bounds(ineqs: Sequence[tuple], nvars: int):
@@ -446,18 +482,17 @@ def coordinate_bounds(ineqs: Sequence[tuple], nvars: int):
             raise DimensionMismatch(
                 f"inequality has {len(coeffs)} coefficients, need {nvars}"
             )
-    return _box(_integer_system(ineqs), nvars)
-
-
-def _inequalities(spec: StasheffSpec, compiled: _CompiledChart) -> list[tuple]:
-    if spec.n_gon != compiled.chart.n_gon:
-        raise SizeMismatch("spec and chart live on different polygons")
-    c = spec._bounds
-    return [
-        (form, c[d])
-        for d, forms in zip(_tables(spec.n_gon).slot, compiled.forms)
-        for form in forms
-    ]
+    system = _integer_system(ineqs)
+    if system is None:
+        return None
+    rows, d = system
+    coeffs = [c for c, _ in rows]
+    costs = [r for _, r in rows]
+    values = _dual_values(_dual_start(coeffs, nvars), coeffs, costs, nvars)
+    if values is None:
+        return None
+    ends = [Fraction(num, den * d) for num, den in values]
+    return [(-neg_lo, hi) for neg_lo, hi in zip(ends[::2], ends[1::2])]
 
 
 def chart_inequalities(spec: StasheffSpec, chart: Triangulation) -> list[tuple]:
@@ -466,43 +501,124 @@ def chart_inequalities(spec: StasheffSpec, chart: Triangulation) -> list[tuple]:
     Each diagonal's tropical coordinate is a max of linear forms in the
     chart values; bounding a max bounds every form.
     """
-    return _inequalities(spec, _compiled(chart))
+    if spec.n_gon != chart.n_gon:
+        raise SizeMismatch("spec and chart live on different polygons")
+    c = spec._bounds
+    return [
+        (form, c[d])
+        for d, forms in zip(_tables(spec.n_gon).slot, _compiled(chart).forms)
+        for form in forms
+    ]
+
+
+class _ChartLP:
+    """The part of a chart's polytope LP that no spec changes.
+
+    ``coeffs`` holds the primitive integer rows of the chart's nonzero
+    forms, in the order ``_integer_system`` first meets them, so a spec's
+    rows and their order, and with them every pivot, are those of the cold
+    route.  A form is its row times its content g, so it bounds the row by
+    c(d) / g, which is c(d) * (scale // g) / scale with ``scale`` the lcm of
+    the contents.  ``first[r]`` is the (slot of d, scale // g) pair of the
+    first form on row r, and ``more`` lists (r, slot, scale // g) for every
+    later form on a row.  ``constant`` lists the slots of the diagonals with
+    a zero form, which reads 0 <= c(d).  ``filed[k]`` lists (r, head, c) for
+    each row r whose last nonzero coordinate is k, its coefficients before
+    k and its coefficient c at k (see ``_interval_scan``).  ``start`` is the
+    dual tableau after phase one (``_dual_start``); ``box`` solves a copy.
+    """
+
+    def __init__(self, compiled: _CompiledChart):
+        self.nvars = nvars = compiled.chart.n_gon - 3
+        index: dict[tuple, int] = {}
+        found = []  # (slot, row, content) per nonzero form
+        self.constant = []
+        for s, forms in enumerate(compiled.forms):
+            for form in forms:
+                g = gcd(*form)
+                if g:
+                    row = index.setdefault(tuple(x // g for x in form), len(index))
+                    found.append((s, row, g))
+                else:
+                    self.constant.append(s)
+        self.coeffs = list(index)
+        self.scale = lcm(*(g for _, _, g in found))
+        self.first = [None] * len(index)
+        self.more = []
+        for s, row, g in found:
+            if self.first[row] is None:
+                self.first[row] = s, self.scale // g
+            else:
+                self.more.append((row, s, self.scale // g))
+        self.filed = [[] for _ in range(nvars)]
+        for r, coeffs in enumerate(self.coeffs):
+            k = max(j for j, c in enumerate(coeffs) if c)
+            self.filed[k].append((r, coeffs[:k], coeffs[k]))
+        self.start = _dual_start(self.coeffs, nvars)
+
+    def box(self, costs: list) -> list | None:
+        """``_dual_values`` for these costs, on a copy of ``start``."""
+        start = self.start
+        if start is not None:
+            tab, basis, dropped = start
+            start = [row[:] for row in tab], basis[:], dropped
+        return _dual_values(start, self.coeffs, costs, self.nvars)
 
 
 def _scan_chart(spec: StasheffSpec, chart: Triangulation) -> tuple:
     """Compile the chart and scan the polytope in it.
 
     Returns the compiled chart and the integral points as coordinate
-    vectors in that chart, sorted.
+    vectors in that chart, sorted.  The spec brings only the right-hand
+    sides: one int per row over one denominator, the tightest of the
+    row's bounds.
     """
     compiled = _compiled(chart)
-    system = _integer_system(_inequalities(spec, compiled))
-    bounds = _box(system, spec.n_gon - 3)
-    if bounds is None:
+    if spec.n_gon != chart.n_gon:
+        raise SizeMismatch("spec and chart live on different polygons")
+    lp = compiled.lp
+    if lp is None:
+        # built at the chart's first scan, it lives as long as the chart
+        # stays in ``_compiled``
+        lp = compiled.lp = _ChartLP(compiled)
+    values = [v for _, v in spec.c]
+    if any(values[s] < 0 for s in lp.constant):
         return compiled, []
-    rows, d = system
-    ranges = [(ceil(lo), floor(hi)) for lo, hi in bounds]
-    return compiled, _interval_scan(rows, d, ranges)
+    q = 1 if set(map(type, values)) == {int} else lcm(*(v.denominator for v in values))
+    if q > 1:
+        values = [v.numerator * (q // v.denominator) for v in values]
+    costs = [values[s] * t for s, t in lp.first]
+    for r, s, t in lp.more:
+        costs[r] = min(costs[r], values[s] * t)
+    optima = lp.box(costs)
+    if optima is None:
+        return compiled, []
+    # the rows read coeffs . a <= cost / d, so the optima are -lo_k and
+    # hi_k over den * d; ceil(lo) = -floor(-lo)
+    d = q * lp.scale
+    ranges = [
+        (-(neg_lo // (lo_den * d)), hi // (hi_den * d))
+        for (neg_lo, lo_den), (hi, hi_den) in zip(optima[::2], optima[1::2])
+    ]
+    return compiled, _interval_scan(lp.filed, [c // d for c in costs], ranges)
 
 
-def _interval_scan(rows: list, d: int, ranges: list) -> list:
-    """The integral points of coeffs . a <= rhs / d inside the box, sorted.
+def _interval_scan(filed: list, floors: list, ranges: list) -> list:
+    """The integral points inside the box that meet every row, sorted.
 
     An integral point meets a row exactly when it meets the floor of its
-    right-hand side.  Each row is filed under its last nonzero coordinate
-    k: once the prefix a_0..a_{k-1} is fixed it bounds a_k to one side, a
-    floor for a positive coefficient and a ceiling for a negative one.
-    Each depth loops upward over the box range cut by its rows, so the
-    points come in lexicographic order, and the last depth takes its whole
+    right-hand side, which ``floors`` holds per row.  ``filed[k]`` lists
+    the rows whose last nonzero coordinate is k (``_ChartLP``): once the
+    prefix a_0..a_{k-1} is fixed such a row bounds a_k to one side, a floor
+    for a positive coefficient and a ceiling for a negative one.  Each
+    depth loops upward over the box range cut by its rows, so the points
+    come in lexicographic order, and the last depth takes its whole
     interval at once.
     """
     last = len(ranges) - 1
     if last < 0:
         return [()]
-    filed = [[] for _ in ranges]
-    for coeffs, rhs in rows:
-        k = max(j for j, c in enumerate(coeffs) if c)
-        filed[k].append((coeffs[:k], coeffs[k], rhs // d))
+    filed = [[(head, c, floors[r]) for r, head, c in rows] for rows in filed]
     out = []
 
     def extend(prefix: tuple, k: int) -> None:

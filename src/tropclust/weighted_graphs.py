@@ -14,12 +14,13 @@ row-major order of ``pairs(N)``.  Modules that address weights by index
   the cyclic interval [k+1, l] from its complement.
 
 Every table that depends on N alone lives in one record built once per N
-(``_tables``): the pairs, the diagonal indices and slots, a getter per
-vertex and per cut, the crossing rows with each chord's crossing partners,
-and the inclusion-exclusion columns that turn diagonal values back into
-weights.  Validation, the masses, the split tree (``basis``) and chart
-reconstruction (``laminations``) read it, so a graph is checked and
-measured with index lookups, without building a ``Segment`` per entry.
+(``_tables``): the pairs and their index, the diagonal indices and slots,
+a getter per vertex and per cut, the crossing rows with each chord's
+crossing partners, and the inclusion-exclusion columns that turn diagonal
+values back into weights.  Validation, the masses, the split tree
+(``basis``), chart reconstruction (``laminations``) and the JSON reader
+(``jsonio``) read it, so a graph is read, checked and measured with index
+lookups, without building a ``Segment`` per entry.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, itemgetter
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from .errors import InvariantViolation, SizeMismatch
 from .polygon import Segment, check_polygon
@@ -69,7 +70,8 @@ class _Tables(NamedTuple):
     """The per-N tables of the flat weight layout of one N-gon.
 
     * ``pairs`` is ``pairs(N)``; ``diagonals`` lists the indices of its
-      diagonals in order.
+      diagonals in order.  ``index`` maps each pair, read either way
+      round, to its position in ``pairs``.
     * ``slot`` maps each diagonal, a ``Segment``, to its position among the
       diagonals; its keys in order are ``polygon.diagonals(N)``.
     * ``at_vertex[p - 1]`` reads the weights of the N - 1 pairs at vertex p
@@ -93,6 +95,7 @@ class _Tables(NamedTuple):
     """
 
     pairs: tuple
+    index: dict
     diagonals: tuple
     slot: dict
     at_vertex: tuple
@@ -106,6 +109,7 @@ class _Tables(NamedTuple):
 def _tables(n_gon: int) -> _Tables:
     layout = tuple(pairs(n_gon))
     index = {pair: k for k, pair in enumerate(layout)}
+    index.update({(j, i): k for (i, j), k in index.items()})
     diags = tuple(k for k, (i, j) in enumerate(layout) if 1 < j - i < n_gon - 1)
     slot = {Segment(*layout[k]): x for x, k in enumerate(diags)}
     at_vertex = tuple(
@@ -135,7 +139,7 @@ def _tables(n_gon: int) -> _Tables:
 
     columns = zip(*((at(p, q), at(p - 1, q - 1), at(p, q - 1), at(p - 1, q)) for p, q in layout))
     weights = tuple(itemgetter(*col) for col in columns)
-    return _Tables(layout, diags, slot, at_vertex, cuts, rows, crossing, weights)
+    return _Tables(layout, index, diags, slot, at_vertex, cuts, rows, crossing, weights)
 
 
 def _fan_cuts(n_gon: int) -> tuple:
@@ -179,16 +183,6 @@ class WeightedGraph:
     @classmethod
     def zeros(cls, n_gon: int) -> "WeightedGraph":
         return cls(n_gon, (0,) * len(pairs(n_gon)))
-
-    @classmethod
-    def from_weights(cls, n_gon: int, weights: Mapping) -> "WeightedGraph":
-        check_polygon(n_gon)
-        w = [0] * len(pairs(n_gon))
-        for key, value in weights.items():
-            seg = key if isinstance(key, Segment) else Segment(*key)
-            seg.validate(n_gon)
-            w[_index(n_gon, seg.i, seg.j)] = value
-        return cls(n_gon, tuple(w))
 
     # -- access ------------------------------------------------------------
 

@@ -67,7 +67,7 @@ def expand_cluster_variable(seg: Segment, tri: Triangulation) -> LaurentPolynomi
                 hit = variable(names, a_variable_name(s))
             else:
                 ear, sides = _exit_quadrilateral(s, tri, triangles)
-                numer = LaurentPolynomial.zero(names)
+                numer = LaurentPolynomial(names, {})
                 for s1, s2 in sides:
                     numer = numer + expand(s1) * expand(s2)
                 hit = numer * variable(names, a_variable_name(ear), -1)

@@ -35,7 +35,7 @@ def exact_div(f: LaurentPolynomial, divisor: LaurentPolynomial) -> LaurentPolyno
     if divisor.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if f.is_zero():
-        return LaurentPolynomial.zero(f.vars)
+        return LaurentPolynomial(f.vars, {})
 
     def min_exps(p: LaurentPolynomial) -> tuple[int, ...]:
         its = list(p.terms)
@@ -167,7 +167,7 @@ def evaluate_at(
             f"{len(values)} values for {len(poly.vars)} variables"
         )
     target_vars = values[0].vars if values else ()
-    out = RationalFunction.from_poly(LaurentPolynomial.zero(target_vars))
+    out = RationalFunction.from_poly(LaurentPolynomial(target_vars, {}))
     for exps, coeff in poly.terms_sorted():
         term = RationalFunction.from_poly(
             LaurentPolynomial.constant(target_vars, coeff)

@@ -464,7 +464,7 @@ def test_product_expansion_matches_symbolic_identity():
         lhs = LaurentPolynomial.one(V2)
         for p in points:
             lhs = lhs * basis_laurent(p)
-        rhs = LaurentPolynomial.zero(V2)
+        rhs = LaurentPolynomial(V2, {})
         for lam, coeff in product_expand(points):
             rhs = rhs + coeff * basis_laurent(lam)
         assert lhs == rhs
@@ -479,7 +479,7 @@ def test_symbolic_identity_hexagon():
         lhs = LaurentPolynomial.one(v3)
         for p in points:
             lhs = lhs * basis_laurent(p)
-        rhs = LaurentPolynomial.zero(v3)
+        rhs = LaurentPolynomial(v3, {})
         for lam, coeff in product_expand(points):
             rhs = rhs + coeff * basis_laurent(lam)
         assert lhs == rhs

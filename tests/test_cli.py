@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from graphs import graph_from_weights
 from tropclust import cli
 from tropclust.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_MATH, EXIT_OK, main
 from tropclust.jsonio import (
@@ -119,12 +120,11 @@ def test_rat_tagged_integral_points_read_as_integral(tmp_path, capsys):
 def test_support_budget_exhaustion(files, capsys, tmp_path):
     # two crossing heptagon curves need one split, which budget 0 forbids
     from tropclust.laminations import Lamination
-    from tropclust.weighted_graphs import WeightedGraph
     from tropclust.polygon import Segment
 
     def curve(pairs):
         return Lamination(
-            WeightedGraph.from_weights(7, {Segment(i, j): w for (i, j), w in pairs.items()})
+            graph_from_weights(7, {Segment(i, j): w for (i, j), w in pairs.items()})
         )
 
     fresh = [

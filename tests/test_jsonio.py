@@ -7,9 +7,15 @@ from fractions import Fraction
 import pytest
 
 from chart_oracle import atlas_seed
+from graphs import graph_from_weights
 from tropclust.atlas import mutate_seed, type_a_seed
 from tropclust.basis import Expansion, product_expand
-from tropclust.errors import InputFormatError
+from tropclust.errors import (
+    InputFormatError,
+    InvalidPolygon,
+    InvalidVertex,
+    InvariantViolation,
+)
 from tropclust.jsonio import (
     FORMAT,
     MAX_N_GON,
@@ -36,7 +42,7 @@ from tropclust.jsonio import (
 from tropclust.laminations import Lamination, TropicalCoords, lamination_from_coords
 from tropclust.polygon import Segment, diagonals, fan_triangulation, triangulations
 from tropclust.polytopes import StasheffSpec, minkowski_spec, vertex
-from tropclust.weighted_graphs import WeightedGraph, _tables
+from tropclust.weighted_graphs import _tables
 
 
 def pt(n_gon, vec):
@@ -66,7 +72,7 @@ def test_number_codec():
 
 
 def test_graph_roundtrip():
-    g = WeightedGraph.from_weights(
+    g = graph_from_weights(
         5, {Segment(1, 3): 2, Segment(1, 2): Fraction(-1, 2)}
     )
     doc = graph_to_json(g)
@@ -131,6 +137,44 @@ def test_graph_duplicate_entry_message():
     with pytest.raises(InputFormatError) as info:
         graph_from_json(doc)
     assert str(info.value) == "graph: duplicate weight entry for Segment(i=2, j=5)"
+
+
+@pytest.mark.parametrize(
+    "n_gon, weights, error, message",
+    [
+        (5, [[1, 3, 1], [3, 1, 2]], InputFormatError,
+         "graph: duplicate weight entry for Segment(i=1, j=3)"),
+        (5, [[1, 3, 1], [True, 3, 1]], InputFormatError,
+         "graph: segment entries must be [i, j] integer pairs"),
+        (5, [[2, 2, 1]], InvalidVertex, "segment endpoints must differ, got (2, 2)"),
+        (5, [[1, 3, 1.5]], InputFormatError,
+         "floats are not accepted (1.5); use integers or 'p/q' strings"),
+        (5, [[1, 3, True]], InputFormatError, "booleans are not numbers"),
+        (5, [[1, 3, 1, 0]], InputFormatError, "graph: weight entries must be [i, j, w] triples"),
+        # a label off the polygon is refused after every entry is read
+        (5, [[9, 1, 1], [1, 3, "x"]], InputFormatError, "malformed number string: 'x'"),
+        (5, [[9, 1, 1], [1, 9, 2]], InputFormatError,
+         "graph: duplicate weight entry for Segment(i=1, j=9)"),
+        (5, [[1, 3, 1], [0, 2, 1], [9, 1, 1]], InvalidVertex,
+         "segment (0, 2) has labels outside 1..5"),
+        (2, [[1, 2, 1], [1, 1, 1]], InvalidVertex, "segment endpoints must differ, got (1, 1)"),
+        (2, [[1, 2, 1], [2, 1, 1]], InputFormatError,
+         "graph: duplicate weight entry for Segment(i=1, j=2)"),
+        (2, [[1, 2, 1]], InvalidPolygon, "polygon needs at least 3 vertices, got 2"),
+        (-1, [], InvalidPolygon, "polygon needs at least 3 vertices, got -1"),
+        # the weights are checked once the graph is whole
+        (5, [[1, 9, 1], [1, 3, -1]], InvalidVertex, "segment (1, 9) has labels outside 1..5"),
+        (5, [[1, 3, -1], [2, 4, -1]], InvariantViolation, "negative weight on diagonal (1,3)"),
+    ],
+)
+def test_graph_faults_keep_their_order(n_gon, weights, error, message):
+    """Each fault of a graph document raises its own error, and of several
+    faults the first in this order: the entries' own faults in entry order
+    (shape, labels, equal labels, duplicates, number), then a polygon under
+    three vertices, a label off the polygon, a negative diagonal weight."""
+    with pytest.raises(error) as info:
+        graph_from_json({"format": FORMAT, "n_gon": n_gon, "weights": weights})
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_lamination_roundtrip():

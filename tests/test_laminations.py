@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exchange_oracle import point_weights
+from graphs import graph_from_weights
 from tropclust.errors import (
     DimensionMismatch,
     InvariantViolation,
@@ -39,7 +40,7 @@ from tropclust.weighted_graphs import WeightedGraph, _normalize, pairs, wrap_ver
 
 
 def graph(n, weights):
-    return WeightedGraph.from_weights(
+    return graph_from_weights(
         n, {Segment(i, j): w for (i, j), w in weights.items()}
     )
 
@@ -372,7 +373,7 @@ def lamination_from_weights(rng, n_gon):
             t = rng.randint(-2, 2)
         for p in range(1, n_gon + 1):
             weights[Segment(p, p % n_gon + 1)] = edge[p] + (-1) ** p * t
-        return Lamination(WeightedGraph.from_weights(n_gon, weights))
+        return Lamination(graph_from_weights(n_gon, weights))
 
 
 @pytest.mark.parametrize("n_gon", [8, 9])

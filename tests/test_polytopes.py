@@ -1,7 +1,9 @@
 """Bound specifications, their polytopes, and exact integral enumeration."""
 
+import copy
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import ceil, floor, gcd
 from operator import mul
@@ -599,6 +601,124 @@ def test_interval_scan_on_empty_polytopes():
             assert product_scan(spec, chart) == []
             assert _scan_chart(spec, chart)[1] == []
             assert lattice_points(spec, chart) == []
+
+
+def compiled_route_cases():
+    """Every chart of the 4- to 6-gons and seeded charts of the 7- and
+    8-gons, each with a seeded Minkowski spec, the same lowered by one
+    (often empty) and a random rational spec."""
+    rng = random.Random(2323)
+    cases = []
+    for n_gon, sample in ((4, None), (5, None), (6, None), (7, 6), (8, 3)):
+        charts = triangulations(n_gon)
+        if sample is not None:
+            charts = rng.sample(charts, sample)
+        box = 2 if n_gon < 7 else 1
+        for chart in charts:
+            spec = minkowski_spec([
+                point(n_gon, [rng.randint(-box, box) for _ in range(n_gon - 3)])
+                for _ in range(rng.randint(1, 2))
+            ])
+            lowered = StasheffSpec.of(n_gon, {d: v - 1 for d, v in spec.c})
+            rational = StasheffSpec.of(n_gon, {
+                d: Fraction(rng.randint(-2, 5), rng.randint(1, 4)) for d in diagonals(n_gon)
+            })
+            cases += [(spec, chart), (lowered, chart), (rational, chart)]
+    return cases
+
+
+def test_compiled_chart_scan_matches_the_cold_route(monkeypatch):
+    """The chart's compiled LP gives the integer box of the
+    ``coordinate_bounds`` box of the chart inequalities, and the scan the
+    points of that box that meet every inequality."""
+    boxes = []
+    scan = polytopes._interval_scan
+
+    def recording(filed, floors, ranges):
+        boxes.append(ranges)
+        return scan(filed, floors, ranges)
+
+    monkeypatch.setattr(polytopes, "_interval_scan", recording)
+    outcomes = set()
+    for spec, chart in compiled_route_cases():
+        boxes.clear()
+        vectors = _scan_chart(spec, chart)[1]
+        assert vectors == product_scan(spec, chart)
+        bounds = coordinate_bounds(chart_inequalities(spec, chart), spec.n_gon - 3)
+        if bounds is None:
+            assert boxes == [] and vectors == []
+            outcomes.add("empty")
+            continue
+        assert boxes == [[(ceil(lo), floor(hi)) for lo, hi in bounds]]
+        rational = any(x.denominator > 1 for pair in bounds for x in pair)
+        outcomes.add(("rational" if rational else "integer", bool(vectors)))
+    assert outcomes == {"empty", ("integer", True), ("rational", True), ("rational", False)}
+
+
+def test_scans_leave_the_compiled_chart_as_built(monkeypatch):
+    """Scanning A, B, an empty spec and A again on one chart gives A the
+    same points both times and leaves the chart's start tableau as it was
+    built.  A cold chart runs phase one once, to build that tableau; an
+    already compiled one runs neither phase one nor ``_integer_system``."""
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(polytopes, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(polytopes, name, wrapper)
+
+    counted("_phase_one")
+    counted("_integer_system")
+    rng = random.Random(2324)
+    chart = flip(fan_triangulation(7), Segment(1, 4))[0]
+    a = minkowski_spec([point(7, [rng.randint(-2, 2) for _ in range(4)]) for _ in range(2)])
+    b = StasheffSpec.of(7, {d: v + Fraction(4, 3) for d, v in a.c})
+    empty = StasheffSpec.of(7, {d: v - 1 for d, v in a.c})
+    _compiled.cache_clear()
+    first = _scan_chart(a, chart)[1]
+    assert calls == {"_phase_one": 1}
+    lp = _compiled(chart).lp
+    start = copy.deepcopy(lp.start)
+    calls.clear()
+    assert len(_scan_chart(b, chart)[1]) > len(first) > 0
+    assert _scan_chart(empty, chart)[1] == []
+    assert _scan_chart(a, chart)[1] == first
+    assert calls == {}
+    assert _compiled(chart).lp is lp
+    assert lp.start == start
+
+
+def test_minkowski_spec_matches_the_validated_constructor():
+    """On seeded 4- to 10-gon products, integral and rational, the spec
+    equals the one the validated constructor makes of the halved summed cut
+    masses, in ``==``, in ``repr`` and in value types: an integral product's
+    bound is an int exactly where its cut mass is even."""
+    rng = random.Random(2325)
+    types = set()
+    for n_gon in range(4, 11):
+        for trial in range(3):
+            pts = [
+                point(n_gon, [rng.randint(-2, 2) for _ in range(n_gon - 3)])
+                for _ in range(rng.randint(1, 3))
+            ]
+            if trial == 2:
+                pts = [p * Fraction(1, rng.randint(2, 3)) for p in pts]
+            masses = {
+                d: sum(p.graph.cut(d.i, d.j) for p in pts) for d in diagonals(n_gon)
+            }
+            spec = minkowski_spec(pts)
+            validated = StasheffSpec.of(n_gon, {d: Fraction(m, 2) for d, m in masses.items()})
+            assert spec == validated
+            assert repr(spec) == repr(validated)
+            assert [type(v) for _, v in spec.c] == [type(v) for _, v in validated.c]
+            if trial < 2:
+                assert all((type(v) is int) == (masses[d] % 2 == 0) for d, v in spec.c)
+            types |= {type(v) for _, v in spec.c}
+    assert types == {int, Fraction}
 
 
 def test_lattice_points_on_the_triangle_and_the_square():

@@ -54,7 +54,11 @@ def test_public_names_have_a_caller():
     method defined in a class body, is used by name outside its own
     definition: elsewhere in the library, in a demo, in the benchmark, or in
     the acceptance tests.  A name that only its own unit tests reach is not
-    part of the pipeline."""
+    part of the pipeline.
+
+    Methods are matched by bare name: any use of ``.zero`` counts for every
+    class that defines a ``zero``, so a method whose name another class
+    also uses can pass without a caller of its own."""
     definitions = []  # (module, name)
     used = set()
     for path in sorted(SOURCE.glob("*.py")):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphs import graph_from_weights
 from tropclust.errors import InvariantViolation, SizeMismatch
 from tropclust.polygon import Segment, all_segments, crosses, diagonals
 from tropclust.weighted_graphs import (
@@ -20,7 +21,7 @@ from tropclust.weighted_graphs import (
 
 
 def graph(n, weights):
-    return WeightedGraph.from_weights(n, {Segment(i, j): w for (i, j), w in weights.items()})
+    return graph_from_weights(n, {Segment(i, j): w for (i, j), w in weights.items()})
 
 
 def interval(g, k, l):
@@ -62,12 +63,12 @@ def test_construction_and_lookup():
 
 
 def test_flat_layout_is_row_major_over_pairs():
-    g = WeightedGraph.from_weights(5, {(1, 2): -1, (2, 4): 1})
+    g = graph_from_weights(5, {(1, 2): -1, (2, 4): 1})
     assert g.w == (-1, 0, 0, 0, 0, 1, 0, 0, 0, 0)
     assert pairs(5)[5] == (2, 4)
     for n in (3, 4, 7):
         for k, (i, j) in enumerate(pairs(n)):
-            assert WeightedGraph.from_weights(n, {(i, j): 1}).w.index(1) == k
+            assert graph_from_weights(n, {(i, j): 1}).w.index(1) == k
     with pytest.raises(InvariantViolation):
         WeightedGraph(5, g.w[:-1])
     with pytest.raises(InvariantViolation):
