@@ -253,11 +253,8 @@ def minkowski_sum(spec1: StasheffSpec, spec2: StasheffSpec) -> StasheffSpec:
 # and each optimum is an integer pair (num, den), so the only Fractions are
 # the ones coordinate_bounds returns.
 #
-# Phase one reads the coefficients and never the costs.  So a chart's rows
-# and its tableau after phase one are built once (_ChartLP), and a spec
-# only brings the costs: phase two and the dual re-solves run on a copy of
-# that tableau.  coordinate_bounds builds both cold from its inequalities
-# and ends in the same _dual_values.
+# Phase one never reads the costs, so _ChartLP keeps its tableau per chart
+# and coordinate_bounds runs it cold; both end in _dual_values.
 
 
 def _integer_system(ineqs: Iterable[tuple]) -> tuple[list[tuple], int] | None:
