@@ -47,7 +47,7 @@ from .errors import (
 )
 from .laminations import Lamination
 from .laurent import LaurentPolynomial
-from .weighted_graphs import WeightedGraph, _fan_cuts, _tables
+from .weighted_graphs import WeightedGraph, _fan_cuts, _is_int, _tables
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -117,7 +117,7 @@ class Expansion:
         for lam, coeff in terms:
             if not isinstance(lam, Lamination):
                 raise InvariantViolation("expansion terms must be laminations")
-            if not isinstance(coeff, int) or isinstance(coeff, bool) or coeff <= 0:
+            if not _is_int(coeff) or coeff <= 0:
                 raise InvariantViolation("expansion coefficients must be positive integers")
         object.__setattr__(self, "terms", terms)
         if len(self._coeffs) != len(terms):

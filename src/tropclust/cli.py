@@ -77,8 +77,10 @@ def _chart_text(tri: Triangulation) -> str:
 
 
 def _parse_chart(text: str, n_gon: int) -> Triangulation:
+    """A chart from text like ``1-3,1-4``; blank text has no diagonals,
+    the triangle's only chart."""
     segments = []
-    for part in text.split(","):
+    for part in text.split(",") if text.strip() else ():
         bits = part.strip().split("-")
         if len(bits) != 2:
             raise InputFormatError(f"bad chart entry {part!r}; expected like 1-3")
@@ -144,7 +146,10 @@ def _cmd_check_stasheff(args) -> int:
 
 def _cmd_lattice_points(args) -> int:
     spec = jsonio.spec_from_json(jsonio.load_path(args.infile))
-    chart = _parse_chart(args.chart, spec.n_gon) if args.chart else fan_triangulation(spec.n_gon)
+    chart = (
+        fan_triangulation(spec.n_gon) if args.chart is None
+        else _parse_chart(args.chart, spec.n_gon)
+    )
     compiled, vectors = _scan_chart(spec, chart)
     # every scanned point is integral, and so is its lamination
     rows = [(spec.n_gon, w, "int") for w in compiled.weights(vectors)]

@@ -42,7 +42,7 @@ from .errors import InputFormatError, NotALamination
 from .laminations import Lamination, TropicalCoords
 from .polygon import Segment, check_polygon
 from .polytopes import StasheffSpec
-from .weighted_graphs import WeightedGraph, _is_number, _normalize, _tables
+from .weighted_graphs import WeightedGraph, _is_int, _is_number, _normalize, _tables
 
 FORMAT = 1
 
@@ -97,15 +97,14 @@ def _check_document(doc, kind: str) -> None:
     version = doc.get("format")
     # True == 1, so the type is checked first
     _require(
-        isinstance(version, int) and not isinstance(version, bool) and version == FORMAT,
+        _is_int(version) and version == FORMAT,
         f"{kind}: missing or unsupported format",
     )
 
 
 def _int_field(doc, key: str, kind: str) -> int:
     value = doc.get(key)
-    _require(isinstance(value, int) and not isinstance(value, bool),
-             f"{kind}: field {key!r} must be an integer")
+    _require(_is_int(value), f"{kind}: field {key!r} must be an integer")
     return value
 
 
@@ -118,7 +117,7 @@ def _n_gon_field(doc, kind: str) -> int:
 def _segment_from_json(item, kind: str) -> Segment:
     _require(
         isinstance(item, list) and len(item) == 2
-        and all(isinstance(v, int) and not isinstance(v, bool) for v in item),
+        and all(map(_is_int, item)),
         f"{kind}: segment entries must be [i, j] integer pairs",
     )
     return Segment(item[0], item[1])
@@ -250,8 +249,7 @@ def expansion_from_json(doc) -> Expansion:
     for item in raw:
         _require(isinstance(item, dict), "expansion: terms must be objects")
         coeff = item.get("coeff")
-        _require(isinstance(coeff, int) and not isinstance(coeff, bool),
-                 "expansion: 'coeff' must be an integer")
+        _require(_is_int(coeff), "expansion: 'coeff' must be an integer")
         terms.append((lamination_from_json(item.get("lamination")), coeff))
     return Expansion(tuple(terms))
 
@@ -262,13 +260,12 @@ def expansion_from_json(doc) -> Expansion:
 def _label_to_json(label):
     if isinstance(label, Segment):
         return [label.i, label.j]
-    _require(isinstance(label, int) and not isinstance(label, bool),
-             f"seed: unsupported label {label!r}")
+    _require(_is_int(label), f"seed: unsupported label {label!r}")
     return label
 
 
 def _label_from_json(item):
-    if isinstance(item, int) and not isinstance(item, bool):
+    if _is_int(item):
         return item
     return _segment_from_json(item, "seed")
 
@@ -299,7 +296,7 @@ def seed_from_json(doc) -> Seed:
         isinstance(raw_eps, list)
         and all(
             isinstance(row, list)
-            and all(isinstance(x, int) and not isinstance(x, bool) for x in row)
+            and all(map(_is_int, row))
             for row in raw_eps
         ),
         "seed: 'epsilon' must be a matrix of integers",

@@ -171,13 +171,6 @@ class TropicalCoords:
     def as_dict(self) -> dict:
         return dict(self.values)
 
-    def value(self, seg: Segment) -> Number:
-        seg = Segment(*seg)
-        for s, v in self.values:
-            if s == seg:
-                return v
-        raise NotADiagonal(f"{seg} is not a diagonal of the chart")
-
     def vector(self) -> tuple:
         return tuple(v for _, v in self.values)
 
@@ -209,8 +202,9 @@ class _CompiledChart:
     inequalities read them.  The same walk's exchange steps, as slots into
     ``diagonals(n)`` with edges at the zero slot past the end, give a
     batch of points' diagonal values one column per step.  ``lp`` is the
-    one field set later: the chart's polytope LP, which
-    ``polytopes._scan_chart`` builds at the chart's first scan.
+    one field set later: the box LP of the chart's forms
+    (``polytopes._BoxLP``), which ``polytopes._scan_chart`` builds at the
+    chart's first scan.
     """
 
     def __init__(self, chart: Triangulation):

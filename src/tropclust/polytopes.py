@@ -17,25 +17,13 @@ Lattice enumeration works per chart, compiled once per process for up to
 of the linear forms that the exponent vectors of its chart expansion
 (``atlas._exchange_walk``) give in the chart coordinates, so each bound
 splits into plain half-spaces with integer rows.  The box of coordinate
-ranges to scan comes from the duals of the 2(N - 3) coordinate
-maximisations, which differ only in their right-hand sides.  So a chart
-gets one exact integer tableau, with B^-1 carried beside it: the first
-objective is solved by phase one and phase two under Bland's rule, and
-every other one is a dual simplex re-solve from the previous optimal
-basis.  A finite first optimum proves the polytope nonempty; only when the
-first dual is infeasible does a Farkas LP decide between empty and
-unbounded.
-
-The bounds enter only the costs, so a compiled chart keeps the rest of
-that LP (``_ChartLP``, built at the chart's first scan): the primitive
-integer rows of its forms, which form lies on which row with what content,
-the rows filed for the scan, and the tableau after phase one.  Per spec,
-``_scan_chart`` takes each row's tightest bound as one int over a common
-denominator, solves phase two and the re-solves on a copy of that tableau,
-and reads each end of the box as a floor division of the optimum's
-numerator and denominator.  ``coordinate_bounds`` takes any inequalities:
-it builds the rows (``_integer_system``) and runs phase one cold, then
-ends in the same solver and returns the ends as Fractions.
+ranges to scan comes from an exact box LP (``_BoxLP``; the comment on the
+linear programming core below has the method).  The bounds enter only its
+costs, so a compiled chart keeps its LP, built at the chart's first scan,
+and a spec costs phase two and the re-solves; ``_scan_chart`` reads each
+end of the box as a floor division of an optimum's numerator and
+denominator.  ``coordinate_bounds`` builds the same LP for any
+inequalities and returns the ends as Fractions.
 
 The scan fixes the coordinates in order and checks each row as soon as its
 last nonzero coordinate is reached: with the prefix fixed, the row bounds
@@ -66,7 +54,6 @@ from .errors import (
     DimensionMismatch,
     EmptyInput,
     InvariantViolation,
-    NotADiagonal,
     NotStasheff,
     SizeMismatch,
     Unbounded,
@@ -74,7 +61,6 @@ from .errors import (
 from .laminations import (
     Lamination,
     TropicalCoords,
-    _CompiledChart,
     _compiled,
     _diagonal_values,
     lamination_from_coords,
@@ -125,12 +111,6 @@ class StasheffSpec:
 
     def as_dict(self) -> dict:
         return dict(self.c)
-
-    def value(self, seg: Segment) -> Number:
-        seg = Segment(*seg)
-        if not seg.is_diagonal(self.n_gon):
-            raise NotADiagonal(f"{seg} is not a diagonal; bounds live on diagonals")
-        return self._bounds[seg]
 
     def side_value(self, p: int, q: int) -> Number:
         """The bound with boundary edges (and coinciding vertices) read as 0."""
@@ -226,61 +206,37 @@ def minkowski_sum(spec1: StasheffSpec, spec2: StasheffSpec) -> StasheffSpec:
 # -- exact linear programming core ------------------------------------------
 #
 # An inequality is (coeffs, rhs) meaning coeffs . a <= rhs, with exact
-# rational entries.  _integer_system turns a list of them into integer rows
-# (coefficient vectors with content 1, one row per direction keeping the
-# tightest rhs) whose right-hand sides share one denominator D, so that the
-# system reads coeffs . a <= rhs / D with every number an int.
+# rational entries.  _BoxLP takes the rows in groups that share one bound:
+# a chart's diagonal bounds each of its forms, and every inequality of
+# coordinate_bounds is a group of one.  A form is its content g times a
+# primitive integer row, so it bounds that row by bound / g; a row that
+# several forms give is kept once, with the tightest of their bounds.
+# Over one common denominator d every right-hand side is an int, the row's
+# cost, and the system reads coeffs . a <= cost / d.
 #
 # The box comes from linear programming duality: max c.a over
-# coeffs . a <= rhs equals min rhs . y over y >= 0 with sum y_i coeffs_i = c.
-# The 2 nvars objectives c = -e_k, e_k share the dual's columns and costs
-# and differ only in its right-hand side, so a system gets one integer
-# tableau of the dual rows with an identity block beside them.  Row
-# operations keep that block equal to the matrix that took the first rows
-# to the current ones, so each row holds its row of B^-1 at the row's own
-# positive scale.  The first objective runs phase one (_dual_start) and
-# phase two under Bland's rule.  Every other one sets each row's rhs to
-# +-(the row's entry in block column k): the reduced costs do not depend
-# on the rhs, so the old basis stays dual feasible, and dual simplex pivots
-# restore rhs >= 0 (_dual_values).  A finite first optimum proves the
-# system nonempty and an unbounded one proves it empty.  Only an
-# infeasible first dual needs the Farkas LP: the system is empty exactly
-# when some y >= 0 with sum y_i coeffs_i = 0 has rhs . y < 0.  When the
-# rows do not span (A^T rank-deficient), phase one drops redundant dual
-# rows; each keeps its block row, whose entry k must vanish for objective
-# +-e_k to have a dual at all, and a nonempty system whose dual has none is
-# unbounded in that coordinate.  Ratio tests compare by cross-multiplication,
-# and each optimum is an integer pair (num, den), so the only Fractions are
-# the ones coordinate_bounds returns.
-#
-# Phase one never reads the costs, so _ChartLP keeps its tableau per chart
-# and coordinate_bounds runs it cold; both end in _dual_values.
-
-
-def _integer_system(ineqs: Iterable[tuple]) -> tuple[list[tuple], int] | None:
-    """Deduplicated integer rows and their rhs denominator D; None signals
-    an infeasible constant row."""
-    # each direction's tightest rhs, as a reduced fraction (num, den)
-    best: dict[tuple, tuple[int, int]] = {}
-    for coeffs, rhs in ineqs:
-        if not all(type(x) is int for x in coeffs):
-            denom = lcm(*(x.denominator for x in coeffs))
-            coeffs = [x.numerator * (denom // x.denominator) for x in coeffs]
-            rhs *= denom
-        content = gcd(*coeffs)
-        if content == 0:
-            if rhs < 0:
-                return None
-            continue
-        key = tuple(coeffs) if content == 1 else tuple(x // content for x in coeffs)
-        num, den = rhs.numerator, rhs.denominator * content
-        g = gcd(num, den)
-        num, den = num // g, den // g
-        old = best.get(key)
-        if old is None or num * old[1] < old[0] * den:
-            best[key] = num, den
-    d = lcm(*(den for _, den in best.values()))
-    return [(k, num * (d // den)) for k, (num, den) in best.items()], d
+# coeffs . a <= cost / d is min cost . y / d over y >= 0 with
+# sum y_i coeffs_i = c.  The 2 nvars objectives c = -e_k, e_k share the
+# dual's columns and costs and differ only in its right-hand side, so a
+# system gets one integer tableau of the dual rows with an identity block
+# beside them.  Row operations keep that block equal to the matrix that
+# took the first rows to the current ones, so each row holds its row of
+# B^-1 at the row's own positive scale.  The first objective runs phase
+# one and phase two under Bland's rule; phase one never reads the costs,
+# so _BoxLP runs it once, when it is built, and each box solves a copy.
+# Every other objective sets each row's rhs to +-(the row's entry in block
+# column k): the reduced costs do not depend on the rhs, so the old basis
+# stays dual feasible, and dual simplex pivots restore rhs >= 0.  A finite
+# first optimum proves the system nonempty and an unbounded one proves it
+# empty.  Only an infeasible first dual needs the Farkas LP: the system is
+# empty exactly when some y >= 0 with sum y_i coeffs_i = 0 has
+# cost . y < 0.  When the rows do not span (A^T rank-deficient), phase one
+# drops redundant dual rows; each keeps its block row, whose entry k must
+# vanish for objective +-e_k to have a dual at all, and a nonempty system
+# whose dual has none is unbounded in that coordinate.  Ratio tests
+# compare by cross-multiplication, and each optimum is an integer pair
+# (num, den), so the only Fractions are the ones coordinate_bounds
+# returns.
 
 
 def _primitive(row: list) -> list:
@@ -421,77 +377,6 @@ def _is_empty(coeffs: list, costs: list, nvars: int) -> bool:
     return _value(tab, found[0], costs)[0] < 0
 
 
-def _dual_start(coeffs: list, nvars: int) -> tuple | None:
-    """The dual tableau after phase one, (tab, basis, dropped), or None
-    when the first dual (max -a_0) is infeasible.
-
-    There is one dual row per coordinate k, sum_i y_i coeffs_i[k] = c_k,
-    with its unit column in the block.
-    """
-    tab = [
-        [c[k] for c in coeffs] + [int(j == k) for j in range(nvars)] + [-(k == 0)]
-        for k in range(nvars)
-    ]
-    found = _phase_one(tab, len(coeffs))
-    return None if found is None else (tab, *found)
-
-
-def _dual_values(start, coeffs: list, costs: list, nvars: int) -> list | None:
-    """The optima (num, den) of the duals of max -a_0, max a_0, max -a_1,
-    ..., that is -lo_0, hi_0, -lo_1, ..., solved in ``start``, which they
-    change; None when the system is empty.
-    """
-    if not nvars:
-        return []
-    if start is None:
-        # an infeasible dual: the system is empty or a_0 is unbounded below
-        if _is_empty(coeffs, costs, nvars):
-            return None
-        raise Unbounded("coordinate 0 has no finite bound")
-    tab, basis, dropped = start
-    m = len(coeffs)
-    obj = _phase_two(tab, basis, costs)
-    if obj is None:
-        return None
-    # the first objective is solved, every other one +-e_k re-solves from
-    # the previous optimal basis
-    values = [_value(tab, basis, costs)]
-    for k, sign in itertools.islice(itertools.product(range(nvars), (-1, 1)), 1, None):
-        for row in tab:
-            row[-1] = sign * row[m + k]
-        # a dropped row reads 0 = sign * (its block entry k); the system is
-        # nonempty, so a dual with no solution means an unbounded coordinate
-        if any(row[m + k] for row in dropped) or not _dual_improve(tab, basis, obj, m):
-            raise Unbounded(f"coordinate {k} has no finite bound")
-        values.append(_value(tab, basis, costs))
-    return values
-
-
-def coordinate_bounds(ineqs: Sequence[tuple], nvars: int):
-    """Per-coordinate rational bounds [lo, hi] of the feasible region.
-
-    Returns None when the region is empty; raises Unbounded when some
-    coordinate has no finite bound on one side, and DimensionMismatch when
-    a row does not have exactly nvars coefficients.
-    """
-    for coeffs, _ in ineqs:
-        if len(coeffs) != nvars:
-            raise DimensionMismatch(
-                f"inequality has {len(coeffs)} coefficients, need {nvars}"
-            )
-    system = _integer_system(ineqs)
-    if system is None:
-        return None
-    rows, d = system
-    coeffs = [c for c, _ in rows]
-    costs = [r for _, r in rows]
-    values = _dual_values(_dual_start(coeffs, nvars), coeffs, costs, nvars)
-    if values is None:
-        return None
-    ends = [Fraction(num, den * d) for num, den in values]
-    return [(-neg_lo, hi) for neg_lo, hi in zip(ends[::2], ends[1::2])]
-
-
 def chart_inequalities(spec: StasheffSpec, chart: Triangulation) -> list[tuple]:
     """The polytope as plain half-spaces in one chart's coordinates.
 
@@ -508,29 +393,31 @@ def chart_inequalities(spec: StasheffSpec, chart: Triangulation) -> list[tuple]:
     ]
 
 
-class _ChartLP:
-    """The part of a chart's polytope LP that no spec changes.
+class _BoxLP:
+    """The part of a box LP that its bounds do not change.
 
-    ``coeffs`` holds the primitive integer rows of the chart's nonzero
-    forms, in the order ``_integer_system`` first meets them, so a spec's
-    rows and their order, and with them every pivot, are those of the cold
-    route.  A form is its row times its content g, so it bounds the row by
-    c(d) / g, which is c(d) * (scale // g) / scale with ``scale`` the lcm of
-    the contents.  ``first[r]`` is the (slot of d, scale // g) pair of the
-    first form on row r, and ``more`` lists (r, slot, scale // g) for every
-    later form on a row.  ``constant`` lists the slots of the diagonals with
-    a zero form, which reads 0 <= c(d).  ``filed[k]`` lists (r, head, c) for
-    each row r whose last nonzero coordinate is k, its coefficients before
-    k and its coefficient c at k (see ``_interval_scan``).  ``start`` is the
-    dual tableau after phase one (``_dual_start``); ``box`` solves a copy.
+    ``groups`` lists the forms of each bound, ``nvars`` coefficients each.
+    ``coeffs`` holds the primitive integer rows of the nonzero forms in the
+    order they first come.  A form is its row times its content g, so it
+    bounds the row by v / g, which is v * (scale // g) / scale with
+    ``scale`` the lcm of the contents.  ``first[r]`` is the (group,
+    scale // g) pair of the first form on row r, and ``more`` lists
+    (r, group, scale // g) for every later form on a row.  ``constant``
+    lists the groups with a zero form, which reads 0 <= v.  ``filed[k]``
+    lists (r, head, c) for each row r whose last nonzero coordinate is k,
+    its coefficients before k and its coefficient c at k (see
+    ``_interval_scan``).  ``start`` is the dual tableau after phase one,
+    (tab, basis, dropped), or None when the first dual (max -a_0) is
+    infeasible; it has one dual row per coordinate k,
+    sum_i y_i coeffs_i[k] = c_k, with its unit column in the block.
     """
 
-    def __init__(self, compiled: _CompiledChart):
-        self.nvars = nvars = compiled.chart.n_gon - 3
+    def __init__(self, groups: Iterable[Sequence], nvars: int):
+        self.nvars = nvars
         index: dict[tuple, int] = {}
-        found = []  # (slot, row, content) per nonzero form
+        found = []  # (group, row, content) per nonzero form
         self.constant = []
-        for s, forms in enumerate(compiled.forms):
+        for s, forms in enumerate(groups):
             for form in forms:
                 g = gcd(*form)
                 if g:
@@ -538,7 +425,7 @@ class _ChartLP:
                     found.append((s, row, g))
                 else:
                     self.constant.append(s)
-        self.coeffs = list(index)
+        self.coeffs = coeffs = list(index)
         self.scale = lcm(*(g for _, _, g in found))
         self.first = [None] * len(index)
         self.more = []
@@ -548,18 +435,88 @@ class _ChartLP:
             else:
                 self.more.append((row, s, self.scale // g))
         self.filed = [[] for _ in range(nvars)]
-        for r, coeffs in enumerate(self.coeffs):
-            k = max(j for j, c in enumerate(coeffs) if c)
-            self.filed[k].append((r, coeffs[:k], coeffs[k]))
-        self.start = _dual_start(self.coeffs, nvars)
+        for r, row in enumerate(coeffs):
+            k = max(j for j, c in enumerate(row) if c)
+            self.filed[k].append((r, row[:k], row[k]))
+        tab = [
+            [c[k] for c in coeffs] + [int(j == k) for j in range(nvars)] + [-(k == 0)]
+            for k in range(nvars)
+        ]
+        phase_one = _phase_one(tab, len(coeffs))
+        self.start = None if phase_one is None else (tab, *phase_one)
 
-    def box(self, costs: list) -> list | None:
-        """``_dual_values`` for these costs, on a copy of ``start``."""
-        start = self.start
-        if start is not None:
-            tab, basis, dropped = start
-            start = [row[:] for row in tab], basis[:], dropped
-        return _dual_values(start, self.coeffs, costs, self.nvars)
+    def box(self, values: Sequence) -> tuple | None:
+        """Solve the box for the bounds ``values``, one per group.
+
+        Returns (optima, costs, d), or None when the region is empty.  The
+        rows read coeffs . a <= cost / d, and the optima (num, den) are
+        those of max -a_0, max a_0, max -a_1, ..., that is -lo_0, hi_0,
+        -lo_1, ..., over d.  Phase two and the re-solves run on a copy of
+        ``start``.
+        """
+        if any(values[s] < 0 for s in self.constant):
+            return None
+        q = 1
+        if set(map(type, values)) != {int}:
+            q = lcm(*(v.denominator for v in values))
+            values = [v.numerator * (q // v.denominator) for v in values]
+        costs = [values[s] * t for s, t in self.first]
+        for r, s, t in self.more:
+            costs[r] = min(costs[r], values[s] * t)
+        d = q * self.scale
+        if not self.nvars:
+            return [], costs, d
+        coeffs = self.coeffs
+        if self.start is None:
+            # an infeasible dual: the system is empty or a_0 is unbounded below
+            if _is_empty(coeffs, costs, self.nvars):
+                return None
+            raise Unbounded("coordinate 0 has no finite bound")
+        tab, basis, dropped = self.start
+        tab, basis = [row[:] for row in tab], basis[:]
+        m = len(coeffs)
+        obj = _phase_two(tab, basis, costs)
+        if obj is None:
+            return None
+        # the first objective is solved, every other one +-e_k re-solves from
+        # the previous optimal basis
+        optima = [_value(tab, basis, costs)]
+        for k, sign in itertools.islice(itertools.product(range(self.nvars), (-1, 1)), 1, None):
+            for row in tab:
+                row[-1] = sign * row[m + k]
+            # a dropped row reads 0 = sign * (its block entry k); the system is
+            # nonempty, so a dual with no solution means an unbounded coordinate
+            if any(row[m + k] for row in dropped) or not _dual_improve(tab, basis, obj, m):
+                raise Unbounded(f"coordinate {k} has no finite bound")
+            optima.append(_value(tab, basis, costs))
+        return optima, costs, d
+
+
+def coordinate_bounds(ineqs: Sequence[tuple], nvars: int):
+    """Per-coordinate rational bounds [lo, hi] of the feasible region.
+
+    Returns None when the region is empty; raises Unbounded when some
+    coordinate has no finite bound on one side, and DimensionMismatch when
+    a row does not have exactly nvars coefficients.
+    """
+    groups, values = [], []
+    for coeffs, rhs in ineqs:
+        if len(coeffs) != nvars:
+            raise DimensionMismatch(
+                f"inequality has {len(coeffs)} coefficients, need {nvars}"
+            )
+        if not all(type(x) is int for x in coeffs):
+            denom = lcm(*(x.denominator for x in coeffs))
+            coeffs = [x.numerator * (denom // x.denominator) for x in coeffs]
+            rhs *= denom
+        groups.append([coeffs])
+        values.append(rhs)
+    solved = _BoxLP(groups, nvars).box(values)
+    if solved is None:
+        return None
+    optima, _, d = solved
+    ends = [Fraction(num, den * d) for num, den in optima]
+    return [(-neg_lo, hi) for neg_lo, hi in zip(ends[::2], ends[1::2])]
 
 
 def _scan_chart(spec: StasheffSpec, chart: Triangulation) -> tuple:
@@ -577,22 +534,12 @@ def _scan_chart(spec: StasheffSpec, chart: Triangulation) -> tuple:
     if lp is None:
         # built at the chart's first scan, it lives as long as the chart
         # stays in ``_compiled``
-        lp = compiled.lp = _ChartLP(compiled)
-    values = [v for _, v in spec.c]
-    if any(values[s] < 0 for s in lp.constant):
+        lp = compiled.lp = _BoxLP(compiled.forms, chart.n_gon - 3)
+    solved = lp.box([v for _, v in spec.c])
+    if solved is None:
         return compiled, []
-    q = 1 if set(map(type, values)) == {int} else lcm(*(v.denominator for v in values))
-    if q > 1:
-        values = [v.numerator * (q // v.denominator) for v in values]
-    costs = [values[s] * t for s, t in lp.first]
-    for r, s, t in lp.more:
-        costs[r] = min(costs[r], values[s] * t)
-    optima = lp.box(costs)
-    if optima is None:
-        return compiled, []
-    # the rows read coeffs . a <= cost / d, so the optima are -lo_k and
-    # hi_k over den * d; ceil(lo) = -floor(-lo)
-    d = q * lp.scale
+    optima, costs, d = solved
+    # the optima are -lo_k and hi_k over den * d; ceil(lo) = -floor(-lo)
     ranges = [
         (-(neg_lo // (lo_den * d)), hi // (hi_den * d))
         for (neg_lo, lo_den), (hi, hi_den) in zip(optima[::2], optima[1::2])
@@ -605,7 +552,7 @@ def _interval_scan(filed: list, floors: list, ranges: list) -> list:
 
     An integral point meets a row exactly when it meets the floor of its
     right-hand side, which ``floors`` holds per row.  ``filed[k]`` lists
-    the rows whose last nonzero coordinate is k (``_ChartLP``): once the
+    the rows whose last nonzero coordinate is k (``_BoxLP``): once the
     prefix a_0..a_{k-1} is fixed such a row bounds a_k to one side, a floor
     for a positive coefficient and a ceiling for a negative one.  Each
     depth loops upward over the box range cut by its rows, so the points

@@ -44,6 +44,10 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _normalize(x: Number) -> Number:
     if isinstance(x, Fraction) and x.denominator == 1:
         return int(x)

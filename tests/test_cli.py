@@ -263,7 +263,7 @@ def test_export_chart_csv(files, capsys):
 
 @pytest.mark.parametrize("command", ["lattice-points", "export-chart"])
 @pytest.mark.parametrize(
-    "chart", ["1-1,1-4", "1-9,1-4", "1-2,1-4", "1-3,2-4", "1-3", "1-3,1-3"]
+    "chart", ["1-1,1-4", "1-9,1-4", "1-2,1-4", "1-3,2-4", "1-3", "1-3,1-3", ""]
 )
 def test_chart_naming_no_triangulation_is_an_input_error(files, capsys, command, chart):
     code = main([command, "--in", str(files / "spec.json"), "--chart", chart])
@@ -271,6 +271,22 @@ def test_chart_naming_no_triangulation_is_an_input_error(files, capsys, command,
     assert code == EXIT_INPUT
     assert captured.err.startswith("input error: ")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["lattice-points", "export-chart"])
+def test_blank_chart_is_the_triangles_chart(tmp_path, capsys, command):
+    """``--chart ""`` names no diagonals, the triangle's only chart; a
+    larger polygon refuses it (see the test above)."""
+    path = tmp_path / "triangle.json"
+    path.write_text(dumps(spec_to_json(StasheffSpec.of(3, {}))))
+    code, out = run([command, "--in", str(path), "--chart", ""], capsys)
+    assert code == EXIT_OK
+    if command == "export-chart":
+        assert out == "vertex\ntrue\n"
+    else:
+        assert json.loads(out)["points"] == [
+            {"domain": "int", "format": 1, "n_gon": 3, "weights": []}
+        ]
 
 
 def test_export_chart_vertex_flags_match_vertex_laminations(tmp_path, capsys):
@@ -537,7 +553,7 @@ def _export_reference(spec, chart) -> str:
     charts = triangulations(spec.n_gon)
     lines = [",".join([f"a_{d.i}_{d.j}" for d in chart.sorted_diagonals()] + ["vertex"])]
     for p in lattice_points(spec, chart):
-        tight = {d for d in diagonals(spec.n_gon) if tropical_coordinate(p, d) == spec.value(d)}
+        tight = {d for d in diagonals(spec.n_gon) if tropical_coordinate(p, d) == spec.as_dict()[d]}
         flag = any(t.diagonals <= tight for t in charts)
         values = [str(v) for v in chart_coords(p, chart).vector()]
         lines.append(",".join(values + ["true" if flag else "false"]))

@@ -16,7 +16,6 @@ from tropclust.errors import (
     DimensionMismatch,
     EmptyInput,
     InvariantViolation,
-    NotADiagonal,
     NotStasheff,
     SizeMismatch,
     Unbounded,
@@ -84,10 +83,9 @@ def test_spec_validation():
 
 def test_spec_accessors():
     s = const_spec(5, 2)
-    assert s.value(Segment(1, 3)) == 2
-    assert s.value((3, 5)) == 2
-    with pytest.raises(NotADiagonal):
-        s.value(Segment(1, 2))
+    assert s.as_dict()[Segment(1, 3)] == 2
+    assert s.as_dict()[(3, 5)] == 2
+    assert Segment(1, 2) not in s.as_dict()
     assert s.side_value(1, 2) == 0
     assert s.side_value(3, 3) == 0
     assert s.side_value(1, 3) == 2
@@ -148,7 +146,7 @@ def test_minkowski_spec_of_points():
     p, q = point(5, (1, 0)), point(5, (0, 1))
     sp = minkowski_spec([p, q])
     for d in diagonals(5):
-        assert sp.value(d) == tropical_coordinate(p, d) + tropical_coordinate(q, d)
+        assert sp.as_dict()[d] == tropical_coordinate(p, d) + tropical_coordinate(q, d)
     with pytest.raises(EmptyInput):
         minkowski_spec([])
     with pytest.raises(SizeMismatch):
@@ -327,6 +325,36 @@ def oracle_specs():
     return cases
 
 
+def generic_systems():
+    """Seeded systems in 0 to 4 variables with up to 9 rows, about a third
+    of the coefficients and every right-hand side rational, so that
+    ``coordinate_bounds`` must clear each row's denominators."""
+    rng = random.Random(2401)
+
+    def coefficient():
+        if rng.random() < 1 / 3:
+            return Fraction(rng.randint(-3, 3), rng.randint(2, 3))
+        return rng.randint(-2, 2)
+
+    systems = []
+    for _ in range(400):
+        nvars = rng.randint(0, 4)
+        rows = [
+            (tuple(coefficient() for _ in range(nvars)),
+             Fraction(rng.randint(-2, 6), rng.randint(1, 3)))
+            for _ in range(rng.randint(0, 9))
+        ]
+        systems.append((rows, nvars))
+    return systems
+
+
+def bounds_or_unbounded(solve, ineqs, nvars):
+    try:
+        return solve(ineqs, nvars)
+    except Unbounded as exc:
+        return f"Unbounded: {exc}"
+
+
 def test_coordinate_bounds_match_fourier_motzkin():
     outcomes = set()
     for spec, chart in oracle_specs():
@@ -340,6 +368,12 @@ def test_coordinate_bounds_match_fourier_motzkin():
         else:
             outcomes.add("rational")
     assert outcomes == {"empty", "integer", "rational"}
+    tally = Counter()
+    for rows, nvars in generic_systems():
+        bounds = bounds_or_unbounded(coordinate_bounds, rows, nvars)
+        assert bounds == bounds_or_unbounded(fm_bounds, rows, nvars)
+        tally["empty" if bounds is None else "unbounded" if isinstance(bounds, str) else "box"] += 1
+    assert min(tally.values()) >= 50 and len(tally) == 3
 
 
 def test_coordinate_bounds_rejects_rows_of_the_wrong_length():
@@ -627,10 +661,11 @@ def compiled_route_cases():
     return cases
 
 
-def test_compiled_chart_scan_matches_the_cold_route(monkeypatch):
-    """The chart's compiled LP gives the integer box of the
-    ``coordinate_bounds`` box of the chart inequalities, and the scan the
-    points of that box that meet every inequality."""
+def test_compiled_chart_scan_matches_fourier_motzkin(monkeypatch):
+    """The chart's compiled LP gives the integer box of the Fourier-Motzkin
+    box of the chart inequalities, and the scan the points of that box
+    that meet every inequality.  Elimination takes seconds on octagon
+    charts, so those cases check against ``coordinate_bounds``."""
     boxes = []
     scan = polytopes._interval_scan
 
@@ -644,7 +679,8 @@ def test_compiled_chart_scan_matches_the_cold_route(monkeypatch):
         boxes.clear()
         vectors = _scan_chart(spec, chart)[1]
         assert vectors == product_scan(spec, chart)
-        bounds = coordinate_bounds(chart_inequalities(spec, chart), spec.n_gon - 3)
+        oracle = fm_bounds if spec.n_gon < 8 else coordinate_bounds
+        bounds = oracle(chart_inequalities(spec, chart), spec.n_gon - 3)
         if bounds is None:
             assert boxes == [] and vectors == []
             outcomes.add("empty")
@@ -658,8 +694,9 @@ def test_compiled_chart_scan_matches_the_cold_route(monkeypatch):
 def test_scans_leave_the_compiled_chart_as_built(monkeypatch):
     """Scanning A, B, an empty spec and A again on one chart gives A the
     same points both times and leaves the chart's start tableau as it was
-    built.  A cold chart runs phase one once, to build that tableau; an
-    already compiled one runs neither phase one nor ``_integer_system``."""
+    built.  A cold chart builds its LP once and runs phase one once, to
+    build that tableau; an already compiled one builds no LP and runs no
+    phase one."""
     calls = Counter()
 
     def counted(name):
@@ -672,7 +709,7 @@ def test_scans_leave_the_compiled_chart_as_built(monkeypatch):
         monkeypatch.setattr(polytopes, name, wrapper)
 
     counted("_phase_one")
-    counted("_integer_system")
+    counted("_BoxLP")
     rng = random.Random(2324)
     chart = flip(fan_triangulation(7), Segment(1, 4))[0]
     a = minkowski_spec([point(7, [rng.randint(-2, 2) for _ in range(4)]) for _ in range(2)])
@@ -680,7 +717,7 @@ def test_scans_leave_the_compiled_chart_as_built(monkeypatch):
     empty = StasheffSpec.of(7, {d: v - 1 for d, v in a.c})
     _compiled.cache_clear()
     first = _scan_chart(a, chart)[1]
-    assert calls == {"_phase_one": 1}
+    assert calls == {"_phase_one": 1, "_BoxLP": 1}
     lp = _compiled(chart).lp
     start = copy.deepcopy(lp.start)
     calls.clear()
@@ -782,7 +819,7 @@ def test_shift_to_negative_part():
     assert chart_coords(shift, fan).vector() == (-20, -20)
     assert is_stasheff(shifted)
     for d in fan.sorted_diagonals():
-        assert shifted.value(d) <= 0
+        assert shifted.as_dict()[d] <= 0
     # translating fan coordinates by the shift keeps points inside
     small_shift, small_spec = shift_to_negative_part(const_spec(5, 1))
     delta = chart_coords(small_shift, fan)
@@ -843,7 +880,7 @@ def test_vertex_flags_match_the_catalan_scan(n_gon):
             expected = []
             for p in points:
                 tight = {d for d in diagonals(n_gon)
-                         if tropical_coordinate(p, d) == spec.value(d)}
+                         if tropical_coordinate(p, d) == spec.as_dict()[d]}
                 expected.append(any(t.diagonals <= tight for t in charts))
             assert vertex_flags(spec, [p.graph.w for p in points]) == expected
             corners = (lamination_from_coords(vertex(spec, t)) for t in charts)
