@@ -9,9 +9,9 @@ across runs.
 Exit codes: 0 success, 1 malformed input or arguments (including a
 ``--chart`` that names no triangulation, and a polygon of more than
 ``jsonio.MAX_N_GON`` = 40 vertices, named in a document or through
-``--n``), 2 a mathematical precondition failed (including an unbounded
-polytope or a reported mismatch), 3 expansion budget exceeded or out of
-memory.
+``--n``), 2 a mathematical precondition failed (including a reported
+mismatch), 3 expansion budget exceeded or out of memory.  A polytope
+scanned by ``lattice-points`` is always bounded.
 
 ``lattice-points``, ``support`` and ``export-chart`` write from the lattice
 scan's coordinate vectors and the split tree's sorted leaves, turned into

@@ -201,17 +201,17 @@ class _CompiledChart:
     ``diagonals(n)[k]`` in the chart, read as linear forms; the polytope's
     inequalities read them.  The same walk's exchange steps, as slots into
     ``diagonals(n)`` with edges at the zero slot past the end, give a
-    batch of points' diagonal values one column per step.  ``lp`` is the
-    one field set later: the box LP of the chart's forms
-    (``polytopes._BoxLP``), which ``polytopes._scan_chart`` builds at the
-    chart's first scan.
+    batch of points' diagonal values one column per step.  ``rows`` is the
+    one field set later: the row table of the chart's forms
+    (``polytopes._chart_rows``), which ``polytopes._scan_chart`` builds at
+    the chart's first scan.
     """
 
     def __init__(self, chart: Triangulation):
         tables = _tables(chart.n_gon)
         slot = tables.slot
         self.chart = chart
-        self.lp = None
+        self.rows = None
         # the slot table's keys are ``diagonals(n)`` in order
         self.forms, steps = _exchange_walk(tuple(slot), chart)
         zero = self._zero = len(slot)

@@ -16,24 +16,27 @@ Lattice enumeration works per chart, compiled once per process for up to
 32 charts (``laminations._compiled``): a diagonal's coordinate is the max
 of the linear forms that the exponent vectors of its chart expansion
 (``atlas._exchange_walk``) give in the chart coordinates, so each bound
-splits into plain half-spaces with integer rows.  The box of coordinate
-ranges to scan comes from an exact box LP (``_BoxLP``; the comment on the
-linear programming core below has the method).  The bounds enter only its
-costs, so a compiled chart keeps its LP, built at the chart's first scan,
-and a spec costs phase two and the re-solves; ``_scan_chart`` reads each
-end of the box as a floor division of an optimum's numerator and
-denominator.  ``coordinate_bounds`` builds the same LP for any
-inequalities and returns the ends as Fractions.
+splits into plain half-spaces with integer rows.  A compiled chart keeps
+the table of those rows (``_RowTable``), built at the chart's first scan,
+and a spec brings only their right-hand sides, one int each after a floor
+division.
 
 The scan fixes the coordinates in order and checks each row as soon as its
 last nonzero coordinate is reached: with the prefix fixed, the row bounds
-that coordinate to one side, so every depth loops over the box range cut to
-an exact interval, and the last depth takes its whole interval without a
+that coordinate to one side.  Every chart has rows on both sides at every
+coordinate, which ``_chart_rows`` checks once per chart, so each depth
+loops over an exact interval that its own rows give, with no coordinate
+box solved first, and the last depth takes its whole interval without a
 per-point test.  The scan yields sorted integer coordinate vectors, and the
 compiled chart turns them into weight tuples in one batch
 (``_CompiledChart.weights``).  Every scanned point is integral, so
 ``lattice_points`` wraps each row as an integral lamination through the
 ``_trusted`` constructors.
+
+``coordinate_bounds`` gives the rational box of any inequalities by an
+exact LP (the comment on the linear programming core below has the
+method); the tests check it against Fourier-Motzkin elimination, and the
+scan against the integral points of both boxes.
 
 ``vertex_flags`` tells which points are the vertex of some chart: a
 point's tight set, the diagonals where its cut mass meets twice the bound,
@@ -73,7 +76,7 @@ from .polygon import (
     fan_triangulation,
     has_triangulation,
 )
-from .weighted_graphs import Number, WeightedGraph, _tables
+from .weighted_graphs import Number, WeightedGraph, _is_number, _tables
 
 
 @dataclass(frozen=True)
@@ -206,13 +209,14 @@ def minkowski_sum(spec1: StasheffSpec, spec2: StasheffSpec) -> StasheffSpec:
 # -- exact linear programming core ------------------------------------------
 #
 # An inequality is (coeffs, rhs) meaning coeffs . a <= rhs, with exact
-# rational entries.  _BoxLP takes the rows in groups that share one bound:
-# a chart's diagonal bounds each of its forms, and every inequality of
-# coordinate_bounds is a group of one.  A form is its content g times a
+# rational entries.  _RowTable takes the rows in groups that share one
+# bound: a chart's diagonal bounds each of its forms, and every inequality
+# of coordinate_bounds is a group of one.  A form is its content g times a
 # primitive integer row, so it bounds that row by bound / g; a row that
 # several forms give is kept once, with the tightest of their bounds.
 # Over one common denominator d every right-hand side is an int, the row's
-# cost, and the system reads coeffs . a <= cost / d.
+# cost, and the system reads coeffs . a <= cost / d.  The chart scan reads
+# the table as it is; only coordinate_bounds solves the LP below.
 #
 # The box comes from linear programming duality: max c.a over
 # coeffs . a <= cost / d is min cost . y / d over y >= 0 with
@@ -222,21 +226,19 @@ def minkowski_sum(spec1: StasheffSpec, spec2: StasheffSpec) -> StasheffSpec:
 # beside them.  Row operations keep that block equal to the matrix that
 # took the first rows to the current ones, so each row holds its row of
 # B^-1 at the row's own positive scale.  The first objective runs phase
-# one and phase two under Bland's rule; phase one never reads the costs,
-# so _BoxLP runs it once, when it is built, and each box solves a copy.
-# Every other objective sets each row's rhs to +-(the row's entry in block
-# column k): the reduced costs do not depend on the rhs, so the old basis
-# stays dual feasible, and dual simplex pivots restore rhs >= 0.  A finite
-# first optimum proves the system nonempty and an unbounded one proves it
-# empty.  Only an infeasible first dual needs the Farkas LP: the system is
-# empty exactly when some y >= 0 with sum y_i coeffs_i = 0 has
-# cost . y < 0.  When the rows do not span (A^T rank-deficient), phase one
-# drops redundant dual rows; each keeps its block row, whose entry k must
-# vanish for objective +-e_k to have a dual at all, and a nonempty system
-# whose dual has none is unbounded in that coordinate.  Ratio tests
-# compare by cross-multiplication, and each optimum is an integer pair
-# (num, den), so the only Fractions are the ones coordinate_bounds
-# returns.
+# one and phase two under Bland's rule.  Every other objective sets each
+# row's rhs to +-(the row's entry in block column k): the reduced costs do
+# not depend on the rhs, so the old basis stays dual feasible, and dual
+# simplex pivots restore rhs >= 0.  A finite first optimum proves the
+# system nonempty and an unbounded one proves it empty.  Only an
+# infeasible first dual needs the Farkas LP: the system is empty exactly
+# when some y >= 0 with sum y_i coeffs_i = 0 has cost . y < 0.  When the
+# rows do not span (A^T rank-deficient), phase one drops redundant dual
+# rows; each keeps its block row, whose entry k must vanish for objective
+# +-e_k to have a dual at all, and a nonempty system whose dual has none
+# is unbounded in that coordinate.  Ratio tests compare by
+# cross-multiplication, and each optimum is an integer pair (num, den), so
+# the only Fractions are the ones coordinate_bounds returns.
 
 
 def _primitive(row: list) -> list:
@@ -393,8 +395,8 @@ def chart_inequalities(spec: StasheffSpec, chart: Triangulation) -> list[tuple]:
     ]
 
 
-class _BoxLP:
-    """The part of a box LP that its bounds do not change.
+class _RowTable:
+    """The rows of groups of forms, without their bounds.
 
     ``groups`` lists the forms of each bound, ``nvars`` coefficients each.
     ``coeffs`` holds the primitive integer rows of the nonzero forms in the
@@ -404,16 +406,15 @@ class _BoxLP:
     scale // g) pair of the first form on row r, and ``more`` lists
     (r, group, scale // g) for every later form on a row.  ``constant``
     lists the groups with a zero form, which reads 0 <= v.  ``filed[k]``
-    lists (r, head, c) for each row r whose last nonzero coordinate is k,
-    its coefficients before k and its coefficient c at k (see
-    ``_interval_scan``).  ``start`` is the dual tableau after phase one,
-    (tab, basis, dropped), or None when the first dual (max -a_0) is
-    infeasible; it has one dual row per coordinate k,
-    sum_i y_i coeffs_i[k] = c_k, with its unit column in the block.
+    holds the rows whose last nonzero coordinate is k as two lists, those
+    with a positive coefficient c at k and those with a negative one, c
+    negated.  Each list groups its rows by (a, c), with a the coefficient
+    at k - 1 (0 at k = 0), as (a, c, members), and a member is (r, front)
+    with front the row's coefficients before k - 1 (see
+    ``_interval_scan``).
     """
 
     def __init__(self, groups: Iterable[Sequence], nvars: int):
-        self.nvars = nvars
         index: dict[tuple, int] = {}
         found = []  # (group, row, content) per nonzero form
         self.constant = []
@@ -434,26 +435,20 @@ class _BoxLP:
                 self.first[row] = s, self.scale // g
             else:
                 self.more.append((row, s, self.scale // g))
-        self.filed = [[] for _ in range(nvars)]
+        sides = [({}, {}) for _ in range(nvars)]
         for r, row in enumerate(coeffs):
             k = max(j for j, c in enumerate(row) if c)
-            self.filed[k].append((r, row[:k], row[k]))
-        tab = [
-            [c[k] for c in coeffs] + [int(j == k) for j in range(nvars)] + [-(k == 0)]
-            for k in range(nvars)
+            a, front = (row[k - 1], row[:k - 1]) if k else (0, ())
+            sides[k][row[k] < 0].setdefault((a, abs(row[k])), []).append((r, front))
+        self.filed = [
+            tuple([(a, c, members) for (a, c), members in side.items()] for side in pair)
+            for pair in sides
         ]
-        phase_one = _phase_one(tab, len(coeffs))
-        self.start = None if phase_one is None else (tab, *phase_one)
 
-    def box(self, values: Sequence) -> tuple | None:
-        """Solve the box for the bounds ``values``, one per group.
-
-        Returns (optima, costs, d), or None when the region is empty.  The
-        rows read coeffs . a <= cost / d, and the optima (num, den) are
-        those of max -a_0, max a_0, max -a_1, ..., that is -lo_0, hi_0,
-        -lo_1, ..., over d.  Phase two and the re-solves run on a copy of
-        ``start``.
-        """
+    def costs(self, values: Sequence) -> tuple | None:
+        """The rows' right-hand sides for the bounds ``values``, one per
+        group: (costs, d) with the rows reading coeffs . a <= cost / d, or
+        None when a zero form reads 0 <= v < 0."""
         if any(values[s] < 0 for s in self.constant):
             return None
         q = 1
@@ -463,41 +458,51 @@ class _BoxLP:
         costs = [values[s] * t for s, t in self.first]
         for r, s, t in self.more:
             costs[r] = min(costs[r], values[s] * t)
-        d = q * self.scale
-        if not self.nvars:
-            return [], costs, d
-        coeffs = self.coeffs
-        if self.start is None:
-            # an infeasible dual: the system is empty or a_0 is unbounded below
-            if _is_empty(coeffs, costs, self.nvars):
-                return None
-            raise Unbounded("coordinate 0 has no finite bound")
-        tab, basis, dropped = self.start
-        tab, basis = [row[:] for row in tab], basis[:]
-        m = len(coeffs)
-        obj = _phase_two(tab, basis, costs)
-        if obj is None:
+        return costs, q * self.scale
+
+
+def _box(coeffs: list, costs: list, nvars: int) -> list | None:
+    """The optima (num, den) of max -a_0, max a_0, max -a_1, ... over
+    coeffs . a <= costs, that is -lo_0, hi_0, -lo_1, ..., or None when the
+    region is empty."""
+    if not nvars:
+        return []
+    m = len(coeffs)
+    tab = [
+        [c[k] for c in coeffs] + [int(j == k) for j in range(nvars)] + [-(k == 0)]
+        for k in range(nvars)
+    ]
+    found = _phase_one(tab, m)
+    if found is None:
+        # an infeasible dual: the system is empty or a_0 is unbounded below
+        if _is_empty(coeffs, costs, nvars):
             return None
-        # the first objective is solved, every other one +-e_k re-solves from
-        # the previous optimal basis
-        optima = [_value(tab, basis, costs)]
-        for k, sign in itertools.islice(itertools.product(range(self.nvars), (-1, 1)), 1, None):
-            for row in tab:
-                row[-1] = sign * row[m + k]
-            # a dropped row reads 0 = sign * (its block entry k); the system is
-            # nonempty, so a dual with no solution means an unbounded coordinate
-            if any(row[m + k] for row in dropped) or not _dual_improve(tab, basis, obj, m):
-                raise Unbounded(f"coordinate {k} has no finite bound")
-            optima.append(_value(tab, basis, costs))
-        return optima, costs, d
+        raise Unbounded("coordinate 0 has no finite bound")
+    basis, dropped = found
+    obj = _phase_two(tab, basis, costs)
+    if obj is None:
+        return None
+    # the first objective is solved, every other one +-e_k re-solves from
+    # the previous optimal basis
+    optima = [_value(tab, basis, costs)]
+    for k, sign in itertools.islice(itertools.product(range(nvars), (-1, 1)), 1, None):
+        for row in tab:
+            row[-1] = sign * row[m + k]
+        # a dropped row reads 0 = sign * (its block entry k); the system is
+        # nonempty, so a dual with no solution means an unbounded coordinate
+        if any(row[m + k] for row in dropped) or not _dual_improve(tab, basis, obj, m):
+            raise Unbounded(f"coordinate {k} has no finite bound")
+        optima.append(_value(tab, basis, costs))
+    return optima
 
 
 def coordinate_bounds(ineqs: Sequence[tuple], nvars: int):
     """Per-coordinate rational bounds [lo, hi] of the feasible region.
 
     Returns None when the region is empty; raises Unbounded when some
-    coordinate has no finite bound on one side, and DimensionMismatch when
-    a row does not have exactly nvars coefficients.
+    coordinate has no finite bound on one side, DimensionMismatch when a
+    row does not have exactly nvars coefficients and InvariantViolation
+    when an entry is not an int or Fraction.
     """
     groups, values = [], []
     for coeffs, rhs in ineqs:
@@ -505,18 +510,44 @@ def coordinate_bounds(ineqs: Sequence[tuple], nvars: int):
             raise DimensionMismatch(
                 f"inequality has {len(coeffs)} coefficients, need {nvars}"
             )
+        if not (_is_number(rhs) and all(map(_is_number, coeffs))):
+            raise InvariantViolation("inequality entries must be exact numbers")
         if not all(type(x) is int for x in coeffs):
             denom = lcm(*(x.denominator for x in coeffs))
             coeffs = [x.numerator * (denom // x.denominator) for x in coeffs]
             rhs *= denom
         groups.append([coeffs])
         values.append(rhs)
-    solved = _BoxLP(groups, nvars).box(values)
+    rows = _RowTable(groups, nvars)
+    solved = rows.costs(values)
     if solved is None:
         return None
-    optima, _, d = solved
+    costs, d = solved
+    optima = _box(rows.coeffs, costs, nvars)
+    if optima is None:
+        return None
     ends = [Fraction(num, den * d) for num, den in optima]
     return [(-neg_lo, hi) for neg_lo, hi in zip(ends[::2], ends[1::2])]
+
+
+def _chart_rows(forms: Sequence, chart: Triangulation) -> _RowTable:
+    """The row table of a chart's forms, one group per diagonal.
+
+    Every coordinate must have a row filed at it on each side, so that
+    every depth of the scan is bounded whatever the bounds; a chart whose
+    forms leave one open raises InvariantViolation.
+    """
+    rows = _RowTable(forms, chart.n_gon - 3)
+    diagonals = chart.sorted_diagonals()
+    for k, (upper, lower) in enumerate(rows.filed):
+        missing = [side for side, found in (("above", upper), ("below", lower)) if not found]
+        if missing:
+            name = ",".join(f"{d.i}-{d.j}" for d in diagonals)
+            raise InvariantViolation(
+                f"chart {name!r} has no row bounding coordinate {k} "
+                f"({diagonals[k].i}-{diagonals[k].j}) from {' or '.join(missing)}"
+            )
+    return rows
 
 
 def _scan_chart(spec: StasheffSpec, chart: Triangulation) -> tuple:
@@ -525,61 +556,72 @@ def _scan_chart(spec: StasheffSpec, chart: Triangulation) -> tuple:
     Returns the compiled chart and the integral points as coordinate
     vectors in that chart, sorted.  The spec brings only the right-hand
     sides: one int per row over one denominator, the tightest of the
-    row's bounds.
+    row's bounds, floored.  Every depth of the scan is bounded by the
+    chart's rows alone, so no bound makes the scan unbounded.
     """
     compiled = _compiled(chart)
     if spec.n_gon != chart.n_gon:
         raise SizeMismatch("spec and chart live on different polygons")
-    lp = compiled.lp
-    if lp is None:
+    rows = compiled.rows
+    if rows is None:
         # built at the chart's first scan, it lives as long as the chart
         # stays in ``_compiled``
-        lp = compiled.lp = _BoxLP(compiled.forms, chart.n_gon - 3)
-    solved = lp.box([v for _, v in spec.c])
+        rows = compiled.rows = _chart_rows(compiled.forms, chart)
+    solved = rows.costs([v for _, v in spec.c])
     if solved is None:
         return compiled, []
-    optima, costs, d = solved
-    # the optima are -lo_k and hi_k over den * d; ceil(lo) = -floor(-lo)
-    ranges = [
-        (-(neg_lo // (lo_den * d)), hi // (hi_den * d))
-        for (neg_lo, lo_den), (hi, hi_den) in zip(optima[::2], optima[1::2])
-    ]
-    return compiled, _interval_scan(lp.filed, [c // d for c in costs], ranges)
+    costs, d = solved
+    return compiled, _interval_scan(rows.filed, [c // d for c in costs])
 
 
-def _interval_scan(filed: list, floors: list, ranges: list) -> list:
-    """The integral points inside the box that meet every row, sorted.
+def _interval_scan(filed: list, floors: list) -> list:
+    """The integral points that meet every row, sorted.
 
     An integral point meets a row exactly when it meets the floor of its
-    right-hand side, which ``floors`` holds per row.  ``filed[k]`` lists
-    the rows whose last nonzero coordinate is k (``_BoxLP``): once the
+    right-hand side, which ``floors`` holds per row.  ``filed[k]`` holds
+    the rows whose last nonzero coordinate is k (``_RowTable``): once the
     prefix a_0..a_{k-1} is fixed such a row bounds a_k to one side, a floor
-    for a positive coefficient and a ceiling for a negative one.  Each
-    depth loops upward over the box range cut by its rows, so the points
-    come in lexicographic order, and the last depth takes its whole
-    interval at once.
+    for a positive coefficient and a ceiling for a negative one, and every
+    depth has rows on both sides (``_chart_rows``).  Before a depth loops
+    over a_{k-1}, each (a, c) group of depth k takes the least room b of
+    its members over a_0..a_{k-2}, so every value x of a_{k-1} costs one
+    floor division (b - a x) // c per group.  Each depth loops upward over
+    the interval its rows leave, so the points come in lexicographic
+    order, and the last depth takes its whole interval at once.
     """
-    last = len(ranges) - 1
+    last = len(filed) - 1
     if last < 0:
         return [()]
-    filed = [[(head, c, floors[r]) for r, head, c in rows] for rows in filed]
+    filed = [
+        [[(a, c, [(front, floors[r]) for r, front in members]) for a, c, members in side]
+         for side in pair]
+        for pair in filed
+    ]
     out = []
 
-    def extend(prefix: tuple, k: int) -> None:
-        lo, hi = ranges[k]
-        for head, c, rhs in filed[k]:
-            room = rhs - sum(map(mul, head, prefix))
-            if c > 0:
-                hi = min(hi, room // c)
-            else:
-                lo = max(lo, -(room // -c))
+    def groups(prefix: tuple, k: int) -> list:
+        # (a, c, b) per group of depth k, with a_0..a_{k-2} the prefix
+        return [
+            [(a, c, min([rhs - sum(map(mul, front, prefix)) for front, rhs in members]))
+             for a, c, members in side]
+            for side in filed[k]
+        ]
+
+    def extend(prefix: tuple, k: int, lo: int, hi: int) -> None:
         if k == last:
             out.extend([prefix + (x,) for x in range(lo, hi + 1)])
-        else:
-            for x in range(lo, hi + 1):
-                extend(prefix + (x,), k + 1)
+            return
+        upper, lower = groups(prefix, k + 1)
+        for x in range(lo, hi + 1):
+            top = min([(b - a * x) // c for a, c, b in upper])
+            bottom = -min([(b - a * x) // c for a, c, b in lower])
+            if bottom <= top:
+                extend(prefix + (x,), k + 1, bottom, top)
 
-    extend((), 0)
+    upper, lower = groups((), 0)
+    bottom, top = -min([b // c for _, c, b in lower]), min([b // c for _, c, b in upper])
+    if bottom <= top:
+        extend((), 0, bottom, top)
     return out
 
 
@@ -589,7 +631,8 @@ def lattice_points(
     """All integral points of the polytope, enumerated in one chart.
 
     The result does not depend on the chart.  Sorted by chart coordinates.
-    Raises Unbounded when the polytope is not bounded; an empty list is a
+    The chart's own rows bound every coordinate whatever the bounds
+    (``_chart_rows``), so there is no Unbounded here; an empty list is a
     legitimate answer for infeasible bounds.
     """
     if chart is None:

@@ -23,6 +23,7 @@ from tropclust.errors import (
 from tropclust.laminations import (
     Lamination,
     TropicalCoords,
+    _CompiledChart,
     _compiled,
     chart_coords,
     lamination_from_coords,
@@ -389,6 +390,26 @@ def test_coordinate_bounds_rejects_rows_of_the_wrong_length():
         coordinate_bounds([((), 1)], 1)
 
 
+def test_coordinate_bounds_rejects_inexact_entries():
+    """A float coefficient, a float right-hand side or a bool anywhere is
+    an InvariantViolation, not an AttributeError from the LP."""
+    square = [((1, 0), 1), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0)]
+    for bad in [
+        [((1,), 0.5)],
+        [((0.5,), 1), ((-1,), 0)],
+        square + [((1.0, 0), 1)],
+        square + [((1, 0), 1.0)],
+        square + [((True, 0), 1)],
+        square + [((1, 0), False)],
+    ]:
+        nvars = len(bad[0][0])
+        with pytest.raises(InvariantViolation, match="inequality entries must be exact numbers"):
+            coordinate_bounds(bad, nvars)
+    assert coordinate_bounds(square + [((Fraction(1, 2), 0), Fraction(1, 3))], 2) == [
+        (0, Fraction(2, 3)), (0, 1)
+    ]
+
+
 def octagon_warm_start_cases():
     """Seeded octagon specs: a Minkowski spec (integral box), the same
     raised by thirds (rational box) and lowered by one (empty), in the fan
@@ -583,11 +604,12 @@ def test_compiled_chart_points_match_cut_masses(n_gon, sample):
     assert len(sizes) == 1 and min(sizes) > 20
 
 
-def product_scan(spec, chart):
+def product_scan(spec, chart, solve=coordinate_bounds):
     """Oracle for the interval scan: every integral vector of the coordinate
-    box, in ``itertools.product`` order, that meets every chart inequality."""
+    box that ``solve`` gives, in ``itertools.product`` order, that meets
+    every chart inequality."""
     ineqs = chart_inequalities(spec, chart)
-    bounds = coordinate_bounds(ineqs, spec.n_gon - 3)
+    bounds = solve(ineqs, spec.n_gon - 3)
     if bounds is None:
         return []
     ranges = [range(ceil(lo), floor(hi) + 1) for lo, hi in bounds]
@@ -661,31 +683,23 @@ def compiled_route_cases():
     return cases
 
 
-def test_compiled_chart_scan_matches_fourier_motzkin(monkeypatch):
-    """The chart's compiled LP gives the integer box of the Fourier-Motzkin
-    box of the chart inequalities, and the scan the points of that box
-    that meet every inequality.  Elimination takes seconds on octagon
-    charts, so those cases check against ``coordinate_bounds``."""
-    boxes = []
-    scan = polytopes._interval_scan
-
-    def recording(filed, floors, ranges):
-        boxes.append(ranges)
-        return scan(filed, floors, ranges)
-
-    monkeypatch.setattr(polytopes, "_interval_scan", recording)
+def test_compiled_chart_scan_matches_fourier_motzkin():
+    """The scan of a compiled chart, which reads no box, gives the integral
+    points of the Fourier-Motzkin box of the chart inequalities that meet
+    every inequality, and each of them lies inside that box.  Elimination
+    takes seconds on octagon charts, so those cases take the box from
+    ``coordinate_bounds``."""
     outcomes = set()
     for spec, chart in compiled_route_cases():
-        boxes.clear()
-        vectors = _scan_chart(spec, chart)[1]
-        assert vectors == product_scan(spec, chart)
         oracle = fm_bounds if spec.n_gon < 8 else coordinate_bounds
         bounds = oracle(chart_inequalities(spec, chart), spec.n_gon - 3)
+        vectors = _scan_chart(spec, chart)[1]
+        assert vectors == product_scan(spec, chart, oracle)
         if bounds is None:
-            assert boxes == [] and vectors == []
+            assert vectors == []
             outcomes.add("empty")
             continue
-        assert boxes == [[(ceil(lo), floor(hi)) for lo, hi in bounds]]
+        assert all(lo <= x <= hi for v in vectors for x, (lo, hi) in zip(v, bounds))
         rational = any(x.denominator > 1 for pair in bounds for x in pair)
         outcomes.add(("rational" if rational else "integer", bool(vectors)))
     assert outcomes == {"empty", ("integer", True), ("rational", True), ("rational", False)}
@@ -693,10 +707,9 @@ def test_compiled_chart_scan_matches_fourier_motzkin(monkeypatch):
 
 def test_scans_leave_the_compiled_chart_as_built(monkeypatch):
     """Scanning A, B, an empty spec and A again on one chart gives A the
-    same points both times and leaves the chart's start tableau as it was
-    built.  A cold chart builds its LP once and runs phase one once, to
-    build that tableau; an already compiled one builds no LP and runs no
-    phase one."""
+    same points both times and leaves the chart's row table as it was
+    built.  A cold chart builds its row table once and an already compiled
+    one builds none; no scan runs the simplex."""
     calls = Counter()
 
     def counted(name):
@@ -708,8 +721,8 @@ def test_scans_leave_the_compiled_chart_as_built(monkeypatch):
 
         monkeypatch.setattr(polytopes, name, wrapper)
 
-    counted("_phase_one")
-    counted("_BoxLP")
+    for name in ("_RowTable", "_phase_one", "_phase_two", "_dual_improve"):
+        counted(name)
     rng = random.Random(2324)
     chart = flip(fan_triangulation(7), Segment(1, 4))[0]
     a = minkowski_spec([point(7, [rng.randint(-2, 2) for _ in range(4)]) for _ in range(2)])
@@ -717,16 +730,64 @@ def test_scans_leave_the_compiled_chart_as_built(monkeypatch):
     empty = StasheffSpec.of(7, {d: v - 1 for d, v in a.c})
     _compiled.cache_clear()
     first = _scan_chart(a, chart)[1]
-    assert calls == {"_phase_one": 1, "_BoxLP": 1}
-    lp = _compiled(chart).lp
-    start = copy.deepcopy(lp.start)
+    assert calls == {"_RowTable": 1}
+    rows = _compiled(chart).rows
+    built = copy.deepcopy(vars(rows))
     calls.clear()
     assert len(_scan_chart(b, chart)[1]) > len(first) > 0
     assert _scan_chart(empty, chart)[1] == []
     assert _scan_chart(a, chart)[1] == first
     assert calls == {}
-    assert _compiled(chart).lp is lp
-    assert lp.start == start
+    assert _compiled(chart).rows is rows
+    assert vars(rows) == built
+
+
+def test_every_chart_bounds_every_depth_on_both_sides():
+    """Every chart of the 4- to 9-gon (624 charts) and the fan chart up to
+    N = 20 file a row with a positive and a row with a negative last
+    coefficient at every coordinate, so no bound leaves the scan open."""
+    charts = [chart for n_gon in range(4, 10) for chart in triangulations(n_gon)]
+    assert len(charts) == 624
+    charts += [fan_triangulation(n_gon) for n_gon in range(3, 21)]
+    for chart in charts:
+        filed = polytopes._chart_rows(_CompiledChart(chart).forms, chart).filed
+        assert len(filed) == chart.n_gon - 3
+        assert all(upper and lower for upper, lower in filed)
+
+
+def test_forms_that_leave_a_depth_open_are_rejected():
+    """Hand-made forms on the pentagon's fan chart (1-3, 1-4) that bound
+    some coordinate on one side only, given the ones before it, raise
+    InvariantViolation naming the chart and the coordinate."""
+    fan = fan_triangulation(5)
+    box = [[(1, 0)], [(-1, 0)], [(0, 1)], [(0, -1)], []]
+    assert polytopes._chart_rows(box, fan).filed
+    for forms, k, side in [
+        ([[(1, 0)], [(-1, 0)], [(0, 1)], [(1, 1)], []], 1, "below"),
+        ([[(1, 0)], [(-1, 1)], [(0, -1)], [], []], 0, "below"),
+        ([[(1, 0)], [(-1, 0)], [(2, -1)], [(0, 0)], []], 1, "above"),
+        ([[(1, 0)], [(-1, 0)], [], [(0, 0)], []], 1, "above or below"),
+    ]:
+        diagonal = "1-3" if k == 0 else "1-4"
+        with pytest.raises(InvariantViolation, match=(
+            f"^chart '1-3,1-4' has no row bounding coordinate {k} \\({diagonal}\\) from {side}$"
+        )):
+            polytopes._chart_rows(forms, fan)
+
+
+def sample(n_gon, k, seed):
+    """k laminations from fan coordinates in [-2, 2], drawn in diagonal
+    order from ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    return [point(n_gon, [rng.randint(-2, 2) for _ in range(n_gon - 3)]) for _ in range(k)]
+
+
+def test_d10_fan_scan_matches_the_product_filter():
+    spec = minkowski_spec(sample(10, 4, 10))
+    fan = fan_triangulation(10)
+    vectors = _scan_chart(spec, fan)[1]
+    assert len(vectors) == 2950
+    assert vectors == product_scan(spec, fan)
 
 
 def test_minkowski_spec_matches_the_validated_constructor():
