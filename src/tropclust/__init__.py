@@ -63,7 +63,6 @@ from .polytopes import (
     lattice_points,
     minkowski_spec,
     minkowski_sum,
-    quadruple_slack,
     shift_to_negative_part,
     vertex,
 )

@@ -10,7 +10,8 @@ two crossing diagonals dominate both pairs of opposite sides:
 
 reading c as zero on boundary edges.  Vertices then sit at the coordinate
 vectors c restricted to complete triangulations, and faces are indexed by
-partial triangulations.
+partial triangulations.  The slacks of the criterion are read off the
+per-N quadruple rows (``weighted_graphs._tables``) in one pass.
 
 Lattice enumeration works per chart, compiled once per process for up to
 32 charts (``laminations._compiled``): a diagonal's coordinate is the max
@@ -31,12 +32,16 @@ per-point test.  The scan yields sorted integer coordinate vectors, and the
 compiled chart turns them into weight tuples in one batch
 (``_CompiledChart.weights``).  Every scanned point is integral, so
 ``lattice_points`` wraps each row as an integral lamination through the
-``_trusted`` constructors.
+``_trusted`` constructors.  A Stasheff spec is never empty, as it has a
+vertex in every chart; a spec that fails the criterion first goes through
+the Farkas test on the chart's rows, so that an empty one does not walk
+the prefixes before the depth where its rows contradict each other.
 
-``coordinate_bounds`` gives the rational box of any inequalities by an
-exact LP (the comment on the linear programming core below has the
-method); the tests check it against Fourier-Motzkin elimination, and the
-scan against the integral points of both boxes.
+``coordinate_bounds`` gives the rational box of any inequalities by exact
+LPs, the Farkas test and then one LP per objective (the comment on the
+linear programming core below has the method); the tests check it against
+Fourier-Motzkin elimination, and the scan against the integral points of
+both boxes.
 
 ``vertex_flags`` tells which points are the vertex of some chart: a
 point's tight set, the diagonals where its cut mass meets twice the bound,
@@ -70,13 +75,12 @@ from .laminations import (
     tropical_coordinate,
 )
 from .polygon import (
-    Segment,
     Triangulation,
     check_polygon,
     fan_triangulation,
     has_triangulation,
 )
-from .weighted_graphs import Number, WeightedGraph, _is_number, _tables
+from .weighted_graphs import WeightedGraph, _is_number, _tables
 
 
 @dataclass(frozen=True)
@@ -115,40 +119,39 @@ class StasheffSpec:
     def as_dict(self) -> dict:
         return dict(self.c)
 
-    def side_value(self, p: int, q: int) -> Number:
-        """The bound with boundary edges (and coinciding vertices) read as 0."""
-        if p == q:
-            return 0
-        seg = Segment(p, q)
-        if seg.is_edge(self.n_gon):
-            return 0
-        return self._bounds[seg]
+
+def _integral(values: Sequence) -> tuple[list, int]:
+    """The values times q, the lcm of their denominators, as ints, and q."""
+    if set(map(type, values)) == {int}:
+        return values, 1
+    q = lcm(*(v.denominator for v in values))
+    return [v.numerator * (q // v.denominator) for v in values], q
 
 
-def quadruple_slack(spec: StasheffSpec, p: int, q: int, r: int, s: int) -> Number:
-    """Crossing-diagonal bound minus the larger opposite-side bound."""
-    if not p < q < r < s:
-        raise InvariantViolation("quadruple must be strictly increasing")
-    cross = spec.side_value(p, r) + spec.side_value(q, s)
-    side = max(
-        spec.side_value(p, q) + spec.side_value(r, s),
-        spec.side_value(q, r) + spec.side_value(p, s),
-    )
-    return cross - side
-
-
-def _quadruples(n_gon: int):
-    return itertools.combinations(range(1, n_gon + 1), 4)
+def _slacks(spec: StasheffSpec) -> list:
+    """Each quadruple's crossing-diagonal bound minus the larger
+    opposite-side bound, boundary edges read as 0, in the lexicographic
+    order of the quadruples (``_tables(N).rows``).  The slacks are scaled
+    by the lcm of the bounds' denominators, so they are ints of the right
+    sign."""
+    tables = _tables(spec.n_gon)
+    v = [0] * len(tables.pairs)
+    for k, c in zip(tables.diagonals, _integral([c for _, c in spec.c])[0]):
+        v[k] = c
+    return [
+        v[pr] + v[qs] - max(v[ps] + v[qr], v[pq] + v[rs])
+        for pr, qs, ((ps, qr), (pq, rs)) in tables.rows
+    ]
 
 
 def is_stasheff(spec: StasheffSpec) -> bool:
     """True when every quadruple has nonnegative slack."""
-    return all(quadruple_slack(spec, *q) >= 0 for q in _quadruples(spec.n_gon))
+    return all(x >= 0 for x in _slacks(spec))
 
 
 def is_nondegenerate(spec: StasheffSpec) -> bool:
     """True when every quadruple has strictly positive slack."""
-    return all(quadruple_slack(spec, *q) > 0 for q in _quadruples(spec.n_gon))
+    return all(x > 0 for x in _slacks(spec))
 
 
 def vertex(spec: StasheffSpec, tri: Triangulation) -> TropicalCoords:
@@ -215,30 +218,16 @@ def minkowski_sum(spec1: StasheffSpec, spec2: StasheffSpec) -> StasheffSpec:
 # primitive integer row, so it bounds that row by bound / g; a row that
 # several forms give is kept once, with the tightest of their bounds.
 # Over one common denominator d every right-hand side is an int, the row's
-# cost, and the system reads coeffs . a <= cost / d.  The chart scan reads
-# the table as it is; only coordinate_bounds solves the LP below.
+# cost, and the system reads coeffs . a <= cost / d.
 #
-# The box comes from linear programming duality: max c.a over
-# coeffs . a <= cost / d is min cost . y / d over y >= 0 with
-# sum y_i coeffs_i = c.  The 2 nvars objectives c = -e_k, e_k share the
-# dual's columns and costs and differ only in its right-hand side, so a
-# system gets one integer tableau of the dual rows with an identity block
-# beside them.  Row operations keep that block equal to the matrix that
-# took the first rows to the current ones, so each row holds its row of
-# B^-1 at the row's own positive scale.  The first objective runs phase
-# one and phase two under Bland's rule.  Every other objective sets each
-# row's rhs to +-(the row's entry in block column k): the reduced costs do
-# not depend on the rhs, so the old basis stays dual feasible, and dual
-# simplex pivots restore rhs >= 0.  A finite first optimum proves the
-# system nonempty and an unbounded one proves it empty.  Only an
-# infeasible first dual needs the Farkas LP: the system is empty exactly
-# when some y >= 0 with sum y_i coeffs_i = 0 has cost . y < 0.  When the
-# rows do not span (A^T rank-deficient), phase one drops redundant dual
-# rows; each keeps its block row, whose entry k must vanish for objective
-# +-e_k to have a dual at all, and a nonempty system whose dual has none
-# is unbounded in that coordinate.  Ratio tests compare by
-# cross-multiplication, and each optimum is an integer pair (num, den), so
-# the only Fractions are the ones coordinate_bounds returns.
+# coordinate_bounds and the chart scan's Farkas gate solve each LP below
+# cold: phase one, then phase two, under Bland's rule.  By LP duality,
+# max +-a_k over coeffs . a <= cost / d is min cost . y / d over y >= 0
+# with sum y_i coeffs_i = +-e_k, finite when the system is nonempty and
+# the dual has a solution.  By Farkas the system is empty exactly when
+# some y >= 0 with sum y_i coeffs_i = 0 has cost . y < 0.  Ratio tests
+# compare by cross-multiplication, and each optimum is an integer pair
+# (num, den), so the only Fractions are the ones coordinate_bounds returns.
 
 
 def _primitive(row: list) -> list:
@@ -284,46 +273,15 @@ def _improve(tab: list, basis: list, obj: list, ncols: int) -> bool:
         _pivot(tab, basis, obj, p, q)
 
 
-def _dual_improve(tab: list, basis: list, obj: list, ncols: int) -> bool:
-    """Dual simplex pivots from a dual feasible basis until no rhs is
-    negative; False when a row with negative rhs has no negative entry,
-    so that the equations have no solution y >= 0.
+def _phase_one(tab: list, m: int) -> list | None:
+    """A feasible basis of tab . y = rhs, y >= 0, found in place, or None
+    when the equations have no solution.
 
-    The leaving row is the one with the smallest basic index among the
-    negative right-hand sides, and ties in the entering ratio go to the
-    lowest column (Bland's rule on the dual).  The pivot row is negated
-    first, so the pivot entry is positive, as ``_pivot`` needs.
-    """
-    while True:
-        p = min(
-            (i for i, row in enumerate(tab) if row[-1] < 0),
-            key=basis.__getitem__,
-            default=None,
-        )
-        if p is None:
-            return True
-        row = tab[p]
-        # least ratio obj_j / -row_j over negative entries
-        q = None
-        for j in range(ncols):
-            a = row[j]
-            if a < 0 and (q is None or obj[j] * row[q] > obj[q] * a):
-                q = j
-        if q is None:
-            return False
-        tab[p] = [-x for x in row]
-        _pivot(tab, basis, obj, p, q)
-
-
-def _phase_one(tab: list, m: int) -> tuple[list, list] | None:
-    """A feasible basis of tab . y = rhs, y >= 0, found in place.
-
-    Each row is [a_1, ..., a_m, extra..., rhs]; the extra columns are
-    carried along and never enter.  Rows with a negative rhs are negated,
-    then one artificial variable per row (basis index m + i, never
-    re-entered once it leaves) starts the basis and their sum is
-    minimised.  Returns None when the equations have no solution, else the
-    basis and the rows dropped as redundant equations.
+    Each row is [a_1, ..., a_m, rhs].  Rows with a negative rhs are
+    negated, then one artificial variable per row (basis index m + i,
+    never re-entered once it leaves) starts the basis and their sum is
+    minimised.  A row whose artificial stays basic with no nonzero entry
+    left is a redundant equation and is removed.
     """
     for i, row in enumerate(tab):
         if row[-1] < 0:
@@ -331,7 +289,6 @@ def _phase_one(tab: list, m: int) -> tuple[list, list] | None:
     basis = [m + i for i in range(len(tab))]
     obj = [-sum(row[j] for row in tab) for j in range(m)]
     _improve(tab, basis, obj, m)
-    dropped = []
     i = 0
     while i < len(tab):
         row = tab[i]
@@ -340,25 +297,24 @@ def _phase_one(tab: list, m: int) -> tuple[list, list] | None:
                 return None
             q = next((j for j in range(m) if row[j]), None)
             if q is None:
-                dropped.append(tab.pop(i))
-                del basis[i]
+                del tab[i], basis[i]
                 continue
             if row[q] < 0:
                 tab[i] = [-x for x in row]
             _pivot(tab, basis, None, i, q)
         i += 1
-    return basis, dropped
+    return basis
 
 
-def _phase_two(tab: list, basis: list, costs: Sequence[int]) -> list | None:
-    """Minimise costs . y from a feasible basis, in place; the optimal
-    reduced costs, or None when the minimum is unbounded."""
+def _phase_two(tab: list, basis: list, costs: Sequence[int]) -> bool:
+    """Minimise costs . y from a feasible basis, in place; False when the
+    minimum is unbounded."""
     obj = list(costs)
     for row, b in zip(tab, basis):
         f = obj[b]
         if f:
             obj = _primitive([row[b] * x - f * y for x, y in zip(obj, row)])
-    return obj if _improve(tab, basis, obj, len(costs)) else None
+    return _improve(tab, basis, obj, len(costs))
 
 
 def _value(tab: list, basis: list, costs: Sequence[int]) -> tuple[int, int]:
@@ -367,16 +323,24 @@ def _value(tab: list, basis: list, costs: Sequence[int]) -> tuple[int, int]:
     return sum(costs[b] * row[-1] * (den // row[b]) for row, b in zip(tab, basis)), den
 
 
+def _minimum(tab: list, costs: Sequence[int]) -> tuple[int, int] | None:
+    """min costs . y over tab . y = rhs, y >= 0, solved in place, as
+    num / den with den > 0; None when the equations have no solution.
+    Every caller's minimum is bounded below."""
+    basis = _phase_one(tab, len(costs))
+    if basis is None:
+        return None
+    if not _phase_two(tab, basis, costs):
+        raise InvariantViolation("simplex minimum is unbounded")
+    return _value(tab, basis, costs)
+
+
 def _is_empty(coeffs: list, costs: list, nvars: int) -> bool:
     """Farkas test: some convex combination of the rows reads 0 <= negative."""
     tab = [[c[k] for c in coeffs] + [0] for k in range(nvars)]
     tab.append([1] * len(coeffs) + [1])
-    found = _phase_one(tab, len(coeffs))
-    if found is None:
-        return False
-    if _phase_two(tab, found[0], costs) is None:
-        raise InvariantViolation("simplex minimum is unbounded")
-    return _value(tab, found[0], costs)[0] < 0
+    found = _minimum(tab, costs)
+    return found is not None and found[0] < 0
 
 
 def chart_inequalities(spec: StasheffSpec, chart: Triangulation) -> list[tuple]:
@@ -451,49 +415,11 @@ class _RowTable:
         None when a zero form reads 0 <= v < 0."""
         if any(values[s] < 0 for s in self.constant):
             return None
-        q = 1
-        if set(map(type, values)) != {int}:
-            q = lcm(*(v.denominator for v in values))
-            values = [v.numerator * (q // v.denominator) for v in values]
+        values, q = _integral(values)
         costs = [values[s] * t for s, t in self.first]
         for r, s, t in self.more:
             costs[r] = min(costs[r], values[s] * t)
         return costs, q * self.scale
-
-
-def _box(coeffs: list, costs: list, nvars: int) -> list | None:
-    """The optima (num, den) of max -a_0, max a_0, max -a_1, ... over
-    coeffs . a <= costs, that is -lo_0, hi_0, -lo_1, ..., or None when the
-    region is empty."""
-    if not nvars:
-        return []
-    m = len(coeffs)
-    tab = [
-        [c[k] for c in coeffs] + [int(j == k) for j in range(nvars)] + [-(k == 0)]
-        for k in range(nvars)
-    ]
-    found = _phase_one(tab, m)
-    if found is None:
-        # an infeasible dual: the system is empty or a_0 is unbounded below
-        if _is_empty(coeffs, costs, nvars):
-            return None
-        raise Unbounded("coordinate 0 has no finite bound")
-    basis, dropped = found
-    obj = _phase_two(tab, basis, costs)
-    if obj is None:
-        return None
-    # the first objective is solved, every other one +-e_k re-solves from
-    # the previous optimal basis
-    optima = [_value(tab, basis, costs)]
-    for k, sign in itertools.islice(itertools.product(range(nvars), (-1, 1)), 1, None):
-        for row in tab:
-            row[-1] = sign * row[m + k]
-        # a dropped row reads 0 = sign * (its block entry k); the system is
-        # nonempty, so a dual with no solution means an unbounded coordinate
-        if any(row[m + k] for row in dropped) or not _dual_improve(tab, basis, obj, m):
-            raise Unbounded(f"coordinate {k} has no finite bound")
-        optima.append(_value(tab, basis, costs))
-    return optima
 
 
 def coordinate_bounds(ineqs: Sequence[tuple], nvars: int):
@@ -523,10 +449,17 @@ def coordinate_bounds(ineqs: Sequence[tuple], nvars: int):
     if solved is None:
         return None
     costs, d = solved
-    optima = _box(rows.coeffs, costs, nvars)
-    if optima is None:
+    if _is_empty(rows.coeffs, costs, nvars):
         return None
-    ends = [Fraction(num, den * d) for num, den in optima]
+    # -lo_0, hi_0, -lo_1, ...: max -+a_k is the dual minimum over
+    # sum y_i coeffs_i = -+e_k, which has no solution when a_k is unbounded
+    ends = []
+    for k, sign in itertools.product(range(nvars), (-1, 1)):
+        tab = [[c[j] for c in rows.coeffs] + [sign * (j == k)] for j in range(nvars)]
+        found = _minimum(tab, costs)
+        if found is None:
+            raise Unbounded(f"coordinate {k} has no finite bound")
+        ends.append(Fraction(found[0], found[1] * d))
     return [(-neg_lo, hi) for neg_lo, hi in zip(ends[::2], ends[1::2])]
 
 
@@ -557,7 +490,9 @@ def _scan_chart(spec: StasheffSpec, chart: Triangulation) -> tuple:
     vectors in that chart, sorted.  The spec brings only the right-hand
     sides: one int per row over one denominator, the tightest of the
     row's bounds, floored.  Every depth of the scan is bounded by the
-    chart's rows alone, so no bound makes the scan unbounded.
+    chart's rows alone, so no bound makes the scan unbounded.  A spec that
+    fails the quadruple criterion and that the Farkas test proves empty
+    gives no points without a scan.
     """
     compiled = _compiled(chart)
     if spec.n_gon != chart.n_gon:
@@ -571,6 +506,10 @@ def _scan_chart(spec: StasheffSpec, chart: Triangulation) -> tuple:
     if solved is None:
         return compiled, []
     costs, d = solved
+    # a Stasheff spec has a vertex in every chart; any other spec may be
+    # empty by a contradiction that the scan would meet only deep down
+    if any(x < 0 for x in _slacks(spec)) and _is_empty(rows.coeffs, costs, chart.n_gon - 3):
+        return compiled, []
     return compiled, _interval_scan(rows.filed, [c // d for c in costs])
 
 

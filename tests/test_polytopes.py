@@ -5,7 +5,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, lcm
 from operator import mul
 
 import pytest
@@ -50,7 +50,6 @@ from tropclust.polytopes import (
     lattice_points,
     minkowski_spec,
     minkowski_sum,
-    quadruple_slack,
     shift_to_negative_part,
     vertex,
     vertex_flags,
@@ -87,10 +86,19 @@ def test_spec_accessors():
     assert s.as_dict()[Segment(1, 3)] == 2
     assert s.as_dict()[(3, 5)] == 2
     assert Segment(1, 2) not in s.as_dict()
-    assert s.side_value(1, 2) == 0
-    assert s.side_value(3, 3) == 0
-    assert s.side_value(1, 3) == 2
     assert s.as_dict() == {d: 2 for d in diagonals(5)}
+
+
+def quadruple_slack(spec, p, q, r, s):
+    """Reference for the quadruple criterion: crossing-diagonal bound minus
+    the larger opposite-side bound, boundary edges read as 0."""
+    c = spec.as_dict()
+
+    def side(i, j):
+        seg = Segment(i, j)
+        return 0 if seg.is_edge(spec.n_gon) else c[seg]
+
+    return side(p, r) + side(q, s) - max(side(p, q) + side(r, s), side(q, r) + side(p, s))
 
 
 def test_quadruple_slack_by_hand():
@@ -99,6 +107,41 @@ def test_quadruple_slack_by_hand():
     assert quadruple_slack(s, 1, 2, 3, 4) == 1 + 1 - max(0 + 0, 0 + 1)
     t = StasheffSpec.of(5, {(1, 3): -1, (1, 4): 0, (2, 4): 0, (2, 5): 0, (3, 5): 0})
     assert quadruple_slack(t, 1, 2, 3, 4) == -1
+    # (1, 2, 3, 4) is the first quadruple in lexicographic order
+    assert polytopes._slacks(s)[0] == 1
+    assert polytopes._slacks(t)[0] == -1
+
+
+def test_slacks_match_the_per_quadruple_formula():
+    """On every quadruple of seeded 4- to 9-gon specs (Minkowski specs,
+    rational ones and perturbed ones, most of those not Stasheff) the slack
+    table gives the reference formula's value, scaled by the lcm of the
+    bounds' denominators, and the recognizers agree with it."""
+    rng = random.Random(2601)
+    seen = set()
+    for n_gon in range(4, 10):
+        for _ in range(6):
+            spec = minkowski_spec([
+                point(n_gon, [rng.randint(-2, 2) for _ in range(n_gon - 3)])
+                for _ in range(rng.randint(1, 3))
+            ])
+            for variant in (
+                spec,
+                StasheffSpec.of(n_gon, {
+                    d: v + Fraction(rng.randint(-2, 2), rng.randint(2, 5)) for d, v in spec.c
+                }),
+                StasheffSpec.of(n_gon, {d: v + rng.randint(-2, 1) for d, v in spec.c}),
+            ):
+                expected = [
+                    quadruple_slack(variant, *quad)
+                    for quad in itertools.combinations(range(1, n_gon + 1), 4)
+                ]
+                q = lcm(*(Fraction(v).denominator for _, v in variant.c))
+                assert polytopes._slacks(variant) == [q * x for x in expected]
+                assert is_stasheff(variant) == all(x >= 0 for x in expected)
+                assert is_nondegenerate(variant) == all(x > 0 for x in expected)
+                seen.add((is_stasheff(variant), is_nondegenerate(variant)))
+    assert seen == {(True, True), (True, False), (False, False)}
 
 
 def test_recognizers():
@@ -410,7 +453,7 @@ def test_coordinate_bounds_rejects_inexact_entries():
     ]
 
 
-def octagon_warm_start_cases():
+def octagon_cases():
     """Seeded octagon specs: a Minkowski spec (integral box), the same
     raised by thirds (rational box) and lowered by one (empty), in the fan
     and in charts one and three flips away.  Fourier-Motzkin takes seconds
@@ -432,9 +475,9 @@ def octagon_warm_start_cases():
     return cases
 
 
-def test_warm_started_box_matches_fourier_motzkin_on_octagons():
+def test_coordinate_bounds_match_fourier_motzkin_on_octagons():
     outcomes = set()
-    for spec, chart in octagon_warm_start_cases():
+    for spec, chart in octagon_cases():
         ineqs = chart_inequalities(spec, chart)
         bounds = coordinate_bounds(ineqs, 5)
         assert bounds == fm_bounds(ineqs, 5)
@@ -457,21 +500,15 @@ def test_box_without_coordinates():
     assert coordinate_bounds(chart_inequalities(triangle, fan_triangulation(3)), 0) == []
 
 
-def test_box_rank_deficient_nonempty_is_unbounded(monkeypatch):
-    """a_0 and a_1 are boxed, a_2 appears in no row: the first dual (max
-    -a_0) has a finite optimum, so the system is nonempty without the
-    Farkas LP, and the redundant dual row of a_2 makes it unbounded."""
+def test_box_rank_deficient_nonempty_is_unbounded():
+    """a_0 and a_1 are boxed, a_2 appears in no row: the system is
+    nonempty, and the dual of max +-a_2 has the equation 0 = +-1, so a_2 is
+    unbounded."""
     rows = [((1, 0, 0), 2), ((-1, 0, 0), 1), ((0, 1, 0), 1), ((0, -1, 0), 1)]
     with pytest.raises(Unbounded):
         fm_bounds(rows, 3)
-
-    def no_farkas(*args):
-        raise AssertionError("a finite first optimum needs no Farkas LP")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(polytopes, "_is_empty", no_farkas)
-        with pytest.raises(Unbounded, match="coordinate 2"):
-            coordinate_bounds(rows, 3)
+    with pytest.raises(Unbounded, match="coordinate 2"):
+        coordinate_bounds(rows, 3)
     # rank one, and the first dual is already infeasible
     tilted = [((1, 1), 1), ((-1, -1), 1), ((1, 0), 3)]
     with pytest.raises(Unbounded, match="coordinate 0"):
@@ -489,35 +526,10 @@ def test_box_empty_with_an_infeasible_first_dual():
         coordinate_bounds([((0, 1), 1), ((0, -1), 0)], 2)
 
 
-def test_box_runs_one_phase_one_per_bounded_chart(monkeypatch):
-    """Bounded charts run phase one once (the first objective) and never
-    the Farkas LP; every other objective is a dual re-solve."""
-    calls = {"phase_one": 0, "is_empty": 0}
-
-    def counted(name):
-        real = getattr(polytopes, name)
-
-        def wrapper(*args):
-            calls[name.strip("_")] += 1
-            return real(*args)
-
-        monkeypatch.setattr(polytopes, name, wrapper)
-
-    counted("_phase_one")
-    counted("_is_empty")
-    bounded = 0
-    for spec, chart in oracle_specs():
-        calls.update(phase_one=0, is_empty=0)
-        bounds = coordinate_bounds(chart_inequalities(spec, chart), spec.n_gon - 3)
-        if bounds is not None:
-            assert calls == {"phase_one": 1, "is_empty": 0}
-            bounded += 1
-    assert bounded >= 30
-
-
-def test_dual_resolves_terminate_on_degenerate_cross_polytopes():
+def test_bland_rule_terminates_on_degenerate_cross_polytopes():
     """Every rhs of the 16 rows +-a_0 +- a_1 +- a_2 +- a_3 <= c is the same,
-    so every ratio in the dual re-solves ties: the smallest-index rule must
+    and the right-hand side +-e_k of every dual has three zeros, so the
+    simplex meets ties and degenerate pivots: the smallest-index rule must
     still terminate, at the corners of the cross-polytope."""
     signs = list(itertools.product((1, -1), repeat=4))
     for c, corner in ((0, 0), (1, 1), (Fraction(2, 3), Fraction(2, 3))):
@@ -683,17 +695,33 @@ def compiled_route_cases():
     return cases
 
 
-def test_compiled_chart_scan_matches_fourier_motzkin():
+def test_compiled_chart_scan_matches_fourier_motzkin(monkeypatch):
     """The scan of a compiled chart, which reads no box, gives the integral
     points of the Fourier-Motzkin box of the chart inequalities that meet
     every inequality, and each of them lies inside that box.  Elimination
     takes seconds on octagon charts, so those cases take the box from
-    ``coordinate_bounds``."""
+    ``coordinate_bounds``.  The Farkas gate proves some of the specs that
+    fail the quadruple criterion empty, and the oracle finds each of those
+    empty too."""
+    farkas = []
+    real = polytopes._is_empty
+
+    def recorded(*args):
+        farkas.append(real(*args))
+        return farkas[-1]
+
+    monkeypatch.setattr(polytopes, "_is_empty", recorded)
     outcomes = set()
+    proved = Counter()
     for spec, chart in compiled_route_cases():
         oracle = fm_bounds if spec.n_gon < 8 else coordinate_bounds
         bounds = oracle(chart_inequalities(spec, chart), spec.n_gon - 3)
+        farkas.clear()
         vectors = _scan_chart(spec, chart)[1]
+        if any(farkas):
+            assert not is_stasheff(spec) and vectors == []
+            assert bounds is None
+            proved[oracle.__name__] += 1
         assert vectors == product_scan(spec, chart, oracle)
         if bounds is None:
             assert vectors == []
@@ -703,13 +731,15 @@ def test_compiled_chart_scan_matches_fourier_motzkin():
         rational = any(x.denominator > 1 for pair in bounds for x in pair)
         outcomes.add(("rational" if rational else "integer", bool(vectors)))
     assert outcomes == {"empty", ("integer", True), ("rational", True), ("rational", False)}
+    assert proved["fm_bounds"] > 0
 
 
 def test_scans_leave_the_compiled_chart_as_built(monkeypatch):
     """Scanning A, B, an empty spec and A again on one chart gives A the
     same points both times and leaves the chart's row table as it was
     built.  A cold chart builds its row table once and an already compiled
-    one builds none; no scan runs the simplex."""
+    one builds none.  The Stasheff specs A and B run no simplex; the empty
+    spec fails the quadruple criterion and runs one Farkas test."""
     calls = Counter()
 
     def counted(name):
@@ -721,13 +751,14 @@ def test_scans_leave_the_compiled_chart_as_built(monkeypatch):
 
         monkeypatch.setattr(polytopes, name, wrapper)
 
-    for name in ("_RowTable", "_phase_one", "_phase_two", "_dual_improve"):
+    for name in ("_RowTable", "_phase_one", "_phase_two", "_is_empty"):
         counted(name)
     rng = random.Random(2324)
     chart = flip(fan_triangulation(7), Segment(1, 4))[0]
     a = minkowski_spec([point(7, [rng.randint(-2, 2) for _ in range(4)]) for _ in range(2)])
     b = StasheffSpec.of(7, {d: v + Fraction(4, 3) for d, v in a.c})
     empty = StasheffSpec.of(7, {d: v - 1 for d, v in a.c})
+    assert is_stasheff(a) and is_stasheff(b) and not is_stasheff(empty)
     _compiled.cache_clear()
     first = _scan_chart(a, chart)[1]
     assert calls == {"_RowTable": 1}
@@ -735,11 +766,33 @@ def test_scans_leave_the_compiled_chart_as_built(monkeypatch):
     built = copy.deepcopy(vars(rows))
     calls.clear()
     assert len(_scan_chart(b, chart)[1]) > len(first) > 0
+    assert calls == {}
     assert _scan_chart(empty, chart)[1] == []
+    assert calls == {"_is_empty": 1, "_phase_one": 1, "_phase_two": 1}
+    calls.clear()
     assert _scan_chart(a, chart)[1] == first
     assert calls == {}
     assert _compiled(chart).rows is rows
     assert vars(rows) == built
+
+
+@pytest.mark.parametrize("n_gon, k", [(6, 300), (7, 60), (8, 25)])
+def test_farkas_gate_ends_empty_scans_before_the_prefixes(monkeypatch, n_gon, k):
+    """In the fan chart the diagonals {1, N-1}, {2, N} and {N-2, N} carry
+    the forms +-a_last alone, so bound -1 on them and K elsewhere is empty
+    only by the rows of the last depth, which the scan meets after walking
+    about K^(N-4) prefixes.  The spec fails the quadruple criterion, so the
+    Farkas test proves it empty and the scan never starts."""
+    low = {Segment(1, n_gon - 1), Segment(2, n_gon), Segment(n_gon - 2, n_gon)}
+    spec = StasheffSpec.of(n_gon, {d: -1 if d in low else k for d in diagonals(n_gon)})
+    assert not is_stasheff(spec)
+
+    def no_scan(*args):
+        raise AssertionError("the Farkas test proves the spec empty")
+
+    monkeypatch.setattr(polytopes, "_interval_scan", no_scan)
+    assert _scan_chart(spec, fan_triangulation(n_gon))[1] == []
+    assert lattice_points(spec) == []
 
 
 def test_every_chart_bounds_every_depth_on_both_sides():
