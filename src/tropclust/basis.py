@@ -9,11 +9,12 @@ of the summed weighted graph into the two ways of rerouting it, until only
 laminations remain.  Which crossing is split does not change the result,
 so the split always takes the lexicographically smallest crossing
 quadruple.  The split tree runs on the graphs' own flat weight tuples (the
-``weighted_graphs.pairs`` layout): the per-N record ``_tables`` lists every
-crossing chord pair by index, so a split is four index bumps.  The crossing
-measure that orders the splits is updated per split from the record's
-crossing partners of the four chords it touches, not summed again over all
-crossing pairs, and each vector's first crossing row is found from its
+``weighted_graphs.pairs`` layout), with the crossing rows of the per-N
+record ``_tables``, so a split is four index bumps.  The splits are taken
+in order of a fixed linear potential, each chord's weight times the number
+of rows through it: every split lowers it by a constant of its row and
+side, worked out once per row order, so a child's key is its parent's
+minus that constant.  Each vector's first crossing row is found from its
 parent's, not by a scan from the top.
 
 The leaves are wrapped as ``WeightedGraph``s and ``Lamination``s through
@@ -21,9 +22,8 @@ the ``_trusted`` constructors, and the result as an ``Expansion`` through
 its own, with no check: the factors are checked integral laminations, each
 split moves one unit from {p, r} and {q, s} to {p, s} and {q, r} or to
 {p, q} and {r, s}, which keeps every vertex mass (zero), every weight an
-integer and every diagonal weight nonnegative, and a vector with measure 0
-has no crossing.  The tests check the leaves against the validating
-constructors.
+integer and every diagonal weight nonnegative, and a leaf has no crossing
+row.  The tests check the leaves against the validating constructors.
 
 ``Expansion.support`` lists the laminations that appear; ``a2_coefficient``
 is the closed binomial formula for the rank-two case, used as an
@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import repeat
 from operator import add, itemgetter
 from typing import Sequence
 
@@ -148,139 +149,132 @@ class Expansion:
         return [l for l, _ in self.terms]
 
 
-def _measure(v: tuple, rows: tuple) -> int:
-    return sum(v[a] * v[b] for a, b, _ in rows)
-
-
 def crossing_measure(graph: WeightedGraph) -> int:
     """Sum of weight products over crossing diagonal pairs; zero exactly
     when the graph has noncrossing support."""
-    return _measure(graph.w, _tables(graph.n_gon).rows)
+    w = graph.w
+    return sum(w[a] * w[b] for a, b, _ in _tables(graph.n_gon).rows)
 
 
 @lru_cache(maxsize=32)
-def _split_steps(rows: tuple, crossing: tuple) -> tuple:
+def _split_steps(rows: tuple) -> tuple:
     """What ``_split_leaves`` reads per row, for one row order: the row's
-    two chords, and its split step, the chords with their crossing getters
-    and per side the two chords, each with its getter (None for a chord
-    that crosses nothing, an edge) and its (row position, partner) list in
-    row order."""
-    through = [[] for _ in range(len(crossing))]
+    two chords; each chord x through a row with cr(x), the number of rows
+    through it; and the row's split step, its two chords and per side the
+    two chords, each with its (row position, partner) list in row order,
+    and the drop cr(a) + cr(b) - cr(c) - cr(d) of the potential.
+
+    For the row of a quad p < q < r < s of an N-gon the drops are
+    2 (q - p)(s - r) and 2 (r - q)(N - s + p), so every drop is at least 2;
+    a table where one is not raises InvariantViolation."""
+    through: dict[int, list] = {}
     for pos, (a, b, _) in enumerate(rows):
-        through[a].append((pos, b))
-        through[b].append((pos, a))
+        through.setdefault(a, []).append((pos, b))
+        through.setdefault(b, []).append((pos, a))
+    cr = {x: len(via) for x, via in through.items()}
+    steps = []
+    for a, b, sides in rows:
+        step = []
+        for c, d in sides:
+            drop = cr[a] + cr[b] - cr.get(c, 0) - cr.get(d, 0)
+            if drop <= 0:
+                raise InvariantViolation("a split must lower the potential")
+            step.append((c, tuple(through.get(c, ())), d, tuple(through.get(d, ())), drop))
+        steps.append((a, b, tuple(step)))
+    return tuple((a, b) for a, b, _ in rows), tuple(cr.items()), tuple(steps)
 
-    def chord(x):
-        return x, crossing[x] if through[x] else None, tuple(through[x])
 
-    chords = tuple((a, b) for a, b, _ in rows)
-    steps = tuple(
-        (a, b, crossing[a], crossing[b], tuple((*chord(c), *chord(d)) for c, d in sides))
-        for a, b, sides in rows
-    )
-    return chords, steps
-
-
-def _split_leaves(v: tuple, rows: tuple, crossing: tuple, budget: int) -> dict:
+def _split_leaves(v: tuple, rows: tuple, budget: int) -> dict:
     """Leaf counts of the split tree below the flat weight vector ``v``,
     expanding each distinct vector once.
 
-    Pending vectors wait in buckets keyed by crossing measure, which drops
-    strictly from a vector to both of its children.  Taking the largest
-    measure first means every parent of a vector is expanded before it, so
-    its multiplicity is complete when its own turn comes; measure zero holds
-    the leaves.  Each vector splits at the first row whose two chords
-    both carry weight.
-
-    A split takes one from the crossing chords a and b and adds one to the
-    sides c and d; of these four only a and b cross each other, so the
-    child's measure is the parent's plus 1 - C(a) - C(b) + C(c) + C(d),
-    where C(x) sums the parent's weights on the chords crossing x.  Each C
-    is the sum of one getter of ``crossing``, the per-N record's
-    (``_tables(N).crossing``), which also reads the extra slot, holding 0,
-    that vectors carry here; an edge crosses nothing, so its C is 0 and not
-    summed.  The getters do not depend on the order of ``rows``, so any row
-    order works.
+    Each vector splits at the first row whose two chords both carry weight.
+    Its children wait in buckets keyed by the potential
+    Phi(v) = sum of v_x cr(x) over the chords x, where cr(x) counts the rows
+    through x.  A split takes one from the crossing chords a and b and adds
+    one to the sides c and d, so it lowers Phi by the fixed drop
+    cr(a) + cr(b) - cr(c) - cr(d) of its row and side, which is positive
+    (``_split_steps``): a child's key is its parent's minus that drop.
+    Taking the largest key first means every parent of a vector is
+    expanded before it, so its multiplicity is complete when its own turn
+    comes.  A child with no crossing row is a leaf and goes straight into
+    the leaf counts, never into a bucket.  Which vectors are split, and so
+    the leaves, their counts and the budget count, depend on the first-row
+    rule alone, not on the order in which they are taken.
 
     The first row is found from the parent's, not by a scan from the top.
-    Vectors carry its position in a second extra slot (``len(rows)`` when
-    there is none), a function of the weights, so equal vectors still meet.
-    No row before the parent's row r is loaded in the parent, and a child
+    Vectors carry its position in an extra slot (``len(rows)`` when there
+    is none), a function of the weights, so equal vectors still meet.  No
+    row before the parent's row r is loaded in the parent, and a child
     gains weight only on c and d, which cross neither a nor b nor each
-    other.  So the child's first row is the smaller of two candidates:
-    the first row at or after r still loaded once a and b lose one, shared
-    by both children; and the first row through c or d whose other chord
-    carries weight, read from per-chord (position, partner) lists in row
-    order.  Only a chord that carried no weight before adds a candidate:
-    a row through a loaded chord that comes earlier than the first one
-    was not loaded, and its other chord has not changed.
+    other.  So the child's first row is the smaller of two candidates: the
+    first row at or after r still loaded once a and b lose one, shared by
+    both children; and the first row through c or d whose other chord
+    carries weight, read off the parent from per-chord (position, partner)
+    lists in row order.  Only a chord that carried no weight before adds a
+    candidate: a row through a loaded chord that comes earlier than the
+    first one was not loaded, and its other chord has not changed.
     """
-    chords, steps = _split_steps(rows, crossing)
+    chords, potential, steps = _split_steps(rows)
     ends = len(rows)
     first = next((pos for pos, (a, b) in enumerate(chords) if v[a] and v[b]), ends)
-    v = v + (0, first)
-    buckets: dict[int, dict[tuple, int]] = {0: {}}
-    buckets.setdefault(_measure(v, rows), {})[v] = 1
+    if first == ends:
+        return {v: 1}
+    buckets = {sum(v[x] * cr for x, cr in potential): {v + (first,): 1}}
+    leaves: dict[tuple, int] = {}
     expanded = 0
-    while (measure := max(buckets)) > 0:
-        for node, count in buckets.pop(measure).items():
+    while buckets:
+        key = max(buckets)
+        for node, count in buckets.pop(key).items():
             expanded += 1
             if expanded > budget:
                 raise BudgetExceeded(budget, expanded)
             row = node[-1]
-            if row == ends:
-                raise InvariantViolation("positive crossing measure without a crossing")
-            a, b, cross_a, cross_b, sides = steps[row]
-            drop = measure + 1 - sum(cross_a(node)) - sum(cross_b(node))
-            rest = list(node)
-            rest[a] -= 1
-            rest[b] -= 1
-            if not (rest[a] and rest[b]):
+            a, b, sides = steps[row]
+            if node[a] == 1 or node[b] == 1:
+                rest = list(node)
+                rest[a] -= 1
+                rest[b] -= 1
                 for row in range(row + 1, ends):
                     x, y = chords[row]
                     if rest[x] and rest[y]:
                         break
                 else:
                     row = ends
-            for c, cross_c, via_c, d, cross_d, via_d in sides:
-                child_measure = drop
-                if cross_c:
-                    child_measure += sum(cross_c(node))
-                if cross_d:
-                    child_measure += sum(cross_d(node))
-                if child_measure >= measure:
-                    raise InvariantViolation("crossing measure must drop")
-                child = rest.copy()
+            for c, via_c, d, via_d, drop in sides:
+                child = list(node)
+                child[a] -= 1
+                child[b] -= 1
                 child[c] += 1
                 child[d] += 1
-                if child_measure:
-                    # partners of c and d are neither a nor b, so ``rest``
-                    # holds their weights in the child
-                    first = row
-                    if not rest[c]:
-                        for pos, x in via_c:
-                            if pos >= first:
-                                break
-                            if rest[x]:
-                                first = pos
-                                break
-                    if not rest[d]:
-                        for pos, x in via_d:
-                            if pos >= first:
-                                break
-                            if rest[x]:
-                                first = pos
-                                break
-                    child[-1] = first
-                else:
-                    child[-1] = ends
+                # partners of c and d are neither a nor b, so the node holds
+                # their weights in the child
+                first = row
+                if not node[c]:
+                    for pos, x in via_c:
+                        if pos >= first:
+                            break
+                        if node[x]:
+                            first = pos
+                            break
+                if not node[d]:
+                    for pos, x in via_d:
+                        if pos >= first:
+                            break
+                        if node[x]:
+                            first = pos
+                            break
+                child[-1] = first
                 child = tuple(child)
-                bucket = buckets.get(child_measure)
+                if first == ends:
+                    leaves[child] = leaves.get(child, 0) + count
+                    continue
+                bucket = buckets.get(key - drop)
                 if bucket is None:
-                    buckets[child_measure] = {child: count}
+                    buckets[key - drop] = {child: count}
                 else:
                     bucket[child] = bucket.get(child, 0) + count
-    return {leaf[:-2]: count for leaf, count in buckets[0].items()}
+    return {leaf[:-1]: count for leaf, count in leaves.items()}
 
 
 def product_graph(points: Sequence[Lamination]) -> WeightedGraph:
@@ -304,13 +298,11 @@ def _sorted_leaves(points: Sequence[Lamination], budget: int) -> list:
     for p in points:
         if p.domain != "int":
             raise NonIntegral("product expansion needs integral laminations")
-    tables = _tables(total.n_gon)
-    leaves = _split_leaves(total.w, tables.rows, tables.crossing, budget)
+    leaves = _split_leaves(total.w, _tables(total.n_gon).rows, budget)
     cuts = _fan_cuts(total.n_gon)
-    return sorted(
-        ((tuple(sum(cut(v)) for cut in cuts), v, count) for v, count in leaves.items()),
-        key=itemgetter(0),
-    )
+    # the keys column by column; a triangle has no fan diagonal
+    keys = zip(*[map(sum, map(cut, leaves)) for cut in cuts]) if cuts else repeat(())
+    return sorted(zip(keys, leaves, leaves.values()), key=itemgetter(0))
 
 
 def product_expand(
@@ -329,7 +321,7 @@ def product_expand(
     """
     leaves = _sorted_leaves(points, budget)
     n = points[0].n_gon
-    # Each split keeps every vertex mass and drops the crossing measure,
+    # Each split keeps every vertex mass and a leaf has no crossing row,
     # so every leaf is an integral lamination: no leaf is checked again.
     return Expansion._trusted(tuple(
         (Lamination._trusted(WeightedGraph._trusted(n, v), "int"), count)

@@ -15,12 +15,12 @@ row-major order of ``pairs(N)``.  Modules that address weights by index
 
 Every table that depends on N alone lives in one record built once per N
 (``_tables``): the pairs and their index, the diagonal indices and slots,
-a getter per vertex and per cut, the crossing rows with each chord's
-crossing partners, and the inclusion-exclusion columns that turn diagonal
-values back into weights.  Validation, the masses, the split tree
-(``basis``), chart reconstruction (``laminations``) and the JSON reader
-(``jsonio``) read it, so a graph is read, checked and measured with index
-lookups, without building a ``Segment`` per entry.
+a getter per vertex and per cut, the crossing rows, and the
+inclusion-exclusion columns that turn diagonal values back into weights.
+Validation, the masses, the split tree (``basis``), chart reconstruction
+(``laminations``) and the JSON reader (``jsonio``) read it, so a graph is
+read, checked and measured with index lookups, without building a
+``Segment`` per entry.
 """
 from __future__ import annotations
 
@@ -86,16 +86,11 @@ class _Tables(NamedTuple):
       the indices of its crossing chords {p, r} and {q, s}, and the index
       pairs of the two ways of rerouting them, ({p, s}, {q, r}) and
       ({p, q}, {r, s}).
-    * ``crossing[k]`` reads the weights on the chords crossing ``pairs[k]``
-      off a weight tuple with one extra slot holding 0, and that slot twice
-      more, so it returns a tuple also for an edge (no partners) or a
-      quadrilateral's diagonal (one).
     * ``weights`` holds four getters over diagonal values in slot order
       with one extra 0 past them; weight k is the first two minus the last
       two at k (see ``laminations``).
 
-    The rows and the crossing getters take O(N^4) room; ``_tables`` keeps at
-    most 32 records.
+    The rows take O(N^4) room; ``_tables`` keeps at most 32 records.
     """
 
     pairs: tuple
@@ -105,7 +100,6 @@ class _Tables(NamedTuple):
     at_vertex: tuple
     cuts: tuple
     rows: tuple
-    crossing: tuple
     weights: tuple
 
 
@@ -128,12 +122,6 @@ def _tables(n_gon: int) -> _Tables:
         (index[p, r], index[q, s], ((index[p, s], index[q, r]), (index[p, q], index[r, s])))
         for p, q, r, s in itertools.combinations(range(1, n_gon + 1), 4)
     )
-    zero = len(layout)
-    partners = [[] for _ in layout]
-    for a, b, _ in rows:
-        partners[a].append(b)
-        partners[b].append(a)
-    crossing = tuple(itemgetter(*ps, zero, zero) for ps in partners)
 
     # w(p, q) = v(p, q) + v(p-1, q-1) - v(p, q-1) - v(p-1, q), labels
     # wrapped, with edges and coinciding vertices at the slot past the end
@@ -143,7 +131,7 @@ def _tables(n_gon: int) -> _Tables:
 
     columns = zip(*((at(p, q), at(p - 1, q - 1), at(p, q - 1), at(p - 1, q)) for p, q in layout))
     weights = tuple(itemgetter(*col) for col in columns)
-    return _Tables(layout, index, diags, slot, at_vertex, cuts, rows, crossing, weights)
+    return _Tables(layout, index, diags, slot, at_vertex, cuts, rows, weights)
 
 
 def _fan_cuts(n_gon: int) -> tuple:

@@ -25,6 +25,7 @@ from tropclust.basis import (
     DEFAULT_BUDGET,
     Expansion,
     _split_leaves,
+    _split_steps,
     a2_coefficient,
     basis_laurent,
     crossing_measure,
@@ -171,6 +172,9 @@ def test_noncrossing_products_merge():
     exp = product_expand([a, b])
     assert exp.terms == ((a + b, 1),)
     assert basis_laurent(a) * basis_laurent(b) == basis_laurent(a + b)
+    # a triangle has no fan diagonal to sort its one leaf by
+    zero = Lamination.zero(3)
+    assert product_expand([zero, zero]).terms == ((zero, 1),)
 
 
 def test_crossing_product_splits_once():
@@ -308,14 +312,21 @@ def test_incremental_measure_matches_the_from_scratch_split(n_gon):
         tables = _tables(n_gon)
         for rows in (tables.rows, tables.rows[::-1]):
             leaves, nodes = _reference_split_leaves(v, rows, DEFAULT_BUDGET)
-            assert _split_leaves(v, rows, tables.crossing, nodes) == leaves
+            assert _split_leaves(v, rows, nodes) == leaves
             for budget in {0, nodes // 2, max(nodes - 1, 0)} - {nodes}:
                 with pytest.raises(BudgetExceeded) as info:
-                    _split_leaves(v, rows, tables.crossing, budget)
+                    _split_leaves(v, rows, budget)
                 assert (info.value.budget, info.value.expanded) == (budget, budget + 1)
                 with pytest.raises(BudgetExceeded) as info:
                     _reference_split_leaves(v, rows, budget)
                 assert (info.value.budget, info.value.expanded) == (budget, budget + 1)
+
+
+def test_split_steps_reject_a_step_that_keeps_the_potential():
+    """A row whose side is its own chord pair would split forever; the
+    table is refused before any vector is split."""
+    with pytest.raises(InvariantViolation, match="potential"):
+        _split_steps(((0, 1, ((0, 1), (2, 3))),))
 
 
 def _seeded_products(n_gons, seed, count=3):
@@ -338,7 +349,7 @@ def test_split_leaves_pass_the_validating_constructors():
     for points in _seeded_products(range(5, 11), 800):
         total = product_graph(points)
         n_gon, tables = total.n_gon, _tables(total.n_gon)
-        leaves = _split_leaves(total.w, tables.rows, tables.crossing, DEFAULT_BUDGET)
+        leaves = _split_leaves(total.w, tables.rows, DEFAULT_BUDGET)
         expansion = product_expand(points)
         assert {lam.graph.w: c for lam, c in expansion} == leaves
         for lam in expansion.support():
@@ -388,6 +399,22 @@ def test_coefficient_witness_holds_on_seeded_products():
     assert len(product_expand(products[-2])) == 2950
 
 
+@pytest.mark.parametrize(
+    "n_gon, count, seed, nodes",
+    [(10, 4, 10, 8368), (11, 4, 2, 17305), (12, 3, 1, 10741)],
+    ids=["D10", "E11", "T12"],
+)
+def test_probe_products_split_a_fixed_number_of_graphs(n_gon, count, seed, nodes):
+    """The probe products D10, E11 and T12 split exactly ``nodes`` distinct
+    graphs: that budget suffices, and one less fails with a message naming
+    both counts."""
+    points = _fan_sample(n_gon, count, seed)
+    product_expand(points, budget=nodes)
+    with pytest.raises(BudgetExceeded) as info:
+        product_expand(points, budget=nodes - 1)
+    assert str(info.value) == f"expansion budget exceeded: {nodes} nodes > budget {nodes - 1}"
+
+
 def test_coefficient_witness_catches_wrong_expansions():
     """A coefficient raised by one, a dropped term and a term moved to
     another noncrossing graph each fail every round."""
@@ -420,8 +447,8 @@ def _split_both_ways(points):
     total = product_graph(points)
     tables = _tables(total.n_gon)
     return (
-        _split_leaves(total.w, tables.rows, tables.crossing, DEFAULT_BUDGET),
-        _split_leaves(total.w, tables.rows[::-1], tables.crossing, DEFAULT_BUDGET),
+        _split_leaves(total.w, tables.rows, DEFAULT_BUDGET),
+        _split_leaves(total.w, tables.rows[::-1], DEFAULT_BUDGET),
     )
 
 

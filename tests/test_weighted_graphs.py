@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphs import graph_from_weights
+from tropclust.basis import _split_steps
 from tropclust.errors import InvariantViolation, SizeMismatch
 from tropclust.polygon import Segment, all_segments, crosses, diagonals
 from tropclust.weighted_graphs import (
@@ -184,19 +185,26 @@ def test_cut_matches_a_boundary_walk_for_every_label_pair(n):
                 assert g.cut(a, b) == _walked_cut(g, a, b), (a, b)
 
 
-@pytest.mark.parametrize("n", range(3, 13))
-def test_crossing_getters_read_exactly_the_crossing_chords(n):
-    """Each pair's crossing getter reads the chords ``crosses`` reports,
-    each once, and the spare zero slot twice."""
+@pytest.mark.parametrize("n", range(3, 16))
+def test_split_steps_lower_the_potential_by_the_closed_forms(n):
+    """The number of rows through each pair is the number of chords
+    ``crosses`` reports, and the two split steps of the row of a quad
+    p < q < r < s lower the potential, each chord's weight times that
+    number, by 2 (q - p)(s - r) and 2 (r - q)(N - s + p)."""
     tables = _tables(n)
-    zero = len(tables.pairs)
-    slots = tuple(range(zero + 1))
+    _, potential, steps = _split_steps(tables.rows)
+    cr = dict(potential)
     for k, pair in enumerate(tables.pairs):
-        read = tables.crossing[k](slots)
-        crossing = [
-            x for x, other in enumerate(tables.pairs) if crosses(Segment(*pair), Segment(*other))
-        ]
-        assert sorted(read) == crossing + [zero, zero]
+        crossing = sum(crosses(Segment(*pair), Segment(*other)) for other in tables.pairs)
+        assert cr.get(k, 0) == crossing
+    quads = itertools.combinations(range(1, n + 1), 4)
+    for (p, q, r, s), (a, b, sides), row in zip(quads, steps, tables.rows, strict=True):
+        assert (a, b) == row[:2]
+        for (c, _, d, _, drop), side, closed in zip(
+            sides, row[2], (2 * (q - p) * (s - r), 2 * (r - q) * (n - s + p)), strict=True
+        ):
+            assert (c, d) == side
+            assert cr[a] + cr[b] - cr.get(c, 0) - cr.get(d, 0) == drop == closed
 
 
 def test_sums_match_the_validating_constructor():
