@@ -15,7 +15,7 @@ scanned by ``lattice-points`` is always bounded.
 
 ``lattice-points``, ``support`` and ``export-chart`` write from the lattice
 scan's coordinate vectors and the split tree's sorted leaves, turned into
-weight rows in one batch, as ``verify-mthm`` reads them: no lamination
+weight tuples in one batch, as ``verify-mthm`` reads them: no lamination
 object is built per point.
 """
 from __future__ import annotations
@@ -120,9 +120,9 @@ def _cmd_support(args) -> int:
     points = jsonio.points_from_json(jsonio.load_path(args.infile))
     # each leaf of the split tree is an integral lamination
     leaves = _sorted_leaves(points, args.budget)
-    rows = [(points[0].n_gon, v, "int") for _, v, _ in leaves]
+    weights = [v for _, v, _ in leaves]
     coeffs = [count for _, _, count in leaves] if args.coeffs else None
-    _emit(jsonio.laminations_text(rows, coeffs), args.out)
+    _emit(jsonio.laminations_text(points[0].n_gon, weights, coeffs), args.out)
     return EXIT_OK
 
 
@@ -152,8 +152,7 @@ def _cmd_lattice_points(args) -> int:
     )
     compiled, vectors = _scan_chart(spec, chart)
     # every scanned point is integral, and so is its lamination
-    rows = [(spec.n_gon, w, "int") for w in compiled.weights(vectors)]
-    _emit(jsonio.laminations_text(rows), args.out)
+    _emit(jsonio.laminations_text(spec.n_gon, compiled.weights(vectors)), args.out)
     return EXIT_OK
 
 

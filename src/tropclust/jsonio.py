@@ -14,13 +14,13 @@ whose indented mode runs only in pure Python; strings go through the
 encoder's own ASCII escaping.
 
 Point and expansion documents, which the command line writes by the
-thousand laminations, are written by ``laminations_text`` straight from
-(n_gon, weights, domain) rows, with no ``Lamination`` and no dict tree in
-between: one precomputed entry head per vertex pair, the number and a
-closing bracket per nonzero weight.  ``dumps`` over ``points_to_json`` and
-``expansion_to_json`` is the reference it equals byte for byte; it is also
-the route taken when a number is past the interpreter's digit limit, so
-the error is the reference's too.
+thousand laminations, all integral and on one polygon, are written by
+``laminations_text`` straight from weight tuples, with no ``Lamination``
+and no dict tree in between: one precomputed entry head per vertex pair,
+the int and a closing bracket per nonzero weight.  ``dumps`` over
+``points_to_json`` and ``expansion_to_json`` is the reference it equals
+byte for byte, and an int past the interpreter's digit limit raises the
+reference's error.
 
 A lamination's domain follows from its weights, so ``lamination_from_json``
 is the only code that reads a document's ``"domain"`` tag: a ``"rat"``
@@ -362,44 +362,38 @@ def _write_container(x, newline: str, out: list) -> None:
     out.append(newline + "}")
 
 
-def laminations_text(rows: list, coeffs: list | None = None) -> str:
-    """The points document of the laminations given as (n_gon, weights,
-    domain) rows or, with one coefficient per row, the expansion document
-    of those terms: the bytes ``dumps`` writes for the same laminations.
+def laminations_text(n_gon: int, weights: list, coeffs: list | None = None) -> str:
+    """The points document of the integral laminations of one polygon,
+    given by their weight tuples, or, with one coefficient per tuple, the
+    expansion document of those terms: the bytes ``dumps`` writes for the
+    same laminations.
 
     Each nonzero weight becomes its pair's entry head (``_entry_heads``,
-    built once per N and depth), the number and a closing bracket.
+    built once per N and depth), the int and a closing bracket.
     """
     depth = 2 if coeffs is None else 3
+    heads = _entry_heads(n_gon, depth)
     close = "\n" + "  " * depth
     key = close + "  "
     end = key + "  ]"
     sep = end + ","  # between one weight's number and the next entry head
+    start = (
+        f'{{{key}"domain": "int",{key}"format": {FORMAT},'
+        f'{key}"n_gon": {n_gon},{key}"weights": '
+    )
     items = []
     try:
-        for n_gon, weights, domain in rows:
-            # ints, or Fractions that print as ints, print as themselves
-            number = str if domain == "int" else _number_text
-            heads = _entry_heads(n_gon, depth)
-            text = sep.join([h + number(x) for h, x in zip(heads, weights) if x])
+        for w in weights:
+            text = sep.join([h + str(x) for h, x in zip(heads, w) if x])
             text = f"[{text}{end}{key}]" if text else "[]"
-            items.append(
-                f'{{{key}"domain": "{domain}",{key}"format": {FORMAT},'
-                f'{key}"n_gon": {n_gon},{key}"weights": {text}{close}}}'
-            )
+            items.append(f"{start}{text}{close}}}")
         if coeffs is not None:
             items = [
                 f'{{\n      "coeff": {coeff},\n      "lamination": {item}\n    }}'
                 for coeff, item in zip(coeffs, items)
             ]
-    except ValueError:
-        # An int past the interpreter's digit limit.  The reference route
-        # converts every fraction before it prints any int, so it raises
-        # the error that this document maps to.
-        lams = [Lamination._trusted(WeightedGraph._trusted(n, w), d) for n, w, d in rows]
-        if coeffs is None:
-            return dumps(points_to_json(lams))
-        return dumps(expansion_to_json(Expansion._trusted(tuple(zip(lams, coeffs)))))
+    except ValueError as exc:  # an int past the interpreter's digit limit
+        raise InputFormatError(f"cannot write output: {exc}") from exc
     name = "points" if coeffs is None else "terms"
     body = "\n    " + ",\n    ".join(items) + "\n  ]" if items else "]"
     return f'{{\n  "format": {FORMAT},\n  "{name}": [{body}\n}}\n'
@@ -412,11 +406,6 @@ def _entry_heads(n_gon: int, depth: int) -> tuple:
     entry = "\n" + "  " * (depth + 2)
     item = entry + "  "
     return tuple(f"{entry}[{item}{i},{item}{j},{item}" for i, j in _tables(n_gon).pairs)
-
-
-def _number_text(x) -> str:
-    x = number_to_json(x)
-    return str(x) if type(x) is int else encode_basestring_ascii(x)
 
 
 def load_path(path: str):

@@ -203,7 +203,7 @@ class _CompiledChart:
     ``diagonals(n)`` with edges at the zero slot past the end, give a
     batch of points' diagonal values one column per step.  ``rows`` is the
     one field set later: the row table of the chart's forms
-    (``polytopes._chart_rows``), which ``polytopes._scan_chart`` builds at
+    (``polytopes._RowTable``), which ``polytopes._scan_chart`` builds at
     the chart's first scan.
     """
 

@@ -60,14 +60,11 @@ def check_polygon(n_gon: int) -> None:
         raise InvalidPolygon(f"polygon needs at least 3 vertices, got {n_gon!r}")
 
 
-def crosses(s1: Segment, s2: Segment, n_gon: int | None = None) -> bool:
+def crosses(s1: Segment, s2: Segment) -> bool:
     """Whether two segments of the same polygon cross in the interior.
 
     Segments sharing an endpoint never cross.
     """
-    if n_gon is not None:
-        s1.validate(n_gon)
-        s2.validate(n_gon)
     i, j = s1
     k, l = s2
     return (i < k < j < l) or (k < i < l < j)

@@ -18,14 +18,15 @@ Lattice enumeration works per chart, compiled once per process for up to
 of the linear forms that the exponent vectors of its chart expansion
 (``atlas._exchange_walk``) give in the chart coordinates, so each bound
 splits into plain half-spaces with integer rows.  A compiled chart keeps
-the table of those rows (``_RowTable``), built at the chart's first scan,
-and a spec brings only their right-hand sides, one int each after a floor
-division.
+the table of those rows (``_RowTable``), built at the chart's first scan.
+An integral point meets a bound on an integer row exactly when it meets
+the bound's floor, so a spec brings only one int per row: the least
+floor of the row's bounds (``_RowTable.floors``).
 
 The scan fixes the coordinates in order and checks each row as soon as its
 last nonzero coordinate is reached: with the prefix fixed, the row bounds
 that coordinate to one side.  Every chart has rows on both sides at every
-coordinate, which ``_chart_rows`` checks once per chart, so each depth
+coordinate, which ``_RowTable`` checks once per chart, so each depth
 loops over an exact interval that its own rows give, with no coordinate
 box solved first, and the last depth takes its whole interval without a
 per-point test.  The scan yields sorted integer coordinate vectors, and the
@@ -34,8 +35,9 @@ compiled chart turns them into weight tuples in one batch
 ``lattice_points`` wraps each row as an integral lamination through the
 ``_trusted`` constructors.  A Stasheff spec is never empty, as it has a
 vertex in every chart; a spec that fails the criterion first goes through
-the Farkas test on the chart's rows, so that an empty one does not walk
-the prefixes before the depth where its rows contradict each other.
+the Farkas test on the same floored rows, so that a spec with no integral
+point, even one whose rational polytope is not empty, does not walk the
+prefixes before the depth where its rows contradict each other.
 
 ``coordinate_bounds`` gives the rational box of any inequalities by exact
 LPs, the Farkas test and then one LP per objective (the comment on the
@@ -54,9 +56,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import floor, gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -211,14 +213,13 @@ def minkowski_sum(spec1: StasheffSpec, spec2: StasheffSpec) -> StasheffSpec:
 
 # -- exact linear programming core ------------------------------------------
 #
-# An inequality is (coeffs, rhs) meaning coeffs . a <= rhs, with exact
-# rational entries.  _RowTable takes the rows in groups that share one
-# bound: a chart's diagonal bounds each of its forms, and every inequality
-# of coordinate_bounds is a group of one.  A form is its content g times a
-# primitive integer row, so it bounds that row by bound / g; a row that
-# several forms give is kept once, with the tightest of their bounds.
-# Over one common denominator d every right-hand side is an int, the row's
-# cost, and the system reads coeffs . a <= cost / d.
+# Every system here has integer rows and integer right-hand sides, the
+# costs, read over one denominator d: coeffs . a <= cost / d.  The chart
+# scan's rows are its chart's forms and its costs the floors of their
+# bounds (_RowTable.floors), with d = 1, which keeps every integral point.
+# coordinate_bounds clears each row's denominators and takes d as the lcm
+# of the right-hand sides' denominators; its LP takes zero, duplicate and
+# non-primitive rows as they come.
 #
 # coordinate_bounds and the chart scan's Farkas gate solve each LP below
 # cold: phase one, then phase two, under Bland's rule.  By LP duality,
@@ -360,46 +361,44 @@ def chart_inequalities(spec: StasheffSpec, chart: Triangulation) -> list[tuple]:
 
 
 class _RowTable:
-    """The rows of groups of forms, without their bounds.
+    """The rows of one chart's forms, without their bounds.
 
-    ``groups`` lists the forms of each bound, ``nvars`` coefficients each.
-    ``coeffs`` holds the primitive integer rows of the nonzero forms in the
-    order they first come.  A form is its row times its content g, so it
-    bounds the row by v / g, which is v * (scale // g) / scale with
-    ``scale`` the lcm of the contents.  ``first[r]`` is the (group,
-    scale // g) pair of the first form on row r, and ``more`` lists
-    (r, group, scale // g) for every later form on a row.  ``constant``
-    lists the groups with a zero form, which reads 0 <= v.  ``filed[k]``
-    holds the rows whose last nonzero coordinate is k as two lists, those
-    with a positive coefficient c at k and those with a negative one, c
-    negated.  Each list groups its rows by (a, c), with a the coefficient
-    at k - 1 (0 at k = 0), as (a, c, members), and a member is (r, front)
-    with front the row's coefficients before k - 1 (see
+    ``forms`` lists the forms of each diagonal of ``diagonals(N)``.
+    ``coeffs`` holds the distinct forms in the order they first come, each
+    a row.  ``first[r]`` is the diagonal of the first form on row r, and
+    ``more`` lists (r, diagonal) for every later form on a row.
+    ``filed[k]`` holds the rows whose last nonzero coordinate is k as two
+    lists, those with a positive coefficient c at k and those with a
+    negative one, c negated.  Each list groups its rows by (a, c), with a
+    the coefficient at k - 1 (0 at k = 0), as (a, c, members), and a member
+    is (r, front) with front the row's coefficients before k - 1 (see
     ``_interval_scan``).
+
+    A zero form, or a coordinate that no row bounds on one side, raises
+    InvariantViolation: every depth of the scan must be bounded whatever
+    the bounds.
     """
 
-    def __init__(self, groups: Iterable[Sequence], nvars: int):
+    def __init__(self, forms: Sequence, chart: Triangulation):
+        diagonals = chart.sorted_diagonals()
+        name = ",".join(f"{d.i}-{d.j}" for d in diagonals)
         index: dict[tuple, int] = {}
-        found = []  # (group, row, content) per nonzero form
-        self.constant = []
-        for s, forms in enumerate(groups):
-            for form in forms:
-                g = gcd(*form)
-                if g:
-                    row = index.setdefault(tuple(x // g for x in form), len(index))
-                    found.append((s, row, g))
-                else:
-                    self.constant.append(s)
-        self.coeffs = coeffs = list(index)
-        self.scale = lcm(*(g for _, _, g in found))
-        self.first = [None] * len(index)
+        self.first = []
         self.more = []
-        for s, row, g in found:
-            if self.first[row] is None:
-                self.first[row] = s, self.scale // g
-            else:
-                self.more.append((row, s, self.scale // g))
-        sides = [({}, {}) for _ in range(nvars)]
+        for s, group in enumerate(forms):
+            for form in group:
+                if not any(form):
+                    d = list(_tables(chart.n_gon).slot)[s]
+                    raise InvariantViolation(
+                        f"chart {name!r} has a zero form on diagonal {d.i}-{d.j}"
+                    )
+                if form in index:
+                    self.more.append((index[form], s))
+                else:
+                    index[form] = len(index)
+                    self.first.append(s)
+        self.coeffs = coeffs = list(index)
+        sides = [({}, {}) for _ in range(chart.n_gon - 3)]
         for r, row in enumerate(coeffs):
             k = max(j for j, c in enumerate(row) if c)
             a, front = (row[k - 1], row[:k - 1]) if k else (0, ())
@@ -408,18 +407,23 @@ class _RowTable:
             tuple([(a, c, members) for (a, c), members in side.items()] for side in pair)
             for pair in sides
         ]
+        for k, (upper, lower) in enumerate(self.filed):
+            missing = [side for side, found in (("above", upper), ("below", lower)) if not found]
+            if missing:
+                raise InvariantViolation(
+                    f"chart {name!r} has no row bounding coordinate {k} "
+                    f"({diagonals[k].i}-{diagonals[k].j}) from {' or '.join(missing)}"
+                )
 
-    def costs(self, values: Sequence) -> tuple | None:
-        """The rows' right-hand sides for the bounds ``values``, one per
-        group: (costs, d) with the rows reading coeffs . a <= cost / d, or
-        None when a zero form reads 0 <= v < 0."""
-        if any(values[s] < 0 for s in self.constant):
-            return None
-        values, q = _integral(values)
-        costs = [values[s] * t for s, t in self.first]
-        for r, s, t in self.more:
-            costs[r] = min(costs[r], values[s] * t)
-        return costs, q * self.scale
+    def floors(self, values: Sequence) -> list:
+        """Each row's right-hand side for the bounds ``values``, one per
+        diagonal: the least floor of the bounds of the row's forms."""
+        values = list(map(floor, values))
+        out = [values[s] for s in self.first]
+        for r, s in self.more:
+            if values[s] < out[r]:
+                out[r] = values[s]
+        return out
 
 
 def coordinate_bounds(ineqs: Sequence[tuple], nvars: int):
@@ -430,7 +434,7 @@ def coordinate_bounds(ineqs: Sequence[tuple], nvars: int):
     row does not have exactly nvars coefficients and InvariantViolation
     when an entry is not an int or Fraction.
     """
-    groups, values = [], []
+    rows, values = [], []
     for coeffs, rhs in ineqs:
         if len(coeffs) != nvars:
             raise DimensionMismatch(
@@ -442,20 +446,16 @@ def coordinate_bounds(ineqs: Sequence[tuple], nvars: int):
             denom = lcm(*(x.denominator for x in coeffs))
             coeffs = [x.numerator * (denom // x.denominator) for x in coeffs]
             rhs *= denom
-        groups.append([coeffs])
+        rows.append(coeffs)
         values.append(rhs)
-    rows = _RowTable(groups, nvars)
-    solved = rows.costs(values)
-    if solved is None:
-        return None
-    costs, d = solved
-    if _is_empty(rows.coeffs, costs, nvars):
+    costs, d = _integral(values)
+    if _is_empty(rows, costs, nvars):
         return None
     # -lo_0, hi_0, -lo_1, ...: max -+a_k is the dual minimum over
     # sum y_i coeffs_i = -+e_k, which has no solution when a_k is unbounded
     ends = []
     for k, sign in itertools.product(range(nvars), (-1, 1)):
-        tab = [[c[j] for c in rows.coeffs] + [sign * (j == k)] for j in range(nvars)]
+        tab = [[c[j] for c in rows] + [sign * (j == k)] for j in range(nvars)]
         found = _minimum(tab, costs)
         if found is None:
             raise Unbounded(f"coordinate {k} has no finite bound")
@@ -463,65 +463,42 @@ def coordinate_bounds(ineqs: Sequence[tuple], nvars: int):
     return [(-neg_lo, hi) for neg_lo, hi in zip(ends[::2], ends[1::2])]
 
 
-def _chart_rows(forms: Sequence, chart: Triangulation) -> _RowTable:
-    """The row table of a chart's forms, one group per diagonal.
-
-    Every coordinate must have a row filed at it on each side, so that
-    every depth of the scan is bounded whatever the bounds; a chart whose
-    forms leave one open raises InvariantViolation.
-    """
-    rows = _RowTable(forms, chart.n_gon - 3)
-    diagonals = chart.sorted_diagonals()
-    for k, (upper, lower) in enumerate(rows.filed):
-        missing = [side for side, found in (("above", upper), ("below", lower)) if not found]
-        if missing:
-            name = ",".join(f"{d.i}-{d.j}" for d in diagonals)
-            raise InvariantViolation(
-                f"chart {name!r} has no row bounding coordinate {k} "
-                f"({diagonals[k].i}-{diagonals[k].j}) from {' or '.join(missing)}"
-            )
-    return rows
-
-
 def _scan_chart(spec: StasheffSpec, chart: Triangulation) -> tuple:
     """Compile the chart and scan the polytope in it.
 
     Returns the compiled chart and the integral points as coordinate
-    vectors in that chart, sorted.  The spec brings only the right-hand
-    sides: one int per row over one denominator, the tightest of the
-    row's bounds, floored.  Every depth of the scan is bounded by the
-    chart's rows alone, so no bound makes the scan unbounded.  A spec that
-    fails the quadruple criterion and that the Farkas test proves empty
-    gives no points without a scan.
+    vectors in that chart, sorted.  The spec brings only one int per row,
+    the least floor of the row's bounds, which both the Farkas gate and
+    the scan read.  Every depth of the scan is bounded by the chart's rows
+    alone, so no bound makes the scan unbounded.  A spec that fails the
+    quadruple criterion and whose floored rows the Farkas test proves
+    empty has no integral point, and gives none without a scan.
     """
-    compiled = _compiled(chart)
     if spec.n_gon != chart.n_gon:
         raise SizeMismatch("spec and chart live on different polygons")
+    compiled = _compiled(chart)
     rows = compiled.rows
     if rows is None:
         # built at the chart's first scan, it lives as long as the chart
         # stays in ``_compiled``
-        rows = compiled.rows = _chart_rows(compiled.forms, chart)
-    solved = rows.costs([v for _, v in spec.c])
-    if solved is None:
-        return compiled, []
-    costs, d = solved
+        rows = compiled.rows = _RowTable(compiled.forms, chart)
+    floors = rows.floors([v for _, v in spec.c])
     # a Stasheff spec has a vertex in every chart; any other spec may be
     # empty by a contradiction that the scan would meet only deep down
-    if any(x < 0 for x in _slacks(spec)) and _is_empty(rows.coeffs, costs, chart.n_gon - 3):
+    if any(x < 0 for x in _slacks(spec)) and _is_empty(rows.coeffs, floors, chart.n_gon - 3):
         return compiled, []
-    return compiled, _interval_scan(rows.filed, [c // d for c in costs])
+    return compiled, _interval_scan(rows.filed, floors)
 
 
 def _interval_scan(filed: list, floors: list) -> list:
     """The integral points that meet every row, sorted.
 
-    An integral point meets a row exactly when it meets the floor of its
-    right-hand side, which ``floors`` holds per row.  ``filed[k]`` holds
+    ``floors`` holds each row's right-hand side, an int
+    (``_RowTable.floors``).  ``filed[k]`` holds
     the rows whose last nonzero coordinate is k (``_RowTable``): once the
     prefix a_0..a_{k-1} is fixed such a row bounds a_k to one side, a floor
     for a positive coefficient and a ceiling for a negative one, and every
-    depth has rows on both sides (``_chart_rows``).  Before a depth loops
+    depth has rows on both sides (``_RowTable``).  Before a depth loops
     over a_{k-1}, each (a, c) group of depth k takes the least room b of
     its members over a_0..a_{k-2}, so every value x of a_{k-1} costs one
     floor division (b - a x) // c per group.  Each depth loops upward over
@@ -571,7 +548,7 @@ def lattice_points(
 
     The result does not depend on the chart.  Sorted by chart coordinates.
     The chart's own rows bound every coordinate whatever the bounds
-    (``_chart_rows``), so there is no Unbounded here; an empty list is a
+    (``_RowTable``), so there is no Unbounded here; an empty list is a
     legitimate answer for infeasible bounds.
     """
     if chart is None:

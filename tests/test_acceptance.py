@@ -101,7 +101,7 @@ def pentagon_laminations_weight_at_most_3():
     """
     segs = diagonals(5)
     subsets = [()] + [(d,) for d in segs]
-    subsets += [p for p in itertools.combinations(segs, 2) if not crosses(*p, 5)]
+    subsets += [p for p in itertools.combinations(segs, 2) if not crosses(*p)]
     out = []
     for sub in subsets:
         for weights in itertools.product(range(1, 4), repeat=len(sub)):

@@ -701,8 +701,8 @@ def test_compiled_chart_scan_matches_fourier_motzkin(monkeypatch):
     every inequality, and each of them lies inside that box.  Elimination
     takes seconds on octagon charts, so those cases take the box from
     ``coordinate_bounds``.  The Farkas gate proves some of the specs that
-    fail the quadruple criterion empty, and the oracle finds each of those
-    empty too."""
+    fail the quadruple criterion free of integral points, some of them
+    with a nonempty rational box."""
     farkas = []
     real = polytopes._is_empty
 
@@ -713,6 +713,7 @@ def test_compiled_chart_scan_matches_fourier_motzkin(monkeypatch):
     monkeypatch.setattr(polytopes, "_is_empty", recorded)
     outcomes = set()
     proved = Counter()
+    rationally_nonempty = 0
     for spec, chart in compiled_route_cases():
         oracle = fm_bounds if spec.n_gon < 8 else coordinate_bounds
         bounds = oracle(chart_inequalities(spec, chart), spec.n_gon - 3)
@@ -720,7 +721,7 @@ def test_compiled_chart_scan_matches_fourier_motzkin(monkeypatch):
         vectors = _scan_chart(spec, chart)[1]
         if any(farkas):
             assert not is_stasheff(spec) and vectors == []
-            assert bounds is None
+            rationally_nonempty += bounds is not None
             proved[oracle.__name__] += 1
         assert vectors == product_scan(spec, chart, oracle)
         if bounds is None:
@@ -731,7 +732,7 @@ def test_compiled_chart_scan_matches_fourier_motzkin(monkeypatch):
         rational = any(x.denominator > 1 for pair in bounds for x in pair)
         outcomes.add(("rational" if rational else "integer", bool(vectors)))
     assert outcomes == {"empty", ("integer", True), ("rational", True), ("rational", False)}
-    assert proved["fm_bounds"] > 0
+    assert proved["fm_bounds"] > 0 and rationally_nonempty > 0
 
 
 def test_scans_leave_the_compiled_chart_as_built(monkeypatch):
@@ -776,23 +777,40 @@ def test_scans_leave_the_compiled_chart_as_built(monkeypatch):
     assert vars(rows) == built
 
 
-@pytest.mark.parametrize("n_gon, k", [(6, 300), (7, 60), (8, 25)])
-def test_farkas_gate_ends_empty_scans_before_the_prefixes(monkeypatch, n_gon, k):
+@pytest.mark.parametrize("n_gon, k, low, high", [
+    *(pytest.param(n_gon, k, -1, -1, id=f"{n_gon}-{k}")
+      for n_gon, k in [(6, 300), (7, 60), (8, 25)]),
+    *(pytest.param(n_gon, k, Fraction(-1, 3), Fraction(2, 3), id=f"{n_gon}-{k}-rational")
+      for n_gon, k in [(6, 300), (7, 60), (8, 25)]),
+])
+def test_farkas_gate_ends_empty_scans_before_the_prefixes(monkeypatch, n_gon, k, low, high):
     """In the fan chart the diagonals {1, N-1}, {2, N} and {N-2, N} carry
-    the forms +-a_last alone, so bound -1 on them and K elsewhere is empty
-    only by the rows of the last depth, which the scan meets after walking
-    about K^(N-4) prefixes.  The spec fails the quadruple criterion, so the
-    Farkas test proves it empty and the scan never starts."""
-    low = {Segment(1, n_gon - 1), Segment(2, n_gon), Segment(n_gon - 2, n_gon)}
-    spec = StasheffSpec.of(n_gon, {d: -1 if d in low else k for d in diagonals(n_gon)})
+    the forms +-a_last alone.  Bound ``high`` on {1, N-1}, ``low`` on the
+    other two and K elsewhere leave no integral point only by the rows of
+    the last depth, which the scan meets after walking about K^(N-4)
+    prefixes: with -1 the polytope is empty, and with 2/3 and -1/3 it keeps
+    the rational points with 1/3 <= a_last <= 2/3.  The spec fails the
+    quadruple criterion, so the Farkas test on the floored bounds proves
+    it free of integral points and the scan never starts."""
+    bounds = {Segment(1, n_gon - 1): high, Segment(2, n_gon): low, Segment(n_gon - 2, n_gon): low}
+    spec = StasheffSpec.of(n_gon, {d: bounds.get(d, k) for d in diagonals(n_gon)})
     assert not is_stasheff(spec)
 
     def no_scan(*args):
-        raise AssertionError("the Farkas test proves the spec empty")
+        raise AssertionError("the Farkas test proves the spec free of integral points")
 
     monkeypatch.setattr(polytopes, "_interval_scan", no_scan)
     assert _scan_chart(spec, fan_triangulation(n_gon))[1] == []
     assert lattice_points(spec) == []
+
+
+def test_mismatched_sizes_compile_no_chart():
+    """A spec and a chart of different polygons raise SizeMismatch before
+    the chart is compiled, so the call caches nothing."""
+    _compiled.cache_clear()
+    with pytest.raises(SizeMismatch):
+        _scan_chart(const_spec(5, 1), fan_triangulation(6))
+    assert _compiled.cache_info().currsize == 0
 
 
 def test_every_chart_bounds_every_depth_on_both_sides():
@@ -803,7 +821,7 @@ def test_every_chart_bounds_every_depth_on_both_sides():
     assert len(charts) == 624
     charts += [fan_triangulation(n_gon) for n_gon in range(3, 21)]
     for chart in charts:
-        filed = polytopes._chart_rows(_CompiledChart(chart).forms, chart).filed
+        filed = polytopes._RowTable(_CompiledChart(chart).forms, chart).filed
         assert len(filed) == chart.n_gon - 3
         assert all(upper and lower for upper, lower in filed)
 
@@ -811,21 +829,26 @@ def test_every_chart_bounds_every_depth_on_both_sides():
 def test_forms_that_leave_a_depth_open_are_rejected():
     """Hand-made forms on the pentagon's fan chart (1-3, 1-4) that bound
     some coordinate on one side only, given the ones before it, raise
-    InvariantViolation naming the chart and the coordinate."""
+    InvariantViolation naming the chart and the coordinate, and so does a
+    zero form, naming its diagonal."""
     fan = fan_triangulation(5)
     box = [[(1, 0)], [(-1, 0)], [(0, 1)], [(0, -1)], []]
-    assert polytopes._chart_rows(box, fan).filed
+    assert polytopes._RowTable(box, fan).filed
     for forms, k, side in [
         ([[(1, 0)], [(-1, 0)], [(0, 1)], [(1, 1)], []], 1, "below"),
         ([[(1, 0)], [(-1, 1)], [(0, -1)], [], []], 0, "below"),
-        ([[(1, 0)], [(-1, 0)], [(2, -1)], [(0, 0)], []], 1, "above"),
-        ([[(1, 0)], [(-1, 0)], [], [(0, 0)], []], 1, "above or below"),
+        ([[(1, 0)], [(-1, 0)], [(2, -1)], [], []], 1, "above"),
+        ([[(1, 0)], [(-1, 0)], [], [], []], 1, "above or below"),
     ]:
         diagonal = "1-3" if k == 0 else "1-4"
         with pytest.raises(InvariantViolation, match=(
             f"^chart '1-3,1-4' has no row bounding coordinate {k} \\({diagonal}\\) from {side}$"
         )):
-            polytopes._chart_rows(forms, fan)
+            polytopes._RowTable(forms, fan)
+    with pytest.raises(InvariantViolation, match=(
+        "^chart '1-3,1-4' has a zero form on diagonal 2-5$"
+    )):
+        polytopes._RowTable([[(1, 0)], [(-1, 0)], [(0, 1)], [(0, -1), (0, 0)], []], fan)
 
 
 def sample(n_gon, k, seed):
