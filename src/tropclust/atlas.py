@@ -6,14 +6,8 @@ matrix in one unfrozen direction and is involutive.  ``type_a_seed(n)`` is
 the chain seed of the fan chart of the (n+3)-gon without its boundary
 directions.
 
-The chart machinery lives here too:
+The x-chart machinery lives here too:
 
-* ``_exchange_walk`` compiles a chart for the coordinate maps
-  (``laminations._compiled``): it applies the exchange relation on
-  crossing quadrilaterals to write each segment variable in the chart, but
-  keeps only each expansion's exponent vectors over the chart diagonals.
-  The coefficients are positive, so no term cancels, and the set of a sum
-  is the union and that of a product the pairwise sums;
 * ``expand_in_x_chart`` pushes a Laurent polynomial through a word of
   mutations.  Each step splits it into fibers, the terms that agree off the
   mutated direction k, and multiplies each fiber by its power of
@@ -30,9 +24,6 @@ The chart machinery lives here too:
   parts) depends on the rank alone, so ``_walk_plan`` works it out once
   per rank, with each word's parent slot; the walk then only runs the one
   push kernel, ``_push``, on bare term dicts, and builds no seed.
-
-``tests/chart_oracle.py`` keeps the full expansions, with coefficients and
-edge variables, as the reference for ``_exchange_walk``.
 """
 from __future__ import annotations
 
@@ -51,13 +42,7 @@ from .errors import (
     NotDivisible,
 )
 from .laurent import LaurentPolynomial
-from .polygon import (
-    Segment,
-    Triangulation,
-    crosses,
-    fan_triangulation,
-    flip,
-)
+from .polygon import Segment, fan_triangulation, flip
 
 def label_text(label) -> str:
     if isinstance(label, Segment):
@@ -172,92 +157,6 @@ def mutate_seed(seed: Seed, k) -> Seed:
         for i, row in enumerate(seed.eps)
     )
     return Seed._trusted(seed.labels, seed.frozen, eps, seed.d)
-
-
-# -- exponent sets of segment variables in a chart -------------------------
-
-
-def _crossing_count(seg: Segment, tri: Triangulation) -> int:
-    return sum(1 for t in tri.diagonals if crosses(seg, t))
-
-
-def _exit_quadrilateral(seg: Segment, tri: Triangulation, triangles: list) -> tuple:
-    """Where the exchange relation resolves a segment off the chart.
-
-    ``triangles`` are the chart's triangles.  Returns the chart diagonal
-    the segment exits through at its lower endpoint and the two pairs of
-    opposite sides of the quadrilateral the two span; every side crosses
-    fewer chart diagonals than the segment.
-    """
-    a = seg.i
-    ear = None
-    for p, q, r in triangles:
-        if a in (p, q, r):
-            opposite = Segment(*(v for v in (p, q, r) if v != a))
-            if crosses(opposite, seg):
-                if ear is not None:
-                    raise InvariantViolation("segment exits through two triangles")
-                ear = opposite
-    if ear is None:
-        raise InvariantViolation("no chart diagonal crosses the segment")
-    own = _crossing_count(seg, tri)
-    quad = sorted((seg.i, seg.j, ear.i, ear.j))
-    sides = (
-        (Segment(quad[0], quad[1]), Segment(quad[2], quad[3])),
-        (Segment(quad[0], quad[3]), Segment(quad[1], quad[2])),
-    )
-    for s1, s2 in sides:
-        if max(_crossing_count(s1, tri), _crossing_count(s2, tri)) >= own:
-            raise InvariantViolation("quadrilateral sides must cross fewer chart diagonals")
-    return ear, sides
-
-
-def _exchange_walk(segments: Sequence[Segment], tri: Triangulation) -> tuple:
-    """The exponent vectors of each segment's expansion in one chart, and
-    the exchange steps of the walk that found them.
-
-    Vectors run over the chart diagonals in sorted order, with edges read
-    as 1; each segment gets its vectors sorted.  Expansions have positive
-    coefficients, so nothing cancels and the exchange relation alone gives
-    the sets: a chart diagonal has its unit vector and an edge the zero
-    vector, and any other segment the union of the pairwise sums over its
-    quadrilateral's two pairs of opposite sides, minus the unit vector of
-    the diagonal it exits through.
-
-    The steps list every segment off the chart that the walk resolved, the
-    requested ones and the sides they need, each once and after its sides:
-    (segment, exit diagonal, (s1, s2), (s3, s4)), with the two pairs of
-    opposite sides of its quadrilateral.  Read tropically, a step gives
-    v(segment) = max(v(s1) + v(s2), v(s3) + v(s4)) - v(exit), with v = 0 on
-    edges, from values the earlier steps fixed.
-    """
-    n = tri.n_gon
-    diags = tri.sorted_diagonals()
-    units = {d: tuple(int(d == e) for e in diags) for d in diags}
-    zero = (0,) * len(diags)
-    triangles = tri.triangles()
-    memo = {d: {u} for d, u in units.items()}
-    steps = []
-
-    def sets(s: Segment) -> set:
-        hit = memo.get(s)
-        if hit is None:
-            if s.is_edge(n):
-                hit = {zero}
-            else:
-                ear, sides = _exit_quadrilateral(s, tri, triangles)
-                e = units[ear]
-                hit = {
-                    tuple(x + y - z for x, y, z in zip(u, v, e))
-                    for s1, s2 in sides
-                    for u in sets(s1)
-                    for v in sets(s2)
-                }
-                steps.append((s, ear, *sides))
-            memo[s] = hit
-        return hit
-
-    return tuple(tuple(sorted(sets(s.validate(n)))) for s in segments), tuple(steps)
 
 
 # -- pushing x-chart functions through mutations ----------------------------

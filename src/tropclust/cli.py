@@ -27,7 +27,7 @@ from . import jsonio
 from .atlas import mutate_seed
 from .basis import DEFAULT_BUDGET, _sorted_leaves
 from .errors import BudgetExceeded, InputFormatError, TropclustError
-from .polygon import Segment, Triangulation, fan_triangulation
+from .polygon import Segment, Triangulation, _chart_text, fan_triangulation
 from .polygon import triangulations as all_triangulations
 from .polytopes import (
     _scan_chart,
@@ -70,10 +70,6 @@ def _rank(text: str) -> int:
             f"{jsonio.MAX_N_GON - 3}; got {value}"
         )
     return value
-
-
-def _chart_text(tri: Triangulation) -> str:
-    return ",".join(f"{d.i}-{d.j}" for d in tri.sorted_diagonals())
 
 
 def _parse_chart(text: str, n_gon: int) -> Triangulation:

@@ -14,15 +14,24 @@ coordinate of any other diagonal is the maximum, over the exponent vectors
 of its positive expansion in the chart, of their linear forms evaluated at
 the chart values.
 
-A chart is compiled once per process (``_compiled`` keeps at most 32
-charts, keyed by the triangulation).  One exchange walk
-(``atlas._exchange_walk``) gives every diagonal's exponent vectors, read
-as linear forms, and, in the order it resolved them, the exchange step of
-each diagonal off the chart: its exit diagonal and the two pairs of
-opposite sides of its quadrilateral.  Points then become weight tuples
-in batches, without the forms (``_CompiledChart.weights``): the points'
-values fill one column per chart diagonal, each step makes one more
-diagonal's column by the tropical exchange relation
+A chart is compiled whole, once per process (``_compiled`` keeps at most
+32 charts, keyed by the triangulation).  One exchange walk
+(``_exchange_walk``) applies the exchange relation on crossing
+quadrilaterals, but keeps only each expansion's exponent vectors over the
+chart diagonals: the coefficients are positive, so no term cancels, and
+the set of a sum is the union and that of a product the pairwise sums.
+It gives every diagonal's exponent vectors, read as linear forms, and,
+in the order it resolved them, the exchange step of each diagonal off the
+chart: its exit diagonal and the two pairs of opposite sides of its
+quadrilateral.  The forms' row table (``_RowTable``), which the lattice
+scan in ``polytopes`` reads, is built with them.  ``tests/chart_oracle.py``
+keeps the full expansions, with coefficients and edge variables, as the
+walk's reference.
+
+Points become weight tuples in batches, without the forms
+(``_CompiledChart.weights``): the points' values fill one column per
+chart diagonal, each exchange step makes one more diagonal's column by
+the tropical exchange relation
 v(s) = max(v(a) + v(c), v(b) + v(d)) - v(e) (Fock-Goncharov, Publ. IHES
 103, 2006), with edges at a zero column, and each weight is a column of
 signed sums of four diagonal values (inclusion-exclusion over cyclically
@@ -41,9 +50,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import floor
 from operator import add, mul, sub
+from typing import Sequence
 
-from .atlas import _exchange_walk
 from .errors import (
     DimensionMismatch,
     InvariantViolation,
@@ -51,7 +61,7 @@ from .errors import (
     NotALamination,
     SizeMismatch,
 )
-from .polygon import Segment, Triangulation
+from .polygon import Segment, Triangulation, _chart_text, crosses
 from .weighted_graphs import (
     Number,
     WeightedGraph,
@@ -194,26 +204,174 @@ def chart_coords(lam: Lamination, tri: Triangulation) -> TropicalCoords:
     return TropicalCoords(tri, tuple((d, _half_cut(lam, d)) for d in tri.sorted_diagonals()))
 
 
+def _crossing_count(seg: Segment, tri: Triangulation) -> int:
+    return sum(1 for t in tri.diagonals if crosses(seg, t))
+
+
+def _exit_quadrilateral(seg: Segment, tri: Triangulation, triangles: list) -> tuple:
+    """Where the exchange relation resolves a segment off the chart.
+
+    ``triangles`` are the chart's triangles.  Returns the chart diagonal
+    the segment exits through at its lower endpoint and the two pairs of
+    opposite sides of the quadrilateral the two span; every side crosses
+    fewer chart diagonals than the segment.
+    """
+    a = seg.i
+    ear = None
+    for p, q, r in triangles:
+        if a in (p, q, r):
+            opposite = Segment(*(v for v in (p, q, r) if v != a))
+            if crosses(opposite, seg):
+                if ear is not None:
+                    raise InvariantViolation("segment exits through two triangles")
+                ear = opposite
+    if ear is None:
+        raise InvariantViolation("no chart diagonal crosses the segment")
+    own = _crossing_count(seg, tri)
+    quad = sorted((seg.i, seg.j, ear.i, ear.j))
+    sides = (
+        (Segment(quad[0], quad[1]), Segment(quad[2], quad[3])),
+        (Segment(quad[0], quad[3]), Segment(quad[1], quad[2])),
+    )
+    for s1, s2 in sides:
+        if max(_crossing_count(s1, tri), _crossing_count(s2, tri)) >= own:
+            raise InvariantViolation("quadrilateral sides must cross fewer chart diagonals")
+    return ear, sides
+
+
+def _exchange_walk(tri: Triangulation) -> tuple:
+    """The exponent vectors of each diagonal's expansion in one chart, in
+    the order of ``diagonals(n)``, and the exchange steps of the walk that
+    found them.
+
+    Vectors run over the chart diagonals in sorted order, with edges read
+    as 1; each diagonal gets its vectors sorted.  Expansions have positive
+    coefficients, so nothing cancels and the exchange relation alone gives
+    the sets: a chart diagonal has its unit vector and an edge the zero
+    vector, and any other segment the union of the pairwise sums over its
+    quadrilateral's two pairs of opposite sides, minus the unit vector of
+    the diagonal it exits through.
+
+    The steps list every diagonal off the chart, each once and after its
+    sides: (segment, exit diagonal, (s1, s2), (s3, s4)), with the two pairs
+    of opposite sides of its quadrilateral.  Read tropically, a step gives
+    v(segment) = max(v(s1) + v(s2), v(s3) + v(s4)) - v(exit), with v = 0 on
+    edges, from values the earlier steps fixed.
+    """
+    n = tri.n_gon
+    diags = tri.sorted_diagonals()
+    units = {d: tuple(int(d == e) for e in diags) for d in diags}
+    zero = (0,) * len(diags)
+    triangles = tri.triangles()
+    memo = {d: {u} for d, u in units.items()}
+    steps = []
+
+    def sets(s: Segment) -> set:
+        hit = memo.get(s)
+        if hit is None:
+            if s.is_edge(n):
+                hit = {zero}
+            else:
+                ear, sides = _exit_quadrilateral(s, tri, triangles)
+                e = units[ear]
+                hit = {
+                    tuple(x + y - z for x, y, z in zip(u, v, e))
+                    for s1, s2 in sides
+                    for u in sets(s1)
+                    for v in sets(s2)
+                }
+                steps.append((s, ear, *sides))
+            memo[s] = hit
+        return hit
+
+    # the slot table's keys are ``diagonals(n)`` in order
+    return tuple(tuple(sorted(sets(s))) for s in _tables(n).slot), tuple(steps)
+
+
+class _RowTable:
+    """The rows of one chart's forms, without their bounds.
+
+    ``forms`` lists the forms of each diagonal of ``diagonals(N)``.
+    ``coeffs`` holds the distinct forms in the order they first come, each
+    a row.  ``first[r]`` is the diagonal of the first form on row r, and
+    ``more`` lists (r, diagonal) for every later form on a row.
+    ``filed[k]`` holds the rows whose last nonzero coordinate is k as two
+    lists, those with a positive coefficient c at k and those with a
+    negative one, c negated.  Each list groups its rows by (a, c), with a
+    the coefficient at k - 1 (0 at k = 0), as (a, c, members), and a member
+    is (r, front) with front the row's coefficients before k - 1 (see
+    ``polytopes._interval_scan``).
+
+    A zero form, or a coordinate that no row bounds on one side, raises
+    InvariantViolation: every depth of the scan must be bounded whatever
+    the bounds.
+    """
+
+    def __init__(self, forms: Sequence, chart: Triangulation):
+        diagonals = chart.sorted_diagonals()
+        name = _chart_text(chart)
+        index: dict[tuple, int] = {}
+        self.first = []
+        self.more = []
+        for s, group in enumerate(forms):
+            for form in group:
+                if not any(form):
+                    d = list(_tables(chart.n_gon).slot)[s]
+                    raise InvariantViolation(
+                        f"chart {name!r} has a zero form on diagonal {d.i}-{d.j}"
+                    )
+                if form in index:
+                    self.more.append((index[form], s))
+                else:
+                    index[form] = len(index)
+                    self.first.append(s)
+        self.coeffs = coeffs = list(index)
+        sides = [({}, {}) for _ in range(chart.n_gon - 3)]
+        for r, row in enumerate(coeffs):
+            k = max(j for j, c in enumerate(row) if c)
+            a, front = (row[k - 1], row[:k - 1]) if k else (0, ())
+            sides[k][row[k] < 0].setdefault((a, abs(row[k])), []).append((r, front))
+        self.filed = [
+            tuple([(a, c, members) for (a, c), members in side.items()] for side in pair)
+            for pair in sides
+        ]
+        for k, (upper, lower) in enumerate(self.filed):
+            missing = [side for side, found in (("above", upper), ("below", lower)) if not found]
+            if missing:
+                raise InvariantViolation(
+                    f"chart {name!r} has no row bounding coordinate {k} "
+                    f"({diagonals[k].i}-{diagonals[k].j}) from {' or '.join(missing)}"
+                )
+
+    def floors(self, values: Sequence) -> list:
+        """Each row's right-hand side for the bounds ``values``, one per
+        diagonal: the least floor of the bounds of the row's forms."""
+        values = list(map(floor, values))
+        out = [values[s] for s in self.first]
+        for r, s in self.more:
+            if values[s] < out[r]:
+                out[r] = values[s]
+        return out
+
+
 class _CompiledChart:
-    """One chart's diagonal forms and exchange steps (read-only once built).
+    """One chart's diagonal forms, exchange steps and row table, all built
+    in ``__init__`` and read-only after.
 
     ``forms[k]`` holds the exponent vectors of the expansion of
     ``diagonals(n)[k]`` in the chart, read as linear forms; the polytope's
-    inequalities read them.  The same walk's exchange steps, as slots into
-    ``diagonals(n)`` with edges at the zero slot past the end, give a
-    batch of points' diagonal values one column per step.  ``rows`` is the
-    one field set later: the row table of the chart's forms
-    (``polytopes._RowTable``), which ``polytopes._scan_chart`` builds at
-    the chart's first scan.
+    inequalities read them, and ``rows`` is their row table
+    (``_RowTable``), which the scan reads.  The same walk's exchange steps,
+    as slots into ``diagonals(n)`` with edges at the zero slot past the
+    end, give a batch of points' diagonal values one column per step.
     """
 
     def __init__(self, chart: Triangulation):
         tables = _tables(chart.n_gon)
         slot = tables.slot
         self.chart = chart
-        self.rows = None
-        # the slot table's keys are ``diagonals(n)`` in order
-        self.forms, steps = _exchange_walk(tuple(slot), chart)
+        self.forms, steps = _exchange_walk(chart)
+        self.rows = _RowTable(self.forms, chart)
         zero = self._zero = len(slot)
 
         def pair(x, y):
@@ -227,12 +385,8 @@ class _CompiledChart:
              *pair(slot.get(b, zero), slot.get(d, zero)))
             for s, e, (a, c), (b, d) in steps
         )
-        # weight k is v[p] + v[q] - v[r] - v[t], the slots of the four
-        # weight getters at k
-        self._columns = tuple(
-            (*pair(p, q), *pair(r, t))
-            for p, q, r, t in zip(*(getter(range(zero + 1)) for getter in tables.weights))
-        )
+        # weight k is v[p] + v[q] - v[r] - v[t]
+        self._columns = tuple((*pair(p, q), *pair(r, t)) for p, q, r, t in tables.weights)
 
     def weights(self, points) -> list:
         """The weight tuples of the laminations at the given points, in

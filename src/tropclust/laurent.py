@@ -6,7 +6,8 @@ nonzero integer coefficients.  All arithmetic is exact; nothing here ever
 touches floats.  A basis function is a product of powers of chain sums
 (``basis.basis_laurent``).  There is no general division: the one the
 x-chart walk needs, by powers of (1 + X_k), runs fiber by fiber in
-``atlas``.  Chart coordinates run on exponent sets instead.
+``atlas``.  Chart coordinates run on exponent sets instead
+(``laminations._exchange_walk``).
 """
 from __future__ import annotations
 

@@ -143,6 +143,12 @@ class Triangulation:
         return out
 
 
+def _chart_text(tri: Triangulation) -> str:
+    """The chart's diagonals as text like ``1-3,1-4``, as ``--chart`` reads
+    them."""
+    return ",".join(f"{d.i}-{d.j}" for d in tri.sorted_diagonals())
+
+
 def fan_triangulation(n_gon: int) -> Triangulation:
     """The fan at vertex 1: diagonals {1,3}, {1,4}, ..., {1,N-1}."""
     check_polygon(n_gon)

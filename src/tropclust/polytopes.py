@@ -16,11 +16,11 @@ per-N quadruple rows (``weighted_graphs._tables``) in one pass.
 Lattice enumeration works per chart, compiled once per process for up to
 32 charts (``laminations._compiled``): a diagonal's coordinate is the max
 of the linear forms that the exponent vectors of its chart expansion
-(``atlas._exchange_walk``) give in the chart coordinates, so each bound
-splits into plain half-spaces with integer rows.  A compiled chart keeps
-the table of those rows (``_RowTable``), built at the chart's first scan.
-An integral point meets a bound on an integer row exactly when it meets
-the bound's floor, so a spec brings only one int per row: the least
+(``laminations._exchange_walk``) give in the chart coordinates, so each
+bound splits into plain half-spaces with integer rows.  A compiled chart
+keeps the table of those rows (``laminations._RowTable``), built with the
+chart.  An integral point meets a bound on an integer row exactly when it
+meets the bound's floor, so a spec brings only one int per row: the least
 floor of the row's bounds (``_RowTable.floors``).
 
 The scan fixes the coordinates in order and checks each row as soon as its
@@ -56,7 +56,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import floor, gcd, lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
@@ -360,72 +360,6 @@ def chart_inequalities(spec: StasheffSpec, chart: Triangulation) -> list[tuple]:
     ]
 
 
-class _RowTable:
-    """The rows of one chart's forms, without their bounds.
-
-    ``forms`` lists the forms of each diagonal of ``diagonals(N)``.
-    ``coeffs`` holds the distinct forms in the order they first come, each
-    a row.  ``first[r]`` is the diagonal of the first form on row r, and
-    ``more`` lists (r, diagonal) for every later form on a row.
-    ``filed[k]`` holds the rows whose last nonzero coordinate is k as two
-    lists, those with a positive coefficient c at k and those with a
-    negative one, c negated.  Each list groups its rows by (a, c), with a
-    the coefficient at k - 1 (0 at k = 0), as (a, c, members), and a member
-    is (r, front) with front the row's coefficients before k - 1 (see
-    ``_interval_scan``).
-
-    A zero form, or a coordinate that no row bounds on one side, raises
-    InvariantViolation: every depth of the scan must be bounded whatever
-    the bounds.
-    """
-
-    def __init__(self, forms: Sequence, chart: Triangulation):
-        diagonals = chart.sorted_diagonals()
-        name = ",".join(f"{d.i}-{d.j}" for d in diagonals)
-        index: dict[tuple, int] = {}
-        self.first = []
-        self.more = []
-        for s, group in enumerate(forms):
-            for form in group:
-                if not any(form):
-                    d = list(_tables(chart.n_gon).slot)[s]
-                    raise InvariantViolation(
-                        f"chart {name!r} has a zero form on diagonal {d.i}-{d.j}"
-                    )
-                if form in index:
-                    self.more.append((index[form], s))
-                else:
-                    index[form] = len(index)
-                    self.first.append(s)
-        self.coeffs = coeffs = list(index)
-        sides = [({}, {}) for _ in range(chart.n_gon - 3)]
-        for r, row in enumerate(coeffs):
-            k = max(j for j, c in enumerate(row) if c)
-            a, front = (row[k - 1], row[:k - 1]) if k else (0, ())
-            sides[k][row[k] < 0].setdefault((a, abs(row[k])), []).append((r, front))
-        self.filed = [
-            tuple([(a, c, members) for (a, c), members in side.items()] for side in pair)
-            for pair in sides
-        ]
-        for k, (upper, lower) in enumerate(self.filed):
-            missing = [side for side, found in (("above", upper), ("below", lower)) if not found]
-            if missing:
-                raise InvariantViolation(
-                    f"chart {name!r} has no row bounding coordinate {k} "
-                    f"({diagonals[k].i}-{diagonals[k].j}) from {' or '.join(missing)}"
-                )
-
-    def floors(self, values: Sequence) -> list:
-        """Each row's right-hand side for the bounds ``values``, one per
-        diagonal: the least floor of the bounds of the row's forms."""
-        values = list(map(floor, values))
-        out = [values[s] for s in self.first]
-        for r, s in self.more:
-            if values[s] < out[r]:
-                out[r] = values[s]
-        return out
-
-
 def coordinate_bounds(ineqs: Sequence[tuple], nvars: int):
     """Per-coordinate rational bounds [lo, hi] of the feasible region.
 
@@ -478,10 +412,6 @@ def _scan_chart(spec: StasheffSpec, chart: Triangulation) -> tuple:
         raise SizeMismatch("spec and chart live on different polygons")
     compiled = _compiled(chart)
     rows = compiled.rows
-    if rows is None:
-        # built at the chart's first scan, it lives as long as the chart
-        # stays in ``_compiled``
-        rows = compiled.rows = _RowTable(compiled.forms, chart)
     floors = rows.floors([v for _, v in spec.c])
     # a Stasheff spec has a vertex in every chart; any other spec may be
     # empty by a contradiction that the scan would meet only deep down
@@ -494,7 +424,7 @@ def _interval_scan(filed: list, floors: list) -> list:
     """The integral points that meet every row, sorted.
 
     ``floors`` holds each row's right-hand side, an int
-    (``_RowTable.floors``).  ``filed[k]`` holds
+    (``laminations._RowTable.floors``).  ``filed[k]`` holds
     the rows whose last nonzero coordinate is k (``_RowTable``): once the
     prefix a_0..a_{k-1} is fixed such a row bounds a_k to one side, a floor
     for a positive coefficient and a ceiling for a negative one, and every

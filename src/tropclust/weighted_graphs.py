@@ -86,9 +86,10 @@ class _Tables(NamedTuple):
       the indices of its crossing chords {p, r} and {q, s}, and the index
       pairs of the two ways of rerouting them, ({p, s}, {q, r}) and
       ({p, q}, {r, s}).
-    * ``weights`` holds four getters over diagonal values in slot order
-      with one extra 0 past them; weight k is the first two minus the last
-      two at k (see ``laminations``).
+    * ``weights`` holds one slot quadruple (p, q, r, t) per pair, slots
+      into the diagonal values in slot order with one extra 0 past them:
+      weight k is v[p] + v[q] - v[r] - v[t] at quadruple k (see
+      ``laminations``).
 
     The rows take O(N^4) room; ``_tables`` keeps at most 32 records.
     """
@@ -129,8 +130,7 @@ def _tables(n_gon: int) -> _Tables:
         a, b = sorted((wrap_vertex(a, n_gon), wrap_vertex(b, n_gon)))
         return slot.get((a, b), len(slot))
 
-    columns = zip(*((at(p, q), at(p - 1, q - 1), at(p, q - 1), at(p - 1, q)) for p, q in layout))
-    weights = tuple(itemgetter(*col) for col in columns)
+    weights = tuple((at(p, q), at(p - 1, q - 1), at(p, q - 1), at(p - 1, q)) for p, q in layout)
     return _Tables(layout, index, diags, slot, at_vertex, cuts, rows, weights)
 
 

@@ -1,9 +1,9 @@
 """Cluster variables expanded with coefficients: a reference for the chart walk.
 
 The library compiles a chart for the coordinate maps from exponent sets
-alone (``tropclust.atlas._exchange_walk``): it follows the exchange relation
-on crossing quadrilaterals, but keeps only each expansion's exponent
-vectors.  The tests check that route against the full expansion: every
+alone (``tropclust.laminations._exchange_walk``): it follows the exchange
+relation on crossing quadrilaterals, but keeps only each expansion's
+exponent vectors.  The tests check that route against the full expansion: every
 chart segment, diagonal or edge, gets its own variable, the edges frozen,
 and every other segment is written as a Laurent polynomial in them by the
 same exchange relation.  ``atlas_seed`` is the seed of a chart, read off
@@ -12,7 +12,8 @@ its triangles.  Nothing here is reached from the library.
 from __future__ import annotations
 
 from rational_oracle import variable
-from tropclust.atlas import Seed, _exit_quadrilateral, label_text
+from tropclust.atlas import Seed, label_text
+from tropclust.laminations import _exit_quadrilateral
 from tropclust.laurent import LaurentPolynomial
 from tropclust.polygon import Segment, Triangulation, edges as polygon_edges
 

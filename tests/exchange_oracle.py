@@ -6,14 +6,14 @@ weight tuples column by column, one pass over all the points per exchange
 step and per weight, with the edges' zero terms left out.  This module
 keeps the plain per-point arithmetic: fill the chart diagonals' values,
 apply v(s) = max(v(a) + v(c), v(b) + v(d)) - v(e) once per step with edges
-at 0, and read each weight as the inclusion-exclusion of four diagonal
-values.  Nothing here is reached from the library.
+at 0, and read each weight as the inclusion-exclusion
+v[p] + v[q] - v[r] - v[t] of four diagonal values, at the slot quadruples
+of ``weighted_graphs._tables(N).weights``.  Nothing here is reached from
+the library.
 """
 from __future__ import annotations
 
-from operator import add, sub
-
-from tropclust.atlas import _exchange_walk
+from tropclust.laminations import _exchange_walk
 from tropclust.polygon import Triangulation
 from tropclust.weighted_graphs import _normalize, _tables
 
@@ -25,8 +25,7 @@ def point_weights(chart: Triangulation, points) -> list:
     tables = _tables(chart.n_gon)
     slot = tables.slot
     zero = len(slot)
-    _, steps = _exchange_walk(tuple(slot), chart)
-    plus1, plus2, minus1, minus2 = tables.weights
+    _, steps = _exchange_walk(chart)
     out = []
     for point in points:
         v = [0] * (zero + 1)
@@ -36,6 +35,6 @@ def point_weights(chart: Triangulation, points) -> list:
             x = v[slot.get(a, zero)] + v[slot.get(c, zero)]
             y = v[slot.get(b, zero)] + v[slot.get(d, zero)]
             v[slot[s]] = max(x, y) - v[slot[e]]
-        w = map(sub, map(add, plus1(v), plus2(v)), map(add, minus1(v), minus2(v)))
+        w = (v[p] + v[q] - v[r] - v[t] for p, q, r, t in tables.weights)
         out.append(tuple(map(_normalize, w)))
     return out

@@ -25,6 +25,7 @@ from tropclust.laminations import (
     TropicalCoords,
     _CompiledChart,
     _compiled,
+    chart_change,
     chart_coords,
     lamination_from_coords,
     tropical_coordinate,
@@ -37,7 +38,7 @@ from tropclust.polygon import (
     flip,
     triangulations,
 )
-from tropclust import atlas, polytopes
+from tropclust import laminations, polytopes
 from tropclust.basis import product_expand
 from tropclust.polytopes import (
     StasheffSpec,
@@ -736,24 +737,31 @@ def test_compiled_chart_scan_matches_fourier_motzkin(monkeypatch):
 
 
 def test_scans_leave_the_compiled_chart_as_built(monkeypatch):
-    """Scanning A, B, an empty spec and A again on one chart gives A the
-    same points both times and leaves the chart's row table as it was
-    built.  A cold chart builds its row table once and an already compiled
-    one builds none.  The Stasheff specs A and B run no simplex; the empty
-    spec fails the quadruple criterion and runs one Farkas test."""
+    """A cold chart reached first through ``lamination_from_coords`` and
+    ``chart_change`` builds its row table once, at compile time.  Scanning
+    A, B, an empty spec and A again on it, then reading
+    ``chart_inequalities``, gives A the same points both times, builds no
+    row table and leaves every field of the compiled chart, the row table
+    included, as it was built.  The Stasheff specs A and B run no simplex;
+    the empty spec fails the quadruple criterion and runs one Farkas
+    test."""
     calls = Counter()
 
-    def counted(name):
-        real = getattr(polytopes, name)
+    def counted(module, name):
+        real = getattr(module, name)
 
         def wrapper(*args):
             calls[name] += 1
             return real(*args)
 
-        monkeypatch.setattr(polytopes, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("_RowTable", "_phase_one", "_phase_two", "_is_empty"):
-        counted(name)
+    counted(laminations, "_RowTable")
+    for name in ("_phase_one", "_phase_two", "_is_empty"):
+        counted(polytopes, name)
+
+    def state(compiled):
+        return {**vars(compiled), "rows": vars(compiled.rows)}
     rng = random.Random(2324)
     chart = flip(fan_triangulation(7), Segment(1, 4))[0]
     a = minkowski_spec([point(7, [rng.randint(-2, 2) for _ in range(4)]) for _ in range(2)])
@@ -761,20 +769,25 @@ def test_scans_leave_the_compiled_chart_as_built(monkeypatch):
     empty = StasheffSpec.of(7, {d: v - 1 for d, v in a.c})
     assert is_stasheff(a) and is_stasheff(b) and not is_stasheff(empty)
     _compiled.cache_clear()
-    first = _scan_chart(a, chart)[1]
+    coords = TropicalCoords.of(chart, dict.fromkeys(chart.sorted_diagonals(), 1))
+    lamination_from_coords(coords)
+    chart_change(coords, fan_triangulation(7))
     assert calls == {"_RowTable": 1}
-    rows = _compiled(chart).rows
-    built = copy.deepcopy(vars(rows))
+    compiled = _compiled(chart)
+    rows = compiled.rows
+    built = copy.deepcopy(state(compiled))
     calls.clear()
+    first = _scan_chart(a, chart)[1]
     assert len(_scan_chart(b, chart)[1]) > len(first) > 0
     assert calls == {}
     assert _scan_chart(empty, chart)[1] == []
     assert calls == {"_is_empty": 1, "_phase_one": 1, "_phase_two": 1}
     calls.clear()
     assert _scan_chart(a, chart)[1] == first
+    assert chart_inequalities(a, chart)
     assert calls == {}
-    assert _compiled(chart).rows is rows
-    assert vars(rows) == built
+    assert _compiled(chart) is compiled and compiled.rows is rows
+    assert state(compiled) == built
 
 
 @pytest.mark.parametrize("n_gon, k, low, high", [
@@ -821,7 +834,7 @@ def test_every_chart_bounds_every_depth_on_both_sides():
     assert len(charts) == 624
     charts += [fan_triangulation(n_gon) for n_gon in range(3, 21)]
     for chart in charts:
-        filed = polytopes._RowTable(_CompiledChart(chart).forms, chart).filed
+        filed = laminations._RowTable(_CompiledChart(chart).forms, chart).filed
         assert len(filed) == chart.n_gon - 3
         assert all(upper and lower for upper, lower in filed)
 
@@ -833,7 +846,7 @@ def test_forms_that_leave_a_depth_open_are_rejected():
     zero form, naming its diagonal."""
     fan = fan_triangulation(5)
     box = [[(1, 0)], [(-1, 0)], [(0, 1)], [(0, -1)], []]
-    assert polytopes._RowTable(box, fan).filed
+    assert laminations._RowTable(box, fan).filed
     for forms, k, side in [
         ([[(1, 0)], [(-1, 0)], [(0, 1)], [(1, 1)], []], 1, "below"),
         ([[(1, 0)], [(-1, 1)], [(0, -1)], [], []], 0, "below"),
@@ -844,11 +857,11 @@ def test_forms_that_leave_a_depth_open_are_rejected():
         with pytest.raises(InvariantViolation, match=(
             f"^chart '1-3,1-4' has no row bounding coordinate {k} \\({diagonal}\\) from {side}$"
         )):
-            polytopes._RowTable(forms, fan)
+            laminations._RowTable(forms, fan)
     with pytest.raises(InvariantViolation, match=(
         "^chart '1-3,1-4' has a zero form on diagonal 2-5$"
     )):
-        polytopes._RowTable([[(1, 0)], [(-1, 0)], [(0, 1)], [(0, -1), (0, 0)], []], fan)
+        laminations._RowTable([[(1, 0)], [(-1, 0)], [(0, 1)], [(0, -1), (0, 0)], []], fan)
 
 
 def sample(n_gon, k, seed):
@@ -918,13 +931,13 @@ def test_lattice_points_tropicalizes_each_segment_once(monkeypatch):
     every diagonal off the chart exactly once, and nothing else does.  The
     compile is kept, so a second call on an equal chart resolves nothing."""
     calls = []
-    resolve = atlas._exit_quadrilateral
+    resolve = laminations._exit_quadrilateral
 
     def counting(seg, tri, triangles):
         calls.append((seg, tri))
         return resolve(seg, tri, triangles)
 
-    monkeypatch.setattr(atlas, "_exit_quadrilateral", counting)
+    monkeypatch.setattr(laminations, "_exit_quadrilateral", counting)
     _compiled.cache_clear()
     chart = triangulations(6)[5]
     pts = lattice_points(const_spec(6, 3), chart)

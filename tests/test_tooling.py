@@ -203,3 +203,37 @@ def test_library_caches_are_bounded():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{line}" for line in _unbounded_caches(tree)]
     assert found == []
+
+
+_LATTICE_MODULES = ("polygon", "weighted_graphs", "laminations", "polytopes")
+_X_SIDE_MODULES = {"atlas", "laurent", "basis"}
+
+
+def _relative_imports(tree) -> list:
+    """(line, module) for each library module a relative import names:
+    ``from .m import x`` names m, and ``from . import m`` names m."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                found.append((node.lineno, node.module.partition(".")[0]))
+            else:
+                found += [(node.lineno, a.name) for a in node.names]
+    return found
+
+
+def test_lattice_modules_import_nothing_from_the_x_side():
+    """The lattice side (``polygon``, ``weighted_graphs``, ``laminations``,
+    ``polytopes``) compiles its charts from the tropical exchange relation
+    alone, so none of its modules has a relative import from the x side
+    (``atlas``, ``laurent``, ``basis``)."""
+    found = []
+    for name in _LATTICE_MODULES:
+        path = SOURCE / f"{name}.py"
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{line} imports {module}"
+            for line, module in _relative_imports(tree)
+            if module in _X_SIDE_MODULES
+        ]
+    assert found == []
