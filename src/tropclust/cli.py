@@ -17,11 +17,21 @@ scanned by ``lattice-points`` is always bounded.
 scan's coordinate vectors and the split tree's sorted leaves, turned into
 weight tuples in one batch, as ``verify-mthm`` reads them: no lamination
 object is built per point.
+
+Each subcommand and its options are declared once, in ``_COMMANDS``.
+``main`` reads a canonical argv (exact command and option names, each
+option at most once, no value starting with ``-``) straight from that
+table.  Help, usage errors, abbreviations, ``--opt=value`` and every other
+form go to the argparse tree that ``build_parser`` builds from the same
+table; argparse alone prints usage, help and errors.
 """
 from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Callable, Sequence
+from functools import lru_cache
+from typing import NamedTuple
 
 from . import jsonio
 from .atlas import mutate_seed
@@ -30,6 +40,7 @@ from .errors import BudgetExceeded, InputFormatError, TropclustError
 from .polygon import Segment, Triangulation, _chart_text, fan_triangulation
 from .polygon import triangulations as all_triangulations
 from .polytopes import (
+    _compile_and_scan,
     _scan_chart,
     is_nondegenerate,
     is_stasheff,
@@ -189,7 +200,7 @@ def _cmd_verify_mthm(args) -> int:
     # becomes a lamination; an integral lamination's cut masses are even
     fan = fan_triangulation(spec.n_gon)
     support = {tuple(x // 2 for x in key) for key, _, _ in leaves}
-    lattice = set(_scan_chart(spec, fan)[1])
+    lattice = set(_compile_and_scan(spec, fan)[1])
     if support == lattice:
         _emit(f"support = lattice points, {len(lattice)} elements\n", args.out)
         return EXIT_OK
@@ -222,76 +233,153 @@ def _cmd_mutate(args) -> int:
 # -- wiring -----------------------------------------------------------------
 
 
+class _Option(NamedTuple):
+    """One option of a subcommand: a value option reads the next token
+    through ``type`` (None keeps the text); a flag stores True."""
+
+    flag: str
+    dest: str
+    value: bool
+    help: str
+    type: Callable[[str], object] | None = None
+    required: bool = False
+    default: object = None
+
+
+class _Command(NamedTuple):
+    name: str
+    func: Callable[[argparse.Namespace], int]
+    help: str
+    options: tuple[_Option, ...]
+
+
+_OUT = _Option("--out", "out", True, "write output here instead of stdout")
+_BUDGET = _Option("--budget", "budget", True, "cap on expansion steps",
+                  type=_nonnegative_int, default=DEFAULT_BUDGET)
+
+
+def _infile(help_text: str) -> _Option:
+    return _Option("--in", "infile", True, help_text, required=True)
+
+
+# The one declaration of the subcommands, in help order; each command's
+# options in usage order.
+_COMMANDS = (
+    _Command("triangulations", _cmd_triangulations,
+             "list every complete triangulation chart", (
+                 _OUT,
+                 _Option("--n", "n", True, "rank; the polygon has n+3 vertices",
+                         type=_rank, required=True),
+             )),
+    _Command("support", _cmd_support, "expand a product of basis functions", (
+        _OUT,
+        _infile("points JSON file"),
+        _Option("--coeffs", "coeffs", False,
+                "include multiplicities, not just the support", default=False),
+        _BUDGET,
+    )),
+    _Command("minkowski", _cmd_minkowski,
+             "bounds of the Minkowski sum of the points' polytopes",
+             (_OUT, _infile("points JSON file"))),
+    _Command("check-stasheff", _cmd_check_stasheff,
+             "test the quadruple criterion for a polytope spec", (
+                 _OUT,
+                 _infile("spec JSON file"),
+                 _Option("--strict", "strict", False, "also test strict inequalities",
+                         default=False),
+             )),
+    _Command("lattice-points", _cmd_lattice_points,
+             "enumerate the integral points of a polytope", (
+                 _OUT,
+                 _infile("spec JSON file"),
+                 _Option("--chart", "chart", True, "chart like 1-3,1-4 (default: the fan)"),
+             )),
+    _Command("vertices", _cmd_vertices,
+             "the spec restricted to every complete triangulation",
+             (_OUT, _infile("spec JSON file"))),
+    _Command("export-chart", _cmd_export_chart,
+             "CSV of lattice points in one chart with a vertex flag", (
+                 _OUT,
+                 _infile("spec JSON file"),
+                 _Option("--chart", "chart", True, "chart like 1-3,1-4", required=True),
+                 _Option("--format", "format", True, "output format (csv)", default="csv"),
+             )),
+    _Command("verify-mthm", _cmd_verify_mthm,
+             "check support of a product against the Minkowski lattice points",
+             (_OUT, _infile("points JSON file"), _BUDGET)),
+    _Command("mutate", _cmd_mutate, "mutate a seed along a word", (
+        _OUT,
+        _Option("--seed", "seed", True, "seed JSON file", required=True),
+        _Option("--word", "word", True, "comma separated 1-based direction positions",
+                required=True),
+    )),
+)
+
+
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree of ``_COMMANDS``: the only code that prints usage,
+    help or errors."""
     parser = _Parser(prog="tropclust", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
-        p.add_argument("--out", help="write output here instead of stdout")
-        return p
-
-    p = add("triangulations", _cmd_triangulations,
-            "list every complete triangulation chart")
-    p.add_argument("--n", type=_rank, required=True,
-                   help="rank; the polygon has n+3 vertices")
-
-    p = add("support", _cmd_support,
-            "expand a product of basis functions")
-    p.add_argument("--in", dest="infile", required=True, help="points JSON file")
-    p.add_argument("--coeffs", action="store_true",
-                   help="include multiplicities, not just the support")
-    p.add_argument("--budget", type=_nonnegative_int, default=DEFAULT_BUDGET,
-                   help="cap on expansion steps")
-
-    p = add("minkowski", _cmd_minkowski,
-            "bounds of the Minkowski sum of the points' polytopes")
-    p.add_argument("--in", dest="infile", required=True, help="points JSON file")
-
-    p = add("check-stasheff", _cmd_check_stasheff,
-            "test the quadruple criterion for a polytope spec")
-    p.add_argument("--in", dest="infile", required=True, help="spec JSON file")
-    p.add_argument("--strict", action="store_true",
-                   help="also test strict inequalities")
-
-    p = add("lattice-points", _cmd_lattice_points,
-            "enumerate the integral points of a polytope")
-    p.add_argument("--in", dest="infile", required=True, help="spec JSON file")
-    p.add_argument("--chart", help="chart like 1-3,1-4 (default: the fan)")
-
-    p = add("vertices", _cmd_vertices,
-            "the spec restricted to every complete triangulation")
-    p.add_argument("--in", dest="infile", required=True, help="spec JSON file")
-
-    p = add("export-chart", _cmd_export_chart,
-            "CSV of lattice points in one chart with a vertex flag")
-    p.add_argument("--in", dest="infile", required=True, help="spec JSON file")
-    p.add_argument("--chart", required=True, help="chart like 1-3,1-4")
-    p.add_argument("--format", default="csv", help="output format (csv)")
-
-    p = add("verify-mthm", _cmd_verify_mthm,
-            "check support of a product against the Minkowski lattice points")
-    p.add_argument("--in", dest="infile", required=True, help="points JSON file")
-    p.add_argument("--budget", type=_nonnegative_int, default=DEFAULT_BUDGET,
-                   help="cap on expansion steps")
-
-    p = add("mutate", _cmd_mutate, "mutate a seed along a word")
-    p.add_argument("--seed", required=True, help="seed JSON file")
-    p.add_argument("--word", required=True,
-                   help="comma separated 1-based direction positions")
-
+    for command in _COMMANDS:
+        p = sub.add_parser(command.name, help=command.help)
+        p.set_defaults(func=command.func)
+        for o in command.options:
+            kind = {"type": o.type} if o.value else {"action": "store_true"}
+            p.add_argument(o.flag, dest=o.dest, required=o.required, default=o.default,
+                           help=o.help, **kind)
     return parser
 
 
-_PARSER: argparse.ArgumentParser | None = None
+def _read_canonical(argv: Sequence[str]) -> argparse.Namespace | None:
+    """The namespace ``build_parser()`` gives for a canonical argv, or None.
+
+    Canonical: an exact command name, then exact option strings of that
+    command, each at most once, every value option followed by one token
+    that does not start with ``-``, every required option given and every
+    typed value converted.  Anything else (help, abbreviations,
+    ``--opt=value``, repeats, extra tokens, bad values) is left to
+    argparse.  Never prints and never exits.
+    """
+    name = argv[0] if argv else None
+    command = next((c for c in _COMMANDS if c.name == name), None)
+    if command is None:
+        return None
+    given = {}
+    i, end = 1, len(argv)
+    while i < end:
+        option = next((o for o in command.options if o.flag == argv[i]), None)
+        if option is None or option.dest in given:
+            return None
+        if not option.value:
+            given[option.dest] = True
+            i += 1
+            continue
+        if i + 1 == end or argv[i + 1].startswith("-"):
+            return None
+        text = argv[i + 1]
+        try:
+            given[option.dest] = text if option.type is None else option.type(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        i += 2
+    if any(o.required and o.dest not in given for o in command.options):
+        return None
+    # argparse's order: the command, each option's dest, then set_defaults
+    args = argparse.Namespace(command=command.name)
+    for o in command.options:
+        setattr(args, o.dest, given.get(o.dest, o.default))
+    args.func = command.func
+    return args
 
 
 def main(argv=None) -> int:
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = build_parser()
-    args = _PARSER.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_canonical(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except InputFormatError as exc:

@@ -410,14 +410,23 @@ def _scan_chart(spec: StasheffSpec, chart: Triangulation) -> tuple:
     """
     if spec.n_gon != chart.n_gon:
         raise SizeMismatch("spec and chart live on different polygons")
-    compiled = _compiled(chart)
-    rows = compiled.rows
-    floors = rows.floors([v for _, v in spec.c])
     # a Stasheff spec has a vertex in every chart; any other spec may be
     # empty by a contradiction that the scan would meet only deep down
-    if any(x < 0 for x in _slacks(spec)) and _is_empty(rows.coeffs, floors, chart.n_gon - 3):
-        return compiled, []
-    return compiled, _interval_scan(rows.filed, floors)
+    if any(x < 0 for x in _slacks(spec)):
+        rows = _compiled(chart).rows
+        if _is_empty(rows.coeffs, rows.floors([v for _, v in spec.c]), chart.n_gon - 3):
+            return _compiled(chart), []
+    return _compile_and_scan(spec, chart)
+
+
+def _compile_and_scan(spec: StasheffSpec, chart: Triangulation) -> tuple:
+    """``_scan_chart`` past its checks, for a spec on the chart's polygon:
+    compile the chart, floor the bounds and scan.  A caller whose spec is
+    Stasheff by construction, such as a ``minkowski_spec``, calls it
+    directly, since the gate would pass it anyway."""
+    compiled = _compiled(chart)
+    rows = compiled.rows
+    return compiled, _interval_scan(rows.filed, rows.floors([v for _, v in spec.c]))
 
 
 def _interval_scan(filed: list, floors: list) -> list:

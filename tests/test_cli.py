@@ -2,7 +2,10 @@
 
 import json
 import random
+import shlex
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -597,3 +600,167 @@ def test_commands_write_what_the_reference_route_gives(tmp_path, capsys, n_gon):
             EXIT_OK, _export_reference(s, chart)
         )
     assert lattice_points(specs[2]) == []
+
+
+# Usage and help text as argparse prints it, recorded with Python 3.11's
+# argparse at COLUMNS=80: every subcommand's help and one of each kind of
+# usage error.
+USAGE_ARGVS = [
+    ["-h"],
+    *([name, "-h"] for name in (
+        "triangulations", "support", "minkowski", "check-stasheff", "lattice-points",
+        "vertices", "export-chart", "verify-mthm", "mutate",
+    )),
+    [],
+    ["support"],
+    ["mutate", "--seed", "s.json"],
+    ["export-chart", "--in", "s.json"],
+    ["support", "--in", "p.json", "--bogus"],
+    ["lattice-points", "--in", "s.json", "extra"],
+    ["no-such-command"],
+    ["support", "--in"],
+    ["support", "--in", "p.json", "--budget", "-5"],
+    ["verify-mthm", "--in", "p.json", "--budget", "x"],
+    ["verify-mthm", "--in=p.json", "--bu=-5"],
+    ["triangulations", "--n", "-1"],
+    ["triangulations", "--n", str(MAX_N_GON - 2)],
+    ["triangulations", "--n", "x"],
+]
+
+
+def _usage_transcript(capsys) -> str:
+    parts = []
+    for argv in USAGE_ARGVS:
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        captured = capsys.readouterr()
+        parts.append(
+            f"$ {shlex.join(['tropclust', *argv])}\nexit {info.value.code}\n"
+            f"--- stdout\n{captured.out}--- stderr\n{captured.err}"
+        )
+    return "".join(parts)
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="recorded with Python 3.11's argparse")
+def test_help_and_usage_errors_match_the_golden_transcript(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    golden = Path(__file__).parent / "golden" / "cli_usage.txt"
+    assert _usage_transcript(capsys) == golden.read_text(encoding="utf-8")
+
+
+# Values for the argv generator: per dest, ones that convert, and for every
+# value option some that do not or that argparse reads differently.
+GOOD_VALUES = {
+    "out": ["o.txt"], "infile": ["p.json"], "n": ["0", "2", str(MAX_N_GON - 3)],
+    "budget": ["0", "100"], "chart": ["1-3,1-4", ""], "format": ["csv", "tsv"],
+    "seed": ["s.json"], "word": ["1,2"],
+}
+ODD_VALUES = ["-5", "", "--", "a b", "x", "-h", str(MAX_N_GON - 2), "7", "--in", "-"]
+ODD_TOKENS = ["-h", "--help", "--bogus", "-x", "extra", "--", "support", "--in"]
+
+
+def _random_argv(rng) -> list:
+    """A seeded argv around one subcommand: mostly canonical, with
+    abbreviations, ``--opt=value``, repeats, odd values, help, unknown and
+    extra tokens, missing required options and bad command names mixed in."""
+    command = rng.choice(cli._COMMANDS)
+    name = command.name
+    if rng.random() < 0.04:
+        name = rng.choice(["no-such-command", "", "-h", "verify", command.name.upper()])
+    argv = [name]
+    options = list(command.options)
+    rng.shuffle(options)
+    for option in options:
+        if rng.random() < (0.04 if option.required else 0.4):
+            continue
+        for _ in range(2 if rng.random() < 0.05 else 1):
+            flag = option.flag
+            if rng.random() < 0.08 and len(flag) > 3:
+                flag = flag[:rng.randint(3, len(flag) - 1)]
+            if not option.value:
+                argv.append(flag + "=x" if rng.random() < 0.04 else flag)
+                continue
+            pool = GOOD_VALUES[option.dest] if rng.random() < 0.85 else ODD_VALUES
+            value = rng.choice(pool)
+            argv += [f"{flag}={value}"] if rng.random() < 0.06 else [flag, value]
+    if rng.random() < 0.1:
+        argv.insert(rng.randint(1, len(argv)), rng.choice(ODD_TOKENS))
+    return argv
+
+
+def _argparse_result(argv, capsys):
+    try:
+        return vars(cli.build_parser().parse_args(argv))
+    except SystemExit:
+        return None
+    finally:
+        capsys.readouterr()
+
+
+def test_table_reader_agrees_with_argparse(capsys):
+    """On 3000 seeded argvs over every subcommand the table reader returns
+    None wherever argparse exits, and otherwise None or argparse's exact
+    namespace, in argparse's attribute order."""
+    rng = random.Random(31)
+    counts = {"read": 0, "left to argparse": 0, "argparse exits": 0}
+    commands = set()
+    for _ in range(3000):
+        argv = _random_argv(rng)
+        got = cli._read_canonical(argv)
+        want = _argparse_result(argv, capsys)
+        if want is None:
+            assert got is None, argv
+            counts["argparse exits"] += 1
+        elif got is None:
+            counts["left to argparse"] += 1
+        else:
+            assert list(vars(got).items()) == list(want.items()), argv
+            counts["read"] += 1
+            commands.add(got.command)
+    assert commands == {c.name for c in cli._COMMANDS}
+    assert min(counts.values()) > 300, counts
+
+
+def test_table_reader_reads_every_benchmark_argv(capsys):
+    """Every argv shape that perfbench times is read from the table, to
+    argparse's namespace."""
+    for argv in (
+        ["verify-mthm", "--in", "in.json", "--out", "out.json"],
+        ["lattice-points", "--in", "in.json", "--out", "out.json"],
+        ["lattice-points", "--in", "in.json", "--out", "out.json", "--chart", "1-3,1-4"],
+        ["support", "--coeffs", "--in", "in.json", "--out", "out.json"],
+    ):
+        got = cli._read_canonical(argv)
+        assert got is not None, argv
+        assert list(vars(got).items()) == list(_argparse_result(argv, capsys).items())
+
+
+def test_console_script_reads_sys_argv(files, capsys, monkeypatch):
+    """``main()`` with no argv, as the console script calls it, reads
+    ``sys.argv``: a canonical argv through the table reader alone, an
+    ``--opt=value`` one through argparse, with the same output and code."""
+    points = str(files / "points.json")
+    want = run(["verify-mthm", "--in", points], capsys)
+    assert want[0] == EXIT_OK
+    monkeypatch.setattr(sys, "argv", ["tropclust", "verify-mthm", f"--in={points}"])
+    assert run(None, capsys) == want
+
+    def no_argparse():
+        raise AssertionError("a canonical argv reached argparse")
+
+    monkeypatch.setattr(cli, "build_parser", no_argparse)
+    monkeypatch.setattr(sys, "argv", ["tropclust", "verify-mthm", "--in", points])
+    assert run(None, capsys) == want
+
+
+def test_verify_mthm_skips_the_quadruple_check(files, capsys, monkeypatch):
+    """A Minkowski spec is Stasheff by construction, so ``verify-mthm``
+    scans it without the quadruple slacks of ``_scan_chart``'s gate."""
+    from tropclust import polytopes
+
+    def no_slacks(spec):
+        raise AssertionError("verify-mthm computed quadruple slacks")
+
+    monkeypatch.setattr(polytopes, "_slacks", no_slacks)
+    code, out = run(["verify-mthm", "--in", str(files / "points.json")], capsys)
+    assert (code, out) == (EXIT_OK, "support = lattice points, 2 elements\n")
