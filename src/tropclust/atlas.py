@@ -9,10 +9,14 @@ directions.
 The x-chart machinery lives here too:
 
 * ``expand_in_x_chart`` pushes a Laurent polynomial through a word of
-  mutations.  Each step splits it into fibers, the terms that agree off the
-  mutated direction k, and multiplies each fiber by its power of
-  (1 + X_k); a negative power is divided out by synthetic division, which
-  fails exactly when the result is not Laurent;
+  mutations.  A mutation at k turns each term into a new monomial times a
+  power of (1 + X_k), and both the power and the new X_k exponent are
+  dot products of the exponents with the sparse k-th exchange column.  So
+  the push kernel, ``_push``, takes the terms one at a time: a term with
+  power 0 moves, one with a positive power is multiplied out by a row of
+  binomials, and only the terms with a negative power are grouped into
+  fibers, the terms that agree off k, each divided by its power of
+  (1 + X_k).  That division fails exactly when the result is not Laurent;
 * ``mutation_words`` gives one mutation word per complete triangulation,
   so every chart can be reached deterministically;
 * ``x_chart_walk`` expands one polynomial in every chart of that atlas.
@@ -20,19 +24,19 @@ The x-chart machinery lives here too:
   walk reaches every chart from its parent's chart by a single mutation
   instead of replaying the whole word; ``expand_in_x_chart`` is its
   per-word reference.  What a mutation step reads of the seed (the
-  direction's position, its exchange column and that column's negative
-  parts) depends on the rank alone, so ``_walk_plan`` works it out once
-  per rank, with each word's parent slot; the walk then only runs the one
-  push kernel, ``_push``, on bare term dicts, and builds no seed.
+  direction's position and the nonzero entries of its exchange column,
+  split by sign, as ``_step`` gives them) depends on the rank alone, so
+  ``_walk_plan`` works it out once per rank, with each word's parent slot;
+  the walk then only runs ``_push`` on bare term dicts, and builds no
+  seed.
 """
 from __future__ import annotations
 
 import math
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -164,50 +168,85 @@ def mutate_seed(seed: Seed, k) -> Seed:
 
 def _step(seed: Seed, k) -> tuple:
     """What pushing through the mutation at k reads of the seed: the
-    position ki of k, the k-th column of the exchange matrix without entry
-    ki, and that column's negative parts."""
+    position ki of k and the k-th column of the exchange matrix as sparse
+    (position, entry) pairs over the full exponent tuple, split by sign
+    into its positive part ``rise`` and its negative part ``drop``, each
+    entry of ``drop`` negated.  The column's entry at ki is 0, so neither
+    part names ki."""
     ki = seed.index(k)
-    col = tuple(row[ki] for i, row in enumerate(seed.eps) if i != ki)
-    return ki, col, tuple(max(0, -c) for c in col)
+    col = [(i, row[ki]) for i, row in enumerate(seed.eps) if row[ki]]
+    return (
+        ki,
+        tuple((i, c) for i, c in col if c > 0),
+        tuple((i, -c) for i, c in col if c < 0),
+    )
 
 
-def _push(terms: dict, ki: int, col: tuple, drop: tuple) -> dict:
+def _push(terms: dict, ki: int, rise: tuple, drop: tuple) -> dict:
     """Rewrite the terms of a chart function in the chart mutated at ki.
 
-    Each old monomial becomes a new monomial times (1 + X_k)^e, and both the
-    new X_k exponent's offset and e depend only on the exponents off k.  So
-    the terms split into fibers, the terms that agree off k, and each fiber
-    is a Laurent polynomial in X_k times one power of (1 + X_k).  A positive
-    power is multiplied out; a negative one is divided out by repeated
-    synthetic division, which fails with NotDivisible exactly when the
-    function is not Laurent in the new chart.  A fiber whose power is 0
-    only moves; a one-term fiber needs no loop either: its positive power
-    is a row of binomials, and no nonzero monomial is divisible by 1 + X_k.
+    The old monomial X^e becomes a new monomial times (1 + X_k)^p, with
+    p = rise.e - drop.e and new X_k exponent drop.e - e_k: one product per
+    nonzero entry of the exchange column.  So each term is handled alone,
+    in one of three ways.  A term with p = 0 only moves.  A term with p > 0
+    is multiplied out by its row of binomials, summed into the result; sums
+    that cancel to 0 are dropped, which only a negative coefficient can
+    cause.  Terms with p < 0 are grouped into fibers, the terms that agree
+    off k (keyed by their exponents with -p in place of the k-th), and each
+    fiber, a Laurent polynomial in X_k, is divided by (1 + X_k)^(-p).  A
+    fiber c X_k^j (1 + X_k)^(-p) gives c X_k^j at once; any other goes
+    through repeated synthetic division, which fails with NotDivisible
+    exactly when the function is not Laurent in the new chart.
     """
-    fibers: defaultdict[tuple[int, ...], dict[int, int]] = defaultdict(dict)
-    for exps, coeff in terms.items():
-        fibers[exps[:ki] + exps[ki + 1 :]][-exps[ki]] = coeff
     out: dict[tuple[int, ...], int] = {}
-    for rest, fiber in fibers.items():
-        power = sum(map(mul, rest, col))
-        offset = sum(map(mul, rest, drop))
-        head, tail = rest[:ki], rest[ki:]
+    fibers: dict[tuple[int, ...], dict[int, int]] = {}
+    rows: dict[int, list[int]] = {}
+    signed = False
+    for exps, coeff in terms.items():
+        offset = 0
+        for i, c in drop:
+            offset += exps[i] * c
+        power = -offset
+        for i, c in rise:
+            power += exps[i] * c
+        j = offset - exps[ki]
+        cell = list(exps)
         if power == 0:
-            for j, c in fiber.items():
-                out[head + (offset + j,) + tail] = c
-            continue
-        if len(fiber) == 1:
-            if power < 0:
-                raise NotDivisible(f"not Laurent after mutating at {ki + 1}")
-            ((j, c),) = fiber.items()
-            for i in range(power + 1):
-                out[head + (offset + j + i,) + tail] = c * math.comb(power, i)
-            continue
+            cell[ki] = j
+            out[tuple(cell)] = coeff
+        elif power > 0:
+            row = rows.get(power) or rows.setdefault(
+                power, [math.comb(power, i) for i in range(power + 1)]
+            )
+            signed = signed or coeff < 0
+            for b in row:
+                cell[ki] = j
+                key = tuple(cell)
+                out[key] = out.get(key, 0) + coeff * b
+                j += 1
+        else:
+            cell[ki] = -power
+            fiber = fibers.get(key := tuple(cell))
+            if fiber is None:
+                fibers[key] = {j: coeff}
+            else:
+                fiber[j] = coeff
+    if signed:
+        for key in [key for key, c in out.items() if not c]:
+            del out[key]
+    for key, fiber in fibers.items():
+        depth = key[ki]
+        cell = list(key)
         low = min(fiber)
+        c = fiber[low]
+        if len(fiber) == depth + 1 and all(
+            fiber.get(low + i) == c * math.comb(depth, i) for i in range(1, depth + 1)
+        ):
+            cell[ki] = low
+            out[tuple(cell)] = c
+            continue
         coeffs = [fiber.get(j, 0) for j in range(low, max(fiber) + 1)]
-        for _ in range(power):
-            coeffs = [a + b for a, b in zip(coeffs + [0], [0] + coeffs)]
-        for _ in range(-power):
+        for _ in range(depth):
             quot, carry = [], 0
             for a in coeffs[:-1]:
                 carry = a - carry
@@ -215,9 +254,10 @@ def _push(terms: dict, ki: int, col: tuple, drop: tuple) -> dict:
             if carry != coeffs[-1]:
                 raise NotDivisible(f"not Laurent after mutating at {ki + 1}")
             coeffs = quot
-        for j, c in enumerate(coeffs, low + offset):
+        for j, c in enumerate(coeffs, low):
             if c:
-                out[head + (j,) + tail] = c
+                cell[ki] = j
+                out[tuple(cell)] = c
     return out
 
 
@@ -252,10 +292,12 @@ def _walk_plan(n: int) -> tuple:
     """The rank-n x-chart walk with the seeds worked out once.
 
     One entry per word of ``mutation_words(n)``, in that order:
-    (word, parent slot, ki, col, drop), where the parent slot is the
-    position of ``word[:-1]`` in the plan and (ki, col, drop) is what
-    ``_push`` needs for the parent's seed mutated at ``word[-1]``.  The
-    empty word comes first, with None in the last four fields.
+    (word, parent slot, ki, rise, drop), where the parent slot is the
+    position of ``word[:-1]`` in the plan and (ki, rise, drop) is what
+    ``_step`` reads of the parent's seed for the mutation at ``word[-1]``:
+    the direction's position and the sparse (position, entry) pairs of its
+    exchange column's positive and negated negative parts.  The empty word
+    comes first, with None in the last four fields.
     """
     seeds = [type_a_seed(n)]
     slots = {(): 0}
@@ -287,11 +329,11 @@ def x_chart_walk(f: LaurentPolynomial) -> Iterator[tuple[tuple, LaurentPolynomia
     yield (), f
     parents: dict[int, dict] = {}
     level: dict[int, dict] = {0: f.terms}
-    for slot, (word, parent, ki, col, drop) in enumerate(plan[1:], 1):
+    for slot, (word, parent, ki, rise, drop) in enumerate(plan[1:], 1):
         if parent not in parents:
             # the first word one letter longer: the level is complete
             parents, level = level, {}
-        terms = level[slot] = _push(parents[parent], ki, col, drop)
+        terms = level[slot] = _push(parents[parent], ki, rise, drop)
         yield word, LaurentPolynomial._trusted(names, terms)
 
 

@@ -5,8 +5,8 @@ exponent vectors (tuples of ints, one per variable, negatives allowed) to
 nonzero integer coefficients.  All arithmetic is exact; nothing here ever
 touches floats.  A basis function is a product of powers of chain sums
 (``basis.basis_laurent``).  There is no general division: the one the
-x-chart walk needs, by powers of (1 + X_k), runs fiber by fiber in
-``atlas``.  Chart coordinates run on exponent sets instead
+x-chart walk needs, by powers of (1 + X_k), runs on the fibers of
+``atlas._push``.  Chart coordinates run on exponent sets instead
 (``laminations._exchange_walk``).
 """
 from __future__ import annotations

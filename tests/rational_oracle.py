@@ -1,7 +1,8 @@
 """Rational functions and chart substitutions: a reference for the x-chart walk.
 
-The library pushes a Laurent polynomial through one mutation by synthetic
-division, fiber by fiber (``tropclust.atlas.expand_in_x_chart``).  The tests
+The library pushes a Laurent polynomial through one mutation term by term,
+dividing only the fibers of terms with a negative power of (1 + X_k) by
+synthetic division (``tropclust.atlas._push``).  The tests
 check that route against plain substitution: write the new chart coordinates
 in the old ones as subtraction-free rational functions, evaluate the
 polynomial at them, and divide out the denominator by multivariate division

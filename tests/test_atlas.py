@@ -341,14 +341,33 @@ PUSH_CASES = {
     "fibers, divisible": {(1, 0, 0): 1, (1, 1, 0): 1, (0, 0, 2): 1},
     "fibers, twice divisible": {(1, 0, -1): 1, (1, 1, -1): 2, (1, 2, -1): 1},
     "fibers, not divisible": {(1, 0, 0): 1, (1, 2, 0): 1},
+    "positive powers that cancel": {(0, 0, 1): 1, (0, -1, 1): -1, (0, 2, 1): 1},
+    "fiber c(1 + X2), c < 0": {(1, 0, 0): -3, (1, -1, 0): -3},
+    "fiber c(1 + X2)^2, c < 0": {(2, 0, 0): -2, (2, -1, 0): -4, (2, -2, 0): -2},
+    "binomial row off by one": {(2, 0, 0): 1, (2, -1, 0): 3, (2, -2, 0): 1},
+    "fiber (1 + X2)(1 + X2^2)": {(1, 0, 0): 1, (1, -1, 0): 1, (1, -2, 0): 1, (1, -3, 0): 1},
+    "zero, positive and negative powers": {
+        (0, 0, 0): 1,
+        (1, 2, 1): -1,
+        (0, 1, 1): 2,
+        (0, -2, 2): 1,
+        (1, 0, 0): 1,
+        (1, -1, 0): 1,
+        (2, 0, 0): 1,
+        (2, -1, 0): 3,
+        (2, -2, 0): 3,
+        (2, -3, 0): 1,
+    },
 }
 
 
 @pytest.mark.parametrize("terms", PUSH_CASES.values(), ids=PUSH_CASES.keys())
 def test_push_matches_rational_substitution(terms):
-    """The push kernel on one-term fibers at each sign of power and on
-    several-term fibers: the oracle's polynomial with no zero coefficient,
-    or NotDivisible from both."""
+    """The push kernel on single terms at each sign of power, on
+    positive-power terms whose sums cancel, on negative-power fibers that
+    are c(1 + X2)^m, that are divisible otherwise, and that are not
+    divisible, and on all of these at once: the oracle's polynomial with no
+    zero coefficient, or NotDivisible from both."""
     seed = type_a_seed(3)
     f = LaurentPolynomial(seed.x_names(), terms)
     back = x_substitution(mutate_seed(seed, 2), 2)
@@ -366,20 +385,23 @@ def test_push_matches_rational_substitution(terms):
 
 def test_walk_plan_matches_replaying_its_words():
     """Each plan entry holds its word's parent slot and what a push reads
-    of the parent's seed, replayed from the chain seed with mutate_seed."""
+    of the parent's seed, replayed from the chain seed with mutate_seed:
+    the position of the mutated direction and the nonzero entries of its
+    exchange column as (position, entry) pairs, positive ones in ``rise``
+    and negated negative ones in ``drop``, each in position order."""
     for n in range(2, 7):
         plan = _walk_plan(n)
         assert [entry[0] for entry in plan] == list(mutation_words(n).values())
         assert plan[0] == ((), None, None, None, None)
-        for word, parent, ki, col, drop in plan[1:]:
+        for word, parent, ki, rise, drop in plan[1:]:
             assert plan[parent][0] == word[:-1]
             seed = type_a_seed(n)
             for k in word[:-1]:
                 seed = mutate_seed(seed, k)
             column = [row[seed.labels.index(word[-1])] for row in seed.eps]
             assert ki == seed.labels.index(word[-1])
-            assert col == tuple(column[:ki] + column[ki + 1 :])
-            assert drop == tuple(max(0, -c) for c in col)
+            assert rise == tuple((i, c) for i, c in enumerate(column) if c > 0)
+            assert drop == tuple((i, -c) for i, c in enumerate(column) if c < 0)
 
 
 @st.composite
@@ -403,7 +425,7 @@ def chart_functions(draw):
 @settings(max_examples=80, deadline=None)
 @given(chart_functions())
 def test_fiber_division_matches_rational_substitution(case):
-    """One mutation step by fiber-wise division agrees with substituting the
+    """One mutation step through the push kernel agrees with substituting the
     old coordinates as rational functions and dividing out their
     denominator: the same polynomial, or NotDivisible from both."""
     seed, f = case

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from rational_oracle import evaluate_at, x_substitution
 from witness import basis_failed_rounds, failed_rounds
 from tropclust.atlas import (
+    _walk_plan,
     expand_in_x_chart,
     mutate_seed,
     mutation_words,
@@ -695,6 +696,28 @@ def test_x_chart_walk_matches_per_word_replay():
         assert [w for w, _ in walked] == list(mutation_words(len(f.vars)).values())
         for word, g in walked:
             assert g == expand_in_x_chart(f, word)
+
+
+def test_every_walk_step_matches_rational_substitution():
+    """Each chart of the walk is its parent chart with the parent's
+    coordinates written as rational functions of the new ones and the
+    denominator divided out: one check per ``_walk_plan`` step, none of it
+    through ``_push``.  On every hexagon basis function of the fan box
+    [-1, 1] and six seeded heptagon ones from that box; the oracle's
+    unreduced sums grow fast, so larger boxes take minutes."""
+    rng = random.Random(7)
+    laminations = [pt(6, vec) for vec in itertools.product(range(-1, 2), repeat=3)]
+    laminations += [pt(7, [rng.randint(-1, 1) for _ in range(4)]) for _ in range(6)]
+    for f in map(basis_laurent, laminations):
+        n = len(f.vars)
+        seeds = [type_a_seed(n)]
+        charts = [g for _, g in x_chart_walk(f)]
+        for slot, (word, parent, *_) in enumerate(_walk_plan(n)[1:], 1):
+            seed = seeds[parent]
+            seeds.append(mutate_seed(seed, word[-1]))
+            back = x_substitution(seeds[slot], word[-1])
+            substituted = evaluate_at(charts[parent], [back[label] for label in seed.labels])
+            assert substituted.as_laurent() == charts[slot]
 
 
 def test_one_mutation_step_matches_rational_substitution():
