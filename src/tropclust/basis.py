@@ -14,8 +14,10 @@ record ``_tables``, so a split is four index bumps.  The splits are taken
 in order of a fixed linear potential, each chord's weight times the number
 of rows through it: every split lowers it by a constant of its row and
 side, worked out once per row order, so a child's key is its parent's
-minus that constant.  Each vector's first crossing row is found from its
-parent's, not by a scan from the top.
+minus that constant.  Each pending vector carries two row bitmasks, the
+rows whose first chord and the rows whose second chord carry weight; their
+AND holds its crossing rows, and a split updates both in a few bit
+operations where a weight falls to or rises from zero.
 
 The leaves are wrapped as ``WeightedGraph``s and ``Lamination``s through
 the ``_trusted`` constructors, and the result as an ``Expansion`` through
@@ -158,20 +160,26 @@ def crossing_measure(graph: WeightedGraph) -> int:
 
 @lru_cache(maxsize=32)
 def _split_steps(rows: tuple) -> tuple:
-    """What ``_split_leaves`` reads per row, for one row order: the row's
-    two chords; each chord x through a row with cr(x), the number of rows
-    through it; and the row's split step, its two chords and per side the
-    two chords, each with its (row position, partner) list in row order,
-    and the drop cr(a) + cr(b) - cr(c) - cr(d) of the potential.
+    """What ``_split_leaves`` reads, for one row order: per chord x through
+    a row, (x, cr(x), first mask, second mask), where cr(x) counts the rows
+    through x and the masks have bit r set where x is row r's first, resp.
+    second, chord; and per row its split step, the two chords a and b, the
+    complements of their masks (first of a, second of a, first of b, second
+    of b) and per side the chords c and d, their masks (first of c, second
+    of c, first of d, second of d) and the drop cr(a) + cr(b) - cr(c) -
+    cr(d) of the potential.
 
     For the row of a quad p < q < r < s of an N-gon the drops are
     2 (q - p)(s - r) and 2 (r - q)(N - s + p), so every drop is at least 2;
     a table where one is not raises InvariantViolation."""
-    through: dict[int, list] = {}
+    cr: dict[int, int] = {}
+    first: dict[int, int] = {}
+    second: dict[int, int] = {}
     for pos, (a, b, _) in enumerate(rows):
-        through.setdefault(a, []).append((pos, b))
-        through.setdefault(b, []).append((pos, a))
-    cr = {x: len(via) for x, via in through.items()}
+        cr[a] = cr.get(a, 0) + 1
+        cr[b] = cr.get(b, 0) + 1
+        first[a] = first.get(a, 0) | 1 << pos
+        second[b] = second.get(b, 0) | 1 << pos
     steps = []
     for a, b, sides in rows:
         step = []
@@ -179,9 +187,12 @@ def _split_steps(rows: tuple) -> tuple:
             drop = cr[a] + cr[b] - cr.get(c, 0) - cr.get(d, 0)
             if drop <= 0:
                 raise InvariantViolation("a split must lower the potential")
-            step.append((c, tuple(through.get(c, ())), d, tuple(through.get(d, ())), drop))
-        steps.append((a, b, tuple(step)))
-    return tuple((a, b) for a, b, _ in rows), tuple(cr.items()), tuple(steps)
+            step.append((c, d, first.get(c, 0), second.get(c, 0),
+                         first.get(d, 0), second.get(d, 0), drop))
+        steps.append((a, b, ~first.get(a, 0), ~second.get(a, 0),
+                      ~first.get(b, 0), ~second.get(b, 0), tuple(step)))
+    chords = tuple((x, n, first.get(x, 0), second.get(x, 0)) for x, n in cr.items())
+    return chords, tuple(steps)
 
 
 def _split_leaves(v: tuple, rows: tuple, budget: int) -> dict:
@@ -202,79 +213,69 @@ def _split_leaves(v: tuple, rows: tuple, budget: int) -> dict:
     the leaves, their counts and the budget count, depend on the first-row
     rule alone, not on the order in which they are taken.
 
-    The first row is found from the parent's, not by a scan from the top.
-    Vectors carry its position in an extra slot (``len(rows)`` when there
-    is none), a function of the weights, so equal vectors still meet.  No
-    row before the parent's row r is loaded in the parent, and a child
-    gains weight only on c and d, which cross neither a nor b nor each
-    other.  So the child's first row is the smaller of two candidates: the
-    first row at or after r still loaded once a and b lose one, shared by
-    both children; and the first row through c or d whose other chord
-    carries weight, read off the parent from per-chord (position, partner)
-    lists in row order.  Only a chord that carried no weight before adds a
-    candidate: a row through a loaded chord that comes earlier than the
-    first one was not loaded, and its other chord has not changed.
+    The first row is read off two row bitmasks kept with each pending
+    vector, in a cell [count, F, S] under its weight tuple: F ORs the first
+    masks of the chords that carry weight and S their second masks, so
+    F & S has a bit for each row with both chords loaded, and its lowest
+    bit is the row to split.  A split changes the masks only where a weight
+    falls from 1 to 0 (a or b: its bits are cleared) or rises from 0 (c or
+    d: its masks are ORed in).  The masks are functions of the weights, so
+    equal vectors meet in one cell, and each vector in one bucket.  So the
+    budget counts a popped bucket's vectors at once: once the count passes
+    it, the vector numbered budget + 1 was due to be split.
     """
-    chords, potential, steps = _split_steps(rows)
-    ends = len(rows)
-    first = next((pos for pos, (a, b) in enumerate(chords) if v[a] and v[b]), ends)
-    if first == ends:
+    chords, steps = _split_steps(rows)
+    f = s = 0
+    for x, _, first, second in chords:
+        if v[x]:
+            f |= first
+            s |= second
+    if not f & s:
         return {v: 1}
-    buckets = {sum(v[x] * cr for x, cr in potential): {v + (first,): 1}}
+    buckets = {sum(v[x] * cr for x, cr, _, _ in chords): {v: [1, f, s]}}
     leaves: dict[tuple, int] = {}
     expanded = 0
     while buckets:
         key = max(buckets)
-        for node, count in buckets.pop(key).items():
-            expanded += 1
-            if expanded > budget:
-                raise BudgetExceeded(budget, expanded)
-            row = node[-1]
-            a, b, sides = steps[row]
-            if node[a] == 1 or node[b] == 1:
-                rest = list(node)
-                rest[a] -= 1
-                rest[b] -= 1
-                for row in range(row + 1, ends):
-                    x, y = chords[row]
-                    if rest[x] and rest[y]:
-                        break
-                else:
-                    row = ends
-            for c, via_c, d, via_d, drop in sides:
+        pending = buckets.pop(key)
+        expanded += len(pending)
+        if expanded > budget:
+            raise BudgetExceeded(budget, budget + 1)
+        for node, (count, f, s) in pending.items():
+            loaded = f & s
+            row = (loaded & -loaded).bit_length() - 1
+            a, b, not_fa, not_sa, not_fb, not_sb, sides = steps[row]
+            if node[a] == 1:
+                f &= not_fa
+                s &= not_sa
+            if node[b] == 1:
+                f &= not_fb
+                s &= not_sb
+            for c, d, fc, sc, fd, sd, drop in sides:
                 child = list(node)
                 child[a] -= 1
                 child[b] -= 1
                 child[c] += 1
                 child[d] += 1
-                # partners of c and d are neither a nor b, so the node holds
-                # their weights in the child
-                first = row
-                if not node[c]:
-                    for pos, x in via_c:
-                        if pos >= first:
-                            break
-                        if node[x]:
-                            first = pos
-                            break
-                if not node[d]:
-                    for pos, x in via_d:
-                        if pos >= first:
-                            break
-                        if node[x]:
-                            first = pos
-                            break
-                child[-1] = first
                 child = tuple(child)
-                if first == ends:
+                # c and d are neither a nor b: the node holds their weights
+                # before this split, and only a chord that was empty adds rows
+                child_f, child_s = f, s
+                if not node[c]:
+                    child_f |= fc
+                    child_s |= sc
+                if not node[d]:
+                    child_f |= fd
+                    child_s |= sd
+                if not child_f & child_s:
                     leaves[child] = leaves.get(child, 0) + count
                     continue
                 bucket = buckets.get(key - drop)
                 if bucket is None:
-                    buckets[key - drop] = {child: count}
+                    buckets[key - drop] = {child: [count, child_f, child_s]}
                 else:
-                    bucket[child] = bucket.get(child, 0) + count
-    return {leaf[:-1]: count for leaf, count in leaves.items()}
+                    bucket.setdefault(child, [0, child_f, child_s])[0] += count
+    return leaves
 
 
 def product_graph(points: Sequence[Lamination]) -> WeightedGraph:
@@ -316,9 +317,12 @@ def product_expand(
     the leaves of this splitting are laminations counted with multiplicity,
     listed by fan coordinates.  The result does not depend on which
     crossing is chosen; this one splits the lexicographically smallest
-    crossing quadruple.  ``budget`` caps the number of distinct graphs split
-    in this call; the count does not depend on earlier calls.
+    crossing quadruple.  ``budget``, a nonnegative int, caps the number of
+    distinct graphs split in this call; the count does not depend on
+    earlier calls.
     """
+    if not _is_int(budget) or budget < 0:
+        raise InvariantViolation(f"budget must be a nonnegative int, got {budget!r}")
     leaves = _sorted_leaves(points, budget)
     n = points[0].n_gon
     # Each split keeps every vertex mass and a leaf has no crossing row,
@@ -340,12 +344,12 @@ def a2_coefficient(d: Sequence[int], i: int, b: int, c: int) -> int:
     d = tuple(d)
     if len(d) != 5:
         raise SizeMismatch("need exactly five multiplicities")
-    if any(not isinstance(x, int) or x < 0 for x in d):
+    if any(not _is_int(x) or x < 0 for x in d):
         raise InvariantViolation("multiplicities must be nonnegative integers")
-    if not isinstance(i, int) or not 1 <= i <= 5:
+    if not _is_int(i) or not 1 <= i <= 5:
         raise InvariantViolation("sector index must be in 1..5")
-    if b < 0 or c < 0:
-        raise InvariantViolation("sector coordinates must be nonnegative")
+    if not _is_int(b) or not _is_int(c) or b < 0 or c < 0:
+        raise InvariantViolation("sector coordinates must be nonnegative integers")
 
     def at(j: int) -> int:
         return d[(j - 1) % 5]

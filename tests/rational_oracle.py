@@ -161,14 +161,21 @@ class RationalFunction:
 def evaluate_at(
     poly: LaurentPolynomial, assignment: Sequence[RationalFunction]
 ) -> RationalFunction:
-    """Plug rational values into a Laurent polynomial, one per variable."""
+    """Plug rational values into a Laurent polynomial, one per variable.
+
+    Each term's denominator is split into a monomial, folded into the
+    term's numerator, and a rest with no monomial factor; the numerators
+    over one rest are summed.  The sums are then added over the larger
+    denominator wherever one divides the other, so substituted charts keep
+    the denominator of their worst term, not the product of all of them.
+    """
     values = list(assignment)
     if len(values) != len(poly.vars):
         raise DimensionMismatch(
             f"{len(values)} values for {len(poly.vars)} variables"
         )
     target_vars = values[0].vars if values else ()
-    out = RationalFunction.from_poly(LaurentPolynomial(target_vars, {}))
+    sums: dict[LaurentPolynomial, LaurentPolynomial] = {}
     for exps, coeff in poly.terms_sorted():
         term = RationalFunction.from_poly(
             LaurentPolynomial.constant(target_vars, coeff)
@@ -176,7 +183,20 @@ def evaluate_at(
         for val, e in zip(values, exps):
             if e != 0:
                 term = term * val**e
-        out = out + term
+        low = [min(e[i] for e in term.den.terms) for i in range(len(target_vars))]
+        rest = LaurentPolynomial(target_vars, {
+            tuple(a - b for a, b in zip(e, low)): c for e, c in term.den.terms.items()
+        })
+        num = term.num * LaurentPolynomial(target_vars, {tuple(-b for b in low): 1})
+        sums[rest] = sums[rest] + num if rest in sums else num
+    out = RationalFunction.from_poly(LaurentPolynomial(target_vars, {}))
+    for den, num in sorted(sums.items(), key=lambda item: len(item[0].terms)):
+        try:
+            scale = exact_div(den, out.den)
+        except NotDivisible:
+            out = out + RationalFunction(num, den)
+        else:
+            out = RationalFunction(out.num * scale + num, den)
     return out
 
 

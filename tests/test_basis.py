@@ -301,7 +301,8 @@ def _reference_split_leaves(v, rows, budget):
 @pytest.mark.parametrize("n_gon", [5, 6, 7, 8, 9, 10])
 def test_incremental_measure_matches_the_from_scratch_split(n_gon):
     """Same leaves and counts as the from-scratch reference, with the rows
-    in either order, and the budget runs out at the same node."""
+    in order, reversed and shuffled, and the budget runs out at the same
+    node."""
     rng = random.Random(700 + n_gon)
     box = 2 if n_gon < 9 else 1
     for _ in range(3):
@@ -311,7 +312,9 @@ def test_incremental_measure_matches_the_from_scratch_split(n_gon):
         ]
         v = product_graph(points).w
         tables = _tables(n_gon)
-        for rows in (tables.rows, tables.rows[::-1]):
+        shuffled = list(tables.rows)
+        rng.shuffle(shuffled)
+        for rows in (tables.rows, tables.rows[::-1], tuple(shuffled)):
             leaves, nodes = _reference_split_leaves(v, rows, DEFAULT_BUDGET)
             assert _split_leaves(v, rows, nodes) == leaves
             for budget in {0, nodes // 2, max(nodes - 1, 0)} - {nodes}:
@@ -363,7 +366,11 @@ def test_split_leaves_pass_the_validating_constructors():
 
 def test_budget_message_at_the_boundary():
     """At one node short of the tree the message names both counts, as the
-    from-scratch reference counts them; the full budget succeeds."""
+    from-scratch reference counts them; the full budget succeeds.  A
+    budget that is not a nonnegative int is refused before any split."""
+    for budget in (-5, -1, True, 2.5, 3.0, "7", None):
+        with pytest.raises(InvariantViolation, match="budget"):
+            product_expand([UNITS[1], UNITS[3]], budget=budget)
     for points in _seeded_products(range(5, 10), 810, count=2):
         total = product_graph(points)
         _, nodes = _reference_split_leaves(total.w, _tables(total.n_gon).rows, DEFAULT_BUDGET)
@@ -625,6 +632,19 @@ def test_a2_coefficient_validation():
         a2_coefficient((1, 0, 0, 0, 0), 0, 0, 0)
     with pytest.raises(InvariantViolation):
         a2_coefficient((1, 0, 0, 0, 0), 1, -1, 0)
+    for args in (
+        ((True, 0, 0, 0, 0), 1, 0, 0),
+        ((1.0, 0, 0, 0, 0), 1, 0, 0),
+        ((1, 0, 0, 0, 0), True, 0, 0),
+        ((1, 0, 0, 0, 0), 2.0, 0, 0),
+        ((1, 0, 0, 0, 0), 1, 0.5, 0),
+        ((1, 0, 0, 0, 0), 1, False, 0),
+        ((1, 0, 0, 0, 0), 1, 0, 0.5),
+        ((1, 0, 0, 0, 0), 1, 0, True),
+        ((1, 0, 0, 0, 0), 1, Fraction(1), 0),
+    ):
+        with pytest.raises(InvariantViolation):
+            a2_coefficient(*args)
 
 
 def test_a2_coefficient_single_crossing():
@@ -703,12 +723,13 @@ def test_every_walk_step_matches_rational_substitution():
     coordinates written as rational functions of the new ones and the
     denominator divided out: one check per ``_walk_plan`` step, none of it
     through ``_push``.  On every hexagon basis function of the fan box
-    [-1, 1] and six seeded heptagon ones from that box; the oracle's
-    unreduced sums grow fast, so larger boxes take minutes."""
+    [-1, 1], six seeded heptagon ones from that box, and one heptagon
+    function from the box [-2, 2] whose charts reach 242 terms."""
     rng = random.Random(7)
     laminations = [pt(6, vec) for vec in itertools.product(range(-1, 2), repeat=3)]
     laminations += [pt(7, [rng.randint(-1, 1) for _ in range(4)]) for _ in range(6)]
-    for f in map(basis_laurent, laminations):
+    functions = [*map(basis_laurent, laminations), _seeded_basis_functions(7, 2, 71)[0]]
+    for f in functions:
         n = len(f.vars)
         seeds = [type_a_seed(n)]
         charts = [g for _, g in x_chart_walk(f)]

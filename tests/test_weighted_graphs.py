@@ -188,22 +188,36 @@ def test_cut_matches_a_boundary_walk_for_every_label_pair(n):
 @pytest.mark.parametrize("n", range(3, 16))
 def test_split_steps_lower_the_potential_by_the_closed_forms(n):
     """The number of rows through each pair is the number of chords
-    ``crosses`` reports, and the two split steps of the row of a quad
-    p < q < r < s lower the potential, each chord's weight times that
-    number, by 2 (q - p)(s - r) and 2 (r - q)(N - s + p)."""
+    ``crosses`` reports, each chord's two row masks name exactly the rows
+    where it is the first or the second chord, and the two split steps of
+    the row of a quad p < q < r < s carry those masks and lower the
+    potential, each chord's weight times that number, by 2 (q - p)(s - r)
+    and 2 (r - q)(N - s + p)."""
     tables = _tables(n)
-    _, potential, steps = _split_steps(tables.rows)
-    cr = dict(potential)
+    chords, steps = _split_steps(tables.rows)
+    cr = {x: count for x, count, _, _ in chords}
+    first = {x: mask for x, _, mask, _ in chords}
+    second = {x: mask for x, _, _, mask in chords}
     for k, pair in enumerate(tables.pairs):
         crossing = sum(crosses(Segment(*pair), Segment(*other)) for other in tables.pairs)
         assert cr.get(k, 0) == crossing
+        for masks, end in ((first, 0), (second, 1)):
+            named = {pos for pos in range(len(tables.rows)) if masks.get(k, 0) >> pos & 1}
+            assert named == {pos for pos, row in enumerate(tables.rows) if row[end] == k}
     quads = itertools.combinations(range(1, n + 1), 4)
-    for (p, q, r, s), (a, b, sides), row in zip(quads, steps, tables.rows, strict=True):
+    for (p, q, r, s), step, row in zip(quads, steps, tables.rows, strict=True):
+        a, b, not_fa, not_sa, not_fb, not_sb, sides = step
         assert (a, b) == row[:2]
-        for (c, _, d, _, drop), side, closed in zip(
+        assert (~not_fa, ~not_sa, ~not_fb, ~not_sb) == (
+            first.get(a, 0), second.get(a, 0), first.get(b, 0), second.get(b, 0)
+        )
+        for (c, d, fc, sc, fd, sd, drop), side, closed in zip(
             sides, row[2], (2 * (q - p) * (s - r), 2 * (r - q) * (n - s + p)), strict=True
         ):
             assert (c, d) == side
+            assert (fc, sc, fd, sd) == (
+                first.get(c, 0), second.get(c, 0), first.get(d, 0), second.get(d, 0)
+            )
             assert cr[a] + cr[b] - cr.get(c, 0) - cr.get(d, 0) == drop == closed
 
 
