@@ -27,8 +27,9 @@ The x-chart machinery lives here too:
   direction's position and the nonzero entries of its exchange column,
   split by sign, as ``_step`` gives them) depends on the rank alone, so
   ``_walk_plan`` works it out once per rank, with each word's parent slot;
-  the walk then only runs ``_push`` on bare term dicts, and builds no
-  seed.
+  the walk then only runs ``_push`` on bare term dicts, builds no seed,
+  and yields each chart as its bare exponent -> coefficient dict, with no
+  ``LaurentPolynomial`` around it.
 """
 from __future__ import annotations
 
@@ -310,15 +311,17 @@ def _walk_plan(n: int) -> tuple:
     return tuple(plan)
 
 
-def x_chart_walk(f: LaurentPolynomial) -> Iterator[tuple[tuple, LaurentPolynomial]]:
-    """Yield (word, expand_in_x_chart(f, word)) for every mutation word.
+def x_chart_walk(f: LaurentPolynomial) -> Iterator[tuple[tuple, dict]]:
+    """Yield (word, terms) for every mutation word, where terms is the
+    exponent -> coefficient dict of ``expand_in_x_chart(f, word)``.
 
     Words come from ``mutation_words(len(f.vars))`` in that dict's order.
     Every word's parent ``word[:-1]`` came before it, so each chart is one
     ``_push`` away from its parent's terms, along the rank's ``_walk_plan``.
     The words come breadth-first, so the walk only keeps the charts of the
-    last two word lengths.  Raises what ``expand_in_x_chart`` raises, at
-    the same word.
+    last two word lengths.  The dicts are the walk's own, the first one
+    ``f.terms``, and are not to be changed.  Raises what
+    ``expand_in_x_chart`` raises, at the same word.
     """
     names = tuple(map(x_variable_name, range(1, len(f.vars) + 1)))
     if f.vars != names:
@@ -326,7 +329,7 @@ def x_chart_walk(f: LaurentPolynomial) -> Iterator[tuple[tuple, LaurentPolynomia
             f"polynomial variables {f.vars} do not match seed chart {names}"
         )
     plan = _walk_plan(len(f.vars))
-    yield (), f
+    yield (), f.terms
     parents: dict[int, dict] = {}
     level: dict[int, dict] = {0: f.terms}
     for slot, (word, parent, ki, rise, drop) in enumerate(plan[1:], 1):
@@ -334,7 +337,7 @@ def x_chart_walk(f: LaurentPolynomial) -> Iterator[tuple[tuple, LaurentPolynomia
             # the first word one letter longer: the level is complete
             parents, level = level, {}
         terms = level[slot] = _push(parents[parent], ki, rise, drop)
-        yield word, LaurentPolynomial._trusted(names, terms)
+        yield word, terms
 
 
 @lru_cache(maxsize=32)
@@ -345,7 +348,8 @@ def mutation_words(n: int) -> dict:
     tracks the diagonal it currently labels, so words compose flips.
     Returned as {triangulation key: word tuple}, found breadth-first: the
     words are closed under prefixes, and every parent ``word[:-1]`` comes
-    before its children.
+    before its children.  The search skips the flip back to a chart's
+    parent, which is always found already.
     """
     n_gon = n + 3
     start = fan_triangulation(n_gon)
@@ -356,7 +360,10 @@ def mutation_words(n: int) -> dict:
     queue = deque([(start, start_labels, ())])
     while queue:
         tri, labels, word = queue.popleft()
+        back = word[-1] - 1 if word else -1  # the flip back to the parent
         for k in range(n):
+            if k == back:
+                continue
             new_tri, new_diag, _quad = flip(tri, labels[k])
             if new_tri.diagonals in seen:
                 continue

@@ -84,7 +84,7 @@ def basis_laurent(lam: Lamination) -> LaurentPolynomial:
     vertices in 1..k+1.  A 3-gon has no chart variables and raises
     InvariantViolation, as ``type_a_seed(0)`` does.
     """
-    if not lam.graph.is_integral():
+    if lam.domain != "int":
         raise NonIntegral("basis functions are indexed by integral laminations")
     names, chains = _fan_chains(lam.n_gon)
     b = [0] * len(names)
@@ -370,6 +370,9 @@ def a2_coefficient(d: Sequence[int], i: int, b: int, c: int) -> int:
 
 
 def verify_positive_basis(lam: Lamination) -> bool:
-    """Check that a basis function stays a nonnegative Laurent polynomial
-    in every chart of the atlas."""
-    return all(g.is_positive() for _, g in x_chart_walk(basis_laurent(lam)))
+    """Check that a basis function stays a Laurent polynomial with positive
+    coefficients in every chart of the atlas, reading each chart's bare
+    term dict off ``x_chart_walk``."""
+    return all(
+        min(terms.values()) > 0 for _, terms in x_chart_walk(basis_laurent(lam)) if terms
+    )

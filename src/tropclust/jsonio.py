@@ -22,7 +22,10 @@ the int and a closing bracket per nonzero weight.  ``dumps`` over
 byte for byte, and an int past the interpreter's digit limit raises the
 reference's error.
 
-A lamination's domain follows from its weights, so ``lamination_from_json``
+Documents are decoded in one pass: each entry goes straight to its slot
+through the per-N tables, and each check runs once, with the messages and
+in the order of the validating constructors, which are not run again.  A
+lamination's domain follows from its weights, so ``lamination_from_json``
 is the only code that reads a document's ``"domain"`` tag: a ``"rat"``
 document whose weights are all integers reads as integral, and an
 ``"int"`` document with a fractional weight is refused before the
@@ -38,11 +41,12 @@ from json.encoder import encode_basestring_ascii
 
 from .atlas import Seed
 from .basis import Expansion
-from .errors import InputFormatError, NotALamination
-from .laminations import Lamination, TropicalCoords
+from .errors import InputFormatError, NotALamination, SizeMismatch
+from .laminations import Lamination, TropicalCoords, _check_curves, _domain
 from .polygon import Segment, check_polygon
-from .polytopes import StasheffSpec
-from .weighted_graphs import WeightedGraph, _is_int, _is_number, _normalize, _tables
+from .polytopes import _MISMATCH, StasheffSpec
+from .weighted_graphs import WeightedGraph, _check_diagonals, _is_int, _is_number
+from .weighted_graphs import _normalize, _tables
 
 FORMAT = 1
 
@@ -131,17 +135,17 @@ def graph_to_json(graph: WeightedGraph) -> dict:
     return {"format": FORMAT, "n_gon": graph.n_gon, "weights": weights}
 
 
-def graph_from_json(doc) -> WeightedGraph:
-    """The graph of a document, each entry decoded once.
+def _graph_from_json(doc) -> WeightedGraph:
+    """The graph of a lamination document, each entry decoded once.
 
     An ``[i, j, w]`` entry goes straight to its slot through the per-N
     pair index.  A pair the index lacks has equal labels, which ``Segment``
     refuses at once, or a label off the polygon (or a polygon under three
     vertices), which is refused once every entry has been read, so faults
     come in the same order as when each entry was a validated segment.
-    The graph and its weights are then checked once, by ``WeightedGraph``.
+    The decoded weights are exact numbers, one per pair, so of the checks
+    of ``WeightedGraph`` only the diagonals' signs are left to run.
     """
-    _check_document(doc, "graph")
     n_gon = _n_gon_field(doc, "graph")
     raw = doc.get("weights")
     _require(isinstance(raw, list), "graph: 'weights' must be a list")
@@ -165,7 +169,7 @@ def graph_from_json(doc) -> WeightedGraph:
         if type(key) is Segment:
             key.validate(n_gon)
         w[key] = x
-    return WeightedGraph(n_gon, tuple(w))
+    return WeightedGraph._trusted(n_gon, _check_diagonals(n_gon, tuple(w)))
 
 
 def lamination_to_json(lam: Lamination) -> dict:
@@ -176,12 +180,14 @@ def lamination_to_json(lam: Lamination) -> dict:
 
 def lamination_from_json(doc) -> Lamination:
     _check_document(doc, "lamination")
-    domain = doc.get("domain", "int")
-    _require(domain in ("int", "rat"), f"lamination: bad domain {domain!r}")
-    graph = graph_from_json(doc)
-    if domain == "int" and not graph.is_integral():
+    tag = doc.get("domain", "int")
+    _require(tag in ("int", "rat"), f"lamination: bad domain {tag!r}")
+    graph = _graph_from_json(doc)
+    domain = _domain(graph)
+    if tag == "int" and domain != "int":
         raise NotALamination("integral domain but fractional weights")
-    return Lamination(graph)
+    _check_curves(graph)
+    return Lamination._trusted(graph, domain)
 
 
 def points_to_json(points) -> dict:
@@ -216,16 +222,33 @@ def spec_to_json(spec: StasheffSpec) -> dict:
 
 
 def spec_from_json(doc) -> StasheffSpec:
+    """The spec of a document, each ``[i, j, c]`` entry put straight in its
+    diagonal's slot.  Faults come as ``StasheffSpec`` over validated
+    segments gives them: a pair with equal labels at once, an edge, a label
+    off the polygon, a repeated or a missing diagonal once every entry has
+    been read and the polygon checked."""
     _check_document(doc, "spec")
     n_gon = _n_gon_field(doc, "spec")
     raw = doc.get("c")
     _require(isinstance(raw, list), "spec: 'c' must be a list")
-    items = []
+    slot = _tables(n_gon).slot if n_gon >= 3 else {}
+    keys, bounds = [], []
     for item in raw:
         _require(isinstance(item, list) and len(item) == 3,
                  "spec: bound entries must be [i, j, c] triples")
-        items.append((_segment_from_json(item[:2], "spec"), number_from_json(item[2])))
-    return StasheffSpec(n_gon, tuple(items))
+        i, j, x = item
+        if type(i) is not int or type(j) is not int:
+            _segment_from_json(item[:2], "spec")
+        key = slot.get((i, j) if i < j else (j, i))
+        if key is None:
+            Segment(i, j)  # refuses equal labels
+        keys.append(key)
+        bounds.append(x if type(x) is int else number_from_json(x))
+    check_polygon(n_gon)
+    by_slot = dict(zip(keys, bounds))
+    if None in by_slot or len(by_slot) != len(keys) or len(keys) != len(slot):
+        raise SizeMismatch(_MISMATCH)
+    return StasheffSpec._trusted(n_gon, tuple((d, by_slot[x]) for d, x in slot.items()))
 
 
 # -- expansions ---------------------------------------------------------------

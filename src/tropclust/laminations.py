@@ -76,6 +76,25 @@ def _domain(graph: WeightedGraph) -> str:
     return "int" if graph.is_integral() else "rat"
 
 
+def _check_curves(g: WeightedGraph) -> None:
+    """Refuse a graph with two crossing loaded diagonals or a vertex of
+    nonzero mass, in that order: what makes a graph a lamination."""
+    tables = _tables(g.n_gon)
+    w = g.w
+    loaded = [tables.pairs[k] for k in tables.diagonals if w[k]]
+    # Loaded diagonals come sorted, so (a, b) after (i, j) has i <= a
+    # and crosses it exactly when i < a < j < b; none from a >= j on.
+    for x, (i, j) in enumerate(loaded):
+        for a, b in loaded[x + 1:]:
+            if a >= j:
+                break
+            if i < a and j < b:
+                raise NotALamination(f"diagonals {Segment(i, j)} and {Segment(a, b)} cross")
+    for p, mass in enumerate(g.vertex_masses(), start=1):
+        if mass != 0:
+            raise NotALamination(f"vertex {p} has nonzero total weight")
+
+
 @dataclass(frozen=True)
 class Lamination:
     """A weighted graph that encodes a measured system of disjoint curves.
@@ -88,22 +107,8 @@ class Lamination:
     domain: str = field(init=False, compare=False)
 
     def __post_init__(self):
-        g = self.graph
-        object.__setattr__(self, "domain", _domain(g))
-        tables = _tables(g.n_gon)
-        w = g.w
-        loaded = [tables.pairs[k] for k in tables.diagonals if w[k]]
-        # Loaded diagonals come sorted, so (a, b) after (i, j) has i <= a
-        # and crosses it exactly when i < a < j < b; none from a >= j on.
-        for x, (i, j) in enumerate(loaded):
-            for a, b in loaded[x + 1:]:
-                if a >= j:
-                    break
-                if i < a and j < b:
-                    raise NotALamination(f"diagonals {Segment(i, j)} and {Segment(a, b)} cross")
-        for p, mass in enumerate(g.vertex_masses(), start=1):
-            if mass != 0:
-                raise NotALamination(f"vertex {p} has nonzero total weight")
+        object.__setattr__(self, "domain", _domain(self.graph))
+        _check_curves(self.graph)
 
     @classmethod
     def _trusted(cls, graph: WeightedGraph, domain: str | None = None) -> "Lamination":

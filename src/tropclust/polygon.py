@@ -217,30 +217,22 @@ def flip(tri: Triangulation, diag: Segment):
     and {quad[1], quad[3]}, in one order or the other.  A flip of a valid
     triangulation is one, so the result is not checked again.
     """
-    if diag not in tri.diagonals:
+    members = tri.diagonals
+    if diag not in members:
         raise NotADiagonal(f"{diag} is not a diagonal of this triangulation")
-    # the apexes of the two triangles on diag are the common neighbours of
-    # its endpoints along edges and member diagonals: every 3-cycle of a
-    # triangulated convex polygon is a face
+    # The new diagonal joins the apexes of the two triangles on diag =
+    # {i, j}.  Each is the neighbour of i, along an edge or a member
+    # diagonal, nearest to j on its side, since a chord from i to a vertex
+    # between it and j would cross the triangle's side at j.  Each search
+    # ends at i's boundary neighbour, so only i's chords near j are looked up.
     n = tri.n_gon
     i, j = diag
-    near_i = {i % n + 1, (i - 2) % n + 1}
-    near_j = {j % n + 1, (j - 2) % n + 1}
-    for a, b in tri.diagonals:
-        if a == i:
-            near_i.add(b)
-        elif b == i:
-            near_i.add(a)
-        if a == j:
-            near_j.add(b)
-        elif b == j:
-            near_j.add(a)
-    apexes = near_i & near_j
-    if len(apexes) != 2:
-        raise InvariantViolation("diagonal does not bound exactly two triangles")
-    new_diag = Segment(*apexes)
-    quad = tuple(sorted((i, j, *apexes)))
-    if {diag, new_diag} != {(quad[0], quad[2]), (quad[1], quad[3])}:
-        raise InvariantViolation("a flip must swap the two diagonals of a quadrilateral")
-    new_tri = Triangulation._trusted(n, (tri.diagonals - {diag}) | {new_diag})
-    return new_tri, new_diag, quad
+    for a in range(j - 1, i, -1):
+        if (i, a) in members:
+            break
+    for b in (*range(j + 1, n + 1), *range(1, i)):
+        if ((i, b) if i < b else (b, i)) in members:
+            break
+    new_diag = Segment(a, b)
+    quad = (i, a, j, b) if j < b else (b, i, a, j)
+    return Triangulation._trusted(n, (members - {diag}) | {new_diag}), new_diag, quad

@@ -85,6 +85,9 @@ from .polygon import (
 from .weighted_graphs import WeightedGraph, _is_number, _tables
 
 
+_MISMATCH = "spec must bound every diagonal exactly once"
+
+
 @dataclass(frozen=True)
 class StasheffSpec:
     """One exact bound per diagonal of the polygon."""
@@ -98,7 +101,7 @@ class StasheffSpec:
         vals = _diagonal_values(
             self.c,
             tuple(_tables(self.n_gon).slot),
-            "spec must bound every diagonal exactly once",
+            _MISMATCH,
             "bounds must be exact numbers",
         )
         object.__setattr__(self, "c", vals)

@@ -37,9 +37,6 @@ from .polygon import Segment, check_polygon
 Number = int | Fraction
 
 
-_NUMBER_TYPES = frozenset((int, Fraction))
-
-
 def _is_number(x) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
@@ -140,6 +137,17 @@ def _fan_cuts(n_gon: int) -> tuple:
     return _tables(n_gon).cuts[1:n_gon - 2]
 
 
+def _check_diagonals(n_gon: int, w: tuple) -> tuple:
+    """Return ``w`` unless a diagonal weight is negative: the last check of
+    a graph, once its polygon, length and entries are known to be valid."""
+    tables = _tables(n_gon)
+    for k in tables.diagonals:
+        if w[k] < 0:
+            i, j = tables.pairs[k]
+            raise InvariantViolation(f"negative weight on diagonal ({i},{j})")
+    return w
+
+
 @dataclass(frozen=True)
 class WeightedGraph:
     """Weights over the segments of an N-gon, one per pair of ``pairs(N)``."""
@@ -153,13 +161,9 @@ class WeightedGraph:
         w = tuple(self.w)
         if len(w) != len(tables.pairs):
             raise InvariantViolation(f"need {len(tables.pairs)} weights, one per vertex pair")
-        # the type set is a shortcut for the common case, not a weaker test
-        if not set(map(type, w)) <= _NUMBER_TYPES and not all(map(_is_number, w)):
+        if not all(map(_is_number, w)):
             raise InvariantViolation("weights must be ints or Fractions")
-        for k in tables.diagonals:
-            if w[k] < 0:
-                i, j = tables.pairs[k]
-                raise InvariantViolation(f"negative weight on diagonal ({i},{j})")
+        _check_diagonals(self.n_gon, w)
         object.__setattr__(self, "w", w)
 
     # -- constructors ------------------------------------------------------

@@ -1,6 +1,7 @@
 """Seeds, mutations, chart expansions, and the x-chart walk."""
 
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -288,6 +289,36 @@ def test_mutation_words_replay_to_their_charts():
         assert cur == tri
 
 
+def _reference_mutation_words(n):
+    """``mutation_words(n)`` by a breadth-first search of its own: each flip
+    joins the apexes of the triangles on the old diagonal, read off
+    ``Triangulation.triangles``, builds a checked triangulation, and every
+    direction is tried, the flip back to the parent too."""
+    start = fan_triangulation(n + 3)
+    words = {start.key(): ()}
+    queue = deque([(start, tuple(start.sorted_diagonals()), ())])
+    while queue:
+        tri, labels, word = queue.popleft()
+        triangles = tri.triangles()
+        for k, d in enumerate(labels):
+            apexes = {v for t in triangles if set(d) <= set(t) for v in t} - set(d)
+            new_diag = Segment(*apexes)
+            new = Triangulation(n + 3, (tri.diagonals - {d}) | {new_diag})
+            if new.key() not in words:
+                words[new.key()] = word + (k + 1,)
+                queue.append((new, labels[:k] + (new_diag,) + labels[k + 1:], word + (k + 1,)))
+    return words
+
+
+def test_mutation_words_match_a_reference_search():
+    """Same keys, words and dict order as a search that flips through the
+    triangle list, and every key is a tuple of ``Segment``s."""
+    for n in range(1, 8):
+        words = mutation_words(n)
+        assert list(words.items()) == list(_reference_mutation_words(n).items())
+        assert all(type(d) is Segment for key in words for d in key)
+
+
 def test_expand_in_x_chart_identity_word():
     s = type_a_seed(2)
     f = variable(s.x_names(), "X1") + 1
@@ -322,8 +353,8 @@ def test_x_chart_walk_raises_where_the_replay_raises():
     words = list(mutation_words(3).values())
     walked = []
     with pytest.raises(NotDivisible):
-        for word, g in x_chart_walk(f):
-            assert g == expand_in_x_chart(f, word)
+        for word, terms in x_chart_walk(f):
+            assert terms == expand_in_x_chart(f, word).terms
             walked.append(word)
     assert walked == words[: len(walked)] == [(), (1,)]
     with pytest.raises(NotDivisible):

@@ -708,14 +708,16 @@ def _seeded_basis_functions(n_gon, count, seed):
 
 
 def test_x_chart_walk_matches_per_word_replay():
-    """Reaching each chart from its parent's chart gives what replaying the
-    whole word from the chain seed gives, in mutation_words order."""
+    """Reaching each chart from its parent's chart gives the term dict that
+    replaying the whole word from the chain seed gives, in mutation_words
+    order."""
     functions = _seeded_basis_functions(6, 10, 6) + _seeded_basis_functions(7, 3, 7)
     for f in functions + _seeded_basis_functions(8, 2, 8):
         walked = list(x_chart_walk(f))
         assert [w for w, _ in walked] == list(mutation_words(len(f.vars)).values())
-        for word, g in walked:
-            assert g == expand_in_x_chart(f, word)
+        for word, terms in walked:
+            assert type(terms) is dict
+            assert terms == expand_in_x_chart(f, word).terms
 
 
 def test_every_walk_step_matches_rational_substitution():
@@ -732,7 +734,7 @@ def test_every_walk_step_matches_rational_substitution():
     for f in functions:
         n = len(f.vars)
         seeds = [type_a_seed(n)]
-        charts = [g for _, g in x_chart_walk(f)]
+        charts = [LaurentPolynomial(f.vars, terms) for _, terms in x_chart_walk(f)]
         for slot, (word, parent, *_) in enumerate(_walk_plan(n)[1:], 1):
             seed = seeds[parent]
             seeds.append(mutate_seed(seed, word[-1]))

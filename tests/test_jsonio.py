@@ -15,16 +15,18 @@ from tropclust.errors import (
     InvalidPolygon,
     InvalidVertex,
     InvariantViolation,
+    NotALamination,
+    SizeMismatch,
 )
 from tropclust.jsonio import (
     FORMAT,
     MAX_N_GON,
+    _graph_from_json,
     _n_gon_field,
     coords_to_json,
     dumps,
     expansion_from_json,
     expansion_to_json,
-    graph_from_json,
     graph_to_json,
     lamination_from_json,
     lamination_to_json,
@@ -77,23 +79,23 @@ def test_graph_roundtrip():
     )
     doc = graph_to_json(g)
     assert doc["format"] == FORMAT
-    assert graph_from_json(doc) == g
+    assert _graph_from_json(doc) == g
 
 
 def test_graph_rejects_duplicates_and_junk():
     base = {"format": FORMAT, "n_gon": 5}
     with pytest.raises(InputFormatError):
-        graph_from_json({**base, "weights": [[1, 3, 1], [3, 1, 2]]})
+        lamination_from_json({**base, "weights": [[1, 3, 1], [3, 1, 2]]})
     with pytest.raises(InputFormatError):
-        graph_from_json({**base, "weights": [[1, 3]]})
+        lamination_from_json({**base, "weights": [[1, 3]]})
     with pytest.raises(InputFormatError):
-        graph_from_json({**base, "weights": "nope"})
+        lamination_from_json({**base, "weights": "nope"})
     with pytest.raises(InputFormatError):
-        graph_from_json({"n_gon": 5, "weights": []})  # missing format
+        lamination_from_json({"n_gon": 5, "weights": []})  # missing format
     with pytest.raises(InputFormatError):
-        graph_from_json({"format": 2, "n_gon": 5, "weights": []})
+        lamination_from_json({"format": 2, "n_gon": 5, "weights": []})
     with pytest.raises(InputFormatError):
-        graph_from_json([1, 2, 3])
+        lamination_from_json([1, 2, 3])
 
 
 def test_format_must_be_the_integer_one():
@@ -103,7 +105,6 @@ def test_format_must_be_the_integer_one():
     lam = lamination_to_json(pt(5, (1, -1)))
     seed = seed_to_json(type_a_seed(2))
     for read, doc in (
-        (graph_from_json, lam),
         (lamination_from_json, lam),
         (spec_from_json, spec),
         (points_from_json, {"format": FORMAT, "points": [lam]}),
@@ -124,7 +125,7 @@ def test_polygon_size_is_bounded_before_any_table_is_built():
     before = _tables.cache_info().misses
     for n_gon in (MAX_N_GON + 1, 10**6, 10**100):
         with pytest.raises(InputFormatError, match=f"'n_gon' must be at most {MAX_N_GON}"):
-            graph_from_json({"format": FORMAT, "n_gon": n_gon, "weights": []})
+            lamination_from_json({"format": FORMAT, "n_gon": n_gon, "weights": []})
         with pytest.raises(InputFormatError, match=f"'n_gon' must be at most {MAX_N_GON}"):
             spec_from_json({"format": FORMAT, "n_gon": n_gon, "c": []})
     assert _tables.cache_info().misses == before
@@ -135,7 +136,7 @@ def test_graph_duplicate_entry_message():
     """The message names the repeated segment, in either vertex order."""
     doc = {"format": FORMAT, "n_gon": 6, "weights": [[2, 5, 1], [1, 3, 1], [5, 2, 2]]}
     with pytest.raises(InputFormatError) as info:
-        graph_from_json(doc)
+        lamination_from_json(doc)
     assert str(info.value) == "graph: duplicate weight entry for Segment(i=2, j=5)"
 
 
@@ -165,16 +166,107 @@ def test_graph_duplicate_entry_message():
         # the weights are checked once the graph is whole
         (5, [[1, 9, 1], [1, 3, -1]], InvalidVertex, "segment (1, 9) has labels outside 1..5"),
         (5, [[1, 3, -1], [2, 4, -1]], InvariantViolation, "negative weight on diagonal (1,3)"),
+        # a lamination's own faults, after the graph's; the document has no
+        # domain tag, which reads as "int", and the arc {2, 5} of the
+        # hexagon has weights [[2, 5, 1], [2, 3, -1], [3, 4, 1], [4, 5, -1]]
+        (6, [[2, 5, "1/2"], [2, 3, "-1/2"], [3, 4, "1/2"], [4, 5, "-1/2"]], NotALamination,
+         "integral domain but fractional weights"),
+        (6, [[2, 5, "1/2"], [1, 3, -1]], InvariantViolation, "negative weight on diagonal (1,3)"),
+        (6, [[2, 5, "1/2"], [0, 3, 1]], InvalidVertex, "segment (0, 3) has labels outside 1..6"),
+        (6, [[1, 3, 1], [2, 5, 1]], NotALamination,
+         "diagonals Segment(i=1, j=3) and Segment(i=2, j=5) cross"),
+        (6, [[1, 3, 1], [2, 5, "1/2"]], NotALamination, "integral domain but fractional weights"),
+        (6, [[1, 3, 1], [2, 5, 1], [4, 6, -1]], InvariantViolation,
+         "negative weight on diagonal (4,6)"),
+        (6, [[2, 5, 1]], NotALamination, "vertex 2 has nonzero total weight"),
+        (6, [[2, 5, 1], [3, 4, 1], [4, 5, -1]], NotALamination, "vertex 2 has nonzero total weight"),
+        (6, [[2, 5, 1], [2, 2, 1]], InvalidVertex, "segment endpoints must differ, got (2, 2)"),
+        (6, [[2, 5, 1], [5, 2, 1]], InputFormatError,
+         "graph: duplicate weight entry for Segment(i=2, j=5)"),
     ],
 )
 def test_graph_faults_keep_their_order(n_gon, weights, error, message):
-    """Each fault of a graph document raises its own error, and of several
-    faults the first in this order: the entries' own faults in entry order
-    (shape, labels, equal labels, duplicates, number), then a polygon under
-    three vertices, a label off the polygon, a negative diagonal weight."""
+    """Each fault of a graph or lamination document raises its own error,
+    and of several faults the first in this order: the entries' own faults
+    in entry order (shape, labels, equal labels, duplicates, number), then
+    a polygon under three vertices, a label off the polygon, a negative
+    diagonal weight; then, read as a lamination, a fractional weight under
+    the "int" domain, two crossing diagonals, a vertex of nonzero mass.
+    The lamination's graph reader raises the same graph faults and accepts
+    a document with only lamination faults."""
+    doc = {"format": FORMAT, "n_gon": n_gon, "weights": weights}
     with pytest.raises(error) as info:
-        graph_from_json({"format": FORMAT, "n_gon": n_gon, "weights": weights})
+        lamination_from_json(doc)
     assert type(info.value) is error and str(info.value) == message
+    if error is NotALamination:
+        assert _graph_from_json(doc).n_gon == n_gon
+        return
+    with pytest.raises(error) as info:
+        _graph_from_json(doc)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def _spec_c(n_gon):
+    """A bound entry for every diagonal, in order."""
+    return [[d.i, d.j, 1] for d in diagonals(n_gon)]
+
+
+@pytest.mark.parametrize(
+    "n_gon, c, error, message",
+    [
+        (5, _spec_c(5)[:4] + [[3, 5]], InputFormatError,
+         "spec: bound entries must be [i, j, c] triples"),
+        (5, _spec_c(5) + ["x"], InputFormatError,
+         "spec: bound entries must be [i, j, c] triples"),
+        (5, _spec_c(5)[:4] + [[True, 5, 1]], InputFormatError,
+         "spec: segment entries must be [i, j] integer pairs"),
+        (5, [[4, 4, 1]] + _spec_c(5), InvalidVertex, "segment endpoints must differ, got (4, 4)"),
+        (5, _spec_c(5) + [[1, 2, 1]], SizeMismatch, "spec must bound every diagonal exactly once"),
+        (5, _spec_c(5) + [[1, 9, 1]], SizeMismatch, "spec must bound every diagonal exactly once"),
+        (5, _spec_c(5) + [[3, 1, 2]], SizeMismatch, "spec must bound every diagonal exactly once"),
+        (5, _spec_c(5)[1:], SizeMismatch, "spec must bound every diagonal exactly once"),
+        (5, _spec_c(5)[:4] + [[3, 5, "1/0"]], InputFormatError,
+         "malformed number string: '1/0'"),
+        (5, _spec_c(5)[:4] + [[3, 5, 1.5]], InputFormatError,
+         "floats are not accepted (1.5); use integers or 'p/q' strings"),
+        (5, _spec_c(5)[:4] + [[3, 5, True]], InputFormatError, "booleans are not numbers"),
+        # the entries' own faults come in entry order, before the diagonals'
+        (5, [[1, 2, 1], [2, 2, 1]] + _spec_c(5), InvalidVertex,
+         "segment endpoints must differ, got (2, 2)"),
+        (5, [[1, 9, 1], [1, 3, "x"]] + _spec_c(5), InputFormatError,
+         "malformed number string: 'x'"),
+        (5, [[1, 3, 1], [1, 3, 1], [2, 2, 1]], InvalidVertex,
+         "segment endpoints must differ, got (2, 2)"),
+        (5, _spec_c(5)[1:] + [[3, 5]], InputFormatError,
+         "spec: bound entries must be [i, j, c] triples"),
+        (2, [[1, 2, 1], [1, 1, 1]], InvalidVertex, "segment endpoints must differ, got (1, 1)"),
+        (2, [[1, 2, "x"]], InputFormatError, "malformed number string: 'x'"),
+        (2, [[1, 2, 1]], InvalidPolygon, "polygon needs at least 3 vertices, got 2"),
+        (-1, [], InvalidPolygon, "polygon needs at least 3 vertices, got -1"),
+    ],
+)
+def test_spec_faults_keep_their_order(n_gon, c, error, message):
+    """Each fault of a spec document raises its own error, and of several
+    faults the first in this order: the entries' own faults in entry order
+    (shape, labels, equal labels, number), then a polygon under three
+    vertices, then an edge, a label off the polygon, a repeated or a
+    missing diagonal."""
+    with pytest.raises(error) as info:
+        spec_from_json({"format": FORMAT, "n_gon": n_gon, "c": c})
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_spec_entries_read_in_either_order():
+    """A bound entry names its diagonal either way round, and a number
+    string reads as its normal form, in the spec the constructor gives."""
+    c = _spec_c(6)
+    c[2] = [c[2][1], c[2][0], "-4/2"]
+    c[5][2] = "3/6"
+    got = spec_from_json({"format": FORMAT, "n_gon": 6, "c": c[::-1]})
+    bounds = {Segment(i, j): number_from_json(x) for i, j, x in c}
+    assert got == StasheffSpec.of(6, bounds) and got.c == StasheffSpec.of(6, bounds).c
+    assert [type(x) for _, x in got.c] == [int] * 5 + [Fraction] + [int] * 3
+    assert spec_from_json({"format": FORMAT, "n_gon": 3, "c": []}) == StasheffSpec(3, ())
 
 
 def test_lamination_roundtrip():
