@@ -53,6 +53,7 @@ from .laminations import (
     chart_change,
     chart_coords,
     lamination_from_coords,
+    lamination_pieces,
     tropical_coordinate,
 )
 from .polytopes import (

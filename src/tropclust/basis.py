@@ -30,6 +30,16 @@ row.  The tests check the leaves against the validating constructors.
 ``Expansion.support`` lists the laminations that appear; ``a2_coefficient``
 is the closed binomial formula for the rank-two case, used as an
 independent check of the splitting process.
+
+``verify_positive_basis`` checks a basis function through the pieces of
+its lamination (``laminations.lamination_pieces``): the function of a sum
+of integral laminations is the product of theirs, and each mutation is a
+ring homomorphism, so the function is positive in every chart when each
+piece's is.  Each piece is walked through every chart once per process,
+and its verdict kept in one bounded cache (``_positive_piece``, at most
+1024 pieces).  Only when a piece is not positive, or its walk raises, is
+the whole function walked (``x_chart_walk``), so a False answer is always
+the full walk's.
 """
 from __future__ import annotations
 
@@ -47,8 +57,9 @@ from .errors import (
     InvariantViolation,
     NonIntegral,
     SizeMismatch,
+    TropclustError,
 )
-from .laminations import Lamination
+from .laminations import Lamination, lamination_pieces
 from .laurent import LaurentPolynomial
 from .weighted_graphs import WeightedGraph, _fan_cuts, _is_int, _tables
 
@@ -73,6 +84,14 @@ def _fan_chains(n_gon: int) -> tuple:
     }
 
 
+def _chains_of(lam: Lamination) -> tuple:
+    """``_fan_chains`` of the lamination's polygon, once the lamination is
+    known to be integral: the two checks every basis function passes."""
+    if lam.domain != "int":
+        raise NonIntegral("basis functions are indexed by integral laminations")
+    return _fan_chains(lam.n_gon)
+
+
 def basis_laurent(lam: Lamination) -> LaurentPolynomial:
     """The basis function of an integral lamination, in fan chart coordinates.
 
@@ -84,9 +103,7 @@ def basis_laurent(lam: Lamination) -> LaurentPolynomial:
     vertices in 1..k+1.  A 3-gon has no chart variables and raises
     InvariantViolation, as ``type_a_seed(0)`` does.
     """
-    if lam.domain != "int":
-        raise NonIntegral("basis functions are indexed by integral laminations")
-    names, chains = _fan_chains(lam.n_gon)
+    names, chains = _chains_of(lam)
     b = [0] * len(names)
     product = None
     for i, j, w in lam.graph.sparse_items():
@@ -369,10 +386,40 @@ def a2_coefficient(d: Sequence[int], i: int, b: int, c: int) -> int:
     return total
 
 
+def _positive_in_every_chart(f: LaurentPolynomial) -> bool:
+    """Whether every chart of ``x_chart_walk(f)`` has only positive
+    coefficients, read off each chart's bare term dict."""
+    return all(min(terms.values()) > 0 for _, terms in x_chart_walk(f) if terms)
+
+
+@lru_cache(maxsize=1024)
+def _positive_piece(n_gon: int, w: tuple) -> bool:
+    """The walk's verdict on the basis function of one piece, given by its
+    polygon and weight tuple; a walk that raises counts as not positive."""
+    piece = Lamination._trusted(WeightedGraph._trusted(n_gon, w), "int")
+    try:
+        return _positive_in_every_chart(basis_laurent(piece))
+    except TropclustError:
+        return False
+
+
 def verify_positive_basis(lam: Lamination) -> bool:
     """Check that a basis function stays a Laurent polynomial with positive
-    coefficients in every chart of the atlas, reading each chart's bare
-    term dict off ``x_chart_walk``."""
-    return all(
-        min(terms.values()) > 0 for _, terms in x_chart_walk(basis_laurent(lam)) if terms
-    )
+    coefficients in every chart of the atlas.
+
+    The function of a sum of integral laminations is the product of theirs,
+    and each mutation is a ring homomorphism, so it is positive in every
+    chart when each of its pieces (``lamination_pieces``) is.  Each piece's
+    verdict is walked once and kept in a bounded cache (``_positive_piece``,
+    1024 pieces), so a warm check is a handful of lookups.  When some piece
+    is not positive, or its walk raises, the whole function is walked
+    chart by chart through ``x_chart_walk`` and its answer returned: a
+    False answer, or an error, is always the full walk's.  Raises
+    NonIntegral for a rational lamination and InvariantViolation for a
+    3-gon, as ``basis_laurent`` does.
+    """
+    _chains_of(lam)
+    n = lam.n_gon
+    if all(_positive_piece(n, piece.graph.w) for piece, _ in lamination_pieces(lam)):
+        return True
+    return _positive_in_every_chart(basis_laurent(lam))

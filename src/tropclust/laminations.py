@@ -57,6 +57,7 @@ from typing import Sequence
 from .errors import (
     DimensionMismatch,
     InvariantViolation,
+    NonIntegral,
     NotADiagonal,
     NotALamination,
     SizeMismatch,
@@ -145,6 +146,96 @@ class Lamination:
         ))
 
     __rmul__ = __mul__
+
+
+@lru_cache(maxsize=1024)
+def _edge_cycle(n_gon: int, chords: tuple, start: int = 0) -> tuple:
+    """The weight tuple of the given chords, each of weight 1, completed
+    by the edge weights that give every vertex mass zero.
+
+    Edge p joins p and p + 1 (edge N joins N and 1), so the mass at p is
+    e_(p-1) + e_p plus the chords at p.  From e_N = x around the cycle,
+    e_p = c_p - e_(p-1), with c_p minus the chords at p, gives
+    e_N = s + (-1)^N x.  At odd N, x = s / 2 is the one solution, an
+    integer since s sums an even number of ±1s; at even N there is one only
+    when s = 0, and then every x is one, so ``start`` chooses it: 0 for a
+    canonical completion, and ±1 with no chords for the alternating edge
+    lamination.  Chords with no completion raise InvariantViolation.
+    """
+    tables = _tables(n_gon)
+    w = [0] * len(tables.pairs)
+    c = [0] * (n_gon + 1)
+    for i, j in chords:
+        w[tables.index[i, j]] += 1
+        c[i] -= 1
+        c[j] -= 1
+    s = 0
+    for p in range(1, n_gon + 1):
+        s = c[p] - s
+    if n_gon % 2:
+        x = s // 2
+    elif s:
+        raise InvariantViolation(f"chords {chords} have no completion on a {n_gon}-gon")
+    else:
+        x = start
+    e = x
+    for p in range(1, n_gon):
+        e = c[p] - e
+        w[tables.index[p, p + 1]] = e
+    w[tables.index[1, n_gon]] = x
+    return tuple(w)
+
+
+def lamination_pieces(lam: Lamination) -> tuple:
+    """An integral lamination as (piece, multiplicity) pairs whose sum is
+    its graph: each piece is an integral lamination, each multiplicity a
+    positive int, and no piece comes twice.
+
+    At odd N each loaded diagonal gives its unit's one zero-mass
+    completion (``_edge_cycle``).  At even N a diagonal {i, j} with j - i
+    odd gives its completion with edge {1, N} at 0.  A diagonal whose ends
+    have the same parity has no completion, but a lamination loads as many
+    even-even units as odd-odd ones (the alternating sum of its vertex
+    masses vanishes), so they are paired in diagonal order and each pair
+    gets one completion.  What is left has no diagonal and no vertex mass,
+    so it is t times the alternating edge lamination, with t the weight of
+    edge {1, N}, which no other piece loads.
+    """
+    if lam.domain != "int":
+        raise NonIntegral("pieces are integral laminations")
+    n = lam.n_gon
+    tables = _tables(n)
+    w = lam.graph.w
+    pieces = []
+    same_parity: tuple[list, list] = ([], [])
+    for k in tables.diagonals:
+        if w[k]:
+            i, j = tables.pairs[k]
+            if n % 2 or (j - i) % 2:
+                pieces.append(((tables.pairs[k],), w[k]))
+            else:
+                same_parity[i % 2].append([tables.pairs[k], w[k]])
+    even, odd = same_parity
+    if sum(m for _, m in even) != sum(m for _, m in odd):
+        raise InvariantViolation("even-even and odd-odd units differ in number")
+    x = y = 0
+    while x < len(even):
+        k = min(even[x][1], odd[y][1])
+        pieces.append(((even[x][0], odd[y][0]), k))
+        even[x][1] -= k
+        odd[y][1] -= k
+        # move past each diagonal whose units are all paired
+        x += not even[x][1]
+        y += not odd[y][1]
+    out = [
+        (Lamination._trusted(WeightedGraph._trusted(n, _edge_cycle(n, chords)), "int"), m)
+        for chords, m in pieces
+    ]
+    t = 0 if n % 2 else w[tables.index[1, n]]
+    if t:
+        alternating = _edge_cycle(n, (), 1 if t > 0 else -1)
+        out.append((Lamination._trusted(WeightedGraph._trusted(n, alternating), "int"), abs(t)))
+    return tuple(out)
 
 
 def _diagonal_values(items, diags: tuple, mismatch: str, not_number: str) -> tuple:

@@ -22,9 +22,11 @@ from tropclust.atlas import (
     type_a_seed,
     x_chart_walk,
 )
+from tropclust import basis
 from tropclust.basis import (
     DEFAULT_BUDGET,
     Expansion,
+    _positive_piece,
     _split_leaves,
     _split_steps,
     a2_coefficient,
@@ -39,6 +41,7 @@ from tropclust.errors import (
     EmptyInput,
     InvariantViolation,
     NonIntegral,
+    NotDivisible,
     SizeMismatch,
 )
 from tropclust.laminations import (
@@ -46,6 +49,7 @@ from tropclust.laminations import (
     TropicalCoords,
     chart_coords,
     lamination_from_coords,
+    lamination_pieces,
 )
 from tropclust.laurent import LaurentPolynomial
 from tropclust.polygon import Segment, crosses, fan_triangulation
@@ -302,7 +306,9 @@ def _reference_split_leaves(v, rows, budget):
 def test_incremental_measure_matches_the_from_scratch_split(n_gon):
     """Same leaves and counts as the from-scratch reference, with the rows
     in order, reversed and shuffled, and the budget runs out at the same
-    node."""
+    node.  The reference counts one node at a time, so under any budget
+    below its ``nodes`` it raises (budget, budget + 1): its one full run
+    gives that outcome, and only ``_split_leaves`` runs under each budget."""
     rng = random.Random(700 + n_gon)
     box = 2 if n_gon < 9 else 1
     for _ in range(3):
@@ -320,9 +326,6 @@ def test_incremental_measure_matches_the_from_scratch_split(n_gon):
             for budget in {0, nodes // 2, max(nodes - 1, 0)} - {nodes}:
                 with pytest.raises(BudgetExceeded) as info:
                     _split_leaves(v, rows, budget)
-                assert (info.value.budget, info.value.expanded) == (budget, budget + 1)
-                with pytest.raises(BudgetExceeded) as info:
-                    _reference_split_leaves(v, rows, budget)
                 assert (info.value.budget, info.value.expanded) == (budget, budget + 1)
 
 
@@ -686,18 +689,140 @@ def test_verify_positive_basis_samples():
     assert verify_positive_basis(Lamination.zero(5))
 
 
+def _walked_positive(lam):
+    """The full walk's verdict: every chart of the whole basis function is
+    a nonzero Laurent polynomial with positive coefficients."""
+    return all(
+        terms and min(terms.values()) > 0 for _, terms in x_chart_walk(basis_laurent(lam))
+    )
+
+
 def test_verify_positive_basis_octagon():
     rng = random.Random(8)
     for _ in range(3):
-        assert verify_positive_basis(pt(8, tuple(rng.randint(-1, 1) for _ in range(5))))
+        lam = pt(8, tuple(rng.randint(-1, 1) for _ in range(5)))
+        assert verify_positive_basis(lam)
+        assert _walked_positive(lam)
 
 
 def test_verify_positive_basis_decagon():
-    """Every one of the 1430 decagon charts, for the two seeded laminations
-    with the slowest walks among seeds 0 to 5."""
+    """Every one of the 1430 decagon charts of the whole function, for the
+    two seeded laminations with the slowest walks among seeds 0 to 5."""
     for seed in (2, 3):
         rng = random.Random(seed)
-        assert verify_positive_basis(pt(10, tuple(rng.randint(-1, 1) for _ in range(7))))
+        lam = pt(10, tuple(rng.randint(-1, 1) for _ in range(7)))
+        assert verify_positive_basis(lam)
+        assert _walked_positive(lam)
+
+
+@pytest.fixture
+def cold_verdicts():
+    """An empty piece verdict cache before and after the test, so that no
+    verdict a test forces is left for the next."""
+    _positive_piece.cache_clear()
+    yield
+    _positive_piece.cache_clear()
+
+
+@pytest.mark.parametrize("n_gon", range(5, 13))
+def test_piece_functions_multiply_to_the_basis_function(n_gon):
+    """The basis function is the product of its pieces' functions, each to
+    its multiplicity, term for term, on seeded laminations of the fan box
+    [-2, 2]."""
+    rng = random.Random(3700 + n_gon)
+    for _ in range(3):
+        lam = pt(n_gon, [rng.randint(-2, 2) for _ in range(n_gon - 3)])
+        product = basis_laurent(Lamination.zero(n_gon))
+        for piece, k in lamination_pieces(lam):
+            product = product * basis_laurent(piece) ** k
+        assert product.terms == basis_laurent(lam).terms
+
+
+def test_piece_verdicts_match_the_full_walk(cold_verdicts):
+    """Every piece's verdict, and so ``verify_positive_basis``, agrees with
+    the full walk on all 27 hexagon laminations of the fan box [-1, 1], on
+    seeded heptagons of the box [-2, 2] and on seeded 8- and 9-gons of the
+    box [-1, 1]."""
+    laminations = [pt(6, vec) for vec in itertools.product(range(-1, 2), repeat=3)]
+    rng = random.Random(3636)
+    for n_gon, count, box in ((7, 4, 2), (8, 3, 1), (9, 3, 1)):
+        laminations += [pt(n_gon, [rng.randint(-box, box) for _ in range(n_gon - 3)])
+                        for _ in range(count)]
+    for lam in laminations:
+        walked = _walked_positive(lam)
+        pieces = lamination_pieces(lam)
+        assert all(_positive_piece(lam.n_gon, piece.graph.w) for piece, _ in pieces) == walked
+        assert verify_positive_basis(lam) == walked
+
+
+def test_verify_positive_basis_falls_back_to_the_full_walk(monkeypatch, cold_verdicts):
+    """A piece that is not positive, or whose walk raises, hands the
+    answer to the full walk of the whole function, False included; when
+    every piece is positive, no walk runs on a warm cache."""
+    lam = pt(7, (2, -1, 1, 0))
+    assert verify_positive_basis(lam)
+    walked = []
+    real_walk = basis.x_chart_walk
+
+    def counting_walk(f):
+        walked.append(f)
+        return real_walk(f)
+
+    monkeypatch.setattr(basis, "x_chart_walk", counting_walk)
+    assert verify_positive_basis(lam) and walked == []
+
+    monkeypatch.setattr(basis, "_positive_piece", lambda n_gon, w: False)
+    assert verify_positive_basis(lam)
+    assert walked == [basis_laurent(lam)]
+
+    def negative_walk(f):
+        yield (), {(0,) * len(f.vars): -1}
+
+    monkeypatch.setattr(basis, "x_chart_walk", negative_walk)
+    assert verify_positive_basis(lam) is False
+
+    monkeypatch.undo()
+    _positive_piece.cache_clear()
+    calls = []
+
+    def failing_piece_walk(f):
+        calls.append(f)
+        if len(calls) == 1:
+            raise NotDivisible("not Laurent in some chart")
+        return real_walk(f)
+
+    monkeypatch.setattr(basis, "x_chart_walk", failing_piece_walk)
+    unit = pt(7, (1, 0, 0, 0))
+    assert len(lamination_pieces(unit)) == 1
+    assert verify_positive_basis(unit)
+    assert calls == [basis_laurent(unit), basis_laurent(unit)]
+
+
+def test_verify_positive_basis_raises_what_the_basis_function_raises():
+    """A 3-gon raises InvariantViolation and a rational lamination
+    NonIntegral, with ``basis_laurent``'s types and messages; a zero
+    lamination is positive."""
+    triangle = Lamination.zero(3)
+    half = UNITS[1] * Fraction(1, 2)
+    for lam, error in ((triangle, InvariantViolation), (half, NonIntegral)):
+        with pytest.raises(error) as expected:
+            basis_laurent(lam)
+        with pytest.raises(error) as got:
+            verify_positive_basis(lam)
+        assert type(got.value) is type(expected.value)
+        assert str(got.value) == str(expected.value)
+    for n_gon in range(4, 10):
+        assert verify_positive_basis(Lamination.zero(n_gon)) is True
+
+
+def test_piece_verdicts_do_not_depend_on_the_call_history(cold_verdicts):
+    """The verdicts over the hexagon fan box [-2, 2] are the same warm as
+    after ``cache_clear()``, and all positive."""
+    box = [pt(6, vec) for vec in itertools.product(range(-2, 3), repeat=3)]
+    warm = [verify_positive_basis(lam) for lam in box]
+    assert [verify_positive_basis(lam) for lam in box] == warm
+    _positive_piece.cache_clear()
+    assert [verify_positive_basis(lam) for lam in box] == warm == [True] * len(box)
 
 def _seeded_basis_functions(n_gon, count, seed):
     rng = random.Random(seed)

@@ -14,6 +14,7 @@ from graphs import graph_from_weights
 from tropclust.errors import (
     DimensionMismatch,
     InvariantViolation,
+    NonIntegral,
     NotADiagonal,
     NotALamination,
 )
@@ -22,9 +23,11 @@ from tropclust.laminations import (
     Lamination,
     TropicalCoords,
     _CompiledChart,
+    _edge_cycle,
     chart_change,
     chart_coords,
     lamination_from_coords,
+    lamination_pieces,
     tropical_coordinate,
 )
 from tropclust.polygon import (
@@ -573,3 +576,75 @@ def test_rational_points_through_lamination_from_coords(n_gon):
             assert lam == Lamination(WeightedGraph(n_gon, expected))
             domains.add(lam.domain)
     assert domains == {"int", "rat"}
+
+
+def _seeded_pieces_laminations(n_gon):
+    """Seeded integral laminations of an N-gon: six from the fan box
+    [-2, 2], and up to 10-gons four more built from their weights, with
+    diagonal weights up to 3."""
+    rng = random.Random(3600 + n_gon)
+    out = [
+        lamination_from_coords(fan_coords(n_gon, [rng.randint(-2, 2) for _ in range(n_gon - 3)]))
+        for _ in range(6)
+    ]
+    if n_gon <= 10:
+        out += [lamination_from_weights(rng, n_gon) for _ in range(4)]
+    return out
+
+
+@pytest.mark.parametrize("n_gon", range(5, 13))
+def test_pieces_are_laminations_that_sum_back_to_the_graph(n_gon):
+    """Each piece passes the validating constructors, comes once, with a
+    positive int multiplicity, and the pieces times their multiplicities
+    sum to the lamination's graph."""
+    for lam in _seeded_pieces_laminations(n_gon):
+        pieces = lamination_pieces(lam)
+        total = [0] * len(lam.graph.w)
+        for piece, k in pieces:
+            assert piece == Lamination(WeightedGraph(n_gon, piece.graph.w))
+            assert piece.domain == "int"
+            assert type(k) is int and k > 0
+            total = [a + k * b for a, b in zip(total, piece.graph.w)]
+        assert tuple(total) == lam.graph.w
+        assert len({piece for piece, _ in pieces}) == len(pieces)
+
+
+@pytest.mark.parametrize("n_gon", [6, 7, 8, 9])
+def test_pieces_carry_one_or_two_unit_diagonals(n_gon):
+    """At odd N a piece is one unit diagonal with its completion; at even N
+    one with ends of opposite parity, an even-even unit with an odd-odd
+    one, or no diagonal at all (the alternating edge lamination, which
+    alone loads edge {1, N})."""
+    edge = pairs(n_gon).index((1, n_gon))
+    diagonal_slots = [k for k, (i, j) in enumerate(pairs(n_gon)) if 1 < j - i < n_gon - 1]
+    for lam in _seeded_pieces_laminations(n_gon):
+        for piece, _ in lamination_pieces(lam):
+            w = piece.graph.w
+            loaded = [pairs(n_gon)[k] for k in diagonal_slots if w[k]]
+            assert all(w[pairs(n_gon).index(d)] == 1 for d in loaded)
+            if n_gon % 2:
+                assert len(loaded) == 1
+            elif not loaded:
+                assert w[edge] in (1, -1) and set(w) - {0} == {1, -1}
+            else:
+                assert w[edge] == 0
+                parities = sorted((i % 2, j % 2) for i, j in loaded)
+                assert parities in ([(0, 1)], [(1, 0)], [(0, 0), (1, 1)])
+
+
+def test_pieces_of_the_zero_lamination_a_rational_one_and_a_bad_graph():
+    """No pieces for a zero lamination; a rational lamination, and an
+    unchecked graph with one short hexagon chord, which no lamination
+    loads, are refused."""
+    for n_gon in range(3, 9):
+        assert lamination_pieces(Lamination.zero(n_gon)) == ()
+    half = lamination_from_coords(fan_coords(6, (1, 0, 0))) * Fraction(1, 2)
+    with pytest.raises(NonIntegral, match="^pieces are integral laminations$"):
+        lamination_pieces(half)
+    w = [0] * len(pairs(6))
+    w[pairs(6).index((1, 3))] = 1
+    lone = Lamination._trusted(WeightedGraph._trusted(6, tuple(w)), "int")
+    with pytest.raises(InvariantViolation, match="^even-even and odd-odd units differ in number$"):
+        lamination_pieces(lone)
+    with pytest.raises(InvariantViolation, match="no completion on a 6-gon$"):
+        _edge_cycle(6, ((1, 3),))
