@@ -40,7 +40,6 @@ from .errors import BudgetExceeded, InputFormatError, TropclustError
 from .polygon import Segment, Triangulation, _chart_text, fan_triangulation
 from .polygon import triangulations as all_triangulations
 from .polytopes import (
-    _compile_and_scan,
     _scan_chart,
     is_nondegenerate,
     is_stasheff,
@@ -200,7 +199,7 @@ def _cmd_verify_mthm(args) -> int:
     # becomes a lamination; an integral lamination's cut masses are even
     fan = fan_triangulation(spec.n_gon)
     support = {tuple(x // 2 for x in key) for key, _, _ in leaves}
-    lattice = set(_compile_and_scan(spec, fan)[1])
+    lattice = set(_scan_chart(spec, fan)[1])
     if support == lattice:
         _emit(f"support = lattice points, {len(lattice)} elements\n", args.out)
         return EXIT_OK

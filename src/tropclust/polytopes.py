@@ -10,8 +10,9 @@ two crossing diagonals dominate both pairs of opposite sides:
 
 reading c as zero on boundary edges.  Vertices then sit at the coordinate
 vectors c restricted to complete triangulations, and faces are indexed by
-partial triangulations.  The slacks of the criterion are read off the
-per-N quadruple rows (``weighted_graphs._tables``) in one pass.
+partial triangulations.  Every slack of the criterion is a nonempty sum
+of the diagonal weights of the spec's graph G(c), so the criterion is one
+sign test per diagonal (``_spec_weights``).
 
 Lattice enumeration works per chart, compiled once per process for up to
 32 charts (``laminations._compiled``): a diagonal's coordinate is the max
@@ -35,9 +36,9 @@ compiled chart turns them into weight tuples in one batch
 ``lattice_points`` wraps each row as an integral lamination through the
 ``_trusted`` constructors.  A Stasheff spec is never empty, as it has a
 vertex in every chart; a spec that fails the criterion first goes through
-the Farkas test on the same floored rows, so that a spec with no integral
-point, even one whose rational polytope is not empty, does not walk the
-prefixes before the depth where its rows contradict each other.
+the Farkas test on the rows it floored for the scan, so that a spec with no
+integral point, even one whose rational polytope is not empty, does not
+walk the prefixes before the depth where its rows contradict each other.
 
 ``coordinate_bounds`` gives the rational box of any inequalities by exact
 LPs, the Farkas test and then one LP per objective (the comment on the
@@ -133,30 +134,35 @@ def _integral(values: Sequence) -> tuple[list, int]:
     return [v.numerator * (q // v.denominator) for v in values], q
 
 
-def _slacks(spec: StasheffSpec) -> list:
-    """Each quadruple's crossing-diagonal bound minus the larger
-    opposite-side bound, boundary edges read as 0, in the lexicographic
-    order of the quadruples (``_tables(N).rows``).  The slacks are scaled
-    by the lcm of the bounds' denominators, so they are ints of the right
-    sign."""
+def _spec_weights(spec: StasheffSpec) -> list:
+    """The diagonal weights, in slot order, of the spec's graph G(c):
+    w(p, q) = c(p, q) + c(p-1, q-1) - c(p, q-1) - c(p-1, q), labels mod N
+    and edges read as 0 (``_tables(N).weights``), over the bounds scaled to
+    ints by the lcm of their denominators, so of the right sign.
+
+    Every slack of the quadruple criterion is a nonempty sum of these
+    weights: for p < q < r < s, c(p, r) + c(q, s) exceeds the bounds of
+
+        ({p, s}, {q, r}) by the sum of w(a, b) over a in (p, q], b in (r, s],
+        ({p, q}, {r, s}) by the sum of w(a, b) over a in (q, r], b in (s, p+N],
+
+    every term a diagonal; the thin quadruple (p-1, p, q-1, q) gives w(p, q)
+    alone.
+    """
     tables = _tables(spec.n_gon)
-    v = [0] * len(tables.pairs)
-    for k, c in zip(tables.diagonals, _integral([c for _, c in spec.c])[0]):
-        v[k] = c
-    return [
-        v[pr] + v[qs] - max(v[ps] + v[qr], v[pq] + v[rs])
-        for pr, qs, ((ps, qr), (pq, rs)) in tables.rows
-    ]
+    v = _integral([c for _, c in spec.c])[0] + [0]
+    quads = map(tables.weights.__getitem__, tables.diagonals)
+    return [v[p] + v[q] - v[r] - v[t] for p, q, r, t in quads]
 
 
 def is_stasheff(spec: StasheffSpec) -> bool:
-    """True when every quadruple has nonnegative slack."""
-    return all(x >= 0 for x in _slacks(spec))
+    """True when every quadruple has nonnegative slack (``_spec_weights``)."""
+    return all(x >= 0 for x in _spec_weights(spec))
 
 
 def is_nondegenerate(spec: StasheffSpec) -> bool:
-    """True when every quadruple has strictly positive slack."""
-    return all(x > 0 for x in _slacks(spec))
+    """True when every quadruple has positive slack (``_spec_weights``)."""
+    return all(x > 0 for x in _spec_weights(spec))
 
 
 def vertex(spec: StasheffSpec, tri: Triangulation) -> TropicalCoords:
@@ -405,31 +411,22 @@ def _scan_chart(spec: StasheffSpec, chart: Triangulation) -> tuple:
 
     Returns the compiled chart and the integral points as coordinate
     vectors in that chart, sorted.  The spec brings only one int per row,
-    the least floor of the row's bounds, which both the Farkas gate and
-    the scan read.  Every depth of the scan is bounded by the chart's rows
-    alone, so no bound makes the scan unbounded.  A spec that fails the
-    quadruple criterion and whose floored rows the Farkas test proves
+    the least floor of the row's bounds, floored once for both the Farkas
+    gate and the scan.  Every depth of the scan is bounded by the chart's
+    rows alone, so no bound makes the scan unbounded.  A spec that fails
+    the quadruple criterion and whose floored rows the Farkas test proves
     empty has no integral point, and gives none without a scan.
     """
     if spec.n_gon != chart.n_gon:
         raise SizeMismatch("spec and chart live on different polygons")
-    # a Stasheff spec has a vertex in every chart; any other spec may be
-    # empty by a contradiction that the scan would meet only deep down
-    if any(x < 0 for x in _slacks(spec)):
-        rows = _compiled(chart).rows
-        if _is_empty(rows.coeffs, rows.floors([v for _, v in spec.c]), chart.n_gon - 3):
-            return _compiled(chart), []
-    return _compile_and_scan(spec, chart)
-
-
-def _compile_and_scan(spec: StasheffSpec, chart: Triangulation) -> tuple:
-    """``_scan_chart`` past its checks, for a spec on the chart's polygon:
-    compile the chart, floor the bounds and scan.  A caller whose spec is
-    Stasheff by construction, such as a ``minkowski_spec``, calls it
-    directly, since the gate would pass it anyway."""
     compiled = _compiled(chart)
     rows = compiled.rows
-    return compiled, _interval_scan(rows.filed, rows.floors([v for _, v in spec.c]))
+    floors = rows.floors([v for _, v in spec.c])
+    # a Stasheff spec has a vertex in every chart; any other spec may be
+    # empty by a contradiction that the scan would meet only deep down
+    if not is_stasheff(spec) and _is_empty(rows.coeffs, floors, chart.n_gon - 3):
+        return compiled, []
+    return compiled, _interval_scan(rows.filed, floors)
 
 
 def _interval_scan(filed: list, floors: list) -> list:

@@ -18,9 +18,9 @@ Every table that depends on N alone lives in one record built once per N
 a getter per vertex and per cut, the crossing rows, and the
 inclusion-exclusion columns that turn diagonal values back into weights.
 Validation, the masses, the split tree (``basis``), chart reconstruction
-(``laminations``) and the JSON reader (``jsonio``) read it, so a graph is
-read, checked and measured with index lookups, without building a
-``Segment`` per entry.
+(``laminations``), the quadruple criterion (``polytopes``) and the JSON
+reader (``jsonio``) read it, so a graph is read, checked and measured
+with index lookups, without building a ``Segment`` per entry.
 """
 from __future__ import annotations
 
@@ -82,11 +82,12 @@ class _Tables(NamedTuple):
     * ``rows`` has one row per quad p < q < r < s, in lexicographic order:
       the indices of its crossing chords {p, r} and {q, s}, and the index
       pairs of the two ways of rerouting them, ({p, s}, {q, r}) and
-      ({p, q}, {r, s}).
+      ({p, q}, {r, s}); only ``basis`` reads them, in the split tree and
+      ``crossing_measure``.
     * ``weights`` holds one slot quadruple (p, q, r, t) per pair, slots
       into the diagonal values in slot order with one extra 0 past them:
-      weight k is v[p] + v[q] - v[r] - v[t] at quadruple k (see
-      ``laminations``).
+      weight k is v[p] + v[q] - v[r] - v[t] at quadruple k, for chart
+      reconstruction (``laminations``) and the quadruple criterion.
 
     The rows take O(N^4) room; ``_tables`` keeps at most 32 records.
     """

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from cli_corpus import GOLDEN, records
 from graphs import graph_from_weights
 from tropclust import cli
 from tropclust.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_MATH, EXIT_OK, main
@@ -753,14 +754,13 @@ def test_console_script_reads_sys_argv(files, capsys, monkeypatch):
     assert run(None, capsys) == want
 
 
-def test_verify_mthm_skips_the_quadruple_check(files, capsys, monkeypatch):
-    """A Minkowski spec is Stasheff by construction, so ``verify-mthm``
-    scans it without the quadruple slacks of ``_scan_chart``'s gate."""
-    from tropclust import polytopes
-
-    def no_slacks(spec):
-        raise AssertionError("verify-mthm computed quadruple slacks")
-
-    monkeypatch.setattr(polytopes, "_slacks", no_slacks)
-    code, out = run(["verify-mthm", "--in", str(files / "points.json")], capsys)
-    assert (code, out) == (EXIT_OK, "support = lattice points, 2 elements\n")
+def test_cli_corpus_matches_the_golden_digests(tmp_path):
+    """Every command of the seeded corpus (``cli_corpus``) exits with its
+    recorded code and prints an output and a stderr of its recorded
+    digests, and the corpus reaches every exit code."""
+    want = GOLDEN.read_text(encoding="utf-8").splitlines()
+    got = records(tmp_path)
+    changed = [line for line, recorded in zip(got, want) if line != recorded]
+    assert len(got) == len(want) and not changed, changed[:5]
+    codes = {EXIT_OK, EXIT_INPUT, EXIT_MATH, EXIT_BUDGET}
+    assert {line.split()[0] for line in got} == {str(code) for code in codes}

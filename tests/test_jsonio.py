@@ -7,17 +7,11 @@ from fractions import Fraction
 import pytest
 
 from chart_oracle import atlas_seed
+from fault_docs import GRAPH_FAULTS, SPEC_FAULTS, spec_c
 from graphs import graph_from_weights
 from tropclust.atlas import mutate_seed, type_a_seed
 from tropclust.basis import Expansion, product_expand
-from tropclust.errors import (
-    InputFormatError,
-    InvalidPolygon,
-    InvalidVertex,
-    InvariantViolation,
-    NotALamination,
-    SizeMismatch,
-)
+from tropclust.errors import InputFormatError, NotALamination
 from tropclust.jsonio import (
     FORMAT,
     MAX_N_GON,
@@ -140,51 +134,7 @@ def test_graph_duplicate_entry_message():
     assert str(info.value) == "graph: duplicate weight entry for Segment(i=2, j=5)"
 
 
-@pytest.mark.parametrize(
-    "n_gon, weights, error, message",
-    [
-        (5, [[1, 3, 1], [3, 1, 2]], InputFormatError,
-         "graph: duplicate weight entry for Segment(i=1, j=3)"),
-        (5, [[1, 3, 1], [True, 3, 1]], InputFormatError,
-         "graph: segment entries must be [i, j] integer pairs"),
-        (5, [[2, 2, 1]], InvalidVertex, "segment endpoints must differ, got (2, 2)"),
-        (5, [[1, 3, 1.5]], InputFormatError,
-         "floats are not accepted (1.5); use integers or 'p/q' strings"),
-        (5, [[1, 3, True]], InputFormatError, "booleans are not numbers"),
-        (5, [[1, 3, 1, 0]], InputFormatError, "graph: weight entries must be [i, j, w] triples"),
-        # a label off the polygon is refused after every entry is read
-        (5, [[9, 1, 1], [1, 3, "x"]], InputFormatError, "malformed number string: 'x'"),
-        (5, [[9, 1, 1], [1, 9, 2]], InputFormatError,
-         "graph: duplicate weight entry for Segment(i=1, j=9)"),
-        (5, [[1, 3, 1], [0, 2, 1], [9, 1, 1]], InvalidVertex,
-         "segment (0, 2) has labels outside 1..5"),
-        (2, [[1, 2, 1], [1, 1, 1]], InvalidVertex, "segment endpoints must differ, got (1, 1)"),
-        (2, [[1, 2, 1], [2, 1, 1]], InputFormatError,
-         "graph: duplicate weight entry for Segment(i=1, j=2)"),
-        (2, [[1, 2, 1]], InvalidPolygon, "polygon needs at least 3 vertices, got 2"),
-        (-1, [], InvalidPolygon, "polygon needs at least 3 vertices, got -1"),
-        # the weights are checked once the graph is whole
-        (5, [[1, 9, 1], [1, 3, -1]], InvalidVertex, "segment (1, 9) has labels outside 1..5"),
-        (5, [[1, 3, -1], [2, 4, -1]], InvariantViolation, "negative weight on diagonal (1,3)"),
-        # a lamination's own faults, after the graph's; the document has no
-        # domain tag, which reads as "int", and the arc {2, 5} of the
-        # hexagon has weights [[2, 5, 1], [2, 3, -1], [3, 4, 1], [4, 5, -1]]
-        (6, [[2, 5, "1/2"], [2, 3, "-1/2"], [3, 4, "1/2"], [4, 5, "-1/2"]], NotALamination,
-         "integral domain but fractional weights"),
-        (6, [[2, 5, "1/2"], [1, 3, -1]], InvariantViolation, "negative weight on diagonal (1,3)"),
-        (6, [[2, 5, "1/2"], [0, 3, 1]], InvalidVertex, "segment (0, 3) has labels outside 1..6"),
-        (6, [[1, 3, 1], [2, 5, 1]], NotALamination,
-         "diagonals Segment(i=1, j=3) and Segment(i=2, j=5) cross"),
-        (6, [[1, 3, 1], [2, 5, "1/2"]], NotALamination, "integral domain but fractional weights"),
-        (6, [[1, 3, 1], [2, 5, 1], [4, 6, -1]], InvariantViolation,
-         "negative weight on diagonal (4,6)"),
-        (6, [[2, 5, 1]], NotALamination, "vertex 2 has nonzero total weight"),
-        (6, [[2, 5, 1], [3, 4, 1], [4, 5, -1]], NotALamination, "vertex 2 has nonzero total weight"),
-        (6, [[2, 5, 1], [2, 2, 1]], InvalidVertex, "segment endpoints must differ, got (2, 2)"),
-        (6, [[2, 5, 1], [5, 2, 1]], InputFormatError,
-         "graph: duplicate weight entry for Segment(i=2, j=5)"),
-    ],
-)
+@pytest.mark.parametrize("n_gon, weights, error, message", GRAPH_FAULTS)
 def test_graph_faults_keep_their_order(n_gon, weights, error, message):
     """Each fault of a graph or lamination document raises its own error,
     and of several faults the first in this order: the entries' own faults
@@ -206,45 +156,7 @@ def test_graph_faults_keep_their_order(n_gon, weights, error, message):
     assert type(info.value) is error and str(info.value) == message
 
 
-def _spec_c(n_gon):
-    """A bound entry for every diagonal, in order."""
-    return [[d.i, d.j, 1] for d in diagonals(n_gon)]
-
-
-@pytest.mark.parametrize(
-    "n_gon, c, error, message",
-    [
-        (5, _spec_c(5)[:4] + [[3, 5]], InputFormatError,
-         "spec: bound entries must be [i, j, c] triples"),
-        (5, _spec_c(5) + ["x"], InputFormatError,
-         "spec: bound entries must be [i, j, c] triples"),
-        (5, _spec_c(5)[:4] + [[True, 5, 1]], InputFormatError,
-         "spec: segment entries must be [i, j] integer pairs"),
-        (5, [[4, 4, 1]] + _spec_c(5), InvalidVertex, "segment endpoints must differ, got (4, 4)"),
-        (5, _spec_c(5) + [[1, 2, 1]], SizeMismatch, "spec must bound every diagonal exactly once"),
-        (5, _spec_c(5) + [[1, 9, 1]], SizeMismatch, "spec must bound every diagonal exactly once"),
-        (5, _spec_c(5) + [[3, 1, 2]], SizeMismatch, "spec must bound every diagonal exactly once"),
-        (5, _spec_c(5)[1:], SizeMismatch, "spec must bound every diagonal exactly once"),
-        (5, _spec_c(5)[:4] + [[3, 5, "1/0"]], InputFormatError,
-         "malformed number string: '1/0'"),
-        (5, _spec_c(5)[:4] + [[3, 5, 1.5]], InputFormatError,
-         "floats are not accepted (1.5); use integers or 'p/q' strings"),
-        (5, _spec_c(5)[:4] + [[3, 5, True]], InputFormatError, "booleans are not numbers"),
-        # the entries' own faults come in entry order, before the diagonals'
-        (5, [[1, 2, 1], [2, 2, 1]] + _spec_c(5), InvalidVertex,
-         "segment endpoints must differ, got (2, 2)"),
-        (5, [[1, 9, 1], [1, 3, "x"]] + _spec_c(5), InputFormatError,
-         "malformed number string: 'x'"),
-        (5, [[1, 3, 1], [1, 3, 1], [2, 2, 1]], InvalidVertex,
-         "segment endpoints must differ, got (2, 2)"),
-        (5, _spec_c(5)[1:] + [[3, 5]], InputFormatError,
-         "spec: bound entries must be [i, j, c] triples"),
-        (2, [[1, 2, 1], [1, 1, 1]], InvalidVertex, "segment endpoints must differ, got (1, 1)"),
-        (2, [[1, 2, "x"]], InputFormatError, "malformed number string: 'x'"),
-        (2, [[1, 2, 1]], InvalidPolygon, "polygon needs at least 3 vertices, got 2"),
-        (-1, [], InvalidPolygon, "polygon needs at least 3 vertices, got -1"),
-    ],
-)
+@pytest.mark.parametrize("n_gon, c, error, message", SPEC_FAULTS)
 def test_spec_faults_keep_their_order(n_gon, c, error, message):
     """Each fault of a spec document raises its own error, and of several
     faults the first in this order: the entries' own faults in entry order
@@ -259,7 +171,7 @@ def test_spec_faults_keep_their_order(n_gon, c, error, message):
 def test_spec_entries_read_in_either_order():
     """A bound entry names its diagonal either way round, and a number
     string reads as its normal form, in the spec the constructor gives."""
-    c = _spec_c(6)
+    c = spec_c(6)
     c[2] = [c[2][1], c[2][0], "-4/2"]
     c[5][2] = "3/6"
     got = spec_from_json({"format": FORMAT, "n_gon": 6, "c": c[::-1]})

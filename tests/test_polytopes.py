@@ -55,6 +55,7 @@ from tropclust.polytopes import (
     vertex,
     vertex_flags,
 )
+from tropclust.weighted_graphs import _tables, wrap_vertex
 
 
 def fan_coords(n_gon, values):
@@ -90,16 +91,24 @@ def test_spec_accessors():
     assert s.as_dict() == {d: 2 for d in diagonals(5)}
 
 
-def quadruple_slack(spec, p, q, r, s):
-    """Reference for the quadruple criterion: crossing-diagonal bound minus
-    the larger opposite-side bound, boundary edges read as 0."""
+def side_slacks(spec, p, q, r, s):
+    """Reference: the crossing-diagonal bounds minus the bounds of each pair
+    of opposite sides, ({p, s}, {q, r}) and then ({p, q}, {r, s}),
+    boundary edges read as 0."""
     c = spec.as_dict()
 
     def side(i, j):
         seg = Segment(i, j)
         return 0 if seg.is_edge(spec.n_gon) else c[seg]
 
-    return side(p, r) + side(q, s) - max(side(p, q) + side(r, s), side(q, r) + side(p, s))
+    cross = side(p, r) + side(q, s)
+    return cross - side(p, s) - side(q, r), cross - side(p, q) - side(r, s)
+
+
+def quadruple_slack(spec, p, q, r, s):
+    """Reference for the quadruple criterion: crossing-diagonal bound minus
+    the larger opposite-side bound, boundary edges read as 0."""
+    return min(side_slacks(spec, p, q, r, s))
 
 
 def test_quadruple_slack_by_hand():
@@ -108,41 +117,83 @@ def test_quadruple_slack_by_hand():
     assert quadruple_slack(s, 1, 2, 3, 4) == 1 + 1 - max(0 + 0, 0 + 1)
     t = StasheffSpec.of(5, {(1, 3): -1, (1, 4): 0, (2, 4): 0, (2, 5): 0, (3, 5): 0})
     assert quadruple_slack(t, 1, 2, 3, 4) == -1
-    # (1, 2, 3, 4) is the first quadruple in lexicographic order
-    assert polytopes._slacks(s)[0] == 1
-    assert polytopes._slacks(t)[0] == -1
+    # (1, 2, 3, 4) is the thin quadruple of {2, 4}: the weight
+    # w(2, 4) = c(2, 4) + c(1, 3) - c(2, 3) - c(1, 4) alone is the slack of
+    # its side ({1, 4}, {2, 3}), the smaller side here
+    k = _tables(5).slot[Segment(2, 4)]
+    assert polytopes._spec_weights(s)[k] == 1
+    assert polytopes._spec_weights(t)[k] == -1
 
 
-def test_slacks_match_the_per_quadruple_formula():
-    """On every quadruple of seeded 4- to 9-gon specs (Minkowski specs,
-    rational ones and perturbed ones, most of those not Stasheff) the slack
-    table gives the reference formula's value, scaled by the lcm of the
-    bounds' denominators, and the recognizers agree with it."""
+def seeded_specs(n_gon, rng):
+    """A Minkowski spec of one to three seeded points, a rational variant
+    and an integer one lowered or raised by up to 2 per diagonal; most of
+    the variants are not Stasheff."""
+    spec = minkowski_spec([
+        point(n_gon, [rng.randint(-2, 2) for _ in range(n_gon - 3)])
+        for _ in range(rng.randint(1, 3))
+    ])
+    return (
+        spec,
+        StasheffSpec.of(n_gon, {
+            d: v + Fraction(rng.randint(-2, 2), rng.randint(2, 5)) for d, v in spec.c
+        }),
+        StasheffSpec.of(n_gon, {d: v + rng.randint(-2, 1) for d, v in spec.c}),
+    )
+
+
+def test_slacks_are_box_sums_of_the_spec_weights():
+    """On every quadruple p < q < r < s of seeded 4- to 12-gon specs, the
+    slack of each side, scaled by the lcm of the bounds' denominators, is
+    the sum of the spec's graph weights over its box, labels mod N:
+    ({p, s}, {q, r}) over (p, q] x (r, s] and ({p, q}, {r, s}) over
+    (q, r] x (s, p + N], every term a diagonal.  The recognizers agree
+    with the reference formula, and all three outcomes occur."""
     rng = random.Random(2601)
     seen = set()
-    for n_gon in range(4, 10):
+    for n_gon in range(4, 13):
+        slot = _tables(n_gon).slot
         for _ in range(6):
-            spec = minkowski_spec([
-                point(n_gon, [rng.randint(-2, 2) for _ in range(n_gon - 3)])
-                for _ in range(rng.randint(1, 3))
-            ])
-            for variant in (
-                spec,
-                StasheffSpec.of(n_gon, {
-                    d: v + Fraction(rng.randint(-2, 2), rng.randint(2, 5)) for d, v in spec.c
-                }),
-                StasheffSpec.of(n_gon, {d: v + rng.randint(-2, 1) for d, v in spec.c}),
-            ):
-                expected = [
-                    quadruple_slack(variant, *quad)
-                    for quad in itertools.combinations(range(1, n_gon + 1), 4)
-                ]
-                q = lcm(*(Fraction(v).denominator for _, v in variant.c))
-                assert polytopes._slacks(variant) == [q * x for x in expected]
-                assert is_stasheff(variant) == all(x >= 0 for x in expected)
-                assert is_nondegenerate(variant) == all(x > 0 for x in expected)
-                seen.add((is_stasheff(variant), is_nondegenerate(variant)))
+            for spec in seeded_specs(n_gon, rng):
+                w = polytopes._spec_weights(spec)
+                scale = lcm(*(Fraction(v).denominator for _, v in spec.c))
+
+                def box(a_lo, a_hi, b_lo, b_hi):
+                    return sum(
+                        w[slot[tuple(sorted((wrap_vertex(a, n_gon), wrap_vertex(b, n_gon))))]]
+                        for a in range(a_lo + 1, a_hi + 1) for b in range(b_lo + 1, b_hi + 1)
+                    )
+
+                slacks = []
+                for p, q, r, s in itertools.combinations(range(1, n_gon + 1), 4):
+                    sides = side_slacks(spec, p, q, r, s)
+                    assert [scale * x for x in sides] == [
+                        box(p, q, r, s), box(q, r, s, p + n_gon)
+                    ]
+                    slacks.append(min(sides))
+                assert is_stasheff(spec) == all(x >= 0 for x in slacks)
+                assert is_nondegenerate(spec) == all(x > 0 for x in slacks)
+                seen.add((is_stasheff(spec), is_nondegenerate(spec)))
     assert seen == {(True, True), (True, False), (False, False)}
+
+
+def test_spec_weights_of_a_minkowski_spec_are_the_summed_weights():
+    """The spec's graph of ``minkowski_spec(points)`` has the diagonal
+    weights of the points' summed graph, scaled by the lcm of the bounds'
+    denominators, on seeded 5- to 12-gon products of integral and
+    rational points."""
+    rng = random.Random(3801)
+    for n_gon in range(5, 13):
+        diags = _tables(n_gon).diagonals
+        for factor in (1, 1, Fraction(1, 2), Fraction(2, 3)):
+            points = [
+                point(n_gon, [rng.randint(-2, 2) for _ in range(n_gon - 3)]) * factor
+                for _ in range(rng.randint(1, 4))
+            ]
+            spec = minkowski_spec(points)
+            summed = [sum(ws) for ws in zip(*(p.graph.w for p in points))]
+            scale = lcm(*(Fraction(v).denominator for _, v in spec.c))
+            assert polytopes._spec_weights(spec) == [scale * summed[k] for k in diags]
 
 
 def test_recognizers():
@@ -788,6 +839,37 @@ def test_scans_leave_the_compiled_chart_as_built(monkeypatch):
     assert calls == {}
     assert _compiled(chart) is compiled and compiled.rows is rows
     assert state(compiled) == built
+
+
+def test_scans_floor_the_bounds_once(monkeypatch):
+    """``_scan_chart`` floors a spec's bounds once, for the Farkas gate and
+    the scan both, in the fan and in another chart: a Stasheff spec skips
+    the gate; a non-Stasheff spec with integral points and an empty one each
+    run one Farkas test on the same floors."""
+    calls = Counter()
+    real_floors, real_is_empty = laminations._RowTable.floors, polytopes._is_empty
+
+    def floors(self, values):
+        calls["floors"] += 1
+        return real_floors(self, values)
+
+    def is_empty(*args):
+        calls["_is_empty"] += 1
+        return real_is_empty(*args)
+
+    monkeypatch.setattr(laminations._RowTable, "floors", floors)
+    monkeypatch.setattr(polytopes, "_is_empty", is_empty)
+    rng = random.Random(3802)
+    a = minkowski_spec([point(7, [rng.randint(-2, 2) for _ in range(4)]) for _ in range(2)])
+    # raising one bound keeps a's points and breaks the criterion
+    raised = StasheffSpec.of(7, {d: v + 2 * (d == Segment(2, 5)) for d, v in a.c})
+    empty = const_spec(7, -1)
+    assert is_stasheff(a) and not is_stasheff(raised) and not is_stasheff(empty)
+    for chart in (fan_triangulation(7), flip(fan_triangulation(7), Segment(1, 4))[0]):
+        for spec, gated, nonempty in ((a, 0, True), (raised, 1, True), (empty, 1, False)):
+            calls.clear()
+            assert bool(_scan_chart(spec, chart)[1]) == nonempty
+            assert calls == Counter(floors=1, _is_empty=gated)
 
 
 @pytest.mark.parametrize("n_gon, k, low, high", [
