@@ -18,7 +18,9 @@ The x-chart machinery lives here too:
   fibers, the terms that agree off k, each divided by its power of
   (1 + X_k).  That division fails exactly when the result is not Laurent;
 * ``mutation_words`` gives one mutation word per complete triangulation,
-  so every chart can be reached deterministically;
+  so every chart can be reached deterministically: the words of the
+  breadth-first flip walk from the fan, ``polygon._flip_walk``, which also
+  lists ``polygon.triangulations``;
 * ``x_chart_walk`` expands one polynomial in every chart of that atlas.
   The words are closed under prefixes and each parent comes first, so the
   walk reaches every chart from its parent's chart by a single mutation
@@ -34,7 +36,6 @@ The x-chart machinery lives here too:
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -47,7 +48,7 @@ from .errors import (
     NotDivisible,
 )
 from .laurent import LaurentPolynomial
-from .polygon import Segment, fan_triangulation, flip
+from .polygon import Segment, _flip_walk
 
 def label_text(label) -> str:
     if isinstance(label, Segment):
@@ -346,30 +347,8 @@ def mutation_words(n: int) -> dict:
 
     Directions are numbered 1..n and start on the fan chart; direction k
     tracks the diagonal it currently labels, so words compose flips.
-    Returned as {triangulation key: word tuple}, found breadth-first: the
-    words are closed under prefixes, and every parent ``word[:-1]`` comes
-    before its children.  The search skips the flip back to a chart's
-    parent, which is always found already.
+    Returned as {triangulation key: word tuple} in the order of
+    ``polygon._flip_walk``, breadth-first: the words are closed under
+    prefixes, and every parent ``word[:-1]`` comes before its children.
     """
-    n_gon = n + 3
-    start = fan_triangulation(n_gon)
-    start_labels = tuple(start.sorted_diagonals())
-    words: dict[tuple, tuple] = {start.key(): ()}
-    # the diagonal sets found so far: cheaper to test than sorted keys
-    seen = {start.diagonals}
-    queue = deque([(start, start_labels, ())])
-    while queue:
-        tri, labels, word = queue.popleft()
-        back = word[-1] - 1 if word else -1  # the flip back to the parent
-        for k in range(n):
-            if k == back:
-                continue
-            new_tri, new_diag, _quad = flip(tri, labels[k])
-            if new_tri.diagonals in seen:
-                continue
-            seen.add(new_tri.diagonals)
-            new_labels = labels[:k] + (new_diag,) + labels[k + 1 :]
-            new_word = word + (k + 1,)
-            words[new_tri.key()] = new_word
-            queue.append((new_tri, new_labels, new_word))
-    return words
+    return {tri.key(): word for tri, word in _flip_walk(n + 3)}

@@ -7,11 +7,9 @@ or fraction strings like ``"-3/4"``; floats are rejected outright, since
 nothing in this package is approximate.  Serialization is deterministic:
 entries are emitted sorted, so equal objects produce identical bytes.
 
-``dumps`` is a small recursive writer over the four kinds of value the
-documents hold (dicts with string keys, lists, ints and strings).  It gives
-the bytes of the standard encoder with a two-space indent and sorted keys,
-whose indented mode runs only in pure Python; strings go through the
-encoder's own ASCII escaping.
+``dumps`` is the standard encoder with a two-space indent, sorted keys and
+a final newline.  It writes the small documents: a Minkowski spec, vertex
+coordinates, a seed.
 
 Point and expansion documents, which the command line writes by the
 thousand laminations, all integral and on one polygon, are written by
@@ -37,7 +35,6 @@ import json
 import re
 from fractions import Fraction
 from functools import lru_cache
-from json.encoder import encode_basestring_ascii
 
 from .atlas import Seed
 from .basis import Expansion
@@ -336,53 +333,11 @@ def seed_from_json(doc) -> Seed:
 
 def dumps(doc) -> str:
     """Deterministic serialization: sorted keys, two-space indent, a final
-    newline, the same bytes as the standard encoder gives with those
-    settings."""
-    out = []
+    newline."""
     try:
-        _write(doc, "", "\n", out)
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     except ValueError as exc:  # an int past the interpreter's digit limit
         raise InputFormatError(f"cannot write output: {exc}") from exc
-    out.append("\n")
-    return "".join(out)
-
-
-def _write(x, head: str, newline: str, out: list) -> None:
-    """Append ``head`` and the text of ``x`` to ``out``: a scalar (an int or
-    a str) joined to ``head`` in one string, as the standard encoder does,
-    a container after it.  ``newline`` starts a line at the depth of ``x``."""
-    kind = type(x)
-    if kind is int:
-        out.append(head + int.__repr__(x))
-    elif kind is str:
-        out.append(head + encode_basestring_ascii(x))
-    else:
-        out.append(head)
-        _write_container(x, newline, out)
-
-
-def _write_container(x, newline: str, out: list) -> None:
-    """Append a dict with str keys or a list, one entry per line."""
-    kind = type(x)
-    if kind is not list and kind is not dict:
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-    if not x:
-        out.append("[]" if kind is list else "{}")
-        return
-    inner = newline + "  "
-    head, sep = ("[" if kind is list else "{") + inner, "," + inner
-    if kind is list:
-        for item in x:
-            _write(item, head, inner, out)
-            head = sep
-        out.append(newline + "]")
-        return
-    for key, value in sorted(x.items()):
-        if type(key) is not str:
-            raise TypeError(f"keys must be str, not {type(key).__name__}")
-        _write(value, head + encode_basestring_ascii(key) + ": ", inner, out)
-        head = sep
-    out.append(newline + "}")
 
 
 def laminations_text(n_gon: int, weights: list, coeffs: list | None = None) -> str:

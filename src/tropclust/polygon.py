@@ -10,11 +10,16 @@ always complete: N-3 pairwise noncrossing diagonals, checked once when it
 is built, so every chart operation can rely on it.  Whether a set of
 diagonals holds one is an interval program (``has_triangulation``), with
 no scan of the Catalan-many charts.
+
+The triangulations are the vertices of the Stasheff polytope and flips
+are its edges.  One breadth-first flip walk from the fan (``_flip_walk``)
+lists them all: ``triangulations`` sorts its charts, and
+``atlas.mutation_words`` keeps its words.
 """
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
+from collections import deque, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -157,34 +162,37 @@ def fan_triangulation(n_gon: int) -> Triangulation:
 
 @lru_cache(maxsize=32)
 def triangulations(n_gon: int) -> tuple[Triangulation, ...]:
-    """All complete triangulations, lexicographically ordered.
+    """All complete triangulations, lexicographically ordered: the charts
+    ``_flip_walk`` reaches, sorted by ``Triangulation.key``."""
+    return tuple(sorted((tri for tri, _word in _flip_walk(n_gon)), key=Triangulation.key))
 
-    Recursive ear decomposition: every triangulation of the polygon on a
-    cyclic vertex list has a unique triangle on the chord between its first
-    and last vertex; branch over its apex.
+
+def _flip_walk(n_gon: int):
+    """Yield (triangulation, word) for every complete triangulation, found
+    breadth-first by flips from the fan.
+
+    Direction k = 1..N-3 starts on the fan's k-th diagonal and tracks the
+    diagonal it currently labels, so a word is the flips that reach its
+    chart.  The words are closed under prefixes and every parent
+    ``word[:-1]`` comes before its children.  The search skips the flip back
+    to a chart's parent, which is always found already.
     """
-    check_polygon(n_gon)
-
-    def rec(verts: tuple[int, ...]):
-        if len(verts) < 3:
-            return [frozenset()]
-        first, last = verts[0], verts[-1]
-        found = []
-        for idx in range(1, len(verts) - 1):
-            apex = verts[idx]
-            added = set()
-            for u, v in ((first, apex), (apex, last)):
-                s = Segment(u, v)
-                if s.is_diagonal(n_gon):
-                    added.add(s)
-            for left in rec(verts[: idx + 1]):
-                for right in rec(verts[idx:]):
-                    found.append(frozenset(added) | left | right)
-        return found
-
-    sets = rec(tuple(range(1, n_gon + 1)))
-    tris = sorted((Triangulation(n_gon, s) for s in sets), key=Triangulation.key)
-    return tuple(tris)
+    start = fan_triangulation(n_gon)
+    # the diagonal sets found so far: cheaper to test than sorted keys
+    seen = {start.diagonals}
+    queue = deque([(start, tuple(start.sorted_diagonals()), ())])
+    while queue:
+        tri, labels, word = queue.popleft()
+        yield tri, word
+        back = word[-1] - 1 if word else -1  # the flip back to the parent
+        for k in range(n_gon - 3):
+            if k == back:
+                continue
+            new_tri, new_diag, _quad = flip(tri, labels[k])
+            if new_tri.diagonals not in seen:
+                seen.add(new_tri.diagonals)
+                new_labels = labels[:k] + (new_diag,) + labels[k + 1 :]
+                queue.append((new_tri, new_labels, word + (k + 1,)))
 
 
 def has_triangulation(n_gon: int, segments) -> bool:

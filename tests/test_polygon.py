@@ -102,10 +102,15 @@ def test_triangulation_counts_are_catalan():
 
 
 def test_triangulations_sorted_and_unique():
-    for n in (5, 6, 7):
-        keys = [t.key() for t in triangulations(n)]
+    """Sorted, distinct, and each chart, built by unchecked flips, passes
+    the validating constructor."""
+    for n in range(3, 10):
+        tris = triangulations(n)
+        keys = [t.key() for t in tris]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
+        for t in tris:
+            assert Triangulation(n, t.diagonals) == t
 
 
 def test_every_triangulation_is_maximal():
