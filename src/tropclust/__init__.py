@@ -54,7 +54,6 @@ from .laminations import (
     chart_coords,
     lamination_from_coords,
     lamination_pieces,
-    tropical_coordinate,
 )
 from .polytopes import (
     StasheffSpec,

@@ -61,7 +61,7 @@ from .errors import (
 )
 from .laminations import Lamination, lamination_pieces
 from .laurent import LaurentPolynomial
-from .weighted_graphs import WeightedGraph, _fan_cuts, _is_int, _tables
+from .weighted_graphs import WeightedGraph, _is_int, _tables
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -317,8 +317,9 @@ def _sorted_leaves(points: Sequence[Lamination], budget: int) -> list:
         if p.domain != "int":
             raise NonIntegral("product expansion needs integral laminations")
     leaves = _split_leaves(total.w, _tables(total.n_gon).rows, budget)
-    cuts = _fan_cuts(total.n_gon)
-    # the keys column by column; a triangle has no fan diagonal
+    # the fan diagonals hold the first N - 3 slots; the keys column by
+    # column, and a triangle has no fan diagonal
+    cuts = _tables(total.n_gon).cuts[:total.n_gon - 3]
     keys = zip(*[map(sum, map(cut, leaves)) for cut in cuts]) if cuts else repeat(())
     return sorted(zip(keys, leaves, leaves.values()), key=itemgetter(0))
 

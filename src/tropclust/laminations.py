@@ -8,7 +8,9 @@ The weights alone fix the domain, which each lamination stores once;
 ``_domain`` is the one place the ``"int"``/``"rat"`` rule is written.
 
 Each triangulation gives a coordinate chart: the coordinate of a chart
-diagonal is half the cut mass across it.  Coordinates are a bijection onto
+diagonal is half the cut mass across it, which ``chart_coords`` reads for
+every diagonal at once (``weighted_graphs._half_cuts``, in slot order) and
+picks the chart's from.  Coordinates are a bijection onto
 integer (resp. rational) vectors indexed by the chart diagonals.  The
 coordinate of any other diagonal is the maximum, over the exponent vectors
 of its positive expansion in the chart, of their linear forms evaluated at
@@ -58,14 +60,13 @@ from .errors import (
     DimensionMismatch,
     InvariantViolation,
     NonIntegral,
-    NotADiagonal,
     NotALamination,
     SizeMismatch,
 )
 from .polygon import Segment, Triangulation, _chart_text, crosses
 from .weighted_graphs import (
-    Number,
     WeightedGraph,
+    _half_cuts,
     _is_number,
     _normalize,
     _tables,
@@ -281,23 +282,13 @@ class TropicalCoords:
         return tuple(v for _, v in self.values)
 
 
-def _half_cut(lam: Lamination, d: Segment) -> Number:
-    return _normalize(Fraction(lam.graph.cut(d.i, d.j), 2))
-
-
-def tropical_coordinate(lam: Lamination, seg: Segment) -> Number:
-    """Half the cut mass across a diagonal; defined for any diagonal."""
-    seg = Segment(*seg)
-    if not seg.is_diagonal(lam.n_gon):
-        raise NotADiagonal(f"{seg} is an edge; coordinates live on diagonals")
-    return _half_cut(lam, seg)
-
-
 def chart_coords(lam: Lamination, tri: Triangulation) -> TropicalCoords:
-    """Coordinates of a lamination in the chart of a triangulation."""
+    """Coordinates of a lamination in the chart of a triangulation: the
+    half cut masses across its diagonals."""
     if lam.n_gon != tri.n_gon:
         raise SizeMismatch("lamination and chart live on different polygons")
-    return TropicalCoords(tri, tuple((d, _half_cut(lam, d)) for d in tri.sorted_diagonals()))
+    half, slot = _half_cuts(lam.n_gon, lam.graph.w), _tables(lam.n_gon).slot
+    return TropicalCoords(tri, tuple((d, half[slot[d]]) for d in tri.sorted_diagonals()))
 
 
 def _crossing_count(seg: Segment, tri: Triangulation) -> int:

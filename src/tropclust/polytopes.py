@@ -14,6 +14,12 @@ partial triangulations.  Every slack of the criterion is a nonempty sum
 of the diagonal weights of the spec's graph G(c), so the criterion is one
 sign test per diagonal (``_spec_weights``).
 
+Every per-diagonal quantity is read in slot order: a spec's bounds are
+``c``, and a point's coordinates, half its cut masses, come from the per-N
+cut getters (``weighted_graphs._half_cuts``), which also sum a product's
+Minkowski bounds (``minkowski_spec``) and read membership, tight sets and
+shifts.
+
 Lattice enumeration works per chart, compiled once per process for up to
 32 charts (``laminations._compiled``): a diagonal's coordinate is the max
 of the linear forms that the exponent vectors of its chart expansion
@@ -47,7 +53,7 @@ Fourier-Motzkin elimination, and the scan against the integral points of
 both boxes.
 
 ``vertex_flags`` tells which points are the vertex of some chart: a
-point's tight set, the diagonals where its cut mass meets twice the bound,
+point's tight set, the diagonals where its half cut mass meets the bound,
 goes through the interval program ``polygon.has_triangulation``, O(N^3)
 per point, instead of being tested against each of the Catalan-many
 charts.
@@ -55,7 +61,7 @@ charts.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -75,7 +81,6 @@ from .laminations import (
     _compiled,
     _diagonal_values,
     lamination_from_coords,
-    tropical_coordinate,
 )
 from .polygon import (
     Triangulation,
@@ -83,7 +88,7 @@ from .polygon import (
     fan_triangulation,
     has_triangulation,
 )
-from .weighted_graphs import WeightedGraph, _is_number, _tables
+from .weighted_graphs import WeightedGraph, _half_cuts, _is_number, _tables
 
 
 _MISMATCH = "spec must bound every diagonal exactly once"
@@ -91,11 +96,11 @@ _MISMATCH = "spec must bound every diagonal exactly once"
 
 @dataclass(frozen=True)
 class StasheffSpec:
-    """One exact bound per diagonal of the polygon."""
+    """One exact bound per diagonal of the polygon, as (segment, bound)
+    pairs in slot order (``_tables(N).slot``)."""
 
     n_gon: int
     c: tuple
-    _bounds: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_polygon(self.n_gon)
@@ -106,7 +111,6 @@ class StasheffSpec:
             "bounds must be exact numbers",
         )
         object.__setattr__(self, "c", vals)
-        object.__setattr__(self, "_bounds", dict(vals))
 
     @classmethod
     def _trusted(cls, n_gon: int, c: tuple) -> "StasheffSpec":
@@ -115,7 +119,6 @@ class StasheffSpec:
         spec = object.__new__(cls)
         object.__setattr__(spec, "n_gon", n_gon)
         object.__setattr__(spec, "c", c)
-        object.__setattr__(spec, "_bounds", dict(c))
         return spec
 
     @staticmethod
@@ -173,16 +176,14 @@ def vertex(spec: StasheffSpec, tri: Triangulation) -> TropicalCoords:
     """
     if spec.n_gon != tri.n_gon:
         raise SizeMismatch("spec and chart live on different polygons")
-    c = spec._bounds
-    return TropicalCoords(tri, tuple((d, c[d]) for d in tri.sorted_diagonals()))
+    return TropicalCoords(tri, tuple((d, c) for d, c in spec.c if d in tri.diagonals))
 
 
 def contains(spec: StasheffSpec, lam: Lamination) -> bool:
     """Polytope membership: every diagonal bound holds at the point."""
     if lam.n_gon != spec.n_gon:
         raise SizeMismatch("point and spec live on different polygons")
-    c = spec._bounds
-    return all(tropical_coordinate(lam, d) <= c[d] for d in _tables(spec.n_gon).slot)
+    return all(x <= c for x, (_, c) in zip(_half_cuts(spec.n_gon, lam.graph.w), spec.c))
 
 
 def minkowski_spec(points: Sequence[Lamination]) -> StasheffSpec:
@@ -198,16 +199,10 @@ def minkowski_spec(points: Sequence[Lamination]) -> StasheffSpec:
     for p in points[1:]:
         if p.n_gon != n:
             raise SizeMismatch("points live on different polygons")
-    tables = _tables(n)
     # cut masses are linear, so each bound is half a cut mass of the
-    # summed weights; an even mass halves to an int
+    # summed weights
     w = list(map(sum, zip(*(p.graph.w for p in points))))
-    masses = [sum(tables.cuts[k](w)) for k in tables.diagonals]
-    c = tuple(
-        (d, mass // 2 if mass % 2 == 0 else Fraction(mass, 2))
-        for d, mass in zip(tables.slot, masses)
-    )
-    return StasheffSpec._trusted(n, c)
+    return StasheffSpec._trusted(n, tuple(zip(_tables(n).slot, _half_cuts(n, w))))
 
 
 def minkowski_sum(spec1: StasheffSpec, spec2: StasheffSpec) -> StasheffSpec:
@@ -216,8 +211,7 @@ def minkowski_sum(spec1: StasheffSpec, spec2: StasheffSpec) -> StasheffSpec:
         raise SizeMismatch("specs live on different polygons")
     if not is_stasheff(spec1) or not is_stasheff(spec2):
         raise NotStasheff("both summands must satisfy the quadruple criterion")
-    d1, d2 = spec1._bounds, spec2._bounds
-    return StasheffSpec.of(spec1.n_gon, {d: d1[d] + d2[d] for d in d1})
+    return StasheffSpec.of(spec1.n_gon, {d: a + b for (d, a), (_, b) in zip(spec1.c, spec2.c)})
 
 
 # -- exact linear programming core ------------------------------------------
@@ -361,12 +355,7 @@ def chart_inequalities(spec: StasheffSpec, chart: Triangulation) -> list[tuple]:
     """
     if spec.n_gon != chart.n_gon:
         raise SizeMismatch("spec and chart live on different polygons")
-    c = spec._bounds
-    return [
-        (form, c[d])
-        for d, forms in zip(_tables(spec.n_gon).slot, _compiled(chart).forms)
-        for form in forms
-    ]
+    return [(form, c) for (_, c), forms in zip(spec.c, _compiled(chart).forms) for form in forms]
 
 
 def coordinate_bounds(ineqs: Sequence[tuple], nvars: int):
@@ -505,12 +494,9 @@ def vertex_flags(spec: StasheffSpec, weights) -> list[bool]:
     some chart: whether the diagonals where its coordinate meets the bound,
     its tight set, hold a complete triangulation (``has_triangulation``).
     """
-    tables = _tables(spec.n_gon)
-    c = spec._bounds
-    # a coordinate is half a cut mass, so the cut mass meets twice the bound
-    checks = [(d, tables.cuts[k], 2 * c[d]) for d, k in zip(tables.slot, tables.diagonals)]
+    n = spec.n_gon
     return [
-        has_triangulation(spec.n_gon, [d for d, cut, bound in checks if sum(cut(w)) == bound])
+        has_triangulation(n, [d for x, (d, c) in zip(_half_cuts(n, w), spec.c) if x == c])
         for w in weights
     ]
 
@@ -523,13 +509,12 @@ def shift_to_negative_part(spec: StasheffSpec) -> tuple[Lamination, StasheffSpec
     the quadruple criterion because point coordinates satisfy the exchange
     relation with equality.
     """
-    fan = fan_triangulation(spec.n_gon)
-    c = spec._bounds
-    m = max([0] + [c[d] for d in fan.sorted_diagonals()])
+    n = spec.n_gon
+    # the fan diagonals hold the first N - 3 slots
+    fan_bounds = spec.c[:n - 3]
+    m = max([0] + [c for _, c in fan_bounds])
     shift = lamination_from_coords(
-        TropicalCoords(fan, tuple((d, -m) for d in fan.sorted_diagonals()))
+        TropicalCoords(fan_triangulation(n), tuple((d, -m) for d, _ in fan_bounds))
     )
-    shifted = {
-        d: c[d] + tropical_coordinate(shift, d) for d in _tables(spec.n_gon).slot
-    }
-    return shift, StasheffSpec.of(spec.n_gon, shifted)
+    shifted = {d: c + x for (d, c), x in zip(spec.c, _half_cuts(n, shift.graph.w))}
+    return shift, StasheffSpec.of(n, shifted)

@@ -10,17 +10,22 @@ row-major order of ``pairs(N)``.  Modules that address weights by index
 ``pairs`` too.  Two masses are read straight off the tuple:
 
 * vertex mass: the sum of weights incident to one vertex;
-* cut mass: for a segment {k, l}, the total weight of segments separating
+* cut mass: for a diagonal {k, l}, the total weight of segments separating
   the cyclic interval [k+1, l] from its complement.
 
 Every table that depends on N alone lives in one record built once per N
 (``_tables``): the pairs and their index, the diagonal indices and slots,
-a getter per vertex and per cut, the crossing rows, and the
+a getter per vertex and per diagonal's cut, the crossing rows, and the
 inclusion-exclusion columns that turn diagonal values back into weights.
 Validation, the masses, the split tree (``basis``), chart reconstruction
 (``laminations``), the quadruple criterion (``polytopes``) and the JSON
 reader (``jsonio``) read it, so a graph is read, checked and measured
 with index lookups, without building a ``Segment`` per entry.
+
+Every per-diagonal quantity is read in slot order.  Half a diagonal's cut
+mass (``_half_cuts``) is a lamination's tropical coordinate there, and the
+bound a product's Minkowski spec puts on it; over any zero-mass graph it
+is the spec of the graph, the inverse of ``polytopes._spec_weights``.
 """
 from __future__ import annotations
 
@@ -28,7 +33,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, itemgetter
+from operator import add, itemgetter, le
 from typing import NamedTuple
 
 from .errors import InvariantViolation, SizeMismatch
@@ -62,11 +67,6 @@ def pairs(n_gon: int) -> list[tuple[int, int]]:
     return list(itertools.combinations(range(1, n_gon + 1), 2))
 
 
-def _index(n_gon: int, i: int, j: int) -> int:
-    """Position of the pair i < j in ``pairs(n_gon)``."""
-    return (i - 1) * (2 * n_gon - i) // 2 + j - i - 1
-
-
 class _Tables(NamedTuple):
     """The per-N tables of the flat weight layout of one N-gon.
 
@@ -77,8 +77,9 @@ class _Tables(NamedTuple):
       diagonals; its keys in order are ``polygon.diagonals(N)``.
     * ``at_vertex[p - 1]`` reads the weights of the N - 1 pairs at vertex p
       off a weight tuple; ``cuts[x]`` reads those of the pairs crossing the
-      cut across ``pairs[x]`` = (k, l), with one end in [k+1, l].  Each
-      reads at least two weights, so each returns a tuple.
+      cut across the diagonal of slot x, (k, l), with one end in [k+1, l].
+      Each reads at least two weights, so each returns a tuple.  The fan
+      diagonals {1, k}, k = 3..N-1, come first: ``cuts[:N - 3]`` are theirs.
     * ``rows`` has one row per quad p < q < r < s, in lexicographic order:
       the indices of its crossing chords {p, r} and {q, s}, and the index
       pairs of the two ways of rerouting them, ({p, s}, {q, r}) and
@@ -115,7 +116,7 @@ def _tables(n_gon: int) -> _Tables:
     )
     cuts = tuple(
         itemgetter(*(x for x, (i, j) in enumerate(layout) if (k < i <= l) != (k < j <= l)))
-        for k, l in layout
+        for k, l in slot
     )
     rows = tuple(
         (index[p, r], index[q, s], ((index[p, s], index[q, r]), (index[p, q], index[r, s])))
@@ -132,10 +133,11 @@ def _tables(n_gon: int) -> _Tables:
     return _Tables(layout, index, diags, slot, at_vertex, cuts, rows, weights)
 
 
-def _fan_cuts(n_gon: int) -> tuple:
-    """The cut getters of the fan diagonals {1, k}, k = 3..N-1, which are
-    pairs 1..N-3 of the layout."""
-    return _tables(n_gon).cuts[1:n_gon - 2]
+def _half_cuts(n_gon: int, w) -> list:
+    """Half the cut mass of the weights ``w`` across each diagonal, in slot
+    order: an int where the mass is even, else a Fraction."""
+    masses = [sum(cut(w)) for cut in _tables(n_gon).cuts]
+    return [m // 2 if m % 2 == 0 else Fraction(m, 2) for m in masses]
 
 
 def _check_diagonals(n_gon: int, w: tuple) -> tuple:
@@ -187,7 +189,7 @@ class WeightedGraph:
         if i == j:
             return 0
         seg = Segment(i, j).validate(self.n_gon)
-        return self.w[_index(self.n_gon, seg.i, seg.j)]
+        return self.w[_tables(self.n_gon).index[seg]]
 
     def __getitem__(self, seg: Segment) -> Number:
         return self.weight(seg.i, seg.j)
@@ -206,14 +208,6 @@ class WeightedGraph:
         """The total weight incident to each vertex 1..N."""
         w = self.w
         return tuple(sum(at(w)) for at in _tables(self.n_gon).at_vertex)
-
-    def cut(self, a: int, b: int) -> Number:
-        """Cut mass across {a, b} with cyclically wrapped labels: the weight
-        of segments with one end in [k+1, l] for k < l the wrapped labels;
-        zero when they coincide."""
-        n = self.n_gon
-        k, l = sorted((wrap_vertex(a, n), wrap_vertex(b, n)))
-        return sum(_tables(n).cuts[_index(n, k, l)](self.w)) if k != l else 0
 
     # -- algebra -----------------------------------------------------------
 
@@ -240,5 +234,5 @@ def dominates(g1: WeightedGraph, g2: WeightedGraph) -> bool:
     g1._check_size(g2)
     if g1.vertex_masses() != g2.vertex_masses():
         return False
-    tables = _tables(g1.n_gon)
-    return all(sum(tables.cuts[k](g1.w)) <= sum(tables.cuts[k](g2.w)) for k in tables.diagonals)
+    n = g1.n_gon
+    return all(map(le, _half_cuts(n, g1.w), _half_cuts(n, g2.w)))

@@ -1,13 +1,16 @@
 """Weighted graphs from a weight per segment, for tests that write graphs by
-hand.  The library reads graphs from weight tuples and from JSON entries
-(``jsonio.graph_from_json``); nothing here is reached from the library.
+hand, and the cut mass by a walk along the boundary, the tests' reference
+for the library's per-diagonal cut getters.  The library reads graphs from
+weight tuples and from JSON documents (``jsonio.lamination_from_json``);
+nothing here is reached from the library.
 """
 from __future__ import annotations
 
+import itertools
 from typing import Mapping
 
 from tropclust.polygon import Segment
-from tropclust.weighted_graphs import WeightedGraph, _index, pairs
+from tropclust.weighted_graphs import WeightedGraph, _tables, pairs, wrap_vertex
 
 
 def graph_from_weights(n_gon: int, weights: Mapping) -> WeightedGraph:
@@ -16,5 +19,23 @@ def graph_from_weights(n_gon: int, weights: Mapping) -> WeightedGraph:
     w = [0] * len(pairs(n_gon))
     for key, value in weights.items():
         seg = Segment(*key).validate(n_gon)
-        w[_index(n_gon, seg.i, seg.j)] = value
+        w[_tables(n_gon).index[seg]] = value
     return WeightedGraph(n_gon, tuple(w))
+
+
+def walked_cut(g: WeightedGraph, a: int, b: int):
+    """The cut mass across {a, b} by walking the boundary: the weight of
+    the pairs with one end among the vertices passed going clockwise from
+    a to b, a excluded.  Labels wrap, and coinciding ends cut nothing.  A
+    lamination's coordinate at a diagonal is half this mass."""
+    n = g.n_gon
+    a, b = wrap_vertex(a, n), wrap_vertex(b, n)
+    passed = set()
+    while a != b:
+        a = wrap_vertex(a + 1, n)
+        passed.add(a)
+    return sum(
+        g.weight(i, j)
+        for i, j in itertools.combinations(range(1, n + 1), 2)
+        if (i in passed) != (j in passed)
+    )

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphs import walked_cut
 from rational_oracle import evaluate_at, x_substitution
 from witness import basis_failed_rounds, failed_rounds
 from tropclust.atlas import (
@@ -365,6 +366,22 @@ def test_split_leaves_pass_the_validating_constructors():
             assert hash(checked) == hash(lam)
             assert checked.domain == lam.domain == "int"
         assert Expansion(expansion.terms) == expansion
+
+
+def test_leaf_keys_are_twice_the_fan_coordinates():
+    """``_sorted_leaves`` keys each leaf by the cut getters of the first
+    N - 3 slots: on seeded 5- to 10-gon products, every key is the walked
+    cut masses across the fan diagonals {1, k}, k = 3..N-1, twice the
+    leaf's fan coordinates, and the keys come strictly increasing, since
+    distinct laminations have distinct coordinates."""
+    for points in _seeded_products(range(5, 11), 2610, count=2):
+        n_gon = points[0].n_gon
+        triples = basis._sorted_leaves(points, DEFAULT_BUDGET)
+        keys = [key for key, _, _ in triples]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        for key, w, _ in triples:
+            leaf = WeightedGraph(n_gon, w)
+            assert key == tuple(walked_cut(leaf, 1, k) for k in range(3, n_gon))
 
 
 def test_budget_message_at_the_boundary():

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from cli_corpus import GOLDEN, records
-from graphs import graph_from_weights
+from graphs import graph_from_weights, walked_cut
 from tropclust import cli
 from tropclust.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_MATH, EXIT_OK, main
 from tropclust.jsonio import (
@@ -27,9 +27,7 @@ from tropclust.atlas import type_a_seed
 from tropclust.basis import _sorted_leaves, product_expand
 from tropclust.laminations import (
     TropicalCoords,
-    chart_coords,
     lamination_from_coords,
-    tropical_coordinate,
 )
 from tropclust.polygon import Triangulation, diagonals, fan_triangulation, triangulations
 from tropclust.polytopes import StasheffSpec, lattice_points, minkowski_spec, vertex
@@ -552,14 +550,15 @@ def test_polygons_past_the_bound_are_input_errors(tmp_path, capsys):
 
 def _export_reference(spec, chart) -> str:
     """The ``export-chart`` CSV by the per-point route: chart coordinates
-    from each lattice point's cut masses, and the vertex flag from a scan
-    of every chart against the point's tight set."""
+    from each lattice point's walked cut masses, and the vertex flag from a
+    scan of every chart against the point's tight set."""
     charts = triangulations(spec.n_gon)
     lines = [",".join([f"a_{d.i}_{d.j}" for d in chart.sorted_diagonals()] + ["vertex"])]
     for p in lattice_points(spec, chart):
-        tight = {d for d in diagonals(spec.n_gon) if tropical_coordinate(p, d) == spec.as_dict()[d]}
+        masses = {d: walked_cut(p.graph, *d) for d in diagonals(spec.n_gon)}
+        tight = {d for d, m in masses.items() if m == 2 * spec.as_dict()[d]}
         flag = any(t.diagonals <= tight for t in charts)
-        values = [str(v) for v in chart_coords(p, chart).vector()]
+        values = [str(Fraction(masses[d], 2)) for d in chart.sorted_diagonals()]
         lines.append(",".join(values + ["true" if flag else "false"]))
     return "\n".join(lines) + "\n"
 

@@ -10,12 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exchange_oracle import point_weights
-from graphs import graph_from_weights
+from graphs import graph_from_weights, walked_cut
 from tropclust.errors import (
     DimensionMismatch,
     InvariantViolation,
     NonIntegral,
-    NotADiagonal,
     NotALamination,
 )
 from tropclust.jsonio import graph_to_json, lamination_from_json
@@ -28,7 +27,6 @@ from tropclust.laminations import (
     chart_coords,
     lamination_from_coords,
     lamination_pieces,
-    tropical_coordinate,
 )
 from tropclust.polygon import (
     Segment,
@@ -39,7 +37,14 @@ from tropclust.polygon import (
     triangulations,
 )
 from tropclust.polytopes import StasheffSpec, _scan_chart, lattice_points, minkowski_spec
-from tropclust.weighted_graphs import WeightedGraph, _normalize, pairs, wrap_vertex
+from tropclust.weighted_graphs import (
+    WeightedGraph,
+    _half_cuts,
+    _normalize,
+    _tables,
+    pairs,
+    wrap_vertex,
+)
 
 
 def graph(n, weights):
@@ -175,8 +180,8 @@ def test_rejects_fractional_weights_in_int_domain():
         lamination_from_json({**crossing, "domain": "rat"})
     lam = lamination_from_json({**graph_to_json(g), "domain": "rat"})
     assert lam == Lamination(g)
-    assert tropical_coordinate(lam, Segment(1, 4)) == h
-    assert tropical_coordinate(lam, Segment(1, 3)) == 0
+    assert walked_cut(lam.graph, 1, 4) == 2 * h
+    assert walked_cut(lam.graph, 1, 3) == 0
 
 
 def test_domain_follows_the_weights():
@@ -213,13 +218,9 @@ def test_pentagon_unit_curve_coordinate_table():
 
 
 def test_coordinate_on_own_chord_counts_no_crossings():
+    slot = _tables(5).slot
     for a, b in [(1, 3), (2, 5), (1, 4)]:
-        assert tropical_coordinate(curve(5, a, b), Segment(a, b)) == 0
-
-
-def test_tropical_coordinate_rejects_edges():
-    with pytest.raises(NotADiagonal):
-        tropical_coordinate(curve(5, 1, 3), Segment(4, 5))
+        assert _half_cuts(5, curve(5, a, b).graph.w)[slot[Segment(a, b)]] == 0
 
 
 def test_coords_chart_mismatch():
@@ -325,7 +326,7 @@ def test_tropical_exchange_equality(data):
         seg = Segment(p, q)
         if seg.is_edge(n_gon):
             return 0
-        return tropical_coordinate(lam, seg)
+        return Fraction(walked_cut(lam.graph, p, q), 2)
 
     quad = sorted(data.draw(st.sets(st.integers(1, n_gon), min_size=4, max_size=4)))
     p, q, r, s = quad
@@ -337,7 +338,7 @@ def test_chart_coords_all_charts_consistent():
     for tri in triangulations(6):
         coords = chart_coords(lam, tri)
         for d in tri.sorted_diagonals():
-            assert coords.as_dict()[d] == tropical_coordinate(lam, d)
+            assert 2 * coords.as_dict()[d] == walked_cut(lam.graph, *d)
         assert lamination_from_coords(coords) == lam
 
 
@@ -465,7 +466,8 @@ def test_exchange_steps_match_the_dense_forms():
             dense = _dense_lamination(compiled, point)
             assert repr(lam) == repr(dense)
             values = [max(sum(map(mul, f, point)) for f in forms) for forms in compiled.forms]
-            assert [tropical_coordinate(lam, d) for d in diagonals(tri.n_gon)] == values
+            walked = [walked_cut(lam.graph, *d) for d in diagonals(tri.n_gon)]
+            assert walked == [2 * v for v in values]
 
 
 @pytest.mark.parametrize("n_gon", range(5, 11))

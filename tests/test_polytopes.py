@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphs import walked_cut
 from tropclust.errors import (
     DimensionMismatch,
     EmptyInput,
@@ -28,7 +29,6 @@ from tropclust.laminations import (
     chart_change,
     chart_coords,
     lamination_from_coords,
-    tropical_coordinate,
 )
 from tropclust.polygon import (
     Segment,
@@ -242,7 +242,7 @@ def test_minkowski_spec_of_points():
     p, q = point(5, (1, 0)), point(5, (0, 1))
     sp = minkowski_spec([p, q])
     for d in diagonals(5):
-        assert sp.as_dict()[d] == tropical_coordinate(p, d) + tropical_coordinate(q, d)
+        assert 2 * sp.as_dict()[d] == walked_cut(p.graph, *d) + walked_cut(q.graph, *d)
     with pytest.raises(EmptyInput):
         minkowski_spec([])
     with pytest.raises(SizeMismatch):
@@ -977,7 +977,7 @@ def test_minkowski_spec_matches_the_validated_constructor():
             if trial == 2:
                 pts = [p * Fraction(1, rng.randint(2, 3)) for p in pts]
             masses = {
-                d: sum(p.graph.cut(d.i, d.j) for p in pts) for d in diagonals(n_gon)
+                d: sum(walked_cut(p.graph, *d) for p in pts) for d in diagonals(n_gon)
             }
             spec = minkowski_spec(pts)
             validated = StasheffSpec.of(n_gon, {d: Fraction(m, 2) for d, m in masses.items()})
@@ -1112,7 +1112,7 @@ def test_vertex_flags_match_the_catalan_scan(n_gon):
             expected = []
             for p in points:
                 tight = {d for d in diagonals(n_gon)
-                         if tropical_coordinate(p, d) == spec.as_dict()[d]}
+                         if walked_cut(p.graph, *d) == 2 * spec.as_dict()[d]}
                 expected.append(any(t.diagonals <= tight for t in charts))
             assert vertex_flags(spec, [p.graph.w for p in points]) == expected
             corners = (lamination_from_coords(vertex(spec, t)) for t in charts)

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphs import graph_from_weights
+from graphs import graph_from_weights, walked_cut
 from tropclust.basis import _split_steps
 from tropclust.errors import InvariantViolation, SizeMismatch
 from tropclust.polygon import Segment, all_segments, crosses, diagonals
 from tropclust.weighted_graphs import (
     WeightedGraph,
+    _half_cuts,
     _tables,
     dominates,
     pairs,
@@ -110,13 +111,12 @@ def test_stats_small_example_by_hand():
     assert interval(g, 2, 3) == 0
     assert interval(g, 1, 3) == 1
     assert interval(g, 1, 4) == 3
-    # cut across {1,3} separates {2,3} from the rest
-    assert g.cut(1, 3) == 1
-    assert g.cut(1, 4) == 3
-    assert g.cut(2, 4) == 3
-    assert g.cut(6, 3) == g.cut(1, 3)
-    assert g.cut(4, 2) == g.cut(2, 4)
-    assert g.cut(2, 2) == 0
+    # the cut across {1,3} separates {2,3} from the rest; the masses over
+    # the diagonals {1,3}, {1,4}, {2,4}, {2,5}, {3,5} are 1, 3, 3, 3, 2
+    h = Fraction(1, 2)
+    half = _half_cuts(5, g.w)
+    assert half == [h, 3 * h, 3 * h, 3 * h, 1]
+    assert type(half[-1]) is int
 
 
 @settings(max_examples=40)
@@ -133,7 +133,7 @@ def test_cut_mass_symmetry(g):
     """Both sides of a cut see the same crossing mass."""
     masses = g.vertex_masses()
     n = g.n_gon
-    for seg in diagonals(n):
+    for seg, half in zip(diagonals(n), _half_cuts(n, g.w)):
         complement_inside = sum(masses) - 2 * interval(g, seg.i + 1, seg.j)
         outside = [v for v in range(1, n + 1) if not seg.i < v <= seg.j]
         direct = sum(
@@ -142,11 +142,11 @@ def test_cut_mass_symmetry(g):
             for _ in (0,)
             if (i in outside) != (j in outside)
         )
-        assert g.cut(seg.i, seg.j) == direct
+        assert 2 * half == direct
         outside_mass = sum(
             g.weight(i, j) for i in outside for j in outside if i < j
         )
-        assert complement_inside - 2 * g.cut(seg.i, seg.j) == 2 * outside_mass
+        assert complement_inside - 4 * half == 2 * outside_mass
 
 
 def _seeded_graph(rng, n, scale):
@@ -156,33 +156,26 @@ def _seeded_graph(rng, n, scale):
     ))
 
 
-def _walked_cut(g, a, b):
-    """The cut mass across {a, b} by walking the boundary: the weight of
-    the pairs with one end among the vertices passed going clockwise from
-    a to b, a excluded."""
-    n = g.n_gon
-    a, b = wrap_vertex(a, n), wrap_vertex(b, n)
-    passed = set()
-    while a != b:
-        a = wrap_vertex(a + 1, n)
-        passed.add(a)
-    return sum(
-        g.weight(i, j)
-        for i, j in itertools.combinations(range(1, n + 1), 2)
-        if (i in passed) != (j in passed)
-    )
-
-
 @pytest.mark.parametrize("n", range(3, 13))
 def test_cut_matches_a_boundary_walk_for_every_label_pair(n):
-    """Edges, diagonals, wrapped labels and coinciding ends, on seeded int
-    and Fraction graphs."""
+    """Twice the half cut mass of each diagonal's slot is the walked cut
+    mass across every label pair that names the diagonal, labels wrapped
+    and either way round, on seeded int and Fraction graphs; the halves
+    come in slot order, an int exactly where the mass is even.  A triangle
+    has no diagonal."""
     rng = random.Random(1600 + n)
+    slot = _tables(n).slot
     for scale in (1, Fraction(1, 3)):
         g = _seeded_graph(rng, n, scale)
+        half = _half_cuts(n, g.w)
+        assert len(half) == len(slot) == n * (n - 3) // 2
+        for d, x in zip(slot, half):
+            assert (type(x) is int) == (walked_cut(g, *d) % 2 == 0)
         for a in range(-n, 2 * n + 1):
             for b in range(-n, 2 * n + 1):
-                assert g.cut(a, b) == _walked_cut(g, a, b), (a, b)
+                d = tuple(sorted((wrap_vertex(a, n), wrap_vertex(b, n))))
+                if d in slot:
+                    assert 2 * half[slot[d]] == walked_cut(g, a, b), (a, b)
 
 
 @pytest.mark.parametrize("n", range(3, 16))
