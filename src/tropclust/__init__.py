@@ -53,7 +53,6 @@ from .laminations import (
     chart_change,
     chart_coords,
     lamination_from_coords,
-    lamination_pieces,
 )
 from .polytopes import (
     StasheffSpec,

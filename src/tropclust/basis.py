@@ -32,14 +32,15 @@ is the closed binomial formula for the rank-two case, used as an
 independent check of the splitting process.
 
 ``verify_positive_basis`` checks a basis function through the pieces of
-its lamination (``laminations.lamination_pieces``): the function of a sum
+its lamination (``laminations._piece_chords``): the function of a sum
 of integral laminations is the product of theirs, and each mutation is a
 ring homomorphism, so the function is positive in every chart when each
 piece's is.  Each piece is walked through every chart once per process,
 and its verdict kept in one bounded cache (``_positive_piece``, at most
-1024 pieces).  Only when a piece is not positive, or its walk raises, is
-the whole function walked (``x_chart_walk``), so a False answer is always
-the full walk's.
+1024 pieces) keyed by the piece's polygon, chords and start, so a warm
+check builds no piece ``Lamination`` or ``WeightedGraph``.  Only when a
+piece is not positive, or its walk raises, is the whole function walked
+(``x_chart_walk``), so a False answer is always the full walk's.
 """
 from __future__ import annotations
 
@@ -59,7 +60,7 @@ from .errors import (
     SizeMismatch,
     TropclustError,
 )
-from .laminations import Lamination, lamination_pieces
+from .laminations import Lamination, _edge_cycle, _piece_chords
 from .laurent import LaurentPolynomial
 from .weighted_graphs import WeightedGraph, _is_int, _tables
 
@@ -394,9 +395,11 @@ def _positive_in_every_chart(f: LaurentPolynomial) -> bool:
 
 
 @lru_cache(maxsize=1024)
-def _positive_piece(n_gon: int, w: tuple) -> bool:
+def _positive_piece(n_gon: int, chords: tuple, start: int) -> bool:
     """The walk's verdict on the basis function of one piece, given by its
-    polygon and weight tuple; a walk that raises counts as not positive."""
+    polygon, chords and start (``laminations._piece_chords``); a walk that
+    raises counts as not positive."""
+    w = _edge_cycle(n_gon, chords, start)
     piece = Lamination._trusted(WeightedGraph._trusted(n_gon, w), "int")
     try:
         return _positive_in_every_chart(basis_laurent(piece))
@@ -410,17 +413,18 @@ def verify_positive_basis(lam: Lamination) -> bool:
 
     The function of a sum of integral laminations is the product of theirs,
     and each mutation is a ring homomorphism, so it is positive in every
-    chart when each of its pieces (``lamination_pieces``) is.  Each piece's
+    chart when each of its pieces (``_piece_chords``) is.  Each piece's
     verdict is walked once and kept in a bounded cache (``_positive_piece``,
-    1024 pieces), so a warm check is a handful of lookups.  When some piece
-    is not positive, or its walk raises, the whole function is walked
-    chart by chart through ``x_chart_walk`` and its answer returned: a
-    False answer, or an error, is always the full walk's.  Raises
+    1024 pieces), keyed by its chords, so a warm check is a handful of
+    lookups.  When some piece is not positive, or its walk raises, the
+    whole function is walked chart by chart through ``x_chart_walk`` and
+    its answer returned: a False answer, or an error, is always the full
+    walk's.  Raises
     NonIntegral for a rational lamination and InvariantViolation for a
     3-gon, as ``basis_laurent`` does.
     """
     _chains_of(lam)
     n = lam.n_gon
-    if all(_positive_piece(n, piece.graph.w) for piece, _ in lamination_pieces(lam)):
+    if all(_positive_piece(n, chords, start) for chords, start, _ in _piece_chords(lam)):
         return True
     return _positive_in_every_chart(basis_laurent(lam))

@@ -14,20 +14,24 @@ coordinates, a seed.
 Point and expansion documents, which the command line writes by the
 thousand laminations, all integral and on one polygon, are written by
 ``laminations_text`` straight from weight tuples, with no ``Lamination``
-and no dict tree in between: one precomputed entry head per vertex pair,
-the int and a closing bracket per nonzero weight.  ``dumps`` over
+and no dict tree in between: each vertex pair keeps, for one call, a table
+from a weight to its entry text, made on the weight's first use, so a
+lamination is one join of table lookups.  ``dumps`` over
 ``points_to_json`` and ``expansion_to_json`` is the reference it equals
 byte for byte, and an int past the interpreter's digit limit raises the
 reference's error.
 
-Documents are decoded in one pass: each entry goes straight to its slot
-through the per-N tables, and each check runs once, with the messages and
-in the order of the validating constructors, which are not run again.  A
-lamination's domain follows from its weights, so ``lamination_from_json``
-is the only code that reads a document's ``"domain"`` tag: a ``"rat"``
-document whose weights are all integers reads as integral, and an
-``"int"`` document with a fractional weight is refused before the
-lamination is built.
+``load_path`` reads a file as bytes, decodes it from UTF-8 once, with the
+newline translation of a text-mode read and the BOM refusal of
+``json.loads``, and parses it with one module-level decoder, which keeps no
+state between calls.  Documents are decoded in one pass: each entry goes
+straight to its slot through the per-N tables, and each check runs once,
+with the messages and in the order of the validating constructors, which
+are not run again.  A lamination's domain follows from its weights, so
+``lamination_from_json`` is the only code that reads a document's
+``"domain"`` tag: a ``"rat"`` document whose weights are all integers reads
+as integral, and an ``"int"`` document with a fractional weight is refused
+before the lamination is built.
 """
 from __future__ import annotations
 
@@ -35,6 +39,7 @@ import json
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 
 from .atlas import Seed
 from .basis import Expansion
@@ -346,11 +351,13 @@ def laminations_text(n_gon: int, weights: list, coeffs: list | None = None) -> s
     expansion document of those terms: the bytes ``dumps`` writes for the
     same laminations.
 
-    Each nonzero weight becomes its pair's entry head (``_entry_heads``,
-    built once per N and depth), the int and a closing bracket.
+    Each pair keeps, for this call, a table from a weight to its entry
+    text (``_Entries``): the pair's head (``_entry_heads``, built once per
+    N and depth) and the int, built on the weight's first use, and nothing
+    for 0.  A lamination's entries are then one join of table lookups.
     """
     depth = 2 if coeffs is None else 3
-    heads = _entry_heads(n_gon, depth)
+    tables = list(map(_Entries, _entry_heads(n_gon, depth)))
     close = "\n" + "  " * depth
     key = close + "  "
     end = key + "  ]"
@@ -359,21 +366,21 @@ def laminations_text(n_gon: int, weights: list, coeffs: list | None = None) -> s
         f'{{{key}"domain": "int",{key}"format": {FORMAT},'
         f'{key}"n_gon": {n_gon},{key}"weights": '
     )
+    # each lamination's text opens with its lead and closes with its tail
+    tail = close + "}" if coeffs is None else close + "}\n    }"
+    leads = repeat(start) if coeffs is None else (
+        f'{{\n      "coeff": {coeff},\n      "lamination": {start}' for coeff in coeffs
+    )
     items = []
     try:
-        for w in weights:
-            text = sep.join([h + str(x) for h, x in zip(heads, w) if x])
-            text = f"[{text}{end}{key}]" if text else "[]"
-            items.append(f"{start}{text}{close}}}")
-        if coeffs is not None:
-            items = [
-                f'{{\n      "coeff": {coeff},\n      "lamination": {item}\n    }}'
-                for coeff, item in zip(coeffs, items)
-            ]
+        for w, lead in zip(weights, leads):
+            text = sep.join(filter(None, map(dict.__getitem__, tables, w)))
+            items.append(f"{lead}[{text}{end}{key}]{tail}" if text else f"{lead}[]{tail}")
     except ValueError as exc:  # an int past the interpreter's digit limit
         raise InputFormatError(f"cannot write output: {exc}") from exc
     name = "points" if coeffs is None else "terms"
-    body = "\n    " + ",\n    ".join(items) + "\n  ]" if items else "]"
+    body = ",\n    ".join(items)
+    body = f"\n    {body}\n  ]" if items else "]"
     return f'{{\n  "format": {FORMAT},\n  "{name}": [{body}\n}}\n'
 
 
@@ -386,10 +393,29 @@ def _entry_heads(n_gon: int, depth: int) -> tuple:
     return tuple(f"{entry}[{item}{i},{item}{j},{item}" for i, j in _tables(n_gon).pairs)
 
 
+class _Entries(dict):
+    """One pair's entry texts by weight: its head and the int, made on the
+    first lookup of a weight; 0 maps to the empty text."""
+
+    def __init__(self, head: str):
+        super().__init__({0: ""})
+        self.head = head
+
+    def __missing__(self, x: int) -> str:
+        self[x] = text = self.head + str(x)
+        return text
+
+
 def load_path(path: str):
+    """The JSON document in the file at ``path``, read as bytes and decoded
+    once: UTF-8, with the newline translation of a text-mode read and the
+    BOM refusal of ``json.loads``, so every message and offset is theirs."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_float=_reject_float)
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        if text.startswith("\ufeff"):
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
@@ -403,3 +429,7 @@ def load_path(path: str):
 
 def _reject_float(text: str):
     raise InputFormatError(f"floats are not accepted ({text}); use integers or 'p/q'")
+
+
+# one decoder for every read: it keeps no state between calls
+_DECODER = json.JSONDecoder(parse_float=_reject_float)

@@ -187,20 +187,21 @@ def _edge_cycle(n_gon: int, chords: tuple, start: int = 0) -> tuple:
     return tuple(w)
 
 
-def lamination_pieces(lam: Lamination) -> tuple:
-    """An integral lamination as (piece, multiplicity) pairs whose sum is
-    its graph: each piece is an integral lamination, each multiplicity a
-    positive int, and no piece comes twice.
+def _piece_chords(lam: Lamination) -> tuple:
+    """An integral lamination's pieces as (chords, start, multiplicity)
+    triples: each piece is the integral lamination ``_edge_cycle(N, chords,
+    start)``, each multiplicity a positive int, no piece comes twice, and
+    the pieces times their multiplicities sum to the lamination's graph.
 
     At odd N each loaded diagonal gives its unit's one zero-mass
-    completion (``_edge_cycle``).  At even N a diagonal {i, j} with j - i
-    odd gives its completion with edge {1, N} at 0.  A diagonal whose ends
-    have the same parity has no completion, but a lamination loads as many
-    even-even units as odd-odd ones (the alternating sum of its vertex
-    masses vanishes), so they are paired in diagonal order and each pair
-    gets one completion.  What is left has no diagonal and no vertex mass,
-    so it is t times the alternating edge lamination, with t the weight of
-    edge {1, N}, which no other piece loads.
+    completion.  At even N a diagonal {i, j} with j - i odd gives its
+    completion with edge {1, N} at 0.  A diagonal whose ends have the same
+    parity has no completion, but a lamination loads as many even-even
+    units as odd-odd ones (the alternating sum of its vertex masses
+    vanishes), so they are paired in diagonal order and each pair gets one
+    completion.  What is left has no diagonal and no vertex mass, so it is
+    t times the alternating edge lamination (no chords, start 1 or -1),
+    with t the weight of edge {1, N}, which no other piece loads.
     """
     if lam.domain != "int":
         raise NonIntegral("pieces are integral laminations")
@@ -213,7 +214,7 @@ def lamination_pieces(lam: Lamination) -> tuple:
         if w[k]:
             i, j = tables.pairs[k]
             if n % 2 or (j - i) % 2:
-                pieces.append(((tables.pairs[k],), w[k]))
+                pieces.append(((tables.pairs[k],), 0, w[k]))
             else:
                 same_parity[i % 2].append([tables.pairs[k], w[k]])
     even, odd = same_parity
@@ -222,21 +223,16 @@ def lamination_pieces(lam: Lamination) -> tuple:
     x = y = 0
     while x < len(even):
         k = min(even[x][1], odd[y][1])
-        pieces.append(((even[x][0], odd[y][0]), k))
+        pieces.append(((even[x][0], odd[y][0]), 0, k))
         even[x][1] -= k
         odd[y][1] -= k
         # move past each diagonal whose units are all paired
         x += not even[x][1]
         y += not odd[y][1]
-    out = [
-        (Lamination._trusted(WeightedGraph._trusted(n, _edge_cycle(n, chords)), "int"), m)
-        for chords, m in pieces
-    ]
     t = 0 if n % 2 else w[tables.index[1, n]]
     if t:
-        alternating = _edge_cycle(n, (), 1 if t > 0 else -1)
-        out.append((Lamination._trusted(WeightedGraph._trusted(n, alternating), "int"), abs(t)))
-    return tuple(out)
+        pieces.append(((), 1 if t > 0 else -1, abs(t)))
+    return tuple(pieces)
 
 
 def _diagonal_values(items, diags: tuple, mismatch: str, not_number: str) -> tuple:

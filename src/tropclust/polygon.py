@@ -175,7 +175,9 @@ def _flip_walk(n_gon: int):
     diagonal it currently labels, so a word is the flips that reach its
     chart.  The words are closed under prefixes and every parent
     ``word[:-1]`` comes before its children.  The search skips the flip back
-    to a chart's parent, which is always found already.
+    to a chart's parent, which is always found already, and tests every
+    other flip's diagonal set against the charts found before it builds
+    the flip, so only a new chart costs a ``flip``.
     """
     start = fan_triangulation(n_gon)
     # the diagonal sets found so far: cheaper to test than sorted keys
@@ -185,11 +187,15 @@ def _flip_walk(n_gon: int):
         tri, labels, word = queue.popleft()
         yield tri, word
         back = word[-1] - 1 if word else -1  # the flip back to the parent
+        members = tri.diagonals
         for k in range(n_gon - 3):
             if k == back:
                 continue
-            new_tri, new_diag, _quad = flip(tri, labels[k])
-            if new_tri.diagonals not in seen:
+            diag = labels[k]
+            a, b = _apexes(members, n_gon, *diag)
+            # a plain pair equals the Segment of the same ends, and hashes alike
+            if (members - {diag}) | {(a, b) if a < b else (b, a)} not in seen:
+                new_tri, new_diag, _quad = flip(tri, diag)
                 seen.add(new_tri.diagonals)
                 new_labels = labels[:k] + (new_diag,) + labels[k + 1 :]
                 queue.append((new_tri, new_labels, word + (k + 1,)))
@@ -228,19 +234,25 @@ def flip(tri: Triangulation, diag: Segment):
     members = tri.diagonals
     if diag not in members:
         raise NotADiagonal(f"{diag} is not a diagonal of this triangulation")
-    # The new diagonal joins the apexes of the two triangles on diag =
-    # {i, j}.  Each is the neighbour of i, along an edge or a member
-    # diagonal, nearest to j on its side, since a chord from i to a vertex
-    # between it and j would cross the triangle's side at j.  Each search
-    # ends at i's boundary neighbour, so only i's chords near j are looked up.
-    n = tri.n_gon
+    a, b = _apexes(members, tri.n_gon, *diag)
+    new_diag = Segment(a, b)
     i, j = diag
+    quad = (i, a, j, b) if j < b else (b, i, a, j)
+    return Triangulation._trusted(tri.n_gon, (members - {diag}) | {new_diag}), new_diag, quad
+
+
+def _apexes(members: frozenset, n: int, i: int, j: int) -> tuple:
+    """The apexes a and b of the two triangles on the member diagonal
+    {i, j}, a between i and j and b past j (or before i): the ends of the
+    diagonal that flips it."""
+    # Each apex is the neighbour of i, along an edge or a member diagonal,
+    # nearest to j on its side, since a chord from i to a vertex between it
+    # and j would cross the triangle's side at j.  Each search ends at i's
+    # boundary neighbour, so only i's chords near j are looked up.
     for a in range(j - 1, i, -1):
         if (i, a) in members:
             break
     for b in (*range(j + 1, n + 1), *range(1, i)):
         if ((i, b) if i < b else (b, i)) in members:
             break
-    new_diag = Segment(a, b)
-    quad = (i, a, j, b) if j < b else (b, i, a, j)
-    return Triangulation._trusted(n, (members - {diag}) | {new_diag}), new_diag, quad
+    return a, b

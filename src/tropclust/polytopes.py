@@ -180,10 +180,12 @@ def vertex(spec: StasheffSpec, tri: Triangulation) -> TropicalCoords:
 
 
 def contains(spec: StasheffSpec, lam: Lamination) -> bool:
-    """Polytope membership: every diagonal bound holds at the point."""
+    """Polytope membership: every diagonal bound holds at the point, read
+    up to the first that fails as a cut mass at most twice the bound."""
     if lam.n_gon != spec.n_gon:
         raise SizeMismatch("point and spec live on different polygons")
-    return all(x <= c for x, (_, c) in zip(_half_cuts(spec.n_gon, lam.graph.w), spec.c))
+    w = lam.graph.w
+    return all(sum(cut(w)) <= 2 * c for cut, (_, c) in zip(_tables(spec.n_gon).cuts, spec.c))
 
 
 def minkowski_spec(points: Sequence[Lamination]) -> StasheffSpec:

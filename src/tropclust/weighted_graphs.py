@@ -33,7 +33,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, itemgetter, le
+from operator import add, itemgetter
 from typing import NamedTuple
 
 from .errors import InvariantViolation, SizeMismatch
@@ -229,10 +229,10 @@ def dominates(g1: WeightedGraph, g2: WeightedGraph) -> bool:
     """Whether g1 <= g2 in the cut-mass partial order.
 
     Requires equal vertex masses everywhere and cut masses of g1 bounded by
-    those of g2 on every diagonal.
+    those of g2 on every diagonal, read up to the first that is not.
     """
     g1._check_size(g2)
     if g1.vertex_masses() != g2.vertex_masses():
         return False
-    n = g1.n_gon
-    return all(map(le, _half_cuts(n, g1.w), _half_cuts(n, g2.w)))
+    w1, w2 = g1.w, g2.w
+    return all(sum(cut(w1)) <= sum(cut(w2)) for cut in _tables(g1.n_gon).cuts)

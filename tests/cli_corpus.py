@@ -11,8 +11,10 @@ The commands cover every subcommand and option on 5- to 10-gons:
 Minkowski, lowered, rational, non-Stasheff, empty and integrally empty
 specs in the fan and in a seeded chart; products with and without
 multiplicities, and under budgets that run out; bad charts, unreadable
-JSON, overlong output numbers, and the malformed lamination and spec
-documents of ``fault_docs``.
+JSON, overlong output numbers, the malformed lamination and spec
+documents of ``fault_docs``, and, last, files whose bytes test the reader
+itself (``RAW_READS``: a BOM, CRLF and lone CR newlines, a CR in a string,
+an empty file) and a directory.
 Help and usage errors, which argparse prints, are pinned by
 ``golden/cli_usage.txt`` instead.
 
@@ -60,6 +62,17 @@ UNREADABLE = {
     "huge-polygon.json": b'{"format": 1, "n_gon": 1000000, "c": [], '
                          b'"points": [{"format": 1, "n_gon": 1000000, "weights": []}]}',
 }
+# documents for the byte reader: a CR or CRLF moves a message's line and
+# char offsets
+RAW_READS = {
+    "bom.json": b'\xef\xbb\xbf{"format": 1, "points": []}',
+    "crlf.json": b'{\r\n  "format": 1,\r\n  "points": [}\r\n',
+    "lone-cr.json": b'{"format": 1,\r"points":\r[{"format": 1, "n_gon": 5, "weights":\r'
+                    b'[[2, 3, -1], [2, 5, 1], [3, 4, 1], [4, 5, -1]]}]}',
+    "lone-cr-bad.json": b'{"format": 1,\r"points":\r\r[1,]}',
+    "cr-in-string.json": b'{"format": 1,\r\n"points": "a\rb"}',
+    "empty.json": b"",
+}
 
 
 def _point(n_gon, values):
@@ -95,13 +108,16 @@ def _argvs(directory: Path) -> list:
         (directory / name).write_text(encode(doc))
         return name
 
+    def reads(name) -> list:
+        """Every command that reads a document, on ``name``."""
+        commands = ("support", "minkowski", "verify-mthm", "check-stasheff", "lattice-points",
+                    "vertices")
+        return [[c, "--in", name] for c in commands] + [["mutate", "--seed", name, "--word", "1"]]
+
     for name, raw in UNREADABLE.items():
         (directory / name).write_bytes(raw)
     for name in [*UNREADABLE, "nowhere.json"]:
-        argvs += [[command, "--in", name] for command in (
-            "support", "minkowski", "verify-mthm", "check-stasheff", "lattice-points",
-            "vertices")]
-        argvs.append(["mutate", "--seed", name, "--word", "1"])
+        argvs += reads(name)
     for n in range(6):
         argvs.append(["triangulations", "--n", str(n)])
     argvs += [["triangulations", "--out", OUT, "--n", "3"],
@@ -186,6 +202,11 @@ def _argvs(directory: Path) -> list:
     for k, (n_gon, c, _, _) in enumerate(SPEC_FAULTS):
         name = save(f"spec-fault-{k}.json", {"format": 1, "n_gon": n_gon, "c": c}, json.dumps)
         argvs.append([("check-stasheff", "lattice-points", "vertices")[k % 3], "--in", name])
+    for name, raw in RAW_READS.items():
+        (directory / name).write_bytes(raw)
+    (directory / "a-directory").mkdir()
+    for name in [*RAW_READS, "a-directory"]:
+        argvs += reads(name)
     return argvs
 
 

@@ -1,6 +1,7 @@
 """Weighted graphs from a weight per segment, for tests that write graphs by
-hand, and the cut mass by a walk along the boundary, the tests' reference
-for the library's per-diagonal cut getters.  The library reads graphs from
+hand, the cut mass by a walk along the boundary, the tests' reference
+for the library's per-diagonal cut getters, and a lamination's pieces as
+validated laminations.  The library reads graphs from
 weight tuples and from JSON documents (``jsonio.lamination_from_json``);
 nothing here is reached from the library.
 """
@@ -9,6 +10,7 @@ from __future__ import annotations
 import itertools
 from typing import Mapping
 
+from tropclust.laminations import Lamination, _edge_cycle, _piece_chords
 from tropclust.polygon import Segment
 from tropclust.weighted_graphs import WeightedGraph, _tables, pairs, wrap_vertex
 
@@ -39,3 +41,13 @@ def walked_cut(g: WeightedGraph, a: int, b: int):
         for i, j in itertools.combinations(range(1, n + 1), 2)
         if (i in passed) != (j in passed)
     )
+
+
+def piece_laminations(lam: Lamination) -> list:
+    """The pieces ``_piece_chords`` names, as (lamination, multiplicity)
+    pairs, each piece built by the validating constructors."""
+    n = lam.n_gon
+    return [
+        (Lamination(WeightedGraph(n, _edge_cycle(n, chords, start))), m)
+        for chords, start, m in _piece_chords(lam)
+    ]

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphs import walked_cut
+from graphs import piece_laminations, walked_cut
 from rational_oracle import evaluate_at, x_substitution
 from witness import basis_failed_rounds, failed_rounds
 from tropclust.atlas import (
@@ -48,9 +48,9 @@ from tropclust.errors import (
 from tropclust.laminations import (
     Lamination,
     TropicalCoords,
+    _piece_chords,
     chart_coords,
     lamination_from_coords,
-    lamination_pieces,
 )
 from tropclust.laurent import LaurentPolynomial
 from tropclust.polygon import Segment, crosses, fan_triangulation
@@ -750,7 +750,7 @@ def test_piece_functions_multiply_to_the_basis_function(n_gon):
     for _ in range(3):
         lam = pt(n_gon, [rng.randint(-2, 2) for _ in range(n_gon - 3)])
         product = basis_laurent(Lamination.zero(n_gon))
-        for piece, k in lamination_pieces(lam):
+        for piece, k in piece_laminations(lam):
             product = product * basis_laurent(piece) ** k
         assert product.terms == basis_laurent(lam).terms
 
@@ -767,8 +767,9 @@ def test_piece_verdicts_match_the_full_walk(cold_verdicts):
                         for _ in range(count)]
     for lam in laminations:
         walked = _walked_positive(lam)
-        pieces = lamination_pieces(lam)
-        assert all(_positive_piece(lam.n_gon, piece.graph.w) for piece, _ in pieces) == walked
+        pieces = _piece_chords(lam)
+        verdicts = (_positive_piece(lam.n_gon, chords, start) for chords, start, _ in pieces)
+        assert all(verdicts) == walked
         assert verify_positive_basis(lam) == walked
 
 
@@ -788,7 +789,7 @@ def test_verify_positive_basis_falls_back_to_the_full_walk(monkeypatch, cold_ver
     monkeypatch.setattr(basis, "x_chart_walk", counting_walk)
     assert verify_positive_basis(lam) and walked == []
 
-    monkeypatch.setattr(basis, "_positive_piece", lambda n_gon, w: False)
+    monkeypatch.setattr(basis, "_positive_piece", lambda n_gon, chords, start: False)
     assert verify_positive_basis(lam)
     assert walked == [basis_laurent(lam)]
 
@@ -810,7 +811,7 @@ def test_verify_positive_basis_falls_back_to_the_full_walk(monkeypatch, cold_ver
 
     monkeypatch.setattr(basis, "x_chart_walk", failing_piece_walk)
     unit = pt(7, (1, 0, 0, 0))
-    assert len(lamination_pieces(unit)) == 1
+    assert len(_piece_chords(unit)) == 1
     assert verify_positive_basis(unit)
     assert calls == [basis_laurent(unit), basis_laurent(unit)]
 

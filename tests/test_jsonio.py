@@ -17,6 +17,7 @@ from tropclust.jsonio import (
     MAX_N_GON,
     _graph_from_json,
     _n_gon_field,
+    _reject_float,
     coords_to_json,
     dumps,
     expansion_from_json,
@@ -37,7 +38,7 @@ from tropclust.jsonio import (
 )
 from tropclust.laminations import Lamination, TropicalCoords, lamination_from_coords
 from tropclust.polygon import Segment, diagonals, fan_triangulation, triangulations
-from tropclust.polytopes import StasheffSpec, minkowski_spec, vertex
+from tropclust.polytopes import StasheffSpec, lattice_points, minkowski_spec, vertex
 from tropclust.weighted_graphs import _tables
 
 
@@ -328,15 +329,22 @@ def test_direct_expansion_writer_with_multiplicities():
 
 def test_direct_writers_map_overlong_numbers_as_the_reference():
     """An int past the digit limit, a weight or a coefficient, is a write
-    error of the output with the reference route's message."""
+    error of the output with the reference route's message, also where it
+    lands in slots whose entry tables already hold short weights."""
     nines = 10**4300 - 1
     long_int = pt(5, (nines, nines)) * 2
     short = pt(5, (1, 0))
-    with pytest.raises(InputFormatError, match="^cannot write output: ") as reference:
-        dumps(points_to_json([short, long_int]))
-    with pytest.raises(InputFormatError, match="^cannot write output: ") as direct:
-        points_text(5, [short, long_int])
-    assert str(direct.value) == str(reference.value)
+    # pt(5, (k, k)) loads the slots of long_int for every k > 0
+    same_slots = [pt(5, (1, 1)), pt(5, (2, 2))]
+    for points in ([short, long_int], [*same_slots, long_int], [*same_slots, long_int, short]):
+        with pytest.raises(InputFormatError, match="^cannot write output: ") as reference:
+            dumps(points_to_json(points))
+        with pytest.raises(InputFormatError, match="^cannot write output: ") as direct:
+            points_text(5, points)
+        assert str(direct.value) == str(reference.value)
+    assert {k for k, x in enumerate(long_int.graph.w) if x} == {
+        k for k, x in enumerate(same_slots[0].graph.w) if x
+    }
     for terms in (
         ((long_int, 1),),
         ((short, 10**5000),),
@@ -368,6 +376,75 @@ def test_load_path_rejects_floats_and_junk(tmp_path):
         load_path(str(broken))
     with pytest.raises(InputFormatError):
         load_path(str(tmp_path / "missing.json"))
+
+
+def _text_mode_load(path):
+    """The reference reader: a text-mode UTF-8 read and ``json.load``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh, parse_float=_reject_float)
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        return f"invalid JSON: {exc}"
+
+
+@pytest.mark.parametrize("raw", [
+    b'{"format": 1, "points": []}',
+    b'\xef\xbb\xbf{"format": 1, "points": []}',
+    b'{\r\n  "format": 1,\r\n  "points": [}\r\n',
+    b'{"format": 1,\r"points":\r\r[1,]}',
+    b'{"format": 1,\r\n"points": [1, 2]\r}',
+    b'{"format": 1,\r\n"points": "a\rb"}',
+    b'{"format": 1, "points": "a\\r\\nb"}',
+    b'["\xc3\xa9", "\xe2\x82\xac", 1]\n',
+    b'{"format": 1, "points": "\xff\xfe"}',
+    b"\r\n\r\n",
+    b"",
+    b"[" * 100 + b"]" * 100,
+])
+def test_load_path_reads_bytes_as_the_text_mode_reader(tmp_path, raw):
+    """Decoded once from bytes, a document reads as a text-mode read with
+    ``json.load`` reads it: the same value, or the same message, with its
+    line and char offsets, for a BOM, CRLF and lone CR newlines, a CR in
+    a string, bad UTF-8 and an empty file."""
+    path = tmp_path / "doc.json"
+    path.write_bytes(raw)
+    want = _text_mode_load(str(path))
+    if isinstance(want, str):
+        with pytest.raises(InputFormatError) as got:
+            load_path(str(path))
+        assert str(got.value) == want.replace("invalid JSON:", f"invalid JSON in {path}:")
+    else:
+        assert load_path(str(path)) == want
+
+
+def test_load_path_refuses_a_directory_as_the_text_mode_reader(tmp_path):
+    with pytest.raises(OSError) as want:
+        open(str(tmp_path), "r", encoding="utf-8")
+    with pytest.raises(InputFormatError) as got:
+        load_path(str(tmp_path))
+    assert str(got.value) == f"cannot read {tmp_path}: {want.value}"
+
+
+def _sample(n_gon, k, seed):
+    rng = random.Random(seed)
+    return [pt(n_gon, [rng.randint(-2, 2) for _ in range(n_gon - 3)]) for _ in range(k)]
+
+
+def test_direct_writers_match_the_reference_where_weights_repeat():
+    """Where most weights repeat, so that every entry table is read far
+    more often than it grows, the direct writers still give the reference
+    bytes: on the 2,950 lattice points of a 10-gon product's Minkowski
+    spec, on the 764 of a 3x dilate of a hexagon one, and on the 61-term
+    expansion of a pentagon pair at multiplicity 60."""
+    for n_gon, k, scale, count in ((10, 4, 1, 2950), (6, 3, 3, 764)):
+        spec = minkowski_spec(_sample(n_gon, k, 10))
+        spec = StasheffSpec.of(n_gon, {d: scale * c for d, c in spec.c})
+        points = lattice_points(spec)
+        assert len(points) == count
+        assert points_text(n_gon, points) == dumps(points_to_json(points))
+    expansion = product_expand([pt(5, (-1, 0)) * 60, pt(5, (1, 1)) * 60])
+    assert len(expansion) == 61
+    assert expansion_text(5, expansion) == dumps(expansion_to_json(expansion))
 
 
 def test_direct_writers_on_a_document_of_several_polygons():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exchange_oracle import point_weights
-from graphs import graph_from_weights, walked_cut
+from graphs import graph_from_weights, piece_laminations, walked_cut
 from tropclust.errors import (
     DimensionMismatch,
     InvariantViolation,
@@ -23,10 +23,10 @@ from tropclust.laminations import (
     TropicalCoords,
     _CompiledChart,
     _edge_cycle,
+    _piece_chords,
     chart_change,
     chart_coords,
     lamination_from_coords,
-    lamination_pieces,
 )
 from tropclust.polygon import (
     Segment,
@@ -600,7 +600,7 @@ def test_pieces_are_laminations_that_sum_back_to_the_graph(n_gon):
     positive int multiplicity, and the pieces times their multiplicities
     sum to the lamination's graph."""
     for lam in _seeded_pieces_laminations(n_gon):
-        pieces = lamination_pieces(lam)
+        pieces = piece_laminations(lam)
         total = [0] * len(lam.graph.w)
         for piece, k in pieces:
             assert piece == Lamination(WeightedGraph(n_gon, piece.graph.w))
@@ -620,7 +620,7 @@ def test_pieces_carry_one_or_two_unit_diagonals(n_gon):
     edge = pairs(n_gon).index((1, n_gon))
     diagonal_slots = [k for k, (i, j) in enumerate(pairs(n_gon)) if 1 < j - i < n_gon - 1]
     for lam in _seeded_pieces_laminations(n_gon):
-        for piece, _ in lamination_pieces(lam):
+        for piece, _ in piece_laminations(lam):
             w = piece.graph.w
             loaded = [pairs(n_gon)[k] for k in diagonal_slots if w[k]]
             assert all(w[pairs(n_gon).index(d)] == 1 for d in loaded)
@@ -639,14 +639,14 @@ def test_pieces_of_the_zero_lamination_a_rational_one_and_a_bad_graph():
     unchecked graph with one short hexagon chord, which no lamination
     loads, are refused."""
     for n_gon in range(3, 9):
-        assert lamination_pieces(Lamination.zero(n_gon)) == ()
+        assert _piece_chords(Lamination.zero(n_gon)) == ()
     half = lamination_from_coords(fan_coords(6, (1, 0, 0))) * Fraction(1, 2)
     with pytest.raises(NonIntegral, match="^pieces are integral laminations$"):
-        lamination_pieces(half)
+        _piece_chords(half)
     w = [0] * len(pairs(6))
     w[pairs(6).index((1, 3))] = 1
     lone = Lamination._trusted(WeightedGraph._trusted(6, tuple(w)), "int")
     with pytest.raises(InvariantViolation, match="^even-even and odd-odd units differ in number$"):
-        lamination_pieces(lone)
+        _piece_chords(lone)
     with pytest.raises(InvariantViolation, match="no completion on a 6-gon$"):
         _edge_cycle(6, ((1, 3),))

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tropclust.atlas import mutation_words
 from tropclust.errors import (
     IncompleteTriangulation,
     InvalidPolygon,
@@ -15,6 +17,7 @@ from tropclust.errors import (
 from tropclust.polygon import (
     Segment,
     Triangulation,
+    _chart_text,
     crosses,
     diagonals,
     edges,
@@ -111,6 +114,40 @@ def test_triangulations_sorted_and_unique():
         assert len(set(keys)) == len(keys)
         for t in tris:
             assert Triangulation(n, t.diagonals) == t
+
+
+# Per N-gon: the chart count and the leading hex digits of the SHA-256 of
+# ``triangulations(N)``, one chart a line as ``_chart_text`` writes it, and
+# of ``mutation_words(N - 3)``, one "chart word" line per entry in order.
+FLIP_WALK_DIGESTS = {
+    4: (2, "8ace993f34b68ffb4c9d0930afabde67", "4a21be2edfec6f03306ad58afbe0ae85"),
+    5: (5, "ad09fd06cc9d888c1ed890209c908466", "ad833b23f126685d0d13808dbd2fa050"),
+    6: (14, "c394299bc223bd635580d29288eec542", "3c7a48851cb22dd8ce7d3066184975fd"),
+    7: (42, "c431b19c48d34184a658a9186b83ddf4", "3a6cef312f025cf7ab13b51e1cba3c04"),
+    8: (132, "39e994dd926f061b13c893c4e74d447b", "a13037cd7481e51ce5a39e6b079a715b"),
+    9: (429, "99b1a699d5451915ef48c75ec0a0a2b0", "ead0143aadbad1aac6183a5ec47582b3"),
+    10: (1430, "ea7a8ae3035470100df18869042dcaef", "c25fb8e1e4bf35dc598b4d9737d932b7"),
+    11: (4862, "a4f6dcf25191bb20583d817e44d8b6a5", "e77f9ab57c27ef47dfb77f4ca7a18534"),
+    12: (16796, "d61e00af7a2bafe1f7af99f596c6b300", "f71f0e0b81f37ce9a29615306d767bfc"),
+}
+
+
+def _digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:32]
+
+
+@pytest.mark.parametrize("n", sorted(FLIP_WALK_DIGESTS))
+def test_flip_walk_lists_the_recorded_charts_and_words(n):
+    """``triangulations`` and ``mutation_words``, both read off the flip
+    walk, give the recorded charts in order and the recorded word of each
+    chart in walk order, from the 4-gon to the 12-gon."""
+    count, charts, words = FLIP_WALK_DIGESTS[n]
+    assert len(triangulations(n)) == count
+    assert _digest(map(_chart_text, triangulations(n))) == charts
+    assert _digest(
+        ",".join(f"{d.i}-{d.j}" for d in key) + " " + ",".join(map(str, word))
+        for key, word in mutation_words(n - 3).items()
+    ) == words
 
 
 def test_every_triangulation_is_maximal():

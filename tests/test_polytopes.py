@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
@@ -55,7 +56,7 @@ from tropclust.polytopes import (
     vertex,
     vertex_flags,
 )
-from tropclust.weighted_graphs import _tables, wrap_vertex
+from tropclust.weighted_graphs import _tables, dominates, wrap_vertex
 
 
 def fan_coords(n_gon, values):
@@ -236,6 +237,31 @@ def test_contains_checks_every_diagonal():
     assert not contains(ones, point(5, (-9, 0)))  # other diagonals overflow
     with pytest.raises(SizeMismatch):
         contains(ones, Lamination.zero(6))
+
+
+@pytest.mark.parametrize("n_gon", range(5, 13))
+def test_contains_and_dominates_match_the_walked_cuts(n_gon):
+    """Membership and the cut-mass order, which stop at the first failing
+    diagonal, answer as every diagonal's walked cut mass does, on seeded
+    lattice points of a product's spec, on seeded laminations of the fan
+    box [-2, 2], and on both scaled by 1/3.  A point lies in the spec of a
+    product exactly when its graph is below the product's."""
+    rng = random.Random(4100 + n_gon)
+    factors = [point(n_gon, [rng.randint(-2, 2) for _ in range(n_gon - 3)]) for _ in range(2)]
+    spec = minkowski_spec(factors)
+    total = factors[0].graph + factors[1].graph
+    inside = lattice_points(spec)
+    points = [rng.choice(inside) for _ in range(6)]
+    points += [point(n_gon, [rng.randint(-2, 2) for _ in range(n_gon - 3)]) for _ in range(6)]
+    answers = set()
+    for p in points + [p * Fraction(1, 3) for p in points]:
+        cuts = [walked_cut(p.graph, *d) for d, _ in spec.c]
+        want = all(m <= 2 * c for m, (_, c) in zip(cuts, spec.c))
+        assert contains(spec, p) == want == dominates(p.graph, total)
+        above = [walked_cut(total, *d) for d, _ in spec.c]
+        assert dominates(total, p.graph) == all(map(operator.ge, cuts, above))
+        answers.add(want)
+    assert answers == {True, False}
 
 
 def test_minkowski_spec_of_points():
