@@ -24,11 +24,12 @@ chart diagonals: the coefficients are positive, so no term cancels, and
 the set of a sum is the union and that of a product the pairwise sums.
 It gives every diagonal's exponent vectors, read as linear forms, and,
 in the order it resolved them, the exchange step of each diagonal off the
-chart: its exit diagonal and the two pairs of opposite sides of its
+chart: its exit diagonal, which the flip's apex search
+(``polygon._apexes``) finds, and the two pairs of opposite sides of its
 quadrilateral.  The forms' row table (``_RowTable``), which the lattice
 scan in ``polytopes`` reads, is built with them.  ``tests/chart_oracle.py``
-keeps the full expansions, with coefficients and edge variables, as the
-walk's reference.
+keeps the full expansions, with coefficients and edge variables, and an
+exit search of its own, as the walk's reference.
 
 Points become weight tuples in batches, without the forms
 (``_CompiledChart.weights``): the points' values fill one column per
@@ -42,8 +43,8 @@ the slots), edge terms left out.  One ``zip`` turns the weight columns
 into rows, and each row is a lamination's weight tuple.
 ``polytopes.lattice_points`` and the command line read every scanned
 point in one batch; ``lamination_from_coords`` is a batch of one, which
-checks the point's length, normalizes Fractions and wraps the row
-through the ``_trusted`` constructors.
+normalizes Fractions and wraps the row through the ``_trusted``
+constructors (``TropicalCoords`` has checked the point's length).
 ``chart_change`` evaluates the new chart diagonals' forms in the compiled
 old chart.
 """
@@ -57,13 +58,12 @@ from operator import add, mul, sub
 from typing import Sequence
 
 from .errors import (
-    DimensionMismatch,
     InvariantViolation,
     NonIntegral,
     NotALamination,
     SizeMismatch,
 )
-from .polygon import Segment, Triangulation, _chart_text, crosses
+from .polygon import Segment, Triangulation, _apexes, _chart_text
 from .weighted_graphs import (
     WeightedGraph,
     _half_cuts,
@@ -149,7 +149,6 @@ class Lamination:
     __rmul__ = __mul__
 
 
-@lru_cache(maxsize=1024)
 def _edge_cycle(n_gon: int, chords: tuple, start: int = 0) -> tuple:
     """The weight tuple of the given chords, each of weight 1, completed
     by the edge weights that give every vertex mass zero.
@@ -287,41 +286,6 @@ def chart_coords(lam: Lamination, tri: Triangulation) -> TropicalCoords:
     return TropicalCoords(tri, tuple((d, half[slot[d]]) for d in tri.sorted_diagonals()))
 
 
-def _crossing_count(seg: Segment, tri: Triangulation) -> int:
-    return sum(1 for t in tri.diagonals if crosses(seg, t))
-
-
-def _exit_quadrilateral(seg: Segment, tri: Triangulation, triangles: list) -> tuple:
-    """Where the exchange relation resolves a segment off the chart.
-
-    ``triangles`` are the chart's triangles.  Returns the chart diagonal
-    the segment exits through at its lower endpoint and the two pairs of
-    opposite sides of the quadrilateral the two span; every side crosses
-    fewer chart diagonals than the segment.
-    """
-    a = seg.i
-    ear = None
-    for p, q, r in triangles:
-        if a in (p, q, r):
-            opposite = Segment(*(v for v in (p, q, r) if v != a))
-            if crosses(opposite, seg):
-                if ear is not None:
-                    raise InvariantViolation("segment exits through two triangles")
-                ear = opposite
-    if ear is None:
-        raise InvariantViolation("no chart diagonal crosses the segment")
-    own = _crossing_count(seg, tri)
-    quad = sorted((seg.i, seg.j, ear.i, ear.j))
-    sides = (
-        (Segment(quad[0], quad[1]), Segment(quad[2], quad[3])),
-        (Segment(quad[0], quad[3]), Segment(quad[1], quad[2])),
-    )
-    for s1, s2 in sides:
-        if max(_crossing_count(s1, tri), _crossing_count(s2, tri)) >= own:
-            raise InvariantViolation("quadrilateral sides must cross fewer chart diagonals")
-    return ear, sides
-
-
 def _exchange_walk(tri: Triangulation) -> tuple:
     """The exponent vectors of each diagonal's expansion in one chart, in
     the order of ``diagonals(n)``, and the exchange steps of the walk that
@@ -331,40 +295,45 @@ def _exchange_walk(tri: Triangulation) -> tuple:
     as 1; each diagonal gets its vectors sorted.  Expansions have positive
     coefficients, so nothing cancels and the exchange relation alone gives
     the sets: a chart diagonal has its unit vector and an edge the zero
-    vector, and any other segment the union of the pairwise sums over its
-    quadrilateral's two pairs of opposite sides, minus the unit vector of
-    the diagonal it exits through.
+    vector, and any other segment {i, j}, i < j, the union of the pairwise
+    sums over its quadrilateral's two pairs of opposite sides, minus the
+    unit vector of the diagonal it exits through.  It leaves i through the
+    chart triangle (i, a, b) that ``polygon._apexes`` finds, so it exits
+    through {a, b} and its quadrilateral is i, j, a, b in order; each side
+    crosses fewer chart diagonals than the segment, so the recursion ends.
 
     The steps list every diagonal off the chart, each once and after its
     sides: (segment, exit diagonal, (s1, s2), (s3, s4)), with the two pairs
-    of opposite sides of its quadrilateral.  Read tropically, a step gives
-    v(segment) = max(v(s1) + v(s2), v(s3) + v(s4)) - v(exit), with v = 0 on
-    edges, from values the earlier steps fixed.
+    of opposite sides of its quadrilateral.  Segments are plain (i, j)
+    pairs, i < j, which equal and hash like ``Segment``s.  Read tropically,
+    a step gives v(segment) = max(v(s1) + v(s2), v(s3) + v(s4)) - v(exit),
+    with v = 0 on edges, from values the earlier steps fixed.
     """
     n = tri.n_gon
+    members = tri.diagonals
     diags = tri.sorted_diagonals()
     units = {d: tuple(int(d == e) for e in diags) for d in diags}
-    zero = (0,) * len(diags)
-    triangles = tri.triangles()
     memo = {d: {u} for d, u in units.items()}
+    zero = {(0,) * len(diags)}
+    memo.update({(p, p + 1): zero for p in range(1, n)})
+    memo[1, n] = zero
     steps = []
 
-    def sets(s: Segment) -> set:
+    def sets(s: tuple) -> set:
         hit = memo.get(s)
         if hit is None:
-            if s.is_edge(n):
-                hit = {zero}
-            else:
-                ear, sides = _exit_quadrilateral(s, tri, triangles)
-                e = units[ear]
-                hit = {
-                    tuple(x + y - z for x, y, z in zip(u, v, e))
-                    for s1, s2 in sides
-                    for u in sets(s1)
-                    for v in sets(s2)
-                }
-                steps.append((s, ear, *sides))
-            memo[s] = hit
+            a, b = _apexes(members, n, *s)
+            ear = (a, b) if a < b else (b, a)
+            p, q, r, t = sorted((*s, a, b))
+            sides = ((p, q), (r, t)), ((p, t), (q, r))
+            e = units[ear]
+            hit = memo[s] = {
+                tuple(x + y - z for x, y, z in zip(u, v, e))
+                for s1, s2 in sides
+                for u in sets(s1)
+                for v in sets(s2)
+            }
+            steps.append((s, ear, *sides))
         return hit
 
     # the slot table's keys are ``diagonals(n)`` in order
@@ -452,7 +421,6 @@ class _CompiledChart:
     def __init__(self, chart: Triangulation):
         tables = _tables(chart.n_gon)
         slot = tables.slot
-        self.chart = chart
         self.forms, steps = _exchange_walk(chart)
         self.rows = _RowTable(self.forms, chart)
         zero = self._zero = len(slot)
@@ -500,18 +468,6 @@ class _CompiledChart:
             columns.append(x)
         return list(zip(*columns))
 
-    def lamination(self, point: tuple) -> Lamination:
-        """The lamination whose chart coordinates are the given point."""
-        if len(point) != len(self._chart_slots):
-            raise DimensionMismatch(
-                f"point has {len(point)} coordinates, need {len(self._chart_slots)}"
-            )
-        (w,) = self.weights([point])
-        if Fraction in map(type, point):
-            w = tuple(map(_normalize, w))
-        # the exchange relation yields a lamination at every point
-        return Lamination._trusted(WeightedGraph._trusted(self.chart.n_gon, w))
-
 
 @lru_cache(maxsize=32)
 def _compiled(chart: Triangulation) -> _CompiledChart:
@@ -521,7 +477,12 @@ def _compiled(chart: Triangulation) -> _CompiledChart:
 
 def lamination_from_coords(coords: TropicalCoords) -> Lamination:
     """The unique lamination with the given chart coordinates."""
-    return _compiled(coords.chart).lamination(coords.vector())
+    point = coords.vector()
+    (w,) = _compiled(coords.chart).weights([point])
+    if Fraction in map(type, point):
+        w = tuple(map(_normalize, w))
+    # the exchange relation yields a lamination at every point
+    return Lamination._trusted(WeightedGraph._trusted(coords.n_gon, w))
 
 
 def chart_change(coords: TropicalCoords, tri2: Triangulation) -> TropicalCoords:

@@ -127,26 +127,6 @@ class Triangulation:
     def key(self) -> tuple:
         return tuple(self.sorted_diagonals())
 
-    def triangles(self) -> list[tuple[int, int, int]]:
-        """The N-2 triangle faces, each a clockwise vertex triple (a<b<c)."""
-        n = self.n_gon
-        # the neighbours of v along boundary edges and member diagonals
-        near = {v: {v % n + 1, (v - 2) % n + 1} for v in range(1, n + 1)}
-        for i, j in self.diagonals:
-            near[i].add(j)
-            near[j].add(i)
-        out = sorted(
-            (a, b, c)
-            for a in range(1, n + 1)
-            for b in near[a]
-            if b > a
-            for c in near[a] & near[b]
-            if c > b
-        )
-        if len(out) != n - 2:
-            raise InvariantViolation("triangle count is off; triangulation corrupt")
-        return out
-
 
 def _chart_text(tri: Triangulation) -> str:
     """The chart's diagonals as text like ``1-3,1-4``, as ``--chart`` reads
@@ -244,7 +224,9 @@ def flip(tri: Triangulation, diag: Segment):
 def _apexes(members: frozenset, n: int, i: int, j: int) -> tuple:
     """The apexes a and b of the two triangles on the member diagonal
     {i, j}, a between i and j and b past j (or before i): the ends of the
-    diagonal that flips it."""
+    diagonal that flips it.  For a diagonal {i, j}, i < j, off the chart,
+    the same search gives the triangle (i, a, b) that the segment leaves i
+    through: it exits the triangle across {a, b}."""
     # Each apex is the neighbour of i, along an edge or a member diagonal,
     # nearest to j on its side, since a chord from i to a vertex between it
     # and j would cross the triangle's side at j.  Each search ends at i's

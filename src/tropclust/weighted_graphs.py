@@ -185,15 +185,6 @@ class WeightedGraph:
 
     # -- access ------------------------------------------------------------
 
-    def weight(self, i: int, j: int) -> Number:
-        if i == j:
-            return 0
-        seg = Segment(i, j).validate(self.n_gon)
-        return self.w[_tables(self.n_gon).index[seg]]
-
-    def __getitem__(self, seg: Segment) -> Number:
-        return self.weight(seg.i, seg.j)
-
     def sparse_items(self) -> tuple[tuple[int, int, Number], ...]:
         return tuple((i, j, x) for (i, j), x in zip(_tables(self.n_gon).pairs, self.w) if x != 0)
 
@@ -229,10 +220,12 @@ def dominates(g1: WeightedGraph, g2: WeightedGraph) -> bool:
     """Whether g1 <= g2 in the cut-mass partial order.
 
     Requires equal vertex masses everywhere and cut masses of g1 bounded by
-    those of g2 on every diagonal, read up to the first that is not.
+    those of g2 on every diagonal, each read vertex by vertex and diagonal
+    by diagonal up to the first that fails.
     """
     g1._check_size(g2)
-    if g1.vertex_masses() != g2.vertex_masses():
-        return False
     w1, w2 = g1.w, g2.w
-    return all(sum(cut(w1)) <= sum(cut(w2)) for cut in _tables(g1.n_gon).cuts)
+    tables = _tables(g1.n_gon)
+    return all(sum(at(w1)) == sum(at(w2)) for at in tables.at_vertex) and all(
+        sum(cut(w1)) <= sum(cut(w2)) for cut in tables.cuts
+    )

@@ -1,9 +1,9 @@
 """Weighted graphs from a weight per segment, for tests that write graphs by
-hand, the cut mass by a walk along the boundary, the tests' reference
-for the library's per-diagonal cut getters, and a lamination's pieces as
-validated laminations.  The library reads graphs from
-weight tuples and from JSON documents (``jsonio.lamination_from_json``);
-nothing here is reached from the library.
+hand, one segment's weight read off a graph, the cut mass by a walk along
+the boundary (the tests' reference for the library's per-diagonal cut
+getters), and a lamination's pieces as validated laminations.  The library
+reads graphs from weight tuples and from JSON documents
+(``jsonio.lamination_from_json``); nothing here is reached from the library.
 """
 from __future__ import annotations
 
@@ -25,6 +25,11 @@ def graph_from_weights(n_gon: int, weights: Mapping) -> WeightedGraph:
     return WeightedGraph(n_gon, tuple(w))
 
 
+def weight(g: WeightedGraph, i: int, j: int):
+    """The weight of the segment {i, j}, its ends given either way round."""
+    return g.w[_tables(g.n_gon).index[i, j]]
+
+
 def walked_cut(g: WeightedGraph, a: int, b: int):
     """The cut mass across {a, b} by walking the boundary: the weight of
     the pairs with one end among the vertices passed going clockwise from
@@ -37,7 +42,7 @@ def walked_cut(g: WeightedGraph, a: int, b: int):
         a = wrap_vertex(a + 1, n)
         passed.add(a)
     return sum(
-        g.weight(i, j)
+        weight(g, i, j)
         for i, j in itertools.combinations(range(1, n + 1), 2)
         if (i in passed) != (j in passed)
     )

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chart_oracle import a_variable_name, atlas_seed, chart_segments, expand_cluster_variable
+from chart_oracle import (
+    a_variable_name,
+    atlas_seed,
+    chart_segments,
+    expand_cluster_variable,
+    triangles,
+)
 from rational_oracle import RationalFunction, evaluate_at, variable, x_substitution
 from tropclust.atlas import (
     Seed,
@@ -292,16 +298,16 @@ def test_mutation_words_replay_to_their_charts():
 def _reference_mutation_words(n):
     """``mutation_words(n)`` by a breadth-first search of its own: each flip
     joins the apexes of the triangles on the old diagonal, read off
-    ``Triangulation.triangles``, builds a checked triangulation, and every
+    ``chart_oracle.triangles``, builds a checked triangulation, and every
     direction is tried, the flip back to the parent too."""
     start = fan_triangulation(n + 3)
     words = {start.key(): ()}
     queue = deque([(start, tuple(start.sorted_diagonals()), ())])
     while queue:
         tri, labels, word = queue.popleft()
-        triangles = tri.triangles()
+        faces = triangles(tri)
         for k, d in enumerate(labels):
-            apexes = {v for t in triangles if set(d) <= set(t) for v in t} - set(d)
+            apexes = {v for t in faces if set(d) <= set(t) for v in t} - set(d)
             new_diag = Segment(*apexes)
             new = Triangulation(n + 3, (tri.diagonals - {d}) | {new_diag})
             if new.key() not in words:

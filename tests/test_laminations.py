@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chart_oracle import exit_quadrilateral, triangles
 from exchange_oracle import point_weights
-from graphs import graph_from_weights, piece_laminations, walked_cut
+from graphs import graph_from_weights, piece_laminations, walked_cut, weight
 from tropclust.errors import (
-    DimensionMismatch,
     InvariantViolation,
     NonIntegral,
     NotALamination,
+    SizeMismatch,
 )
 from tropclust.jsonio import graph_to_json, lamination_from_json
 from tropclust.laminations import (
@@ -23,6 +24,7 @@ from tropclust.laminations import (
     TropicalCoords,
     _CompiledChart,
     _edge_cycle,
+    _exchange_walk,
     _piece_chords,
     chart_change,
     chart_coords,
@@ -30,6 +32,7 @@ from tropclust.laminations import (
 )
 from tropclust.polygon import (
     Segment,
+    _apexes,
     crosses,
     diagonals,
     fan_triangulation,
@@ -74,11 +77,14 @@ def curve(n, a, b):
     return Lamination(graph(n, weights))
 
 
+def point_coords(tri, values):
+    """The coordinates with the given values, in the order of the chart's
+    sorted diagonals."""
+    return TropicalCoords.of(tri, dict(zip(tri.sorted_diagonals(), values)))
+
+
 def fan_coords(n_gon, values):
-    fan = fan_triangulation(n_gon)
-    return TropicalCoords.of(
-        fan, dict(zip(fan.sorted_diagonals(), values))
-    )
+    return point_coords(fan_triangulation(n_gon), values)
 
 
 def coords_box(draw_int, tri):
@@ -90,8 +96,8 @@ def coords_box(draw_int, tri):
 def test_curve_helper_is_a_lamination():
     c = curve(5, 2, 5)
     assert any(c.graph.w)
-    assert c.graph.weight(2, 5) == 1
-    assert c.graph.weight(2, 3) == -1
+    assert weight(c.graph, 2, 5) == 1
+    assert weight(c.graph, 2, 3) == -1
 
 
 def test_rejects_nonzero_vertex_mass():
@@ -271,8 +277,8 @@ def test_short_hexagon_chords_only_pair_up():
     with pytest.raises(ValueError):
         curve(6, 1, 3)
     paired = lamination_from_coords(fan_coords(6, (0, 1, 1)))
-    assert paired.graph.weight(1, 3) == 1
-    assert paired.graph.weight(4, 6) == 1
+    assert weight(paired.graph, 1, 3) == 1
+    assert weight(paired.graph, 4, 6) == 1
     assert paired.domain == "int"
 
 
@@ -412,19 +418,45 @@ def test_rational_coords_in_non_fan_charts_give_rat_laminations():
         assert lamination_from_coords(chart_coords(lam, fan)) == lam
 
 
-def test_compiled_chart_rejects_points_of_the_wrong_length():
-    compiled = _CompiledChart(fan_triangulation(6))
-    for point in [(1, 2), (1, 2, 3, 4)]:
-        with pytest.raises(DimensionMismatch):
-            compiled.lamination(point)
+def test_coordinates_must_name_exactly_the_chart_diagonals():
+    """A point reaches a compiled chart only through ``TropicalCoords``,
+    which refuses too few values and a value off the chart's diagonals, so
+    ``lamination_from_coords`` has no length check of its own."""
+    fan = fan_triangulation(6)
+    for values in (
+        [((1, 3), 1), ((1, 4), 2)],
+        [((1, 3), 1), ((1, 4), 2), ((1, 5), 3), ((2, 4), 4)],
+        [((1, 3), 1), ((1, 4), 2), ((2, 4), 4)],
+    ):
+        with pytest.raises(SizeMismatch, match="^coordinate segments must be exactly the chart diagonals$"):
+            TropicalCoords(fan, tuple(values))
 
 
-def _dense_lamination(compiled, point):
+def test_exchange_steps_exit_where_the_oracle_search_does():
+    """The walk finds each exit with the flip's apex search; the oracle
+    scans the chart's triangles and counts crossings.  For every diagonal
+    off every chart of the 4- to 9-gons, both give the same exit diagonal
+    and the same two pairs of opposite sides, and the walk resolves each
+    such diagonal once."""
+    for n in range(4, 10):
+        for tri in triangulations(n):
+            faces = triangles(tri)
+            _, steps = _exchange_walk(tri)
+            walked = {s: (ear, tuple(sides)) for s, ear, *sides in steps}
+            off_chart = [d for d in diagonals(n) if d not in tri.diagonals]
+            assert len(steps) == len(off_chart) and sorted(walked) == off_chart
+            for d in off_chart:
+                ear, sides = exit_quadrilateral(d, tri, faces)
+                assert Segment(*_apexes(tri.diagonals, n, *d)) == ear
+                assert walked[d] == (ear, sides)
+
+
+def _dense_lamination(tri, compiled, point):
     """The lamination at a point by the dense route: each diagonal's value
     is the max of its linear forms at the point, and each weight is the
     inclusion-exclusion w(p, q) = v(p, q) + v(p-1, q-1) - v(p, q-1) - v(p-1, q)
     over wrapped labels, with v = 0 off the diagonals."""
-    n = compiled.chart.n_gon
+    n = tri.n_gon
     values = {
         d: max(sum(map(mul, f, point)) for f in forms)
         for d, forms in zip(diagonals(n), compiled.forms)
@@ -462,8 +494,8 @@ def test_exchange_steps_match_the_dense_forms():
         points = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(2)]
         points += [tuple(Fraction(rng.randint(-7, 7), 2) for _ in range(dim)) for _ in range(2)]
         for point in points:
-            lam = compiled.lamination(point)
-            dense = _dense_lamination(compiled, point)
+            lam = lamination_from_coords(point_coords(tri, point))
+            dense = _dense_lamination(tri, compiled, point)
             assert repr(lam) == repr(dense)
             values = [max(sum(map(mul, f, point)) for f in forms) for forms in compiled.forms]
             walked = [walked_cut(lam.graph, *d) for d in diagonals(tri.n_gon)]
@@ -492,7 +524,7 @@ def test_compiled_points_pass_the_validating_constructors(n_gon):
                    for _ in range(3)]
         points.append(tuple(Fraction(rng.randint(-3, 3)) for _ in range(dim)))
         for point in points:
-            lam = compiled.lamination(point)
+            lam = lamination_from_coords(point_coords(tri, point))
             checked = Lamination(WeightedGraph(n_gon, lam.graph.w))
             assert repr(lam) == repr(checked)
 
@@ -521,7 +553,7 @@ def test_batch_kernel_matches_the_per_point_exchange(n_gon):
         compiled = _CompiledChart(tri)
         points = [tuple(rng.randint(-4, 4) for _ in range(dim)) for _ in range(25)]
         points.append(tuple(rng.randint(-3, -1) for _ in range(dim)))
-        spec = minkowski_spec([compiled.lamination(p) for p in points[:2]])
+        spec = minkowski_spec([lamination_from_coords(point_coords(tri, p)) for p in points[:2]])
         _, scanned = _scan_chart(spec, tri)
         for batch in (points, scanned, points[:1], []):
             rows = compiled.weights(batch)

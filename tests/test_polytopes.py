@@ -1036,23 +1036,24 @@ def test_lattice_points_on_the_triangle_and_the_square():
 
 def test_lattice_points_tropicalizes_each_segment_once(monkeypatch):
     """A cold call compiles its chart once: a single exchange walk resolves
-    every diagonal off the chart exactly once, and nothing else does.  The
-    compile is kept, so a second call on an equal chart resolves nothing."""
+    every diagonal off the chart exactly once, with one exit search
+    (``_apexes``) each, and nothing else does.  The compile is kept, so a
+    second call on an equal chart resolves nothing."""
     calls = []
-    resolve = laminations._exit_quadrilateral
+    resolve = laminations._apexes
 
-    def counting(seg, tri, triangles):
-        calls.append((seg, tri))
-        return resolve(seg, tri, triangles)
+    def counting(members, n, i, j):
+        calls.append(((i, j), members))
+        return resolve(members, n, i, j)
 
-    monkeypatch.setattr(laminations, "_exit_quadrilateral", counting)
+    monkeypatch.setattr(laminations, "_apexes", counting)
     _compiled.cache_clear()
     chart = triangulations(6)[5]
     pts = lattice_points(const_spec(6, 3), chart)
     assert len(pts) >= 100
     off_chart = [d for d in diagonals(6) if d not in chart.diagonals]
     assert sorted(seg for seg, _ in calls) == off_chart
-    assert {tri for _, tri in calls} == {chart}
+    assert {members for _, members in calls} == {chart.diagonals}
     again = Triangulation.of(6, chart.sorted_diagonals())
     assert lattice_points(const_spec(6, 2), again) == lattice_points(const_spec(6, 2), chart)
     assert len(calls) == len(off_chart)

@@ -237,3 +237,27 @@ def test_lattice_modules_import_nothing_from_the_x_side():
             if module in _X_SIDE_MODULES
         ]
     assert found == []
+
+
+def test_chart_oracle_shares_no_code_with_the_chart_compiler():
+    """``tests/chart_oracle.py`` is the reference that the compiled charts
+    of ``laminations`` are checked against, with an exit search of its own,
+    so neither it nor a test module it imports takes anything from
+    ``tropclust.laminations``."""
+    found, seen, todo = [], set(), ["chart_oracle"]
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        path = REPO / "tests" / f"{name}.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for n in names if n == "tropclust.laminations"]
+            todo += [n for n in names if (REPO / "tests" / f"{n}.py").exists()]
+    assert found == []
