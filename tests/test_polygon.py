@@ -220,6 +220,21 @@ def test_fan_triangulation_shape():
     ]
 
 
+def test_fan_triangulation_equals_the_validated_chart():
+    """The fan is built unchecked; it is the chart the checking
+    constructor builds from the same diagonals, and small polygons are
+    still refused with the same error."""
+    for n in range(3, 16):
+        fan = fan_triangulation(n)
+        checked = Triangulation.of(n, [(1, k) for k in range(3, n)])
+        assert fan == checked and hash(fan) == hash(checked) and repr(fan) == repr(checked)
+        assert type(fan.diagonals) is frozenset
+    for n in (2, 1, 0, -1, "5"):
+        with pytest.raises(InvalidPolygon) as got:
+            fan_triangulation(n)
+        assert str(got.value) == f"polygon needs at least 3 vertices, got {n!r}"
+
+
 def test_invalid_polygon_sizes():
     assert fan_triangulation(3).sorted_diagonals() == []
     with pytest.raises(InvalidPolygon):
