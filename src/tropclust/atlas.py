@@ -36,7 +36,6 @@ The x-chart machinery lives here too:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -49,6 +48,7 @@ from .errors import (
 )
 from .laurent import LaurentPolynomial
 from .polygon import Segment, _flip_walk
+from .values import Value
 
 def label_text(label) -> str:
     if isinstance(label, Segment):
@@ -60,14 +60,10 @@ def x_variable_name(label) -> str:
     return "X" + label_text(label)
 
 
-@dataclass(frozen=True)
-class Seed:
+class Seed(Value):
     """Exchange data: direction labels, frozen subset, matrix, symmetrizers."""
 
-    labels: tuple
-    frozen: frozenset
-    eps: tuple[tuple[int, ...], ...]
-    d: tuple
+    __slots__ = ("labels", "frozen", "eps", "d")
 
     def __post_init__(self):
         labels = tuple(self.labels)

@@ -45,7 +45,6 @@ piece is not positive, or its walk raises, is the whole function walked
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import repeat
 from operator import add, itemgetter
@@ -62,6 +61,7 @@ from .errors import (
 )
 from .laminations import Lamination, _edge_cycle, _piece_chords
 from .laurent import LaurentPolynomial
+from .values import Value
 from .weighted_graphs import WeightedGraph, _is_int, _tables
 
 DEFAULT_BUDGET = 1_000_000
@@ -121,8 +121,7 @@ def basis_laurent(lam: Lamination) -> LaurentPolynomial:
     )
 
 
-@dataclass(frozen=True)
-class Expansion:
+class Expansion(Value):
     """A finite nonnegative integer combination of laminations.
 
     The constructor checks every term.  ``product_expand`` builds its
@@ -131,7 +130,7 @@ class Expansion:
     and the coefficient table is built on the first ``coefficient`` call.
     """
 
-    terms: tuple
+    __slots__ = ("terms", "__dict__")
 
     def __post_init__(self):
         terms = tuple(self.terms)

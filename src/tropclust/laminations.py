@@ -50,7 +50,6 @@ old chart.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import floor
@@ -64,6 +63,7 @@ from .errors import (
     SizeMismatch,
 )
 from .polygon import Segment, Triangulation, _apexes, _chart_text
+from .values import Value
 from .weighted_graphs import (
     WeightedGraph,
     _half_cuts,
@@ -97,16 +97,14 @@ def _check_curves(g: WeightedGraph) -> None:
             raise NotALamination(f"vertex {p} has nonzero total weight")
 
 
-@dataclass(frozen=True)
-class Lamination:
+class Lamination(Value, derived=("domain",)):
     """A weighted graph that encodes a measured system of disjoint curves.
 
     Its domain, ``"int"`` or ``"rat"``, follows from the weights and is
     stored once, at construction.
     """
 
-    graph: WeightedGraph
-    domain: str = field(init=False, compare=False)
+    __slots__ = ("graph", "domain")
 
     def __post_init__(self):
         object.__setattr__(self, "domain", _domain(self.graph))
@@ -246,12 +244,11 @@ def _diagonal_values(items, diags: tuple, mismatch: str, not_number: str) -> tup
     return vals
 
 
-@dataclass(frozen=True)
-class TropicalCoords:
-    """A coordinate vector over the diagonals of one triangulation."""
+class TropicalCoords(Value):
+    """A coordinate vector over the diagonals of one triangulation: sorted
+    (segment, value) pairs, one per chart diagonal."""
 
-    chart: Triangulation
-    values: tuple
+    __slots__ = ("chart", "values")
 
     def __post_init__(self):
         vals = _diagonal_values(

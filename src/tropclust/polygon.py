@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 from collections import deque, namedtuple
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
@@ -30,6 +29,7 @@ from .errors import (
     InvariantViolation,
     NotADiagonal,
 )
+from .values import Value
 
 
 class Segment(namedtuple("Segment", ["i", "j"])):
@@ -88,12 +88,11 @@ def diagonals(n_gon: int) -> list[Segment]:
     return [s for s in all_segments(n_gon) if s.is_diagonal(n_gon)]
 
 
-@dataclass(frozen=True)
-class Triangulation:
-    """A complete triangulation: N-3 pairwise noncrossing diagonals of an N-gon."""
+class Triangulation(Value):
+    """A complete triangulation: N-3 pairwise noncrossing diagonals of an
+    N-gon, held as a frozenset of ``Segment``s."""
 
-    n_gon: int
-    diagonals: frozenset[Segment]
+    __slots__ = ("n_gon", "diagonals")
 
     def __post_init__(self):
         check_polygon(self.n_gon)
@@ -135,9 +134,10 @@ def _chart_text(tri: Triangulation) -> str:
 
 
 def fan_triangulation(n_gon: int) -> Triangulation:
-    """The fan at vertex 1: diagonals {1,3}, {1,4}, ..., {1,N-1}."""
+    """The fan at vertex 1: diagonals {1,3}, {1,4}, ..., {1,N-1}, which
+    share vertex 1 and so never cross."""
     check_polygon(n_gon)
-    return Triangulation(n_gon, frozenset(Segment(1, k) for k in range(3, n_gon)))
+    return Triangulation._trusted(n_gon, frozenset(Segment(1, k) for k in range(3, n_gon)))
 
 
 @lru_cache(maxsize=32)

@@ -61,7 +61,6 @@ charts.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -88,19 +87,18 @@ from .polygon import (
     fan_triangulation,
     has_triangulation,
 )
+from .values import Value
 from .weighted_graphs import WeightedGraph, _half_cuts, _is_number, _tables
 
 
 _MISMATCH = "spec must bound every diagonal exactly once"
 
 
-@dataclass(frozen=True)
-class StasheffSpec:
+class StasheffSpec(Value):
     """One exact bound per diagonal of the polygon, as (segment, bound)
     pairs in slot order (``_tables(N).slot``)."""
 
-    n_gon: int
-    c: tuple
+    __slots__ = ("n_gon", "c")
 
     def __post_init__(self):
         check_polygon(self.n_gon)

@@ -1,0 +1,60 @@
+"""The shared base of the library's value types.
+
+A value type names its fields once, in ``__slots__``.  Its instances are
+frozen records: built by position or by keyword and checked by the
+class's ``__post_init__``, compared and hashed as the tuple of their
+fields, shown as ``Name(field=value, ...)``, and pickled or copied
+through the checking constructor.  A field named in the class keyword
+``derived`` is set by ``__post_init__`` from the others: it takes no
+argument and no part in ``==`` or ``hash``, though ``repr`` shows it.  A
+class that caches with ``functools.cached_property`` adds ``"__dict__"``
+to its slots.  Each class's ``_trusted`` constructor sets the slots of
+``object.__new__(cls)`` itself.
+"""
+from operator import attrgetter
+
+
+class Value:
+    """Frozen record over the fields named in a subclass's ``__slots__``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, derived: tuple = (), **kwargs):
+        super().__init_subclass__(**kwargs)
+        shown = tuple(name for name in cls.__slots__ if name != "__dict__")
+        fields = tuple(name for name in shown if name not in derived)
+        get = attrgetter(*fields)
+        cls._fields, cls._shown = fields, shown
+        # attrgetter of one name gives the value, not a 1-tuple
+        cls._key = staticmethod(get if len(fields) > 1 else lambda obj: (get(obj),))
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        values = args + tuple(kwargs.pop(f) for f in fields[len(args):] if f in kwargs)
+        if len(values) != len(fields) or kwargs:
+            raise TypeError(f"{type(self).__name__}() takes the arguments {', '.join(fields)}, "
+                            f"each once, by position or keyword")
+        for field, value in zip(fields, values):
+            object.__setattr__(self, field, value)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._key(self)

@@ -30,7 +30,6 @@ is the spec of the graph, the inverse of ``polytopes._spec_weights``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, itemgetter
@@ -38,6 +37,7 @@ from typing import NamedTuple
 
 from .errors import InvariantViolation, SizeMismatch
 from .polygon import Segment, check_polygon
+from .values import Value
 
 Number = int | Fraction
 
@@ -151,12 +151,11 @@ def _check_diagonals(n_gon: int, w: tuple) -> tuple:
     return w
 
 
-@dataclass(frozen=True)
-class WeightedGraph:
-    """Weights over the segments of an N-gon, one per pair of ``pairs(N)``."""
+class WeightedGraph(Value):
+    """Weights over the segments of an N-gon, one int or Fraction per pair
+    of ``pairs(N)``, as the tuple ``w``."""
 
-    n_gon: int
-    w: tuple[Number, ...]
+    __slots__ = ("n_gon", "w")
 
     def __post_init__(self):
         check_polygon(self.n_gon)

@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import tropclust
@@ -261,3 +264,29 @@ def test_chart_oracle_shares_no_code_with_the_chart_compiler():
             found += [f"{path.name}:{node.lineno}" for n in names if n == "tropclust.laminations"]
             todo += [n for n in names if (REPO / "tests" / f"{n}.py").exists()]
     assert found == []
+
+
+# Modules that ``dataclasses`` pulls in for its code generation; each
+# fresh CLI process would compile or load them before doing any work.
+_START_UP_HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def _modules_after(statement: str) -> set[str]:
+    """The names in ``sys.modules`` of a fresh interpreter, run with the
+    library on its path, once ``statement`` has run."""
+    path = os.pathsep.join(filter(None, (str(SOURCE.parent), os.environ.get("PYTHONPATH"))))
+    code = f"{statement}\nimport sys\nprint(' '.join(sys.modules))"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True,
+    )
+    return set(done.stdout.split())
+
+
+def test_cli_start_up_loads_no_code_generation_modules():
+    """``import tropclust, tropclust.cli`` adds none of ``dataclasses``,
+    ``inspect``, ``ast``, ``dis`` or ``tokenize`` to what a bare
+    interpreter loads: the value types are plain slotted classes."""
+    added = _modules_after("import tropclust, tropclust.cli") - _modules_after("pass")
+    assert sorted(added & set(_START_UP_HEAVY)) == []
