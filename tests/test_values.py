@@ -30,7 +30,8 @@ GRAPH_REPR = "WeightedGraph(n_gon=5, w=(0, 1, 0, -1, 0, 0, 0, -1, 0, 1))"
 FAN_REPR = "Triangulation(n_gon=5, diagonals=frozenset({Segment(i=1, j=3), Segment(i=1, j=4)}))"
 LAM_REPR = f"Lamination(graph={GRAPH_REPR}, domain='int')"
 
-# name -> (fields in order, positional args, pinned repr, compared fields)
+# name -> (class, its constructor's and compared fields in order,
+#          positional arguments, pinned repr)
 CASES = {
     "Triangulation": (Triangulation, ("n_gon", "diagonals"), (5, FAN), FAN_REPR),
     "WeightedGraph": (WeightedGraph, ("n_gon", "w"), (5, W13), GRAPH_REPR),
