@@ -35,12 +35,17 @@ independent check of the splitting process.
 its lamination (``laminations._piece_chords``): the function of a sum
 of integral laminations is the product of theirs, and each mutation is a
 ring homomorphism, so the function is positive in every chart when each
-piece's is.  Each piece is walked through every chart once per process,
-and its verdict kept in one bounded cache (``_positive_piece``, at most
-1024 pieces) keyed by the piece's polygon, chords and start, so a warm
-check builds no piece ``Lamination`` or ``WeightedGraph``.  Only when a
-piece is not positive, or its walk raises, is the whole function walked
-(``x_chart_walk``), so a False answer is always the full walk's.
+piece's is.  Rotating the polygon is a cluster automorphism, so a piece
+and its rotated images have one verdict: only the least image of each
+rotation orbit (``weighted_graphs._rotations``) is walked through every
+chart, once per process.  The verdicts are kept in one bounded cache
+(``_positive_piece``, at most 1024 pieces) keyed by the piece's polygon,
+chords and start, so a warm check builds no piece ``Lamination`` or
+``WeightedGraph``.  The N-gon's pieces fall into few orbits: 67 pieces in
+20 orbits at N = 10, 44 in 4 at N = 11, 146 in 35 at N = 12 and 65 in 5
+at N = 13.  Only when a piece is not positive, or its walk raises, is the
+whole function walked (``x_chart_walk``), so a False answer is always the
+full walk's.
 """
 from __future__ import annotations
 
@@ -62,7 +67,7 @@ from .errors import (
 from .laminations import Lamination, _edge_cycle, _piece_chords
 from .laurent import LaurentPolynomial
 from .values import Value
-from .weighted_graphs import WeightedGraph, _is_int, _tables
+from .weighted_graphs import WeightedGraph, _is_int, _rotations, _tables
 
 DEFAULT_BUDGET = 1_000_000
 
@@ -397,9 +402,29 @@ def _positive_in_every_chart(f: LaurentPolynomial) -> bool:
 def _positive_piece(n_gon: int, chords: tuple, start: int) -> bool:
     """The walk's verdict on the basis function of one piece, given by its
     polygon, chords and start (``laminations._piece_chords``); a walk that
-    raises counts as not positive."""
+    raises counts as not positive.
+
+    The verdict is its rotation orbit's.  Rotating the polygon is a
+    cluster automorphism: it maps the basis function of a lamination to
+    that of the rotated one and each chart to the rotated chart, with the
+    same terms up to renaming the variables, so every piece of an orbit
+    has the same verdict.  The orbit's representative is its
+    lexicographically least weight tuple (``weighted_graphs._rotations``),
+    keyed by its loaded diagonals, in pair order, and its start: the weight
+    of edge {1, N} at even N, 0 at odd N.  Any other key returns the
+    representative's cached verdict, so a cold cache walks one function
+    per orbit.
+    """
     w = _edge_cycle(n_gon, chords, start)
-    piece = Lamination._trusted(WeightedGraph._trusted(n_gon, w), "int")
+    least = min(_rotations(n_gon, w))
+    tables = _tables(n_gon)
+    key = (
+        tuple(tables.pairs[k] for k in tables.diagonals if least[k]),
+        0 if n_gon % 2 else least[tables.index[1, n_gon]],
+    )
+    if key != (chords, start):
+        return _positive_piece(n_gon, *key)
+    piece = Lamination._trusted(WeightedGraph._trusted(n_gon, least), "int")
     try:
         return _positive_in_every_chart(basis_laurent(piece))
     except TropclustError:
@@ -413,9 +438,12 @@ def verify_positive_basis(lam: Lamination) -> bool:
     The function of a sum of integral laminations is the product of theirs,
     and each mutation is a ring homomorphism, so it is positive in every
     chart when each of its pieces (``_piece_chords``) is.  Each piece's
-    verdict is walked once and kept in a bounded cache (``_positive_piece``,
-    1024 pieces), keyed by its chords, so a warm check is a handful of
-    lookups.  When some piece is not positive, or its walk raises, the
+    verdict is kept in a bounded cache (``_positive_piece``, 1024 pieces),
+    keyed by its chords, so a warm check is a handful of lookups.  A
+    rotation of the polygon maps each piece's function, chart for chart,
+    to that of the rotated piece, so only one piece per rotation orbit is
+    walked, its least image, and the orbit shares its verdict.  When some
+    piece is not positive, or its walk raises, the
     whole function is walked chart by chart through ``x_chart_walk`` and
     its answer returned: a False answer, or an error, is always the full
     walk's.  Raises

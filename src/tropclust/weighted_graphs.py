@@ -15,12 +15,14 @@ row-major order of ``pairs(N)``.  Modules that address weights by index
 
 Every table that depends on N alone lives in one record built once per N
 (``_tables``): the pairs and their index, the diagonal indices and slots,
-a getter per vertex and per diagonal's cut, the crossing rows, and the
-inclusion-exclusion columns that turn diagonal values back into weights.
-Validation, the masses, the split tree (``basis``), chart reconstruction
-(``laminations``), the quadruple criterion (``polytopes``) and the JSON
-reader (``jsonio``) read it, so a graph is read, checked and measured
-with index lookups, without building a ``Segment`` per entry.
+a getter per vertex and per diagonal's cut, the crossing rows, the
+inclusion-exclusion columns that turn diagonal values back into weights,
+and the rotation of the polygon by one vertex, as a slot permutation.
+Validation, the masses, the split tree and the positivity check's orbit
+keys (``basis``), chart reconstruction (``laminations``), the quadruple
+criterion (``polytopes``) and the JSON reader (``jsonio``) read it, so a
+graph is read, checked and measured with index lookups, without building
+a ``Segment`` per entry.
 
 Every per-diagonal quantity is read in slot order.  Half a diagonal's cut
 mass (``_half_cuts``) is a lamination's tropical coordinate there, and the
@@ -89,6 +91,11 @@ class _Tables(NamedTuple):
       into the diagonal values in slot order with one extra 0 past them:
       weight k is v[p] + v[q] - v[r] - v[t] at quadruple k, for chart
       reconstruction (``laminations``) and the quadruple criterion.
+    * ``rotation`` rotates a weight tuple by one step, vertex p to p + 1
+      (N to 1): slot {i, j} of its image reads the weight of
+      {i - 1, j - 1}.  Rotation by r is its r-th power (``_rotations``).
+      It is the one permutation the cyclic group needs, so a cold record
+      pays N(N - 1)/2 lookups for it, not N times that.
 
     The rows take O(N^4) room; ``_tables`` keeps at most 32 records.
     """
@@ -101,6 +108,7 @@ class _Tables(NamedTuple):
     cuts: tuple
     rows: tuple
     weights: tuple
+    rotation: itemgetter
 
 
 @lru_cache(maxsize=32)
@@ -130,7 +138,21 @@ def _tables(n_gon: int) -> _Tables:
         return slot.get((a, b), len(slot))
 
     weights = tuple((at(p, q), at(p - 1, q - 1), at(p, q - 1), at(p - 1, q)) for p, q in layout)
-    return _Tables(layout, index, diags, slot, at_vertex, cuts, rows, weights)
+    # vertex 1 - 1 wraps to N; the index reads a pair either way round
+    rotation = itemgetter(*(index[i - 1 or n_gon, j - 1] for i, j in layout))
+    return _Tables(layout, index, diags, slot, at_vertex, cuts, rows, weights, rotation)
+
+
+def _rotations(n_gon: int, w: tuple):
+    """Yield the N rotations of the weight tuple ``w``, by r = 0, 1, ...,
+    N - 1 in turn: the r-th image carries w's weight on {p, q} on
+    {p + r, q + r}, labels wrapped.  Rotations permute the vertex masses
+    and keep every crossing, so they map graphs, laminations and products
+    to their own kind."""
+    rotate = _tables(n_gon).rotation
+    for _ in range(n_gon):
+        yield w
+        w = rotate(w)
 
 
 def _half_cuts(n_gon: int, w) -> list:

@@ -1,7 +1,9 @@
 """Weighted graphs from a weight per segment, for tests that write graphs by
 hand, one segment's weight read off a graph, the cut mass by a walk along
 the boundary (the tests' reference for the library's per-diagonal cut
-getters), and a lamination's pieces as validated laminations.  The library
+getters), a graph rotated by relabeling its vertices (the tests' reference
+for the library's rotation), and a lamination's pieces as validated
+laminations.  The library
 reads graphs from weight tuples and from JSON documents
 (``jsonio.lamination_from_json``); nothing here is reached from the library.
 """
@@ -45,6 +47,15 @@ def walked_cut(g: WeightedGraph, a: int, b: int):
         weight(g, i, j)
         for i, j in itertools.combinations(range(1, n + 1), 2)
         if (i in passed) != (j in passed)
+    )
+
+
+def relabeled(g: WeightedGraph, r: int) -> WeightedGraph:
+    """The graph rotated by r: its weight on {p + r, q + r}, labels
+    wrapped, is g's weight on {p, q}."""
+    n = g.n_gon
+    return graph_from_weights(
+        n, {(wrap_vertex(i + r, n), wrap_vertex(j + r, n)): x for i, j, x in g.sparse_items()}
     )
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphs import piece_laminations, walked_cut
+from graphs import piece_laminations, relabeled, walked_cut
 from rational_oracle import evaluate_at, x_substitution
 from witness import basis_failed_rounds, failed_rounds
 from tropclust.atlas import (
@@ -48,13 +48,15 @@ from tropclust.errors import (
 from tropclust.laminations import (
     Lamination,
     TropicalCoords,
+    _edge_cycle,
     _piece_chords,
     chart_coords,
     lamination_from_coords,
 )
 from tropclust.laurent import LaurentPolynomial
-from tropclust.polygon import Segment, crosses, fan_triangulation
-from tropclust.weighted_graphs import WeightedGraph, _tables
+from tropclust.polygon import Segment, crosses, fan_triangulation, flip
+from tropclust.polytopes import lattice_points, minkowski_spec
+from tropclust.weighted_graphs import WeightedGraph, _rotations, _tables, wrap_vertex
 
 V2 = ("X1", "X2")
 
@@ -812,8 +814,155 @@ def test_verify_positive_basis_falls_back_to_the_full_walk(monkeypatch, cold_ver
     monkeypatch.setattr(basis, "x_chart_walk", failing_piece_walk)
     unit = pt(7, (1, 0, 0, 0))
     assert len(_piece_chords(unit)) == 1
+    # the piece walk runs on the representative of the unit's rotation
+    # orbit, its least rotated weight tuple, which is not the unit itself
+    representative = Lamination(WeightedGraph(7, min(_rotations(7, unit.graph.w))))
+    assert representative != unit
     assert verify_positive_basis(unit)
-    assert calls == [basis_laurent(unit), basis_laurent(unit)]
+    assert calls == [basis_laurent(representative), basis_laurent(unit)]
+
+
+def _every_piece(n_gon):
+    """Every piece ``_piece_chords`` can produce on an N-gon, as (chords,
+    start) pairs: a single diagonal at odd N; at even N a diagonal with
+    ends of opposite parity, a noncrossing even-even and odd-odd pair, or
+    the alternating edge lamination of either sign.  Each is the one piece
+    of its own lamination."""
+    tables = _tables(n_gon)
+    diags = [tables.pairs[k] for k in tables.diagonals]
+    if n_gon % 2:
+        keys = [((d,), 0) for d in diags]
+    else:
+        same = [d for d in diags if (d[1] - d[0]) % 2 == 0]
+        keys = [((d,), 0) for d in diags if d not in same]
+        keys += [
+            ((e, o), 0)
+            for e in same if e[0] % 2 == 0
+            for o in same if o[0] % 2 and not crosses(Segment(*e), Segment(*o))
+        ]
+        keys += [((), 1), ((), -1)]
+    for chords, start in keys:
+        lam = Lamination(WeightedGraph(n_gon, _edge_cycle(n_gon, chords, start)))
+        assert _piece_chords(lam) == ((chords, start, 1),)
+    return keys
+
+
+@pytest.mark.parametrize("n_gon, pieces, orbits", [
+    (5, 5, 1), (6, 8, 4), (7, 14, 2), (8, 26, 9), (9, 27, 3),
+])
+def test_orbit_keyed_verdicts_match_each_pieces_own_walk(
+    n_gon, pieces, orbits, monkeypatch, cold_verdicts
+):
+    """Every piece's cached verdict is its own full walk's, although a cold
+    cache walks only one function per rotation orbit: the basis function
+    of the orbit's least weight tuple.  The orbits are counted by
+    relabeling the vertices, not by the library's rotation."""
+    keys = _every_piece(n_gon)
+    graphs = [WeightedGraph(n_gon, _edge_cycle(n_gon, c, s)) for c, s in keys]
+    found = {frozenset(relabeled(g, r).w for r in range(n_gon)) for g in graphs}
+    assert (len(keys), len(found)) == (pieces, orbits)
+    walked = []
+    real_walk = basis.x_chart_walk
+
+    def counting_walk(f):
+        walked.append(f)
+        return real_walk(f)
+
+    monkeypatch.setattr(basis, "x_chart_walk", counting_walk)
+    verdicts = [_positive_piece(n_gon, c, s) for c, s in keys]
+    representatives = [
+        basis_laurent(Lamination(WeightedGraph(n_gon, min(orbit)))) for orbit in found
+    ]
+    assert len(walked) == orbits
+    assert all(f in representatives for f in walked)
+    assert all(f in walked for f in representatives)
+    monkeypatch.undo()
+    assert verdicts == [_walked_positive(Lamination(g)) for g in graphs]
+
+
+def _chart_labels(rank):
+    """The diagonal each direction labels in the chart of every word of
+    ``mutation_words(rank)``, replayed by flips from the fan."""
+    fan = fan_triangulation(rank + 3)
+    charts = {(): (fan, tuple(fan.sorted_diagonals()))}
+    for word in mutation_words(rank).values():
+        if word:
+            tri, labels = charts[word[:-1]]
+            k = word[-1] - 1
+            tri, new, _ = flip(tri, labels[k])
+            charts[word] = (tri, labels[:k] + (new,) + labels[k + 1:])
+    return {word: labels for word, (_, labels) in charts.items()}
+
+
+@pytest.mark.parametrize("n_gon", range(5, 9))
+def test_x_chart_walk_is_rotation_equivariant(n_gon):
+    """Rotating the polygon by r carries the walk of a basis function onto
+    the walk of the rotated lamination's, chart for chart: in the chart of
+    the rotated diagonals the terms are the same once each direction is
+    renamed to the one that labels the rotated diagonal.  Every rotation,
+    on seeded fan laminations of the box [-2, 2]."""
+    rank = n_gon - 3
+    labels = _chart_labels(rank)
+    words = {frozenset(chart): word for word, chart in labels.items()}
+    rng = random.Random(4450 + n_gon)
+    for _ in range(2):
+        lam = pt(n_gon, [rng.randint(-2, 2) for _ in range(rank)])
+        charts = dict(x_chart_walk(basis_laurent(lam)))
+        for r, w in enumerate(_rotations(n_gon, lam.graph.w)):
+            rotated = dict(x_chart_walk(basis_laurent(Lamination(WeightedGraph(n_gon, w)))))
+            assert len(rotated) == len(charts)
+            for word, terms in charts.items():
+                image = [
+                    Segment(wrap_vertex(i + r, n_gon), wrap_vertex(j + r, n_gon))
+                    for i, j in labels[word]
+                ]
+                target = words[frozenset(image)]
+                # direction k labels d here; position[k] labels d rotated there
+                position = [labels[target].index(d) for d in image]
+                renamed = {}
+                for exps, coeff in terms.items():
+                    moved = [0] * rank
+                    for k, x in enumerate(exps):
+                        moved[position[k]] = x
+                    renamed[tuple(moved)] = coeff
+                assert rotated[target] == renamed, (r, word, target)
+
+
+@pytest.mark.parametrize("n_gon", range(5, 9))
+def test_basis_functions_are_pointed_in_every_chart(n_gon):
+    """In every chart of the walk, the terms of a basis function have a
+    componentwise least exponent, and its coefficient is 1: seeded fan
+    laminations of the box [-2, 2].  A push that keeps every coefficient
+    positive but gets one wrong can still break this."""
+    rng = random.Random(4460 + n_gon)
+    for _ in range(6):
+        lam = pt(n_gon, [rng.randint(-2, 2) for _ in range(n_gon - 3)])
+        for word, terms in x_chart_walk(basis_laurent(lam)):
+            least = tuple(map(min, zip(*terms)))
+            assert terms.get(least) == 1, (word, least)
+
+
+def test_rotations_commute_with_expansion_and_lattice_points():
+    """Rotating a product's factors by r rotates, by r, its expansion,
+    leaves and coefficients, and the lattice points of its Minkowski spec:
+    every rotation through ``weighted_graphs._rotations``, on seeded 5- to
+    9-gon products.  The rotated factors pass the validating constructors."""
+    for points in _seeded_products(range(5, 10), 4470):
+        n_gon = points[0].n_gon
+        factors = [list(_rotations(n_gon, p.graph.w)) for p in points]
+        leaves = [(list(_rotations(n_gon, lam.graph.w)), c) for lam, c in product_expand(points)]
+        lattice = [list(_rotations(n_gon, lam.graph.w)) for lam in lattice_points(minkowski_spec(points))]
+        for r in range(n_gon):
+            rotated = [Lamination(WeightedGraph(n_gon, images[r])) for images in factors]
+            expansion = product_expand(rotated)
+            assert {lam.graph.w: c for lam, c in expansion} == {
+                images[r]: c for images, c in leaves
+            }
+            assert len(expansion) == len(leaves)
+            scanned = lattice_points(minkowski_spec(rotated))
+            assert sorted(lam.graph.w for lam in scanned) == sorted(
+                images[r] for images in lattice
+            )
 
 
 def test_verify_positive_basis_raises_what_the_basis_function_raises():

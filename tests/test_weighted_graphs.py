@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphs import graph_from_weights, walked_cut, weight
+from graphs import graph_from_weights, relabeled, walked_cut, weight
 from tropclust.basis import _split_steps
 from tropclust.errors import InvariantViolation, SizeMismatch
 from tropclust.polygon import Segment, all_segments, crosses, diagonals
 from tropclust.weighted_graphs import (
     WeightedGraph,
     _half_cuts,
+    _rotations,
     _tables,
     dominates,
     pairs,
@@ -212,6 +213,33 @@ def test_split_steps_lower_the_potential_by_the_closed_forms(n):
                 first.get(c, 0), second.get(c, 0), first.get(d, 0), second.get(d, 0)
             )
             assert cr[a] + cr[b] - cr.get(c, 0) - cr.get(d, 0) == drop == closed
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_rotations_relabel_the_vertices(n):
+    """``_rotations`` yields the N rotations of a weight tuple in order:
+    the r-th is the graph with every vertex label moved on by r, so it
+    rotates the vertex masses and the half cut masses with the labels, and
+    one more step of ``_tables(N).rotation`` comes back to the start.  On
+    seeded int and Fraction graphs."""
+    rng = random.Random(4400 + n)
+    rotate = _tables(n).rotation
+    slot = _tables(n).slot
+    for scale in (1, Fraction(1, 2)):
+        g = _seeded_graph(rng, n, scale)
+        images = list(_rotations(n, g.w))
+        assert len(images) == n and images[0] == g.w
+        assert rotate(images[-1]) == g.w
+        masses = g.vertex_masses()
+        half = _half_cuts(n, g.w)
+        for r, w in enumerate(images):
+            assert w == relabeled(g, r).w
+            # r = 0 included: masses[-0:] is the whole tuple, masses[:-0] empty
+            assert WeightedGraph(n, w).vertex_masses() == masses[-r:] + masses[:-r]
+            image_half = _half_cuts(n, w)
+            for (i, j), x in zip(slot, half):
+                d = tuple(sorted((wrap_vertex(i + r, n), wrap_vertex(j + r, n))))
+                assert image_half[slot[d]] == x
 
 
 def test_sums_match_the_validating_constructor():
