@@ -917,14 +917,10 @@ def test_x_chart_walk_is_rotation_equivariant(n_gon):
                     for i, j in labels[word]
                 ]
                 target = words[frozenset(image)]
-                # direction k labels d here; position[k] labels d rotated there
-                position = [labels[target].index(d) for d in image]
-                renamed = {}
-                for exps, coeff in terms.items():
-                    moved = [0] * rank
-                    for k, x in enumerate(exps):
-                        moved[position[k]] = x
-                    renamed[tuple(moved)] = coeff
+                # direction j there labels the image of direction source[j]'s
+                # diagonal here
+                source = [image.index(d) for d in labels[target]]
+                renamed = {tuple(exps[k] for k in source): c for exps, c in terms.items()}
                 assert rotated[target] == renamed, (r, word, target)
 
 
