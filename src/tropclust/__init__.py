@@ -31,7 +31,6 @@ from .polygon import (
     diagonals,
     edges,
     fan_triangulation,
-    flip,
     triangulations,
 )
 from .laurent import LaurentPolynomial

@@ -28,8 +28,10 @@ The x-chart machinery lives here too:
   per-word reference.  What a mutation step reads of the seed (the
   direction's position and the nonzero entries of its exchange column,
   split by sign, as ``_step`` gives them) depends on the rank alone, so
-  ``_walk_plan`` works it out once per rank, with each word's parent slot;
-  the walk then only runs ``_push`` on bare term dicts, builds no seed,
+  ``_walk_plan`` works it out once per rank, with each word's parent slot.
+  It builds no seed: each chart's exchange matrix is the signed adjacency
+  of its triangles, so each column is read off the quadrilateral that the
+  flip walk turns.  The walk then only runs ``_push`` on bare term dicts
   and yields each chart as its bare exponent -> coefficient dict, with no
   ``LaurentPolynomial`` around it.
 """
@@ -287,7 +289,7 @@ def expand_in_x_chart(
 
 @lru_cache(maxsize=32)
 def _walk_plan(n: int) -> tuple:
-    """The rank-n x-chart walk with the seeds worked out once.
+    """The rank-n x-chart walk, each step read off the flip that makes it.
 
     One entry per word of ``mutation_words(n)``, in that order:
     (word, parent slot, ki, rise, drop), where the parent slot is the
@@ -296,15 +298,33 @@ def _walk_plan(n: int) -> tuple:
     the direction's position and the sparse (position, entry) pairs of its
     exchange column's positive and negated negative parts.  The empty word
     comes first, with None in the last four fields.
+
+    No seed is built.  A chart's exchange matrix is the signed adjacency
+    of its triangles (Fomin-Shapiro-Thurston, Acta Math. 201 (2008)), so
+    the column of the direction k that labels {i, j} in the flipped
+    quadrilateral (i, a, j, b) of ``polygon._flip_walk`` has entry 1 at
+    the directions labelling {a, j} and {b, i} (``rise``), -1 at those
+    labelling {i, a} and {j, b} (``drop``), and 0 elsewhere; an edge
+    labels no direction and gives no entry.  The four sides keep their
+    directions across the flip, so they are looked up in the new chart's
+    labels.
     """
-    seeds = [type_a_seed(n)]
-    slots = {(): 0}
-    plan = [((), None, None, None, None)]
-    for word in list(mutation_words(n).values())[1:]:
-        parent = slots[word[:-1]]
-        slots[word] = len(plan)
-        plan.append((word, parent, *_step(seeds[parent], word[-1])))
-        seeds.append(mutate_seed(seeds[parent], word[-1]))
+    plan = []
+    for labels, word, parent, quad in _flip_walk(n + 3):
+        if parent is None:
+            plan.append(((), None, None, None, None))
+            continue
+        i, a, j, b = quad
+        # b lies past j or before i; a Segment has its smaller end first
+        bi, jb = ((i, b), (j, b)) if b > j else ((b, i), (b, j))
+        up, down = ((a, j), bi), ((i, a), jb)
+        rise, drop = [], []
+        for p, d in enumerate(labels):
+            if d in up:
+                rise.append((p, 1))
+            elif d in down:
+                drop.append((p, 1))
+        plan.append((word, parent, word[-1] - 1, tuple(rise), tuple(drop)))
     return tuple(plan)
 
 
@@ -347,4 +367,4 @@ def mutation_words(n: int) -> dict:
     ``polygon._flip_walk``, breadth-first: the words are closed under
     prefixes, and every parent ``word[:-1]`` comes before its children.
     """
-    return {tri.key(): word for tri, word in _flip_walk(n + 3)}
+    return {tuple(sorted(labels)): word for labels, word, *_ in _flip_walk(n + 3)}

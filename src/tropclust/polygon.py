@@ -13,8 +13,10 @@ no scan of the Catalan-many charts.
 
 The triangulations are the vertices of the Stasheff polytope and flips
 are its edges.  One breadth-first flip walk from the fan (``_flip_walk``)
-lists them all: ``triangulations`` sorts its charts, and
-``atlas.mutation_words`` keeps its words.
+lists them all, each chart an int bitmask of its vertex pairs, each flip
+two XORs: ``triangulations`` sorts its charts, ``atlas.mutation_words``
+keeps its words, and ``atlas._walk_plan`` reads each exchange step off the
+quadrilateral a flip turns.  No ``Triangulation`` is flipped on the way.
 """
 from __future__ import annotations
 
@@ -144,41 +146,70 @@ def fan_triangulation(n_gon: int) -> Triangulation:
 def triangulations(n_gon: int) -> tuple[Triangulation, ...]:
     """All complete triangulations, lexicographically ordered: the charts
     ``_flip_walk`` reaches, sorted by ``Triangulation.key``."""
-    return tuple(sorted((tri for tri, _word in _flip_walk(n_gon)), key=Triangulation.key))
+    keys = sorted(tuple(sorted(labels)) for labels, *_ in _flip_walk(n_gon))
+    return tuple(Triangulation._trusted(n_gon, frozenset(key)) for key in keys)
 
 
 def _flip_walk(n_gon: int):
-    """Yield (triangulation, word) for every complete triangulation, found
-    breadth-first by flips from the fan.
+    """Yield (labels, word, parent, quad) for every complete triangulation,
+    found breadth-first by flips from the fan.
 
     Direction k = 1..N-3 starts on the fan's k-th diagonal and tracks the
-    diagonal it currently labels, so a word is the flips that reach its
-    chart.  The words are closed under prefixes and every parent
-    ``word[:-1]`` comes before its children.  The search skips the flip back
-    to a chart's parent, which is always found already, and tests every
-    other flip's diagonal set against the charts found before it builds
-    the flip, so only a new chart costs a ``flip``.
+    diagonal it currently labels: ``labels[k - 1]``, a ``Segment``, so the
+    chart's diagonals are its labels and ``word`` is the flips that reach
+    it.  The words are closed under prefixes and every parent ``word[:-1]``
+    comes before its children: ``parent`` is the parent's position in the
+    walk and ``quad`` the quadrilateral (i, a, j, b) of the flip from it,
+    the diagonal {i, j}, i < j, replaced by {a, b}, with a between i and j.
+    The fan comes first, with parent and quad None.
+
+    A chart is an int bitmask over the vertex pairs, the edges always set,
+    so the apex search (the neighbours of i nearest j on each side, as
+    ``_apexes`` finds them) reads edges and member diagonals alike, a flip
+    is two XORs, and the charts found so far are a set of ints.  The search
+    skips the flip back to a chart's parent, which is always found
+    already, and yields every other new chart as it finds it.  The
+    quadrilateral is all a mutation step needs: by the sign rule of
+    Fomin-Shapiro-Thurston its sides give the exchange column of {i, j}
+    (``atlas._walk_plan``).
     """
-    start = fan_triangulation(n_gon)
-    # the diagonal sets found so far: cheaper to test than sorted keys
-    seen = {start.diagonals}
-    queue = deque([(start, tuple(start.sorted_diagonals()), ())])
+    check_polygon(n_gon)
+    # bit[u][v] and segment[u][v] for every pair, either way round; row v
+    # runs on past N, u < v again at u + N, so b's search never wraps
+    bit = [[0] * (2 * n_gon) for _ in range(n_gon + 1)]
+    segment = [[None] * (n_gon + 1) for _ in range(n_gon + 1)]
+    for pos, (u, v) in enumerate(itertools.combinations(range(1, n_gon + 1), 2)):
+        bit[u][v] = bit[v][u] = bit[v][u + n_gon] = 1 << pos
+        segment[u][v] = segment[v][u] = Segment(u, v)
+    labels = tuple(segment[1][k] for k in range(3, n_gon))
+    mask = sum(bit[v][v + 1] for v in range(1, n_gon + 1))
+    mask += sum(bit[1][k] for k in range(3, n_gon))
+    seen = {mask}
+    queue = deque([(mask, labels, -1, ())])
+    yield labels, (), None, None
+    parent = -1
     while queue:
-        tri, labels, word = queue.popleft()
-        yield tri, word
-        back = word[-1] - 1 if word else -1  # the flip back to the parent
-        members = tri.diagonals
-        for k in range(n_gon - 3):
+        mask, labels, back, word = queue.popleft()
+        parent += 1
+        for k, (i, j) in enumerate(labels):
             if k == back:
                 continue
-            diag = labels[k]
-            a, b = _apexes(members, n_gon, *diag)
-            # a plain pair equals the Segment of the same ends, and hashes alike
-            if (members - {diag}) | {(a, b) if a < b else (b, a)} not in seen:
-                new_tri, new_diag, _quad = flip(tri, diag)
-                seen.add(new_tri.diagonals)
-                new_labels = labels[:k] + (new_diag,) + labels[k + 1 :]
-                queue.append((new_tri, new_labels, word + (k + 1,)))
+            row = bit[i]
+            a = j - 1
+            while not mask & row[a]:
+                a -= 1
+            b = j + 1
+            while not mask & row[b]:
+                b += 1
+            if b > n_gon:
+                b -= n_gon
+            new = mask ^ row[j] ^ bit[a][b]
+            if new not in seen:
+                seen.add(new)
+                new_labels = labels[:k] + (segment[a][b],) + labels[k + 1 :]
+                new_word = word + (k + 1,)
+                queue.append((new, new_labels, k, new_word))
+                yield new_labels, new_word, parent, (i, a, j, b)
 
 
 def has_triangulation(n_gon: int, segments) -> bool:
@@ -200,25 +231,6 @@ def has_triangulation(n_gon: int, segments) -> bool:
                 row = ok[i]
                 row[j] = any(row[k] and ok[k][j] for k in range(i + 1, j))
     return ok[1][n_gon]
-
-
-def flip(tri: Triangulation, diag: Segment):
-    """Replace one diagonal by the crossing diagonal of its quadrilateral.
-
-    Returns (new_triangulation, new_diagonal, quad) where quad lists the
-    four quadrilateral vertices in increasing order; the removed and
-    inserted diagonals are its two crossing diagonals, {quad[0], quad[2]}
-    and {quad[1], quad[3]}, in one order or the other.  A flip of a valid
-    triangulation is one, so the result is not checked again.
-    """
-    members = tri.diagonals
-    if diag not in members:
-        raise NotADiagonal(f"{diag} is not a diagonal of this triangulation")
-    a, b = _apexes(members, tri.n_gon, *diag)
-    new_diag = Segment(a, b)
-    i, j = diag
-    quad = (i, a, j, b) if j < b else (b, i, a, j)
-    return Triangulation._trusted(tri.n_gon, (members - {diag}) | {new_diag}), new_diag, quad
 
 
 def _apexes(members: frozenset, n: int, i: int, j: int) -> tuple:

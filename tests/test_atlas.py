@@ -15,6 +15,7 @@ from chart_oracle import (
     expand_cluster_variable,
     triangles,
 )
+from flips import flip
 from rational_oracle import RationalFunction, evaluate_at, variable, x_substitution
 from tropclust.atlas import (
     Seed,
@@ -40,10 +41,10 @@ from tropclust.laurent import LaurentPolynomial
 from tropclust.polygon import (
     Segment,
     Triangulation,
+    _flip_walk,
     diagonals,
     edges,
     fan_triangulation,
-    flip,
     triangulations,
 )
 
@@ -426,7 +427,7 @@ def test_walk_plan_matches_replaying_its_words():
     the position of the mutated direction and the nonzero entries of its
     exchange column as (position, entry) pairs, positive ones in ``rise``
     and negated negative ones in ``drop``, each in position order."""
-    for n in range(2, 7):
+    for n in range(1, 8):
         plan = _walk_plan(n)
         assert [entry[0] for entry in plan] == list(mutation_words(n).values())
         assert plan[0] == ((), None, None, None, None)
@@ -439,6 +440,33 @@ def test_walk_plan_matches_replaying_its_words():
             assert ki == seed.labels.index(word[-1])
             assert rise == tuple((i, c) for i, c in enumerate(column) if c > 0)
             assert drop == tuple((i, -c) for i, c in enumerate(column) if c < 0)
+
+
+def test_walk_plan_reads_the_exchange_columns_of_the_chart_seeds():
+    """Each plan step is the exchange column of its parent chart's seed as
+    ``chart_oracle.atlas_seed`` builds it from the chart's triangles, read
+    through the walk's direction labels: entry c of the direction labelling
+    diagonal d is the seed's entry at (d, the mutated direction's
+    diagonal).  The oracle builds no seed by mutation, so this checks the
+    plan's quadrilateral sign rule apart from the replay above, on every
+    chart of the 4- to 10-gon."""
+    for n in range(1, 8):
+        walk = list(_flip_walk(n + 3))
+        plan = _walk_plan(n)
+        assert len(plan) == len(walk)
+        columns = {}
+        for (word, parent, ki, rise, drop), (_, walk_word, walk_parent, _) in zip(
+            plan[1:], walk[1:]
+        ):
+            assert (word, parent, ki) == (walk_word, walk_parent, word[-1] - 1)
+            labels = walk[parent][0]
+            if parent not in columns:
+                seed = atlas_seed(Triangulation(n + 3, labels))
+                rows = [seed.eps[seed.index(d)] for d in labels]
+                columns[parent] = [[row[seed.index(d)] for row in rows] for d in labels]
+            column = columns[parent][ki]
+            assert rise == tuple((p, c) for p, c in enumerate(column) if c > 0)
+            assert drop == tuple((p, -c) for p, c in enumerate(column) if c < 0)
 
 
 @st.composite

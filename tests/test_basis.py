@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flips import flip
 from graphs import piece_laminations, relabeled, walked_cut
 from rational_oracle import evaluate_at, x_substitution
 from witness import basis_failed_rounds, failed_rounds
@@ -54,9 +55,9 @@ from tropclust.laminations import (
     lamination_from_coords,
 )
 from tropclust.laurent import LaurentPolynomial
-from tropclust.polygon import Segment, crosses, fan_triangulation, flip
+from tropclust.polygon import Segment, _flip_walk, crosses, fan_triangulation
 from tropclust.polytopes import lattice_points, minkowski_spec
-from tropclust.weighted_graphs import WeightedGraph, _rotations, _tables, wrap_vertex
+from tropclust.weighted_graphs import WeightedGraph, _half_cuts, _rotations, _tables, wrap_vertex
 
 V2 = ("X1", "X2")
 
@@ -936,6 +937,53 @@ def test_basis_functions_are_pointed_in_every_chart(n_gon):
         for word, terms in x_chart_walk(basis_laurent(lam)):
             least = tuple(map(min, zip(*terms)))
             assert terms.get(least) == 1, (word, least)
+
+
+def _fan_box_laminations(n_gon, seed):
+    """Six seeded fan laminations of the box [-2, 2]."""
+    rng = random.Random(seed)
+    return [pt(n_gon, [rng.randint(-2, 2) for _ in range(n_gon - 3)]) for _ in range(6)]
+
+
+@pytest.mark.parametrize("n_gon", range(5, 9))
+def test_least_exponents_mutate_by_the_min_plus_rule(n_gon):
+    """Along every step (ki, rise, drop) of ``_walk_plan``, the least
+    exponent g of a basis function's terms in the parent chart gives the
+    child's: g'[ki] = -g[ki] + min(rise . g, drop . g), every other entry
+    kept.  The tropical form of the mutation, checked against the walk's
+    term dicts on seeded fan laminations of the box [-2, 2]; the rule is
+    symmetric in rise and drop, but the walk that reads them is not, so a
+    plan with the two swapped fails here."""
+    plan = _walk_plan(n_gon - 3)
+    for lam in _fan_box_laminations(n_gon, 4480 + n_gon):
+        least = [tuple(map(min, zip(*terms))) for _, terms in x_chart_walk(basis_laurent(lam))]
+        assert len(least) == len(plan)
+        for slot, (word, parent, ki, rise, drop) in enumerate(plan[1:], 1):
+            g = list(least[parent])
+            g[ki] = -g[ki] + min(sum(c * g[i] for i, c in rise), sum(c * g[i] for i, c in drop))
+            assert least[slot] == tuple(g), word
+
+
+@pytest.mark.parametrize("n_gon", range(5, 9))
+def test_least_exponents_are_minus_the_rotated_chart_coordinates(n_gon):
+    """In every chart t, the least exponent of a basis function's terms at
+    direction k is minus the lamination's coordinate at rho(d), half the
+    cut mass ``_half_cuts`` gives there, where d is the diagonal that k
+    labels in t (``polygon._flip_walk``'s labels) and rho moves each vertex
+    i to i - 1: g_t(l) is minus l's coordinates in the chart rho(t).  On the
+    min-plus rule's seeded fan laminations."""
+    slot = _tables(n_gon).slot
+    rotated = [
+        [slot[Segment(wrap_vertex(i - 1, n_gon), wrap_vertex(j - 1, n_gon))] for i, j in labels]
+        for labels, *_ in _flip_walk(n_gon)
+    ]
+    for lam in _fan_box_laminations(n_gon, 4480 + n_gon):
+        half = _half_cuts(n_gon, lam.graph.w)
+        charts = list(x_chart_walk(basis_laurent(lam)))
+        assert len(charts) == len(rotated)
+        for (word, terms), slots in zip(charts, rotated):
+            least = tuple(map(min, zip(*terms)))
+            assert least == tuple(-half[x] for x in slots), word
 
 
 def test_rotations_commute_with_expansion_and_lattice_points():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from chart_oracle import exit_quadrilateral, triangles
 from exchange_oracle import point_weights
+from flips import flip
 from graphs import graph_from_weights, piece_laminations, walked_cut, weight
 from tropclust.errors import (
     InvariantViolation,
@@ -36,7 +37,6 @@ from tropclust.polygon import (
     crosses,
     diagonals,
     fan_triangulation,
-    flip,
     triangulations,
 )
 from tropclust.polytopes import StasheffSpec, _scan_chart, lattice_points, minkowski_spec

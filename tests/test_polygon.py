@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chart_oracle import triangles
+from flips import flip
 from tropclust.atlas import mutation_words
 from tropclust.errors import (
     IncompleteTriangulation,
@@ -23,7 +24,6 @@ from tropclust.polygon import (
     diagonals,
     edges,
     fan_triangulation,
-    flip,
     has_triangulation,
     triangulations,
 )

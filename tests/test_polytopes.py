@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flips import flip
 from graphs import walked_cut
 from tropclust.errors import (
     DimensionMismatch,
@@ -36,7 +37,6 @@ from tropclust.polygon import (
     Triangulation,
     diagonals,
     fan_triangulation,
-    flip,
     triangulations,
 )
 from tropclust import laminations, polytopes
