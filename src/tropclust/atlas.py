@@ -38,7 +38,6 @@ The x-chart machinery lives here too:
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -51,6 +50,7 @@ from .errors import (
 from .laurent import LaurentPolynomial
 from .polygon import Segment, _flip_walk
 from .values import Value
+from .weighted_graphs import _is_int, _is_number, _normalize
 
 def label_text(label) -> str:
     if isinstance(label, Segment):
@@ -78,24 +78,21 @@ class Seed(Value):
         eps = tuple(tuple(row) for row in self.eps)
         if len(eps) != n or any(len(row) != n for row in eps):
             raise InvariantViolation(f"exchange matrix must be {n}x{n}")
-        if any(not isinstance(x, int) for row in eps for x in row):
+        if not all(_is_int(x) for row in eps for x in row):
             raise InvariantViolation("exchange matrix entries must be integers")
         d = tuple(self.d)
-        if len(d) != n:
+        if not all(map(_is_number, d)):
+            raise InvariantViolation("symmetrizers must be ints or Fractions")
+        if len(d) != n or not all(x > 0 for x in d):
             raise InvariantViolation("need one positive symmetrizer per direction")
-        dq = []
-        for x in d:
-            q = Fraction(x)
-            if q <= 0:
-                raise InvariantViolation("need one positive symmetrizer per direction")
-            # integral symmetrizers stay ints: int products are far cheaper
-            dq.append(q.numerator if q.denominator == 1 else q)
+        # integral symmetrizers are ints: int products are far cheaper
+        d = tuple(map(_normalize, d))
         # eps[i][j] / d[j] == -eps[j][i] / d[i], cleared of the positive d's.
         # The condition is symmetric in (i, j), so the first failure in
         # row-major order always has i <= j.
         for i in range(n):
             for j in range(i, n):
-                if eps[i][j] * dq[i] != -eps[j][i] * dq[j]:
+                if eps[i][j] * d[i] != -eps[j][i] * d[j]:
                     raise InvariantViolation(
                         f"matrix not skew-symmetrizable at ({labels[i]},{labels[j]})"
                     )
@@ -103,14 +100,6 @@ class Seed(Value):
         object.__setattr__(self, "frozen", frozen)
         object.__setattr__(self, "eps", eps)
         object.__setattr__(self, "d", d)
-
-    @classmethod
-    def _trusted(cls, labels: tuple, frozen: frozenset, eps: tuple, d: tuple) -> "Seed":
-        """Wrap fields a closed operation derived from a validated seed."""
-        seed = object.__new__(cls)
-        for name, value in (("labels", labels), ("frozen", frozen), ("eps", eps), ("d", d)):
-            object.__setattr__(seed, name, value)
-        return seed
 
     # -- access ------------------------------------------------------------
 

@@ -19,13 +19,13 @@ rows whose first chord and the rows whose second chord carry weight; their
 AND holds its crossing rows, and a split updates both in a few bit
 operations where a weight falls to or rises from zero.
 
-The leaves are wrapped as ``WeightedGraph``s and ``Lamination``s through
-the ``_trusted`` constructors, and the result as an ``Expansion`` through
-its own, with no check: the factors are checked integral laminations, each
-split moves one unit from {p, r} and {q, s} to {p, s} and {q, r} or to
-{p, q} and {r, s}, which keeps every vertex mass (zero), every weight an
-integer and every diagonal weight nonnegative, and a leaf has no crossing
-row.  The tests check the leaves against the validating constructors.
+The leaves are wrapped as ``WeightedGraph``s and ``Lamination``s, and the
+result as an ``Expansion``, through ``Value._trusted``, with no check: the
+factors are checked integral laminations, each split moves one unit from
+{p, r} and {q, s} to {p, s} and {q, r} or to {p, q} and {r, s}, which
+keeps every vertex mass (zero), every weight an integer and every diagonal
+weight nonnegative, and a leaf has no crossing row.  The tests check the
+leaves against the validating constructors.
 
 ``Expansion.support`` lists the laminations that appear; ``a2_coefficient``
 is the closed binomial formula for the rank-two case, used as an
@@ -147,14 +147,6 @@ class Expansion(Value):
         object.__setattr__(self, "terms", terms)
         if len(self._coeffs) != len(terms):
             raise InvariantViolation("expansion terms must be distinct laminations")
-
-    @classmethod
-    def _trusted(cls, terms: tuple) -> "Expansion":
-        """Wrap a tuple of distinct (lamination, positive int) terms that a
-        closed operation made itself."""
-        expansion = object.__new__(cls)
-        object.__setattr__(expansion, "terms", terms)
-        return expansion
 
     @cached_property
     def _coeffs(self) -> dict:

@@ -43,8 +43,8 @@ the slots), edge terms left out.  One ``zip`` turns the weight columns
 into rows, and each row is a lamination's weight tuple.
 ``polytopes.lattice_points`` and the command line read every scanned
 point in one batch; ``lamination_from_coords`` is a batch of one, which
-normalizes Fractions and wraps the row through the ``_trusted``
-constructors (``TropicalCoords`` has checked the point's length).
+normalizes Fractions and wraps the row through ``Value._trusted``
+(``TropicalCoords`` has checked the point's length).
 ``chart_change`` evaluates the new chart diagonals' forms in the compiled
 old chart.
 """
@@ -110,15 +110,6 @@ class Lamination(Value, derived=("domain",)):
         object.__setattr__(self, "domain", _domain(self.graph))
         _check_curves(self.graph)
 
-    @classmethod
-    def _trusted(cls, graph: WeightedGraph, domain: str | None = None) -> "Lamination":
-        """Wrap a graph a closed operation derived from laminations; a
-        caller that knows the graph's domain may pass it."""
-        lam = object.__new__(cls)
-        object.__setattr__(lam, "graph", graph)
-        object.__setattr__(lam, "domain", domain or _domain(graph))
-        return lam
-
     @property
     def n_gon(self) -> int:
         return self.graph.n_gon
@@ -140,9 +131,10 @@ class Lamination(Value, derived=("domain",)):
         # a nonnegative multiple of a lamination is one: no crossing or
         # vertex mass appears, and the domain follows the weights
         k = _normalize(Fraction(k))
-        return Lamination._trusted(WeightedGraph._trusted(
+        graph = WeightedGraph._trusted(
             self.n_gon, tuple(_normalize(k * w) if w else 0 for w in self.graph.w)
-        ))
+        )
+        return Lamination._trusted(graph, _domain(graph))
 
     __rmul__ = __mul__
 
@@ -479,7 +471,8 @@ def lamination_from_coords(coords: TropicalCoords) -> Lamination:
     if Fraction in map(type, point):
         w = tuple(map(_normalize, w))
     # the exchange relation yields a lamination at every point
-    return Lamination._trusted(WeightedGraph._trusted(coords.n_gon, w))
+    graph = WeightedGraph._trusted(coords.n_gon, w)
+    return Lamination._trusted(graph, _domain(graph))
 
 
 def chart_change(coords: TropicalCoords, tri2: Triangulation) -> TropicalCoords:

@@ -1,37 +1,42 @@
 """Exact multivariate Laurent polynomials over the integers.
 
-A polynomial keeps a fixed tuple of variable names and a dict mapping
-exponent vectors (tuples of ints, one per variable, negatives allowed) to
-nonzero integer coefficients.  All arithmetic is exact; nothing here ever
-touches floats.  A basis function is a product of powers of chain sums
-(``basis.basis_laurent``).  There is no general division: the one the
-x-chart walk needs, by powers of (1 + X_k), runs on the fibers of
+A polynomial is a ``values.Value`` record of two fields: ``vars``, a
+fixed tuple of variable names, and ``terms``, a dict mapping exponent
+vectors (tuples of ints, one per variable, negatives allowed) to nonzero
+integer coefficients.  The checking constructor sums repeated exponents
+and drops zeros; sums and products build nonzero terms themselves and wrap
+them through ``Value._trusted``.  As ``terms`` is a dict, the record
+hashes over the frozenset of its items.  All arithmetic is exact; nothing
+here ever touches floats.  A basis function is a product of powers of
+chain sums (``basis.basis_laurent``).  There is no general division: the
+one the x-chart walk needs, by powers of (1 + X_k), runs on the fibers of
 ``atlas._push``.  Chart coordinates run on exponent sets instead
 (``laminations._exchange_walk``).
 """
 from __future__ import annotations
 
 from operator import add
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import DimensionMismatch, InvariantViolation
+from .values import Value
 
 
 def _grlex_key(exps: tuple[int, ...]) -> tuple:
     return (sum(exps), exps)
 
 
-class LaurentPolynomial:
+class LaurentPolynomial(Value):
     """Integer Laurent polynomial in a fixed ordered set of variables."""
 
-    __slots__ = ("vars", "terms", "_hash")
+    __slots__ = ("vars", "terms")
 
-    def __init__(self, variables: Sequence[str], terms: Mapping[tuple[int, ...], int]):
-        vars_t = tuple(variables)
+    def __post_init__(self):
+        vars_t = tuple(self.vars)
         if len(set(vars_t)) != len(vars_t):
             raise InvariantViolation(f"duplicate variable names in {vars_t}")
         clean: dict[tuple[int, ...], int] = {}
-        for exps, coeff in terms.items():
+        for exps, coeff in self.terms.items():
             exps = tuple(exps)
             if len(exps) != len(vars_t):
                 raise DimensionMismatch(
@@ -47,24 +52,11 @@ class LaurentPolynomial:
                     del clean[exps]
         object.__setattr__(self, "vars", vars_t)
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPolynomial is immutable")
+    def __hash__(self):
+        return hash((self.vars, frozenset(self.terms.items())))
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def _trusted(cls, vars_t: tuple[str, ...], terms: dict) -> "LaurentPolynomial":
-        """Wrap terms a closed operation built itself: nonzero int
-        coefficients on exponent tuples of the right length.  Sums and
-        products of two polynomials build theirs like that, dropping the
-        coefficients that cancel to zero."""
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "vars", vars_t)
-        object.__setattr__(poly, "terms", terms)
-        object.__setattr__(poly, "_hash", None)
-        return poly
 
     @classmethod
     def constant(cls, variables: Sequence[str], c: int) -> "LaurentPolynomial":
@@ -135,7 +127,7 @@ class LaurentPolynomial:
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
-            raise ValueError(f"exponent must be a nonnegative integer, got {k!r}")
+            raise InvariantViolation(f"exponent must be a nonnegative integer, got {k!r}")
         result = None
         base = self
         while k:
@@ -145,17 +137,6 @@ class LaurentPolynomial:
             if k:
                 base = base * base
         return LaurentPolynomial.one(self.vars) if result is None else result
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentPolynomial):
-            return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
-
-    def __hash__(self):
-        if self._hash is None:
-            h = hash((self.vars, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return self._hash
 
     # -- formatting --------------------------------------------------------
 
@@ -179,6 +160,3 @@ class LaurentPolynomial:
             chunks.append(("- " if coeff < 0 else "+ ") + chunk)
         text = " ".join(chunks)
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
-
-    def __repr__(self):
-        return f"LaurentPolynomial({self.vars!r}, {self.terms!r})"

@@ -40,7 +40,8 @@ class Segment(namedtuple("Segment", ["i", "j"])):
     __slots__ = ()
 
     def __new__(cls, i: int, j: int):
-        if not isinstance(i, int) or not isinstance(j, int):
+        # bool is an int subclass, but True is no vertex label
+        if not (isinstance(i, int) and isinstance(j, int)) or bool in (type(i), type(j)):
             raise InvalidVertex(f"vertex labels must be integers, got ({i!r}, {j!r})")
         if i == j:
             raise InvalidVertex(f"segment endpoints must differ, got ({i}, {j})")
@@ -109,14 +110,6 @@ class Triangulation(Value):
             raise IncompleteTriangulation(
                 f"need {self.n_gon - 3} diagonals, have {len(self.diagonals)}"
             )
-
-    @classmethod
-    def _trusted(cls, n_gon: int, diagonals: frozenset) -> "Triangulation":
-        """Wrap the diagonals of a closed operation on a valid triangulation."""
-        tri = object.__new__(cls)
-        object.__setattr__(tri, "n_gon", n_gon)
-        object.__setattr__(tri, "diagonals", diagonals)
-        return tri
 
     @classmethod
     def of(cls, n_gon: int, pairs) -> "Triangulation":

@@ -39,8 +39,8 @@ box solved first, and the last depth takes its whole interval without a
 per-point test.  The scan yields sorted integer coordinate vectors, and the
 compiled chart turns them into weight tuples in one batch
 (``_CompiledChart.weights``).  Every scanned point is integral, so
-``lattice_points`` wraps each row as an integral lamination through the
-``_trusted`` constructors.  A Stasheff spec is never empty, as it has a
+``lattice_points`` wraps each row as an integral lamination through
+``Value._trusted``.  A Stasheff spec is never empty, as it has a
 vertex in every chart; a spec that fails the criterion first goes through
 the Farkas test on the rows it floored for the scan, so that a spec with no
 integral point, even one whose rational polytope is not empty, does not
@@ -109,15 +109,6 @@ class StasheffSpec(Value):
             "bounds must be exact numbers",
         )
         object.__setattr__(self, "c", vals)
-
-    @classmethod
-    def _trusted(cls, n_gon: int, c: tuple) -> "StasheffSpec":
-        """Wrap bounds a closed operation made: one normalized exact
-        (segment, bound) pair per diagonal, in slot order."""
-        spec = object.__new__(cls)
-        object.__setattr__(spec, "n_gon", n_gon)
-        object.__setattr__(spec, "c", c)
-        return spec
 
     @staticmethod
     def of(n_gon: int, mapping) -> "StasheffSpec":

@@ -8,8 +8,9 @@ through the checking constructor.  A field named in the class keyword
 ``derived`` is set by ``__post_init__`` from the others: it takes no
 argument and no part in ``==`` or ``hash``, though ``repr`` shows it.  A
 class that caches with ``functools.cached_property`` adds ``"__dict__"``
-to its slots.  Each class's ``_trusted`` constructor sets the slots of
-``object.__new__(cls)`` itself.
+to its slots, and a class whose fields do not hash as they are overrides
+``__hash__`` alone.  ``Value._trusted`` is the one unchecked constructor:
+a closed operation that built valid fields itself wraps them with it.
 """
 from operator import attrgetter
 
@@ -25,6 +26,7 @@ class Value:
         fields = tuple(name for name in shown if name not in derived)
         get = attrgetter(*fields)
         cls._fields, cls._shown = fields, shown
+        cls._setters = tuple(getattr(cls, name).__set__ for name in shown)
         # attrgetter of one name gives the value, not a 1-tuple
         cls._key = staticmethod(get if len(fields) > 1 else lambda obj: (get(obj),))
 
@@ -37,6 +39,16 @@ class Value:
         for field, value in zip(fields, values):
             object.__setattr__(self, field, value)
         self.__post_init__()
+
+    @classmethod
+    def _trusted(cls, *values):
+        """Wrap fields a closed operation built from valid records: one
+        value per field in ``__slots__`` order, derived fields included and
+        ``__dict__`` left out, with no ``__post_init__``."""
+        record = object.__new__(cls)
+        for set_field, value in zip(cls._setters, values):
+            set_field(record, value)
+        return record
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -193,14 +193,6 @@ class WeightedGraph(Value):
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _trusted(cls, n_gon: int, w: tuple) -> "WeightedGraph":
-        """Wrap a weight tuple a closed operation derived from valid graphs."""
-        graph = object.__new__(cls)
-        object.__setattr__(graph, "n_gon", n_gon)
-        object.__setattr__(graph, "w", w)
-        return graph
-
-    @classmethod
     def zeros(cls, n_gon: int) -> "WeightedGraph":
         return cls(n_gon, (0,) * len(pairs(n_gon)))
 

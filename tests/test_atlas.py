@@ -81,11 +81,23 @@ def test_seed_validation():
     with pytest.raises(InvariantViolation, match=r"skew-symmetrizable at \(1,2\)"):
         Seed((1, 2), frozenset(), skew, (1, 1))
     halves = Seed((1, 2), frozenset(), skew, (Fraction(1), Fraction(1, 2)))
-    assert halves.d == (Fraction(1), Fraction(1, 2))
-    assert Seed((1, 2), frozenset(), skew, ("1", "1/2")).d == ("1", "1/2")
+    assert halves.d == (1, Fraction(1, 2)) and type(halves.d[0]) is int
     for bad in ((0, 1), (2, Fraction(-1, 2)), (2,)):
         with pytest.raises(InvariantViolation, match="positive symmetrizer"):
             Seed((1, 2), frozenset(), skew, bad)
+
+
+def test_seed_refuses_inexact_symmetrizers_and_bool_entries():
+    """Symmetrizers are ints or Fractions and exchange entries ints, as a
+    seed document needs them: a float, a string or a bool is refused, not
+    stored raw for ``seed_to_json`` to trip over."""
+    eps = ((0, -1), (1, 0))
+    for bad in ((0.5, 0.5), ("1", "1"), (True, True)):
+        with pytest.raises(InvariantViolation, match="^symmetrizers must be ints or Fractions$"):
+            Seed((1, 2), frozenset(), eps, bad)
+    for bad in (((0, -1), (True, 0)), ((0, -1.0), (1, 0))):
+        with pytest.raises(InvariantViolation, match="^exchange matrix entries must be integers$"):
+            Seed((1, 2), frozenset(), bad, (1, 1))
 
 
 def test_mutation_is_an_involution():

@@ -11,6 +11,7 @@ from tropclust.errors import (
     DimensionMismatch,
     InvariantViolation,
     NotDivisible,
+    TropclustError,
 )
 from tropclust.laurent import LaurentPolynomial
 
@@ -88,6 +89,16 @@ def test_arithmetic_small_example():
     with pytest.raises(ValueError):
         x1 ** (-1)
     assert (1 + x1) * (1 + x2) * x1 == x1 + x1**2 + x1 * x2 + x1**2 * x2
+
+
+def test_power_refuses_bad_exponents_with_a_library_error():
+    """A negative or non-integer exponent raises ``InvariantViolation``: a
+    ``TropclustError`` that is still a ``ValueError``."""
+    x1 = variable(V, "X1")
+    for k in (-1, 1.5):
+        with pytest.raises(InvariantViolation, match="^exponent must be a nonnegative integer") as info:
+            x1**k
+        assert isinstance(info.value, TropclustError) and isinstance(info.value, ValueError)
 
 
 @settings(max_examples=60)

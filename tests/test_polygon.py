@@ -41,6 +41,16 @@ def test_segment_rejects_degenerate():
         Segment(3, 3)
 
 
+def test_segment_rejects_bool_labels():
+    """True is an int but no vertex label: a chart on it would print as
+    ``True-3``, which ``--chart`` cannot read back."""
+    for i, j in ((True, 3), (3, False), (True, False)):
+        with pytest.raises(InvalidVertex, match="^vertex labels must be integers"):
+            Segment(i, j)
+    with pytest.raises(InvalidVertex):
+        Triangulation.of(5, [(True, 3), (1, 4)])
+
+
 def test_segment_validate_bounds():
     Segment(1, 5).validate(5)
     with pytest.raises(InvalidVertex):

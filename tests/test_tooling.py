@@ -208,6 +208,27 @@ def test_library_caches_are_bounded():
     assert found == []
 
 
+_RECORD_METHODS = {"_trusted", "__setattr__", "__delattr__"}
+
+
+def test_only_the_value_base_freezes_records():
+    """No library class but ``values.Value`` defines ``_trusted``,
+    ``__setattr__`` or ``__delattr__``: every frozen record type is built,
+    frozen and wrapped unchecked by the one base."""
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{f.lineno} {node.name}.{f.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            and (path.name, node.name) != ("values.py", "Value")
+            for f in node.body
+            if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)) and f.name in _RECORD_METHODS
+        ]
+    assert found == []
+
+
 _LATTICE_MODULES = ("polygon", "weighted_graphs", "laminations", "polytopes")
 _X_SIDE_MODULES = {"atlas", "laurent", "basis"}
 

@@ -1,6 +1,7 @@
-"""The seven value types behave as frozen records: a fixed repr, equality
+"""The eight value types behave as frozen records: a fixed repr, equality
 and hashing by their compared fields, construction by position or by
-keyword, no assignment or deletion, and a pickle or copy round trip."""
+keyword, no assignment or deletion, and a pickle or copy round trip.
+``LaurentPolynomial`` hashes its dict of terms as a frozenset of items."""
 
 import copy
 import pickle
@@ -9,8 +10,9 @@ from fractions import Fraction
 import pytest
 
 from tropclust.atlas import Seed
-from tropclust.basis import Expansion
-from tropclust.laminations import Lamination, TropicalCoords
+from tropclust.basis import Expansion, basis_laurent
+from tropclust.laminations import Lamination, TropicalCoords, lamination_from_coords
+from tropclust.laurent import LaurentPolynomial
 from tropclust.polygon import Segment, Triangulation
 from tropclust.polytopes import StasheffSpec
 from tropclust.weighted_graphs import WeightedGraph
@@ -25,6 +27,8 @@ LAM = Lamination(GRAPH)
 VALUES = ((Segment(1, 3), 1), (Segment(1, 4), Fraction(1, 2)))
 BOUNDS = tuple((Segment(i, j), k) for k, (i, j) in enumerate(((1, 3), (1, 4), (2, 4), (2, 5), (3, 5))))
 EPS = ((0, -1), (1, 0))
+# 1 + X1 + X1*X2
+TERMS = {(0, 0): 1, (1, 0): 1, (1, 1): 1}
 
 GRAPH_REPR = "WeightedGraph(n_gon=5, w=(0, 1, 0, -1, 0, 0, 0, -1, 0, 1))"
 FAN_REPR = "Triangulation(n_gon=5, diagonals=frozenset({Segment(i=1, j=3), Segment(i=1, j=4)}))"
@@ -57,7 +61,29 @@ CASES = {
         ((1, 2), frozenset({2}), EPS, (1, 1)),
         "Seed(labels=(1, 2), frozen=frozenset({2}), eps=((0, -1), (1, 0)), d=(1, 1))",
     ),
+    "LaurentPolynomial": (
+        LaurentPolynomial,
+        ("vars", "terms"),
+        (("X1", "X2"), TERMS),
+        "LaurentPolynomial(vars=('X1', 'X2'), terms={(0, 0): 1, (1, 0): 1, (1, 1): 1})",
+    ),
 }
+
+
+CLONES = pytest.mark.parametrize("clone", [
+    lambda x: pickle.loads(pickle.dumps(x)),
+    copy.copy,
+    copy.deepcopy,
+], ids=["pickle", "copy", "deepcopy"])
+
+
+def hash_key(value, fields) -> tuple:
+    """The tuple a value hashes as: its compared fields, a polynomial's
+    dict of terms as the frozenset of its items."""
+    key = tuple(getattr(value, f) for f in fields)
+    if isinstance(value, LaurentPolynomial):
+        return key[0], frozenset(key[1].items())
+    return key
 
 
 @pytest.fixture(params=sorted(CASES))
@@ -80,7 +106,7 @@ def test_keyword_construction_equals_positional(case):
 
 def test_equality_and_hash_follow_the_compared_fields(case):
     _cls, fields, value, _text = case
-    assert hash(value) == hash(tuple(getattr(value, f) for f in fields))
+    assert hash(value) == hash(hash_key(value, fields))
     assert value != tuple(getattr(value, f) for f in fields)
     assert len({value, copy.copy(value)}) == 1
 
@@ -96,16 +122,22 @@ def test_values_refuse_assignment_and_deletion(case):
     assert all(getattr(value, f) is not None for f in fields)
 
 
-@pytest.mark.parametrize("clone", [
-    lambda x: pickle.loads(pickle.dumps(x)),
-    copy.copy,
-    copy.deepcopy,
-], ids=["pickle", "copy", "deepcopy"])
+@CLONES
 def test_values_survive_pickle_and_copy(case, clone):
     _cls, _fields, value, text = case
     twin = clone(value)
     assert type(twin) is type(value)
     assert twin == value and hash(twin) == hash(value) and repr(twin) == text
+
+
+@CLONES
+def test_basis_functions_survive_pickle_and_copy(clone):
+    fan = Triangulation(5, FAN)
+    lam = lamination_from_coords(TropicalCoords(fan, ((Segment(1, 3), 2), (Segment(1, 4), -1))))
+    f = basis_laurent(lam)
+    twin = clone(f)
+    assert type(twin) is LaurentPolynomial and len(twin.terms) == 9
+    assert twin == f and hash(twin) == hash(f) and twin.terms is not f.terms
 
 
 def test_lamination_domain_is_not_compared():
