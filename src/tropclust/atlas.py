@@ -1,8 +1,9 @@
 """Seeds, mutations, and the charts of the type A atlas.
 
-A seed is an index set with a frozen subset, a skew-symmetrizable integer
-exchange matrix, and positive skew-symmetrizers.  Mutation rewrites the
-matrix in one unfrozen direction and is involutive.  ``type_a_seed(n)`` is
+A seed is an index set of int or ``Segment`` labels with a frozen subset,
+a skew-symmetrizable integer exchange matrix, and positive
+skew-symmetrizers.  Mutation rewrites the matrix in one unfrozen direction
+and is involutive.  ``type_a_seed(n)`` is
 the chain seed of the fan chart of the (n+3)-gon without its boundary
 directions.
 
@@ -49,8 +50,7 @@ from .errors import (
 )
 from .laurent import LaurentPolynomial
 from .polygon import Segment, _flip_walk
-from .values import Value
-from .weighted_graphs import _is_int, _is_number, _normalize
+from .values import Value, _is_int, _is_number, _normalize
 
 def label_text(label) -> str:
     if isinstance(label, Segment):
@@ -63,12 +63,17 @@ def x_variable_name(label) -> str:
 
 
 class Seed(Value):
-    """Exchange data: direction labels, frozen subset, matrix, symmetrizers."""
+    """Exchange data: direction labels (ints or ``Segment``s), frozen
+    subset, matrix, symmetrizers."""
 
     __slots__ = ("labels", "frozen", "eps", "d")
 
     def __post_init__(self):
         labels = tuple(self.labels)
+        # the two label kinds ``jsonio.seed_to_json`` can write
+        for label in labels:
+            if not (_is_int(label) or isinstance(label, Segment)):
+                raise InvariantViolation(f"direction label {label!r} is not an int or a Segment")
         if len(set(labels)) != len(labels):
             raise InvariantViolation("duplicate direction labels")
         frozen = frozenset(self.frozen)
@@ -122,7 +127,7 @@ def type_a_seed(n: int) -> Seed:
     Entry (i, i+1) is -1 and (i+1, i) is +1; this is the seed of the fan
     chart of the (n+3)-gon after dropping boundary directions.
     """
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise InvariantViolation(f"rank must be a positive integer, got {n!r}")
     eps = [[0] * n for _ in range(n)]
     for i in range(n - 1):

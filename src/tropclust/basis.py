@@ -66,8 +66,8 @@ from .errors import (
 )
 from .laminations import Lamination, _edge_cycle, _piece_chords
 from .laurent import LaurentPolynomial
-from .values import Value
-from .weighted_graphs import WeightedGraph, _is_int, _rotations, _tables
+from .values import Value, _is_int
+from .weighted_graphs import WeightedGraph, _rotations, _tables
 
 DEFAULT_BUDGET = 1_000_000
 

@@ -47,8 +47,8 @@ from .errors import InputFormatError, NotALamination, SizeMismatch
 from .laminations import Lamination, TropicalCoords, _check_curves, _domain
 from .polygon import Segment, check_polygon
 from .polytopes import _MISMATCH, StasheffSpec
-from .weighted_graphs import WeightedGraph, _check_diagonals, _is_int, _is_number
-from .weighted_graphs import _normalize, _tables
+from .values import _is_int, _is_number, _normalize
+from .weighted_graphs import WeightedGraph, _check_diagonals, _tables
 
 FORMAT = 1
 
@@ -64,9 +64,8 @@ def number_to_json(x):
         return x
     if not _is_number(x):
         raise InputFormatError(f"not an exact number: {x!r}")
+    x = _normalize(x)
     if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return int(x)
         try:
             return f"{x.numerator}/{x.denominator}"
         except ValueError as exc:  # past the interpreter's int digit limit
@@ -77,7 +76,7 @@ def number_to_json(x):
 def number_from_json(x):
     if isinstance(x, bool):
         raise InputFormatError("booleans are not numbers")
-    if isinstance(x, int):
+    if _is_int(x):
         return x
     if isinstance(x, float):
         raise InputFormatError(
@@ -285,7 +284,6 @@ def expansion_from_json(doc) -> Expansion:
 def _label_to_json(label):
     if isinstance(label, Segment):
         return [label.i, label.j]
-    _require(_is_int(label), f"seed: unsupported label {label!r}")
     return label
 
 
@@ -301,7 +299,7 @@ def seed_to_json(seed: Seed) -> dict:
         "labels": [_label_to_json(l) for l in seed.labels],
         "frozen": sorted(
             (_label_to_json(l) for l in seed.frozen),
-            key=lambda x: (0, x, 0) if isinstance(x, int) else (1, x[0], x[1]),
+            key=lambda x: (0, x, 0) if _is_int(x) else (1, x[0], x[1]),
         ),
         "epsilon": [list(row) for row in seed.eps],
         "d": [number_to_json(x) for x in seed.d],

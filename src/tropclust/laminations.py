@@ -63,14 +63,8 @@ from .errors import (
     SizeMismatch,
 )
 from .polygon import Segment, Triangulation, _apexes, _chart_text
-from .values import Value
-from .weighted_graphs import (
-    WeightedGraph,
-    _half_cuts,
-    _is_number,
-    _normalize,
-    _tables,
-)
+from .values import Value, _is_number, _normalize
+from .weighted_graphs import WeightedGraph, _half_cuts, _tables
 
 
 def _domain(graph: WeightedGraph) -> str:

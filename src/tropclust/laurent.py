@@ -19,7 +19,7 @@ from operator import add
 from typing import Sequence
 
 from .errors import DimensionMismatch, InvariantViolation
-from .values import Value
+from .values import Value, _is_int
 
 
 def _grlex_key(exps: tuple[int, ...]) -> tuple:
@@ -42,9 +42,9 @@ class LaurentPolynomial(Value):
                 raise DimensionMismatch(
                     f"exponent vector {exps} does not match {len(vars_t)} variables"
                 )
-            if not all(isinstance(e, int) for e in exps):
+            if not all(map(_is_int, exps)):
                 raise InvariantViolation(f"non-integer exponent in {exps}")
-            if not isinstance(coeff, int):
+            if not _is_int(coeff):
                 raise InvariantViolation(f"non-integer coefficient {coeff!r}")
             if coeff != 0:
                 clean[exps] = clean.get(exps, 0) + coeff
@@ -85,7 +85,7 @@ class LaurentPolynomial(Value):
             raise DimensionMismatch(f"variable mismatch: {self.vars} vs {other.vars}")
 
     def __add__(self, other):
-        if isinstance(other, int):
+        if _is_int(other):
             other = LaurentPolynomial.constant(self.vars, other)
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
@@ -101,7 +101,7 @@ class LaurentPolynomial(Value):
         return LaurentPolynomial(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
+        if _is_int(other):
             other = LaurentPolynomial.constant(self.vars, other)
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
@@ -111,7 +111,7 @@ class LaurentPolynomial(Value):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if _is_int(other):
             return LaurentPolynomial(self.vars, {e: c * other for e, c in self.terms.items()})
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
@@ -126,7 +126,7 @@ class LaurentPolynomial(Value):
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
+        if not _is_int(k) or k < 0:
             raise InvariantViolation(f"exponent must be a nonnegative integer, got {k!r}")
         result = None
         base = self

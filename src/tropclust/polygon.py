@@ -31,7 +31,7 @@ from .errors import (
     InvariantViolation,
     NotADiagonal,
 )
-from .values import Value
+from .values import Value, _is_int
 
 
 class Segment(namedtuple("Segment", ["i", "j"])):
@@ -40,8 +40,7 @@ class Segment(namedtuple("Segment", ["i", "j"])):
     __slots__ = ()
 
     def __new__(cls, i: int, j: int):
-        # bool is an int subclass, but True is no vertex label
-        if not (isinstance(i, int) and isinstance(j, int)) or bool in (type(i), type(j)):
+        if not (_is_int(i) and _is_int(j)):
             raise InvalidVertex(f"vertex labels must be integers, got ({i!r}, {j!r})")
         if i == j:
             raise InvalidVertex(f"segment endpoints must differ, got ({i}, {j})")
@@ -64,7 +63,7 @@ class Segment(namedtuple("Segment", ["i", "j"])):
 
 
 def check_polygon(n_gon: int) -> None:
-    if not isinstance(n_gon, int) or n_gon < 3:
+    if not _is_int(n_gon) or n_gon < 3:
         raise InvalidPolygon(f"polygon needs at least 3 vertices, got {n_gon!r}")
 
 

@@ -87,8 +87,8 @@ from .polygon import (
     fan_triangulation,
     has_triangulation,
 )
-from .values import Value
-from .weighted_graphs import WeightedGraph, _half_cuts, _is_number, _tables
+from .values import Value, _is_number
+from .weighted_graphs import WeightedGraph, _half_cuts, _tables
 
 
 _MISMATCH = "spec must bound every diagonal exactly once"
@@ -366,8 +366,7 @@ def coordinate_bounds(ineqs: Sequence[tuple], nvars: int):
         if not (_is_number(rhs) and all(map(_is_number, coeffs))):
             raise InvariantViolation("inequality entries must be exact numbers")
         if not all(type(x) is int for x in coeffs):
-            denom = lcm(*(x.denominator for x in coeffs))
-            coeffs = [x.numerator * (denom // x.denominator) for x in coeffs]
+            coeffs, denom = _integral(coeffs)
             rhs *= denom
         rows.append(coeffs)
         values.append(rhs)

@@ -11,8 +11,32 @@ class that caches with ``functools.cached_property`` adds ``"__dict__"``
 to its slots, and a class whose fields do not hash as they are overrides
 ``__hash__`` alone.  ``Value._trusted`` is the one unchecked constructor:
 a closed operation that built valid fields itself wraps them with it.
+
+The checks of what a field may hold live here too, one per rule, for
+every value type to read: ``_is_int`` (an int, never a bool),
+``_is_number`` (an exact number: such an int or a ``Fraction``) and
+``_normalize`` (an integral ``Fraction`` read as its int).
 """
+from fractions import Fraction
 from operator import attrgetter
+
+from .errors import InvariantViolation
+
+Number = int | Fraction
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _normalize(x: Number) -> Number:
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return int(x)
+    return x
 
 
 class Value:
@@ -46,8 +70,13 @@ class Value:
         value per field in ``__slots__`` order, derived fields included and
         ``__dict__`` left out, with no ``__post_init__``."""
         record = object.__new__(cls)
-        for set_field, value in zip(cls._setters, values):
-            set_field(record, value)
+        try:
+            for set_field, value in zip(cls._setters, values, strict=True):
+                set_field(record, value)
+        except ValueError:
+            raise InvariantViolation(
+                f"{cls.__name__}._trusted takes {len(cls._setters)} values, got {len(values)}"
+            ) from None
         return record
 
     def __eq__(self, other):

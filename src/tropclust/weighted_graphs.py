@@ -39,23 +39,7 @@ from typing import NamedTuple
 
 from .errors import InvariantViolation, SizeMismatch
 from .polygon import Segment, check_polygon
-from .values import Value
-
-Number = int | Fraction
-
-
-def _is_number(x) -> bool:
-    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _normalize(x: Number) -> Number:
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return int(x)
-    return x
+from .values import Number, Value, _is_number
 
 
 def wrap_vertex(v: int, n_gon: int) -> int:

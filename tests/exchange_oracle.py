@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from tropclust.laminations import _exchange_walk
 from tropclust.polygon import Triangulation
-from tropclust.weighted_graphs import _normalize, _tables
+from tropclust.values import _normalize
+from tropclust.weighted_graphs import _tables
 
 
 def point_weights(chart: Triangulation, points) -> list:

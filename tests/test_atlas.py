@@ -67,6 +67,8 @@ def test_chain_seed_shape():
     assert s.x_names() == ("X1", "X2", "X3")
     with pytest.raises(InvariantViolation):
         type_a_seed(0)
+    with pytest.raises(InvariantViolation, match="^rank must be a positive integer"):
+        type_a_seed(True)
 
 
 def test_seed_validation():
@@ -98,6 +100,17 @@ def test_seed_refuses_inexact_symmetrizers_and_bool_entries():
     for bad in (((0, -1), (True, 0)), ((0, -1.0), (1, 0))):
         with pytest.raises(InvariantViolation, match="^exchange matrix entries must be integers$"):
             Seed((1, 2), frozenset(), bad, (1, 1))
+
+
+def test_seed_labels_are_ints_or_segments():
+    """A direction label is a non-bool int or a ``Segment``, the two kinds
+    ``seed_to_json`` can write; anything else is refused when the seed is
+    built, not when it is written."""
+    eps = ((0, -1), (1, 0))
+    assert Seed((Segment(1, 3), 2), frozenset(), eps, (1, 1)).labels == (Segment(1, 3), 2)
+    for bad in ((True, 2), ("a", 2), ((1, 3), 2)):
+        with pytest.raises(InvariantViolation, match="is not an int or a Segment$"):
+            Seed(bad, frozenset(), eps, (1, 1))
 
 
 def test_mutation_is_an_involution():

@@ -40,10 +40,10 @@ from tropclust.polygon import (
     triangulations,
 )
 from tropclust.polytopes import StasheffSpec, _scan_chart, lattice_points, minkowski_spec
+from tropclust.values import _normalize
 from tropclust.weighted_graphs import (
     WeightedGraph,
     _half_cuts,
-    _normalize,
     _tables,
     pairs,
     wrap_vertex,

@@ -76,6 +76,10 @@ def test_rejects_bad_input():
         poly({(1,): 1})
     with pytest.raises(InvariantViolation):
         poly({(1, 0): Fraction(1, 2)})
+    with pytest.raises(InvariantViolation, match="^non-integer exponent"):
+        poly({(True, 0): 1})
+    with pytest.raises(InvariantViolation, match="^non-integer coefficient"):
+        poly({(1, 0): True})
     with pytest.raises(DimensionMismatch):
         poly({(1, 0): 1}) + LaurentPolynomial.one(("Y",))
 
@@ -92,13 +96,30 @@ def test_arithmetic_small_example():
 
 
 def test_power_refuses_bad_exponents_with_a_library_error():
-    """A negative or non-integer exponent raises ``InvariantViolation``: a
-    ``TropclustError`` that is still a ``ValueError``."""
+    """A negative or non-integer exponent, a bool included, raises
+    ``InvariantViolation``: a ``TropclustError`` that is still a
+    ``ValueError``."""
     x1 = variable(V, "X1")
-    for k in (-1, 1.5):
+    for k in (-1, 1.5, True):
         with pytest.raises(InvariantViolation, match="^exponent must be a nonnegative integer") as info:
             x1**k
         assert isinstance(info.value, TropclustError) and isinstance(info.value, ValueError)
+
+
+def test_bool_operands_are_not_constants():
+    """``True`` is an ``int`` to Python, but a bool operand of ``+``, ``-``
+    or ``*`` is not taken as the constant 1."""
+    x1 = LaurentPolynomial(("X1",), {(1,): 1})
+    for op in (
+        lambda: x1 + True,
+        lambda: x1 - True,
+        lambda: x1 * True,
+        lambda: True + x1,
+        lambda: True - x1,
+        lambda: True * x1,
+    ):
+        with pytest.raises(TypeError):
+            op()
 
 
 @settings(max_examples=60)

@@ -229,6 +229,42 @@ def test_only_the_value_base_freezes_records():
     assert found == []
 
 
+_FIELD_CHECKS = {"_is_int", "_is_number", "_normalize"}
+
+
+def _int_type_tests(tree) -> list:
+    """Lines that call ``isinstance(x, int)`` or ``isinstance(x, (..., int, ...))``."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            kinds = node.args[1:2]
+            if kinds and isinstance(kinds[0], ast.Tuple):
+                kinds = kinds[0].elts
+            if any(getattr(k, "id", None) == "int" for k in kinds):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_only_values_checks_what_a_field_may_hold():
+    """The rules for what a field may hold live in ``values`` alone: no other
+    library module calls ``isinstance(x, int)``, which lets ``True``
+    through, or defines its own ``_is_int``, ``_is_number`` or
+    ``_normalize``.  Exact-type tests such as ``type(x) is int`` refuse
+    bools already and are allowed."""
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "values.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{line} isinstance(..., int)" for line in _int_type_tests(tree)]
+        found += [
+            f"{path.name}:{stmt.lineno} defines {name}"
+            for stmt in tree.body
+            for name in sorted(_defined_names(stmt) & _FIELD_CHECKS)
+        ]
+    assert found == []
+
+
 _LATTICE_MODULES = ("polygon", "weighted_graphs", "laminations", "polytopes")
 _X_SIDE_MODULES = {"atlas", "laurent", "basis"}
 

@@ -11,6 +11,7 @@ import pytest
 
 from tropclust.atlas import Seed
 from tropclust.basis import Expansion, basis_laurent
+from tropclust.errors import InvariantViolation
 from tropclust.laminations import Lamination, TropicalCoords, lamination_from_coords
 from tropclust.laurent import LaurentPolynomial
 from tropclust.polygon import Segment, Triangulation
@@ -138,6 +139,19 @@ def test_basis_functions_survive_pickle_and_copy(clone):
     twin = clone(f)
     assert type(twin) is LaurentPolynomial and len(twin.terms) == 9
     assert twin == f and hash(twin) == hash(f) and twin.terms is not f.terms
+
+
+def test_trusted_takes_one_value_per_slot(case):
+    """``Value._trusted`` takes each shown slot's value, derived fields
+    included, in ``__slots__`` order, and refuses one too many or one too
+    few with ``InvariantViolation``, not a record with an unset slot."""
+    cls, _fields, value, _text = case
+    slots = tuple(getattr(value, name) for name in cls._shown)
+    assert cls._trusted(*slots) == value
+    for bad in (slots + (None,), slots[:-1]):
+        wanted = rf"^{cls.__name__}\._trusted takes {len(slots)} values, got {len(bad)}$"
+        with pytest.raises(InvariantViolation, match=wanted):
+            cls._trusted(*bad)
 
 
 def test_lamination_domain_is_not_compared():
