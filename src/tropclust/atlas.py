@@ -351,7 +351,6 @@ def x_chart_walk(f: LaurentPolynomial) -> Iterator[tuple[tuple, dict]]:
         yield word, terms
 
 
-@lru_cache(maxsize=32)
 def mutation_words(n: int) -> dict:
     """One mutation word per complete triangulation of the (n+3)-gon.
 

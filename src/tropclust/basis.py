@@ -9,12 +9,12 @@ of the summed weighted graph into the two ways of rerouting it, until only
 laminations remain.  Which crossing is split does not change the result,
 so the split always takes the lexicographically smallest crossing
 quadruple.  The split tree runs on the graphs' own flat weight tuples (the
-``weighted_graphs.pairs`` layout), with the crossing rows of the per-N
-record ``_tables``, so a split is four index bumps.  The splits are taken
-in order of a fixed linear potential, each chord's weight times the number
-of rows through it: every split lowers it by a constant of its row and
-side, worked out once per row order, so a child's key is its parent's
-minus that constant.  Each pending vector carries two row bitmasks, the
+``weighted_graphs.pairs`` layout), with the crossing rows of one per-N
+record (``_split_table``), so a split is four index bumps.  The splits are
+taken in order of a fixed linear potential, each chord's weight times the
+number of rows through it: every split lowers it by a constant of its row
+and side, worked out with the rows, so a child's key is its parent's minus
+that constant.  Each pending vector carries two row bitmasks, the
 rows whose first chord and the rows whose second chord carry weight; their
 AND holds its crossing rows, and a split updates both in a few bit
 operations where a weight falls to or rises from zero.
@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, lru_cache
-from itertools import repeat
+from itertools import combinations, repeat
 from operator import add, itemgetter
 from typing import Sequence
 
@@ -169,10 +169,23 @@ def crossing_measure(graph: WeightedGraph) -> int:
     """Sum of weight products over crossing diagonal pairs; zero exactly
     when the graph has noncrossing support."""
     w = graph.w
-    return sum(w[a] * w[b] for a, b, _ in _tables(graph.n_gon).rows)
+    return sum(w[a] * w[b] for a, b, _ in _split_table(graph.n_gon)[0])
 
 
 @lru_cache(maxsize=32)
+def _split_table(n_gon: int) -> tuple:
+    """The N-gon's crossing rows, O(N^4) of them, and their ``_split_steps``:
+    per quad p < q < r < s, in lexicographic order, the indices of {p, r}
+    and {q, s} and the index pairs of the two ways of rerouting them,
+    ({p, s}, {q, r}) and ({p, q}, {r, s})."""
+    index = _tables(n_gon).index
+    rows = tuple(
+        (index[p, r], index[q, s], ((index[p, s], index[q, r]), (index[p, q], index[r, s])))
+        for p, q, r, s in combinations(range(1, n_gon + 1), 4)
+    )
+    return rows, _split_steps(rows)
+
+
 def _split_steps(rows: tuple) -> tuple:
     """What ``_split_leaves`` reads, for one row order: per chord x through
     a row, (x, cr(x), first mask, second mask), where cr(x) counts the rows
@@ -209,9 +222,10 @@ def _split_steps(rows: tuple) -> tuple:
     return chords, tuple(steps)
 
 
-def _split_leaves(v: tuple, rows: tuple, budget: int) -> dict:
+def _split_leaves(v: tuple, table: tuple, budget: int) -> dict:
     """Leaf counts of the split tree below the flat weight vector ``v``,
-    expanding each distinct vector once.
+    expanding each distinct vector once, along the (chords, steps) pair
+    ``table`` that ``_split_steps`` builds.
 
     Each vector splits at the first row whose two chords both carry weight.
     Its children wait in buckets keyed by the potential
@@ -238,7 +252,7 @@ def _split_leaves(v: tuple, rows: tuple, budget: int) -> dict:
     budget counts a popped bucket's vectors at once: once the count passes
     it, the vector numbered budget + 1 was due to be split.
     """
-    chords, steps = _split_steps(rows)
+    chords, steps = table
     f = s = 0
     for x, _, first, second in chords:
         if v[x]:
@@ -313,7 +327,7 @@ def _sorted_leaves(points: Sequence[Lamination], budget: int) -> list:
     for p in points:
         if p.domain != "int":
             raise NonIntegral("product expansion needs integral laminations")
-    leaves = _split_leaves(total.w, _tables(total.n_gon).rows, budget)
+    leaves = _split_leaves(total.w, _split_table(total.n_gon)[1], budget)
     # the fan diagonals hold the first N - 3 slots; the keys column by
     # column, and a triangle has no fan diagonal
     cuts = _tables(total.n_gon).cuts[:total.n_gon - 3]

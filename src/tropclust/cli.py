@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Callable, Sequence
-from functools import lru_cache
 from typing import NamedTuple
 
 from . import jsonio
@@ -315,7 +314,6 @@ _COMMANDS = (
 )
 
 
-@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree of ``_COMMANDS``: the only code that prints usage,
     help or errors."""

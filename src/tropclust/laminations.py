@@ -53,7 +53,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import floor
-from operator import add, mul, sub
+from operator import add, itemgetter, mul, sub
 from typing import Sequence
 
 from .errors import (
@@ -101,6 +101,8 @@ class Lamination(Value, derived=("domain",)):
     __slots__ = ("graph", "domain")
 
     def __post_init__(self):
+        if not isinstance(self.graph, WeightedGraph):
+            raise InvariantViolation("a lamination's graph must be a WeightedGraph")
         object.__setattr__(self, "domain", _domain(self.graph))
         _check_curves(self.graph)
 
@@ -219,9 +221,10 @@ def _piece_chords(lam: Lamination) -> tuple:
 
 
 def _diagonal_values(items, diags: tuple, mismatch: str, not_number: str) -> tuple:
-    """Sorted, normalized (segment, value) pairs over exactly ``diags``;
+    """Normalized (segment, value) pairs over exactly ``diags``, sorted by
+    segment alone, so a repeated segment is a mismatch whatever its values;
     the messages name the two ways the items can fail."""
-    vals = tuple(sorted((Segment(*s), _normalize(v)) for s, v in items))
+    vals = tuple(sorted(((Segment(*s), _normalize(v)) for s, v in items), key=itemgetter(0)))
     if tuple(s for s, _ in vals) != diags:
         raise SizeMismatch(mismatch)
     for _, v in vals:
@@ -237,6 +240,8 @@ class TropicalCoords(Value):
     __slots__ = ("chart", "values")
 
     def __post_init__(self):
+        if not isinstance(self.chart, Triangulation):
+            raise InvariantViolation("a coordinate chart must be a Triangulation")
         vals = _diagonal_values(
             self.values,
             self.chart.key(),
@@ -252,9 +257,6 @@ class TropicalCoords(Value):
     @property
     def n_gon(self) -> int:
         return self.chart.n_gon
-
-    def as_dict(self) -> dict:
-        return dict(self.values)
 
     def vector(self) -> tuple:
         return tuple(v for _, v in self.values)

@@ -17,12 +17,18 @@ lists them all, each chart an int bitmask of its vertex pairs, each flip
 two XORs: ``triangulations`` sorts its charts, ``atlas.mutation_words``
 keeps its words, and ``atlas._walk_plan`` reads each exchange step off the
 quadrilateral a flip turns.  No ``Triangulation`` is flipped on the way.
+
+The apex search, the neighbours of a diagonal's first end nearest its
+second on each side, is written twice on purpose: the flip walk runs it
+inline on its bitmasks, and ``_apexes`` runs it on a chart's frozenset
+of diagonals for the chart compiler (``laminations``).  Sharing one
+search made a cold walk slower, whether called once per label or as a
+generator per chart.
 """
 from __future__ import annotations
 
 import itertools
 from collections import deque, namedtuple
-from functools import lru_cache
 
 from .errors import (
     IncompleteTriangulation,
@@ -100,6 +106,8 @@ class Triangulation(Value):
         check_polygon(self.n_gon)
         object.__setattr__(self, "diagonals", frozenset(self.diagonals))
         for d in self.diagonals:
+            if not isinstance(d, Segment):
+                raise InvariantViolation("a triangulation's diagonals must be Segments")
             if not d.is_diagonal(self.n_gon):
                 raise NotADiagonal(f"{tuple(d)} is an edge, not a diagonal")
         for a, b in itertools.combinations(sorted(self.diagonals), 2):
@@ -134,7 +142,6 @@ def fan_triangulation(n_gon: int) -> Triangulation:
     return Triangulation._trusted(n_gon, frozenset(Segment(1, k) for k in range(3, n_gon)))
 
 
-@lru_cache(maxsize=32)
 def triangulations(n_gon: int) -> tuple[Triangulation, ...]:
     """All complete triangulations, lexicographically ordered: the charts
     ``_flip_walk`` reaches, sorted by ``Triangulation.key``."""

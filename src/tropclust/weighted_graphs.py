@@ -15,9 +15,10 @@ row-major order of ``pairs(N)``.  Modules that address weights by index
 
 Every table that depends on N alone lives in one record built once per N
 (``_tables``): the pairs and their index, the diagonal indices and slots,
-a getter per vertex and per diagonal's cut, the crossing rows, the
-inclusion-exclusion columns that turn diagonal values back into weights,
-and the rotation of the polygon by one vertex, as a slot permutation.
+a getter per vertex and per diagonal's cut, the inclusion-exclusion
+columns that turn diagonal values back into weights, and the rotation of
+the polygon by one vertex, as a slot permutation (no crossing rows: the
+split tree's own record, ``basis._split_table``, holds those).
 Validation, the masses, the split tree and the positivity check's orbit
 keys (``basis``), chart reconstruction (``laminations``), the quadruple
 criterion (``polytopes``) and the JSON reader (``jsonio``) read it, so a
@@ -66,11 +67,6 @@ class _Tables(NamedTuple):
       cut across the diagonal of slot x, (k, l), with one end in [k+1, l].
       Each reads at least two weights, so each returns a tuple.  The fan
       diagonals {1, k}, k = 3..N-1, come first: ``cuts[:N - 3]`` are theirs.
-    * ``rows`` has one row per quad p < q < r < s, in lexicographic order:
-      the indices of its crossing chords {p, r} and {q, s}, and the index
-      pairs of the two ways of rerouting them, ({p, s}, {q, r}) and
-      ({p, q}, {r, s}); only ``basis`` reads them, in the split tree and
-      ``crossing_measure``.
     * ``weights`` holds one slot quadruple (p, q, r, t) per pair, slots
       into the diagonal values in slot order with one extra 0 past them:
       weight k is v[p] + v[q] - v[r] - v[t] at quadruple k, for chart
@@ -80,8 +76,6 @@ class _Tables(NamedTuple):
       {i - 1, j - 1}.  Rotation by r is its r-th power (``_rotations``).
       It is the one permutation the cyclic group needs, so a cold record
       pays N(N - 1)/2 lookups for it, not N times that.
-
-    The rows take O(N^4) room; ``_tables`` keeps at most 32 records.
     """
 
     pairs: tuple
@@ -90,7 +84,6 @@ class _Tables(NamedTuple):
     slot: dict
     at_vertex: tuple
     cuts: tuple
-    rows: tuple
     weights: tuple
     rotation: itemgetter
 
@@ -110,10 +103,6 @@ def _tables(n_gon: int) -> _Tables:
         itemgetter(*(x for x, (i, j) in enumerate(layout) if (k < i <= l) != (k < j <= l)))
         for k, l in slot
     )
-    rows = tuple(
-        (index[p, r], index[q, s], ((index[p, s], index[q, r]), (index[p, q], index[r, s])))
-        for p, q, r, s in itertools.combinations(range(1, n_gon + 1), 4)
-    )
 
     # w(p, q) = v(p, q) + v(p-1, q-1) - v(p, q-1) - v(p-1, q), labels
     # wrapped, with edges and coinciding vertices at the slot past the end
@@ -124,7 +113,7 @@ def _tables(n_gon: int) -> _Tables:
     weights = tuple((at(p, q), at(p - 1, q - 1), at(p, q - 1), at(p - 1, q)) for p, q in layout)
     # vertex 1 - 1 wraps to N; the index reads a pair either way round
     rotation = itemgetter(*(index[i - 1 or n_gon, j - 1] for i, j in layout))
-    return _Tables(layout, index, diags, slot, at_vertex, cuts, rows, weights, rotation)
+    return _Tables(layout, index, diags, slot, at_vertex, cuts, weights, rotation)
 
 
 def _rotations(n_gon: int, w: tuple):
@@ -207,10 +196,6 @@ class WeightedGraph(Value):
         self._check_size(other)
         # a sum of valid graphs keeps its diagonals nonnegative and its entries exact
         return WeightedGraph._trusted(self.n_gon, tuple(map(add, self.w, other.w)))
-
-    def __sub__(self, other: "WeightedGraph") -> "WeightedGraph":
-        self._check_size(other)
-        return WeightedGraph(self.n_gon, tuple(a - b for a, b in zip(self.w, other.w)))
 
 
 def dominates(g1: WeightedGraph, g2: WeightedGraph) -> bool:

@@ -2,8 +2,8 @@
 hand, one segment's weight read off a graph, the cut mass by a walk along
 the boundary (the tests' reference for the library's per-diagonal cut
 getters), a graph rotated by relabeling its vertices (the tests' reference
-for the library's rotation), and a lamination's pieces as validated
-laminations.  The library
+for the library's rotation), a graph reflected the same way, and a
+lamination's pieces as validated laminations.  The library
 reads graphs from weight tuples and from JSON documents
 (``jsonio.lamination_from_json``); nothing here is reached from the library.
 """
@@ -57,6 +57,13 @@ def relabeled(g: WeightedGraph, r: int) -> WeightedGraph:
     return graph_from_weights(
         n, {(wrap_vertex(i + r, n), wrap_vertex(j + r, n)): x for i, j, x in g.sparse_items()}
     )
+
+
+def reflected(g: WeightedGraph) -> WeightedGraph:
+    """The graph reflected by i -> N + 1 - i: its weight on
+    {N + 1 - q, N + 1 - p} is g's weight on {p, q}."""
+    n = g.n_gon
+    return graph_from_weights(n, {(n + 1 - j, n + 1 - i): x for i, j, x in g.sparse_items()})
 
 
 def piece_laminations(lam: Lamination) -> list:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flips import flip
-from graphs import piece_laminations, relabeled, walked_cut
+from graphs import piece_laminations, reflected, relabeled, walked_cut
 from rational_oracle import evaluate_at, x_substitution
 from witness import basis_failed_rounds, failed_rounds
 from tropclust.atlas import (
@@ -31,6 +31,7 @@ from tropclust.basis import (
     _positive_piece,
     _split_leaves,
     _split_steps,
+    _split_table,
     a2_coefficient,
     basis_laurent,
     crossing_measure,
@@ -321,15 +322,16 @@ def test_incremental_measure_matches_the_from_scratch_split(n_gon):
             for _ in range(3)
         ]
         v = product_graph(points).w
-        tables = _tables(n_gon)
-        shuffled = list(tables.rows)
+        table = _split_table(n_gon)[0]
+        shuffled = list(table)
         rng.shuffle(shuffled)
-        for rows in (tables.rows, tables.rows[::-1], tuple(shuffled)):
+        for rows in (table, table[::-1], tuple(shuffled)):
             leaves, nodes = _reference_split_leaves(v, rows, DEFAULT_BUDGET)
-            assert _split_leaves(v, rows, nodes) == leaves
+            steps = _split_steps(rows)
+            assert _split_leaves(v, steps, nodes) == leaves
             for budget in {0, nodes // 2, max(nodes - 1, 0)} - {nodes}:
                 with pytest.raises(BudgetExceeded) as info:
-                    _split_leaves(v, rows, budget)
+                    _split_leaves(v, steps, budget)
                 assert (info.value.budget, info.value.expanded) == (budget, budget + 1)
 
 
@@ -359,8 +361,8 @@ def test_split_leaves_pass_the_validating_constructors():
     the expansion holds exactly those leaves, in the same weights."""
     for points in _seeded_products(range(5, 11), 800):
         total = product_graph(points)
-        n_gon, tables = total.n_gon, _tables(total.n_gon)
-        leaves = _split_leaves(total.w, tables.rows, DEFAULT_BUDGET)
+        n_gon = total.n_gon
+        leaves = _split_leaves(total.w, _split_table(n_gon)[1], DEFAULT_BUDGET)
         expansion = product_expand(points)
         assert {lam.graph.w: c for lam, c in expansion} == leaves
         for lam in expansion.support():
@@ -396,7 +398,7 @@ def test_budget_message_at_the_boundary():
             product_expand([UNITS[1], UNITS[3]], budget=budget)
     for points in _seeded_products(range(5, 10), 810, count=2):
         total = product_graph(points)
-        _, nodes = _reference_split_leaves(total.w, _tables(total.n_gon).rows, DEFAULT_BUDGET)
+        _, nodes = _reference_split_leaves(total.w, _split_table(total.n_gon)[0], DEFAULT_BUDGET)
         if nodes == 0:
             continue
         with pytest.raises(BudgetExceeded) as info:
@@ -476,10 +478,10 @@ def _split_both_ways(points):
     """Leaf counts when the split takes the first crossing row, and when it
     takes the last one (the same table, reversed)."""
     total = product_graph(points)
-    tables = _tables(total.n_gon)
+    rows, steps = _split_table(total.n_gon)
     return (
-        _split_leaves(total.w, tables.rows, DEFAULT_BUDGET),
-        _split_leaves(total.w, tables.rows[::-1], DEFAULT_BUDGET),
+        _split_leaves(total.w, steps, DEFAULT_BUDGET),
+        _split_leaves(total.w, _split_steps(rows[::-1]), DEFAULT_BUDGET),
     )
 
 
@@ -1007,6 +1009,25 @@ def test_rotations_commute_with_expansion_and_lattice_points():
             assert sorted(lam.graph.w for lam in scanned) == sorted(
                 images[r] for images in lattice
             )
+
+
+def test_reflection_commutes_with_expansion_and_lattice_points():
+    """Reflecting a product's factors by i -> N + 1 - i reflects its
+    expansion, leaves and coefficients, and the lattice points of its
+    Minkowski spec, on seeded 5- to 9-gon products.  The reflected
+    factors pass the validating constructors."""
+    for points in _seeded_products(range(5, 10), 4480):
+        mirrored = [Lamination(reflected(p.graph)) for p in points]
+        expansion = product_expand(mirrored)
+        leaves = product_expand(points)
+        assert {lam.graph.w: c for lam, c in expansion} == {
+            reflected(lam.graph).w: c for lam, c in leaves
+        }
+        assert len(expansion) == len(leaves)
+        scanned = lattice_points(minkowski_spec(mirrored))
+        assert sorted(lam.graph.w for lam in scanned) == sorted(
+            reflected(lam.graph).w for lam in lattice_points(minkowski_spec(points))
+        )
 
 
 def test_verify_positive_basis_raises_what_the_basis_function_raises():

@@ -688,9 +688,9 @@ def _random_argv(rng) -> list:
     return argv
 
 
-def _argparse_result(argv, capsys):
+def _argparse_result(parser, argv, capsys):
     try:
-        return vars(cli.build_parser().parse_args(argv))
+        return vars(parser.parse_args(argv))
     except SystemExit:
         return None
     finally:
@@ -702,12 +702,13 @@ def test_table_reader_agrees_with_argparse(capsys):
     None wherever argparse exits, and otherwise None or argparse's exact
     namespace, in argparse's attribute order."""
     rng = random.Random(31)
+    parser = cli.build_parser()
     counts = {"read": 0, "left to argparse": 0, "argparse exits": 0}
     commands = set()
     for _ in range(3000):
         argv = _random_argv(rng)
         got = cli._read_canonical(argv)
-        want = _argparse_result(argv, capsys)
+        want = _argparse_result(parser, argv, capsys)
         if want is None:
             assert got is None, argv
             counts["argparse exits"] += 1
@@ -724,6 +725,7 @@ def test_table_reader_agrees_with_argparse(capsys):
 def test_table_reader_reads_every_benchmark_argv(capsys):
     """Every argv shape that perfbench times is read from the table, to
     argparse's namespace."""
+    parser = cli.build_parser()
     for argv in (
         ["verify-mthm", "--in", "in.json", "--out", "out.json"],
         ["lattice-points", "--in", "in.json", "--out", "out.json"],
@@ -732,7 +734,7 @@ def test_table_reader_reads_every_benchmark_argv(capsys):
     ):
         got = cli._read_canonical(argv)
         assert got is not None, argv
-        assert list(vars(got).items()) == list(_argparse_result(argv, capsys).items())
+        assert list(vars(got).items()) == list(_argparse_result(parser, argv, capsys).items())
 
 
 def test_console_script_reads_sys_argv(files, capsys, monkeypatch):

@@ -231,9 +231,9 @@ def test_coordinate_on_own_chord_counts_no_crossings():
 
 def test_coords_chart_mismatch():
     c = fan_coords(5, (1, 2))
-    assert Segment(2, 4) not in c.as_dict()
-    assert c.as_dict()[Segment(1, 3)] == 1
-    assert c.as_dict() == {Segment(1, 3): 1, Segment(1, 4): 2}
+    assert Segment(2, 4) not in dict(c.values)
+    assert dict(c.values)[Segment(1, 3)] == 1
+    assert dict(c.values) == {Segment(1, 3): 1, Segment(1, 4): 2}
 
 
 def test_coordinates_are_additive():
@@ -344,7 +344,7 @@ def test_chart_coords_all_charts_consistent():
     for tri in triangulations(6):
         coords = chart_coords(lam, tri)
         for d in tri.sorted_diagonals():
-            assert 2 * coords.as_dict()[d] == walked_cut(lam.graph, *d)
+            assert 2 * dict(coords.values)[d] == walked_cut(lam.graph, *d)
         assert lamination_from_coords(coords) == lam
 
 

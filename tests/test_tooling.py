@@ -1,10 +1,12 @@
 """Repository-wide checks on the library source."""
 
 import ast
+import gc
 import importlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import tropclust
@@ -206,6 +208,28 @@ def test_library_caches_are_bounded():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{line}" for line in _unbounded_caches(tree)]
     assert found == []
+
+
+def test_chart_lists_keep_no_memory_once_dropped():
+    """``triangulations`` and ``mutation_words`` build a Catalan-sized
+    result per call and keep none of it in a process cache: once the
+    1,430 charts of the 10-gon are dropped, traced memory is back within
+    64 KiB of where it started."""
+    from tropclust.atlas import mutation_words
+    from tropclust.polygon import triangulations
+
+    # a first call at a small size sets up what any call needs
+    triangulations(5), mutation_words(2)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        triangulations(10)
+        mutation_words(7)
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 64 * 1024, held
 
 
 _RECORD_METHODS = {"_trusted", "__setattr__", "__delattr__"}

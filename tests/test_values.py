@@ -11,7 +11,7 @@ import pytest
 
 from tropclust.atlas import Seed
 from tropclust.basis import Expansion, basis_laurent
-from tropclust.errors import InvariantViolation
+from tropclust.errors import InvariantViolation, SizeMismatch
 from tropclust.laminations import Lamination, TropicalCoords, lamination_from_coords
 from tropclust.laurent import LaurentPolynomial
 from tropclust.polygon import Segment, Triangulation
@@ -182,3 +182,22 @@ def test_constructors_reject_missing_and_unknown_arguments():
         WeightedGraph(5, weights=W13)
     with pytest.raises(TypeError):
         WeightedGraph(5, W13, n_gon=5)
+
+
+@pytest.mark.parametrize("build, error", [
+    # a repeated diagonal whose two values do not compare
+    (lambda: StasheffSpec(5, [((1, 3), 1), ((1, 3), "x"), ((1, 4), 1), ((2, 4), 1), ((2, 5), 1)]),
+     SizeMismatch),
+    (lambda: TropicalCoords(Triangulation(5, FAN), [((1, 3), 1), ((1, 3), "x")]), SizeMismatch),
+    # a field of the wrong kind
+    (lambda: Triangulation(5, {(1, 3), (1, 4)}), InvariantViolation),
+    (lambda: Lamination(5), InvariantViolation),
+    (lambda: TropicalCoords(5, []), InvariantViolation),
+], ids=["spec-repeat", "coords-repeat", "chart-pairs", "lamination-int", "coords-int"])
+def test_constructors_refuse_ill_formed_fields_with_library_errors(build, error):
+    """A repeated diagonal is a mismatch whatever its values, and a field
+    that is not of its value type is refused before any of its methods is
+    read: a library error each time, never a bare ``TypeError`` or
+    ``AttributeError``."""
+    with pytest.raises(error):
+        build()
