@@ -55,7 +55,7 @@ from itertools import combinations, repeat
 from operator import add, itemgetter
 from typing import Sequence
 
-from .atlas import type_a_seed, x_chart_walk
+from .atlas import x_chart_walk, x_variable_name
 from .errors import (
     BudgetExceeded,
     EmptyInput,
@@ -66,36 +66,19 @@ from .errors import (
 )
 from .laminations import Lamination, _edge_cycle, _piece_chords
 from .laurent import LaurentPolynomial
-from .values import Value, _is_int
+from .values import Value, _is_int, _items, _pair
 from .weighted_graphs import WeightedGraph, _rotations, _tables
 
 DEFAULT_BUDGET = 1_000_000
 
 
-@lru_cache(maxsize=32)
-def _fan_chains(n_gon: int) -> tuple:
-    """The names X1..Xn of an N-gon's fan chart, and the chain sum
-    1 + X_(i-1) + X_(i-1) X_i + ... + X_(i-1) ... X_(j-3) of each diagonal
-    {i, j} off the fan (i >= 2), built once per N.  Chains list their
-    longest term first, as the exchange relation on the fan's
-    quadrilaterals does, so products keep that term order."""
-    names = type_a_seed(n_gon - 3).x_names()
-    return names, {
-        (i, j): LaurentPolynomial._trusted(names, {
-            (0,) * (i - 2) + (1,) * t + (0,) * (n_gon - 1 - i - t): 1
-            for t in reversed(range(j - i))
-        })
-        for i in range(2, n_gon - 1)
-        for j in range(i + 2, n_gon + 1)
-    }
-
-
-def _chains_of(lam: Lamination) -> tuple:
-    """``_fan_chains`` of the lamination's polygon, once the lamination is
-    known to be integral: the two checks every basis function passes."""
+def _check_basis_input(lam: Lamination) -> None:
+    """The two checks every basis function passes: the lamination is
+    integral and its polygon has a chart variable."""
     if lam.domain != "int":
         raise NonIntegral("basis functions are indexed by integral laminations")
-    return _fan_chains(lam.n_gon)
+    if lam.n_gon < 4:
+        raise InvariantViolation(f"rank must be a positive integer, got {lam.n_gon - 3!r}")
 
 
 def basis_laurent(lam: Lamination) -> LaurentPolynomial:
@@ -103,23 +86,31 @@ def basis_laurent(lam: Lamination) -> LaurentPolynomial:
 
     X_m is the coordinate of the fan diagonal {1, m + 2}.  In the fan chart
     the F-polynomial of a diagonal {i, j} with i >= 2 is its chain sum
-    (Fomin-Zelevinsky, Cluster algebras IV; Musiker-Schiffler-Williams), so
-    the basis function is X^b times the product of the chains to the
-    weights of those diagonals, where b_k sums the weights of all pairs of
-    vertices in 1..k+1.  A 3-gon has no chart variables and raises
-    InvariantViolation, as ``type_a_seed(0)`` does.
+    1 + X_(i-1) + X_(i-1) X_i + ... + X_(i-1) ... X_(j-3) (Fomin-Zelevinsky,
+    Cluster algebras IV; Musiker-Schiffler-Williams), so the basis function
+    is X^b times the product of the chains to the weights of those
+    diagonals, where b_k sums the weights of all pairs of vertices in
+    1..k+1.  Each chain is built where it is multiplied in, longest term
+    first, as the exchange relation on the fan's quadrilaterals lists it.
+    A 3-gon has no chart variables and raises InvariantViolation, as
+    ``type_a_seed(0)`` does.
     """
-    names, chains = _chains_of(lam)
-    b = [0] * len(names)
+    _check_basis_input(lam)
+    rank = lam.n_gon - 3
+    names = tuple(map(x_variable_name, range(1, rank + 1)))
+    b = [0] * rank
     product = None
     for i, j, w in lam.graph.sparse_items():
         # the pair {i, j} lies in 1..k+1 for every k >= j - 1
-        for k in range(j - 2, len(b)):
+        for k in range(j - 2, rank):
             b[k] += w
-        if (i, j) in chains:
-            factor = chains[i, j] ** w
+        if i >= 2 and j - i >= 2:
+            factor = LaurentPolynomial._trusted(names, {
+                (0,) * (i - 2) + (1,) * t + (0,) * (rank + 2 - i - t): 1
+                for t in reversed(range(j - i))
+            }) ** w
             product = factor if product is None else product * factor
-    terms = {(0,) * len(names): 1} if product is None else product.terms
+    terms = {(0,) * rank: 1} if product is None else product.terms
     # a shift keeps the exponent tuples distinct and the coefficients positive
     return LaurentPolynomial._trusted(
         names, {tuple(map(add, exps, b)): c for exps, c in terms.items()}
@@ -138,8 +129,9 @@ class Expansion(Value):
     __slots__ = ("terms", "__dict__")
 
     def __post_init__(self):
-        terms = tuple(self.terms)
-        for lam, coeff in terms:
+        terms = tuple(_items(self.terms, "expansion terms"))
+        for term in terms:
+            lam, coeff = _pair(term, "an expansion term")
             if not isinstance(lam, Lamination):
                 raise InvariantViolation("expansion terms must be laminations")
             if not _is_int(coeff) or coeff <= 0:
@@ -194,7 +186,9 @@ def _split_steps(rows: tuple) -> tuple:
     complements of their masks (first of a, second of a, first of b, second
     of b) and per side the chords c and d, their masks (first of c, second
     of c, first of d, second of d) and the drop cr(a) + cr(b) - cr(c) -
-    cr(d) of the potential.
+    cr(d) of the potential.  Each mask and complement is built once per
+    chord and shared by every row through it, so the O(N^4) steps point at
+    O(N^2) ints.
 
     For the row of a quad p < q < r < s of an N-gon the drops are
     2 (q - p)(s - r) and 2 (r - q)(N - s + p), so every drop is at least 2;
@@ -207,6 +201,7 @@ def _split_steps(rows: tuple) -> tuple:
         cr[b] = cr.get(b, 0) + 1
         first[a] = first.get(a, 0) | 1 << pos
         second[b] = second.get(b, 0) | 1 << pos
+    cleared = {x: (~first.get(x, 0), ~second.get(x, 0)) for x in cr}
     steps = []
     for a, b, sides in rows:
         step = []
@@ -216,8 +211,7 @@ def _split_steps(rows: tuple) -> tuple:
                 raise InvariantViolation("a split must lower the potential")
             step.append((c, d, first.get(c, 0), second.get(c, 0),
                          first.get(d, 0), second.get(d, 0), drop))
-        steps.append((a, b, ~first.get(a, 0), ~second.get(a, 0),
-                      ~first.get(b, 0), ~second.get(b, 0), tuple(step)))
+        steps.append((a, b, *cleared[a], *cleared[b], tuple(step)))
     chords = tuple((x, n, first.get(x, 0), second.get(x, 0)) for x, n in cr.items())
     return chords, tuple(steps)
 
@@ -454,9 +448,10 @@ def verify_positive_basis(lam: Lamination) -> bool:
     its answer returned: a False answer, or an error, is always the full
     walk's.  Raises
     NonIntegral for a rational lamination and InvariantViolation for a
-    3-gon, as ``basis_laurent`` does.
+    3-gon, as ``basis_laurent`` does, from the same check: a warm check
+    builds no polynomial.
     """
-    _chains_of(lam)
+    _check_basis_input(lam)
     n = lam.n_gon
     if all(_positive_piece(n, chords, start) for chords, start, _ in _piece_chords(lam)):
         return True

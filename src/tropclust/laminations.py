@@ -63,7 +63,7 @@ from .errors import (
     SizeMismatch,
 )
 from .polygon import Segment, Triangulation, _apexes, _chart_text
-from .values import Value, _is_number, _normalize
+from .values import Value, _is_number, _items, _normalize, _pair
 from .weighted_graphs import WeightedGraph, _half_cuts, _tables
 
 
@@ -224,7 +224,11 @@ def _diagonal_values(items, diags: tuple, mismatch: str, not_number: str) -> tup
     """Normalized (segment, value) pairs over exactly ``diags``, sorted by
     segment alone, so a repeated segment is a mismatch whatever its values;
     the messages name the two ways the items can fail."""
-    vals = tuple(sorted(((Segment(*s), _normalize(v)) for s, v in items), key=itemgetter(0)))
+    vals = []
+    for item in _items(items, "diagonal values"):
+        s, v = _pair(item, "a (segment, value) entry")
+        vals.append((Segment(*_pair(s, "a segment")), _normalize(v)))
+    vals = tuple(sorted(vals, key=itemgetter(0)))
     if tuple(s for s, _ in vals) != diags:
         raise SizeMismatch(mismatch)
     for _, v in vals:

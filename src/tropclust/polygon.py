@@ -37,7 +37,7 @@ from .errors import (
     InvariantViolation,
     NotADiagonal,
 )
-from .values import Value, _is_int
+from .values import Value, _is_int, _items
 
 
 class Segment(namedtuple("Segment", ["i", "j"])):
@@ -104,7 +104,7 @@ class Triangulation(Value):
 
     def __post_init__(self):
         check_polygon(self.n_gon)
-        object.__setattr__(self, "diagonals", frozenset(self.diagonals))
+        object.__setattr__(self, "diagonals", frozenset(_items(self.diagonals, "diagonals")))
         for d in self.diagonals:
             if not isinstance(d, Segment):
                 raise InvariantViolation("a triangulation's diagonals must be Segments")

@@ -14,8 +14,10 @@ a closed operation that built valid fields itself wraps them with it.
 
 The checks of what a field may hold live here too, one per rule, for
 every value type to read: ``_is_int`` (an int, never a bool),
-``_is_number`` (an exact number: such an int or a ``Fraction``) and
-``_normalize`` (an integral ``Fraction`` read as its int).
+``_is_number`` (an exact number: such an int or a ``Fraction``),
+``_normalize`` (an integral ``Fraction`` read as its int), and ``_items``
+and ``_pair``, which read a field of iterable or pair shape or refuse it
+with ``InvariantViolation``, never a bare ``TypeError`` or ``ValueError``.
 """
 from fractions import Fraction
 from operator import attrgetter
@@ -37,6 +39,25 @@ def _normalize(x: Number) -> Number:
     if isinstance(x, Fraction) and x.denominator == 1:
         return int(x)
     return x
+
+
+def _items(x, what: str):
+    """An iterator over the field ``x``, named ``what`` in the error when
+    it is not iterable."""
+    try:
+        return iter(x)
+    except TypeError:
+        raise InvariantViolation(f"{what} must be iterable, got {x!r}") from None
+
+
+def _pair(x, what: str) -> tuple:
+    """The two entries of ``x``, named ``what`` in the error when it is not
+    an iterable of exactly two."""
+    try:
+        first, second = x
+    except (TypeError, ValueError):
+        raise InvariantViolation(f"{what} must be a pair, got {x!r}") from None
+    return first, second
 
 
 class Value:

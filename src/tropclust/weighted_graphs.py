@@ -17,8 +17,7 @@ Every table that depends on N alone lives in one record built once per N
 (``_tables``): the pairs and their index, the diagonal indices and slots,
 a getter per vertex and per diagonal's cut, the inclusion-exclusion
 columns that turn diagonal values back into weights, and the rotation of
-the polygon by one vertex, as a slot permutation (no crossing rows: the
-split tree's own record, ``basis._split_table``, holds those).
+the polygon by one vertex, as a slot permutation.
 Validation, the masses, the split tree and the positivity check's orbit
 keys (``basis``), chart reconstruction (``laminations``), the quadruple
 criterion (``polytopes``) and the JSON reader (``jsonio``) read it, so a
@@ -40,7 +39,7 @@ from typing import NamedTuple
 
 from .errors import InvariantViolation, SizeMismatch
 from .polygon import Segment, check_polygon
-from .values import Number, Value, _is_number
+from .values import Number, Value, _is_number, _items
 
 
 def wrap_vertex(v: int, n_gon: int) -> int:
@@ -155,7 +154,7 @@ class WeightedGraph(Value):
     def __post_init__(self):
         check_polygon(self.n_gon)
         tables = _tables(self.n_gon)
-        w = tuple(self.w)
+        w = tuple(_items(self.w, "weights"))
         if len(w) != len(tables.pairs):
             raise InvariantViolation(f"need {len(tables.pairs)} weights, one per vertex pair")
         if not all(map(_is_number, w)):

@@ -1,10 +1,12 @@
 """Canonical basis functions, product expansion, and the pentagon closed form."""
 
 import functools
+import gc
 import itertools
 import json
 import operator
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -340,6 +342,44 @@ def test_split_steps_reject_a_step_that_keeps_the_potential():
     table is refused before any vector is split."""
     with pytest.raises(InvariantViolation, match="potential"):
         _split_steps(((0, 1, ((0, 1), (2, 3))),))
+
+
+def test_split_table_keeps_each_chords_masks_once():
+    """The steps share each chord's masks and complements, so a 20-gon's
+    table, 4,845 rows, stays within 4 MiB traced: a fresh complement per
+    row would hold over 10 MiB."""
+    _tables(20)
+    tracemalloc.start()
+    try:
+        table = _split_table.__wrapped__(20)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table[0]) == 4845
+    assert held <= 4 * 1024 * 1024, held
+
+
+def test_basis_functions_keep_no_memory_once_dropped():
+    """``basis_laurent`` builds its chain sums per call and keeps none of
+    them in a process cache: once the functions of a 12-gon and a 14-gon
+    lamination are dropped, traced memory is back within 16 KiB of where
+    it started."""
+    laminations = [
+        pt(12, [1, 0, -1, 0, 1, 0, 0, 0, 0]),
+        pt(14, [0, 1, 0, 0, -1, 0, 0, 0, 0, 0, 1]),
+    ]
+    # a first call at a small size sets up what any call needs
+    basis_laurent(pt(5, (1, -1)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for lam in laminations:
+            basis_laurent(lam)
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 16 * 1024, held
 
 
 def _seeded_products(n_gons, seed, count=3):
@@ -925,6 +965,34 @@ def test_x_chart_walk_is_rotation_equivariant(n_gon):
                 source = [image.index(d) for d in labels[target]]
                 renamed = {tuple(exps[k] for k in source): c for exps, c in terms.items()}
                 assert rotated[target] == renamed, (r, word, target)
+
+
+@pytest.mark.parametrize("n_gon", range(5, 9))
+def test_x_chart_walk_is_reflection_equivariant(n_gon):
+    """Reflecting the polygon, i -> N + 1 - i, reverses its orientation and
+    so negates every exchange matrix: it carries the walk of a basis
+    function onto the walk of the reflected lamination's with each X
+    inverted.  In the chart of the reflected diagonals the terms are the
+    same once each direction is renamed to the one that labels the
+    reflected diagonal and every exponent is negated.  On seeded fan
+    laminations of the box [-2, 2]."""
+    rank = n_gon - 3
+    labels = _chart_labels(rank)
+    words = {frozenset(chart): word for word, chart in labels.items()}
+    rng = random.Random(4470 + n_gon)
+    for _ in range(4):
+        lam = pt(n_gon, [rng.randint(-2, 2) for _ in range(rank)])
+        charts = dict(x_chart_walk(basis_laurent(lam)))
+        mirrored = dict(x_chart_walk(basis_laurent(Lamination(reflected(lam.graph)))))
+        assert len(mirrored) == len(charts)
+        for word, terms in charts.items():
+            image = [Segment(n_gon + 1 - i, n_gon + 1 - j) for i, j in labels[word]]
+            target = words[frozenset(image)]
+            # direction j there labels the image of direction source[j]'s
+            # diagonal here
+            source = [image.index(d) for d in labels[target]]
+            renamed = {tuple(-exps[k] for k in source): c for exps, c in terms.items()}
+            assert mirrored[target] == renamed, (word, target)
 
 
 @pytest.mark.parametrize("n_gon", range(5, 9))

@@ -193,11 +193,24 @@ def test_constructors_reject_missing_and_unknown_arguments():
     (lambda: Triangulation(5, {(1, 3), (1, 4)}), InvariantViolation),
     (lambda: Lamination(5), InvariantViolation),
     (lambda: TropicalCoords(5, []), InvariantViolation),
-], ids=["spec-repeat", "coords-repeat", "chart-pairs", "lamination-int", "coords-int"])
+    # a collection field that is not iterable
+    (lambda: Triangulation(5, 5), InvariantViolation),
+    (lambda: WeightedGraph(5, 5), InvariantViolation),
+    (lambda: StasheffSpec(5, 5), InvariantViolation),
+    (lambda: Expansion(5), InvariantViolation),
+    # an entry or a segment that is not a pair
+    (lambda: StasheffSpec(5, [(1, 2)]), InvariantViolation),
+    (lambda: StasheffSpec(5, [((1, 3, 4), 1)]), InvariantViolation),
+    (lambda: TropicalCoords(Triangulation(5, FAN), [((1, 3),)]), InvariantViolation),
+    (lambda: Expansion([(1, 2, 3)]), InvariantViolation),
+], ids=["spec-repeat", "coords-repeat", "chart-pairs", "lamination-int", "coords-int",
+        "chart-int", "graph-int", "spec-int", "expansion-int",
+        "spec-bare-entry", "spec-triple-segment", "coords-single", "expansion-triple"])
 def test_constructors_refuse_ill_formed_fields_with_library_errors(build, error):
-    """A repeated diagonal is a mismatch whatever its values, and a field
+    """A repeated diagonal is a mismatch whatever its values, a field
     that is not of its value type is refused before any of its methods is
-    read: a library error each time, never a bare ``TypeError`` or
-    ``AttributeError``."""
+    read, and a collection that is not iterable or an entry that is not a
+    pair is refused before it is unpacked: a library error each time,
+    never a bare ``TypeError``, ``ValueError`` or ``AttributeError``."""
     with pytest.raises(error):
         build()
