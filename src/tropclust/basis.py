@@ -19,6 +19,15 @@ rows whose first chord and the rows whose second chord carry weight; their
 AND holds its crossing rows, and a split updates both in a few bit
 operations where a weight falls to or rises from zero.
 
+Where every graph on the way splits at the same row, a run resolves
+m = min(w_a, w_b) units of it at once, as one binomial (1 + u)^m: the
+graph with j units rerouted one way and m - j the other gets C(m, j)
+times the parent's count (the skein relation as a positive resolution
+of a crossing: Musiker-Williams).  The budget still counts the distinct
+graphs the one-unit-at-a-time tree splits: runs count an upper bound on
+it, and once that passes the budget the call starts again one unit at a
+time, which reaches the same verdict as without runs.
+
 The leaves are wrapped as ``WeightedGraph``s and ``Lamination``s, and the
 result as an ``Expansion``, through ``Value._trusted``, with no check: the
 factors are checked integral laminations, each split moves one unit from
@@ -242,35 +251,98 @@ def _split_leaves(v: tuple, table: tuple, budget: int) -> dict:
     bit is the row to split.  A split changes the masks only where a weight
     falls from 1 to 0 (a or b: its bits are cleared) or rises from 0 (c or
     d: its masks are ORed in).  The masks are functions of the weights, so
-    equal vectors meet in one cell, and each vector in one bucket.  So the
-    budget counts a popped bucket's vectors at once: once the count passes
-    it, the vector numbered budget + 1 was due to be split.
+    equal vectors meet in one cell, and each vector in one bucket.
+
+    A run splits m = min(v_a, v_b) units of the row at once.  When both
+    weights are at least 2 and no row below it is loaded in
+    (F | masks of c, d, e, g) & (S | theirs), where (c, d) and (e, g) are
+    the row's two sides, every vector the one-at-a-time tree reaches from
+    this one in fewer than m splits splits at the same row, so the m
+    splits resolve as one binomial: the vector with j units moved to
+    (c, d) and m - j to (e, g) gets count * C(m, j), keyed by the parent's
+    key minus j drops of the first side and m - j of the second.  These are
+    the one-at-a-time tree's own splits of the row, C(m, j) its paths to
+    that vector, so runs change no leaf and no count.
+
+    The budget counts the graphs the one-at-a-time tree splits, exactly.
+    A first pass with runs counts 1 per vector split one unit and
+    m (m + 1) / 2 per run, the vectors of the run's triangle: every graph
+    the one-at-a-time tree splits lies in some run's triangle or is split
+    singly, so this is an upper bound, checked before a run's children are
+    built.  When it passes the budget, the same loop starts again with
+    runs off and counts each popped bucket's vectors at once: once the
+    count passes the budget, the vector numbered budget + 1 was due to be
+    split.
     """
     chords, steps = table
-    f = s = 0
+    f0 = s0 = 0
     for x, _, first, second in chords:
         if v[x]:
-            f |= first
-            s |= second
-    if not f & s:
+            f0 |= first
+            s0 |= second
+    if not f0 & s0:
         return {v: 1}
-    buckets = {sum(v[x] * cr for x, cr, _, _ in chords): {v: [1, f, s]}}
+    top = sum(v[x] * cr for x, cr, _, _ in chords)
+    buckets = {top: {v: [1, f0, s0]}}
     leaves: dict[tuple, int] = {}
     expanded = 0
+    runs = True
     while buckets:
         key = max(buckets)
         pending = buckets.pop(key)
         expanded += len(pending)
-        if expanded > budget:
-            raise BudgetExceeded(budget, budget + 1)
         for node, (count, f, s) in pending.items():
+            if expanded > budget:
+                break
             loaded = f & s
-            row = (loaded & -loaded).bit_length() - 1
-            a, b, not_fa, not_sa, not_fb, not_sb, sides = steps[row]
-            if node[a] == 1:
+            low = loaded & -loaded
+            a, b, not_fa, not_sa, not_fb, not_sb, sides = steps[low.bit_length() - 1]
+            wa = node[a]
+            wb = node[b]
+            if runs and wa > 1 < wb:
+                (c, d, fc, sc, fd, sd, drop_cd), (e, g, fe, se, fg, sg, drop_eg) = sides
+                # no row below this one loads on the way: the run stays on it
+                if not (f | fc | fd | fe | fg) & (s | sc | sd | se | sg) & (low - 1):
+                    m = min(wa, wb)
+                    expanded += m * (m + 1) // 2 - 1
+                    if expanded > budget:
+                        break
+                    if wa == m:
+                        f &= not_fa
+                        s &= not_sa
+                    if wb == m:
+                        f &= not_fb
+                        s &= not_sb
+                    child = list(node)
+                    child[a] -= m
+                    child[b] -= m
+                    child[e] += m
+                    child[g] += m
+                    for j in range(m + 1):
+                        # j units moved to (c, d) and m - j to (e, g)
+                        child_f, child_s = f, s
+                        if j:
+                            child_f |= fc | fd
+                            child_s |= sc | sd
+                        if j < m:
+                            child_f |= fe | fg
+                            child_s |= se | sg
+                        grown = tuple(child)
+                        weight = count * math.comb(m, j)
+                        if not child_f & child_s:
+                            leaves[grown] = leaves.get(grown, 0) + weight
+                        else:
+                            bucket = buckets.setdefault(key - j * drop_cd - (m - j) * drop_eg, {})
+                            bucket.setdefault(grown, [0, child_f, child_s])[0] += weight
+                        child[c] += 1
+                        child[d] += 1
+                        child[e] -= 1
+                        child[g] -= 1
+                    continue
+            if wa == 1:
                 f &= not_fa
                 s &= not_sa
-            if node[b] == 1:
+            if wb == 1:
                 f &= not_fb
                 s &= not_sb
             for c, d, fc, sc, fd, sd, drop in sides:
@@ -297,6 +369,14 @@ def _split_leaves(v: tuple, table: tuple, budget: int) -> dict:
                     buckets[key - drop] = {child: [count, child_f, child_s]}
                 else:
                     bucket.setdefault(child, [0, child_f, child_s])[0] += count
+        if expanded > budget:
+            if not runs:
+                raise BudgetExceeded(budget, budget + 1)
+            # the runs' bound passed the budget: count one split at a time
+            buckets = {top: {v: [1, f0, s0]}}
+            leaves = {}
+            expanded = 0
+            runs = False
     return leaves
 
 
@@ -341,8 +421,12 @@ def product_expand(
     listed by fan coordinates.  The result does not depend on which
     crossing is chosen; this one splits the lexicographically smallest
     crossing quadruple.  ``budget``, a nonnegative int, caps the number of
-    distinct graphs split in this call; the count does not depend on
-    earlier calls.
+    distinct graphs split in this call, one crossing unit at a time; the
+    count does not depend on earlier calls.  Runs of one crossing split
+    many units at once (``_split_leaves``) but do not change the count: a
+    product whose runs' bound passes the budget is split again one unit at
+    a time, and raises at graph budget + 1 exactly when that tree has more
+    than ``budget`` graphs.
     """
     if not _is_int(budget) or budget < 0:
         raise InvariantViolation(f"budget must be a nonnegative int, got {budget!r}")

@@ -315,14 +315,34 @@ def test_incremental_measure_matches_the_from_scratch_split(n_gon):
     in order, reversed and shuffled, and the budget runs out at the same
     node.  The reference counts one node at a time, so under any budget
     below its ``nodes`` it raises (budget, budget + 1): its one full run
-    gives that outcome, and only ``_split_leaves`` runs under each budget."""
+    gives that outcome, and only ``_split_leaves`` runs under each budget.
+
+    Besides three seeded products of factors scaled x1 to x3, each size
+    takes one of three factors scaled x2 to x5, and the pentagon the five
+    pairs k u_a * k u_{a+2} at k = 44 to 95, each one run of m = k.  Most
+    products at N >= 6 have runs that overlap, so their runs' bound passes
+    ``nodes`` and the full budget takes the one-at-a-time pass: a split
+    that raised as soon as the bound passed would fail here."""
     rng = random.Random(700 + n_gon)
     box = 2 if n_gon < 9 else 1
-    for _ in range(3):
-        points = [
-            rng.randint(1, 3) * pt(n_gon, [rng.randint(-box, box) for _ in range(n_gon - 3)])
-            for _ in range(3)
-        ]
+    scaled = random.Random(7300 + n_gon)
+    extra = [[
+        scaled.randint(2, 5) * pt(n_gon, [scaled.randint(-box, box) for _ in range(n_gon - 3)])
+        for _ in range(3)
+    ]]
+    if n_gon == 5:
+        extra += [[k * UNITS[a], k * UNITS[(a + 1) % 5 + 1]]
+                  for a, k in zip(range(1, 6), (44, 59, 71, 82, 95))]
+
+    def products():
+        for _ in range(3):
+            yield [
+                rng.randint(1, 3) * pt(n_gon, [rng.randint(-box, box) for _ in range(n_gon - 3)])
+                for _ in range(3)
+            ]
+        yield from extra
+
+    for points in products():
         v = product_graph(points).w
         table = _split_table(n_gon)[0]
         shuffled = list(table)
@@ -742,6 +762,42 @@ def test_a2_coefficient_matches_splitting(data):
                     accounted += a2_coefficient(d, i, b, c)
     accounted += a2_coefficient(d, 1, 0, 0)  # the origin, once
     assert accounted == sum(coeff for _, coeff in exp)
+
+
+def test_pentagon_pair_at_multiplicity_1000_matches_the_closed_form():
+    """(1000 u_1)(1000 u_3) = (1 + u_2)^1000: its 1,001 terms j u_2 come
+    out under the default budget, each with the closed form's coefficient,
+    read sector by sector as the benchmark's pentagon check reads them.
+    One split at a time takes 500,500 graphs; it is one run of 1000."""
+    k = 1000
+    d = (k, 0, k, 0, 0)
+    exp = product_expand([k * UNITS[1], k * UNITS[3]])
+    fan = fan_triangulation(5)
+    got = {chart_coords(lam, fan).vector(): coeff for lam, coeff in exp}
+    want = {(0, 0): a2_coefficient(d, 1, 0, 0)}
+    for j in range(1, 2 * k + 1):
+        coeff = a2_coefficient(d, 2, j, 0)
+        if coeff:
+            want[(0, j)] = coeff
+    assert len(want) == k + 1
+    assert got == want
+
+
+def test_a_run_past_the_budget_builds_none_of_its_children():
+    """(10^6 u_1)(10^6 u_3) is one run of a million units.  Under a budget
+    of 10 its bound is checked before the run's 10^6 + 1 children are
+    built: the call raises at graph 11, as one split at a time does, and
+    traced memory peaks under 1 MiB."""
+    points = [10**6 * UNITS[1], 10**6 * UNITS[3]]
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded) as info:
+            product_expand(points, budget=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (info.value.budget, info.value.expanded) == (10, 11)
+    assert peak < 1 << 20, peak
 
 
 def test_verify_positive_basis_samples():
