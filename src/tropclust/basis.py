@@ -19,14 +19,15 @@ rows whose first chord and the rows whose second chord carry weight; their
 AND holds its crossing rows, and a split updates both in a few bit
 operations where a weight falls to or rises from zero.
 
-Where every graph on the way splits at the same row, a run resolves
-m = min(w_a, w_b) units of it at once, as one binomial (1 + u)^m: the
-graph with j units rerouted one way and m - j the other gets C(m, j)
-times the parent's count (the skein relation as a positive resolution
-of a crossing: Musiker-Williams).  The budget still counts the distinct
-graphs the one-unit-at-a-time tree splits: runs count an upper bound on
-it, and once that passes the budget the call starts again one unit at a
-time, which reaches the same verdict as without runs.
+A split step resolves m units of one crossing row at once, as one
+binomial (1 + u)^m: the graph with j units rerouted one way and m - j the
+other gets C(m, j) times the parent's count (the skein relation as a
+positive resolution of a crossing: Musiker-Williams).  A single split is
+the run of one unit, m = 1; where every graph on the way splits at the
+same row, a run takes m = min(w_a, w_b).  The budget still counts the
+distinct graphs the one-unit-at-a-time tree splits: runs count an upper
+bound on it, and once that passes the budget the call starts again with
+every run one unit long, which reaches the same verdict as without runs.
 
 The leaves are wrapped as ``WeightedGraph``s and ``Lamination``s, and the
 result as an ``Expansion``, through ``Value._trusted``, with no check: the
@@ -230,49 +231,48 @@ def _split_leaves(v: tuple, table: tuple, budget: int) -> dict:
     expanding each distinct vector once, along the (chords, steps) pair
     ``table`` that ``_split_steps`` builds.
 
-    Each vector splits at the first row whose two chords both carry weight.
-    Its children wait in buckets keyed by the potential
+    Each vector splits at the first row whose two chords a and b both carry
+    weight, in one step that resolves m units of it: the child with j units
+    moved to the first side (c, d) and m - j to the second (e, g) gets
+    count * C(m, j), for j = 0..m.  A single split is the run of one unit,
+    m = 1, with one child per side.  A run takes m = min(v_a, v_b) when
+    both weights are at least 2 and no row below it is loaded in
+    (F | masks of c, d, e, g) & (S | theirs): then every vector the
+    one-unit tree reaches from this one in fewer than m splits splits at
+    the same row, so these are that tree's own splits of the row, C(m, j)
+    its paths to each child, and runs change no leaf and no count.
+
+    The children wait in buckets keyed by the potential
     Phi(v) = sum of v_x cr(x) over the chords x, where cr(x) counts the rows
-    through x.  A split takes one from the crossing chords a and b and adds
-    one to the sides c and d, so it lowers Phi by the fixed drop
+    through x.  A unit moved to a side lowers Phi by the fixed drop
     cr(a) + cr(b) - cr(c) - cr(d) of its row and side, which is positive
-    (``_split_steps``): a child's key is its parent's minus that drop.
-    Taking the largest key first means every parent of a vector is
-    expanded before it, so its multiplicity is complete when its own turn
-    comes.  A child with no crossing row is a leaf and goes straight into
-    the leaf counts, never into a bucket.  Which vectors are split, and so
-    the leaves, their counts and the budget count, depend on the first-row
-    rule alone, not on the order in which they are taken.
+    (``_split_steps``): a child's key is its parent's minus j drops of the
+    first side and m - j of the second.  Taking the largest key first means
+    every parent of a vector is expanded before it, so its multiplicity is
+    complete when its own turn comes.  A child with no crossing row is a
+    leaf and goes straight into the leaf counts, never into a bucket.
+    Which vectors are split, and so the leaves, their counts and the budget
+    count, depend on the first-row rule alone, not on the order in which
+    they are taken.
 
     The first row is read off two row bitmasks kept with each pending
     vector, in a cell [count, F, S] under its weight tuple: F ORs the first
     masks of the chords that carry weight and S their second masks, so
     F & S has a bit for each row with both chords loaded, and its lowest
-    bit is the row to split.  A split changes the masks only where a weight
-    falls from 1 to 0 (a or b: its bits are cleared) or rises from 0 (c or
-    d: its masks are ORed in).  The masks are functions of the weights, so
-    equal vectors meet in one cell, and each vector in one bucket.
+    bit is the row to split.  A step changes the masks only where a weight
+    falls to 0 (a or b, when it equals m: its bits are cleared) or rises
+    from 0 (c and d when j > 0, e and g when j < m: their masks are ORed
+    in).  The masks are functions of the weights, so equal vectors meet in
+    one cell, and each vector in one bucket.
 
-    A run splits m = min(v_a, v_b) units of the row at once.  When both
-    weights are at least 2 and no row below it is loaded in
-    (F | masks of c, d, e, g) & (S | theirs), where (c, d) and (e, g) are
-    the row's two sides, every vector the one-at-a-time tree reaches from
-    this one in fewer than m splits splits at the same row, so the m
-    splits resolve as one binomial: the vector with j units moved to
-    (c, d) and m - j to (e, g) gets count * C(m, j), keyed by the parent's
-    key minus j drops of the first side and m - j of the second.  These are
-    the one-at-a-time tree's own splits of the row, C(m, j) its paths to
-    that vector, so runs change no leaf and no count.
-
-    The budget counts the graphs the one-at-a-time tree splits, exactly.
-    A first pass with runs counts 1 per vector split one unit and
-    m (m + 1) / 2 per run, the vectors of the run's triangle: every graph
-    the one-at-a-time tree splits lies in some run's triangle or is split
-    singly, so this is an upper bound, checked before a run's children are
-    built.  When it passes the budget, the same loop starts again with
-    runs off and counts each popped bucket's vectors at once: once the
-    count passes the budget, the vector numbered budget + 1 was due to be
-    split.
+    The budget counts the graphs the one-unit tree splits, exactly.  A
+    first pass with runs counts 1 per vector split and m (m + 1) / 2 per
+    run, the vectors of the run's triangle: every graph the one-unit tree
+    splits lies in some run's triangle or is split singly, so this is an
+    upper bound, checked before a run's children are built.  When it passes
+    the budget, the same loop starts again with every m held at 1 and
+    counts each popped bucket's vectors at once: once the count passes the
+    budget, the vector numbered budget + 1 was due to be split.
     """
     chords, steps = table
     f0 = s0 = 0
@@ -297,82 +297,65 @@ def _split_leaves(v: tuple, table: tuple, budget: int) -> dict:
             loaded = f & s
             low = loaded & -loaded
             a, b, not_fa, not_sa, not_fb, not_sb, sides = steps[low.bit_length() - 1]
+            (c, d, fc, sc, fd, sd, drop_cd), (e, g, fe, se, fg, sg, drop_eg) = sides
             wa = node[a]
             wb = node[b]
-            if runs and wa > 1 < wb:
-                (c, d, fc, sc, fd, sd, drop_cd), (e, g, fe, se, fg, sg, drop_eg) = sides
-                # no row below this one loads on the way: the run stays on it
-                if not (f | fc | fd | fe | fg) & (s | sc | sd | se | sg) & (low - 1):
-                    m = min(wa, wb)
-                    expanded += m * (m + 1) // 2 - 1
-                    if expanded > budget:
-                        break
-                    if wa == m:
-                        f &= not_fa
-                        s &= not_sa
-                    if wb == m:
-                        f &= not_fb
-                        s &= not_sb
-                    child = list(node)
-                    child[a] -= m
-                    child[b] -= m
-                    child[e] += m
-                    child[g] += m
-                    for j in range(m + 1):
-                        # j units moved to (c, d) and m - j to (e, g)
-                        child_f, child_s = f, s
-                        if j:
-                            child_f |= fc | fd
-                            child_s |= sc | sd
-                        if j < m:
-                            child_f |= fe | fg
-                            child_s |= se | sg
-                        grown = tuple(child)
-                        weight = count * math.comb(m, j)
-                        if not child_f & child_s:
-                            leaves[grown] = leaves.get(grown, 0) + weight
-                        else:
-                            bucket = buckets.setdefault(key - j * drop_cd - (m - j) * drop_eg, {})
-                            bucket.setdefault(grown, [0, child_f, child_s])[0] += weight
-                        child[c] += 1
-                        child[d] += 1
-                        child[e] -= 1
-                        child[g] -= 1
-                    continue
-            if wa == 1:
+            m = 1
+            # a run: no row below this one loads on the way, so it stays on it
+            if runs and wa > 1 < wb and not (
+                (f | fc | fd | fe | fg) & (s | sc | sd | se | sg) & (low - 1)
+            ):
+                m = min(wa, wb)
+                expanded += m * (m + 1) // 2 - 1
+                if expanded > budget:
+                    break
+            if wa == m:
                 f &= not_fa
                 s &= not_sa
-            if wb == 1:
+            if wb == m:
                 f &= not_fb
                 s &= not_sb
-            for c, d, fc, sc, fd, sd, drop in sides:
-                child = list(node)
-                child[a] -= 1
-                child[b] -= 1
+            child = list(node)
+            child[a] -= m
+            child[b] -= m
+            child[e] += m
+            child[g] += m
+            child_key = key - m * drop_eg
+            # c, d, e and g are not a or b: a loaded one's masks are in f and s
+            child_f = f | fe | fg
+            child_s = s | se | sg
+            weight = count
+            j = 0
+            while True:
+                # j units moved to (c, d) and m - j to (e, g), C(m, j) ways
+                grown = tuple(child)
+                if not child_f & child_s:
+                    leaves[grown] = leaves.get(grown, 0) + weight
+                else:
+                    bucket = buckets.get(child_key)
+                    if bucket is None:
+                        buckets[child_key] = {grown: [weight, child_f, child_s]}
+                    else:
+                        bucket.setdefault(grown, [0, child_f, child_s])[0] += weight
+                if j == m:
+                    break
+                j += 1
                 child[c] += 1
                 child[d] += 1
-                child = tuple(child)
-                # c and d are neither a nor b: the node holds their weights
-                # before this split, and only a chord that was empty adds rows
-                child_f, child_s = f, s
-                if not node[c]:
-                    child_f |= fc
-                    child_s |= sc
-                if not node[d]:
-                    child_f |= fd
-                    child_s |= sd
-                if not child_f & child_s:
-                    leaves[child] = leaves.get(child, 0) + count
-                    continue
-                bucket = buckets.get(key - drop)
-                if bucket is None:
-                    buckets[key - drop] = {child: [count, child_f, child_s]}
+                child[e] -= 1
+                child[g] -= 1
+                child_key += drop_eg - drop_cd
+                if j < m:
+                    weight = weight * (m - j + 1) // j
                 else:
-                    bucket.setdefault(child, [0, child_f, child_s])[0] += count
+                    # C(m, m) = 1, and e and g are back to the node's weights
+                    weight, child_f, child_s = count, f, s
+                child_f |= fc | fd
+                child_s |= sc | sd
         if expanded > budget:
             if not runs:
                 raise BudgetExceeded(budget, budget + 1)
-            # the runs' bound passed the budget: count one split at a time
+            # the runs' bound passed the budget: start again with every m at 1
             buckets = {top: {v: [1, f0, s0]}}
             leaves = {}
             expanded = 0

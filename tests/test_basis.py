@@ -30,6 +30,7 @@ from tropclust import basis
 from tropclust.basis import (
     DEFAULT_BUDGET,
     Expansion,
+    _positive_in_every_chart,
     _positive_piece,
     _split_leaves,
     _split_steps,
@@ -813,6 +814,24 @@ def _walked_positive(lam):
     return all(
         terms and min(terms.values()) > 0 for _, terms in x_chart_walk(basis_laurent(lam))
     )
+
+
+def test_positivity_check_refuses_a_negative_coefficient_beside_positive_ones():
+    """A function that is Laurent in every pentagon chart and positive in
+    the fan chart, theta(-2, -2) + theta(0, -2) - theta(-1, -2), has -1 at
+    (1, -2) after the word (1,).  Every chart keeps some positive
+    coefficient, so only a check of each chart's least coefficient refuses
+    it."""
+
+    def theta(vec):
+        return basis_laurent(pt(5, vec))
+
+    f = theta((-2, -2)) + theta((0, -2)) - theta((-1, -2))
+    assert f.terms == {(-3, -2): 1, (-4, -2): 1, (0, -2): 1, (-1, -2): 1}
+    charts = dict(x_chart_walk(f))
+    assert charts[(1,)][1, -2] == -1
+    assert all(max(terms.values()) > 0 for terms in charts.values())
+    assert _positive_in_every_chart(f) is False
 
 
 def test_verify_positive_basis_octagon():

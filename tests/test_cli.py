@@ -340,6 +340,21 @@ def test_verify_mthm_reports_a_mismatch(files, capsys, monkeypatch):
     assert out == "support != lattice points: 0 only in support, 1 only in lattice\n"
 
 
+def test_verify_mthm_reports_a_leaf_outside_the_polytope(files, capsys, monkeypatch):
+    """The other direction of the check: one support element that is no
+    lattice point, the leaf of a lamination far outside the Minkowski
+    polytope, is reported as a mismatch."""
+    outside = pt(5, (9, 9))
+
+    def add_one_leaf(points, budget):
+        return _sorted_leaves(points, budget) + _sorted_leaves([outside], budget)
+
+    monkeypatch.setattr(cli, "_sorted_leaves", add_one_leaf)
+    code, out = run(["verify-mthm", "--in", str(files / "points.json")], capsys)
+    assert code == EXIT_MATH
+    assert out == "support != lattice points: 1 only in support, 0 only in lattice\n"
+
+
 def test_mutate(files, capsys):
     code, out = run(
         ["mutate", "--seed", str(files / "seed.json"), "--word", "1,2,1"], capsys
