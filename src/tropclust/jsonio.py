@@ -21,17 +21,22 @@ lamination is one join of table lookups.  ``dumps`` over
 byte for byte, and an int past the interpreter's digit limit raises the
 reference's error.
 
-``load_path`` reads a file as bytes, decodes it from UTF-8 once, with the
-newline translation of a text-mode read and the BOM refusal of
-``json.loads``, and parses it with one module-level decoder, which keeps no
-state between calls.  Documents are decoded in one pass: each entry goes
-straight to its slot through the per-N tables, and each check runs once,
-with the messages and in the order of the validating constructors, which
-are not run again.  A lamination's domain follows from its weights, so
-``lamination_from_json`` is the only code that reads a document's
-``"domain"`` tag: a ``"rat"`` document whose weights are all integers reads
-as integral, and an ``"int"`` document with a fractional weight is refused
-before the lamination is built.
+``load_path`` reads a file with one unbuffered read, decodes the bytes
+from UTF-8 once, with the newline translation of a text-mode read and the
+BOM refusal of ``json.loads``, and parses the text with one module-level
+decoder, which keeps no state between calls.  Documents are decoded in one
+pass: each entry goes straight to its slot through the per-N tables, and
+each check runs once, with the messages and in the order of the validating
+constructors, which are not run again.  A lamination's pass
+(``_graph_from_json``) loops once over its ``[i, j, w]`` entries: each is
+checked, put in its slot, added to the masses of both its vertices and
+noted if it is not an integer, and the polygon, the labels off it, the
+diagonals' signs, the ``"int"`` tag, crossings and vertex masses are then
+checked on what the pass built.  A lamination's domain follows from its
+weights, so ``lamination_from_json`` is the only code that reads a
+document's ``"domain"`` tag: a ``"rat"`` document whose weights are all
+integers reads as integral, and an ``"int"`` document with a fractional
+weight is refused before the lamination is built.
 """
 from __future__ import annotations
 
@@ -44,7 +49,7 @@ from itertools import repeat
 from .atlas import Seed
 from .basis import Expansion
 from .errors import InputFormatError, NotALamination, SizeMismatch
-from .laminations import Lamination, TropicalCoords, _check_curves, _domain
+from .laminations import Lamination, TropicalCoords, _check_curves
 from .polygon import Segment, check_polygon
 from .polytopes import _MISMATCH, StasheffSpec
 from .values import _is_int, _is_number, _normalize
@@ -101,24 +106,20 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _check_document(doc, kind: str) -> None:
-    _require(isinstance(doc, dict), f"{kind}: document must be an object")
+    if not isinstance(doc, dict):
+        raise InputFormatError(f"{kind}: document must be an object")
     version = doc.get("format")
     # True == 1, so the type is checked first
-    _require(
-        _is_int(version) and version == FORMAT,
-        f"{kind}: missing or unsupported format",
-    )
-
-
-def _int_field(doc, key: str, kind: str) -> int:
-    value = doc.get(key)
-    _require(_is_int(value), f"{kind}: field {key!r} must be an integer")
-    return value
+    if not (_is_int(version) and version == FORMAT):
+        raise InputFormatError(f"{kind}: missing or unsupported format")
 
 
 def _n_gon_field(doc, kind: str) -> int:
-    n_gon = _int_field(doc, "n_gon", kind)
-    _require(n_gon <= MAX_N_GON, f"{kind}: 'n_gon' must be at most {MAX_N_GON}, got {n_gon}")
+    n_gon = doc.get("n_gon")
+    if not _is_int(n_gon):
+        raise InputFormatError(f"{kind}: field 'n_gon' must be an integer")
+    if n_gon > MAX_N_GON:
+        raise InputFormatError(f"{kind}: 'n_gon' must be at most {MAX_N_GON}, got {n_gon}")
     return n_gon
 
 
@@ -139,41 +140,59 @@ def graph_to_json(graph: WeightedGraph) -> dict:
     return {"format": FORMAT, "n_gon": graph.n_gon, "weights": weights}
 
 
-def _graph_from_json(doc) -> WeightedGraph:
-    """The graph of a lamination document, each entry decoded once.
+def _graph_from_json(doc) -> tuple:
+    """The graph of a lamination document, its vertex masses at 1..N and
+    whether every weight is an integer, from one loop over the entries.
 
-    An ``[i, j, w]`` entry goes straight to its slot through the per-N
-    pair index.  A pair the index lacks has equal labels, which ``Segment``
-    refuses at once, or a label off the polygon (or a polygon under three
-    vertices), which is refused once every entry has been read, so faults
-    come in the same order as when each entry was a validated segment.
-    The decoded weights are exact numbers, one per pair, so of the checks
-    of ``WeightedGraph`` only the diagonals' signs are left to run.
+    Each ``[i, j, w]`` entry is checked as it comes (shape, integer labels,
+    equal labels, a repeat, the number), goes into its slot through the
+    per-N pair index, adds its weight to the masses of i and j, and is
+    noted if its weight is not an integer.  A slot holds None until its
+    entry comes, so the slot itself shows a repeat, a zero weight
+    included.  A pair the index lacks has a label off the polygon, or the
+    polygon is under three vertices: it is kept aside by segment, for its
+    repeats, and refused once every entry is read and the polygon checked.
+    A negative diagonal is refused last, so faults come as ``WeightedGraph``
+    over validated segments gives them, and none of its checks runs again.
     """
     n_gon = _n_gon_field(doc, "graph")
     raw = doc.get("weights")
-    _require(isinstance(raw, list), "graph: 'weights' must be a list")
-    index = _tables(n_gon).index if n_gon >= 3 else {}
-    weights = {}  # slot, or a segment off the polygon, -> weight
+    if not isinstance(raw, list):
+        raise InputFormatError("graph: 'weights' must be a list")
+    if n_gon >= 3:
+        tables = _tables(n_gon)
+        index, w, masses = tables.index, [None] * len(tables.pairs), [0] * (n_gon + 1)
+    else:
+        index, w, masses = {}, [], []
+    off = {}  # entries off the polygon, by segment, in entry order
+    integral = True
     for item in raw:
-        _require(isinstance(item, list) and len(item) == 3,
-                 "graph: weight entries must be [i, j, w] triples")
+        if not isinstance(item, list) or len(item) != 3:
+            raise InputFormatError("graph: weight entries must be [i, j, w] triples")
         i, j, x = item
         if type(i) is not int or type(j) is not int:
             _segment_from_json(item[:2], "graph")
-        key = index.get((i, j))
-        if key is None:
+        k = index.get((i, j))
+        if k is None:
             key = Segment(i, j)
-        if key in weights:
+            if key in off:
+                raise InputFormatError(f"graph: duplicate weight entry for {key}")
+            off[key] = x if type(x) is int else number_from_json(x)
+            continue
+        if w[k] is not None:
             raise InputFormatError(f"graph: duplicate weight entry for {Segment(i, j)}")
-        weights[key] = x if type(x) is int else number_from_json(x)
+        if type(x) is not int:
+            x = number_from_json(x)
+            if type(x) is not int:
+                integral = False
+        w[k] = x
+        masses[i] += x
+        masses[j] += x
     check_polygon(n_gon)
-    w = [0] * len(_tables(n_gon).pairs)
-    for key, x in weights.items():
-        if type(key) is Segment:
-            key.validate(n_gon)
-        w[key] = x
-    return WeightedGraph._trusted(n_gon, _check_diagonals(n_gon, tuple(w)))
+    for key in off:
+        key.validate(n_gon)
+    w = tuple([0 if x is None else x for x in w])
+    return WeightedGraph._trusted(n_gon, _check_diagonals(n_gon, w)), masses[1:], integral
 
 
 def lamination_to_json(lam: Lamination) -> dict:
@@ -183,15 +202,19 @@ def lamination_to_json(lam: Lamination) -> dict:
 
 
 def lamination_from_json(doc) -> Lamination:
+    """The lamination of a document, from the one pass of
+    ``_graph_from_json``: an ``"int"`` tag is checked against the
+    integrality the pass noted, which also gives the domain, and
+    ``_check_curves`` reads the masses it counted."""
     _check_document(doc, "lamination")
     tag = doc.get("domain", "int")
-    _require(tag in ("int", "rat"), f"lamination: bad domain {tag!r}")
-    graph = _graph_from_json(doc)
-    domain = _domain(graph)
-    if tag == "int" and domain != "int":
+    if tag not in ("int", "rat"):
+        raise InputFormatError(f"lamination: bad domain {tag!r}")
+    graph, masses, integral = _graph_from_json(doc)
+    if tag == "int" and not integral:
         raise NotALamination("integral domain but fractional weights")
-    _check_curves(graph)
-    return Lamination._trusted(graph, domain)
+    _check_curves(graph, masses)
+    return Lamination._trusted(graph, "int" if integral else "rat")
 
 
 def points_to_json(points) -> dict:
@@ -408,11 +431,12 @@ class _Entries(dict):
 
 
 def load_path(path: str):
-    """The JSON document in the file at ``path``, read as bytes and decoded
-    once: UTF-8, with the newline translation of a text-mode read and the
-    BOM refusal of ``json.loads``, so every message and offset is theirs."""
+    """The JSON document in the file at ``path``, read in one unbuffered
+    read and decoded once: UTF-8, with the newline translation of a
+    text-mode read and the BOM refusal of ``json.loads``, so every message
+    and offset is theirs."""
     try:
-        with open(path, "rb") as fh:
+        with open(path, "rb", buffering=0) as fh:
             text = fh.read().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
         if text.startswith("\ufeff"):
             raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)

@@ -5,7 +5,8 @@ pairwise noncrossing and whose vertex masses all vanish; the boundary edge
 weights (any sign) absorb whatever the diagonals deposit at each corner.
 Integral laminations use integer weights, rational ones allow fractions.
 The weights alone fix the domain, which each lamination stores once;
-``_domain`` is the one place the ``"int"``/``"rat"`` rule is written.
+``_domain`` writes the ``"int"``/``"rat"`` rule for a built graph, and the
+JSON reader applies it to the integrality its pass noted.
 
 Each triangulation gives a coordinate chart: the coordinate of a chart
 diagonal is half the cut mass across it, which ``chart_coords`` reads for
@@ -72,9 +73,12 @@ def _domain(graph: WeightedGraph) -> str:
     return "int" if graph.is_integral() else "rat"
 
 
-def _check_curves(g: WeightedGraph) -> None:
+def _check_curves(g: WeightedGraph, masses) -> None:
     """Refuse a graph with two crossing loaded diagonals or a vertex of
-    nonzero mass, in that order: what makes a graph a lamination."""
+    nonzero mass, in that order: what makes a graph a lamination.  The
+    masses at vertex 1..N come from the caller: the constructor reads
+    ``vertex_masses()``, and the JSON reader passes the ones its pass
+    counted entry by entry."""
     tables = _tables(g.n_gon)
     w = g.w
     loaded = [tables.pairs[k] for k in tables.diagonals if w[k]]
@@ -86,9 +90,9 @@ def _check_curves(g: WeightedGraph) -> None:
                 break
             if i < a and j < b:
                 raise NotALamination(f"diagonals {Segment(i, j)} and {Segment(a, b)} cross")
-    for p, mass in enumerate(g.vertex_masses(), start=1):
-        if mass != 0:
-            raise NotALamination(f"vertex {p} has nonzero total weight")
+    if any(masses):
+        p = next(p for p, mass in enumerate(masses, start=1) if mass)
+        raise NotALamination(f"vertex {p} has nonzero total weight")
 
 
 class Lamination(Value, derived=("domain",)):
@@ -104,7 +108,7 @@ class Lamination(Value, derived=("domain",)):
         if not isinstance(self.graph, WeightedGraph):
             raise InvariantViolation("a lamination's graph must be a WeightedGraph")
         object.__setattr__(self, "domain", _domain(self.graph))
-        _check_curves(self.graph)
+        _check_curves(self.graph, self.graph.vertex_masses())
 
     @property
     def n_gon(self) -> int:

@@ -358,6 +358,31 @@ def test_incremental_measure_matches_the_from_scratch_split(n_gon):
                 assert (info.value.budget, info.value.expanded) == (budget, budget + 1)
 
 
+class _CountedSteps(tuple):
+    """A split table's steps that count how often the split reads one."""
+
+    reads = 0
+
+    def __getitem__(self, x):
+        self.reads += 1
+        return super().__getitem__(x)
+
+
+def test_a_pentagon_pair_is_split_in_one_step():
+    """k u_a * k u_{a+2} on the pentagon loads one crossing row at weight k
+    on both chords, and no other row loads on the way, so the whole tree is
+    one run of m = k: one step read, k + 1 leaves.  A run that resolves
+    fewer units than it may still gives the same leaves, so only the number
+    of steps read shows it."""
+    chords, steps = _split_table(5)[1]
+    for a in range(1, 6):
+        for k in (2, 5, 44):
+            counted = _CountedSteps(steps)
+            v = product_graph([k * UNITS[a], k * UNITS[(a + 1) % 5 + 1]]).w
+            leaves = _split_leaves(v, (chords, counted), DEFAULT_BUDGET)
+            assert (counted.reads, len(leaves)) == (1, k + 1)
+
+
 def test_split_steps_reject_a_step_that_keeps_the_potential():
     """A row whose side is its own chord pair would split forever; the
     table is refused before any vector is split."""
